@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test oracle faults incremental recovery durability check bench report lint analyze
+.PHONY: test oracle faults incremental recovery durability check bench bench-smoke report lint analyze
 
 test:  ## tier-1 test suite
 	$(PYTHON) -m pytest -x -q
@@ -37,6 +37,10 @@ analyze:  ## abstract-interpretation gate: DL018-DL024 clean over all workloads
 
 bench:  ## statistically careful wall-clock benchmarks
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+bench-smoke:  ## the end-to-end benchmark at reduced size, then its self-test
+	$(PYTHON) benchmarks/e2e/run.py --smoke
+	$(PYTHON) -m pytest benchmarks/e2e -q
 
 # Regenerates the EXPERIMENTS.md tables; exits nonzero if any optimized
 # configuration derived more facts than its unoptimized baseline.

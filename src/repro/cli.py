@@ -23,7 +23,7 @@ import sys
 from typing import Optional, Sequence
 
 from .core.pipeline import optimize
-from .datalog import Database, Program, ReproError, parse
+from .datalog import Database, Program, ReproError, parse, read_facts
 from .datalog.parser import split_facts
 from .engine import (
     EngineOptions,
@@ -55,13 +55,13 @@ def _load_program(path: str) -> Program:
 
 def _load_facts(path: str) -> Database:
     with open(path) as f:
-        program, facts = split_facts(parse(f.read()))
+        program, db = read_facts(f.read())
     if program.rules:
         raise ReproError(
             f"{path}: fact files must contain only ground facts "
             f"(found rule {program.rules[0]})"
         )
-    return Database.from_facts(facts)
+    return db
 
 
 def _warn_diagnostics(program: Program, source: str, edb=None) -> None:
@@ -128,7 +128,7 @@ def _cmd_run(args) -> int:
         if args.optimize:
             result = optimize(program, validate=args.validate)
             evaluation = result.evaluate(db, **engine)
-            answers = result.answers(db, **engine)
+            answers = result.answers_of(evaluation)
         else:
             evaluation = evaluate(program, db, EngineOptions(**engine))
             answers = evaluation.answers()

@@ -27,12 +27,13 @@ predicates) the final program should be run with.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from ..datalog.ast import Atom, Program
 from ..datalog.database import Database
 from ..datalog.terms import Variable
-from ..engine.evaluator import EngineOptions, EvalResult, evaluate
+from ..engine.evaluator import EngineOptions, EvalResult, answers_of, evaluate
 from .adornment import Adornment, AdornedLiteral, AdornedProgram, adorn
 from .components import ComponentSplit, split_components
 from .deletion import DeletionReport, delete_rules
@@ -42,23 +43,15 @@ from .unit_rules import UnitRuleReport, add_covering_unit_rules
 __all__ = ["OptimizationResult", "optimize"]
 
 
-def _project_answers(query: Atom, adornment: Adornment, answers) -> frozenset[tuple]:
-    """Project answer tuples (bindings of the query's distinct
-    variables, first-occurrence order) onto the needed positions of
-    *adornment*."""
+def _needed_columns(query: Atom, adornment: Adornment) -> tuple[int, ...]:
+    """Which answer columns (the query's distinct variables, in
+    first-occurrence order) sit at a needed position of *adornment*."""
     needed = set(adornment.needed_positions)
-    keep: list[int] = []
-    seen: set[str] = set()
-    var_index = 0
+    first: dict[Variable, int] = {}
     for pos, arg in enumerate(query.args):
-        name = getattr(arg, "name", None)
-        if name is None or name in seen:
-            continue
-        seen.add(name)
-        if pos in needed:
-            keep.append(var_index)
-        var_index += 1
-    return frozenset(tuple(row[i] for i in keep) for row in answers)
+        if isinstance(arg, Variable):
+            first.setdefault(arg, pos)
+    return tuple(i for i, pos in enumerate(first.values()) if pos in needed)
 
 
 @dataclass(frozen=True)
@@ -92,11 +85,11 @@ class OptimizationResult:
     #: minimization, as (before, after) pairs
     minimized: tuple = ()
 
-    @property
+    @cached_property
     def program(self) -> Program:
         return self.final.to_program()
 
-    @property
+    @cached_property
     def cut_predicates(self) -> frozenset[str]:
         """Boolean predicates still defined in the final program."""
         defined = self.final.derived_predicates()
@@ -113,25 +106,33 @@ class OptimizationResult:
         """Evaluate the optimized program (with cut) over *edb*."""
         return evaluate(self.program, edb, self.engine_options(**overrides))
 
-    def answers(self, edb: Database, **overrides) -> frozenset[tuple]:
-        """Answers of the optimized program — the bindings of the
-        original query's *needed* variables (existential positions were
-        projected out, which is the point).
+    def answers_of(self, evaluation: EvalResult) -> frozenset[tuple]:
+        """The answers an evaluation of :attr:`program` holds — the
+        bindings of the original query's *needed* variables
+        (existential positions were projected out, which is the point).
 
-        When the pipeline ran without projection, the final query atom
-        still carries its existential variables; the answer tuples are
-        projected here so the result is comparable either way.
-        *overrides* are forwarded to :class:`EngineOptions` (the oracle
-        suite re-runs the optimized program under every strategy).
+        The final query atom may be wider than what was asked: the
+        pipeline ran without projection, so it still carries its
+        existential variables, or it inlined a pure-projection unit
+        rule (``answer_positions``).  Either way only the asked columns
+        are read out of the query relation, so the result is comparable
+        across pipeline configurations.
         """
-        raw = self.evaluate(edb, **overrides).answers()
         if self.answer_positions is not None:
-            return frozenset(
-                tuple(row[i] for i in self.answer_positions) for row in raw
+            keep: Optional[tuple[int, ...]] = self.answer_positions
+        elif self.final.projected:
+            keep = None
+        else:
+            keep = _needed_columns(
+                self.final.query.atom, self.final.query.adornment
             )
-        if self.final.projected:
-            return raw
-        return _project_answers(self.final.query.atom, self.final.query.adornment, raw)
+        return answers_of(evaluation.db, self.final.query.atom, keep)
+
+    def answers(self, edb: Database, **overrides) -> frozenset[tuple]:
+        """:meth:`answers_of` a fresh :meth:`evaluate` over *edb*;
+        *overrides* are forwarded to :class:`EngineOptions` (the oracle
+        suite re-runs the optimized program under every strategy)."""
+        return self.answers_of(self.evaluate(edb, **overrides))
 
     def reference_answers(self, edb: Database, **overrides) -> frozenset[tuple]:
         """Answers of the *original* program projected onto the needed
@@ -141,7 +142,8 @@ class OptimizationResult:
         result = evaluate(self.original, edb, EngineOptions(**overrides))
         q = self.original.query
         assert q is not None
-        return _project_answers(q, self.adorned.query.adornment, result.answers())
+        keep = _needed_columns(q, self.adorned.query.adornment)
+        return answers_of(result.db, q, keep)
 
     def report_dict(self) -> dict:
         """A JSON-serializable summary of the run (CLI ``--json``)."""

@@ -19,7 +19,14 @@ from .errors import (
     TransformError,
     ValidationError,
 )
-from .parser import parse, parse_atom, parse_rule, split_facts
+from .parser import (
+    load_facts,
+    parse,
+    parse_atom,
+    parse_rule,
+    read_facts,
+    split_facts,
+)
 from .terms import Constant, FreshVariables, Term, Variable, fresh_variable, term
 from .unify import Substitution, compose, match, match_args, skolemize, unify
 
@@ -42,6 +49,8 @@ __all__ = [
     "parse_atom",
     "parse_rule",
     "split_facts",
+    "read_facts",
+    "load_facts",
     "Substitution",
     "match",
     "match_args",

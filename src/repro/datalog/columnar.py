@@ -55,6 +55,7 @@ __all__ = [
     "PACK_SHIFT",
     "PACK_LIMIT",
     "pack_encoded",
+    "unpack_column",
 ]
 
 Row = tuple
@@ -84,6 +85,12 @@ def pack_encoded(enc: Sequence[int]) -> int:
     for c in enc:
         packed = (packed << PACK_SHIFT) | c
     return packed
+
+
+def unpack_column(arr, arity: int, position: int):
+    """The ids at *position* of packed rows *arr* (an int64 ndarray of
+    :func:`pack_encoded` values for rows of *arity*), as an ndarray."""
+    return (arr >> (PACK_SHIFT * (arity - 1 - position))) & (PACK_LIMIT - 1)
 
 
 def numpy_available() -> bool:
@@ -144,6 +151,23 @@ class ConstantDictionary:
         """The id → value table itself (treat as read-only; kernels
         index it directly on the decode hot path)."""
         return self._values
+
+    def code_in(self, table: list, value) -> Optional[int]:
+        """The id *value* has in *table* — a :meth:`values_list`
+        captured earlier, possibly before a :meth:`clear` — or None.
+
+        Never interns: a read must not grow the dictionary.  The live
+        table answers through the id map; a table from a past epoch
+        has lost its map, so it is searched (``list.index`` compares
+        with ``==``, the same conflation interning applies).
+        """
+        with self._lock:
+            if table is self._values:
+                return self._ids.get(value)
+        try:
+            return table.index(value)
+        except ValueError:
+            return None
 
     def clear(self) -> None:
         """Forget every interned constant and invalidate all stores."""
@@ -374,10 +398,8 @@ class ColumnStore:
                 enc_rows: list = [()] * len(arr)
                 col_lists: list = []
             else:
-                mask = PACK_LIMIT - 1
                 col_lists = [
-                    ((arr >> (PACK_SHIFT * (arity - 1 - p))) & mask).tolist()
-                    for p in range(arity)
+                    unpack_column(arr, arity, p).tolist() for p in range(arity)
                 ]
                 enc_rows = (
                     list(zip(*col_lists))

@@ -16,10 +16,12 @@ them functionally in tests.
 from __future__ import annotations
 
 import threading
+from itertools import chain
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from .ast import Atom
-from .columnar import PACK_LIMIT, PACK_SHIFT, ColumnStore, global_dictionary
+from .columnar import ColumnStore, global_dictionary, unpack_column
 from .errors import ArityError, ValidationError
 
 try:  # numpy is optional; the packed fast path needs it
@@ -235,15 +237,13 @@ class Relation:
             self._raw_dirty = []
             self._raw_dirty_rows = 0
             arity = self.arity
-            mask = PACK_LIMIT - 1
             rows: list = []
             for arr, values in dirty:
                 if arity == 0:
                     rows.extend([()] * len(arr))
                     continue
                 cols = [
-                    ((arr >> (PACK_SHIFT * (arity - 1 - p))) & mask).tolist()
-                    for p in range(arity)
+                    unpack_column(arr, arity, p).tolist() for p in range(arity)
                 ]
                 raw = [list(map(values.__getitem__, cl)) for cl in cols]
                 rows.extend(
@@ -349,6 +349,112 @@ class Relation:
                 self._sync()
             return list(self._rows)
         return self.index_for(positions).get(tuple(key), [])
+
+    def select(
+        self,
+        bound: Mapping[int, object],
+        equal: Sequence[tuple[int, int]] = (),
+        project: Optional[Sequence[int]] = None,
+    ) -> set[Row]:
+        """The rows with ``row[p] == v`` for every ``p: v`` in *bound*
+        and ``row[p] == row[q]`` for every ``(p, q)`` in *equal*,
+        projected onto the positions *project* (default: whole rows).
+        An empty *project* makes this an existence test that stops at
+        the first hit: the result is ``{()}`` or empty.
+
+        A pure read: it never materializes deferred packed rows, never
+        builds (or counts) an index and never interns a constant, so
+        the relation is left exactly as the fixpoint left it.  Three
+        tiers cover the rows between them: deferred packed chunks are
+        filtered as int64 arrays and only the survivors' projected ids
+        are decoded; raw rows go through an already-built hash index on
+        a subset of the bound positions when there is one — together
+        with the rows whose postings are still buffered — and through
+        one pass over the row set otherwise.
+        """
+        if project is None:
+            project = range(self.arity)
+        project = tuple(project)
+        out: set[Row] = set()
+        if self._raw_dirty:
+            self._select_packed(bound, equal, project, out)
+            if out and not project:
+                return out
+        rows: Iterable[Row] = self._rows
+        if bound:
+            covered = max(
+                (
+                    positions
+                    for positions in tuple(self._indexes)
+                    if all(p in bound for p in positions)
+                ),
+                key=len,
+                default=None,
+            )
+            if covered is not None:
+                key = tuple(bound[p] for p in covered)
+                rows = chain(
+                    self._indexes[covered].get(key, ()), self._index_dirty
+                )
+            at = itemgetter(*bound)
+            want = at(bound)
+            rows = (row for row in rows if at(row) == want)
+        if equal:
+            left = itemgetter(*(p for p, _ in equal))
+            right = itemgetter(*(q for _, q in equal))
+            rows = (row for row in rows if left(row) == right(row))
+        if not project:
+            if any(True for _ in rows):
+                out.add(())
+        elif len(project) == 1:
+            p0 = project[0]
+            out.update((row[p0],) for row in rows)
+        elif project == tuple(range(self.arity)):
+            out.update(rows)
+        else:
+            out.update(map(itemgetter(*project), rows))
+        return out
+
+    def _select_packed(self, bound, equal, project, out: set) -> None:
+        """:meth:`select` over the deferred packed chunks, into *out*.
+
+        A constant is compared by the id it has in the chunk's own
+        captured value table — the live dictionary may be an epoch
+        further; a constant that table never saw matches nothing.
+        Adjacent chunks sharing a table are filtered as one array.
+        """
+        arity = self.arity
+        dictionary = global_dictionary()
+        groups: list = []
+        for arr, values in self._raw_dirty:
+            if groups and groups[-1][0] is values:
+                groups[-1][1].append(arr)
+            else:
+                groups.append((values, [arr]))
+        for values, chunks in groups:
+            codes = {p: dictionary.code_in(values, v) for p, v in bound.items()}
+            if None in codes.values():
+                continue
+            arr = chunks[0] if len(chunks) == 1 else _np.concatenate(chunks)
+            tests = [
+                unpack_column(arr, arity, p) == code for p, code in codes.items()
+            ]
+            tests += [
+                unpack_column(arr, arity, p) == unpack_column(arr, arity, q)
+                for p, q in equal
+            ]
+            if tests:
+                arr = arr[_np.logical_and.reduce(tests)]
+            if not len(arr):
+                continue
+            if not project:
+                out.add(())
+                return
+            decoded = [
+                map(values.__getitem__, unpack_column(arr, arity, p).tolist())
+                for p in project
+            ]
+            out.update(zip(*decoded))
 
     # -- columnar image -----------------------------------------------------
 
@@ -554,11 +660,7 @@ class Relation:
         if arity == 0:
             return [()] * len(arr)
         values = global_dictionary().values_list()
-        mask = PACK_LIMIT - 1
-        cols = [
-            ((arr >> (PACK_SHIFT * (arity - 1 - p))) & mask).tolist()
-            for p in range(arity)
-        ]
+        cols = [unpack_column(arr, arity, p).tolist() for p in range(arity)]
         raw = [list(map(values.__getitem__, cl)) for cl in cols]
         return list(zip(*raw)) if arity > 1 else [(v,) for v in raw[0]]
 

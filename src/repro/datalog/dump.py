@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import IO, Iterable, Optional
 
 from .database import Database
-from .parser import parse, split_facts
+from .parser import read_facts
 
 __all__ = ["dump_database", "dumps_database", "load_database", "loads_database"]
 
@@ -55,10 +55,10 @@ def loads_database(text: str) -> Database:
     """
     from .errors import ValidationError
 
-    program, facts = split_facts(parse(text))
+    program, db = read_facts(text)
     if program.rules or program.query is not None:
         raise ValidationError("fact text must contain only ground facts")
-    return Database.from_facts(facts)
+    return db
 
 
 def load_database(stream: IO[str]) -> Database:

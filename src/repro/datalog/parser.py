@@ -23,18 +23,36 @@ Clauses with an empty body are *facts* if ground; :func:`parse` keeps
 them in the returned :class:`~repro.datalog.ast.Program` as body-less
 rules, and :func:`split_facts` separates them into a database when the
 caller wants the paper's convention that the IDB contains no facts.
+
+Fact files are the bulk of what gets read, and a fact needs none of
+the rule grammar: :func:`read_facts` / :func:`load_facts` recognise
+text that is nothing but ground facts with one regular expression per
+fact and load it relation by relation; anything else goes through
+:func:`parse`, so there is one grammar and one source of error
+messages.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .ast import Atom, Program, Rule, Span
-from .errors import ParseError
+from .database import Database
+from .errors import ArityError, ParseError
 from .terms import Constant, Term, Variable
 
-__all__ = ["parse", "parse_atom", "parse_rule", "tokenize", "Token"]
+__all__ = [
+    "parse",
+    "parse_atom",
+    "parse_rule",
+    "tokenize",
+    "Token",
+    "split_facts",
+    "read_facts",
+    "load_facts",
+]
 
 _PUNCT = {
     ":-": "IMPLIES",
@@ -297,3 +315,81 @@ def split_facts(program: Program) -> tuple[Program, list[Atom]]:
     facts = [r.head for r in program.rules if r.is_fact()]
     rules = tuple(r for r in program.rules if not r.is_fact())
     return Program(rules, program.query), facts
+
+
+# The ground-fact subset of the grammar above, restricted to ASCII so
+# that every class below is contained in what :func:`tokenize` accepts
+# for the same token (``str.isalpha`` and friends also take non-ASCII
+# letters, digits and spaces; text using them takes the general path).
+_WS = r"[ \t\r\n\f\v]*"
+_CONT = r"[A-Za-z0-9_@]"
+_IDENT = rf"[a-z]{_CONT}*(?:\.{_CONT}+)*"
+_TERM = rf"(?:-?[0-9]+|{_IDENT}|'[^'\n]*')"
+#: one comment, or one fact ``pred`` / ``pred()`` / ``pred(t, ...)`` +
+#: ``.``, after optional white space; groups: predicate, argument text
+_FACT_RE = re.compile(
+    rf"{_WS}(?:%[^\n]*|({_IDENT}){_WS}"
+    rf"(?:\({_WS}({_TERM}(?:{_WS},{_WS}{_TERM})*)?{_WS}\){_WS})?\.)"
+)
+#: the terms of an argument text `_FACT_RE` accepted; groups: number,
+#: identifier, quoted string (quotes kept, so ``''`` is not "no match")
+_TERM_RE = re.compile(rf"(-?[0-9]+)|({_IDENT})|('[^'\n]*')")
+
+
+def _scan_facts(source: str) -> Optional[Database]:
+    """The database of *source* if it is nothing but ground facts over
+    integer, lower-case-identifier and quoted-string constants, blank
+    lines and comments — else None.
+
+    Rows are grouped per predicate in file order and bulk-loaded, which
+    fills each row set in the order one-by-one insertion would have.
+    """
+    rows_of: dict[str, list[tuple]] = {}
+    terms = _TERM_RE.findall
+    pos = 0
+    for m in _FACT_RE.finditer(source):
+        if m.start() != pos:
+            return None  # something between two facts the pattern skipped
+        pos = m.end()
+        pred, args = m.groups()
+        if pred is None:
+            continue  # a comment
+        row = (
+            tuple([int(n) if n else i or s[1:-1] for n, i, s in terms(args)])
+            if args
+            else ()
+        )
+        rows_of.setdefault(pred, []).append(row)
+    if source[pos:].strip(" \t\r\n\f\v"):
+        return None
+    db = Database()
+    try:
+        for pred, rows in rows_of.items():
+            db.ensure(pred, len(rows[0])).bulk_load(rows)
+    except ArityError:
+        return None  # one predicate, two arities: the grammar path reports it
+    return db
+
+
+def read_facts(source: str) -> tuple[Program, Database]:
+    """Split *source* into what is not a fact and the database of what
+    is: ``split_facts(parse(source))`` with the facts loaded.
+
+    The returned program holds the rules and the query; it is empty
+    whenever the text was a plain fact file, which is read without the
+    rule grammar (see :func:`_scan_facts`).  Any other text — a
+    variable, a rule, a query, an arity clash, a token outside the
+    fact subset — is parsed in full, so errors and their positions
+    come from :func:`parse` alone.
+    """
+    db = _scan_facts(source)
+    if db is not None:
+        return Program((), None), db
+    program, facts = split_facts(parse(source))
+    return program, Database.from_facts(facts)
+
+
+def load_facts(source: str) -> Database:
+    """The database of the ground facts in *source* (rules and a query,
+    if any, are left out: see :func:`read_facts`)."""
+    return read_facts(source)[1]

@@ -29,12 +29,12 @@ loop, counter-for-counter identical to earlier releases.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..datalog.ast import Atom, Program
 from ..datalog.columnar import global_dictionary
 from ..datalog.database import Database
-from ..datalog.errors import EvaluationError, ValidationError
+from ..datalog.errors import ArityError, EvaluationError, ValidationError
 from ..datalog.terms import Constant, Variable
 from .cost import BoundCostModel, profile_database
 from .faults import FaultInjector, FaultPlan, SchedulerFault
@@ -234,13 +234,18 @@ class EvalResult:
         :attr:`is_partial`, the set is a sound lower bound of the true
         answer set.
         """
+        return answers_of(self.db, self._query(query))
+
+    def has_answer(self) -> bool:
+        """True iff the program's query has an answer (an existence
+        test: it stops at the first matching row)."""
+        return bool(answers_of(self.db, self._query(None), keep=()))
+
+    def _query(self, query: Optional[Atom]) -> Atom:
         q = query if query is not None else self.program.query
         if q is None:
             raise ValidationError("program has no query and none was supplied")
-        return answers_of(self.db, q)
-
-    def has_answer(self) -> bool:
-        return bool(self.answers())
+        return q
 
     def derivation(self, predicate: str, row: tuple) -> DerivationTree:
         """The recorded derivation tree of ``predicate(row)``.
@@ -251,7 +256,8 @@ class EvalResult:
         not recorded"), not a silently empty tree.
         """
         if (predicate, row) not in self.provenance:
-            if row not in self.db.rows(predicate):
+            rel = self.db.relation(predicate)
+            if rel is None or row not in rel:
                 raise EvaluationError(f"fact {predicate}{row!r} was not derived")
             if not self.provenance_recorded:
                 raise EvaluationError(
@@ -261,29 +267,39 @@ class EvalResult:
         return derivation_tree(self.provenance, predicate, row)
 
 
-def answers_of(db: Database, query: Atom) -> frozenset[tuple]:
-    """Apply the selection/projection a query atom denotes to *db*."""
-    var_positions: list[int] = []
-    seen_vars: dict[Variable, int] = {}
+def answers_of(
+    db: Database, query: Atom, keep: Optional[Sequence[int]] = None
+) -> frozenset[tuple]:
+    """Apply the selection/projection a query atom denotes to *db*.
+
+    Constants become bound positions, a repeated variable an equality
+    between its occurrences, and the answer columns are the first
+    occurrences of the distinct variables — all of them, or with
+    *keep* the ones at those indexes, in that order.  The relation
+    does the rest (:meth:`~repro.datalog.database.Relation.select`).
+    """
+    rel = db.relation(query.predicate)
+    if rel is None:
+        return frozenset()
+    if rel.arity != query.arity:
+        raise ArityError(
+            f"query {query} has arity {query.arity}, relation "
+            f"{query.predicate} has arity {rel.arity}"
+        )
+    bound: dict[int, object] = {}
+    equal: list[tuple[int, int]] = []
+    first: dict[Variable, int] = {}
     for p, arg in enumerate(query.args):
-        if isinstance(arg, Variable) and arg not in seen_vars:
-            seen_vars[arg] = p
-            var_positions.append(p)
-    out = set()
-    for row in db.rows(query.predicate):
-        ok = True
-        for p, arg in enumerate(query.args):
-            if isinstance(arg, Constant):
-                if row[p] != arg.value:
-                    ok = False
-                    break
-            else:
-                if row[seen_vars[arg]] != row[p]:
-                    ok = False
-                    break
-        if ok:
-            out.add(tuple(row[p] for p in var_positions))
-    return frozenset(out)
+        if isinstance(arg, Constant):
+            bound[p] = arg.value
+        elif arg in first:
+            equal.append((first[arg], p))
+        else:
+            first[arg] = p
+    columns = list(first.values())
+    if keep is not None:
+        columns = [columns[i] for i in keep]
+    return frozenset(rel.select(bound, equal, columns))
 
 
 def evaluate(

@@ -68,9 +68,9 @@ from typing import Iterable, Optional, Union
 from ..datalog.analysis import condensation, negative_dependencies
 from ..datalog.ast import Atom, Program
 from ..datalog.database import Database
-from ..datalog.errors import ArityError, ValidationError
+from ..datalog.errors import ArityError
 from ..datalog.terms import Constant, Variable
-from .evaluator import EngineOptions, EvalResult, answers_of, evaluate
+from .evaluator import EngineOptions, EvalResult, evaluate
 from .faults import FaultInjector, WorkerDeath
 from .governor import BudgetExceeded, Governor, ResourceExhausted
 from .plan import CompiledRule, DeltaIndex, match_plan, rebind_plans
@@ -301,19 +301,12 @@ class IncrementalSession:
         """Current answers: for a predicate name, its rows; for a query
         atom, its selected bindings; default, the program query's
         answers."""
-        if predicate is None:
-            q = self.program.query
-            if q is None:
-                raise ValidationError(
-                    "program has no query and none was supplied"
-                )
-            return answers_of(self.db, q)
-        if isinstance(predicate, Atom):
-            return answers_of(self.db, predicate)
-        return self.db.rows(predicate)
+        if isinstance(predicate, str):
+            return self.db.rows(predicate)
+        return self.result().answers(predicate)
 
     def answers(self, query: Optional[Atom] = None) -> frozenset:
-        return self.query(query if query is not None else None)
+        return self.query(query)
 
     def facts(self, predicate: str) -> frozenset:
         return self.db.rows(predicate)

@@ -378,6 +378,13 @@ def _negatives_hold(cr: CompiledRule, db: Database, subst: dict, stats: EvalStat
     return True
 
 
+def _nonempty(db: Database, predicate: str) -> bool:
+    """True iff *predicate* holds a row — by count, so deferred packed
+    rows stay packed and nothing is copied."""
+    rel = db.relation(predicate)
+    return rel is not None and len(rel) > 0
+
+
 class _Retirer:
     """Removes satisfied boolean (cut) rules from the active set.
 
@@ -408,7 +415,7 @@ class _Retirer:
         keep = []
         for cr in rules:
             head = cr.rule.head.predicate
-            if head in self._cut and db.rows(head):
+            if head in self._cut and _nonempty(db, head):
                 self._mark(cr)
             else:
                 keep.append(cr)
@@ -420,7 +427,7 @@ class _Retirer:
         relations are then complete and the unit can stop mid-fixpoint."""
         if not self._unit_cut:
             return False
-        return all(db.rows(h) for h in self._unit_heads)
+        return all(_nonempty(db, h) for h in self._unit_heads)
 
     def retire_all(self, rules) -> None:
         """Mark every rule of a satisfied cut unit as retired (idempotent)."""

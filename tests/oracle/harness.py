@@ -70,7 +70,7 @@ from __future__ import annotations
 import os
 
 from repro.core import optimize
-from repro.datalog import Database, Program
+from repro.datalog import Atom, Constant, Database, Program, Variable
 from repro.engine import EngineOptions, evaluate
 from repro.engine.topdown import evaluate_topdown
 
@@ -78,6 +78,7 @@ __all__ = [
     "STRATEGIES",
     "BASE_OVERRIDES",
     "engine_options",
+    "scan_answers",
     "strategy_answers",
     "assert_all_agree",
 ]
@@ -124,6 +125,26 @@ BASE_OVERRIDES: dict = _base_overrides()
 def engine_options(overrides: dict) -> EngineOptions:
     """Strategy overrides layered over the suite-wide base overrides."""
     return EngineOptions(**{**BASE_OVERRIDES, **overrides})
+
+
+def scan_answers(rows, query: Atom) -> frozenset:
+    """The answers of *query* over *rows* by the definition (paper,
+    section 1.1): keep the rows that agree with the query's constants
+    and repeated variables, list each distinct variable's value in
+    first-occurrence order.  The reference the engine's selection
+    primitive (``Relation.select``) is checked against."""
+    first: dict = {}
+    for p, arg in enumerate(query.args):
+        if isinstance(arg, Variable):
+            first.setdefault(arg, p)
+    return frozenset(
+        tuple(row[p] for p in first.values())
+        for row in rows
+        if all(
+            row[p] == (arg.value if isinstance(arg, Constant) else row[first[arg]])
+            for p, arg in enumerate(query.args)
+        )
+    )
 
 
 def strategy_answers(program: Program, db: Database) -> dict[str, frozenset]:

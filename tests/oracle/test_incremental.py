@@ -9,7 +9,12 @@ random update scripts against curated families and 200 fixed random
 programs and checks that claim after **every** batch, under the
 suite-wide ``REPRO_ORACLE_BASE`` overlays (CI sweeps kernel/interp x
 index/scan x scc/monolithic x parallel through the same tests) and,
-in-process, across every named strategy overlay.
+in-process, across every named strategy overlay.  Every state is also
+read back through point queries — a constant at each position, a
+constant no row holds, a repeated variable — and each read must equal
+a plain scan of the predicate's rows, so the session's selection path
+(hash index, buffered postings, packed chunks) is checked wherever the
+overlays take it.
 
 Provenance is checked for *validity*, not identity: the engine records
 the first justification found, which legitimately depends on the order
@@ -24,13 +29,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.datalog import Database
+from repro.datalog import Atom, Constant, Database, Variable
 from repro.engine import IncrementalSession, evaluate
 from repro.workloads.edb import random_edb
 from repro.workloads.families import all_families
 
 from ..property.strategies import random_programs
-from .harness import STRATEGIES, engine_options
+from .harness import STRATEGIES, engine_options, scan_answers
 
 FAMILIES = all_families()
 
@@ -50,6 +55,21 @@ def _script(program, rng, domain, steps):
             for _ in range(rng.randint(1, 3))
         }
         yield kind, pred, batch
+
+
+def _point_reads(pred, arity, rows):
+    """Point queries over one predicate: each position bound to a value
+    a stored row has there (free elsewhere), the first position bound
+    to a constant no row holds, and a variable repeated across the
+    first two positions."""
+    free = tuple(Variable(f"V{p}") for p in range(arity))
+    witness = min(rows, key=repr, default=None)
+    for p, value in enumerate(witness or ()):
+        yield Atom(pred, (*free[:p], Constant(value), *free[p + 1:]))
+    if arity:
+        yield Atom(pred, (Constant("absent"), *free[1:]))
+    if arity >= 2:
+        yield Atom(pred, (free[0], free[0], *free[2:]))
 
 
 def _check_state(session, program, cur, opts, context):
@@ -73,6 +93,11 @@ def _check_state(session, program, cur, opts, context):
             f"only-scratch={sorted(want - got)[:5]}"
         )
     assert session.answers() == scratch.answers(), f"{context}: answers diverged"
+    for pred, arity in sorted(arities.items()):
+        for query in _point_reads(pred, arity, session.facts(pred)):
+            assert session.query(query) == scan_answers(
+                session.facts(pred), query
+            ), f"{context}: point read {query} diverged from the scan"
     # fact counts reported by the last batch match the real fixpoint
     for pred in program.idb_predicates():
         assert session.last_stats.fact_counts.get(pred, 0) == len(

@@ -35,6 +35,24 @@ def files(tmp_path):
     return program, facts, chain
 
 
+def _count_evaluations(monkeypatch) -> list:
+    """Record every ``evaluate`` the CLI reaches, directly or through
+    ``OptimizationResult``; returns the list the results land in."""
+    import repro.cli
+    import repro.core.pipeline
+    from repro.engine import evaluate
+
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(evaluate(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(repro.cli, "evaluate", counted)
+    monkeypatch.setattr(repro.core.pipeline, "evaluate", counted)
+    return runs
+
+
 class TestOptimize:
     def test_describe_output(self, files, capsys):
         program, _, _ = files
@@ -74,6 +92,14 @@ class TestRun:
         main(["run", str(program), str(facts), "-O"])
         optimized = capsys.readouterr().out
         assert sorted(plain.splitlines()) == sorted(optimized.splitlines())
+
+    @pytest.mark.parametrize("flags", [[], ["-O"], ["-O", "--validate"]])
+    def test_evaluates_exactly_once(self, files, capsys, monkeypatch, flags):
+        program, facts, _ = files
+        runs = _count_evaluations(monkeypatch)
+        assert main(["run", str(program), str(facts), *flags]) == 0
+        assert len(runs) == 1
+        assert sorted(capsys.readouterr().out.splitlines()) == ["1", "2", "7"]
 
     def test_stats_to_stderr(self, files, capsys):
         program, facts, _ = files
@@ -127,6 +153,31 @@ class TestGovernedRun:
         main(["run", str(program), str(facts)])
         full = set(capsys.readouterr().out.splitlines())
         assert set(captured.out.splitlines()) <= full
+
+    def test_partial_answers_banner_and_stats_are_one_run(
+        self, files, capsys, monkeypatch
+    ):
+        """``run -O`` under a tripped limit: the printed rows are the
+        answers of the very evaluation the banner and ``--stats``
+        describe — there is no second, differently-cut run."""
+        _, _, chain = files
+        facts = chain.with_name("chain_facts.dl")
+        facts.write_text("".join(f"e({i}, {i + 1}).\n" for i in range(40)))
+        runs = _count_evaluations(monkeypatch)
+        rc = main(
+            ["run", str(chain), str(facts), "-O", "--stats",
+             "--max-facts", "100", "--on-limit", "partial"]
+        )
+        assert rc == 0
+        captured = capsys.readouterr()
+        (result,) = runs
+        assert result.is_partial and "PARTIAL RESULT" in captured.err
+        assert f"-- {result.stats.summary()}" in captured.err
+        printed = captured.out.splitlines()
+        assert 0 < len(printed) < 40 * 41 // 2
+        assert sorted(printed) == sorted(
+            ", ".join(map(str, row)) for row in result.answers()
+        )
 
     def test_generous_limits_change_nothing(self, files, capsys):
         program, facts, _ = files
