@@ -104,6 +104,8 @@ def test_columnar(benchmark, workload, config, use_indexes, n):
         assert col.stats.as_dict(engine_invariant=True) == tup.stats.as_dict(
             engine_invariant=True
         )
-        # the columnar plane actually engaged (not a silent fallback)
-        assert col.stats.batch_probes > 0
+        # the vector kernel actually engaged (not a silent fallback);
+        # its CSR probe image is an index, so --no-index runs never do
+        if use_indexes:
+            assert col.stats.batch_probes > 0
         assert col.stats.dict_size > 0

@@ -610,8 +610,8 @@ def _add_engine_flags(p_run: argparse.ArgumentParser) -> None:
     p_run.add_argument(
         "--no-columnar",
         action="store_true",
-        help="evaluate rule bodies on the per-tuple kernels instead of "
-        "the dictionary-encoded batch kernels (the columnar plane's "
+        help="evaluate every rule on the per-tuple kernels, never the "
+        "dictionary-encoded vector kernel (the columnar plane's "
         "differential oracle; answers and work counters are identical, "
         "only wall-clock differs)",
     )

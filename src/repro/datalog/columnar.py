@@ -10,10 +10,10 @@ module adds a second, *derived* representation under the same
   stable for the life of the process unless :meth:`ConstantDictionary.clear`
   bumps the epoch);
 - a per-relation :class:`ColumnStore` holding the rows column-wise as
-  ``array('q')`` integer arrays plus encoded-row structures the batch
-  kernels probe: a set of encoded rows (fully-bound membership), hash
-  postings keyed on encoded ids (index probes) and an order-preserving
-  encoded scan list (full scans).
+  ``array('q')`` integer arrays plus the encoded-row structures the
+  vector kernel and its absorb path read: a set of encoded rows, hash
+  postings keyed on encoded ids (the source of the kernel's CSR probe
+  images) and the packed-int run/Bloom membership structures.
 
 The store is a cache over the relation's raw row set: it is built
 lazily, maintained incrementally on insert, and simply dropped on
@@ -21,13 +21,12 @@ retraction or dictionary epoch change (rebuilt on next use).  Copies
 share the store copy-on-write — :meth:`ColumnStore.copy` duplicates
 the column arrays and row set but not the derived postings.
 
-**Order parity.**  The batch kernels must reproduce the tuple engine's
-stats counters and fact insertion order bit-for-bit, and some tuple
-paths (existential scans with repeated variables, provenance) are
-enumeration-order dependent.  Encoded postings are therefore *derived
-from the raw hash index* (same posting order), and the scan list is
-re-encoded from ``list(relation)`` whenever the relation's version
-changed, instead of keeping an independently ordered mirror.
+**Order parity.**  The vector kernel must reproduce the tuple engine's
+stats counters bit-for-bit and derive each round's facts in the tuple
+kernel's order, and some tuple paths (existential scans with repeated
+variables, provenance) are enumeration-order dependent.  Encoded
+postings are therefore *derived from the raw hash index* (same posting
+order) instead of keeping an independently ordered mirror.
 
 Note on value identity: interning is keyed by ``==``/``hash`` like the
 raw row sets, so values the raw engine already conflates (``1``,
@@ -199,14 +198,11 @@ class ColumnStore:
         order — the dense storage contract (``numpy_column`` exposes a
         zero-copy ndarray view when numpy is present);
     ``row_set``
-        the set of encoded row tuples (fully-bound membership probes
-        and batch duplicate elimination);
+        the set of encoded row tuples (snapshots, degree profiles and
+        the packed membership set are derived from it);
     postings (``encoded_index``)
         per bound-position-set hash postings, derived from the raw
-        index so posting order matches the tuple engine's enumeration;
-    scan list (``scan_rows``)
-        encoded rows in ``list(relation)`` order, re-derived whenever
-        the relation's version changes.
+        index so posting order matches the tuple engine's enumeration.
     """
 
     __slots__ = (
@@ -216,7 +212,6 @@ class ColumnStore:
         "columns",
         "row_set",
         "_postings",
-        "_scan",
         "_pending",
         "_pending_rows",
         "_packed",
@@ -240,7 +235,6 @@ class ColumnStore:
             array("q", (r[p] for r in enc)) for p in range(arity)
         ]
         self._postings: dict = {}
-        self._scan: Optional[tuple] = None
         #: packed-row chunks (int64 ndarrays, insertion order) absorbed
         #: by the vectorized kernels but not yet folded into the
         #: encoded-tuple structures above; flushed lazily when an
@@ -278,15 +272,10 @@ class ColumnStore:
 
     # -- maintenance --------------------------------------------------------
 
-    def add_raw(self, row: Sequence) -> EncodedRow:
+    def add_raw(self, row: Sequence) -> None:
         """Encode and absorb one raw row (already known new)."""
         intern = self.dictionary.intern
         enc = tuple(intern(v) for v in row)
-        self.add_encoded(enc)
-        return enc
-
-    def add_encoded(self, enc: EncodedRow) -> None:
-        """Absorb one encoded row (already known new)."""
         if self._pending:
             self.flush()
         self.row_set.add(enc)
@@ -309,7 +298,6 @@ class ColumnStore:
                 self._packed_overflow = True
             else:
                 packed.add(pack_encoded(enc))
-        self._scan = None
 
     # -- packed fast path ---------------------------------------------------
 
@@ -346,7 +334,6 @@ class ColumnStore:
         """
         self._pending.append(fresh)
         self._pending_rows += len(fresh)
-        self._scan = None
 
     # -- packed-row Bloom prefilter -----------------------------------------
 
@@ -483,23 +470,6 @@ class ColumnStore:
             self._postings[positions] = postings
         return postings
 
-    def scan_rows(self, relation) -> list:
-        """Encoded rows in current ``list(relation)`` order.
-
-        Cached against the relation's mutation version; rebuilt (not
-        incrementally maintained) because a raw row *set*'s iteration
-        order can change wholesale when it resizes.  The benign-race
-        single assignment keeps this safe for concurrent readers.
-        """
-        cached = self._scan
-        version = relation._version
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        intern = self.dictionary.intern
-        rows = [tuple(intern(v) for v in row) for row in relation._rows]
-        self._scan = (version, rows)
-        return rows
-
     def numpy_column(self, position: int):
         """A zero-copy numpy view of one column (None without numpy)."""
         if _np is None:
@@ -519,7 +489,6 @@ class ColumnStore:
         out.columns = [col[:] for col in self.columns]
         out.row_set = set(self.row_set)
         out._postings = {}
-        out._scan = None
         out._pending = list(self._pending)  # chunks are never mutated
         out._pending_rows = self._pending_rows
         out._packed = None  # rebuilt lazily (cheap relative to a copy)

@@ -84,7 +84,7 @@ class Relation:
         #: one of them must materialize (and count) each missing index
         self._build_lock = threading.Lock()
         #: lazily built dictionary-encoded columnar image (see
-        #: :mod:`repro.datalog.columnar`); None until the batch engine
+        #: :mod:`repro.datalog.columnar`); None until the vector kernel
         #: asks for it, dropped on retraction / epoch change
         self._store: Optional[ColumnStore] = None
         #: True while ``_store`` is shared with a copy — the first
@@ -184,7 +184,7 @@ class Relation:
         self._rows.discard(row)
         self._version += 1
         # retraction drops the columnar image entirely (columns are
-        # append-only arrays); it rebuilds lazily on next batch use
+        # append-only arrays); it rebuilds lazily on next columnar use
         self._store = None
         self._store_shared = False
         for positions, index in self._indexes.items():
@@ -543,11 +543,6 @@ class Relation:
             store = self._own_store()
         return store
 
-    def packed_row_set(self) -> Optional[set]:
-        """All rows in packed-int form (vectorized dedup), or None when
-        any constant id exceeds the packing bound."""
-        return self._store_for_packed().packed_set()
-
     def packed_cache(self) -> dict:
         """The raw-row → packed-int map for frontier packing (reset
         when the dictionary epoch moves)."""
@@ -665,7 +660,8 @@ class Relation:
         return list(zip(*raw)) if arity > 1 else [(v,) for v in raw[0]]
 
     def encoded_index(self, positions: tuple[int, ...]) -> dict:
-        """Encoded postings on *positions* for the batch kernels.
+        """Encoded postings on *positions* — what the vector kernel's
+        CSR probe images are laid out from.
 
         Forces the raw index first — so lazy builds are counted in
         ``index_builds`` exactly when the tuple engine would build
@@ -678,50 +674,6 @@ class Relation:
             with self._build_lock:
                 postings = store.encoded_index(positions, raw)
         return postings
-
-    def encoded_rows(self) -> list:
-        """Encoded rows in current ``list(relation)`` order (the batch
-        kernels' full-scan path)."""
-        if self._raw_dirty:
-            self._sync()  # the scan mirrors raw set iteration order
-        return self.column_store().scan_rows(self)
-
-    def add_encoded_batch(self, enc_rows: Iterable[tuple]) -> list:
-        """Bulk-insert encoded rows known to be new; returns the
-        decoded raw rows in input order.
-
-        The batch-kernel counterpart of repeated :meth:`add`: the
-        caller has already deduplicated against the store's row set, so
-        this maintains the raw row set, the raw indexes and the
-        columnar image without re-checking membership.  Input order is
-        preserved end-to-end (raw set insertion history and posting
-        append order are what downstream order-dependent consumers —
-        provenance, existential scans with repeats — observe).
-        """
-        self.column_store()  # ensure a current-epoch store exists
-        store = self._own_store()
-        if self._raw_dirty:
-            self._sync()
-        if self._index_dirty:
-            self._sync_indexes()
-        values = store.dictionary.values_list()
-        rows = self._rows
-        indexes = self._indexes
-        out = []
-        for enc in enc_rows:
-            raw = tuple(values[c] for c in enc)
-            rows.add(raw)
-            for positions, index in indexes.items():
-                key = tuple(raw[p] for p in positions)
-                posting = index.get(key)
-                if posting is None:
-                    index[key] = [raw]
-                else:
-                    posting.append(raw)
-            store.add_encoded(enc)
-            out.append(raw)
-        self._version += len(out)
-        return out
 
     def copy(self) -> "Relation":
         """An independent copy carrying the materialized indexes.

@@ -1,573 +1,54 @@
-"""Batch (columnar) rule kernels: operator-at-a-time join pipelines.
+"""The vectorized delta kernel: packed int64 rows, numpy CSR joins.
 
-The PR-2 tuple kernels removed the interpreter's per-row dispatch but
-still walk one nested-loop frame per candidate row and touch the stats
-counters once per row.  This module compiles the same ``(CompiledRule,
-plan)`` pairs to a second codegen target that processes the semi-naive
-delta frontier as **batches of dictionary-encoded contexts**:
+The top rung of the engine ladder (vector kernel → tuple kernel →
+interpreter), and the whole of the columnar data plane's execution
+side.  It covers the single hottest shape of semi-naive evaluation — a
+linear recursion's delta plan (frontier step + one indexed join, head
+fused) — whose loop body is pure data movement over dictionary ids and
+so vectorizes completely:
 
-- each plan step consumes a list of contexts (tuples of encoded ids
-  for the variables later steps still need) and produces the next
-  list with one bulk operation — an encoded-posting probe loop, a
-  row-set membership comprehension, or a scan product;
-- stats counters are charged with batch arithmetic (``n`` contexts
-  probing an index cost ``join_probes += n`` in one statement instead
-  of ``n`` increments);
-- constants are interned once in the kernel prelude; head tuples are
-  produced *encoded*, so duplicate elimination happens in id space and
-  only genuinely new facts are ever decoded;
-- when the rule has no built-ins or negated literals, head
-  construction fuses into the last join step (no separate projection
-  pass).
+- the frontier arrives as one packed int64 per row (21 bits per
+  column, ``DeltaIndex.packed_rows``), unpacked to id columns with
+  two numpy ops;
+- the probed relation's encoded postings are laid out once per
+  version as a CSR image (sorted key array + offsets + row columns,
+  posting order preserved within each key); the whole frontier
+  probes it with one ``searchsorted`` and expands with ``repeat``;
+- head tuples are packed back into one int64 column, so duplicate
+  elimination in the absorb path (``scheduler._absorb_packed``) is
+  ``np.unique`` plus sorted-run membership instead of tuple hashing.
 
-Batch kernels are bit-identical to the tuple kernels (and hence the
-interpreter) on every engine-invariant counter *and* on fact insertion
-order: contexts expand in stable batch order (which equals the tuple
-kernels' depth-first enumeration order), encoded postings mirror raw
-posting order, and scans are encoded in current ``list(relation)``
-order.  The few enumeration-order-dependent shapes the batch model
-cannot reproduce exactly — existential steps with repeated variables,
-and existential bound scans under ``--no-index`` — raise
-:class:`BatchKernelError` at compile time, and the engine falls back
-to the tuple kernel for that rule (counted in
-``stats.columnar_fallbacks``).  Provenance recording needs per-fact
-body rows, which batches do not carry; the scheduler routes
-provenance-recording runs to the tuple path before ever asking for a
-batch kernel.
+The expansion order (frontier order outer, posting order inner) is
+exactly the tuple kernel's nested loop order, so first-occurrence dedup
+and every engine-invariant counter stay bit-identical to it.  Every
+other shape is declined at compile time (:func:`_vector_spec`), and any
+runtime condition the fast path cannot honor — an id past the 21-bit
+packing bound, a probed relation mutating so often the CSR image would
+be rebuilt quadratically — is detected *before any counter is touched*
+and reported by returning None; either way the firing runs on the tuple
+kernel unchanged.  Provenance recording needs per-fact body rows, which
+packed batches do not carry; the scheduler routes those runs to the
+tuple kernel before ever asking for a vector kernel.
 
-Like :mod:`repro.engine.kernel`, generated functions are cached
-globally by source text and memoized per compiled rule; adaptive
-replans (:func:`~repro.engine.plan.replan_delta_plans`) produce fresh
-``CompiledRule`` objects whose re-ranked plans re-enter codegen through
-the same process-wide source cache, so a previously seen join order
-never recompiles.
+Nothing here is generated code: a kernel is a closure over its shape
+spec, memoized per compiled rule, so there is no process-wide cache to
+reset (:func:`repro.engine.clear_kernel_cache` covers all codegen).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..datalog.builtins import BUILTINS
 from ..datalog.columnar import PACK_LIMIT, PACK_SHIFT, global_dictionary
 from ..datalog.terms import Constant, Variable
-from .plan import CompiledRule, LiteralPlan
+from .plan import CompiledRule
 
-try:  # numpy is optional; the vectorized kernels need it
+try:  # numpy is optional; without it every plan is declined
     import numpy as _np
 except Exception:  # pragma: no cover - environment without numpy
     _np = None
 
-__all__ = [
-    "BatchKernelError",
-    "batch_kernel_source",
-    "batch_rule_kernel",
-    "batch_cold_debt",
-    "batch_kernel_cache_stats",
-    "clear_batch_kernel_cache",
-    "vector_rule_kernel",
-    "unpack_rows",
-]
-
-
-class BatchKernelError(Exception):
-    """The rule cannot be compiled to a batch kernel without breaking
-    counter or order parity; the engine falls back to the tuple kernel
-    for this rule."""
-
-
-def _raw_const(value) -> str:
-    if type(value) in (int, str, bool, float) or value is None:
-        return repr(value)
-    raise BatchKernelError(f"constant {value!r} has no inline literal form")
-
-
-def _tuple_display(parts: list[str]) -> str:
-    if not parts:
-        return "()"
-    if len(parts) == 1:
-        return f"({parts[0]},)"
-    return "(" + ", ".join(parts) + ")"
-
-
-def batch_kernel_source(
-    cr: CompiledRule,
-    plan_id: Optional[int] = None,
-    *,
-    use_indexes: bool = True,
-) -> str:
-    """Generate batch-kernel source for one plan of *cr*.
-
-    The generated ``_batch_kernel(db, stats, delta)`` returns a list
-    of **encoded** head tuples in tuple-kernel yield order (duplicates
-    included; the caller deduplicates in id space and decodes only new
-    facts).  Raises :class:`BatchKernelError` for shapes whose exact
-    counter accounting is enumeration-order dependent.
-    """
-    plans = cr.plan if plan_id is None else cr.delta_plans[plan_id]
-    delta = plan_id is not None
-    n = len(plans)
-
-    # -- compile-time gates: shapes whose rows_scanned accounting
-    # depends on per-context enumeration order can't be batched
-    head_pred = cr.rule.head.predicate
-    for i, plan in enumerate(plans):
-        if plan.atom.predicate == head_pred and not (delta and i == 0):
-            # The tuple engine inserts head facts per yield while still
-            # enumerating, so a later step that reads the head relation
-            # observes mid-firing inserts; a batch snapshot cannot.
-            # (The delta frontier at step 0 is frozen in both engines.)
-            raise BatchKernelError(
-                "step reads the rule's own head relation (mid-firing "
-                "inserts are visible to the tuple engine)"
-            )
-    for i, plan in enumerate(plans):
-        if not plan.existential:
-            continue
-        fvars = [v for _, v in plan.free_positions]
-        if len(set(fvars)) != len(fvars):
-            raise BatchKernelError(
-                "existential step with repeated free variables scans "
-                "until the first consistent row (order dependent)"
-            )
-        if plan.bound_positions and not use_indexes and not (delta and i == 0):
-            raise BatchKernelError(
-                "existential bound scan without indexes stops at the "
-                "first matching row (order dependent)"
-            )
-
-    # -- context layout: only variables the tail or later steps need,
-    # one slot each in first-binding order (so after step i the ctx is
-    # exactly the slot prefix bound so far)
-    needed: set[Variable] = set()
-    for atom in (cr.rule.head, *cr.builtins, *cr.rule.negative):
-        for a in atom.args:
-            if isinstance(a, Variable):
-                needed.add(a)
-    for plan in plans:
-        for p in plan.bound_positions:
-            arg = plan.atom.args[p]
-            if isinstance(arg, Variable):
-                needed.add(arg)
-    slots: dict[Variable, int] = {}
-    for plan in plans:
-        for _, var in plan.free_positions:
-            if var in needed and var not in slots:
-                slots[var] = len(slots)
-
-    consts: dict = {}
-    const_lines: list[str] = []
-    state = {"vals": False}
-
-    def enc_const(value) -> str:
-        _raw_const(value)  # validates the inline literal form
-        key = (type(value), value)
-        name = consts.get(key)
-        if name is None:
-            name = f"k{len(consts)}"
-            consts[key] = name
-            const_lines.append(f"{name} = _intern({value!r})")
-        return name
-
-    def enc_term(t) -> str:
-        if isinstance(t, Constant):
-            return enc_const(t.value)
-        if t not in slots:
-            raise BatchKernelError(f"variable {t} is never bound by the plan")
-        return f"c[{slots[t]}]"
-
-    def raw_term(t) -> str:
-        if isinstance(t, Constant):
-            return _raw_const(t.value)
-        if t not in slots:
-            raise BatchKernelError(f"variable {t} is never bound by the plan")
-        state["vals"] = True
-        return f"vals[c[{slots[t]}]]"
-
-    # head fusion: with no tail filters the last join step emits head
-    # tuples directly instead of contexts
-    fuse = n > 0 and not cr.builtins and not cr.rule.negative
-
-    def head_parts(last_plan: Optional[LiteralPlan], row_var: str) -> list[str]:
-        """Head tuple parts; variables first bound by *last_plan* read
-        from its candidate row, everything else from the context."""
-        rowpos: dict[Variable, int] = {}
-        if last_plan is not None:
-            for p, var in last_plan.free_positions:
-                if var not in rowpos:
-                    rowpos[var] = p
-        parts = []
-        for t in cr.rule.head.args:
-            if isinstance(t, Constant):
-                parts.append(enc_const(t.value))
-            elif t in rowpos:
-                parts.append(f"{row_var}[{rowpos[t]}]")
-            else:
-                parts.append(enc_term(t))
-        return parts
-
-    def step_exprs(plan: LiteralPlan, row_var: str):
-        """(projection parts, repeat conditions) for one step's rows."""
-        first: dict[Variable, int] = {}
-        proj: list[str] = []
-        conds: list[str] = []
-        for p, var in plan.free_positions:
-            if var in first:
-                conds.append(f"{row_var}[{p}] == {row_var}[{first[var]}]")
-            else:
-                first[var] = p
-                if var in needed:
-                    proj.append(f"{row_var}[{p}]")
-        return proj, conds
-
-    lines: list[str] = []
-
-    def w(depth: int, text: str) -> None:
-        lines.append("    " * depth + text)
-
-    # ------------------------------------------------------------------
-    # step emission
-    # ------------------------------------------------------------------
-    def emit_delta_step(plan: LiteralPlan, dst: str) -> None:
-        """Step 0 against the frontier: probed unconditionally (the
-        tuple kernel charges the join probe before looping), filtered
-        by inlined constants, charged per delivered row."""
-        is_last = fuse and n == 1
-        w(1, "stats.join_probes += 1")
-        proj, rep_conds = step_exprs(plan, "r")
-        bound_conds = [
-            f"r[{p}] == {enc_const(plan.atom.args[p].value)}"
-            for p in plan.bound_positions
-        ]
-        parts = head_parts(plan, "r") if is_last else proj
-        identity = (
-            not bound_conds
-            and not rep_conds
-            and not plan.existential
-            and parts == [f"r[{j}]" for j in range(plan.atom.arity)]
-        )
-        if identity:
-            w(1, f"{dst} = delta.encoded_rows()")
-            w(1, f"stats.rows_scanned += len({dst})")
-        else:
-            w(1, "_dr = delta.encoded_rows()")
-            if bound_conds:
-                w(1, f"_dr = [r for r in _dr if {' and '.join(bound_conds)}]")
-            if plan.existential:
-                # first delivered row is the witness; its bindings are
-                # all dead, so the surviving context is empty
-                w(1, "if _dr:")
-                w(2, "stats.rows_scanned += 1")
-                w(2, f"{dst} = [{_tuple_display(parts)}]")
-                w(1, "else:")
-                w(2, f"{dst} = []")
-            else:
-                w(1, "stats.rows_scanned += len(_dr)")
-                if rep_conds:
-                    w(1, f"_dr = [r for r in _dr if {' and '.join(rep_conds)}]")
-                w(1, f"{dst} = [{_tuple_display(parts)} for r in _dr]")
-        w(1, f"if {dst}:")
-        w(2, "stats.batch_probes += 1")
-        w(2, f"stats.batch_rows += len({dst})")
-
-    def emit_join_step(i: int, plan: LiteralPlan, src: str, dst: str) -> None:
-        is_last = fuse and i == n - 1
-        first_step = i == 0 and not delta
-        proj, rep_conds = step_exprs(plan, "row")
-        if is_last:
-            out_parts = head_parts(plan, "row")
-            out_expr = _tuple_display(out_parts)
-        elif first_step:
-            out_expr = _tuple_display(proj)
-        elif proj:
-            out_expr = f"c + {_tuple_display(proj)}"
-        else:
-            out_expr = "c"
-        # context-only output expressions for steps that deliver no row
-        if is_last:
-            ctx_out = _tuple_display(head_parts(None, "row"))
-        else:
-            ctx_out = "c" if not first_step else "()"
-
-        positions = plan.bound_positions
-        key_parts = [enc_term(plan.atom.args[p]) for p in positions]
-        key_expr = (
-            key_parts[0] if len(key_parts) == 1 else _tuple_display(key_parts)
-        )
-
-        w(1, f"{dst} = []")
-        w(1, f"if {src} and rel{i} is not None:")
-        w(2, "stats.batch_probes += 1")
-        w(2, f"_n = len({src})")
-        w(2, "stats.join_probes += _n")
-
-        if positions and not plan.free_positions:
-            # fully bound: the candidate row itself (in position
-            # order, not posting-key layout) answers a membership
-            # probe against the encoded row set (no index build on
-            # either representation)
-            key_expr = _tuple_display(
-                [enc_term(plan.atom.args[p]) for p in range(plan.atom.arity)]
-            )
-            if use_indexes:
-                w(2, "stats.index_probes += _n")
-                w(2, f"_rs = rel{i}.column_store().row_set")
-                w(2, f"{dst} = [{ctx_out} for c in {src} if {key_expr} in _rs]")
-                w(2, f"stats.rows_scanned += len({dst})")
-            else:
-                # --no-index: the tuple engine enumerates the whole
-                # relation and filters, charging every row per context
-                w(2, "stats.scan_fallbacks += _n")
-                w(2, f"stats.rows_scanned += _n * len(rel{i})")
-                w(2, f"_rs = rel{i}.column_store().row_set")
-                w(2, f"{dst} = [{ctx_out} for c in {src} if {key_expr} in _rs]")
-        elif positions and use_indexes and plan.existential:
-            # existential index probe: a non-empty posting witnesses
-            # the context; exactly one delivered row is charged
-            w(2, "stats.index_probes += _n")
-            w(2, f"_idx = rel{i}.encoded_index({positions!r})")
-            w(2, f"{dst} = [{ctx_out} for c in {src} if {key_expr} in _idx]")
-            w(2, f"stats.rows_scanned += len({dst})")
-        elif positions and use_indexes:
-            w(2, "stats.index_probes += _n")
-            w(2, f"_idx = rel{i}.encoded_index({positions!r})")
-            w(2, "_get = _idx.get")
-            w(2, f"_ap = {dst}.append")
-            w(2, "_nr = 0")
-            w(2, f"for c in {src}:")
-            w(3, f"_p = _get({key_expr})")
-            w(3, "if _p is None:")
-            w(4, "continue")
-            w(3, "_nr += len(_p)")
-            w(3, "for row in _p:")
-            for cond in rep_conds:
-                w(4, f"if not ({cond}):")
-                w(5, "continue")
-            w(4, f"_ap({out_expr})")
-            w(2, "stats.rows_scanned += _nr")
-        elif not positions and plan.existential:
-            # existential full scan: any row witnesses every context
-            w(2, "stats.scan_fallbacks += _n")
-            w(2, f"if len(rel{i}):")
-            w(3, "stats.rows_scanned += _n")
-            if ctx_out == "c":
-                w(3, f"{dst} = {src}")
-            else:
-                w(3, f"{dst} = [{ctx_out} for c in {src}]")
-        else:
-            # full or bound scan: enumerate the relation per context,
-            # charging every row (matching or not) like _scan_filter
-            w(2, "stats.scan_fallbacks += _n")
-            w(2, f"_rows = rel{i}.encoded_rows()")
-            w(2, "stats.rows_scanned += _n * len(_rows)")
-            conds = [
-                f"row[{p}] == {enc_term(plan.atom.args[p])}" for p in positions
-            ]
-            conds += rep_conds
-            suffix = f" if {' and '.join(conds)}" if conds else ""
-            w(2, f"{dst} = [{out_expr} for c in {src} for row in _rows{suffix}]")
-        w(2, f"stats.batch_rows += len({dst})")
-
-    # ------------------------------------------------------------------
-    # assembly
-    # ------------------------------------------------------------------
-    if n == 0:
-        last = "c0"
-        w(1, f"{last} = [()]")
-    else:
-        for i, plan in enumerate(plans):
-            dst = f"c{i}"
-            if delta and i == 0:
-                emit_delta_step(plan, dst)
-            else:
-                emit_join_step(i, plan, f"c{i - 1}" if i else "[()]", dst)
-        last = f"c{n - 1}"
-
-    if fuse:
-        w(1, f"stats.rule_firings += len({last})")
-        w(1, f"return {last}")
-    else:
-        for atom in cr.builtins:
-            a, b = (raw_term(t) for t in atom.args)
-            w(1, f"{last} = [c for c in {last} if _bi_{atom.predicate}({a}, {b})]")
-        for k, atom in enumerate(cr.rule.negative):
-            w(1, f"stats.join_probes += len({last})")
-            nkey = _tuple_display([raw_term(t) for t in atom.args])
-            w(1, f"if nrel{k} is not None:")
-            w(2, f"{last} = [c for c in {last} if {nkey} not in nrel{k}]")
-        w(1, f"stats.rule_firings += len({last})")
-        head_args = cr.rule.head.args
-        identity_head = (
-            len(head_args) == len(slots)
-            and all(isinstance(t, Variable) for t in head_args)
-            and len(set(head_args)) == len(head_args)
-            and all(slots.get(t) == j for j, t in enumerate(head_args))
-        )
-        if identity_head:
-            w(1, f"return {last}")
-        else:
-            head = _tuple_display([enc_term(t) for t in head_args])
-            w(1, f"return [{head} for c in {last}]")
-
-    # -- prelude -----------------------------------------------------------
-    prelude: list[str] = []
-    sig = f"plan={'naive' if plan_id is None else f'delta[{plan_id}]'}"
-    prelude.append("def _batch_kernel(db, stats, delta):")
-    prelude.append(f"    # rule {cr.rule_index}: {cr.rule}")
-    prelude.append(f"    # {sig} use_indexes={use_indexes} (batch)")
-    ctx_doc = ", ".join(
-        f"c[{s}]={v.name}" for v, s in sorted(slots.items(), key=lambda kv: kv[1])
-    )
-    prelude.append(f"    # ctx slots: {ctx_doc or '(none)'}")
-    for i, plan in enumerate(plans):
-        if delta and i == 0:
-            continue
-        prelude.append(f"    rel{i} = db.relation({plan.atom.predicate!r})")
-    for k, atom in enumerate(cr.rule.negative):
-        prelude.append(f"    nrel{k} = db.relation({atom.predicate!r})")
-    for line in const_lines:
-        prelude.append(f"    {line}")
-    if state["vals"]:
-        prelude.append("    vals = _values()")
-    return "\n".join(prelude + lines) + "\n"
-
-
-# -- compilation cache -------------------------------------------------------
-
-#: module namespace for every batch kernel: the evaluable built-ins,
-#: plus the process dictionary's intern/decode entry points
-_BATCH_GLOBALS = {f"_bi_{name}": fn for name, fn in BUILTINS.items()}
-_BATCH_GLOBALS["_intern"] = global_dictionary().intern
-_BATCH_GLOBALS["_values"] = global_dictionary().values_list
-
-_FN_CACHE: dict[str, Callable] = {}
-_CACHE_STATS = {"compiles": 0, "hits": 0}
-
-
-def _compile_source(source: str) -> Callable:
-    fn = _FN_CACHE.get(source)
-    if fn is not None:
-        _CACHE_STATS["hits"] += 1
-        return fn
-    namespace = dict(_BATCH_GLOBALS)
-    code = compile(source, "<repro-batch-kernel>", "exec")
-    exec(code, namespace)
-    fn = namespace["_batch_kernel"]
-    _FN_CACHE[source] = fn
-    _CACHE_STATS["compiles"] += 1
-    return fn
-
-
-def batch_kernel_cache_stats() -> dict:
-    """Global cache counters: ``{"compiles": ..., "hits": ...}``."""
-    return dict(_CACHE_STATS)
-
-
-def clear_batch_kernel_cache() -> None:
-    """Drop every compiled batch kernel (tests / memory pressure)."""
-    _FN_CACHE.clear()
-    _CACHE_STATS["compiles"] = 0
-    _CACHE_STATS["hits"] = 0
-
-
-def batch_cold_debt(
-    cr: CompiledRule,
-    plan_id: Optional[int],
-    db,
-    *,
-    use_indexes: bool = True,
-) -> int:
-    """Rows this plan's batch kernel would have to *encode* before any
-    join work happens: a stale scan cache or a missing encoded posting
-    map re-interns a whole relation, and pending packed rows must
-    materialize for row-set membership probes.
-
-    The caller uses the estimate to skip the batch tier for one-shot
-    firings over cold structures, where the tuple kernel — which reads
-    the raw rows and raw indexes directly — is the cheaper rung.  Tier
-    choice never changes counters: both tiers charge identically.
-    """
-    plans = cr.plan if plan_id is None else cr.delta_plans[plan_id]
-    epoch = global_dictionary().epoch
-    debt = 0
-    for i, plan in enumerate(plans):
-        if plan_id is not None and i == 0:
-            continue  # the frontier arrives already encoded
-        rel = db.relation(plan.atom.predicate)
-        if rel is None:
-            continue
-        store = rel._store
-        if store is None or store.epoch != epoch:
-            debt += len(rel)
-            continue
-        positions = plan.bound_positions
-        if positions and not plan.free_positions:
-            debt += store._pending_rows  # membership flushes pending
-        elif positions and use_indexes:
-            if positions not in store._postings:
-                debt += len(rel)
-        else:
-            scan = store._scan
-            if scan is None or scan[0] != rel._version:
-                debt += len(rel)
-    return debt
-
-
-def batch_rule_kernel(
-    cr: CompiledRule,
-    plan_id: Optional[int] = None,
-    *,
-    use_indexes: bool = True,
-) -> Optional[Callable]:
-    """The compiled batch kernel for one plan of *cr*, or ``None``
-    when the rule cannot be batched (the caller falls back to the
-    tuple kernel).  Memoized per compiled rule like
-    :func:`~repro.engine.kernel.rule_kernel`."""
-    cache = cr.__dict__.get("_batch_kernels")
-    if cache is None:
-        cache = {}
-        object.__setattr__(cr, "_batch_kernels", cache)
-    key = (plan_id, use_indexes)
-    if key in cache:
-        return cache[key]
-    try:
-        fn = _compile_source(
-            batch_kernel_source(cr, plan_id, use_indexes=use_indexes)
-        )
-    except BatchKernelError:
-        fn = None
-    cache[key] = fn
-    return fn
-
-
-# ---------------------------------------------------------------------------
-# vectorized kernels: packed int64 rows, numpy CSR joins
-# ---------------------------------------------------------------------------
-#
-# The batch kernels above removed per-row *dispatch* but still run one
-# Python loop iteration per candidate row.  For the single hottest
-# shape of semi-naive evaluation — a linear recursion's delta plan
-# (frontier step + one indexed join, head fused) — that loop body is
-# pure data movement over dictionary ids, so it vectorizes completely:
-#
-# - the frontier arrives as one packed int64 per row (21 bits per
-#   column, ``DeltaIndex.packed_rows``), unpacked to id columns with
-#   two numpy ops;
-# - the probed relation's encoded postings are laid out once per
-#   version as a CSR image (sorted key array + offsets + row columns,
-#   posting order preserved within each key); the whole frontier
-#   probes it with one ``searchsorted`` and expands with ``repeat``;
-# - head tuples are packed back into one int64 column, so duplicate
-#   elimination in the absorb path is ``np.unique`` plus int-set
-#   membership instead of tuple hashing.
-#
-# The expansion order (frontier order outer, posting order inner) is
-# exactly the batch kernel's nested loop order, so first-occurrence
-# dedup and every engine-invariant counter stay bit-identical.  Any
-# condition the fast path cannot honor — numpy missing, arity > 3, an
-# id past the 21-bit packing bound, a probed relation mutating so often
-# the CSR image would be rebuilt quadratically — is detected *before
-# any counter is touched* and reported by returning None, sending the
-# firing to the general batch kernel unchanged.
+__all__ = ["vector_rule_kernel"]
 
 
 class _CSR:
@@ -617,26 +98,12 @@ def _csr_for(rel, position: int) -> Optional[_CSR]:
         if entry[2] >= _CSR_MAX_REBUILDS and len(rel) > _CSR_VOLATILE_ROWS:
             return None
     # encoded_index forces the raw index first, so lazy index builds
-    # are counted exactly when the general batch path would count them
+    # are counted exactly when the tuple kernel would count them
     postings = rel.encoded_index((position,))
     csr = _CSR(postings, rel.arity)
     builds = entry[2] + 1 if entry is not None else 1
     store._csr[position] = (version, csr, builds)
     return csr
-
-
-def unpack_rows(arr, arity: int) -> list:
-    """Packed int64 rows back to encoded-id tuples, order preserved."""
-    mask = PACK_LIMIT - 1
-    col_lists = [
-        ((arr >> (PACK_SHIFT * (arity - 1 - p))) & mask).tolist()
-        for p in range(arity)
-    ]
-    if arity == 0:
-        return [()] * len(arr)
-    if arity == 1:
-        return [(c,) for c in col_lists[0]]
-    return list(zip(*col_lists))
 
 
 def _vector_spec(cr: CompiledRule, plan_id: Optional[int]):
@@ -658,8 +125,10 @@ def _vector_spec(cr: CompiledRule, plan_id: Optional[int]):
     if head.arity > 3 or step0.atom.arity > 3:
         return None
     if step1.atom.predicate == head.predicate:
-        # same gate as the batch compiler: the tuple engine sees its
-        # own mid-firing inserts when a step reads the head relation
+        # the tuple engine inserts head facts per yield while still
+        # enumerating, so a step that reads the head relation observes
+        # mid-firing inserts; a whole-frontier batch cannot.  (The
+        # delta frontier at step 0 is frozen in both.)
         return None
     if step0.existential or step1.existential:
         return None
@@ -668,8 +137,8 @@ def _vector_spec(cr: CompiledRule, plan_id: Optional[int]):
     if len(step1.bound_positions) != 1:
         return None
     if not step1.free_positions:
-        # fully bound: the batch path answers this with a row-set
-        # membership probe and must not build an index
+        # fully bound: the tuple kernel answers this with a membership
+        # probe and builds no index; a CSR image would
         return None
     bound_arg = step1.atom.args[step1.bound_positions[0]]
     if not isinstance(bound_arg, Variable):
@@ -753,7 +222,7 @@ def _make_vector_kernel(spec) -> Callable:
             else:
                 const_ids.append(None)
 
-        # -- delta step (identity/projection, charged like the batch
+        # -- delta step (identity/projection, charged like the tuple
         # kernel: one frontier probe, every delivered row scanned)
         n = len(arr)
         stats.join_probes += 1
@@ -762,7 +231,6 @@ def _make_vector_kernel(spec) -> Callable:
             stats.batch_probes += 1
             stats.batch_rows += n
         if n == 0 or rel1 is None:
-            stats.rule_firings += 0
             return empty
 
         ctx_cols = [
@@ -825,20 +293,19 @@ def vector_rule_kernel(
     use_indexes: bool = True,
 ) -> Optional[Callable]:
     """The vectorized kernel for one delta plan of *cr*, or None when
-    the shape is unsupported (the caller runs the general batch
-    kernel).  The returned kernel itself returns None — before touching
-    any counter — when a runtime condition (id overflow, volatile
-    probed relation) forces the same fallback."""
+    the shape is unsupported (the caller runs the tuple kernel).  The
+    returned kernel itself returns None — before touching any counter —
+    when a runtime condition (id overflow, volatile probed relation)
+    forces the same fallback."""
     if not use_indexes:
         return None
     cache = cr.__dict__.get("_vector_kernels")
     if cache is None:
         cache = {}
         object.__setattr__(cr, "_vector_kernels", cache)
-    key = (plan_id, use_indexes)
-    if key in cache:
-        return cache[key]
+    if plan_id in cache:
+        return cache[plan_id]
     spec = _vector_spec(cr, plan_id)
     fn = _make_vector_kernel(spec) if spec is not None else None
-    cache[key] = fn
+    cache[plan_id] = fn
     return fn

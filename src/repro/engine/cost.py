@@ -466,7 +466,7 @@ class AdaptiveReplanner:
     the cost model's DP for fresh delta plans (:meth:`replan`).
 
     Replan decisions are functions of frontier sizes and stored facts
-    only — both bit-identical across the kernel/batch/interpreter
+    only — both bit-identical across the vector/kernel/interpreter
     tiers — so every tier replans identically and the engine-invariant
     counters stay comparable.  Join order never changes which facts a
     round derives, so answers and fact counts are unaffected by

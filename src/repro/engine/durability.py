@@ -561,7 +561,7 @@ def write_snapshot(
 
     Columns come from each relation's
     :meth:`~repro.datalog.database.Relation.column_store` — the same
-    dict-encoded int64 arrays the batch kernels run on — and the
+    dict-encoded int64 arrays the vector kernel runs on — and the
     embedded ``dict`` table is the id → value prefix those columns
     reference, captured after every store is built so all ids resolve.
     *guard* (a :class:`~repro.engine.governor.Guard`) is checkpointed
@@ -682,7 +682,7 @@ def load_snapshot(path) -> Snapshot:
     Decoding is intern-free: column ids index the embedded value table
     directly, and rows enter each relation through
     :meth:`~repro.datalog.database.Relation.bulk_load` (the columnar
-    image rebuilds lazily the first time the batch engine needs it).
+    image rebuilds lazily the first time the vector kernel needs it).
     """
     import sys as _sys
     from array import array

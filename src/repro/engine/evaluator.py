@@ -71,16 +71,17 @@ class EngineOptions:
         the differential oracle — answers, provenance, and every work
         counter except ``kernel_launches`` are bit-identical.
     use_columnar
-        Evaluate rule bodies with dictionary-encoded **batch kernels**
-        where possible (default; requires ``use_kernels``): the
-        semi-naive frontier flows through each join plan as batches of
-        encoded contexts (:mod:`repro.engine.batch_kernel`) instead of
-        per-tuple loops, with the tuple kernels as the fallback rung
-        for order-dependent rule shapes, provenance-recording runs and
-        injected ``columnar`` faults.  ``False`` (the CLI's
-        ``--no-columnar``) pins every rule to the PR-2 tuple kernels —
-        the batch engine's differential oracle; answers, fact counts
-        and every engine-invariant counter are bit-identical.
+        Run linear-recursion delta plans on the dictionary-encoded
+        **vector kernel** (default; requires ``use_kernels``, numpy and
+        indexes): the whole semi-naive frontier joins as packed int64
+        arrays (:mod:`repro.engine.batch_kernel`) instead of per-tuple
+        loops, with the tuple kernels as the rung below for every
+        other plan shape, provenance-recording runs and injected
+        ``columnar`` faults.  ``False`` (the CLI's ``--no-columnar``)
+        pins every rule to the tuple kernels — the vector kernel's
+        differential oracle; answers, fact counts and every
+        engine-invariant counter are bit-identical.  Without numpy the
+        flag changes nothing.
     use_cost_planner
         Order rule bodies with the bound-driven cost model (default):
         relations are profiled into log-bucketed sizes and per-position

@@ -22,15 +22,15 @@ site is reached.
 Fault kinds and the degradation they exercise:
 
 ``columnar``
-    Batch-kernel selection "fails" for every rule — the engine must
+    Vector-kernel selection "fails" for every rule — the engine must
     fall back to the tuple kernels mid-run with identical answers
     (**columnar → tuple-kernel**, the ladder's top rung).
 ``kernel-compile[:pred]``
     Kernel compilation "fails" for rules heading *pred* (every rule
     without the suffix) — the engine must fall back to the plan
-    interpreter per rule (**kernel → interpreter**).  Batch kernels
-    ride on the tuple-kernel machinery, so this fault disables both
-    tiers for the affected rules.
+    interpreter per rule (**kernel → interpreter**).  The vector
+    kernel rides on the tuple-kernel rung below it, so this fault
+    disables both tiers for the affected rules.
 ``index-build``
     Hash-index construction "fails" at engine start — the run degrades
     to full-scan probing (**index → scan**).
@@ -149,7 +149,7 @@ class FaultPlan:
 
     #: head predicates whose kernel compilation fails ("*" = every rule)
     kernel_compile: frozenset[str] = frozenset()
-    #: batch-kernel selection fails; every rule runs on tuple kernels
+    #: vector-kernel selection fails; every rule runs on tuple kernels
     columnar: bool = False
     #: hash-index construction fails; the run degrades to full scans
     index_build: bool = False
@@ -277,7 +277,7 @@ class FaultInjector:
         return bool(kc) and ("*" in kc or head_predicate in kc)
 
     def columnar_fails(self) -> bool:
-        """Should batch-kernel selection fail (for every rule)?"""
+        """Should vector-kernel selection fail (for every rule)?"""
         return self.plan.columnar
 
     def index_build_fails(self) -> bool:

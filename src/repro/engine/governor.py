@@ -508,7 +508,7 @@ class Guard:
         return True
 
     def columnar_fault(self, stats) -> bool:
-        """True iff an injected fault forbids batch kernels (the
+        """True iff an injected fault forbids the vector kernel (the
         columnar→tuple-kernel degradation); recorded once per run."""
         injector = self.governor.injector
         if injector is None or not injector.columnar_fails():

@@ -42,14 +42,14 @@ replan that toggles back to an earlier order — hits the source-text
 cache and costs string generation only, no ``compile()``.
 Use :func:`kernel_source` to read the generated code when debugging.
 
-These per-row kernels are the middle rung of the engine ladder: when
-numpy is available the scheduler first tries the columnar batch
-kernels in :mod:`repro.engine.batch_kernel`, which run whole delta
-frontiers through vectorized array joins (``EngineOptions(
+These per-row kernels are the middle rung of the three-rung engine
+ladder: when numpy is available the scheduler first offers a delta plan
+to the vector kernel in :mod:`repro.engine.batch_kernel`, which runs a
+whole frontier through one array join (``EngineOptions(
 use_columnar=False)`` / ``--no-columnar`` selects this tier directly);
-rules the batch plane declines — unsupported shapes, cold stores,
-injected faults — fall back here, and failures here fall back to the
-interpreter.
+every plan it declines — any shape but a linear recursion's, an id past
+the packing bound, an injected fault — runs here, and failures here
+fall back to the interpreter.
 """
 
 from __future__ import annotations

@@ -125,25 +125,23 @@ class DeltaIndex:
     accounting of the previous linear filter.
     """
 
-    __slots__ = ("_rows", "_groups", "_encoded", "_packed", "_relation")
+    __slots__ = ("_rows", "_groups", "_packed", "_relation")
 
     def __init__(self, rows):
         self._rows: Optional[list] = list(rows)
         self._groups: dict[tuple[int, ...], dict[tuple, list]] = {}
-        self._encoded: Optional[list] = None
         self._packed = None
         self._relation = None
 
     @classmethod
     def from_packed(cls, packed, relation) -> "DeltaIndex":
         """A frontier born packed (the vectorized absorb path kept the
-        round's fresh rows as one int64 per row).  Raw and encoded
-        views materialize lazily — a round handled entirely by the
-        vectorized kernels never pays for them."""
+        round's fresh rows as one int64 per row).  The raw view
+        materializes lazily — a round handled entirely by the
+        vectorized kernels never pays for it."""
         self = cls.__new__(cls)
         self._rows = None
         self._groups = {}
-        self._encoded = None
         self._packed = packed
         self._relation = relation
         return self
@@ -153,34 +151,6 @@ class DeltaIndex:
         if rows is None:
             rows = self._rows = self._relation.decode_packed(self._packed)
         return rows
-
-    def encoded_rows(self) -> list:
-        """The frontier dictionary-encoded, in ``all_rows`` order (the
-        batch kernels' delta feed); encoded once per frontier."""
-        enc = self._encoded
-        if enc is None:
-            if self._rows is None:
-                # unpack ids straight from the packed image — no raw
-                # tuples, no dictionary probes
-                arr = self._packed
-                arity = self._relation.arity
-                mask = PACK_LIMIT - 1
-                cols = [
-                    ((arr >> (PACK_SHIFT * (arity - 1 - p))) & mask).tolist()
-                    for p in range(arity)
-                ]
-                enc = (
-                    list(zip(*cols))
-                    if arity > 1
-                    else [(v,) for v in cols[0]]
-                    if arity
-                    else [()] * len(arr)
-                )
-            else:
-                intern = global_dictionary().intern
-                enc = [tuple(intern(v) for v in row) for row in self._rows]
-            self._encoded = enc
-        return enc
 
     def packed_rows(self, relation):
         """The frontier as one packed int64 per row, in ``all_rows``
@@ -442,7 +412,7 @@ def replan_delta_plans(cr: CompiledRule, cost_model) -> CompiledRule:
     unchanged, so kernels memoized on the object survive no-op
     replans; otherwise a fresh :class:`CompiledRule` whose kernels are
     re-generated on demand (amortized by the process-wide source-text
-    caches in :mod:`repro.engine.kernel` / ``batch_kernel``).
+    cache in :mod:`repro.engine.kernel`).
     """
     always_needed = _always_needed(cr.rule, cr.builtins)
     delta_plans = tuple(

@@ -28,12 +28,16 @@ the SCC condensation DAG in topological order:
   the whole unit — not just individual rules — terminates, including
   mid-fixpoint with deltas still pending.
 
-``run_monolithic`` preserves the previous per-stratum loop verbatim
-(the CLI's ``--no-scc``); every ``EvalStats`` counter it produces is
-bit-identical to the pre-scheduler engine, which keeps it available as
-the differential oracle for the scheduler itself.
+Every path runs one semi-naive driver, :func:`_fixpoint`: a unit from
+scratch (:func:`_run_unit`), a unit resumed from an incremental seed
+frontier (:func:`run_seeded_unit`), and ``run_monolithic`` (the CLI's
+``--no-scc``) — one all-heads unit per stratum with no unit boundary
+and no component-local cut, kept as the scheduler's differential
+oracle.  ``strategy="naive"`` swaps in the small reference loop.  Rule
+firing is a three-rung ladder (:func:`_fire`): vector kernel → tuple
+kernel → plan interpreter, identical on every engine-invariant counter.
 
-Both loops are *governed*: they accept a
+The drivers are *governed*: they accept a
 :class:`~repro.engine.governor.Governor` whose cooperative checkpoints
 run at iteration boundaries, per-unit boundaries, and between rule
 firings.  With no limits configured the governor is disabled and every
@@ -67,17 +71,7 @@ from ..datalog.analysis import (
 from ..datalog.builtins import eval_builtin
 from ..datalog.database import Database
 from ..datalog.terms import Constant
-from .batch_kernel import (
-    batch_cold_debt,
-    batch_rule_kernel,
-    unpack_rows,
-    vector_rule_kernel,
-)
-
-#: encode debt (rows to re-intern) above which a one-shot (naive-plan)
-#: firing skips the batch tier for the tuple kernel: recursive delta
-#: firings amortize the encode across rounds, a single firing cannot
-_COLD_DEBT_LIMIT = 4096
+from .batch_kernel import vector_rule_kernel
 from .cost import AdaptiveReplanner
 from .faults import SchedulerFault, WorkerDeath
 from .governor import BudgetExceeded, Governor, Guard
@@ -114,15 +108,17 @@ def _fire(
     """Run one plan of one rule, inserting new head facts.
 
     *plan_id* selects the naive plan (``None``) or the delta plan
-    starting at relational literal *plan_id*.  With
-    ``opts.use_kernels`` the plan runs as a compiled kernel (built-ins,
-    negation, and head construction are inside the kernel body); the
-    interpreter below is the fallback and the differential oracle.
+    starting at relational literal *plan_id*.  Three executors, tried
+    in order: the vectorized delta kernel (``opts.use_columnar``; it
+    declines every plan outside its shape before touching a counter),
+    the compiled tuple kernel (``opts.use_kernels``; built-ins,
+    negation, and head construction are inside the kernel body), and
+    the plan interpreter — the fallback and the differential oracle.
 
     *guard* is the governor's per-unit view: its checkpoint here is
     the between-rules cancellation boundary (deadline / fact budget /
-    cross-thread cancel), and it decides the kernel→interpreter
-    degradation when a kernel-compile fault is injected.
+    cross-thread cancel), and it decides the degradations when a
+    columnar or kernel-compile fault is injected.
     """
     head_pred = cr.rule.head.predicate
     rel = db.relation(head_pred)
@@ -132,102 +128,86 @@ def _fire(
     use_kernels = opts.use_kernels
     injector_armed = guard is not None and guard.governor.injector is not None
     if use_kernels and injector_armed and guard.kernel_fault(stats, head_pred):
-        # a kernel-compile fault fails the whole codegen tier: batch
-        # kernels ride on it, so both fall to the interpreter
+        # a kernel-compile fault fails the whole codegen tier: the
+        # vector kernel rides on it, so both fall to the interpreter
         use_kernels = False
-    if use_kernels and getattr(opts, "use_columnar", True) and not opts.record_provenance:
-        if injector_armed and guard.columnar_fault(stats):
-            stats.columnar_fallbacks += 1
-        else:
+    if use_kernels and opts.use_columnar and not opts.record_provenance:
+        if not (injector_armed and guard.columnar_fault(stats)):
             vkernel = vector_rule_kernel(cr, plan_id, use_indexes=opts.use_indexes)
-            if vkernel is not None:
-                packed = vkernel(db, stats, delta)
-                if packed is not None:
-                    # the vectorized fast path committed (it charges
-                    # the same counters as the batch kernel would)
-                    stats.kernel_launches += 1
-                    if len(packed):
-                        _absorb_packed(rel, head_pred, packed, stats, added)
-                    return
-            bkernel = batch_rule_kernel(cr, plan_id, use_indexes=opts.use_indexes)
-            if bkernel is None:
-                # order-dependent shape: this rule runs on the tuple
-                # kernel (the columnar→tuple degradation-ladder rung)
-                stats.columnar_fallbacks += 1
-            elif plan_id is None and (
-                batch_cold_debt(cr, None, db, use_indexes=opts.use_indexes)
-                > _COLD_DEBT_LIMIT
-            ):
-                # one-shot firing over cold encodings: the tuple kernel
-                # reads the raw structures directly, dodging the encode
-                # debt; counters are identical on either rung
-                stats.columnar_fallbacks += 1
-            else:
+            packed = vkernel(db, stats, delta) if vkernel is not None else None
+            if packed is not None:
                 stats.kernel_launches += 1
-                produced = bkernel(db, stats, delta)
-                if produced:
-                    _absorb_batch(rel, head_pred, produced, stats, added)
+                if len(packed):
+                    _absorb_packed(rel, head_pred, packed, stats, added)
                 return
-    cur = added.get(head_pred)
-    if type(cur) is PackedDelta:
-        # falling to a row-at-a-time tier: materialize the packed
-        # frontier a sibling rule's vectorized absorb left this round
-        added[head_pred] = set(cur)
+        stats.columnar_fallbacks += 1  # this firing runs on the tuple kernel
+    kernel = None
     if use_kernels:
         kernel = rule_kernel(
-            cr,
-            plan_id,
-            use_indexes=opts.use_indexes,
-            record_rows=opts.record_provenance,
+            cr, plan_id, use_indexes=opts.use_indexes, record_rows=opts.record_provenance
         )
-        if kernel is not None:
-            stats.kernel_launches += 1
-            new = added.get(head_pred)
-            if opts.record_provenance:
-                for values, body_rows in kernel(db, stats, delta):
-                    if rel.add(values):
-                        stats.facts_derived += 1
-                        if new is None:
-                            new = added.setdefault(head_pred, set())
-                        new.add(values)
-                        body = tuple(
-                            (atom.predicate, row)
-                            for atom, row in zip(cr.relational_body, body_rows)
-                        )
-                        provenance[(head_pred, values)] = Justification(
-                            cr.rule_index, body
-                        )
-                    else:
-                        stats.duplicates += 1
-            else:
-                for values in kernel(db, stats, delta):
-                    if rel.add(values):
-                        stats.facts_derived += 1
-                        if new is None:
-                            new = added.setdefault(head_pred, set())
-                        new.add(values)
-                    else:
-                        stats.duplicates += 1
+    if kernel is None:
+        derivations = _interpret(cr, plan_id, db, stats, delta, opts.use_indexes)
+    else:
+        stats.kernel_launches += 1
+        derivations = kernel(db, stats, delta)
+        if not opts.record_provenance:
+            # the hot path: bare head tuples, no body rows to carry
+            _absorb_rows(rel, head_pred, derivations, stats, added)
             return
-    plans = cr.plan if plan_id is None else cr.delta_plans[plan_id]
-    for subst, body_rows in match_plan(
-        plans, db, stats, delta_rows=delta, use_indexes=opts.use_indexes
-    ):
-        if cr.builtins and not _builtins_hold(cr, subst):
-            continue
-        if cr.rule.negative and not _negatives_hold(cr, db, subst, stats):
-            continue
-        stats.rule_firings += 1
-        values = cr.head_values(subst)
+    new = _raw_frontier(added, head_pred)
+    for values, body_rows in derivations:
         if rel.add(values):
             stats.facts_derived += 1
-            added.setdefault(head_pred, set()).add(values)
+            if new is None:
+                new = added.setdefault(head_pred, set())
+            new.add(values)
             if opts.record_provenance:
                 body = tuple(
                     (atom.predicate, row)
                     for atom, row in zip(cr.relational_body, body_rows)
                 )
                 provenance[(head_pred, values)] = Justification(cr.rule_index, body)
+        else:
+            stats.duplicates += 1
+
+
+def _interpret(cr, plan_id, db, stats, delta, use_indexes):
+    """The reference executor: one plan through :func:`match_plan`,
+    yielding ``(head values, body rows)`` per rule firing."""
+    plans = cr.plan if plan_id is None else cr.delta_plans[plan_id]
+    for subst, body_rows in match_plan(
+        plans, db, stats, delta_rows=delta, use_indexes=use_indexes
+    ):
+        if cr.builtins and not _builtins_hold(cr, subst):
+            continue
+        if cr.rule.negative and not _negatives_hold(cr, db, subst, stats):
+            continue
+        stats.rule_firings += 1
+        yield cr.head_values(subst), body_rows
+
+
+def _raw_frontier(added: dict, head_pred: str) -> Optional[set]:
+    """This round's frontier of *head_pred* for a row-at-a-time tier to
+    extend (None if empty so far): a packed frontier a sibling rule's
+    vectorized absorb left this round is materialized once."""
+    cur = added.get(head_pred)
+    if type(cur) is PackedDelta:
+        added[head_pred] = cur = set(cur)
+    return cur
+
+
+def _absorb_rows(rel, head_pred, rows, stats, added) -> None:
+    """Insert head rows one at a time, in order.  *rows* may be a tuple
+    kernel's live generator: each insert is visible to the enumeration
+    still running, which is what rules reading their own head rely on."""
+    new = _raw_frontier(added, head_pred)
+    for values in rows:
+        if rel.add(values):
+            stats.facts_derived += 1
+            if new is None:
+                new = added.setdefault(head_pred, set())
+            new.add(values)
         else:
             stats.duplicates += 1
 
@@ -271,21 +251,19 @@ def _frontier(rows) -> DeltaIndex:
 def _absorb_packed(rel, head_pred, produced, stats, added) -> None:
     """Insert a vectorized kernel's packed head rows.
 
-    Mirrors :func:`_absorb_batch` in id space, one level down, with no
-    per-row python: ``np.unique`` performs in-batch first-occurrence
-    dedup (its index array restores production order, which equals
-    tuple-kernel yield order), membership is a Bloom prefilter backed
-    by precise probes of the relation's sorted packed runs
+    :func:`_absorb_rows` in id space, with no per-row python:
+    ``np.unique`` performs in-batch first-occurrence dedup (its index
+    array restores production order, which equals tuple-kernel yield
+    order), membership is a Bloom prefilter backed by precise probes of
+    the relation's sorted packed runs
     (:meth:`Relation.packed_novel_mask`), and the fresh rows enter
     the relation deferred (:meth:`Relation.add_packed_deferred`) and
     the frontier packed (:class:`PackedDelta`).  When runs are
-    unavailable (a constant id past the packing bound), the rows are
-    unpacked and handed to the tuple-at-a-time absorb unchanged.
+    unavailable (the relation holds a constant id past the packing
+    bound), the rows are decoded and absorbed one at a time.
     """
     if rel.packed_runs() is None:
-        _absorb_batch(
-            rel, head_pred, unpack_rows(produced, rel.arity), stats, added
-        )
+        _absorb_rows(rel, head_pred, rel.decode_packed(produced), stats, added)
         return
     n = len(produced)
     uniq = _np.sort(produced)
@@ -320,34 +298,6 @@ def _absorb_packed(rel, head_pred, produced, stats, added) -> None:
         # a row-at-a-time tier already left a raw frontier set for this
         # predicate this round; join it
         cur.update(rel.decode_packed(fresh_ordered))
-
-
-def _absorb_batch(rel, head_pred, produced, stats, added) -> None:
-    """Insert a batch kernel's encoded head tuples.
-
-    Deduplication happens entirely in id space: ``dict.fromkeys``
-    uniquifies preserving first-occurrence order (= tuple-kernel yield
-    order), the store's row set drops already-known facts, and only
-    the genuinely new rows are decoded and inserted — in order, so raw
-    set insertion history and index posting order stay bit-identical
-    to the per-yield tuple path.
-    """
-    store = rel.column_store()
-    row_set = store.row_set
-    fresh = [enc for enc in dict.fromkeys(produced) if enc not in row_set]
-    stats.duplicates += len(produced) - len(fresh)
-    if not fresh:
-        return
-    stats.facts_derived += len(fresh)
-    rows = rel.add_encoded_batch(fresh)
-    cur = added.get(head_pred)
-    if cur is None:
-        cur = added[head_pred] = set()
-    elif type(cur) is PackedDelta:
-        # a vectorized absorb left this predicate's round frontier
-        # packed; materialize it once and continue raw
-        cur = added[head_pred] = set(cur)
-    cur.update(rows)
 
 
 def _builtins_hold(cr: CompiledRule, subst: dict) -> bool:
@@ -441,11 +391,13 @@ class _Retirer:
 
 
 # ---------------------------------------------------------------------------
-# fixpoint loops
+# fixpoint drivers
 # ---------------------------------------------------------------------------
 
 
 def _naive_loop(active, db, stats, provenance, opts, retire, guard) -> None:
+    """``strategy="naive"``: every round re-fires every naive plan — the
+    reference for the semi-naive driver, sharing only :func:`_fire`."""
     while True:
         guard.iteration(stats)
         added: dict[str, set] = {}
@@ -462,50 +414,83 @@ def _naive_loop(active, db, stats, provenance, opts, retire, guard) -> None:
             return
 
 
-def _seminaive_loop(
-    active, db, stats, provenance, opts, retire, guard,
-    recursive: Optional[frozenset] = None,
+def _fire_deltas(active, literals, frontiers, db, stats, provenance, opts, delta, guard):
+    """One semi-naive round: each live rule's delta plans (*literals*,
+    by rule id) whose frontier literal changed last round."""
+    for cr in active:
+        for i, predicate in literals[id(cr)]:
+            frontier = frontiers.get(predicate)
+            if frontier is not None:
+                _fire(cr, i, db, stats, provenance, opts, delta, delta=frontier, guard=guard)
+
+
+def _fixpoint(
+    active, members, db, stats, provenance, opts, retire, guard,
+    seeds: Optional[dict[str, set]] = None,
+    out: Optional[dict[str, set]] = None,
     replan_rounds: int = 0,
 ) -> None:
-    # Specialize each rule once per *recursive* literal — a body
-    # position whose predicate can still change while this loop runs.
-    # The monolithic stratum loop passes no set and conservatively uses
-    # every head predicate of the stratum (including boolean cut rules
-    # that may retire later: their facts still arrive as deltas); the
-    # component scheduler passes the unit's own SCC members, so
-    # literals over sibling components — frozen inputs here — never
-    # seed a delta body and the rule is never re-scanned for them.
-    if recursive is None:
-        recursive = {cr.rule.head.predicate for cr in active}
-    specializations = [
-        (cr, cr.delta_literals(recursive)) for cr in active
-    ]
-    replanner = (
-        AdaptiveReplanner(replan_rounds, frozenset(recursive))
-        if replan_rounds
-        else None
-    )
-    # everything this loop may re-profile: its own writes plus frozen
-    # inputs.  Sibling units' relations are excluded — under parallel
-    # scheduling they are being written concurrently, and this loop
-    # never reads them anyway.
-    replan_scope = (
-        frozenset(recursive)
-        | {a.predicate for cr in active for a in cr.relational_body}
-        if replanner is not None
-        else frozenset()
-    )
+    """Run *active* (already filtered by *retire*, non-empty) to its
+    semi-naive fixpoint — the one loop under every evaluation path.
 
-    # First round is naive: it also accounts for initial IDB facts,
-    # which uniform-equivalence inputs may contain.
-    guard.iteration(stats)
+    *members* (a frozenset) are the predicates that can still change
+    while the loop runs; each rule is specialized once per body literal
+    over them.  The monolithic stratum loop passes every head of the
+    stratum (including boolean cut rules that may retire later: their
+    facts still arrive as deltas); the scheduler passes the unit's own
+    SCC, so literals over sibling components — frozen inputs here —
+    never seed a delta body.  With no members every input is complete
+    and no head occurs in a body, so one naive pass *is* the fixpoint:
+    no delta rounds, no ``iterations`` charge (``max_iterations`` only
+    bounds loops that could diverge), and a cut unit stops between
+    rules once every head boolean has fired.
+
+    The first round is naive (it also accounts for initial IDB facts,
+    which uniform-equivalence inputs may contain) unless *seeds* — rows
+    already in *db* but not yet propagated through these rules — is
+    given; then it fires the delta plans over the seeded predicates.
+    Rows added to head relations are folded into *out* if given.
+    """
     delta: dict[str, set] = {}
-    for cr in active:
-        _fire(cr, None, db, stats, provenance, opts, delta, guard=guard)
-    active = retire.filter(active, db)
+    if not members:
+        for fired, cr in enumerate(active):
+            if fired and retire.unit_satisfied(db):
+                stats.unit_early_exits += 1
+                return
+            _fire(cr, None, db, stats, provenance, opts, delta, guard=guard)
+        return
 
-    alive = set(map(id, active))
-    while any(delta.values()):
+    literals = {id(cr): cr.delta_literals(members) for cr in active}
+    replanner = replan_scope = None
+    if replan_rounds:
+        replanner = AdaptiveReplanner(replan_rounds, members)
+        # everything this loop may re-profile: its own writes plus
+        # frozen inputs.  Sibling units' relations are excluded — under
+        # parallel scheduling they are being written concurrently, and
+        # this loop never reads them anyway.
+        replan_scope = members | {a.predicate for cr in active for a in cr.relational_body}
+
+    guard.iteration(stats)
+    if seeds is None:
+        for cr in active:
+            _fire(cr, None, db, stats, provenance, opts, delta, guard=guard)
+    else:
+        # full relations already contain the seeded rows, so old-new
+        # and new-new combinations are both covered
+        changed = members.union(p for p, rows in seeds.items() if rows)
+        _fire_deltas(
+            active, {id(cr): cr.delta_literals(changed) for cr in active},
+            {p: _frontier(rows) for p, rows in seeds.items() if rows},
+            db, stats, provenance, opts, delta, guard,
+        )
+    while True:
+        if out is not None:
+            for p, rows in delta.items():
+                if rows:
+                    out.setdefault(p, set()).update(rows)
+        active = retire.filter(active, db)
+        if not any(delta.values()):
+            return
         if retire.unit_satisfied(db):
             # component-local cut: deltas are pending but every head
             # boolean of the unit has fired, so further rounds can only
@@ -528,66 +513,41 @@ def _seminaive_loop(
             replanner.observe({p: len(f) for p, f in previous.items()})
             if replanner.overestimate_max > stats.bound_overestimate_max:
                 stats.bound_overestimate_max = replanner.overestimate_max
-            if replanner.due():
-                # None = every profile is still in its last bucket, so
-                # the DP would reproduce the current orders; the skip
-                # is tier-invariant (sizes only), so counters agree
-                model = replanner.model_for(db, replan_scope)
-            else:
-                model = None
+            # None = every profile is still in its last bucket, so the
+            # DP would reproduce the current orders; the skip is
+            # tier-invariant (sizes only), so counters agree
+            model = replanner.model_for(db, replan_scope) if replanner.due() else None
             if model is not None:
                 stats.replans += 1
                 renewed = [replan_delta_plans(cr, model) for cr in active]
                 stats.plans_costed += model.plans_costed
                 if any(new is not old for new, old in zip(renewed, active)):
                     active = renewed
-                    specializations = [
-                        (cr, cr.delta_literals(recursive)) for cr in active
-                    ]
-                    alive = set(map(id, active))
+                    literals = {id(cr): cr.delta_literals(members) for cr in active}
         delta = {}
-        for cr, delta_literals in specializations:
-            if id(cr) not in alive:
-                continue
-            for i, predicate in delta_literals:
-                frontier = previous.get(predicate)
-                if frontier is None:
-                    continue
-                _fire(
-                    cr,
-                    i,
-                    db,
-                    stats,
-                    provenance,
-                    opts,
-                    delta,
-                    delta=frontier,
-                    guard=guard,
-                )
-        active = retire.filter(active, db)
-        alive = set(map(id, active))
+        _fire_deltas(active, literals, previous, db, stats, provenance, opts, delta, guard)
 
 
-def _single_pass(active, db, stats, provenance, opts, retire, guard) -> None:
-    """One naive pass over a non-recursive unit's rules.
-
-    Every input relation is complete when the unit is scheduled and the
-    head predicate does not occur in any of its own bodies, so one pass
-    reaches the unit's fixpoint — no delta rounds, no final empty
-    verification round, and no ``iterations`` charge: the pass is
-    straight-line code outside any fixpoint loop, which is the point of
-    scheduling non-recursive rules separately (``max_iterations`` only
-    bounds loops that could diverge).  Cut units additionally stop
-    between rules once every head boolean has fired (the remaining
-    rules are retired unfired).
-    """
-    added: dict[str, set] = {}
-    for fired, cr in enumerate(active):
-        if fired and retire.unit_satisfied(db):
-            stats.unit_early_exits += 1
-            retire.retire_all(active)
-            return
-        _fire(cr, None, db, stats, provenance, opts, added, guard=guard)
+def _evaluate_unit(
+    unit: "EvalUnit", db, stats, provenance, opts, guard: Guard,
+    seeds=None, out=None, replan_rounds: int = 0,
+) -> None:
+    """One unit to its local fixpoint, from scratch or from *seeds*."""
+    retire = _Retirer(opts.cut_predicates, stats, unit_heads=unit.heads)
+    guard.unit_boundary(stats)
+    active = retire.filter(list(unit.rules), db)
+    if active:
+        if seeds is None and unit.recursive and opts.strategy == "naive":
+            _naive_loop(active, db, stats, provenance, opts, retire, guard)
+        else:
+            # from scratch, nothing changes under a non-recursive unit
+            single_pass = seeds is None and not unit.recursive
+            _fixpoint(
+                active, frozenset() if single_pass else unit.members,
+                db, stats, provenance, opts, retire, guard, seeds, out, replan_rounds,
+            )
+    if retire.unit_satisfied(db):
+        retire.retire_all(unit.rules)
 
 
 def run_seeded_unit(
@@ -606,11 +566,9 @@ def run_seeded_unit(
     machinery (:mod:`repro.engine.incremental`): *seeds* maps
     predicates to rows that are **already inserted** into *db* but have
     not yet been propagated through this unit's rules.  The first round
-    fires every delta specialization whose literal predicate is seeded
-    (full relations already contain the new rows, so old–new and
-    new–new combinations are both covered); subsequent rounds are the
-    unit's ordinary member-delta fixpoint.  A non-recursive unit simply
-    has nothing to do after the seeded round.
+    fires every delta specialization whose literal predicate is seeded;
+    subsequent rounds are the unit's ordinary member-delta fixpoint.  A
+    non-recursive unit simply has nothing to do after the seeded round.
 
     Every row added to a head relation is folded into *out* (created if
     None) and returned — the caller's frontier for downstream units.
@@ -626,81 +584,20 @@ def run_seeded_unit(
     """
     if out is None:
         out = {}
-    retire = _Retirer(opts.cut_predicates, stats, unit_heads=unit.heads)
-    guard.unit_boundary(stats)
-    active = retire.filter(list(unit.rules), db)
-    if not active:
-        return out
-
-    changed = frozenset(p for p, rows in seeds.items() if rows) | unit.members
-    seeded_spec = [(cr, cr.delta_literals(changed)) for cr in active]
-    member_spec = {
-        id(cr): cr.delta_literals(unit.members) for cr in active
-    }
-
-    guard.iteration(stats)
-    previous = {p: _frontier(rows) for p, rows in seeds.items() if rows}
-    delta: dict[str, set] = {}
-    for cr, delta_literals in seeded_spec:
-        for i, predicate in delta_literals:
-            frontier = previous.get(predicate)
-            if frontier is None:
-                continue
-            _fire(
-                cr, i, db, stats, provenance, opts, delta,
-                delta=frontier, guard=guard,
-            )
-    for p, rows in delta.items():
-        if rows:
-            out.setdefault(p, set()).update(rows)
-    active = retire.filter(active, db)
-    alive = set(map(id, active))
-
-    while any(delta.values()):
-        if retire.unit_satisfied(db):
-            stats.unit_early_exits += 1
-            break
-        guard.iteration(stats, delta)
-        previous = {p: _frontier(rows) for p, rows in delta.items() if rows}
-        delta = {}
-        for cr in active:
-            if id(cr) not in alive:
-                continue
-            for i, predicate in member_spec[id(cr)]:
-                frontier = previous.get(predicate)
-                if frontier is None:
-                    continue
-                _fire(
-                    cr, i, db, stats, provenance, opts, delta,
-                    delta=frontier, guard=guard,
-                )
-        for p, rows in delta.items():
-            if rows:
-                out.setdefault(p, set()).update(rows)
-        active = retire.filter(active, db)
-        alive = set(map(id, active))
-    if retire.unit_satisfied(db):
-        retire.retire_all(unit.rules)
+    _evaluate_unit(unit, db, stats, provenance, opts, guard, seeds, out)
     return out
-
-
-# ---------------------------------------------------------------------------
-# the monolithic per-stratum loop (--no-scc)
-# ---------------------------------------------------------------------------
 
 
 def run_monolithic(
     strata, db, stats, provenance, opts, governor=None, replan_rounds: int = 0
 ) -> None:
-    """Evaluate each stratum as one fixpoint over all its rules.
-
-    This is the pre-scheduler engine, kept verbatim: with
-    ``use_scc=False`` and no governor limits every counter is
-    bit-identical to the previous releases, which makes this loop the
-    differential oracle for :func:`run_scheduled`.  The whole loop is
-    one "unit" per stratum as far as the governor is concerned, so
-    ``max_iterations`` (global) and ``max_unit_iterations`` coincide
-    here — both bound ``stats.iterations``.
+    """Evaluate each stratum as one fixpoint over all its rules
+    (``use_scc=False``): the unit driver over one unit per stratum
+    whose members are all the stratum's heads, with a unit-less retirer
+    (rules retire, the stratum never exits early) and no unit boundary
+    — the differential oracle for :func:`run_scheduled`.  The whole run
+    is one "unit" to the governor, so ``max_iterations`` (global) and
+    ``max_unit_iterations`` both bound ``stats.iterations``.
     """
     governor = governor if governor is not None else Governor(opts)
     guard = governor.guard()
@@ -713,8 +610,9 @@ def run_monolithic(
             if opts.strategy == "naive":
                 _naive_loop(active, db, stats, provenance, opts, retire, guard)
             else:
-                _seminaive_loop(active, db, stats, provenance, opts, retire,
-                                guard, replan_rounds=replan_rounds)
+                heads = frozenset(cr.rule.head.predicate for cr in active)
+                _fixpoint(active, heads, db, stats, provenance, opts, retire, guard,
+                          replan_rounds=replan_rounds)
         except BudgetExceeded as exc:
             if exc.stratum is None:
                 exc.stratum = stratum_index
@@ -792,22 +690,8 @@ def _run_unit(
     stats = EvalStats()
     provenance: dict = {}
     failure: Optional[Exception] = None
-    retire = _Retirer(opts.cut_predicates, stats, unit_heads=unit.heads)
     try:
-        guard.unit_boundary(stats)
-        active = retire.filter(list(unit.rules), db)
-        if active:
-            if not unit.recursive:
-                _single_pass(active, db, stats, provenance, opts, retire, guard)
-            elif opts.strategy == "naive":
-                _naive_loop(active, db, stats, provenance, opts, retire, guard)
-            else:
-                _seminaive_loop(
-                    active, db, stats, provenance, opts, retire, guard,
-                    recursive=unit.members, replan_rounds=replan_rounds,
-                )
-        if retire.unit_satisfied(db):
-            retire.retire_all(unit.rules)
+        _evaluate_unit(unit, db, stats, provenance, opts, guard, replan_rounds=replan_rounds)
     except Exception as exc:  # captured, not raised: the barrier decides
         failure = exc
     finally:

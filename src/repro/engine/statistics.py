@@ -51,21 +51,21 @@ class EvalStats:
     #: the only counter allowed to differ between the kernel and
     #: interpreter paths — everything else is bit-identical.
     kernel_launches: int = 0
-    #: Batch-kernel pipeline stages executed with a non-empty context
-    #: batch (0 on the tuple-kernel and interpreter paths).  Like
-    #: ``kernel_launches`` this is engine-variant: it measures how much
-    #: work ran columnar, not how much join work was done.
+    #: Vector-kernel stages (frontier step, join step) executed with a
+    #: non-empty batch (0 on the tuple-kernel and interpreter paths).
+    #: Like ``kernel_launches`` this is engine-variant: it measures how
+    #: much work ran columnar, not how much join work was done.
     batch_probes: int = 0
-    #: Contexts produced by batch-kernel stages (the columnar analogue
-    #: of per-tuple loop iterations; engine-variant).
+    #: Rows produced by vector-kernel stages (the columnar analogue of
+    #: per-tuple loop iterations; engine-variant).
     batch_rows: int = 0
     #: Size of the process-wide constant dictionary after the run
     #: (merged with ``max``, not summed; 0 unless the columnar plane
     #: was active).
     dict_size: int = 0
-    #: Rules routed to the tuple kernel because no batch kernel could
-    #: be compiled (order-dependent shape) or a ``columnar`` fault was
-    #: injected (engine-variant).
+    #: Firings a columnar run sent to the tuple kernel: the vector
+    #: kernel declined the plan, or a ``columnar`` fault was injected
+    #: (engine-variant).
     columnar_fallbacks: int = 0
     #: Rule bodies ordered by the cost model's DP search (0 with
     #: ``--no-cost-planner``, on a prepared-cache hit — the cached

@@ -1,15 +1,18 @@
 """Unit tests for the columnar data plane: the constant dictionary,
-per-relation column stores, copy-on-write privatization, batch-kernel
-compile gates, and encoded bulk insertion.
+per-relation column stores, copy-on-write privatization, and the
+vector kernel's gates (what it declines, what it commits to).
 
-Full-run parity (batch kernels vs tuple kernels vs interpreter on
+Full-run parity (vector kernel vs tuple kernels vs interpreter on
 every engine-invariant counter) lives in
 ``tests/property/test_columnar_differential.py``; this file owns the
 substrate-level contracts those runs rest on.
 """
 
+import sys
+
 import pytest
 
+from repro.datalog import columnar
 from repro.datalog.columnar import (
     ColumnStore,
     ConstantDictionary,
@@ -18,15 +21,21 @@ from repro.datalog.columnar import (
 )
 from repro.datalog.database import Database, Relation
 from repro.datalog.parser import parse
-from repro.engine import EngineOptions, evaluate
-from repro.engine.batch_kernel import (
-    BatchKernelError,
-    batch_kernel_cache_stats,
-    batch_kernel_source,
-    batch_rule_kernel,
-    clear_batch_kernel_cache,
+from repro.engine import (
+    EngineOptions,
+    EvalStats,
+    clear_kernel_cache,
+    clear_prepared_cache,
+    evaluate,
+    kernel_cache_stats,
 )
-from repro.engine.plan import compile_rule
+from repro.engine import batch_kernel, scheduler
+from repro.engine.batch_kernel import vector_rule_kernel
+from repro.engine.plan import DeltaIndex, compile_rule
+
+needs_numpy = pytest.mark.skipif(
+    not numpy_available(), reason="the vector kernel needs numpy"
+)
 
 
 # -- constant dictionary -----------------------------------------------------
@@ -100,17 +109,6 @@ class TestColumnStore:
         both = rel.encoded_index((0, 1))
         assert all(isinstance(k, tuple) for k in both)
 
-    def test_scan_rows_track_relation_order_and_version(self):
-        rel = Relation(1, [(i,) for i in range(5)])
-        d = global_dictionary()
-        first = rel.encoded_rows()
-        assert [d.decode_row(e) for e in first] == list(rel)
-        assert rel.encoded_rows() is first  # cached at this version
-        rel.add((99,))
-        second = rel.encoded_rows()
-        assert second is not first
-        assert [d.decode_row(e) for e in second] == list(rel)
-
     def test_numpy_column_view(self):
         if not numpy_available():
             pytest.skip("numpy not available")
@@ -135,9 +133,8 @@ class TestColumnStore:
         rel.column_store()
         rel.discard((1,))
         assert rel._store is None
-        assert {global_dictionary().decode_row(e) for e in rel.encoded_rows()} == {
-            (2,)
-        }
+        rebuilt = rel.column_store().row_set
+        assert {global_dictionary().decode_row(e) for e in rebuilt} == {(2,)}
 
 
 # -- copy-on-write privatization (satellite: Relation.copy) -----------------
@@ -188,33 +185,10 @@ class TestCopyOnWrite:
         assert len(db.relation("edge")) == 3
 
 
-# -- encoded bulk insertion --------------------------------------------------
+# -- vector-kernel gates -----------------------------------------------------
 
-
-class TestAddEncodedBatch:
-    def test_decodes_and_preserves_input_order(self):
-        rel = Relation(2, [("a", "b")])
-        rel.index_for((0,))
-        d = global_dictionary()
-        enc = [d.intern_row(("c", "d")), d.intern_row(("e", "f"))]
-        out = rel.add_encoded_batch(enc)
-        assert out == [("c", "d"), ("e", "f")]
-        assert ("c", "d") in rel and ("e", "f") in rel
-
-    def test_maintains_raw_indexes_like_add(self):
-        base = [("a", "b"), ("a", "c")]
-        batch = Relation(2, base)
-        plain = Relation(2, base)
-        batch.index_for((0,))
-        plain.index_for((0,))
-        d = global_dictionary()
-        batch.add_encoded_batch([d.intern_row(("a", "d"))])
-        plain.add(("a", "d"))
-        assert batch.index_for((0,)) == plain.index_for((0,))
-        assert batch.rows() == plain.rows()
-
-
-# -- batch-kernel compile gates ----------------------------------------------
+LEFT_TC = "tc(X,Y) :- tc(X,Z), e(Z,Y).\n?- tc(X,Y)."
+RIGHT_TC = "tc(X,Y) :- e(X,Z), tc(Z,Y).\n?- tc(X,Y)."
 
 
 def _compiled(text, index=0, sizes=None):
@@ -222,64 +196,200 @@ def _compiled(text, index=0, sizes=None):
     return compile_rule(program.rules[index], index, sizes=sizes)
 
 
+def _delta_plan(cr, predicate):
+    """The delta plan id of *cr* whose frontier literal is *predicate*."""
+    (plan_id,) = [i for i, p in cr.delta_literals({predicate})]
+    return plan_id
+
+
+def _vector_kernel(text, predicate, **kw):
+    cr = _compiled(text)
+    return vector_rule_kernel(cr, _delta_plan(cr, predicate), **kw)
+
+
+def _launch(kernel, db, frontier):
+    """Run *kernel* over *frontier*; (packed result, counters touched)."""
+    stats = EvalStats()
+    out = kernel(db, stats, DeltaIndex(frontier))
+    return out, {k: v for k, v in stats.as_dict().items() if v}
+
+
 class TestBatchKernelGates:
+    """The gates of :mod:`repro.engine.batch_kernel` — the vector
+    kernel.  A declined plan returns ``None`` at compile time; a
+    runtime decline returns ``None`` from the launch *before touching
+    any counter*, so the tuple kernel charges the firing exactly once."""
+
     def test_plain_join_rule_compiles(self):
-        cr = _compiled("p(X,Y) :- e(X,Z), f(Z,Y).\n?- p(X,Y).")
-        assert batch_rule_kernel(cr) is not None
-        assert "stats.batch_probes" in batch_kernel_source(cr)
+        if not numpy_available():
+            pytest.skip("the vector kernel needs numpy")
+        kernel = _vector_kernel("p(X,Y) :- e(X,Z), f(Z,Y).\n?- p(X,Y).", "e")
+        db = Database.from_dict({"e": [(1, 2)], "f": [(2, 3), (2, 4)]})
+        out, touched = _launch(kernel, db, [(1, 2)])
+        assert db.ensure("p", 2).decode_packed(out) == [(1, 3), (1, 4)]
+        assert touched["batch_probes"] == 2 and touched["rule_firings"] == 2
 
     def test_self_referential_naive_plan_is_gated(self):
-        # the tuple engine inserts per yield while enumerating, so a
-        # step reading the head relation sees mid-firing inserts the
-        # batch snapshot cannot reproduce
-        cr = _compiled(
-            "tc(X,Y) :- tc(X,Z), e(Z,Y).\n?- tc(X,Y).",
-            sizes={"tc": 10, "e": 10},
-        )
-        with pytest.raises(BatchKernelError, match="head relation"):
-            batch_kernel_source(cr)
-        assert batch_rule_kernel(cr) is None
+        # naive plans never vectorize: the tuple engine inserts per
+        # yield while enumerating, so a step reading the head relation
+        # sees mid-firing inserts a whole-frontier batch cannot
+        cr = _compiled(LEFT_TC, sizes={"tc": 10, "e": 10})
+        assert vector_rule_kernel(cr) is None
 
+    @needs_numpy
     def test_delta_step_on_head_is_allowed(self):
         # the frontier at delta step 0 is a frozen snapshot in both
-        # engines, so linear recursion stays batched
-        cr = _compiled(
-            "tc(X,Y) :- tc(X,Z), e(Z,Y).\n?- tc(X,Y).",
-            sizes={"tc": 10, "e": 10},
-        )
-        deltas = [
-            pid
-            for pid in range(len(cr.delta_plans))
-            if batch_rule_kernel(cr, pid) is not None
-        ]
-        assert deltas, "no delta plan of a linear recursion was batchable"
+        # engines, so linear recursion stays vectorized
+        for text in (LEFT_TC, RIGHT_TC):
+            assert _vector_kernel(text, "tc") is not None, text
+
+    @needs_numpy
+    @pytest.mark.parametrize("text", [LEFT_TC, RIGHT_TC], ids=["left", "right"])
+    def test_commits_on_linear_tc(self, text):
+        kernel = _vector_kernel(text, "tc")
+        db = Database.from_dict({"e": [(1, 2), (2, 3)], "tc": [(1, 2), (2, 3)]})
+        out, touched = _launch(kernel, db, [(1, 2), (2, 3)])
+        assert db.relation("tc").decode_packed(out) == [(1, 3)]
+        assert touched["rule_firings"] == 1
+        assert touched["join_probes"] == 3  # the frontier, then one per row
+        assert touched["index_probes"] == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("p(X) :- d(X,Y), f(Y,W).", id="existential-step"),
+            pytest.param("p(X,Y) :- d(X,Z), p(Z,Y).", id="step-reads-head"),
+            pytest.param("p(X,V) :- d(X,Y,Z,W), f(Y,V).", id="arity-above-3"),
+            pytest.param("p(X,Y) :- d(1,X), f(X,Y).", id="constant-in-delta"),
+            pytest.param("p(X,Y) :- d(X,X), f(X,Y).", id="repeated-variable"),
+            pytest.param("p(X,Y) :- d(X,Y), f(Y).", id="fully-bound-probe"),
+            pytest.param("p(X,Y) :- d(X,Z), f(Z,Y), lt(Z,Y).", id="built-in"),
+            pytest.param("p(X,Y) :- d(X,Z), f(Z,Y), not g(Y).", id="negation"),
+        ],
+    )
+    def test_shape_gates_decline_at_compile_time(self, text):
+        cr = _compiled(text + "\n?- " + text.split(" :-")[0] + ".")
+        assert vector_rule_kernel(cr, _delta_plan(cr, "d")) is None
 
     def test_existential_repeat_is_gated(self):
         cr = _compiled("p(X) :- e(X), f(Y,Y).\n?- p(X).")
-        with pytest.raises(BatchKernelError, match="repeated"):
-            batch_kernel_source(cr)
+        assert vector_rule_kernel(cr, _delta_plan(cr, "e")) is None
 
     def test_existential_bound_scan_without_indexes_is_gated(self):
-        cr = _compiled("p(X) :- e(X), f(X,Y).\n?- p(X).")
-        assert batch_rule_kernel(cr, use_indexes=True) is not None
-        assert batch_rule_kernel(cr, use_indexes=False) is None
+        # the CSR image *is* an index: --no-index runs never vectorize
+        assert _vector_kernel(LEFT_TC, "tc", use_indexes=False) is None
 
-    def test_source_cache_hits_on_identical_shapes(self):
-        clear_batch_kernel_cache()
-        a = _compiled("p(X,Y) :- e(X,Z), f(Z,Y).\n?- p(X,Y).")
-        b = _compiled("p(X,Y) :- e(X,Z), f(Z,Y).\n?- p(X,Y).")
-        batch_rule_kernel(a)
-        before = batch_kernel_cache_stats()
-        batch_rule_kernel(b)
-        after = batch_kernel_cache_stats()
-        assert after["hits"] == before["hits"] + 1
-        assert after["compiles"] == before["compiles"]
+    def test_numpy_absent_declines_everything(self, monkeypatch):
+        monkeypatch.setattr(batch_kernel, "_np", None)
+        assert _vector_kernel(LEFT_TC, "tc") is None
+
+    @needs_numpy
+    def test_id_past_pack_limit_declines_before_any_counter(self, monkeypatch):
+        kernel = _vector_kernel(LEFT_TC, "tc")
+        db = Database.from_dict({"e": [(1, 2)], "tc": [(0, 1)]})
+        monkeypatch.setattr(batch_kernel, "PACK_LIMIT", 1)  # ids 0 only
+        assert _launch(kernel, db, [(0, 1)]) == (None, {})
+
+    @needs_numpy
+    def test_unpackable_frontier_declines_before_any_counter(self, monkeypatch):
+        from repro.engine import plan
+
+        kernel = _vector_kernel(LEFT_TC, "tc")
+        db = Database.from_dict({"e": [(1, 2)], "tc": [(0, 1)]})
+        monkeypatch.setattr(plan, "PACK_LIMIT", 1)
+        assert _launch(kernel, db, [(0, 1)]) == (None, {})
+
+    @needs_numpy
+    def test_volatile_probed_relation_declines_before_any_counter(self, monkeypatch):
+        monkeypatch.setattr(batch_kernel, "_CSR_VOLATILE_ROWS", 2)
+        kernel = _vector_kernel(LEFT_TC, "tc")
+        db = Database.from_dict({"e": [(1, 2), (2, 3), (3, 4)], "tc": [(0, 1)]})
+        e = db.relation("e")
+        for i in range(batch_kernel._CSR_MAX_REBUILDS):
+            assert _launch(kernel, db, [(0, 1)])[0] is not None
+            e.add((10 + i, 11 + i))  # every launch sees a new version
+        assert _launch(kernel, db, [(0, 1)]) == (None, {})
+
+    @needs_numpy
+    def test_absorb_without_packed_runs_decodes_in_order(self, monkeypatch):
+        """The head relation holds an id the packing bound excludes, so
+        the vectorized absorb has no membership runs: the packed rows
+        are decoded and inserted one at a time, in production order,
+        duplicates counted like the tuple kernel's."""
+        d = global_dictionary()
+        rel = Relation(2, [("a", "b")])
+        rel.index_for((0,))
+        packed = scheduler._np.array(
+            [
+                columnar.pack_encoded(d.intern_row(r))
+                for r in [("c", "d"), ("a", "b"), ("e", "f"), ("c", "d")]
+            ],
+            dtype=scheduler._np.int64,
+        )
+        monkeypatch.setattr(Relation, "packed_runs", lambda self: None)
+        stats, added = EvalStats(), {}
+        scheduler._absorb_packed(rel, "p", packed, stats, added)
+        assert (stats.facts_derived, stats.duplicates) == (2, 2)
+        assert added == {"p": {("c", "d"), ("e", "f")}}
+        assert rel.index_for((0,))[("c",)] == [("c", "d")]
+        assert rel.rows() == {("a", "b"), ("c", "d"), ("e", "f")}
+
+
+# -- the public cache resets -------------------------------------------------
+
+
+def _generated_code_held_by_modules():
+    """(module, attribute) of every module-level dict in the package
+    that holds a function compiled from generated source."""
+    held = []
+    for name, module in list(sys.modules.items()):
+        if module is None or not name.startswith("repro."):
+            continue
+        for attr, value in list(vars(module).items()):
+            if isinstance(value, dict) and any(
+                getattr(fn, "__code__", None) is not None
+                and fn.__code__.co_filename.startswith("<repro")
+                for fn in value.values()
+            ):
+                held.append((name, attr))
+    return held
+
+
+@pytest.mark.parametrize(
+    "overrides", [{}, {"use_columnar": False}], ids=["columnar", "no-columnar"]
+)
+def test_public_resets_leave_no_generated_code(overrides):
+    """After the three public resets no generated code survives in the
+    process, so a cold ``evaluate`` compiles every kernel it launches
+    (the deleted batch rung kept a second source cache that
+    ``clear_kernel_cache`` never emptied, so "cold" runs were not)."""
+    program = parse(
+        """
+        tc(X,Y) :- edge(X,Y).
+        tc(X,Y) :- tc(X,Z), edge(Z,Y).
+        far(X) :- tc(X,Y), not edge(X,Y), lt(X,Y).
+        ?- far(X).
+        """
+    )
+    db = Database.from_dict({"edge": [(i, i + 1) for i in range(6)]})
+    opts = EngineOptions(**overrides)
+    evaluate(program, db, opts)
+    assert _generated_code_held_by_modules()  # the probe sees the cache
+    clear_prepared_cache()
+    clear_kernel_cache()
+    global_dictionary().clear()
+    assert _generated_code_held_by_modules() == []
+    assert kernel_cache_stats() == {"compiles": 0, "hits": 0}
+    evaluate(program, db, opts)
+    cold = kernel_cache_stats()
+    assert cold["compiles"] > 0 and cold["hits"] == 0
 
 
 # -- engine-level integration ------------------------------------------------
 
 
 class TestColumnarEngine:
+    @needs_numpy
     def test_columnar_runs_report_batch_work(self):
         program = parse(
             """
@@ -293,7 +403,7 @@ class TestColumnarEngine:
         assert res.stats.batch_probes > 0
         assert res.stats.batch_rows > 0
         assert res.stats.dict_size > 0
-        # the self-referential naive plan fell back to the tuple kernel
+        # the naive plans ran on the tuple kernel
         assert res.stats.columnar_fallbacks > 0
 
     def test_no_columnar_option_disables_batching(self):

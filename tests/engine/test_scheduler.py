@@ -10,7 +10,15 @@ import pytest
 
 from repro.datalog import Database, parse
 from repro.datalog.errors import ValidationError
-from repro.engine import EngineOptions, evaluate
+from repro.engine import (
+    EngineOptions,
+    EvalStats,
+    Governor,
+    IncrementalSession,
+    evaluate,
+    run_seeded_unit,
+)
+from repro.engine.governor import BudgetExceeded
 from repro.workloads.edb import random_edb
 from repro.workloads.families import all_families, boolean_chain, sibling_components
 
@@ -176,6 +184,93 @@ class TestComponentLocalCut:
         assert result.answers() == frozenset()
         assert result.stats.unit_early_exits == 0
         assert result.stats.rules_retired == 0
+
+
+class TestOneFixpointDriver:
+    """From-scratch units, seeded maintenance and the monolithic stratum
+    loop are one driver; these pin the edges where they used to be
+    separate loops."""
+
+    LEFT_TC = """
+        tc(X, Y) :- edge(X, Y).
+        tc(X, Y) :- tc(X, Z), edge(Z, Y).
+        ?- tc(X, Y).
+    """
+
+    def _seeded_session(self):
+        """A materialized chain 1..6 with edge(0, 1) inserted but not
+        yet propagated: left-linear, so tc(0, k) arrives one round per k."""
+        edb = Database.from_dict({"edge": [(i, i + 1) for i in range(1, 6)]})
+        session = IncrementalSession(parse(self.LEFT_TC), edb)
+        session._privatize("edge")
+        session.db.relation("edge").add((0, 1))
+        (unit,) = [u for u in session._units if u.recursive]
+        return session, unit
+
+    def test_seeded_retry_with_a_shared_out_completes_the_pass(self):
+        seeds = {"edge": {(0, 1)}}
+        session, unit = self._seeded_session()
+        opts = session.options
+        whole = run_seeded_unit(
+            unit, session.db, EvalStats(), {}, opts, Governor(opts).guard(), seeds
+        )
+        assert whole == {"tc": {(0, k) for k in range(1, 7)}}
+
+        session, unit = self._seeded_session()
+        out: dict = {}
+        tight = EngineOptions(max_iterations=3)
+        with pytest.raises(BudgetExceeded):
+            run_seeded_unit(
+                unit, session.db, EvalStats(), {}, tight,
+                Governor(tight).guard(), seeds, out,
+            )
+        assert out and out["tc"] < whole["tc"]  # interrupted mid-fixpoint
+        retry = {"edge": {(0, 1)}, "tc": set(out["tc"])}
+        again = run_seeded_unit(
+            unit, session.db, EvalStats(), {}, opts,
+            Governor(opts).guard(), retry, out,
+        )
+        assert again is out and out == whole
+        assert session.db.rows("tc") >= whole["tc"]
+
+    def test_seeded_cut_unit_exits_mid_fixpoint(self):
+        program = parse(
+            """
+            b :- link(U, V).
+            b :- link(U, W), b.
+            ?- b.
+            """
+        )
+        edb = Database()
+        edb.ensure("link", 2)
+        opts = EngineOptions(cut_predicates=frozenset({"b"}))
+        session = IncrementalSession(program, edb, opts)
+        assert not session.answers()
+        stats = session.insert({"link": {(1, 2), (2, 3)}})
+        assert session.answers()
+        assert stats.unit_early_exits == 1
+        assert stats.iterations == 1  # the seeded round only
+        assert stats.rules_retired == 2
+
+    def test_non_recursive_units_charge_no_iterations(self):
+        """From scratch a non-recursive unit is one pass outside any
+        loop; the monolithic loop and a seeded resume both run rounds
+        (first round, then the empty round that detects the fixpoint)."""
+        program = parse(
+            """
+            p(X) :- e(X).
+            q(X) :- p(X), f(X).
+            ?- q(X).
+            """
+        )
+        db = Database.from_dict({"e": [(1,), (2,)], "f": [(2,)]})
+        scheduled = evaluate(program, db).stats
+        assert scheduled.iterations == 0
+        assert scheduled.unit_rounds == {"p": 0, "q": 0}
+        assert evaluate(program, db, EngineOptions(use_scc=False)).stats.iterations == 2
+        session = IncrementalSession(program, db)
+        resumed = session.insert({"e": {(3,)}, "f": {(3,)}})
+        assert resumed.unit_rounds == {"p": 2, "q": 2}
 
 
 class TestDeterministicParallelism:

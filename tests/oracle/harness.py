@@ -22,10 +22,9 @@ Strategies covered:
     fixpoint — the pre-scheduler engine, so unit scheduling is
     differentially tested against the loop it replaced.
 ``tuple-kernel``
-    The scheduled engine with the columnar batch kernels disabled
-    (``use_columnar=False``, the CLI's ``--no-columnar``), so every
-    batch kernel is differentially tested against the tuple kernel it
-    replaced.
+    The scheduled engine with the columnar plane's vector kernel
+    disabled (``use_columnar=False``, the CLI's ``--no-columnar``), so
+    it is differentially tested against the tuple kernel below it.
 ``seminaive-interp``
     The scheduled engine on the plan interpreter (``use_kernels=False``,
     the CLI's ``--no-kernel``), so every generated kernel is
@@ -61,7 +60,7 @@ options under every strategy (strategy-specific overrides win), e.g.
 ``REPRO_ORACLE_BASE=no-kernel,parallel=4`` re-runs the whole oracle
 suite with the interpreter and a 4-thread unit scheduler, and
 ``REPRO_ORACLE_BASE=no-columnar`` sweeps it on the tuple kernels with
-the batch plane off.  CI uses this to sweep the engine flag matrix
+the columnar plane off.  CI uses this to sweep the engine flag matrix
 without duplicating the suite.
 """
 

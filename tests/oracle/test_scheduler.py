@@ -87,3 +87,45 @@ def test_scheduler_vs_monolithic_on_random_programs(program, seed):
     program.validate()
     db = random_edb(program, rows=10, domain=5, seed=seed)
     assert_scheduler_agrees(program, db)
+
+
+#: ``use_scc=False`` work counters on the families (rows=14, domain=7,
+#: seed=1), recorded from the engine before the monolithic loop became
+#: the unit driver over one all-heads unit per stratum: (iterations,
+#: facts_derived, duplicates, rule_firings, join_probes, rows_scanned,
+#: index_probes).  The scheduler is tested *against* this loop, so its
+#: own counters are pinned to an absolute baseline.
+MONOLITHIC_BASELINE = {
+    "bill_of_materials": (3, 29, 70, 99, 74, 166, 67),
+    "boolean_chain": (5, 10, 6, 16, 19, 28, 7),
+    "bounded_source_tc": (2, 23, 49, 72, 40, 109, 37),
+    "guarded_items": (3, 29, 373, 402, 97, 492, 67),
+    "left_linear_tc": (3, 23, 31, 54, 27, 77, 23),
+    "nonlinear_tc": (2, 23, 143, 166, 64, 226, 60),
+    "payload1": (2, 53, 131, 184, 103, 284, 100),
+    "payload2": (2, 79, 185, 264, 179, 440, 176),
+    "right_linear_tc": (2, 23, 49, 72, 40, 109, 37),
+    "same_generation": (3, 49, 266, 315, 361, 672, 343),
+    "same_generation_sources": (3, 49, 266, 315, 361, 672, 343),
+    "sibling_components": (4, 100, 277, 377, 365, 723, 346),
+    "tc_sources": (3, 29, 43, 72, 30, 95, 23),
+    "two_level_chain": (4, 43, 43, 86, 47, 123, 37),
+    "win_move_stratified": (6, 13, 16, 29, 24, 35, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_monolithic_counters_match_recorded_baseline(name):
+    program = FAMILIES[name]
+    db = random_edb(program, rows=14, domain=7, seed=1)
+    stats = evaluate(program, db, EngineOptions(use_scc=False)).stats
+    assert (
+        stats.iterations,
+        stats.facts_derived,
+        stats.duplicates,
+        stats.rule_firings,
+        stats.join_probes,
+        stats.rows_scanned,
+        stats.index_probes,
+    ) == MONOLITHIC_BASELINE[name]
+    assert stats.units_scheduled == 0 and stats.unit_early_exits == 0

@@ -1,6 +1,6 @@
 """Columnar/tuple-kernel differential property suite.
 
-The batch kernels claim to be *bit-identical* to the tuple kernels
+The vector kernel claims to be *bit-identical* to the tuple kernels
 (and hence the interpreter) on every engine-invariant counter — not
 just the same answers, but the same fact counts, duplicates, join
 probes, rows scanned, index builds, and per-unit rounds.  This suite
@@ -8,9 +8,9 @@ checks full-state agreement on the curated program families and on the
 200 fixed random oracle programs (``derandomize=True``), in both index
 modes and under the monolithic and parallel schedulers.
 
-Provenance-recording runs route to the tuple path before the batch
-compiler is consulted (batches carry no per-fact body rows), so the
-provenance half of the contract lives in
+Provenance-recording runs route to the tuple path before the vector
+kernel is consulted (packed batches carry no per-fact body rows), so
+the provenance half of the contract lives in
 ``tests/property/test_kernel_differential.py`` unchanged.
 """
 
@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.datalog.columnar import numpy_available
 from repro.engine import EngineOptions, evaluate
 from repro.workloads.edb import random_edb
 from repro.workloads.families import all_families
@@ -94,11 +95,11 @@ def test_columnar_differential_composes_with_scheduler_modes(name):
 
 
 def test_columnar_path_is_not_vacuously_equal():
-    """The default engine really runs batch kernels on the families —
-    otherwise the differential above compares the tuple path with
-    itself.  Also pins the counter-visibility contract: columnar runs
-    report batch work and a populated dictionary, tuple runs report
-    neither."""
+    """With numpy the default engine really runs the vector kernel on
+    the families — otherwise the differential above compares the tuple
+    path with itself.  Also pins the counter-visibility contract:
+    columnar runs report batch work and a populated dictionary, tuple
+    runs report neither; without numpy the two are the same engine."""
     batched = 0
     for program in FAMILIES.values():
         db = random_edb(program, rows=10, domain=5, seed=0)
@@ -112,7 +113,34 @@ def test_columnar_path_is_not_vacuously_equal():
         assert tup.batch_rows == 0
         assert tup.dict_size == 0
         assert tup.columnar_fallbacks == 0
-    assert batched > 0
+    assert (batched > 0) == numpy_available()
+
+
+@pytest.mark.skipif(not numpy_available(), reason="the vector kernel needs numpy")
+@pytest.mark.parametrize("name", ["left_linear_tc", "right_linear_tc"])
+@pytest.mark.parametrize("use_scc", [True, False], ids=["scc", "no-scc"])
+def test_linear_recursion_takes_the_vector_rung(name, use_scc):
+    """Linear recursion is the shape the vector kernel exists for: its
+    delta plans must really run there, and leave the same state behind
+    as the tuple engine — counters, answers and facts.  (Not the order
+    facts went in: a packed frontier keeps derivation order where the
+    tuple path's frontier is a set, so later rounds may enumerate
+    differently; the differentials above show no counter observes it.)"""
+    program = FAMILIES[name]
+    db = random_edb(program, rows=14, domain=7, seed=0)
+    col = evaluate(program, db.copy(), EngineOptions(use_scc=use_scc))
+    tup = evaluate(
+        program, db.copy(), EngineOptions(use_scc=use_scc, use_columnar=False)
+    )
+    assert col.stats.batch_probes > 0 and col.stats.batch_rows > 0
+    # the naive first round still went to the tuple kernel
+    assert 0 < col.stats.columnar_fallbacks < col.stats.kernel_launches
+    assert col.stats.as_dict(engine_invariant=True) == tup.stats.as_dict(
+        engine_invariant=True
+    )
+    assert col.answers() == tup.answers()
+    for pred in program.idb_predicates():
+        assert col.db.rows(pred) == tup.db.rows(pred), pred
 
 
 @given(random_programs(), st.integers(min_value=0, max_value=3))
@@ -123,7 +151,7 @@ def test_columnar_path_is_not_vacuously_equal():
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_columnar_differential_on_random_programs(program, seed):
-    """The 200 fixed random oracle programs: batch kernels, tuple
+    """The 200 fixed random oracle programs: the vector kernel, tuple
     kernels and the interpreter agree on answers, fact counts and
     stats counters, with and without indexes."""
     program.validate()
