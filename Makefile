@@ -32,7 +32,7 @@ lint:  ## static analysis: ruff + mypy over src, repro-lint over workloads
 	$(PYTHON) -m mypy
 	$(PYTHON) scripts/lint_workloads.py
 
-analyze:  ## abstract-interpretation gate: DL018-DL024 clean over all workloads
+analyze:  ## abstract-interpretation gate: DL018-DL024 clean over all workloads, with no EDB and over a seeded one
 	$(PYTHON) scripts/lint_workloads.py --analyze-only
 
 bench:  ## statistically careful wall-clock benchmarks

@@ -9,9 +9,12 @@ Two passes over each generated program:
   boolean subqueries, the monadic rewrite).
 - :func:`repro.analysis.analyze_program` (``repro analyze``): the
   abstract-interpretation domains must raise **no** DL018–DL024
-  diagnostic at all, infos included.  The workloads are the repo's
-  measurement corpus; a sort conflict, bound blowup, or base-case-less
-  recursion in one of them is a generator bug, not narration.
+  diagnostic at all, infos included — once with no EDB (assumed
+  cardinalities) and once over a seeded random EDB, so the *measured*
+  cardinality domain (DL021 / DL022) is gated too.  The workloads are
+  the repo's measurement corpus; a sort conflict, bound blowup, or
+  base-case-less recursion in one of them is a generator bug, not
+  narration.
 
 ``--analyze-only`` skips the lint pass (the Makefile's ``analyze``
 target runs it so ``make analyze`` exercises just the new framework).
@@ -26,6 +29,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.analysis import analyze_program, lint_program  # noqa: E402
 from repro.workloads import paper_examples  # noqa: E402
+from repro.workloads.edb import random_edb  # noqa: E402
 from repro.workloads.families import all_families  # noqa: E402
 
 #: the abstract-interpretation codes the analyzer gate forbids outright
@@ -52,15 +56,17 @@ def main(argv: list[str] | None = None) -> int:
                 failed += 1
                 print(f"-- {name}: NOT strict-clean")
                 print(report.render_text())
-        result = analyze_program(program, source=name)
-        flagged = [
-            d for d in result.report.diagnostics if d.code in ABSINT_CODES
-        ]
-        if flagged:
-            failed += 1
-            print(f"-- {name}: abstract interpretation NOT clean")
-            for diag in flagged:
-                print(f"   {diag.code} {diag.predicate}: {diag.message}")
+        measured_edb = random_edb(program, rows=30, domain=12, seed=0)
+        for mode, db in (("assumed", None), ("measured", measured_edb)):
+            result = analyze_program(program, db, source=name)
+            flagged = [
+                d for d in result.report.diagnostics if d.code in ABSINT_CODES
+            ]
+            if flagged:
+                failed += 1
+                print(f"-- {name}: abstract interpretation ({mode}) NOT clean")
+                for diag in flagged:
+                    print(f"   {diag.code} {diag.predicate}: {diag.message}")
     passes = "analyze" if analyze_only else "lint+analyze"
     print(f"checked {len(programs)} programs ({passes}), {failed} failed")
     return 1 if failed else 0

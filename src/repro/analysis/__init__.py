@@ -33,7 +33,6 @@ from .diagnostics import CODES, CodeInfo, Diagnostic, LintReport, Severity
 from .domains import (
     BoundednessDomain,
     CardinalityDomain,
-    DegreeSketch,
     SortDomain,
     load_profiles,
     save_profiles,
@@ -63,7 +62,6 @@ __all__ = [
     "SortDomain",
     "CardinalityDomain",
     "BoundednessDomain",
-    "DegreeSketch",
     "save_profiles",
     "load_profiles",
     "InvariantViolation",

@@ -24,8 +24,8 @@ never wrong.
 shell ``.analyze``); it returns an :class:`AnalysisResult` — the
 DL018–DL024 findings as a standard :class:`~.diagnostics.LintReport`
 plus the final abstract values, which the planner consumes through
-:meth:`AnalysisResult.cost_profiles` (measured degree sketches feeding
-:class:`repro.engine.cost.BoundCostModel`, see
+:meth:`AnalysisResult.sketches` (the cardinality domain's values *are*
+the planner's :class:`repro.engine.cost.RelationProfile`, see
 ``evaluate(..., analysis=...)``).
 """
 
@@ -48,7 +48,6 @@ from .domains import (
     AbstractDomain,
     BoundednessDomain,
     CardinalityDomain,
-    DegreeSketch,
     SortDomain,
     render_sort,
 )
@@ -126,7 +125,7 @@ def _build_views(program: Program) -> tuple[tuple[RuleView, ...], Program, bool]
 
 
 def default_domains(
-    sketches: Optional[Mapping[str, DegreeSketch]] = None,
+    sketches: Optional[Mapping[str, RelationProfile]] = None,
 ) -> tuple[AbstractDomain, ...]:
     """The three shipped domains (*sketches* pre-seeds cardinality)."""
     return (
@@ -254,16 +253,19 @@ def _run_fixpoint(
     adom = _active_domain_size(db, analyzed) if db is not None else None
     # info.sccs is in reverse topological order: dependencies first
     for scc in info.sccs:
-        group = [v for p in sorted(scc) for v in by_head.get(p, ())]
-        if not group:
+        heads = [p for p in sorted(scc) if p in by_head]
+        if not heads:
             continue
         for _ in range(ITERATION_CAP):
             changed = False
             for d in domains:
                 e = env[d.name]
-                for view in group:
-                    head = view.rule.head.predicate
-                    new = d.join(e[head], d.transfer(view, e))
+                for head in heads:
+                    # one pass's rules combine by union (cardinalities
+                    # add); across passes the values join
+                    new = d.join(e[head], d.union(
+                        [d.transfer(view, e) for view in by_head[head]]
+                    ))
                     if new != e[head]:
                         e[head] = new
                         changed = True
@@ -332,7 +334,10 @@ class AnalysisResult:
     def sorts(self) -> dict[str, tuple]:
         return self.context.merged(SortDomain.name)
 
-    def sketches(self) -> dict[str, DegreeSketch]:
+    def sketches(self) -> dict[str, RelationProfile]:
+        """The cardinality profiles by base predicate — what
+        ``evaluate(..., analysis=...)`` plans derived predicates from
+        in place of its worst-case IDB sizing."""
         return self.context.merged(CardinalityDomain.name)
 
     def derivable(self) -> dict[str, bool]:
@@ -346,18 +351,8 @@ class AnalysisResult:
             if d.code == "DL023" and d.predicate is not None
         )
 
-    def cost_profiles(self) -> dict[str, RelationProfile]:
-        """The sketches as planner profiles, keyed by base predicate —
-        what ``evaluate(..., analysis=...)`` overlays onto the
-        database profile (measured EDB + propagated IDB estimates
-        replacing the evaluator's worst-case IDB sizing)."""
-        return {
-            pred: sketch.to_profile()
-            for pred, sketch in self.sketches().items()
-        }
-
     def cost_model(self) -> BoundCostModel:
-        return BoundCostModel(self.cost_profiles())
+        return BoundCostModel(self.sketches())
 
     def to_dict(self) -> dict:
         sketches = self.sketches()
@@ -406,7 +401,7 @@ def analyze_program(
     program: Program,
     db: Optional[Database] = None,
     *,
-    sketches: Optional[Mapping[str, DegreeSketch]] = None,
+    sketches: Optional[Mapping[str, RelationProfile]] = None,
     domains: Optional[Sequence[AbstractDomain]] = None,
     source: str = "<program>",
 ) -> AnalysisResult:

@@ -9,16 +9,17 @@ each a small lattice with a monotone rule transfer function:
   Seeded from stored EDB rows and in-program ground facts; the meet of
   the sorts a variable joins proves joins statically empty (DL018),
   unifications ill-typed (DL019), and head columns constant (DL020).
-- :class:`CardinalityDomain` — :class:`DegreeSketch` values: a
-  relation's log-bucketed size plus, per position, the log-bucketed
-  **max degree** (most rows any one value matches there).  EDB sketches
-  are *measured* from the columnar dictionary/posting structures
+- :class:`CardinalityDomain` — the planner's own
+  :class:`~repro.engine.cost.RelationProfile` values: a relation's
+  log-bucketed size plus, per position, the log-bucketed **max degree**
+  (most rows any one value matches there).  EDB profiles are *measured*
   (:meth:`repro.datalog.database.Relation.degree_profile`); IDB
-  sketches are propagated through rule bodies with the Lemma 3.1
-  existential-component drop, exactly the arithmetic of
-  :class:`repro.engine.cost.BoundCostModel`.  Findings: DL021
-  (measured bound blowup) and DL022 (hub-key skew).  Sketches persist
-  as JSON (:func:`save_profiles` / :func:`load_profiles`).
+  profiles are propagated through rule bodies by
+  :meth:`repro.engine.cost.BoundCostModel.bound_walk` — the walk DL017
+  prices with, Lemma 3.1 existential-component drop included.
+  Findings: DL021 (measured bound blowup) and DL022 (hub-key skew).
+  Profiles persist as JSON (:func:`save_profiles` /
+  :func:`load_profiles`).
 - :class:`BoundednessDomain` — a two-point derivability lattice
   (``False`` = provably empty) plus structural bounded-recursion
   detection.  Findings: DL023 (bounded recursion — the fixpoint closes
@@ -35,19 +36,12 @@ component fails to stabilize within its iteration budget.
 from __future__ import annotations
 
 import json
+from functools import reduce
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional, Sequence
 
-from ..datalog.ast import Atom, Rule
 from ..datalog.builtins import is_builtin
 from ..datalog.terms import Constant, Variable
-from ..engine.cost import (
-    DEFAULT_FANOUT,
-    DEFAULT_SIZE,
-    BoundCostModel,
-    RelationProfile,
-    _component_vars,
-    bucket_size,
-)
+from ..engine.cost import RelationProfile, bucket_size, rule_model
 from .diagnostics import Diagnostic, Severity
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -62,7 +56,6 @@ __all__ = [
     "sort_meet",
     "sort_types",
     "render_sort",
-    "DegreeSketch",
     "CARD_CAP",
     "SKEW_MIN_SIZE",
     "save_profiles",
@@ -190,123 +183,27 @@ def render_sort(s: Sort) -> str:
 
 
 # ---------------------------------------------------------------------------
-# degree sketches
+# cardinality constants and profile persistence
 # ---------------------------------------------------------------------------
 
-#: propagated cardinalities saturate here, so recursive sketch
+#: propagated cardinalities saturate here, so recursive profile
 #: iteration climbs at most ~40 buckets per position before stabilizing
 CARD_CAP = float(1 << 40)
+
+
+def _capped_bucket(n: float) -> int:
+    """*n* saturated at :data:`CARD_CAP`, as its bucket representative."""
+    return bucket_size(int(min(n, CARD_CAP)))
+
 
 #: relations smaller than this are never reported as skewed (DL022)
 SKEW_MIN_SIZE = 16
 
-#: on-disk sketch format version (see docs/api.md "Program analysis")
+#: on-disk profile format version (see docs/api.md "Program analysis")
 PROFILE_FORMAT_VERSION = 1
 
 
-class DegreeSketch:
-    """A relation's measured-or-propagated cardinality abstraction.
-
-    ``size`` and ``degree[p]`` are log-bucketed (:func:`bucket_size`)
-    exactly like :class:`repro.engine.cost.RelationProfile`, so a
-    sketch converts losslessly into the planner's profile.  ``measured``
-    is ``True`` only when every input the value was computed from was
-    counted on real rows (and no saturation occurred) — synthetic
-    defaults and saturated recursive estimates are not "measured", and
-    DL021/DL022 only ever fire on measured sketches.  ``raw_size`` /
-    ``raw_degree`` keep the exact pre-bucket counts for measured EDB
-    seeds (0/() otherwise); they do not participate in equality or
-    signatures.
-    """
-
-    __slots__ = ("size", "degree", "measured", "raw_size", "raw_degree")
-
-    def __init__(
-        self,
-        size: int,
-        degree: tuple[int, ...],
-        measured: bool = False,
-        raw_size: int = 0,
-        raw_degree: tuple[int, ...] = (),
-    ):
-        self.size = size
-        self.degree = degree
-        self.measured = measured
-        self.raw_size = raw_size
-        self.raw_degree = raw_degree
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, DegreeSketch)
-            and self.size == other.size
-            and self.degree == other.degree
-            and self.measured == other.measured
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.size, self.degree, self.measured))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        tag = "measured" if self.measured else "synthetic"
-        return f"DegreeSketch({self.size}, {self.degree}, {tag})"
-
-    def signature(self) -> tuple:
-        return (self.size, self.degree, self.measured)
-
-    def to_profile(self) -> RelationProfile:
-        return RelationProfile(self.size, self.degree)
-
-    def join(self, other: "DegreeSketch") -> "DegreeSketch":
-        degree = tuple(
-            max(a, b) for a, b in zip(self.degree, other.degree)
-        )
-        if len(self.degree) != len(other.degree):
-            longer = max((self.degree, other.degree), key=len)
-            degree = degree + longer[len(degree):]
-        return DegreeSketch(
-            max(self.size, other.size), degree,
-            self.measured and other.measured,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "degree": list(self.degree),
-            "measured": self.measured,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "DegreeSketch":
-        return cls(
-            int(data["size"]),
-            tuple(int(d) for d in data["degree"]),
-            bool(data.get("measured", False)),
-        )
-
-    @classmethod
-    def from_counts(cls, size: int, degrees: Sequence[int]) -> "DegreeSketch":
-        """A measured sketch from exact (row count, max degree) counts —
-        the shape :meth:`Relation.degree_profile` returns."""
-        return cls(
-            bucket_size(size),
-            tuple(bucket_size(d) for d in degrees),
-            measured=True,
-            raw_size=size,
-            raw_degree=tuple(degrees),
-        )
-
-    @classmethod
-    def synthetic(cls, arity: int) -> "DegreeSketch":
-        """The planner's synthetic default, bucketed (the fallback when
-        no EDB is loaded)."""
-        return cls(
-            bucket_size(DEFAULT_SIZE),
-            tuple(bucket_size(DEFAULT_FANOUT) for _ in range(arity)),
-            measured=False,
-        )
-
-
-def save_profiles(path: str, sketches: Mapping[str, DegreeSketch]) -> None:
+def save_profiles(path: str, sketches: Mapping[str, RelationProfile]) -> None:
     """Persist *sketches* as JSON (format in docs/api.md)."""
     payload = {
         "version": PROFILE_FORMAT_VERSION,
@@ -319,7 +216,7 @@ def save_profiles(path: str, sketches: Mapping[str, DegreeSketch]) -> None:
         f.write("\n")
 
 
-def load_profiles(path: str) -> dict[str, DegreeSketch]:
+def load_profiles(path: str) -> dict[str, RelationProfile]:
     """Load sketches persisted by :func:`save_profiles`."""
     with open(path, encoding="utf-8") as f:
         payload = json.load(f)
@@ -330,7 +227,7 @@ def load_profiles(path: str) -> dict[str, DegreeSketch]:
             f"(expected {PROFILE_FORMAT_VERSION})"
         )
     return {
-        pred: DegreeSketch.from_dict(data)
+        pred: RelationProfile.from_dict(data)
         for pred, data in payload.get("sketches", {}).items()
     }
 
@@ -346,10 +243,11 @@ class AbstractDomain:
     The driver seeds every EDB predicate (:meth:`seed`), starts every
     IDB predicate at :meth:`bottom`, and Kleene-iterates
     :meth:`transfer` over each SCC of the adorned program's
-    condensation, joining each rule's contribution into its head's
-    value until the environment stabilizes (widening to :meth:`top`
-    past the iteration budget).  :meth:`diagnostics` then reads the
-    final environment off the :class:`AnalysisContext`.
+    condensation, joining each pass's :meth:`union` of a head's rule
+    contributions into the head's value until the environment
+    stabilizes (widening to :meth:`top` past the iteration budget).
+    :meth:`diagnostics` then reads the final environment off the
+    :class:`AnalysisContext`.
     """
 
     #: the key this domain's values live under in the environment
@@ -373,6 +271,13 @@ class AbstractDomain:
     def transfer(self, view: "RuleView", env: Mapping[str, Any]) -> Any:
         """The head value this rule contributes under *env*."""
         raise NotImplementedError
+
+    def union(self, values: Sequence[Any]) -> Any:
+        """The head value of one pass, from the (non-empty) transfers
+        of all the head's rules — a predicate holds the *union* of its
+        rules' outputs.  The lattice join by default; a domain whose
+        join is not additive (cardinality) overrides it."""
+        return reduce(self.join, values)
 
     def settle(self, predicate: str, value: Any, arity: int,
                recursive: bool, adom: Optional[int]) -> Any:
@@ -431,7 +336,7 @@ class SortDomain(AbstractDomain):
 
     # -- propagation --------------------------------------------------------
 
-    def _propagate(
+    def transfer(
         self,
         view: "RuleView",
         env: Mapping[str, Any],
@@ -491,9 +396,6 @@ class SortDomain(AbstractDomain):
                 head.append(var_sorts.get(arg, TOP))
         return tuple(head)
 
-    def transfer(self, view: "RuleView", env: Mapping[str, Any]) -> tuple:
-        return self._propagate(view, env)
-
     # -- findings -----------------------------------------------------------
 
     def diagnostics(self, ctx: "AnalysisContext") -> list[Diagnostic]:
@@ -501,7 +403,7 @@ class SortDomain(AbstractDomain):
         env = ctx.env[self.name]
         for view in ctx.views:
             findings: list = []
-            self._propagate(view, env, findings, is_idb=ctx.is_idb)
+            self.transfer(view, env, findings, is_idb=ctx.is_idb)
             for kind, atom, p, detail in findings:
                 base = ctx.base_of(atom.predicate)
                 if kind == "const":
@@ -605,162 +507,94 @@ MEASURED_BLOWUP_FACTOR = 100
 
 
 class CardinalityDomain(AbstractDomain):
-    """Measured/propagated :class:`DegreeSketch` values; DL021 / DL022."""
+    """Measured/propagated :class:`RelationProfile` values; DL021 / DL022."""
 
     name = "cardinality"
 
     def __init__(self,
-                 preloaded: Optional[Mapping[str, DegreeSketch]] = None):
+                 preloaded: Optional[Mapping[str, RelationProfile]] = None):
         self.preloaded = dict(preloaded or {})
 
     def seed(self, predicate: str, arity: int,
-             relation: Optional["Relation"]) -> DegreeSketch:
+             relation: Optional["Relation"]) -> RelationProfile:
         loaded = self.preloaded.get(predicate)
         if loaded is not None:
             return loaded
         if relation is None:
-            return DegreeSketch.synthetic(arity)
-        size, degrees = relation.degree_profile()
-        return DegreeSketch.from_counts(size, degrees)
+            return RelationProfile.assumed(arity)
+        return RelationProfile.from_counts(*relation.degree_profile())
 
-    def bottom(self, predicate: str, arity: int) -> DegreeSketch:
-        return DegreeSketch(0, (0,) * arity, measured=True)
+    def bottom(self, predicate: str, arity: int) -> RelationProfile:
+        return RelationProfile(0, (0,) * arity, measured=True)
 
-    def top(self, predicate: str, arity: int) -> DegreeSketch:
+    def top(self, predicate: str, arity: int) -> RelationProfile:
         cap = int(CARD_CAP)
-        return DegreeSketch(cap, (cap,) * arity, measured=False)
+        return RelationProfile(cap, (cap,) * arity, measured=False)
 
-    def join(self, a: DegreeSketch, b: DegreeSketch) -> DegreeSketch:
+    def join(self, a: RelationProfile, b: RelationProfile) -> RelationProfile:
         return a.join(b)
+
+    def union(self, values: Sequence[RelationProfile]) -> RelationProfile:
+        """A predicate holds the union of its rules' outputs, so sizes
+        and degrees **add** (saturating at :data:`CARD_CAP`)."""
+        return RelationProfile(
+            _capped_bucket(sum(v.size for v in values)),
+            tuple(
+                _capped_bucket(sum(ds))
+                for ds in zip(*(v.degree for v in values))
+            ),
+            all(v.measured for v in values),
+        )
 
     # -- propagation --------------------------------------------------------
 
-    def _pricing(
-        self, view: "RuleView", env: Mapping[str, Any]
-    ) -> tuple[list[Atom], BoundCostModel, frozenset, bool]:
-        """The priced body: relational literals with the Lemma 3.1
-        existential components dropped, a cost model over the body's
-        sketches, the needed-variable seed, and whether every priced
-        sketch is measured."""
-        rule = view.rule
-        relational = [
-            a for a in rule.body if not is_builtin(a.predicate)
-        ]
-        needed = view.needed_vars | frozenset(
-            v
-            for atom in (*rule.negative,
-                         *(a for a in rule.body
-                           if is_builtin(a.predicate)))
-            for v in atom.args
-            if isinstance(v, Variable)
-        )
-        relational = [
-            a for a in relational
-            if _component_vars(a, relational) & needed
-        ]
-        profiles: dict[str, RelationProfile] = {}
-        measured = True
-        for a in relational:
-            sketch = env.get(a.predicate)
-            if sketch is None:
-                sketch = DegreeSketch.synthetic(len(a.args))
-            measured = measured and sketch.measured
-            profiles.setdefault(a.predicate, sketch.to_profile())
-        return relational, BoundCostModel(profiles), needed, measured
-
-    @staticmethod
-    def _propagate(
-        relational: Sequence[Atom],
-        model: BoundCostModel,
-        needed: frozenset,
-        bound: frozenset = frozenset(),
-    ) -> tuple[float, float]:
-        """(final, worst) intermediate cardinality bound along the
-        model's best order, starting from *bound* variables."""
-        if not relational:
-            return 1.0, 1.0
-        order = model.order_remaining(
-            relational, tuple(range(len(relational))), bound, needed
-        )
-        if order is None:
-            order = tuple(range(len(relational)))
-        bound_vars = set(bound)
-        card = 1.0
-        worst = 0.0
-        for pos, i in enumerate(order):
-            atom = relational[i]
-            matches = model.literal_bound(atom, frozenset(bound_vars))
-            new_vars = {
-                v for v in atom.args if isinstance(v, Variable)
-            } - bound_vars
-            if new_vars:
-                later = set(needed)
-                for j in order[pos + 1:]:
-                    later.update(
-                        v for v in relational[j].args
-                        if isinstance(v, Variable)
-                    )
-                if not (new_vars & later):
-                    matches = min(matches, 1.0)
-            card = min(card * matches, CARD_CAP)
-            worst = max(worst, card)
-            bound_vars |= new_vars
-        return card, worst
-
     def transfer(self, view: "RuleView",
-                 env: Mapping[str, Any]) -> DegreeSketch:
-        rule = view.rule
-        arity = len(rule.head.args)
-        relational, model, needed, measured = self._pricing(view, env)
-        if not relational:
+                 env: Mapping[str, Any]) -> RelationProfile:
+        head = view.rule.head
+        body, needed, model = rule_model(view.rule, view.needed_vars, env)
+        order, final, _ = model.bound_walk(body, needed)
+        if not order:
             # a fact rule, or a body retired entirely by the Lemma 3.1
             # cut: at most one row per evaluation
-            return DegreeSketch(
-                bucket_size(1), tuple(bucket_size(1) for _ in range(arity)),
-                measured=measured,
-            )
-        final, _ = self._propagate(relational, model, needed)
-        size = bucket_size(int(min(final, CARD_CAP)))
+            return RelationProfile(1, (1,) * len(head.args), measured=True)
+        measured = all(
+            model.profiles[body[i].predicate].measured for i in order
+        )
+        size = _capped_bucket(final)
         degree = []
-        for arg in rule.head.args:
+        for arg in head.args:
             if isinstance(arg, Variable) and any(
-                arg in a.args for a in relational
+                arg in body[i].args for i in order
             ):
-                fixed, _ = self._propagate(
-                    relational, model, needed, frozenset({arg})
-                )
-                degree.append(
-                    min(size, bucket_size(int(min(fixed, CARD_CAP))))
-                )
+                _, fixed, _ = model.bound_walk(body, needed, frozenset({arg}))
+                degree.append(min(size, _capped_bucket(fixed)))
             else:
                 # a constant column (every row shares it) or an unsafe
                 # head variable: the degree is the full size
                 degree.append(size)
-        return DegreeSketch(
+        return RelationProfile(
             size, tuple(degree),
             measured=measured and final < CARD_CAP,
         )
 
-    def settle(self, predicate: str, value: DegreeSketch, arity: int,
-               recursive: bool, adom: Optional[int]) -> DegreeSketch:
+    def settle(self, predicate: str, value: RelationProfile, arity: int,
+               recursive: bool, adom: Optional[int]) -> RelationProfile:
         """Recursive members accumulate rows across rounds, so the
         per-round transfer bound does not bound their fixpoint.  What
         *does* bound it is the active domain: a derived fact's
         constants all come from the EDB and the program, so at most
         ``adom ** arity`` distinct rows exist (``adom ** (arity - 1)``
         per fixed value at one position).  With a loaded EDB the
-        sketch is clamped there — still a measured quantity; without
-        one the value keeps its (synthetic-seeded, unmeasured)
+        profile is clamped there — still a measured quantity; without
+        one the value keeps its (assumed-seeded, unmeasured)
         per-round estimate."""
         if not recursive:
             return value
         if adom is None:
-            return DegreeSketch(value.size, value.degree, measured=False)
-        size = bucket_size(int(min(float(adom) ** arity, CARD_CAP)))
-        per_key = bucket_size(
-            int(min(float(adom) ** max(arity - 1, 0), CARD_CAP))
-        )
-        return DegreeSketch(
+            return RelationProfile(value.size, value.degree, measured=False)
+        size = _capped_bucket(float(adom) ** arity)
+        per_key = _capped_bucket(float(adom) ** max(arity - 1, 0))
+        return RelationProfile(
             max(value.size, size),
             tuple(min(max(value.size, size), max(d, per_key))
                   for d in value.degree),
@@ -774,15 +608,13 @@ class CardinalityDomain(AbstractDomain):
         env = ctx.env[self.name]
         # DL021: measured bound blowup per rule
         for view in ctx.views:
-            relational, model, needed, measured = self._pricing(view, env)
-            if not measured or not relational:
+            body, needed, model = rule_model(view.rule, view.needed_vars, env)
+            order, _, worst = model.bound_walk(body, needed)
+            priced = [model.profiles[body[i].predicate] for i in order]
+            if not priced or not all(p.measured for p in priced):
                 continue
-            _, worst = self._propagate(relational, model, needed)
-            largest = max(
-                (env[a.predicate].size for a in relational
-                 if a.predicate in env),
-                default=0,
-            )
+            worst = min(worst, CARD_CAP)
+            largest = max(p.size for p in priced)
             threshold = MEASURED_BLOWUP_FACTOR * max(1, largest)
             if worst > threshold:
                 out.append(Diagnostic(

@@ -64,6 +64,7 @@ class Relation:
         "_store",
         "_store_shared",
         "_version",
+        "_profile_memo",
         "_packed_cache",
         "_packed_cache_epoch",
         "_index_dirty",
@@ -90,8 +91,12 @@ class Relation:
         #: True while ``_store`` is shared with a copy — the first
         #: write privatizes it (copy-on-write)
         self._store_shared: bool = False
-        #: mutation counter keying the store's encoded scan cache
+        #: mutation counter: every content change bumps it, so derived
+        #: summaries (the store's packed runs, the degree-profile memo)
+        #: are valid exactly while their stamp equals it
         self._version: int = 0
+        #: ``(version, degree_profile() result)`` of the last counting pass
+        self._profile_memo: Optional[tuple] = None
         #: raw row → packed-int map filled by the vectorized absorb
         #: path; lets the next round's delta frontier pack without
         #: re-interning (see :meth:`packed_cache`)
@@ -493,8 +498,11 @@ class Relation:
     def degree_profile(self) -> tuple[int, tuple[int, ...]]:
         """Measured ``(row count, per-position max degree)`` statistics.
 
-        Degrees are read from whatever structure is already paid for:
-        an existing single-position hash index (posting lengths), the
+        Memoized against the relation's mutation counter: an unchanged
+        relation is counted once, however many evaluations, sessions or
+        replans ask (copies carry the memo with the version).  Degrees
+        are read from whatever structure is already paid for: an
+        existing single-position hash index (posting lengths), the
         current-epoch columnar store's dictionary/posting image
         (:meth:`ColumnStore.profile`), or one counting pass over the
         raw rows.  Crucially this never *builds* a store or an index —
@@ -502,15 +510,31 @@ class Relation:
         counters, so the engine's work statistics are identical with
         and without profiling.
         """
+        memo = self._profile_memo
+        if memo is not None and memo[0] == self._version:
+            return memo[1]
         store = self._store
-        if store is not None and store.epoch == global_dictionary().epoch:
-            # a current-epoch store is maintained on every insert, so
-            # it is complete even while raw materialization is deferred
-            return store.profile()
-        if self._raw_dirty:
+        current = store is not None and store.epoch == global_dictionary().epoch
+        if not current and self._raw_dirty:
             self._sync()
+        # locked like a lazy index build: parallel units may profile the
+        # same frozen input at once, and exactly one should count it
+        with self._build_lock:
+            memo = self._profile_memo
+            version = self._version
+            if memo is not None and memo[0] == version:
+                return memo[1]
+            if current:
+                # a current-epoch store is maintained on every insert, so
+                # it is complete even while raw materialization is deferred
+                profile = store.profile()
+            else:
+                profile = self._count_degrees()
+            self._profile_memo = (version, profile)
+        return profile
+
+    def _count_degrees(self) -> tuple[int, tuple[int, ...]]:
         rows = self._rows
-        n = len(rows)
         degrees: list[int] = []
         for p in range(self.arity):
             if not self._index_dirty:
@@ -529,7 +553,7 @@ class Relation:
                 if c > best:
                     best = c
             degrees.append(best)
-        return n, tuple(degrees)
+        return len(rows), tuple(degrees)
 
     def _store_for_packed(self) -> ColumnStore:
         """The store for the vectorized absorb path: current-epoch and
@@ -706,6 +730,7 @@ class Relation:
         out._store = self._store
         out._store_shared = self._store_shared = self._store is not None
         out._version = self._version
+        out._profile_memo = self._profile_memo
         # the packed encode cache is value-level (raw row → ids) and
         # epoch-guarded, so sharing it by reference is safe
         out._packed_cache = self._packed_cache

@@ -17,7 +17,6 @@ Public entry point: :func:`evaluate`.
 from .cost import (
     AdaptiveReplanner,
     BoundCostModel,
-    CostModel,
     RelationProfile,
     bucket_size,
     profile_database,
@@ -102,7 +101,6 @@ __all__ = [
     "LiteralPlan",
     "compile_rule",
     "order_body",
-    "CostModel",
     "BoundCostModel",
     "AdaptiveReplanner",
     "RelationProfile",

@@ -13,10 +13,10 @@ fact table's hub key.
 :class:`BoundCostModel` replaces that heuristic with true upper-bound
 propagation:
 
-- every stored relation is profiled once per evaluation
-  (:func:`profile_database`) into its size and, per argument position,
-  the **maximum degree** — the largest number of rows sharing one
-  value at that position;
+- every stored relation is profiled (:func:`profile_database`; one
+  counting pass per content version, memoized on the relation) into
+  its size and, per argument position, the **maximum degree** — the
+  largest number of rows sharing one value at that position;
 - a literal reached with bound positions ``B`` contributes at most
   ``min(size, min(degree[p] for p in B))`` rows per binding (and at
   most one row when *every* position is bound: the probe is a
@@ -31,15 +31,20 @@ propagation:
   stops at one witness, so its contribution is capped at **1 per
   binding** regardless of degree;
 - the join order is chosen by a bottom-up dynamic program over literal
-  subsets (Held–Karp over the body, branch-and-bound pruned) that
-  minimizes the **summed intermediate-result bound**; exact ties are
-  broken by the lexicographically smallest order, i.e. original body
-  order, so plans are fully deterministic.
+  subsets (Held–Karp over the body; every subset is visited, nothing
+  is pruned) that minimizes the **summed intermediate-result bound**;
+  exact ties are broken by the lexicographically smallest order, i.e.
+  original body order, so plans are fully deterministic.
 
 Profiles are **log-bucketed** (:func:`bucket_size`) before the model
 ever sees them: two databases whose relations fall in the same buckets
 produce byte-identical plans, which is what lets the prepared-program
 cache key on :meth:`BoundCostModel.signature` instead of exact sizes.
+
+:class:`RelationProfile` is the one cardinality abstraction — the
+engine plans from it, the analyzer's cardinality domain propagates it,
+DL017 / DL021 price rules with it — and
+:meth:`BoundCostModel.bound_walk` the one place a body is priced.
 
 The greedy path stays as the fallback rung: the model declines bodies
 longer than :data:`DP_LITERAL_LIMIT` (returning ``None``), and
@@ -52,30 +57,31 @@ the work counters move.
 
 :class:`AdaptiveReplanner` adds the inter-round feedback loop: between
 fixpoint rounds of a recursive unit it folds the observed delta
-cardinalities into exponentially-decayed per-relation estimates,
-re-profiles the unit's grown relations, and re-ranks every delta plan
-through the same DP (``stats.replans``; the prediction error it
-observes on the way is ``stats.bound_overestimate_max``).  Replanned
-rules re-enter kernel codegen through the process-wide source-text
-caches, so a re-ranked plan whose order was seen before costs no
-recompilation.
+cardinalities into exponentially-decayed per-relation estimates and,
+when a relation's size bucket moved, re-ranks every delta plan through
+the same DP (``stats.replans``; the prediction error it observes on
+the way is ``stats.bound_overestimate_max``) without counting a row
+(:meth:`AdaptiveReplanner.model_for`).  Replanned rules re-enter kernel
+codegen through the process-wide source-text caches, so a re-ranked
+plan whose order was seen before costs no recompilation.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from ..datalog.ast import Atom, Rule
+from ..datalog.builtins import is_builtin
 from ..datalog.database import Database
 from ..datalog.terms import Constant, Variable
 
 __all__ = [
-    "CostModel",
     "BoundCostModel",
     "AdaptiveReplanner",
     "RelationProfile",
     "profile_database",
     "bucket_size",
+    "rule_model",
     "rule_intermediate_bound",
     "DP_LITERAL_LIMIT",
     "DEFAULT_SIZE",
@@ -87,12 +93,12 @@ __all__ = [
 #: fall back to the greedy heuristic (2^n subset states)
 DP_LITERAL_LIMIT = 10
 
-#: synthetic relation size assumed by the static (no-EDB) bound used by
-#: lint DL017
+#: rows a relation nobody counted is assumed to hold (the no-EDB bound
+#: of lint DL017 and of the analyzer's cardinality domain)
 DEFAULT_SIZE = 1000
 
-#: synthetic per-key fanout assumed by the static bound: a bound
-#: position is assumed to deliver at most this many rows per probe
+#: per-key fanout assumed with it: a bound position is assumed to
+#: deliver at most this many rows per probe (a mildly skewed relation)
 DEFAULT_FANOUT = 4
 
 
@@ -111,123 +117,174 @@ class RelationProfile:
     """One relation's bound statistics: size and per-position max degree.
 
     ``degree[p]`` bounds the rows any single value can match at
-    position *p*; both it and ``size`` are stored log-bucketed
+    position *p*; counted values are stored log-bucketed
     (:func:`bucket_size`) so profiles — and the plans derived from
-    them — are stable under small EDB growth.
+    them — are stable under small EDB growth.  ``measured`` is ``True``
+    only when every input the value was computed from was counted on
+    real rows (and no saturation occurred) — assumed relations and
+    saturated recursive estimates are not, and DL021 / DL022 only ever
+    fire on measured profiles.  ``raw_size`` / ``raw_degree`` keep the
+    exact pre-bucket counts of a counted relation (0 / () otherwise);
+    like ``measured`` they never reach the planner's
+    :meth:`signature`, and they do not participate in equality.
     """
 
-    __slots__ = ("size", "degree")
+    __slots__ = ("size", "degree", "measured", "raw_size", "raw_degree")
 
-    def __init__(self, size: int, degree: tuple[int, ...]):
+    def __init__(
+        self,
+        size: int,
+        degree: tuple[int, ...],
+        measured: bool = False,
+        raw_size: int = 0,
+        raw_degree: tuple[int, ...] = (),
+    ):
         self.size = size
         self.degree = degree
+        self.measured = measured
+        self.raw_size = raw_size
+        self.raw_degree = raw_degree
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, RelationProfile)
+            and self.size == other.size
+            and self.degree == other.degree
+            and self.measured == other.measured
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.size, self.degree, self.measured))
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        tag = "measured" if self.measured else "assumed"
+        return f"RelationProfile({self.size}, {self.degree}, {tag})"
 
     def signature(self) -> tuple:
         return (self.size, self.degree)
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Sequence], arity: int, size: int) -> "RelationProfile":
-        counts: list[dict] = [{} for _ in range(arity)]
-        for row in rows:
-            for p in range(arity):
-                c = counts[p]
-                v = row[p]
-                c[v] = c.get(v, 0) + 1
-        degree = tuple(
-            bucket_size(max(c.values(), default=0)) for c in counts
+    def from_counts(cls, size: int, degrees: Sequence[int]) -> "RelationProfile":
+        """A measured profile from exact (row count, max degree) counts —
+        the shape :meth:`Relation.degree_profile` returns."""
+        return cls(
+            bucket_size(size),
+            tuple(bucket_size(d) for d in degrees),
+            measured=True,
+            raw_size=size,
+            raw_degree=tuple(degrees),
         )
-        return cls(bucket_size(size), degree)
+
+    @classmethod
+    def assumed(
+        cls, arity: int, size: int = DEFAULT_SIZE, degree: int = DEFAULT_FANOUT
+    ) -> "RelationProfile":
+        """A relation nobody counted: *size* rows, every position's max
+        degree *degree*.  The defaults are the no-EDB assumption;
+        worst-case callers (an IDB relation before or during its
+        fixpoint) pass ``degree=size`` — any value may repeat up to the
+        full assumed size."""
+        return cls(size, (degree,) * arity)
+
+    def join(self, other: "RelationProfile") -> "RelationProfile":
+        """Pointwise max — the bound of whichever relation is larger."""
+        degree = tuple(max(a, b) for a, b in zip(self.degree, other.degree))
+        if len(self.degree) != len(other.degree):
+            longer = max((self.degree, other.degree), key=len)
+            degree = degree + longer[len(degree):]
+        return RelationProfile(
+            max(self.size, other.size), degree,
+            self.measured and other.measured,
+        )
+
+    def to_dict(self) -> dict:
+        return {
+            "size": self.size,
+            "degree": list(self.degree),
+            "measured": self.measured,
+        }
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "RelationProfile":
+        return cls(
+            int(data["size"]),
+            tuple(int(d) for d in data["degree"]),
+            bool(data.get("measured", False)),
+        )
 
 
 def profile_database(
-    db: Database,
-    sizes: Optional[Mapping[str, int]] = None,
-    predicates: Optional[Iterable[str]] = None,
+    db: Database, sizes: Optional[Mapping[str, int]] = None
 ) -> dict[str, RelationProfile]:
-    """Profile every stored relation of *db* (or just *predicates*).
+    """Profile every stored relation of *db*.
 
     *sizes* overrides the row count used for a predicate's size bucket
-    (the evaluator passes its IDB-bumped size map so empty derived
-    relations are treated as large, exactly like the greedy
-    heuristic); the per-position degrees always come from the rows
-    actually stored.
+    (:func:`~repro.engine.prepared.planning_inputs` passes its
+    IDB-bumped size map so empty derived relations are treated as
+    large, exactly like the greedy heuristic); the per-position
+    degrees always come from the rows actually stored.
     """
     out: dict[str, RelationProfile] = {}
-    names = predicates if predicates is not None else db.predicates()
-    for pred in names:
+    for pred in db.predicates():
         rel = db.relation(pred)
-        if rel is None:
-            continue
-        count, degrees = rel.degree_profile()
-        n = (sizes or {}).get(pred, count)
-        if count:
-            profile = RelationProfile(
-                bucket_size(n), tuple(bucket_size(d) for d in degrees)
-            )
-        else:
-            # nothing stored yet (typically an IDB predicate before the
-            # fixpoint): assume the worst degree — any value may repeat
-            # up to the full assumed size
+        profile = RelationProfile.from_counts(*rel.degree_profile())
+        n = (sizes or {}).get(pred, profile.raw_size)
+        if n != profile.raw_size:
+            # an assumed size is no measurement; with nothing stored
+            # yet (typically an IDB predicate before the fixpoint) the
+            # degrees are assumed too — worst case
             size = bucket_size(n)
-            profile = RelationProfile(
-                size, tuple(size for _ in range(rel.arity))
+            profile = (
+                RelationProfile(size, profile.degree)
+                if profile.raw_size
+                else RelationProfile.assumed(rel.arity, size, size)
             )
         out[pred] = profile
     return out
 
 
-class CostModel:
-    """The planner contract :func:`repro.engine.plan.order_body` calls.
+def _live_literals(body: Sequence[Atom], needed: frozenset) -> tuple[int, ...]:
+    """Indexes of the *body* literals a result row depends on: those
+    whose weakly-connected component (the closure of variable sharing)
+    reaches a *needed* variable.  The rest form purely existential
+    components — the Lemma 3.1 cut evaluates each once as a boolean
+    subquery before the join ever runs, so pricing drops them."""
+    vars_of = [frozenset(a.variables()) for a in body]
+    reach = set(needed)
+    live: set[int] = set()
+    grew = True
+    while grew:
+        grew = False
+        for i, vs in enumerate(vars_of):
+            if i not in live and vs & reach:
+                live.add(i)
+                reach |= vs
+                grew = True
+    return tuple(sorted(live))
 
-    ``order_remaining`` receives the body, the not-yet-placed literal
-    indexes, the variables already bound (by a forced-first delta
-    literal, if any), and the *needed* variable set (head, built-ins,
-    negation).  It returns the chosen order of the remaining indexes,
-    or ``None`` to decline — the caller then runs the greedy heuristic
-    (the fallback rung).  ``signature`` must capture every input the
-    ordering depends on: it becomes part of the prepared-program cache
-    key, and two models with equal signatures must order every body
-    identically.
+
+class BoundCostModel:
+    """Upper-bound propagation + DP order search over profiled relations.
+
+    :func:`repro.engine.plan.order_body` calls :meth:`order_remaining`;
+    :meth:`signature` captures every input the ordering depends on — it
+    becomes part of the prepared-program cache key, and two models with
+    equal signatures order every body identically.
     """
-
-    def signature(self) -> tuple:
-        raise NotImplementedError
-
-    def order_remaining(
-        self,
-        body: Sequence[Atom],
-        remaining: Sequence[int],
-        bound_vars: frozenset,
-        needed: frozenset,
-    ) -> Optional[tuple[int, ...]]:
-        raise NotImplementedError
-
-
-class BoundCostModel(CostModel):
-    """Upper-bound propagation + DP order search over profiled relations."""
 
     name = "bound"
     version = 1
 
     def __init__(self, profiles: Mapping[str, RelationProfile]):
         self.profiles = dict(profiles)
-        # largest profiled size + 1: unknown predicates plan as "bigger
-        # than anything stored", mirroring the greedy heuristic
-        self._unknown = max(
-            (p.size for p in self.profiles.values()), default=0
-        ) + 1
+        # never-profiled predicates plan as "bigger than anything
+        # stored", worst degree — mirroring the greedy heuristic
+        self._unknown = RelationProfile.assumed(
+            0, max((p.size for p in self.profiles.values()), default=0) + 1
+        )
         #: bodies this instance actually ordered (read back into
         #: ``stats.plans_costed`` by the evaluator / replanner)
         self.plans_costed = 0
-
-    @classmethod
-    def from_database(
-        cls,
-        db: Database,
-        sizes: Optional[Mapping[str, int]] = None,
-        predicates: Optional[Iterable[str]] = None,
-    ) -> "BoundCostModel":
-        return cls(profile_database(db, sizes, predicates))
 
     def signature(self) -> tuple:
         return (
@@ -241,31 +298,28 @@ class BoundCostModel(CostModel):
 
     # -- bound propagation --------------------------------------------------
 
-    def _profile(self, predicate: str) -> RelationProfile:
-        profile = self.profiles.get(predicate)
-        if profile is None:
-            # never-profiled predicate: size-only pessimism, worst degree
-            profile = RelationProfile(self._unknown, ())
-        return profile
-
-    def literal_bound(self, atom: Atom, bound_vars: frozenset) -> float:
+    def literal_bound(self, atom: Atom, bound_vars, later) -> float:
         """Upper bound on rows one probe of *atom* delivers when the
-        variables in *bound_vars* (plus constants) are bound."""
-        profile = self._profile(atom.predicate)
+        variables in *bound_vars* (plus constants) are bound and
+        *later* holds every variable something downstream still reads
+        (the head, built-ins, negation, the literals not yet placed)."""
+        profile = self.profiles.get(atom.predicate, self._unknown)
         bound = float(profile.size)
-        free = 0
+        live = False
         for p, arg in enumerate(atom.args):
             if isinstance(arg, Constant) or arg in bound_vars:
                 if p < len(profile.degree):
                     d = float(profile.degree[p])
                     if d < bound:
                         bound = d
-            else:
-                free += 1
-        if not free:
-            # fully bound: the probe is a membership test
-            return min(bound, 1.0)
-        return bound
+            elif arg in later:
+                live = True
+        if live:
+            return bound
+        # no free position (a membership test), or free positions
+        # nothing reads (an existential ``d``-position step: the
+        # first-match cut stops at one witness): one row per binding
+        return min(bound, 1.0)
 
     # -- DP order search ----------------------------------------------------
 
@@ -276,20 +330,21 @@ class BoundCostModel(CostModel):
         bound_vars: frozenset,
         needed: frozenset,
     ) -> Optional[tuple[int, ...]]:
+        """The cheapest order of the *remaining* indexes of *body*,
+        given the variables already bound (by a forced-first delta
+        literal, if any) and the *needed* variable set (head,
+        built-ins, negation) — or ``None`` to decline, and the caller
+        runs the greedy heuristic (the fallback rung)."""
         k = len(remaining)
         if k > DP_LITERAL_LIMIT:
-            return None  # fallback rung: greedy handles wide bodies
+            return None
         self.plans_costed += 1
         if k <= 1:
             return tuple(remaining)
 
         items = list(remaining)
-        item_vars = [
-            frozenset(v for v in body[i].args if isinstance(v, Variable))
-            for i in items
-        ]
+        item_vars = [frozenset(body[i].variables()) for i in items]
         full = (1 << k) - 1
-        base_needed = frozenset(needed)
         # vars_of[mask]: variables bound once the literals in *mask*
         # (plus any forced-first literal) have been placed
         vars_of: list[frozenset] = [frozenset()] * (full + 1)
@@ -300,7 +355,7 @@ class BoundCostModel(CostModel):
         # later_of[mask]: variables that keep new bindings alive when
         # the literals *not yet placed* are exactly the complement of
         # mask — the DP analogue of _mark_existential's backward scan
-        later_of = [base_needed | vars_of[full ^ mask] for mask in range(full + 1)]
+        later_of = [needed | vars_of[full ^ mask] for mask in range(full + 1)]
 
         # best[mask] = (cost, card, order); ascending masks visit every
         # submask before its supersets
@@ -310,6 +365,7 @@ class BoundCostModel(CostModel):
         best[0] = (0.0, 1.0, ())
         for mask in range(1, full + 1):
             choice: Optional[tuple[float, float, tuple[int, ...]]] = None
+            later = later_of[mask]
             for j in range(k):
                 bit = 1 << j
                 if not mask & bit:
@@ -318,14 +374,9 @@ class BoundCostModel(CostModel):
                 if prev is None:
                     continue
                 cost, card, order = prev
-                bv = vars_of[mask ^ bit]
-                matches = self.literal_bound(body[items[j]], bv)
-                new_vars = item_vars[j] - bv
-                if new_vars and not (new_vars & later_of[mask]):
-                    # existential step: the first-match cut delivers one
-                    # witness per binding (the d-position cap)
-                    matches = min(matches, 1.0)
-                new_card = card * matches
+                new_card = card * self.literal_bound(
+                    body[items[j]], vars_of[mask ^ bit], later
+                )
                 cand = (cost + new_card, new_card, order + (items[j],))
                 if choice is None or (cand[0], cand[2]) < (choice[0], choice[2]):
                     choice = cand
@@ -333,26 +384,74 @@ class BoundCostModel(CostModel):
         assert best[full] is not None
         return best[full][2]
 
+    def bound_walk(
+        self,
+        body: Sequence[Atom],
+        needed: Iterable[Variable],
+        bound: frozenset = frozenset(),
+    ) -> tuple[tuple[int, ...], float, float]:
+        """Price *body* — the one walk DL017, DL021 and the cardinality
+        domain all read: ``(order, final, worst)``.
 
-def _component_vars(atom: Atom, relational: Sequence[Atom]) -> frozenset:
-    """Variables of *atom*'s weakly-connected body component: the
-    closure of variable sharing among *relational*.  A component whose
-    closure misses every needed variable is a pure existential
-    subquery — the Lemma 3.1 cut evaluates it once as a boolean."""
-    vars_of = [
-        frozenset(v for v in a.args if isinstance(v, Variable))
-        for a in relational
-    ]
-    seed = frozenset(v for v in atom.args if isinstance(v, Variable))
-    component = set(seed)
-    changed = True
-    while changed:
-        changed = False
-        for vs in vars_of:
-            if vs & component and not vs <= component:
-                component |= vs
-                changed = True
-    return frozenset(component)
+        Purely existential components are dropped
+        (:func:`_live_literals`), the rest is ordered by the DP (body
+        order past :data:`DP_LITERAL_LIMIT`) starting from the *bound*
+        variables, and the per-literal bounds are multiplied along it:
+        *order* indexes the priced literals in *body*, *final* bounds
+        the distinct *needed* bindings the body delivers, *worst* is
+        the largest intermediate cardinality on the way.  A body with
+        nothing left to price is one boolean test: ``((), 1.0, 1.0)``.
+        """
+        needed = frozenset(needed)
+        live = _live_literals(body, needed)
+        if not live:
+            return (), 1.0, 1.0
+        order = self.order_remaining(body, live, bound, needed) or live
+        bound_vars = set(bound)
+        card, worst = 1.0, 0.0
+        for pos, i in enumerate(order):
+            later = needed.union(*(body[j].variables() for j in order[pos + 1:]))
+            card *= self.literal_bound(body[i], bound_vars, later)
+            worst = max(worst, card)
+            bound_vars.update(body[i].variables())
+        return order, card, worst
+
+
+def rule_model(
+    rule: Rule,
+    needed: Optional[Iterable[Variable]] = None,
+    profiles: Optional[Mapping[str, RelationProfile]] = None,
+) -> tuple[list[Atom], frozenset, BoundCostModel]:
+    """What :meth:`BoundCostModel.bound_walk` needs to price *rule*:
+    its relational literals, the variables a result row must carry,
+    and a model over the body's predicates.
+
+    The carried variables are *needed* (default: the head's variables;
+    callers pricing an **adorned** rule pass the variables at the
+    head's ``n`` positions, so ``d``-position components are priced as
+    the cut the optimizer will apply) plus those of negated literals
+    and built-ins.  Each body predicate is priced from *profiles* —
+    looked up by the literal's name, then by its unmangled base name so
+    adorned rules find their EDB literals' measured profiles — and as a
+    :meth:`RelationProfile.assumed` relation when it has none.
+    """
+    from ..core.adornment import split_adorned
+
+    body = [a for a in rule.body if not is_builtin(a.predicate)]
+    live = set(rule.head.variables() if needed is None else needed)
+    for atom in rule.negative:
+        live.update(atom.variables())
+    for atom in rule.body:
+        if is_builtin(atom.predicate):
+            live.update(atom.variables())
+    known = profiles or {}
+    model = BoundCostModel({
+        a.predicate: known.get(a.predicate)
+        or known.get(split_adorned(a.predicate)[0])
+        or RelationProfile.assumed(len(a.args))
+        for a in body
+    })
+    return body, frozenset(live), model
 
 
 def rule_intermediate_bound(
@@ -360,97 +459,18 @@ def rule_intermediate_bound(
     needed: Optional[Iterable[Variable]] = None,
     profiles: Optional[Mapping[str, RelationProfile]] = None,
 ) -> float:
-    """The static intermediate-result bound of *rule*.
+    """The static intermediate-result bound of *rule*: the **largest
+    intermediate cardinality along the best order** the DP finds
+    (:meth:`BoundCostModel.bound_walk` over :func:`rule_model`; the
+    DL017 lint passes the loaded EDB's profiles when it has them).
 
-    *needed*, when given, replaces the head variables as the set a
-    result row must carry (callers pricing an **adorned** rule pass
-    the variables at the head's ``n`` positions, so ``d``-position
-    components are priced as the cut the optimizer will apply);
-    variables of negated literals and builtins are always added.
-
-    Without *profiles* every body predicate is assumed to hold
-    :data:`DEFAULT_SIZE` rows with per-position degree
-    :data:`DEFAULT_FANOUT` (a mildly skewed relation).  *profiles*
-    (predicate → :class:`RelationProfile`, looked up by the literal's
-    name and then by its unmangled base name so adorned rules price
-    their EDB literals) replaces the synthetic default with
-    **measured** statistics for the predicates it covers — the DL017
-    lint passes the loaded EDB's profile when one is available.
-
-    The bound reported is the **largest intermediate cardinality along
-    the best order** the DP finds.  Chains stay near the relation
-    size (each step multiplies by the fanout at most), purely
-    existential components collapse to 1 — the Lemma 3.1 cut retires
-    them as boolean subqueries before the join ever runs, so they are
-    dropped from the priced body outright — and bodies that force a
-    *needed* Cartesian product blow up multiplicatively, which is
-    exactly what lints DL017/DL021 flag.
+    Chains stay near the relation size (each step multiplies by the
+    fanout at most), purely existential components collapse to 1, and
+    bodies that force a *needed* Cartesian product blow up
+    multiplicatively, which is exactly what lints DL017/DL021 flag.
     """
-    from ..datalog.builtins import is_builtin
-
-    relational = [a for a in rule.body if not is_builtin(a.predicate)]
-    if not relational:
-        return 0.0
-    head_vars = (
-        frozenset(needed)
-        if needed is not None
-        else frozenset(v for v in rule.head.args if isinstance(v, Variable))
-    )
-    needed_seed = head_vars | frozenset(
-        v
-        for atom in (*rule.negative,
-                     *(a for a in rule.body if is_builtin(a.predicate)))
-        for v in atom.args
-        if isinstance(v, Variable)
-    )
-    relational = [
-        a for a in relational
-        if _component_vars(a, relational) & needed_seed
-    ]
-    if not relational:
-        # the whole body is existential: one boolean membership test
-        return 1.0
-
-    def profile_for(a: Atom) -> RelationProfile:
-        if profiles:
-            found = profiles.get(a.predicate)
-            if found is None:
-                # adorned literals carry mangled base@ad names; the
-                # measured profile lives under the base name
-                from ..core.adornment import split_adorned
-
-                found = profiles.get(split_adorned(a.predicate)[0])
-            if found is not None:
-                return found
-        return RelationProfile(
-            DEFAULT_SIZE, tuple(DEFAULT_FANOUT for _ in a.args)
-        )
-
-    model = BoundCostModel({a.predicate: profile_for(a) for a in relational})
-    order = model.order_remaining(
-        relational, tuple(range(len(relational))), frozenset(), needed_seed
-    )
-    if order is None:  # body too wide for the DP: greedy body order
-        order = tuple(range(len(relational)))
-    bound_vars: set = set()
-    card = 1.0
-    worst = 0.0
-    for pos, i in enumerate(order):
-        atom = relational[i]
-        matches = model.literal_bound(atom, frozenset(bound_vars))
-        new_vars = {v for v in atom.args if isinstance(v, Variable)} - bound_vars
-        if new_vars:
-            later = set(needed_seed)
-            for j in order[pos + 1:]:
-                later.update(
-                    v for v in relational[j].args if isinstance(v, Variable)
-                )
-            if not (new_vars & later):
-                matches = min(matches, 1.0)
-        card *= matches
-        worst = max(worst, card)
-        bound_vars |= new_vars
-    return worst
+    body, live, model = rule_model(rule, needed, profiles)
+    return model.bound_walk(body, live)[2] if body else 0.0
 
 
 class AdaptiveReplanner:
@@ -460,17 +480,17 @@ class AdaptiveReplanner:
     unit, or one monolithic stratum loop) and is never shared across
     threads.  Each round the loop reports the frontier sizes it is
     about to consume (:meth:`observe`); every *every* rounds
-    (``EngineOptions.replan_rounds``) the replanner re-profiles the
-    loop's grown relations, folds the exponentially-decayed frontier
-    estimates into the member predicates' effective sizes, and asks
-    the cost model's DP for fresh delta plans (:meth:`replan`).
+    (``EngineOptions.replan_rounds``) the replanner folds the
+    exponentially-decayed frontier estimates into the member
+    predicates' effective sizes and, if a size bucket moved, asks the
+    cost model's DP for fresh delta plans (:meth:`model_for`).
 
-    Replan decisions are functions of frontier sizes and stored facts
-    only — both bit-identical across the vector/kernel/interpreter
-    tiers — so every tier replans identically and the engine-invariant
-    counters stay comparable.  Join order never changes which facts a
-    round derives, so answers and fact counts are unaffected by
-    construction.
+    Replan decisions are functions of frontier sizes, relation lengths
+    and the loop's frozen inputs only — all bit-identical across the
+    vector/kernel/interpreter tiers — so every tier replans identically
+    and the engine-invariant counters stay comparable.  Join order
+    never changes which facts a round derives, so answers and fact
+    counts are unaffected by construction.
     """
 
     #: exponential-decay factor for the per-relation frontier estimate
@@ -486,7 +506,7 @@ class AdaptiveReplanner:
         self.overestimate_max = 0.0
         #: bucketed effective sizes at the last model build — when a
         #: due replan finds them unchanged, the DP would see the same
-        #: inputs and produce the same orders, so profiling is skipped
+        #: inputs and produce the same orders
         self._last_buckets: Optional[dict] = None
 
     def observe(self, frontier_sizes: Mapping[str, int]) -> None:
@@ -504,40 +524,42 @@ class AdaptiveReplanner:
                 self.DECAY * old + (1.0 - self.DECAY) * float(observed)
             )
 
-    def due(self) -> bool:
-        return self.rounds % self.every == 0
-
     def model_for(
         self, db: Database, predicates: Iterable[str]
     ) -> Optional[BoundCostModel]:
-        """A fresh cost model over the *current* stored relations in
-        *predicates* (the calling fixpoint's own reads and writes —
-        never sibling units' relations, which may be mid-write), with
-        each member predicate's size raised by its expected frontier
-        (anticipated growth keeps recursive relations planned large).
-
-        Returns ``None`` when every effective size is still in the
+        """A fresh cost model over the relations in *predicates* (the
+        calling fixpoint's own reads and writes — never sibling units'
+        relations, which may be mid-write), or ``None`` when no replan
+        is due this round or every effective size is still in the
         bucket it was at the last build: planning consumes bucket
-        representatives, so the DP would reproduce the previous orders
-        and the O(rows) profiling pass is pure overhead.  (A relation
-        whose max degree grows within an unchanged size bucket is
-        deliberately not re-profiled — sizes are cheap to read every
-        round, degrees are not.)  Skips are decided from relation
-        lengths and frontier history only, both bit-identical across
-        execution tiers, so all tiers skip identically."""
-        sizes: dict[str, int] = {}
-        names: list[str] = []
+        representatives, so the DP would reproduce the previous orders.
+
+        No row is counted here.  A member predicate — still growing —
+        is priced exactly as ``evaluate`` prices an empty IDB relation:
+        its length raised by its expected frontier (anticipated growth
+        keeps recursive relations planned large), worst-case degree.
+        Everything else is a frozen input (EDB, or a completed lower
+        unit's relation — neither can change while the loop runs) read
+        through :meth:`Relation.degree_profile`'s memo."""
+        if self.rounds % self.every:
+            return None
+        buckets: dict[str, int] = {}
         for pred in predicates:
             rel = db.relation(pred)
-            if rel is None:
-                continue
-            names.append(pred)
-            n = len(rel)
-            if pred in self.members:
-                n += int(self.estimates.get(pred, 0.0))
-            sizes[pred] = n
-        buckets = {p: bucket_size(n) for p, n in sizes.items()}
+            if rel is not None:
+                n = len(rel)
+                if pred in self.members:
+                    n += int(self.estimates.get(pred, 0.0))
+                buckets[pred] = bucket_size(n)
         if buckets == self._last_buckets:
             return None
         self._last_buckets = buckets
-        return BoundCostModel.from_database(db, sizes, names)
+        profiles = {}
+        for pred, size in buckets.items():
+            rel = db.relation(pred)
+            profiles[pred] = (
+                RelationProfile.assumed(rel.arity, size, size)
+                if pred in self.members
+                else RelationProfile.from_counts(*rel.degree_profile())
+            )
+        return BoundCostModel(profiles)

@@ -36,10 +36,9 @@ from ..datalog.columnar import global_dictionary
 from ..datalog.database import Database
 from ..datalog.errors import ArityError, EvaluationError, ValidationError
 from ..datalog.terms import Constant, Variable
-from .cost import BoundCostModel, profile_database
 from .faults import FaultInjector, FaultPlan, SchedulerFault
 from .governor import BudgetExceeded, Governor, ResourceExhausted
-from .prepared import PreparedProgram, prepare
+from .prepared import PreparedProgram, planning_inputs, prepare
 from .provenance import DerivationTree, derivation_tree
 from .scheduler import run_monolithic, run_scheduled
 from .statistics import EvalStats
@@ -322,12 +321,12 @@ def evaluate(
     (the uniform-equivalence input convention).
 
     *analysis* (an :class:`repro.analysis.absint.AnalysisResult`)
-    overlays the analyzer's propagated degree sketches onto the cost
-    planner's profile: derived predicates are planned with their
-    estimated fixpoint sizes and degrees instead of the worst-case
-    "larger than anything stored" default.  The sketch signatures flow
-    into the model's :meth:`~repro.engine.cost.BoundCostModel.signature`
-    and therefore into the prepared-program cache key, so analysis-fed
+    overlays the analyzer's propagated profiles onto the cost
+    planner's: derived predicates are planned with their estimated
+    fixpoint sizes and degrees instead of the worst-case "larger than
+    anything stored" default.  The profile signatures flow into the
+    model's :meth:`~repro.engine.cost.BoundCostModel.signature` and
+    therefore into the prepared-program cache key, so analysis-fed
     and default plans never collide in the cache.  Join order never
     changes answers or fact counts — only work counters move.
     """
@@ -361,29 +360,16 @@ def evaluate(
     for pred in program.idb_predicates():
         db.ensure(pred, arities[pred])
 
-    # Rules compile against the input relation sizes: derived relations
-    # are empty (or nearly so) at this point but typically grow past
-    # the base relations, so the selectivity heuristic treats them as
-    # larger than any stored relation when breaking join-order ties.
-    # The compiled artifacts (plans, analysis, stratification) come
-    # from the prepared-program cache: a hit skips planning and codegen
+    # Rules compile against the input relation sizes, derived relations
+    # sized past every stored one (:func:`planning_inputs`).  The
+    # compiled artifacts (plans, analysis, stratification) come from
+    # the prepared-program cache: a hit skips planning and codegen
     # entirely and is bit-identical to a fresh compile because the size
     # profile is part of the cache key.
-    sizes = db.relation_sizes()
-    largest = max(sizes.values(), default=0)
-    for pred in program.idb_predicates():
-        sizes[pred] = max(sizes.get(pred, 0), largest + 1)
-    cost_model = None
-    if opts.use_cost_planner:
-        profiles = profile_database(db, sizes)
-        if analysis is not None:
-            # measured EDB profiles stay authoritative; the analyzer
-            # refines only the derived predicates it propagated
-            idb = program.idb_predicates()
-            for pred, profile in analysis.cost_profiles().items():
-                if pred in idb:
-                    profiles[pred] = profile
-        cost_model = BoundCostModel(profiles)
+    sizes, cost_model = planning_inputs(
+        program, db, opts.use_cost_planner,
+        analysis.sketches() if analysis is not None else None,
+    )
     prepared = prepare(program, sizes, cost_model=cost_model)
     # recorded on the preparation, not the call, so a prepared-cache
     # hit reports exactly the counters of the cold build it reuses

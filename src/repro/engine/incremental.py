@@ -211,22 +211,13 @@ class IncrementalSession:
         (nothing is shared copy-on-write) and vouches that it **is**
         the program's least fixpoint over its base facts; *initial* is
         the snapshot's given-IDB row map (the session ``_initial``)."""
-        from .cost import BoundCostModel
-        from .prepared import prepare
+        from .prepared import planning_inputs, prepare
 
         self = object.__new__(cls)
         opts = options or EngineOptions()
         # the same prepare() entry evaluate() uses, so the prepared
         # cache is shared and the plan shape matches a live session's
-        sizes = db.relation_sizes()
-        largest = max(sizes.values(), default=0)
-        for pred in program.idb_predicates():
-            sizes[pred] = max(sizes.get(pred, 0), largest + 1)
-        cost_model = (
-            BoundCostModel.from_database(db, sizes)
-            if opts.use_cost_planner
-            else None
-        )
+        sizes, cost_model = planning_inputs(program, db, opts.use_cost_planner)
         self.program = program
         self.options = opts
         self.prepared = prepare(program, sizes, cost_model=cost_model)

@@ -230,7 +230,7 @@ def order_body(
 
     *first*, when given, forces that body index to the front — used by
     the semi-naive evaluator to start from the delta literal.  When
-    *cost_model* is given (a :class:`repro.engine.cost.CostModel`), the
+    *cost_model* is given (a :class:`repro.engine.cost.BoundCostModel`), the
     rest of the order comes from its bound-driven DP search over the
     remaining literals (*needed* is the rule's always-live variable
     set, which the model uses for the existential d-position cap); a

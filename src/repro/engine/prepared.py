@@ -45,12 +45,14 @@ from typing import Mapping, Optional
 
 from ..datalog.analysis import DependencyInfo, analyze, stratify
 from ..datalog.ast import Program
+from ..datalog.database import Database
 from ..datalog.errors import ValidationError
-from .cost import CostModel, bucket_size
+from .cost import BoundCostModel, RelationProfile, bucket_size, profile_database
 from .plan import CompiledRule, compile_rule
 
 __all__ = [
     "PreparedProgram",
+    "planning_inputs",
     "prepare",
     "prepared_cache_stats",
     "clear_prepared_cache",
@@ -126,7 +128,7 @@ def _build(
     program: Program,
     sizes: Optional[Mapping[str, int]],
     key: tuple,
-    cost_model: Optional[CostModel] = None,
+    cost_model: Optional[BoundCostModel] = None,
 ) -> PreparedProgram:
     fact_rules: list[tuple[str, tuple]] = []
     compiled: list[CompiledRule] = []
@@ -158,15 +160,45 @@ def _build(
         info=info,
         strata=strata,
         arities=dict(program.arities()),
-        plans_costed=getattr(cost_model, "plans_costed", 0),
+        plans_costed=cost_model.plans_costed if cost_model is not None else 0,
     )
+
+
+def planning_inputs(
+    program: Program,
+    db: Database,
+    use_cost_planner: bool,
+    derived: Optional[Mapping[str, RelationProfile]] = None,
+) -> tuple[dict[str, int], Optional[BoundCostModel]]:
+    """The ``(sizes, cost_model)`` pair :func:`prepare` plans *program*
+    over *db* from — shared by ``evaluate`` and session restore so both
+    land on the same prepared-cache entry.
+
+    Derived relations are empty (or nearly so) before the fixpoint but
+    typically grow past the base relations, so each is sized larger
+    than any stored relation, worst-case degree.  *derived* replaces
+    that worst case for the derived predicates it covers (the
+    analyzer's propagated profiles); the counted profiles of stored
+    base relations stay authoritative."""
+    sizes = db.relation_sizes()
+    largest = max(sizes.values(), default=0)
+    idb = program.idb_predicates()
+    for pred in idb:
+        sizes[pred] = max(sizes.get(pred, 0), largest + 1)
+    if not use_cost_planner:
+        return sizes, None
+    profiles = profile_database(db, sizes)
+    for pred, profile in (derived or {}).items():
+        if pred in idb:
+            profiles[pred] = profile
+    return sizes, BoundCostModel(profiles)
 
 
 def prepare(
     program: Program,
     sizes: Optional[Mapping[str, int]] = None,
     *,
-    cost_model: Optional[CostModel] = None,
+    cost_model: Optional[BoundCostModel] = None,
     use_cache: bool = True,
 ) -> PreparedProgram:
     """Return the (possibly cached) :class:`PreparedProgram`.

@@ -464,7 +464,7 @@ def _fixpoint(
     replanner = replan_scope = None
     if replan_rounds:
         replanner = AdaptiveReplanner(replan_rounds, members)
-        # everything this loop may re-profile: its own writes plus
+        # everything this loop's replans price: its own writes plus
         # frozen inputs.  Sibling units' relations are excluded — under
         # parallel scheduling they are being written concurrently, and
         # this loop never reads them anyway.
@@ -506,17 +506,17 @@ def _fixpoint(
             # Adaptive replanning: fold this round's true frontier
             # cardinalities into the decayed estimates; every
             # `replan_rounds` rounds, re-rank the delta plans from the
-            # grown relations' fresh profiles.  Frontier sizes and
-            # stored facts are bit-identical across every execution
-            # tier, so all tiers replan identically; join order changes
+            # grown relations' sizes.  Frontier sizes and relation
+            # lengths are bit-identical across every execution tier,
+            # so all tiers replan identically; join order changes
             # work counters only, never answers or fact counts.
             replanner.observe({p: len(f) for p, f in previous.items()})
             if replanner.overestimate_max > stats.bound_overestimate_max:
                 stats.bound_overestimate_max = replanner.overestimate_max
-            # None = every profile is still in its last bucket, so the
-            # DP would reproduce the current orders; the skip is
-            # tier-invariant (sizes only), so counters agree
-            model = replanner.model_for(db, replan_scope) if replanner.due() else None
+            # None = not due, or every size is still in its last
+            # bucket so the DP would reproduce the current orders; the
+            # skip is tier-invariant (sizes only), so counters agree
+            model = replanner.model_for(db, replan_scope)
             if model is not None:
                 stats.replans += 1
                 renewed = [replan_delta_plans(cr, model) for cr in active]
