@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test oracle faults incremental recovery durability check bench bench-smoke report lint analyze
+.PHONY: test oracle faults incremental recovery durability check bench-smoke report lint analyze
 
 test:  ## tier-1 test suite
 	$(PYTHON) -m pytest -x -q
@@ -35,14 +35,12 @@ lint:  ## static analysis: ruff + mypy over src, repro-lint over workloads
 analyze:  ## abstract-interpretation gate: DL018-DL024 clean over all workloads, with no EDB and over a seeded one
 	$(PYTHON) scripts/lint_workloads.py --analyze-only
 
-bench:  ## statistically careful wall-clock benchmarks
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
 bench-smoke:  ## the end-to-end benchmark at reduced size, then its self-test
 	$(PYTHON) benchmarks/e2e/run.py --smoke
 	$(PYTHON) -m pytest benchmarks/e2e -q
 
-# Regenerates the EXPERIMENTS.md tables; exits nonzero if any optimized
-# configuration derived more facts than its unoptimized baseline.
+# Regenerates the work-counter tables EXPERIMENTS.md embeds from the
+# gate table in tests/bench/cases.py; a no-op on a current tree (tier-1
+# asserts the embedded block is current and every gate holds).
 report:
-	$(PYTHON) benchmarks/run_report.py
+	$(PYTHON) -m tests.bench.cases

@@ -122,8 +122,10 @@ class Governor:
     from the options' limits and fault plan.  When no limit is set and
     no fault armed, ``enabled`` is False and every checkpoint is a
     single attribute test — the governed engine costs nothing unless
-    governing was requested (the <3% overhead claim in EXPERIMENTS.md
-    is measured with limits *set but not hit*, the expensive case).
+    governing was requested.  With a limit *set but not hit* (the
+    expensive case) the checkpoints cost up to about 10 % of the
+    fixpoint: ``engine.governor_overhead`` of the end-to-end benchmark
+    reads 1.07–1.11x on four of its five workloads (EXPERIMENTS.md).
     """
 
     __slots__ = (

@@ -91,8 +91,12 @@ class _Tabling:
             p: program.rules_for(p) for p in self.idb
         }
         self.tables: dict[tuple[str, Pattern], set[tuple]] = {}
-        #: consumer subgoals to re-solve when a producer's table grows
-        self.dependents: dict[tuple[str, Pattern], set[tuple[str, Pattern]]] = {}
+        #: consumer subgoals to re-solve when a producer's table grows —
+        #: a dict used as an insertion-ordered set, so the wake order (and
+        #: with it every work counter) is independent of string hashing
+        self.dependents: dict[
+            tuple[str, Pattern], dict[tuple[str, Pattern], None]
+        ] = {}
         self.stats = EvalStats()
         self.max_passes = max_passes
         self._worklist: list[tuple[str, Pattern]] = []
@@ -202,7 +206,7 @@ class _Tabling:
         if literal.predicate in self.idb:
             key = self.register(literal.predicate, _pattern_of(literal, subst))
             if self._consumer is not None:
-                self.dependents.setdefault(key, set()).add(self._consumer)
+                self.dependents.setdefault(key, {})[self._consumer] = None
             rows: Iterator[tuple] = iter(list(self.tables[key]))
         else:
             rel = self.edb.relation(literal.predicate)

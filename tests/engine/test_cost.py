@@ -7,16 +7,17 @@
   and prices the loop's own relations from their lengths — no counting
   pass ever touches a member relation while its fixpoint runs;
 - the planner-lane counters this must not move are pinned on the two
-  recursive ``benchmarks/bench_planner.py`` shapes and a 480-cycle TC.
+  recursive planner shapes of ``tests/bench/cases.py`` and a 480-cycle TC.
 """
 
 import pytest
 
-from benchmarks.bench_planner import WORKLOADS
 from repro.datalog import Database, parse
 from repro.datalog.columnar import ColumnStore, global_dictionary, pack_encoded
 from repro.datalog.database import Relation
 from repro.engine import EngineOptions, evaluate, scheduler
+
+from ..bench.cases import PLANNER_SHAPES
 
 TC = parse(
     "tc(X, Y) :- edge(X, Y).\ntc(X, Y) :- edge(X, Z), tc(Z, Y).\n?- tc(X, X)."
@@ -161,15 +162,15 @@ class TestMemoInvalidation:
 @pytest.mark.parametrize(
     "workload,expected",
     [
-        (WORKLOADS["skew-star"], (4, 17, 303)),
-        (WORKLOADS["tc-parity"], (4, 12, 9959)),
-        ((lambda: TC, lambda: cycle(480)), (7, 18, 693120)),
+        (PLANNER_SHAPES["skew-star"], (4, 17, 303)),
+        (PLANNER_SHAPES["tc-parity"], (4, 12, 9959)),
+        ((TC, lambda: cycle(480)), (7, 18, 693120)),
     ],
     ids=["skew-star", "tc-parity", "tc-cycle-480"],
 )
 def test_planner_lane_counters_pinned(workload, expected, overrides):
     """(replans, plans_costed, join_work) at the default cadence — the
     values measured before the replanner stopped re-profiling."""
-    make_program, make_db = workload
-    stats = evaluate(make_program(), make_db(), EngineOptions(**overrides)).stats
+    program, make_db = workload
+    stats = evaluate(program, make_db(), EngineOptions(**overrides)).stats
     assert (stats.replans, stats.plans_costed, stats.join_work) == expected

@@ -1,5 +1,9 @@
 """Tests for the tabled top-down evaluator."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.datalog import Database, ValidationError, parse
@@ -163,3 +167,45 @@ class TestUniformInputs:
         program = TC.with_query(bound_query(1))
         td = evaluate_topdown(program, db)
         assert td.answers == evaluate(program, db).answers()
+
+
+#: the top-down run of the `TD-n60` work-gate row: bound-source TC over a
+#: chain plus forward chords, where one grown table wakes several consumers
+HASH_SEED_SCRIPT = """
+import json
+from tests.bench.cases import CASES
+(case,) = (c for c in CASES if c.id == "TD-n60")
+print(json.dumps(case.runs["top-down"]().as_dict(), sort_keys=True))
+"""
+ROOT = os.path.join(os.path.dirname(__file__), "..", "..")
+
+
+def test_work_counters_do_not_depend_on_the_hash_seed():
+    """Consumers are woken in registration order, not in the order a set
+    of (predicate-name, pattern) keys happens to hash to."""
+
+    def counters(seed):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.path.join(ROOT, "src")}
+        return subprocess.run(
+            [sys.executable, "-c", HASH_SEED_SCRIPT],
+            cwd=ROOT, env=env, check=True, capture_output=True, text=True,
+        ).stdout
+
+    assert counters("0") == counters("1")
+
+
+def test_work_counters_do_not_depend_on_predicate_names():
+    """The same invariance inside one process: a renamed predicate hashes
+    elsewhere, and must still wake its consumers in the same order.
+    (Two subprocesses can agree by luck — before Python 3.12
+    ``hash(None)`` moves every pattern's hash from run to run.)"""
+    forward = {(a, b) for a, b in random_digraph(60, 60, seed=0) if a < b}
+    db = Database.from_dict({"edge": sorted(set(chain(60)) | forward)})
+
+    def counters(p):
+        text = f"{p}(X, Y) :- edge(X, Y). {p}(X, Y) :- edge(X, Z), {p}(Z, Y). ?- {p}(50, Y)."
+        stats = evaluate_topdown(parse(text), db).stats.as_dict()
+        return {k: v for k, v in stats.items() if k != "fact_counts"}
+
+    first, *others = [counters(f"tc{i}") for i in range(12)]
+    assert all(c == first for c in others)

@@ -34,6 +34,7 @@ def test_pipeline_never_more_work(name):
     original = evaluate(program, db).stats
     optimized = result.evaluate(db).stats
     assert optimized.derivations <= original.derivations, name
+    assert optimized.rule_firings <= original.rule_firings, name
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))

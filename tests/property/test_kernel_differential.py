@@ -2,8 +2,8 @@
 
 The compiled kernels claim to be *bit-identical* to the plan
 interpreter — not just the same answers, but the same fact counts, the
-same work counters (the regression gates in ``run_report.py`` and the
-frozen work baseline depend on them), and the same first-justification
+same work counters (the gates of ``tests/bench`` and the frozen work
+baseline depend on them), and the same first-justification
 provenance.  This suite checks full-state agreement on the curated
 program families and on the 200 fixed random oracle programs
 (``derandomize=True``; ``make check`` pins the Hypothesis seed), in
