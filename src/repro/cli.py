@@ -108,7 +108,6 @@ def _engine_kwargs(args) -> dict:
         use_cost_planner=not args.no_cost_planner,
         replan_rounds=args.replan_rounds,
         use_scc=not args.no_scc,
-        parallel=args.parallel,
         deadline_s=args.deadline,
         max_facts=args.max_facts,
         max_delta_rows=args.max_delta_rows,
@@ -639,15 +638,6 @@ def _add_engine_flags(p_run: argparse.ArgumentParser) -> None:
         "pre-scheduler engine; answers are identical, only work differs)",
     )
     p_run.add_argument(
-        "--parallel",
-        type=int,
-        default=1,
-        metavar="N",
-        help="evaluate independent SCC units (same condensation depth) "
-        "on a thread pool of N workers (default 1; implies SCC "
-        "scheduling; results are deterministic for any N)",
-    )
-    p_run.add_argument(
         "--deadline",
         type=float,
         default=None,
@@ -689,8 +679,8 @@ def _add_engine_flags(p_run: argparse.ArgumentParser) -> None:
         metavar="SPEC",
         help="deterministically inject a fault to exercise the "
         "degradation ladder; repeatable.  SPEC is columnar, "
-        "kernel-compile[:pred], index-build, scheduler, worker-death:N, "
-        "unit-error:N, or slow-unit:N[:seconds]",
+        "kernel-compile[:pred], index-build, scheduler, unit-error:N, "
+        "or slow-unit:N[:seconds]",
     )
 
 

@@ -80,9 +80,10 @@ class Relation:
         #: lifetime (lazy builds only; incremental maintenance on
         #: insert does not count)
         self.index_builds: int = 0
-        #: serializes lazy index builds: parallel evaluation units may
-        #: probe the same read-only relation concurrently, and exactly
-        #: one of them must materialize (and count) each missing index
+        #: serializes lazy index builds: base relations are shared by
+        #: reference between ``evaluate`` calls and sessions, which
+        #: callers may drive from their own threads, and exactly one of
+        #: them must materialize (and count) each missing index
         self._build_lock = threading.Lock()
         #: lazily built dictionary-encoded columnar image (see
         #: :mod:`repro.datalog.columnar`); None until the vector kernel
@@ -231,9 +232,9 @@ class Relation:
 
         Chunks decode in insertion order, so the raw set's insertion
         history — and therefore set iteration order downstream — is
-        bit-identical to eager per-row insertion.  Locked: readers at
-        the next scheduler depth may hit a completed relation's first
-        raw access concurrently.
+        bit-identical to eager per-row insertion.  Locked: callers
+        sharing a completed relation across their own threads may hit
+        its first raw access concurrently.
         """
         with self._build_lock:
             dirty = self._raw_dirty
@@ -306,8 +307,8 @@ class Relation:
         if index is None:
             # Double-checked locking: the unlocked fast path above is
             # safe because dict reads are atomic and a published index
-            # is never mutated concurrently with probes (parallel units
-            # only probe relations that are read-only at their depth).
+            # is never mutated concurrently with probes (a relation
+            # shared between evaluations is read-only to all of them).
             with self._build_lock:
                 index = self._indexes.get(positions)
                 if index is None:
@@ -517,8 +518,8 @@ class Relation:
         current = store is not None and store.epoch == global_dictionary().epoch
         if not current and self._raw_dirty:
             self._sync()
-        # locked like a lazy index build: parallel units may profile the
-        # same frozen input at once, and exactly one should count it
+        # locked like a lazy index build: evaluations sharing a base
+        # relation may profile it at once, and exactly one should count it
         with self._build_lock:
             memo = self._profile_memo
             version = self._version

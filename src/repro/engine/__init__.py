@@ -48,7 +48,6 @@ from .faults import (
     InjectedUnitError,
     SchedulerFault,
     WalCrash,
-    WorkerDeath,
     parse_fault_specs,
 )
 from .governor import Governor, Guard, ResourceExhausted
@@ -94,7 +93,6 @@ __all__ = [
     "InjectedFault",
     "InjectedUnitError",
     "SchedulerFault",
-    "WorkerDeath",
     "parse_fault_specs",
     "CompiledRule",
     "DeltaIndex",

@@ -21,9 +21,9 @@ optimizations:
 The fixpoint loops themselves live in :mod:`repro.engine.scheduler`:
 by default each stratum is decomposed into its SCC-condensation DAG and
 evaluated unit by unit (non-recursive units in a single pass, recursive
-units in component-local fixpoints, independent units optionally in
-parallel); ``use_scc=False`` keeps the previous monolithic per-stratum
-loop, counter-for-counter identical to earlier releases.
+units in component-local fixpoints); ``use_scc=False`` keeps the
+previous monolithic per-stratum loop, counter-for-counter identical to
+earlier releases.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from ..datalog.database import Database
 from ..datalog.errors import ArityError, EvaluationError, ValidationError
 from ..datalog.terms import Constant, Variable
 from .faults import FaultInjector, FaultPlan, SchedulerFault
-from .governor import BudgetExceeded, Governor, ResourceExhausted
+from .governor import BudgetExceeded, Governor, settle
 from .prepared import PreparedProgram, planning_inputs, prepare
 from .provenance import DerivationTree, derivation_tree
 from .scheduler import run_monolithic, run_scheduled
@@ -103,12 +103,6 @@ class EngineOptions:
         ``--no-scc``) runs each stratum as one monolithic fixpoint over
         all its rules — the pre-scheduler engine, kept bit-identical as
         the scheduler's differential oracle.
-    parallel
-        Thread-pool width for evaluation units at the same condensation
-        depth (only meaningful with ``use_scc``).  ``1`` (default) runs
-        units sequentially; results are deterministic for any value
-        because per-unit statistics and provenance merge at a barrier
-        in unit order.
     record_provenance
         Record a first justification per derived fact, enabling
         :meth:`EvalResult.derivation`.
@@ -128,13 +122,16 @@ class EngineOptions:
         coincides with the global bound.
     deadline_s
         Wall-clock budget in seconds for the whole evaluation,
-        enforced by cooperative cancellation at iteration, per-unit,
-        and between-rule boundaries (see
+        enforced by cooperative cancellation at every iteration,
+        per-unit, and between-rule boundary (see
         :mod:`repro.engine.governor`).
     max_facts / max_delta_rows
         Derivation budgets: total facts derived, and total rows
-        entering semi-naive delta frontiers.  Enforced at governor
-        checkpoints; a run may overshoot by the in-flight rule firing.
+        entering semi-naive delta frontiers.  ``max_facts`` is tested
+        at every governor checkpoint against the exact count, so a run
+        overshoots by at most the one in-flight rule firing;
+        ``max_delta_rows`` at every round boundary.  Trip points are
+        deterministic.
     on_limit
         What a tripped limit does: ``"raise"`` (default) raises
         :class:`ResourceExhausted` carrying the partial stats and the
@@ -144,8 +141,8 @@ class EngineOptions:
     fault_plan
         A :class:`~repro.engine.faults.FaultPlan` of deterministic
         faults to inject, exercising the degradation ladder
-        (kernel→interpreter, index→scan, SCC→monolithic,
-        parallel→sequential).  None (default) injects nothing.
+        (columnar→tuple-kernel, kernel→interpreter, index→scan,
+        SCC→monolithic).  None (default) injects nothing.
     """
 
     strategy: str = "seminaive"
@@ -156,7 +153,6 @@ class EngineOptions:
     use_cost_planner: bool = True
     replan_rounds: int = 4
     use_scc: bool = True
-    parallel: int = 1
     record_provenance: bool = False
     max_iterations: Optional[int] = None
     max_unit_iterations: Optional[int] = None
@@ -169,8 +165,6 @@ class EngineOptions:
     def __post_init__(self):
         if self.strategy not in ("seminaive", "naive"):
             raise ValidationError(f"unknown strategy {self.strategy!r}")
-        if self.parallel < 1:
-            raise ValidationError(f"parallel must be >= 1, got {self.parallel}")
         if self.on_limit not in ("raise", "partial"):
             raise ValidationError(
                 f"on_limit must be 'raise' or 'partial', got {self.on_limit!r}"
@@ -410,6 +404,7 @@ def evaluate(
         if opts.use_cost_planner and opts.strategy == "seminaive"
         else 0
     )
+    trip = None
     try:
         if opts.use_scc:
             try:
@@ -428,19 +423,11 @@ def evaluate(
             run_monolithic(strata, db, stats, provenance, opts, governor,
                            replan_rounds=replan)
     except BudgetExceeded as exc:
-        finalize()
-        if opts.on_limit == "partial":
-            stats.aborted_reason = exc.reason
-            return EvalResult(
-                program, db, stats, provenance,
-                provenance_recorded=opts.record_provenance,
-                prepared=prepared,
-            )
-        raise ResourceExhausted(
-            exc.reason, stats=stats, unit=exc.unit, stratum=exc.stratum
-        ) from None
+        trip = exc
 
     finalize()
+    if trip is not None:
+        settle(trip, stats, opts.on_limit)
     return EvalResult(
         program, db, stats, provenance,
         provenance_recorded=opts.record_provenance,

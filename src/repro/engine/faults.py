@@ -2,10 +2,9 @@
 
 The engine claims a graceful-degradation ladder: a rule whose kernel
 cannot compile falls back to the plan interpreter, an engine whose
-index build fails falls back to full scans, a stratum whose SCC
-scheduling fails falls back to the monolithic loop, and a parallel
-batch whose worker dies falls back to sequential execution.  Each of
-those paths is reachable in principle but almost never taken in
+index build fails falls back to full scans, and a stratum whose SCC
+scheduling fails falls back to the monolithic loop.  Each of those
+paths is reachable in principle but almost never taken in
 practice — which is exactly how fallback code rots.  A
 :class:`FaultPlan` makes every rung of the ladder *fire on demand*,
 deterministically, so the fallbacks are tested continuously instead of
@@ -15,9 +14,9 @@ Faults are declarative (a frozen plan attached to
 :class:`~repro.engine.evaluator.EngineOptions`) and stateful injection
 bookkeeping lives in a per-run :class:`FaultInjector`, so the same
 options object can be reused across evaluations and each run sees the
-plan fresh.  One-shot faults (worker death) fire exactly once per run;
-persistent faults (kernel compile, index build) fire every time their
-site is reached.
+plan fresh.  One-shot faults (unit error, WAL crash) fire exactly once
+per run; persistent faults (kernel compile, index build) fire every
+time their site is reached.
 
 Fault kinds and the degradation they exercise:
 
@@ -40,15 +39,12 @@ Fault kinds and the degradation they exercise:
     During incremental maintenance the same fault instead fails the
     seeded delta scheduler, and the batch recomputes the affected cone
     from its initial rows (**incremental → recompute**).
-``worker-death:N``
-    The N-th scheduled evaluation unit (0-based, scheduling order)
-    dies once with :class:`WorkerDeath`; the scheduler re-runs the
-    unit sequentially (**parallel → sequential**).
 ``unit-error:N``
-    The N-th scheduled unit raises a genuine
-    :class:`InjectedUnitError` mid-unit.  *Not* recoverable: the
-    original exception must surface to the caller (with per-unit stats
-    already merged), never a deadlock or a swallowed future.
+    The N-th scheduled evaluation unit (0-based, scheduling order)
+    raises a genuine :class:`InjectedUnitError` mid-unit.  *Not*
+    recoverable: the original exception must surface to the caller
+    verbatim, with the counters of every unit that ran before it
+    already in the run's stats.
 ``slow-unit:N[:SECONDS]``
     The N-th scheduled unit sleeps at its start and at every iteration
     boundary — a deterministic way to make a deadline fire inside a
@@ -75,7 +71,6 @@ silently wrong answer.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
@@ -86,7 +81,6 @@ __all__ = [
     "FaultPlan",
     "FaultInjector",
     "InjectedFault",
-    "WorkerDeath",
     "SchedulerFault",
     "InjectedUnitError",
     "WalCrash",
@@ -110,12 +104,6 @@ WAL_CRASH_POINTS = frozenset(
 class InjectedFault(EvaluationError):
     """Base class for exceptions raised by deterministic fault
     injection.  Subclasses mark which degradation rung handles them."""
-
-
-class WorkerDeath(InjectedFault):
-    """A scheduled evaluation unit "died" (simulated worker-thread
-    death).  Recoverable: the scheduler re-runs the unit sequentially
-    and records a ``parallel->sequential`` degradation."""
 
 
 class SchedulerFault(InjectedFault):
@@ -155,8 +143,6 @@ class FaultPlan:
     index_build: bool = False
     #: SCC scheduling fails at startup; fall back to the monolithic loop
     scheduler: bool = False
-    #: ordinal of the unit that dies once with :class:`WorkerDeath`
-    worker_death: Optional[int] = None
     #: ordinal of the unit that raises :class:`InjectedUnitError`
     unit_error: Optional[int] = None
     #: ordinal of the unit slowed by ``slow_s`` per boundary
@@ -187,7 +173,6 @@ class FaultPlan:
             or self.columnar
             or self.index_build
             or self.scheduler
-            or self.worker_death is not None
             or self.unit_error is not None
             or self.slow_unit is not None
             or self.wal_crash is not None
@@ -199,9 +184,8 @@ def parse_fault_specs(specs: Iterable[str]) -> FaultPlan:
 
     Accepted forms: ``columnar``, ``kernel-compile``,
     ``kernel-compile:PRED``, ``index-build``, ``scheduler``,
-    ``worker-death:N``, ``unit-error:N``, ``slow-unit:N``,
-    ``slow-unit:N:SECONDS``, ``wal-crash:POINT`` and
-    ``wal-crash:POINT:SEQ``.  Specs merge left to right into one plan.
+    ``unit-error:N``, ``slow-unit:N``, ``slow-unit:N:SECONDS``,
+    ``wal-crash:POINT`` and ``wal-crash:POINT:SEQ``.  Specs merge left to right into one plan.
     """
     plan = FaultPlan()
     for spec in specs:
@@ -225,8 +209,6 @@ def parse_fault_specs(specs: Iterable[str]) -> FaultPlan:
                 plan = replace(plan, index_build=True)
             elif kind == "scheduler" and not rest:
                 plan = replace(plan, scheduler=True)
-            elif kind == "worker-death":
-                plan = replace(plan, worker_death=int(rest))
             elif kind == "unit-error":
                 plan = replace(plan, unit_error=int(rest))
             elif kind == "slow-unit":
@@ -240,7 +222,7 @@ def parse_fault_specs(specs: Iterable[str]) -> FaultPlan:
             raise EvaluationError(
                 f"unknown fault spec {spec!r}; expected columnar, "
                 f"kernel-compile[:pred], index-build, scheduler, "
-                f"worker-death:N, unit-error:N, slow-unit:N[:seconds], "
+                f"unit-error:N, slow-unit:N[:seconds], "
                 f"or wal-crash:POINT[:seq] with POINT one of "
                 f"{sorted(WAL_CRASH_POINTS)}"
             ) from None
@@ -250,24 +232,22 @@ def parse_fault_specs(specs: Iterable[str]) -> FaultPlan:
 class FaultInjector:
     """Per-run injection state for one :class:`FaultPlan`.
 
-    Thread-safe: parallel evaluation units consult the same injector,
-    and one-shot faults fire in exactly one of them.  Degradations are
-    recorded at most once per ``(kind, key)`` so counters stay small
-    and deterministic.
+    Created per :func:`~repro.engine.evaluator.evaluate` call and per
+    update batch, and never shared beyond it.  One-shot faults fire
+    once, and degradations are recorded at most once per
+    ``(kind, key)`` so counters stay small and deterministic.
     """
 
     def __init__(self, plan: FaultPlan):
         self.plan = plan
-        self._lock = threading.Lock()
         self._fired: set = set()
 
     def _once(self, key) -> bool:
         """True the first time *key* is seen, False afterwards."""
-        with self._lock:
-            if key in self._fired:
-                return False
-            self._fired.add(key)
-            return True
+        if key in self._fired:
+            return False
+        self._fired.add(key)
+        return True
 
     # -- injection sites -----------------------------------------------------
 
@@ -286,14 +266,8 @@ class FaultInjector:
     def scheduler_fails(self) -> bool:
         return self.plan.scheduler
 
-    def maybe_kill_unit(self, ordinal: int, label: str) -> None:
-        """Raise the armed per-unit fault for *ordinal*, at most once."""
-        if self.plan.worker_death == ordinal and self._once(("death", ordinal)):
-            raise WorkerDeath(
-                f"injected worker death in unit {ordinal} ({label})"
-            )
-
     def maybe_unit_error(self, ordinal: int, label: str) -> None:
+        """Raise the armed per-unit fault for *ordinal*, at most once."""
         if self.plan.unit_error == ordinal and self._once(("error", ordinal)):
             raise InjectedUnitError(
                 f"injected unit error in unit {ordinal} ({label})"
@@ -320,8 +294,7 @@ class FaultInjector:
 
     def record(self, stats, degradation: str, key=None) -> None:
         """Count one injected fault and its degradation, once per
-        ``(degradation, key)``; *stats* may be a unit-private fragment —
-        dict counters merge at the scheduler's barrier."""
+        ``(degradation, key)``."""
         if self._once(("record", degradation, key)):
             stats.faults_injected += 1
             stats.degradations[degradation] = (

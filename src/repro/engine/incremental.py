@@ -63,6 +63,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import replace
+from functools import partial
 from typing import Iterable, Optional, Union
 
 from ..datalog.analysis import condensation, negative_dependencies
@@ -71,19 +72,20 @@ from ..datalog.database import Database
 from ..datalog.errors import ArityError
 from ..datalog.terms import Constant, Variable
 from .evaluator import EngineOptions, EvalResult, evaluate
-from .faults import FaultInjector, WorkerDeath
-from .governor import BudgetExceeded, Governor, ResourceExhausted
+from .faults import FaultInjector
+from .governor import BudgetExceeded, Governor, settle
 from .plan import CompiledRule, DeltaIndex, match_plan, rebind_plans
 from .provenance import Justification
 from .scheduler import (
     EvalUnit,
     _builtins_hold,
     _negatives_hold,
-    _run_unit,
     build_units,
+    evaluate_unit,
     run_monolithic,
     run_scheduled,
     run_seeded_unit,
+    run_unit,
 )
 from .statistics import EvalStats
 
@@ -154,42 +156,17 @@ class IncrementalSession:
     ):
         opts = options or EngineOptions()
         result = evaluate(program, edb, opts)
-        self.program = program
-        self.options = opts
-        self.prepared = result.prepared
-        self.db = result.db
-        self.provenance = result.provenance
-        #: cumulative counters across the session (init + every batch)
-        self.stats = result.stats
-        #: counters of the most recent operation (init, batch, refresh)
-        self.last_stats = result.stats
-        self._idb = program.idb_predicates()
-        self._arities = dict(self.prepared.arities)
-        #: base relations still shared by reference with the caller's
-        #: EDB — privatized (copied) before the session's first write
-        self._shared = {
-            p
-            for p in edb.predicates()
-            if self.db.relation(p) is edb.relation(p)
-        }
-        #: given (retractable) facts of derived predicates: the initial
-        #: IDB rows of the input database plus rows inserted into IDB
-        #: predicates later — the uniform-equivalence input convention
-        self._initial: dict[str, set] = {
-            p: set(edb.rows(p)) for p in self._idb if edb.rows(p)
-        }
-        #: rows asserted by body-less program rules, per predicate;
-        #: program-mandated, hence never retractable
-        self._fact_rows: dict[str, frozenset] = {}
-        grouped: dict[str, set] = {}
-        for pred, row in self.prepared.fact_rules:
-            grouped.setdefault(pred, set()).add(row)
-        self._fact_rows = {p: frozenset(rows) for p, rows in grouped.items()}
-        self._dirty = result.is_partial
-        self._wire_schedule()
-        #: the durability runtime (WAL + snapshots), None for the
-        #: default in-memory session
-        self._durable = None
+        self._wire(
+            program, opts, result.prepared, result.db, result.provenance,
+            result.stats,
+            shared={
+                p
+                for p in edb.predicates()
+                if result.db.relation(p) is edb.relation(p)
+            },
+            initial={p: edb.rows(p) for p in program.idb_predicates()},
+            dirty=result.is_partial,
+        )
         if durable is not None:
             from .durability import DurabilityConfig, DurableLog
 
@@ -218,44 +195,68 @@ class IncrementalSession:
         # the same prepare() entry evaluate() uses, so the prepared
         # cache is shared and the plan shape matches a live session's
         sizes, cost_model = planning_inputs(program, db, opts.use_cost_planner)
-        self.program = program
-        self.options = opts
-        self.prepared = prepare(program, sizes, cost_model=cost_model)
-        self.db = db
-        self.provenance = {}
+        prepared = prepare(program, sizes, cost_model=cost_model)
         stats = EvalStats()
-        self.stats = stats
-        self.last_stats = stats
-        self._idb = program.idb_predicates()
-        self._arities = dict(self.prepared.arities)
-        self._shared = set()
-        self._initial = {
-            p: set(rows) for p, rows in initial.items() if rows
-        }
-        grouped: dict[str, set] = {}
-        for pred, row in self.prepared.fact_rules:
-            grouped.setdefault(pred, set()).add(row)
-        self._fact_rows = {p: frozenset(rows) for p, rows in grouped.items()}
-        self._dirty = False
-        self._wire_schedule()
-        self._durable = None
-        for pred in self._idb:
+        for pred in program.idb_predicates():
             rel = db.relation(pred)
             stats.fact_counts[pred] = len(rel) if rel is not None else 0
+        self._wire(
+            program, opts, prepared, db, {}, stats,
+            shared=set(), initial=initial, dirty=False,
+        )
         return self
 
-    def _wire_schedule(self) -> None:
+    def _wire(
+        self, program, opts, prepared, db, provenance, stats, *,
+        shared: set, initial: Mapping[str, Iterable[tuple]], dirty: bool,
+    ) -> None:
+        """The one place a session's fields are assigned — a live
+        session (fresh from ``evaluate``) and a recovered one (over a
+        snapshot's database) differ only in the arguments."""
+        self.program = program
+        self.options = opts
+        self.prepared = prepared
+        self.db = db
+        self.provenance = provenance
+        #: cumulative counters across the session (init + every batch)
+        self.stats = stats
+        #: counters of the most recent operation (init, batch, refresh)
+        self.last_stats = stats
+        self._idb = program.idb_predicates()
+        self._arities = dict(prepared.arities)
+        #: base relations still shared by reference with the caller's
+        #: EDB — privatized (copied) before the session's first write
+        self._shared = shared
+        #: given (retractable) facts of derived predicates: the initial
+        #: IDB rows of the input database plus rows inserted into IDB
+        #: predicates later — the uniform-equivalence input convention
+        self._initial: dict[str, set] = {
+            p: set(rows) for p, rows in initial.items() if rows
+        }
+        #: rows asserted by body-less program rules, per predicate;
+        #: program-mandated, hence never retractable
+        grouped: dict[str, set] = {}
+        for pred, row in prepared.fact_rules:
+            grouped.setdefault(pred, set()).add(row)
+        self._fact_rows: dict[str, frozenset] = {
+            p: frozenset(rows) for p, rows in grouped.items()
+        }
+        self._dirty = dirty
+        #: the durability runtime (WAL + snapshots), None for the
+        #: default in-memory session
+        self._durable = None
+
         # The maintenance schedule: every evaluation unit of every
         # stratum, flattened in global topological order (stratum, then
         # condensation depth, then SCC index).  Maintenance always
         # walks units — ``use_scc`` only selects the *initial*
         # materialization engine — because unit granularity is what
         # lets unaffected components be skipped.
-        info = self.prepared.info
+        info = prepared.info
         edges = condensation(info)
         component_of = {p: i for i, scc in enumerate(info.sccs) for p in scc}
         self._units: list[EvalUnit] = []
-        for stratum_rules in self.prepared.strata:
+        for stratum_rules in prepared.strata:
             if stratum_rules:
                 self._units.extend(
                     build_units(stratum_rules, info, edges, component_of)
@@ -274,7 +275,7 @@ class IncrementalSession:
         for head, deps in info.graph.items():
             for dep in deps:
                 self._rev.setdefault(dep, set()).add(head)
-        self._neg_edges = negative_dependencies(self.program)
+        self._neg_edges = negative_dependencies(program)
         #: per compiled rule: the goal-directed probe (head-rebound
         #: plans + the head's variable tuple when it is all distinct
         #: variables), built lazily on the first retraction hitting it
@@ -351,17 +352,14 @@ class IncrementalSession:
                     self.prepared.strata, self.db, stats,
                     self.provenance, opts, governor,
                 )
-        except BudgetExceeded as exc:
+        except BudgetExceeded as trip:
             self._finalize(stats, builds_before)
             self._dirty = True
-            if opts.on_limit == "partial":
-                stats.aborted_reason = exc.reason
+            try:
+                settle(trip, stats, opts.on_limit)
+            finally:
                 self._absorb(stats)
-                return stats
-            self._absorb(stats)
-            raise ResourceExhausted(
-                exc.reason, stats=stats, unit=exc.unit, stratum=exc.stratum
-            ) from None
+            return stats
         self._dirty = False
         self._finalize(stats, builds_before)
         if self._durable is not None:
@@ -441,28 +439,23 @@ class IncrementalSession:
         try:
             if deletions:
                 self._retract_batch(
-                    deletions, stats, opts, governor, injector,
-                    force_recompute,
+                    deletions, stats, opts, governor, force_recompute
                 )
             if additions:
                 self._insert_batch(
-                    additions, stats, opts, governor, injector,
-                    force_recompute,
+                    additions, stats, opts, governor, force_recompute
                 )
-        except BudgetExceeded as exc:
+        except BudgetExceeded as trip:
             # Every trip handler below leaves the database a *sound
             # lower bound* of the updated fixpoint; refresh() restores
             # exactness.
             self._finalize(stats, builds_before)
             self._dirty = True
-            if opts.on_limit == "partial":
-                stats.aborted_reason = exc.reason
+            try:
+                settle(trip, stats, opts.on_limit)
+            finally:
                 self._absorb(stats)
-                return stats
-            self._absorb(stats)
-            raise ResourceExhausted(
-                exc.reason, stats=stats, unit=exc.unit, stratum=exc.stratum
-            ) from None
+            return stats
         self._finalize(stats, builds_before)
         if self._durable is not None:
             # after apply, before absorb: a snapshot failure can then
@@ -515,14 +508,21 @@ class IncrementalSession:
         self.stats.fact_counts = dict(batch.fact_counts)
         self.stats.aborted_reason = batch.aborted_reason
 
-    def _merge_fragment(
-        self, stats: EvalStats, unit: EvalUnit, frag: EvalStats, fprov: dict
-    ) -> None:
-        stats.unit_rounds[unit.label] = (
-            stats.unit_rounds.get(unit.label, 0) + frag.iterations
-        )
-        stats.merge(frag)
-        self.provenance.update(fprov)
+    def _walk(self, stats, governor, select, run) -> None:
+        """The one maintenance unit walk, in global topological order:
+        every unit is examined (``units_scheduled``); those for which
+        ``select(unit)`` returns work are re-run (``units_reactivated``)
+        as ``run(unit, guard, work)`` under a guard of their own."""
+        ordinal = 0
+        for unit in self._units:
+            stats.units_scheduled += 1
+            work = select(unit)
+            if not work:
+                continue
+            stats.units_reactivated += 1
+            guard = governor.guard(unit=unit.label, ordinal=ordinal)
+            ordinal += 1
+            run_unit(unit, stats, guard, run, work)
 
     def _privatize(self, pred: str) -> None:
         if pred in self._shared:
@@ -565,7 +565,7 @@ class IncrementalSession:
     # -- insertion ----------------------------------------------------------
 
     def _insert_batch(
-        self, additions, stats, opts, governor, injector, force_recompute
+        self, additions, stats, opts, governor, force_recompute
     ) -> None:
         changed: dict[str, set] = {}
         for pred in sorted(additions):
@@ -586,58 +586,31 @@ class IncrementalSession:
             return
         affected = self._affected_idb(changed)
         if force_recompute or self._crosses_negation(affected, changed):
-            self._recompute_affected(affected, stats, opts, governor, injector)
+            self._recompute_affected(affected, stats, opts, governor)
             return
+
         # Monotone seeded propagation: walk units in topological order,
         # reseeding only those whose inputs changed.  A governor trip
         # mid-walk is already sound — bottom-up insertion only adds
         # true consequences.
-        ordinal = 0
-        for unit in self._units:
-            stats.units_scheduled += 1
+        def seeds_of(unit):
             inputs = self._unit_inputs[id(unit)]
-            seeds = {p: changed[p] for p in inputs if changed.get(p)}
-            if not seeds:
-                continue
-            stats.units_reactivated += 1
-            guard = governor.guard(unit=unit.label, ordinal=ordinal)
-            ordinal += 1
-            out = self._run_seeded(unit, seeds, stats, opts, guard, injector)
+            return {p: changed[p] for p in inputs if changed.get(p)}
+
+        def propagate(unit, guard, seeds):
+            out = run_seeded_unit(
+                unit, self.db, stats, self.provenance, opts, guard, seeds
+            )
             for p, rows in out.items():
                 if rows:
                     changed.setdefault(p, set()).update(rows)
 
-    def _run_seeded(
-        self, unit, seeds, stats, opts, guard, injector
-    ) -> dict[str, set]:
-        out: dict[str, set] = {}
-        frag = EvalStats()
-        fprov: dict = {}
-        try:
-            try:
-                run_seeded_unit(
-                    unit, self.db, frag, fprov, opts, guard, seeds, out
-                )
-            except WorkerDeath:
-                # parallel->sequential rung: retry inline, reseeding
-                # with everything already added so the interrupted
-                # pass completes (re-derivations are duplicates)
-                injector.record(frag, "parallel->sequential", unit.label)
-                retry = {p: set(rows) for p, rows in seeds.items()}
-                for p, rows in out.items():
-                    retry.setdefault(p, set()).update(rows)
-                run_seeded_unit(
-                    unit, self.db, frag, fprov, opts, guard, retry, out
-                )
-        finally:
-            guard.finish(frag)
-            self._merge_fragment(stats, unit, frag, fprov)
-        return out
+        self._walk(stats, governor, seeds_of, propagate)
 
     # -- retraction ---------------------------------------------------------
 
     def _retract_batch(
-        self, deletions, stats, opts, governor, injector, force_recompute
+        self, deletions, stats, opts, governor, force_recompute
     ) -> None:
         present: dict[str, set] = {}
         for pred in sorted(deletions):
@@ -657,7 +630,7 @@ class IncrementalSession:
         affected = self._affected_idb(present)
         if force_recompute or self._crosses_negation(affected, present):
             self._discard_rows(present, stats)
-            self._recompute_affected(affected, stats, opts, governor, injector)
+            self._recompute_affected(affected, stats, opts, governor)
             return
         closure_guard = governor.guard()
         try:
@@ -677,7 +650,11 @@ class IncrementalSession:
         # in the closure keeps a derivation avoiding the deleted facts,
         # and rederived facts were re-added with a live support probe —
         # the state is a sound lower bound wherever the walk stopped.
-        self._rederive(deleted, stats, opts, governor, injector)
+        self._walk(
+            stats, governor,
+            lambda unit: {p: deleted[p] for p in unit.heads if deleted.get(p)},
+            partial(self._rederive_unit, stats=stats, opts=opts),
+        )
 
     def _overdelete_closure(
         self, base_deleted, affected, stats, opts, guard
@@ -766,35 +743,6 @@ class IncrementalSession:
                     stats.facts_retracted += 1
                     self.provenance.pop((pred, row), None)
 
-    def _rederive(self, deleted, stats, opts, governor, injector) -> None:
-        ordinal = 0
-        for unit in self._units:
-            stats.units_scheduled += 1
-            local = {
-                p: deleted[p] for p in unit.heads if deleted.get(p)
-            }
-            if not local:
-                continue
-            stats.units_reactivated += 1
-            guard = governor.guard(unit=unit.label, ordinal=ordinal)
-            ordinal += 1
-            readded: dict[str, set] = {}
-            frag = EvalStats()
-            fprov: dict = {}
-            try:
-                try:
-                    self._rederive_unit(
-                        unit, local, frag, fprov, opts, guard, readded
-                    )
-                except WorkerDeath:
-                    injector.record(frag, "parallel->sequential", unit.label)
-                    self._rederive_unit(
-                        unit, local, frag, fprov, opts, guard, readded
-                    )
-            finally:
-                guard.finish(frag)
-                self._merge_fragment(stats, unit, frag, fprov)
-
     def _goal_probe_for(self, cr: CompiledRule) -> tuple:
         """The cached goal-directed probe of one rule: its join plans
         rebound for the head variables (so pre-bound positions answer
@@ -818,14 +766,13 @@ class IncrementalSession:
             self._goal_probe[id(cr)] = cached
         return cached
 
-    def _rederive_unit(
-        self, unit, deleted_local, frag, fprov, opts, guard, readded
-    ) -> None:
+    def _rederive_unit(self, unit, guard, deleted_local, stats, opts) -> None:
         """Decide each overdeleted fact of one unit: a goal-directed
         support probe per fact (the counting-style check), then — for
         recursive units — a reseeded component fixpoint that re-derives
         whatever the directly supported facts still reach."""
-        guard.unit_boundary(frag)
+        guard.unit_boundary(stats)
+        readded: dict[str, set] = {}
         rules_by_head: dict[str, list] = {}
         for cr in unit.rules:
             rules_by_head.setdefault(cr.rule.head.predicate, []).append(
@@ -836,9 +783,7 @@ class IncrementalSession:
             if rel is None:
                 continue
             for row in sorted(deleted_local[pred], key=repr):
-                if row in rel:
-                    continue  # re-added by an earlier probe or a retry
-                guard.checkpoint(frag)
+                guard.checkpoint(stats)
                 for cr, plans, head_vars in rules_by_head.get(pred, ()):
                     if head_vars is not None:
                         subst0 = dict(zip(head_vars, row))
@@ -848,13 +793,13 @@ class IncrementalSession:
                             continue
                     support = None
                     for subst, body_rows in match_plan(
-                        plans, self.db, frag, subst=subst0,
+                        plans, self.db, stats, subst=subst0,
                         use_indexes=opts.use_indexes,
                     ):
                         if cr.builtins and not _builtins_hold(cr, subst):
                             continue
                         if cr.rule.negative and not _negatives_hold(
-                            cr, self.db, subst, frag
+                            cr, self.db, subst, stats
                         ):
                             continue
                         support = body_rows
@@ -862,14 +807,14 @@ class IncrementalSession:
                     if support is None:
                         continue
                     rel.add(row)
-                    frag.facts_derived += 1
-                    frag.facts_rederived += 1
+                    stats.facts_derived += 1
+                    stats.facts_rederived += 1
                     if opts.record_provenance:
                         body = tuple(
                             (atom.predicate, r)
                             for atom, r in zip(cr.relational_body, support)
                         )
-                        fprov[(pred, row)] = Justification(cr.rule_index, body)
+                        self.provenance[(pred, row)] = Justification(cr.rule_index, body)
                     readded.setdefault(pred, set()).add(row)
                     break
         if unit.recursive:
@@ -879,11 +824,11 @@ class IncrementalSession:
                 if p in unit.members and rows
             }
             if seeds:
-                before = frag.facts_derived
+                before = stats.facts_derived
                 run_seeded_unit(
-                    unit, self.db, frag, fprov, opts, guard, seeds, readded
+                    unit, self.db, stats, self.provenance, opts, guard, seeds
                 )
-                frag.facts_rederived += frag.facts_derived - before
+                stats.facts_rederived += stats.facts_derived - before
 
     # -- the non-monotone / degraded path -----------------------------------
 
@@ -916,9 +861,7 @@ class IncrementalSession:
             if unit.heads & affected:
                 self._reset_unit_rows(unit)
 
-    def _recompute_affected(
-        self, affected, stats, opts, governor, injector
-    ) -> None:
+    def _recompute_affected(self, affected, stats, opts, governor) -> None:
         """Reset every affected unit to its initial rows, then re-run
         them in topological order.  All resets happen up front, so a
         governor trip mid-walk leaves untouched initial state (a sound
@@ -931,19 +874,10 @@ class IncrementalSession:
             del self.provenance[key]
         for unit in targets:
             self._reset_unit_rows(unit)
-        ordinal = 0
-        for unit in self._units:
-            stats.units_scheduled += 1
-            if not (unit.heads & affected):
-                continue
-            stats.units_reactivated += 1
-            guard = governor.guard(unit=unit.label, ordinal=ordinal)
-            ordinal += 1
-            frag, fprov, failure = _run_unit(unit, self.db, opts, guard)
-            self._merge_fragment(stats, unit, frag, fprov)
-            if isinstance(failure, WorkerDeath):
-                injector.record(stats, "parallel->sequential", unit.label)
-                frag, fprov, failure = _run_unit(unit, self.db, opts, guard)
-                self._merge_fragment(stats, unit, frag, fprov)
-            if failure is not None:
-                raise failure
+        self._walk(
+            stats, governor,
+            lambda unit: unit.heads & affected,
+            lambda unit, guard, _: evaluate_unit(
+                unit, guard, self.db, stats, self.provenance, opts
+            ),
+        )

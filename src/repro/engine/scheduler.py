@@ -19,17 +19,17 @@ the SCC condensation DAG in topological order:
   member rules, with delta specialization restricted to the unit's own
   predicates (everything else is frozen input);
 - units at the same condensation depth have no dependency path between
-  them, so they may execute **concurrently** (``EngineOptions.parallel``)
-  — each unit writes only its own head relations, reads lower units'
-  relations that no longer change, and keeps private statistics merged
-  at a per-depth barrier in deterministic unit order;
+  them, so any topological order is correct; the scheduler uses the
+  deterministic one (depth, then SCC index).  Each unit writes only its
+  own head relations and reads lower units' relations that no longer
+  change;
 - **component-local retirement** generalizes the boolean cut: when a
   unit's head predicates are all cut predicates and each has fired,
   the whole unit — not just individual rules — terminates, including
   mid-fixpoint with deltas still pending.
 
 Every path runs one semi-naive driver, :func:`_fixpoint`: a unit from
-scratch (:func:`_run_unit`), a unit resumed from an incremental seed
+scratch (:func:`evaluate_unit`), a unit resumed from an incremental seed
 frontier (:func:`run_seeded_unit`), and ``run_monolithic`` (the CLI's
 ``--no-scc``) — one all-heads unit per stratum with no unit boundary
 and no component-local cut, kept as the scheduler's differential
@@ -42,18 +42,16 @@ The drivers are *governed*: they accept a
 run at iteration boundaries, per-unit boundaries, and between rule
 firings.  With no limits configured the governor is disabled and every
 checkpoint is a single attribute test, keeping the ungoverned hot path
-unchanged.  Failure handling under scheduling is structured: a unit
-that raises — a tripped budget, an injected fault, or a genuine bug —
-has its exception *captured*, its partial statistics and provenance
-merged at the depth barrier like any other unit's, and the first
-failure in deterministic unit order re-raised afterwards (recoverable
-:class:`~repro.engine.faults.WorkerDeath` faults are instead retried
-sequentially — the parallel→sequential degradation rung).
+unchanged.  Evaluation has one thread of control and every unit writes
+the run's one :class:`~repro.engine.statistics.EvalStats` and
+provenance dict directly, so a unit that raises — a tripped budget, an
+injected fault, or a genuine bug — simply propagates, original
+exception intact, with everything it and the units before it counted
+already in ``stats``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -73,7 +71,7 @@ from ..datalog.database import Database
 from ..datalog.terms import Constant
 from .batch_kernel import vector_rule_kernel
 from .cost import AdaptiveReplanner
-from .faults import SchedulerFault, WorkerDeath
+from .faults import SchedulerFault
 from .governor import BudgetExceeded, Governor, Guard
 from .kernel import rule_kernel
 from .plan import CompiledRule, DeltaIndex, match_plan, replan_delta_plans
@@ -83,9 +81,11 @@ from .statistics import EvalStats
 __all__ = [
     "EvalUnit",
     "build_units",
+    "evaluate_unit",
     "run_monolithic",
     "run_scheduled",
     "run_seeded_unit",
+    "run_unit",
 ]
 
 
@@ -116,9 +116,9 @@ def _fire(
     the plan interpreter — the fallback and the differential oracle.
 
     *guard* is the governor's per-unit view: its checkpoint here is
-    the between-rules cancellation boundary (deadline / fact budget /
-    cross-thread cancel), and it decides the degradations when a
-    columnar or kernel-compile fault is injected.
+    the between-rules cancellation boundary (deadline / fact budget),
+    and it decides the degradations when a columnar or kernel-compile
+    fault is injected.
     """
     head_pred = cr.rule.head.predicate
     rel = db.relation(head_pred)
@@ -465,9 +465,7 @@ def _fixpoint(
     if replan_rounds:
         replanner = AdaptiveReplanner(replan_rounds, members)
         # everything this loop's replans price: its own writes plus
-        # frozen inputs.  Sibling units' relations are excluded — under
-        # parallel scheduling they are being written concurrently, and
-        # this loop never reads them anyway.
+        # the frozen inputs its bodies read — no other unit's relations
         replan_scope = members | {a.predicate for cr in active for a in cr.relational_body}
 
     guard.iteration(stats)
@@ -528,11 +526,15 @@ def _fixpoint(
         _fire_deltas(active, literals, previous, db, stats, provenance, opts, delta, guard)
 
 
-def _evaluate_unit(
-    unit: "EvalUnit", db, stats, provenance, opts, guard: Guard,
+def evaluate_unit(
+    unit: "EvalUnit", guard: Guard, db, stats, provenance, opts,
     seeds=None, out=None, replan_rounds: int = 0,
 ) -> None:
-    """One unit to its local fixpoint, from scratch or from *seeds*."""
+    """One unit to its local fixpoint, from scratch or from *seeds*.
+
+    The unit-isolation contract every caller relies on: the unit writes
+    only the relations of its own head predicates, and every other
+    relation it reads is complete before it starts."""
     retire = _Retirer(opts.cut_predicates, stats, unit_heads=unit.heads)
     guard.unit_boundary(stats)
     active = retire.filter(list(unit.rules), db)
@@ -548,6 +550,18 @@ def _evaluate_unit(
             )
     if retire.unit_satisfied(db):
         retire.retire_all(unit.rules)
+
+
+def run_unit(unit: "EvalUnit", stats: EvalStats, guard: Guard, step, *args, **kwargs) -> None:
+    """One scheduled unit execution — the step every unit walk shares
+    (:func:`run_scheduled` and incremental maintenance's): run
+    ``step(unit, guard, ...)`` and book the rounds it took under the
+    unit's label, whether it finished, tripped a limit or raised."""
+    try:
+        step(unit, guard, *args, **kwargs)
+    finally:
+        rounds = stats.unit_rounds
+        rounds[unit.label] = rounds.get(unit.label, 0) + guard.rounds
 
 
 def run_seeded_unit(
@@ -572,10 +586,9 @@ def run_seeded_unit(
 
     Every row added to a head relation is folded into *out* (created if
     None) and returned — the caller's frontier for downstream units.
-    Passing the same *out* on a retry after a recoverable fault, with
-    the already-added rows merged back into *seeds*, makes the retry
-    complete exactly the interrupted pass (re-derivations are
-    duplicates, and rows added before the fault re-enter the frontier).
+    Passing the same *out* again, with the rows it already holds merged
+    back into *seeds*, completes an interrupted pass (re-derivations
+    are duplicates, and the rows added before re-enter the frontier).
 
     Seeded runs never replan adaptively: maintenance frontiers are
     typically tiny, and keeping the session's prepared plans fixed
@@ -584,7 +597,7 @@ def run_seeded_unit(
     """
     if out is None:
         out = {}
-    _evaluate_unit(unit, db, stats, provenance, opts, guard, seeds, out)
+    evaluate_unit(unit, guard, db, stats, provenance, opts, seeds, out)
     return out
 
 
@@ -632,7 +645,7 @@ class EvalUnit:
     for recursive units); ``heads`` the subset actually heading rules
     in this stratum; ``depth`` the unit's layer in the condensation of
     its stratum — units sharing a depth have no dependency path between
-    them and may run concurrently.
+    them, so their relative order is free.
     """
 
     index: int
@@ -671,68 +684,14 @@ def build_units(stratum_rules, info: DependencyInfo, edges, component_of) -> lis
     return units
 
 
-def _run_unit(
-    unit: EvalUnit, db: Database, opts, guard: Guard, replan_rounds: int = 0
-) -> tuple[EvalStats, dict, Optional[Exception]]:
-    """Evaluate one unit to its local fixpoint.
-
-    Returns the unit's private statistics, provenance fragment, and —
-    instead of letting it escape the worker thread — any exception the
-    unit raised; the caller merges stats and provenance at the depth
-    barrier in unit order and re-raises the first captured failure, so
-    a dying unit can never deadlock the barrier or swallow its error,
-    and its partial counters stay mergeable.  Thread-safety contract:
-    the unit writes only the relations of its own head predicates;
-    every other relation it touches is read-only for the duration of
-    its depth level (lazy index builds on shared relations are
-    serialized inside :class:`~repro.datalog.database.Relation`).
-    """
-    stats = EvalStats()
-    provenance: dict = {}
-    failure: Optional[Exception] = None
-    try:
-        _evaluate_unit(unit, db, stats, provenance, opts, guard, replan_rounds=replan_rounds)
-    except Exception as exc:  # captured, not raised: the barrier decides
-        failure = exc
-    finally:
-        # make the fragment's unflushed counters visible to the other
-        # threads' budget estimates and retire its publish bookkeeping
-        # (the stats object's id may be reused by a later fragment)
-        guard.finish(stats)
-    return stats, provenance, failure
-
-
-def _merge_unit(stats, provenance, unit, unit_stats, unit_prov) -> None:
-    """Fold one unit execution's private results into the run totals."""
-    stats.units_scheduled += 1
-    stats.unit_rounds[unit.label] = (
-        stats.unit_rounds.get(unit.label, 0) + unit_stats.iterations
-    )
-    stats.merge(unit_stats)
-    provenance.update(unit_prov)
-
-
 def run_scheduled(
     strata, info: DependencyInfo, db, stats, provenance, opts, governor=None,
     replan_rounds: int = 0,
 ) -> None:
-    """Evaluate every stratum as a topologically scheduled DAG of units.
-
-    Units at the same condensation depth are independent; with
-    ``opts.parallel > 1`` they run on a shared thread pool.  Results
-    (statistics, provenance) are merged at the per-depth barrier in
-    deterministic unit order, so per-unit counters are identical run to
-    run regardless of thread interleaving.
-
-    Failure protocol (see :func:`_run_unit`): exceptions raised inside
-    units arrive at the barrier as captured values.  Every unit's
-    partial statistics are merged first; then a recoverable
-    :class:`~repro.engine.faults.WorkerDeath` triggers a sequential
-    re-run of the dead unit (sound because rule firing is monotone and
-    idempotent — re-deriving an already-inserted fact is a duplicate,
-    not an error), and any other failure — a governor trip or a
-    genuine error — is re-raised in unit order, original exception
-    object intact.
+    """Evaluate every stratum as a topologically scheduled DAG of units,
+    one after another in :func:`build_units` order.  A unit counts as
+    scheduled (``units_scheduled``, ``unit_rounds``) once it starts, so
+    after a trip or an error ``stats`` lists exactly the units that ran.
     """
     governor = governor if governor is not None else Governor(opts)
     injector = governor.injector
@@ -740,61 +699,20 @@ def run_scheduled(
         raise SchedulerFault("injected SCC scheduling failure")
     edges = condensation(info)
     component_of = {p: i for i, scc in enumerate(info.sccs) for p in scc}
-    executor: Optional[ThreadPoolExecutor] = None
     ordinal = 0  # unit executions across the whole run, scheduling order
-    try:
-        for stratum_index, stratum_rules in enumerate(strata):
-            if not stratum_rules:
-                continue
-            units = build_units(stratum_rules, info, edges, component_of)
-            by_depth: dict[int, list[EvalUnit]] = {}
-            for unit in units:
-                by_depth.setdefault(unit.depth, []).append(unit)
-            for depth in sorted(by_depth):
-                batch = by_depth[depth]
-                guards = []
-                for unit in batch:
-                    guards.append(governor.guard(unit=unit.label, ordinal=ordinal))
-                    ordinal += 1
-                if opts.parallel > 1 and len(batch) > 1:
-                    if executor is None:
-                        executor = ThreadPoolExecutor(max_workers=opts.parallel)
-                    futures = [
-                        executor.submit(
-                            _run_unit, unit, db, opts, guard, replan_rounds
-                        )
-                        for unit, guard in zip(batch, guards)
-                    ]
-                    results = [f.result() for f in futures]
-                    stats.units_parallel += len(batch)
-                else:
-                    results = [
-                        _run_unit(unit, db, opts, guard, replan_rounds)
-                        for unit, guard in zip(batch, guards)
-                    ]
-                # barrier: merge in unit order (deterministic), head
-                # predicates are disjoint across units so provenance
-                # fragments never collide; failures are handled after
-                # every unit's partial stats are in
-                pending: Optional[Exception] = None
-                for unit, guard, (unit_stats, unit_prov, failure) in zip(
-                    batch, guards, results
-                ):
-                    _merge_unit(stats, provenance, unit, unit_stats, unit_prov)
-                    if isinstance(failure, WorkerDeath):
-                        # parallel→sequential rung: the fault is one-shot,
-                        # so an inline re-run of the unit completes it
-                        injector.record(stats, "parallel->sequential", unit.label)
-                        retry_stats, retry_prov, failure = _run_unit(
-                            unit, db, opts, guard, replan_rounds
-                        )
-                        _merge_unit(stats, provenance, unit, retry_stats, retry_prov)
-                    if failure is not None and pending is None:
-                        pending = failure
-                if pending is not None:
-                    if isinstance(pending, BudgetExceeded) and pending.stratum is None:
-                        pending.stratum = stratum_index
-                    raise pending
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
+    for stratum_index, stratum_rules in enumerate(strata):
+        if not stratum_rules:
+            continue
+        try:
+            for unit in build_units(stratum_rules, info, edges, component_of):
+                stats.units_scheduled += 1
+                guard = governor.guard(unit=unit.label, ordinal=ordinal)
+                ordinal += 1
+                run_unit(
+                    unit, stats, guard, evaluate_unit, db, stats, provenance, opts,
+                    replan_rounds=replan_rounds,
+                )
+        except BudgetExceeded as exc:
+            if exc.stratum is None:
+                exc.stratum = stratum_index
+            raise

@@ -84,10 +84,6 @@ class EvalStats:
     bound_overestimate_max: float = 0.0
     #: Evaluation units run by the SCC scheduler (0 with ``--no-scc``).
     units_scheduled: int = 0
-    #: Units that executed in a parallel batch (same condensation
-    #: depth, ``EngineOptions.parallel > 1``); a subset of
-    #: ``units_scheduled``.
-    units_parallel: int = 0
     #: Units terminated by the component-local cut: every head boolean
     #: of the unit fired, so the unit stopped before exhausting its
     #: pass or fixpoint.
@@ -136,10 +132,10 @@ class EvalStats:
     faults_injected: int = 0
     #: Degradation-ladder rungs taken, keyed by rung
     #: (``"kernel->interpreter"``, ``"index->scan"``,
-    #: ``"scc->monolithic"``, ``"parallel->sequential"``, and — during
-    #: incremental maintenance — ``"incremental->recompute"``, the rung
-    #: that recomputes the affected cone from its initial rows when the
-    #: seeded maintenance scheduler faults).
+    #: ``"scc->monolithic"``, and — during incremental maintenance —
+    #: ``"incremental->recompute"``, the rung that recomputes the
+    #: affected cone from its initial rows when the seeded maintenance
+    #: scheduler faults).
     degradations: dict[str, int] = field(default_factory=dict)
     #: Why the run stopped early under ``on_limit="partial"`` (the
     #: governor's trip reason, e.g. ``"deadline"``); None when the run
@@ -189,7 +185,6 @@ class EvalStats:
         if other.bound_overestimate_max > self.bound_overestimate_max:
             self.bound_overestimate_max = other.bound_overestimate_max
         self.units_scheduled += other.units_scheduled
-        self.units_parallel += other.units_parallel
         self.unit_early_exits += other.unit_early_exits
         self.incremental_updates += other.incremental_updates
         self.facts_retracted += other.facts_retracted
@@ -239,7 +234,6 @@ class EvalStats:
             "replans": self.replans,
             "bound_overestimate_max": self.bound_overestimate_max,
             "units_scheduled": self.units_scheduled,
-            "units_parallel": self.units_parallel,
             "unit_early_exits": self.unit_early_exits,
             "incremental_updates": self.incremental_updates,
             "facts_retracted": self.facts_retracted,

@@ -194,8 +194,8 @@ def boolean_chain(k: int = 3) -> Program:
 
 def sibling_components(k: int = 3) -> Program:
     """*k* independent transitive closures feeding one query — ≥3
-    sibling SCC units at the same condensation depth, the shape the
-    scheduler can evaluate concurrently (``EngineOptions.parallel``).
+    sibling SCC units at the same condensation depth: their rounds
+    *sum* under SCC scheduling where the monolithic loop overlaps them.
     """
     rules = []
     for i in range(1, k + 1):

@@ -156,8 +156,8 @@ class TestMemoInvalidation:
 
 @pytest.mark.parametrize(
     "overrides",
-    [{}, {"use_columnar": False}, {"use_kernels": False}, {"parallel": 4}],
-    ids=["default", "no-columnar", "no-kernel", "parallel4"],
+    [{}, {"use_columnar": False}, {"use_kernels": False}],
+    ids=["default", "no-columnar", "no-kernel"],
 )
 @pytest.mark.parametrize(
     "workload,expected",

@@ -1,10 +1,10 @@
 """Fault injection and the graceful-degradation ladder.
 
 Every recoverable fault must step the engine down exactly one rung —
-columnar→tuple-kernel, kernel→interpreter, index→scan, SCC→monolithic,
-parallel→sequential — and still produce the exact fixpoint.  A genuine worker exception
-(``unit-error``) must surface verbatim: no deadlock, no swallowed
-future, no wrapping that loses the original message.
+columnar→tuple-kernel, kernel→interpreter, index→scan, SCC→monolithic —
+and still produce the exact fixpoint.  A genuine exception inside a
+unit (``unit-error``) must surface verbatim: no wrapping that loses the
+original message.
 """
 
 import pytest
@@ -120,35 +120,10 @@ class TestDegradationLadder:
         assert result.stats.units_scheduled == 0
         assert result.stats.degradations == {"scc->monolithic": 1}
 
-    def test_worker_death_retries_sequentially(self, expected):
-        plan = FaultPlan(worker_death=0)
-        result = evaluate(
-            parse(PROGRAM), edb(),
-            EngineOptions(parallel=4, fault_plan=plan),
-        )
-        assert result.answers() == expected
-        assert result.stats.degradations == {"parallel->sequential": 1}
-        assert result.stats.faults_injected == 1
-
-    def test_worker_death_without_parallelism(self, expected):
-        """The ladder also covers sequential scheduling: the unit is
-        simply retried inline."""
-        plan = FaultPlan(worker_death=1)
+    def test_stacked_faults_descend_multiple_rungs(self, expected):
+        plan = FaultPlan(kernel_compile=frozenset(["*"]), index_build=True)
         result = evaluate(
             parse(PROGRAM), edb(), EngineOptions(fault_plan=plan)
-        )
-        assert result.answers() == expected
-        assert result.stats.degradations == {"parallel->sequential": 1}
-
-    def test_stacked_faults_descend_multiple_rungs(self, expected):
-        plan = FaultPlan(
-            kernel_compile=frozenset(["*"]),
-            index_build=True,
-            worker_death=0,
-        )
-        result = evaluate(
-            parse(PROGRAM), edb(),
-            EngineOptions(parallel=2, fault_plan=plan),
         )
         assert result.answers() == expected
         assert result.stats.kernel_launches == 0
@@ -156,7 +131,6 @@ class TestDegradationLadder:
         assert set(result.stats.degradations) == {
             "kernel->interpreter",
             "index->scan",
-            "parallel->sequential",
         }
 
     def test_columnar_and_kernel_faults_stack_to_interpreter(self, expected):
@@ -191,19 +165,15 @@ class TestDegradationLadder:
         assert "kernel->interpreter" in text
 
 
-class TestWorkerFailureSurfaces:
-    """Satellite: a worker thread raising mid-unit must surface the
-    original exception — not deadlock, not vanish into a dropped
-    future — and the per-unit stats gathered before the failure must
-    still merge."""
+class TestUnitFailureSurfaces:
+    """A unit raising mid-run must surface the original exception, and
+    the counters of the units that finished before it must already be
+    in the run's stats."""
 
     def test_unit_error_surfaces_verbatim(self):
         plan = FaultPlan(unit_error=0)
         with pytest.raises(InjectedUnitError) as exc:
-            evaluate(
-                parse(PROGRAM), edb(),
-                EngineOptions(parallel=4, fault_plan=plan),
-            )
+            evaluate(parse(PROGRAM), edb(), EngineOptions(fault_plan=plan))
         # the original message, not a wrapper's
         assert "injected unit error" in str(exc.value)
         # deliberately NOT part of the ReproError hierarchy: genuine
@@ -214,33 +184,18 @@ class TestWorkerFailureSurfaces:
     def test_unit_error_any_unit(self, ordinal):
         plan = FaultPlan(unit_error=ordinal)
         with pytest.raises(InjectedUnitError):
-            evaluate(
-                parse(PROGRAM), edb(),
-                EngineOptions(parallel=4, fault_plan=plan),
-            )
+            evaluate(parse(PROGRAM), edb(), EngineOptions(fault_plan=plan))
 
     def test_unit_error_sequential_scheduling(self):
         plan = FaultPlan(unit_error=0)
         with pytest.raises(InjectedUnitError):
             evaluate(parse(PROGRAM), edb(), EngineOptions(fault_plan=plan))
 
-    def test_no_deadlock_or_swallow_20x(self):
-        """20 repetitions: the failing future must be collected every
-        time regardless of thread interleaving."""
-        program = parse(PROGRAM)
-        plan = FaultPlan(unit_error=1)
-        for _ in range(20):
-            with pytest.raises(InjectedUnitError):
-                evaluate(
-                    program, edb(),
-                    EngineOptions(parallel=4, fault_plan=plan),
-                )
-
     def test_sibling_unit_stats_still_merge(self):
         """Work done by units that completed before the failure is not
-        lost: the barrier merges every unit's partial statistics before
-        re-raising, so the shared stats object already holds the
-        sibling's counters when the exception surfaces."""
+        lost: every unit writes the run's one stats object, so it
+        already holds the sibling's counters when the exception
+        surfaces."""
         from repro.datalog.analysis import analyze
         from repro.engine.faults import FaultInjector
         from repro.engine.governor import Governor
@@ -249,10 +204,10 @@ class TestWorkerFailureSurfaces:
         from repro.engine.statistics import EvalStats
 
         program = parse(PROGRAM)
-        # fail the second unit of the depth-0 batch (tc2); its sibling
-        # tc1 completes and must be merged before the error is raised
+        # fail the second depth-0 unit (tc2); its sibling tc1 completes
+        # first and must be counted when the error is raised
         plan = FaultPlan(unit_error=1)
-        opts = EngineOptions(parallel=4, fault_plan=plan)
+        opts = EngineOptions(fault_plan=plan)
         governor = Governor(opts, FaultInjector(plan))
         info = analyze(program)
         strata = [
@@ -265,8 +220,9 @@ class TestWorkerFailureSurfaces:
         stats = EvalStats()
         with pytest.raises(InjectedUnitError):
             run_scheduled(strata, info, db, stats, {}, opts, governor)
-        assert stats.units_scheduled >= 1  # sibling merged before raise
-        assert "tc1" in stats.unit_rounds  # ...including its rounds
+        assert stats.units_scheduled == 2  # tc1 and the failing tc2
+        assert stats.unit_rounds["tc1"] > 0  # ...including its rounds
+        assert set(stats.unit_rounds) == {"tc1", "tc2"}
         assert stats.facts_derived > 0
         assert len(db.rows("tc1")) == 55  # tc1's fixpoint completed
 
@@ -279,7 +235,6 @@ class TestFaultSpecParsing:
                 "kernel-compile:tc1",
                 "index-build",
                 "scheduler",
-                "worker-death:2",
                 "unit-error:3",
                 "slow-unit:1:0.25",
             ]
@@ -287,7 +242,6 @@ class TestFaultSpecParsing:
         assert plan.kernel_compile == frozenset(["tc1"])
         assert plan.columnar
         assert plan.index_build and plan.scheduler
-        assert plan.worker_death == 2
         assert plan.unit_error == 3
         assert plan.slow_unit == 1 and plan.slow_s == 0.25
 
@@ -300,7 +254,9 @@ class TestFaultSpecParsing:
         assert not parse_fault_specs([]).any()
 
     @pytest.mark.parametrize(
-        "spec", ["bogus", "worker-death", "worker-death:x", "slow-unit:0:x"]
+        "spec",
+        # the third to fifth are a retired fault kind: rejected like any typo
+        ["bogus", "worker-death", "worker-death:x", "worker-death:2", "slow-unit:0:x"],
     )
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(EvaluationError):

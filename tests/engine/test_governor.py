@@ -19,6 +19,7 @@ from repro.engine import (
     ResourceExhausted,
     evaluate,
 )
+from repro.workloads import families, graphs
 
 TC = """
     tc(X, Y) :- edge(X, Y).
@@ -121,6 +122,50 @@ class TestDerivationBudgets:
         # overshot by at most the one firing in flight when it tripped,
         # never by a whole extra round
         assert partial.stats.facts_derived < full.stats.facts_derived
+
+    @pytest.mark.parametrize("edges", [200, 60])
+    @pytest.mark.parametrize(
+        "flags",
+        [{}, {"use_columnar": False}, {"use_scc": False}, {"use_kernels": False}],
+        ids=["default", "no-columnar", "no-scc", "no-kernel"],
+    )
+    def test_max_facts_overshoots_by_one_firing(self, edges, flags):
+        """The documented contract: the budget is tested at every
+        checkpoint against the exact count, so the run stops at the
+        first boundary after the crossing — here the exit rule's one
+        firing derives |edge| facts, and the recursive rule never
+        starts."""
+        program = families.right_linear_tc()
+        db = Database.from_dict({"edge": graphs.chain(edges + 1)})
+        partial = evaluate(
+            program, db, EngineOptions(max_facts=25, on_limit="partial", **flags)
+        )
+        assert partial.stats.aborted_reason == "max_facts"
+        assert partial.stats.facts_derived == edges
+        assert partial.stats.iterations == 1
+
+    @pytest.mark.parametrize(
+        "limit", [{"deadline_s": 0.0}, {"max_iterations": 0}],
+        ids=["deadline", "max_iterations"],
+    )
+    def test_zero_budget_trips_before_any_firing(self, limit):
+        program = families.right_linear_tc()
+        db = Database.from_dict({"edge": graphs.chain(61)})
+        partial = evaluate(program, db, EngineOptions(on_limit="partial", **limit))
+        assert partial.is_partial
+        assert partial.stats.facts_derived == 0
+        assert partial.stats.rule_firings == 0
+
+    def test_zero_fact_budget_allows_no_second_firing(self):
+        """``max_facts=0`` is crossed by the first firing that derives
+        anything, and trips before the next one starts."""
+        program = families.right_linear_tc()
+        db = Database.from_dict({"edge": graphs.chain(61)})
+        partial = evaluate(
+            program, db, EngineOptions(max_facts=0, on_limit="partial")
+        )
+        assert partial.stats.aborted_reason == "max_facts"
+        assert partial.stats.facts_derived == 60
 
     def test_max_delta_rows_trips_on_recursion(self, tc):
         program, db = tc
@@ -357,44 +402,3 @@ class TestOptionValidation:
     def test_negative_limits_rejected(self, field):
         with pytest.raises(ValidationError):
             EngineOptions(**{field: -1})
-
-
-class TestParallelGovernance:
-    def test_parallel_budget_trip_is_clean(self, siblings):
-        """A limit tripped by one parallel unit cancels the others
-        cooperatively; the error is structured, never a deadlock, and
-        carries merged partial stats."""
-        program, db = siblings
-        opts = EngineOptions(parallel=4, max_facts=3)
-        with pytest.raises(ResourceExhausted) as exc:
-            evaluate(program, db, opts)
-        assert exc.value.reason == "max_facts"
-        assert exc.value.stats is not None
-
-    def test_parallel_partial_is_subset(self, siblings):
-        program, db = siblings
-        full = evaluate(program, db)
-        partial = evaluate(
-            program, db,
-            EngineOptions(parallel=4, max_facts=3, on_limit="partial"),
-        )
-        assert partial.is_partial
-        assert partial.answers() <= full.answers()
-
-    def test_parallel_unhit_limits_stay_deterministic(self):
-        program = parse(SIBLINGS)
-        opts = EngineOptions(
-            parallel=4, deadline_s=300.0, max_facts=10**9
-        )
-
-        def run():
-            # fresh EDB per run: shared base relations carry lazy
-            # index builds across runs, which would skew index_builds
-            db = Database.from_dict({"e1": chain(8), "e2": chain(8)})
-            return evaluate(program, db, opts)
-
-        first = run()
-        for _ in range(5):
-            again = run()
-            assert again.answers() == first.answers()
-            assert again.stats.as_dict() == first.stats.as_dict()

@@ -7,8 +7,7 @@ force: algebraic no-op laws (insert-then-retract, idempotent batches,
 batch order-insensitivity), the maintenance counters and their
 invariants (``units_reactivated <= units_scheduled``, unaffected units
 skipped), copy-on-write isolation between sessions sharing one EDB,
-bit-determinism of parallel-mode sessions under updates, and the
-prepared-program cache (hits skip planning without changing a single
+and the prepared-program cache (hits skip planning without changing a single
 counter).
 """
 
@@ -19,7 +18,6 @@ import pytest
 from repro.datalog import Database, parse
 from repro.datalog.errors import ArityError
 from repro.engine import (
-    EngineOptions,
     IncrementalSession,
     clear_prepared_cache,
     evaluate,
@@ -204,34 +202,6 @@ class TestSharedEdbIsolation:
         session.retract({"edge": [(1, 2)]})
         assert (1, 2) in edb.rows("edge")
         assert (1, 2) not in session.facts("edge")
-
-
-class TestParallelDeterminism:
-    def test_parallel_sessions_bit_deterministic_under_updates(self):
-        """20 identical parallel-mode sessions through one update
-        script: identical facts and identical counters, bit for bit."""
-        program_text = SIBLINGS
-
-        def run():
-            session = IncrementalSession(
-                parse(program_text),
-                Database.from_dict({"e1": chain(6), "e2": chain(6)}),
-                EngineOptions(parallel=4),
-            )
-            session.insert({"e1": [(6, 7)], "e2": [(6, 7)]})
-            session.retract({"e1": [(2, 3)]})
-            session.insert({"e2": [(9, 2)]})
-            session.retract({"e2": [(0, 1)], "e1": [(6, 7)]})
-            return (
-                snapshot(session, ["e1", "e2", "tc1", "tc2", "q"]),
-                session.stats.as_dict(),
-            )
-
-        first_state, first_stats = run()
-        for _ in range(19):
-            state, stats = run()
-            assert state == first_state
-            assert stats == first_stats
 
 
 class TestPreparedCache:

@@ -2,19 +2,19 @@
 
 Covers the scheduling guarantees the oracle suite cannot see from
 answers alone: the iteration accounting (scheduled rounds never exceed
-the monolithic loop's), the new unit counters, component-local cut
-termination, and determinism of parallel execution.
+the monolithic loop's), the new unit counters, and component-local cut
+termination.
 """
 
 import pytest
 
 from repro.datalog import Database, parse
-from repro.datalog.errors import ValidationError
 from repro.engine import (
     EngineOptions,
     EvalStats,
     Governor,
     IncrementalSession,
+    ResourceExhausted,
     evaluate,
     run_seeded_unit,
 )
@@ -43,9 +43,8 @@ class TestIterationAccounting:
     # sibling_components is excluded by design: its three *recursive*
     # units run disjoint fixpoints whose rounds sum, while the
     # monolithic loop interleaves all three per round and pays only the
-    # deepest one's count — that family's win is schedule length under
-    # --parallel (units at one depth share wall-clock), not total
-    # rounds.  Every other curated family must not regress.
+    # deepest one's count — on that family SCC scheduling costs rounds
+    # (EXPERIMENTS.md).  Every other curated family must not regress.
     SWEEP = sorted(set(all_families()) - {"sibling_components"})
 
     @pytest.mark.parametrize("name", SWEEP)
@@ -92,7 +91,6 @@ class TestUnitCounters:
         result = evaluate(program, db)
         stats = result.stats
         assert stats.units_scheduled == 3
-        assert stats.units_parallel == 0  # parallel=1
         assert set(stats.unit_rounds) == {"s", "r", "q"}
         # only the recursive unit iterates; s and q are single passes
         assert stats.unit_rounds["s"] == 0 and stats.unit_rounds["q"] == 0
@@ -120,13 +118,28 @@ class TestUnitCounters:
         db = random_edb(program, rows=15, domain=6, seed=0)
         stats = evaluate(program, db, EngineOptions(use_scc=False)).stats
         assert stats.units_scheduled == 0
-        assert stats.units_parallel == 0
         assert stats.unit_early_exits == 0
         assert stats.unit_rounds == {}
 
-    def test_parallel_requires_positive_width(self):
-        with pytest.raises(ValidationError):
-            EngineOptions(parallel=0)
+    def test_trip_lists_exactly_the_units_that_started(self):
+        """A limit tripped mid-run leaves ``units_scheduled`` and
+        ``unit_rounds`` naming the finished units and the tripping one —
+        never a unit that had not started."""
+        program = sibling_components()
+        db = random_edb(program, rows=20, domain=8, seed=3)
+        full = evaluate(program, db).stats
+        assert list(full.unit_rounds) == ["tc1", "tc2", "tc3", "q"]
+        # one round more than tc1 needs: tc2 starts, and trips on its
+        # second round
+        limit = full.unit_rounds["tc1"] + 1
+        with pytest.raises(ResourceExhausted) as exc:
+            evaluate(program, db, EngineOptions(max_iterations=limit))
+        assert exc.value.reason == "max_iterations"
+        assert exc.value.unit == "tc2"
+        stats = exc.value.stats
+        assert stats.units_scheduled == 2
+        assert stats.unit_rounds == {"tc1": full.unit_rounds["tc1"], "tc2": 2}
+        assert stats.iterations == limit + 1
 
 
 class TestComponentLocalCut:
@@ -271,40 +284,3 @@ class TestOneFixpointDriver:
         session = IncrementalSession(program, db)
         resumed = session.insert({"e": {(3,)}, "f": {(3,)}})
         assert resumed.unit_rounds == {"p": 2, "q": 2}
-
-
-class TestDeterministicParallelism:
-    def test_parallel_runs_are_bit_identical(self):
-        """20 runs at --parallel 4 over >= 3 sibling recursive
-        components: answers and the complete counter dict (including
-        per-unit rounds) must be identical on every run — the thread
-        pool's completion order must never leak into results."""
-        program = sibling_components()
-        make_db = lambda: random_edb(program, rows=20, domain=8, seed=3)
-        opts = EngineOptions(parallel=4)
-        first = evaluate(program, make_db(), opts)
-        assert first.stats.units_parallel >= 3
-        for _ in range(19):
-            again = evaluate(program, make_db(), opts)
-            assert again.answers() == first.answers()
-            assert again.stats.as_dict() == first.stats.as_dict()
-
-    def test_parallel_differs_from_sequential_only_in_batch_counter(self):
-        program = sibling_components()
-        make_db = lambda: random_edb(program, rows=20, domain=8, seed=3)
-        seq = evaluate(program, make_db()).stats.as_dict()
-        par = evaluate(program, make_db(), EngineOptions(parallel=4)).stats.as_dict()
-        assert seq.pop("units_parallel") == 0
-        assert par.pop("units_parallel") == 3
-        assert seq == par
-
-    def test_parallel_provenance_matches_sequential(self):
-        program = sibling_components()
-        make_db = lambda: random_edb(program, rows=20, domain=8, seed=3)
-        seq = evaluate(
-            program, make_db(), EngineOptions(record_provenance=True)
-        )
-        par = evaluate(
-            program, make_db(), EngineOptions(record_provenance=True, parallel=4)
-        )
-        assert par.provenance == seq.provenance

@@ -57,8 +57,8 @@ against every engine, not just the default one.
 
 The ``REPRO_ORACLE_BASE`` environment variable overlays base engine
 options under every strategy (strategy-specific overrides win), e.g.
-``REPRO_ORACLE_BASE=no-kernel,parallel=4`` re-runs the whole oracle
-suite with the interpreter and a 4-thread unit scheduler, and
+``REPRO_ORACLE_BASE=no-kernel,no-scc`` re-runs the whole oracle
+suite with the interpreter under the monolithic loop, and
 ``REPRO_ORACLE_BASE=no-columnar`` sweeps it on the tuple kernels with
 the columnar plane off.  CI uses this to sweep the engine flag matrix
 without duplicating the suite.
@@ -111,8 +111,6 @@ def _base_overrides() -> dict:
             out["use_columnar"] = False
         elif token == "no-cost-planner":
             out["use_cost_planner"] = False
-        elif token.startswith("parallel="):
-            out["parallel"] = int(token.split("=", 1)[1])
         else:
             raise ValueError(f"unknown REPRO_ORACLE_BASE token {token!r}")
     return out

@@ -15,7 +15,7 @@ derivation only ever adds true consequences, so even an aborted run's
 facts are sound.
 
 ``REPRO_ORACLE_BASE`` overlays engine flags (no-kernel, no-scc,
-parallel=N, ...) so CI sweeps this suite across the same matrix as the
+no-index, ...) so CI sweeps this suite across the same matrix as the
 differential oracle.
 """
 
@@ -39,8 +39,8 @@ from .harness import engine_options
 FAMILIES = all_families()
 
 #: families exercising every engine shape: plain recursion, ≥3 sibling
-#: units at one condensation depth (parallel batches), and stratified
-#: negation (multi-stratum scheduling)
+#: units at one condensation depth, and stratified negation
+#: (multi-stratum scheduling)
 WORKLOADS = ["right_linear_tc", "sibling_components", "win_move_stratified"]
 
 FAULT_PLANS = {
@@ -51,13 +51,9 @@ FAULT_PLANS = {
     "kernel-one": FaultPlan(kernel_compile=frozenset(["tc"])),
     "index": FaultPlan(index_build=True),
     "scheduler": FaultPlan(scheduler=True),
-    "worker-death-0": FaultPlan(worker_death=0),
-    "worker-death-2": FaultPlan(worker_death=2),
     "unit-error-0": FaultPlan(unit_error=0),
     "slow-unit": FaultPlan(slow_unit=0, slow_s=0.001),
-    "stacked": FaultPlan(
-        kernel_compile=frozenset(["*"]), index_build=True, worker_death=1
-    ),
+    "stacked": FaultPlan(kernel_compile=frozenset(["*"]), index_build=True),
 }
 
 GOVERNOR_CONFIGS = {
@@ -142,11 +138,11 @@ def test_governor_preserves_oracle_property(workload_name, config_name):
 
 @pytest.mark.parametrize("workload_name", WORKLOADS)
 def test_faults_under_tight_budget(workload_name):
-    """Faults and limits together: degradation retries must respect
-    the budget, and the combined outcome still lands in the triad."""
+    """Faults and limits together: degraded rungs must respect the
+    budget, and the combined outcome still lands in the triad."""
     program, db = workload(workload_name)
     oracle = oracle_answers(workload_name)
-    for plan_name in ("kernel-all", "worker-death-0", "stacked"):
+    for plan_name in ("kernel-all", "stacked"):
         opts = engine_options(
             {
                 "fault_plan": FAULT_PLANS[plan_name],
@@ -158,20 +154,6 @@ def test_faults_under_tight_budget(workload_name):
             program, db, opts, oracle,
             f"{workload_name}/{plan_name}+tight",
         )
-
-
-@pytest.mark.parametrize("workload_name", WORKLOADS)
-def test_parallel_faulted_runs_are_exact(workload_name):
-    """Recoverable faults under a 4-thread scheduler still produce the
-    exact fixpoint, repeatedly (10×: interleaving-independent)."""
-    program, db = workload(workload_name)
-    oracle = oracle_answers(workload_name)
-    plan = FaultPlan(kernel_compile=frozenset(["*"]), worker_death=0)
-    opts = engine_options({"parallel": 4, "fault_plan": plan})
-    for _ in range(10):
-        result = evaluate(program, db, opts)
-        assert result.answers() == oracle
-        assert not result.is_partial
 
 
 def _maintenance_batches(program):
@@ -198,33 +180,6 @@ def _scratch_facts(program, base_rows):
         db.ensure(pred, arities[pred]).update(base_rows.get(pred, ()))
     result = evaluate(program, db, engine_options({}))
     return {p: result.db.rows(p) for p in sorted(arities)}
-
-
-@pytest.mark.parametrize("workload_name", WORKLOADS)
-def test_worker_death_during_maintenance_degrades_and_stays_exact(
-    workload_name,
-):
-    """The ladder case: a worker dies inside a maintenance batch (the
-    per-batch injector re-arms every one-shot fault).  The batch must
-    retry on the parallel->sequential rung, record it, and land on the
-    exact maintained state."""
-    program, db = workload(workload_name)
-    plan = FaultPlan(worker_death=0)
-    opts = engine_options({"fault_plan": plan, "parallel": 4})
-    session = IncrementalSession(program, db, opts)
-    base = {p: set(db.rows(p)) for p in db.predicates()}
-    pred, ins, rem = _maintenance_batches(program)
-    stats = session.insert(ins)
-    base[pred].update(map(tuple, ins[pred]))
-    assert stats.faults_injected >= 1
-    assert "parallel->sequential" in stats.degradations
-    for p, want in _scratch_facts(program, base).items():
-        assert session.facts(p) == want, f"{workload_name}: {p} diverged"
-    stats = session.retract(rem)
-    base[pred].difference_update(map(tuple, rem[pred]))
-    assert stats.faults_injected >= 1
-    for p, want in _scratch_facts(program, base).items():
-        assert session.facts(p) == want, f"{workload_name}: {p} diverged"
 
 
 @pytest.mark.parametrize("workload_name", WORKLOADS)
@@ -258,7 +213,7 @@ def test_faulted_governed_maintenance_keeps_the_triad(workload_name):
     never a silent divergence."""
     program, db = workload(workload_name)
     pred, ins, rem = _maintenance_batches(program)
-    for plan_name in ("worker-death-0", "scheduler", "stacked"):
+    for plan_name in ("scheduler", "stacked"):
         opts = engine_options(
             {
                 "fault_plan": FAULT_PLANS[plan_name],

@@ -8,7 +8,7 @@ provenance justification for every derived fact.  This suite drives
 random update scripts against curated families and 200 fixed random
 programs and checks that claim after **every** batch, under the
 suite-wide ``REPRO_ORACLE_BASE`` overlays (CI sweeps kernel/interp x
-index/scan x scc/monolithic x parallel through the same tests) and,
+index/scan x scc/monolithic through the same tests) and,
 in-process, across every named strategy overlay.  Every state is also
 read back through point queries — a constant at each position, a
 constant no row holds, a repeated variable — and each read must equal
@@ -176,11 +176,6 @@ def test_ivm_strategy_matrix(label, name):
 @pytest.mark.parametrize("name", ["right_linear_tc", "bill_of_materials"])
 def test_ivm_provenance_stays_valid(name):
     _run_script(FAMILIES[name], {}, seed=2, record_provenance=True)
-
-
-@pytest.mark.parametrize("parallel", [2, 4])
-def test_ivm_under_parallel_scheduler(parallel):
-    _run_script(FAMILIES["sibling_components"], {"parallel": parallel}, seed=1)
 
 
 @given(random_programs(), st.integers(min_value=0, max_value=3))

@@ -65,14 +65,6 @@ def test_scheduler_vs_monolithic_on_families(name, combo):
     assert_scheduler_agrees(program, db, **ENGINE_COMBOS[combo])
 
 
-@pytest.mark.parametrize("name", sorted(FAMILIES))
-def test_parallel_scheduler_vs_monolithic_on_families(name):
-    program = FAMILIES[name]
-    db = random_edb(program, rows=14, domain=7, seed=2)
-    scheduled, _ = assert_scheduler_agrees(program, db, parallel=4)
-    assert scheduled.stats.units_scheduled >= 1
-
-
 @given(random_programs(), st.integers(min_value=0, max_value=3))
 @settings(
     max_examples=200,

@@ -6,7 +6,7 @@ just the same answers, but the same fact counts, duplicates, join
 probes, rows scanned, index builds, and per-unit rounds.  This suite
 checks full-state agreement on the curated program families and on the
 200 fixed random oracle programs (``derandomize=True``), in both index
-modes and under the monolithic and parallel schedulers.
+modes and under the monolithic loop.
 
 Provenance-recording runs route to the tuple path before the vector
 kernel is consulted (packed batches carry no per-fact body rows), so
@@ -86,12 +86,11 @@ def test_columnar_differential_on_curated_families(name, seed):
 
 @pytest.mark.parametrize("name", ["right_linear_tc", "bill_of_materials"])
 def test_columnar_differential_composes_with_scheduler_modes(name):
-    """Parity holds under the monolithic loop and the parallel unit
-    scheduler, not just the default sequential SCC schedule."""
+    """Parity holds under the monolithic loop, not just the default
+    SCC schedule."""
     program = FAMILIES[name]
     db = random_edb(program, rows=14, domain=7, seed=0)
     _assert_columnar_matches(program, db, use_scc=False)
-    _assert_columnar_matches(program, db, parallel=2)
 
 
 def test_columnar_path_is_not_vacuously_equal():
