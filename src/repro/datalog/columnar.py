@@ -1,4 +1,4 @@
-"""Dictionary-encoded columnar storage for relations.
+"""Dictionary encoding and the packed image of a relation.
 
 The tuple engine stores rows as tuples of arbitrary Python objects;
 every join probe pays object hashing and per-tuple dispatch.  This
@@ -6,63 +6,47 @@ module adds a second, *derived* representation under the same
 :class:`~repro.datalog.database.Relation` API:
 
 - a process-wide :class:`ConstantDictionary` interning every constant
-  once into a dense integer id (value ↔ id, append-only, so an id is
-  stable for the life of the process unless :meth:`ConstantDictionary.clear`
-  bumps the epoch);
-- a per-relation :class:`ColumnStore` holding the rows column-wise as
-  ``array('q')`` integer arrays plus the encoded-row structures the
-  vector kernel and its absorb path read: a set of encoded rows, hash
-  postings keyed on encoded ids (the source of the kernel's CSR probe
-  images) and the packed-int run/Bloom membership structures.
+  once into a dense integer id (append-only, so an id is stable until
+  :meth:`ConstantDictionary.clear` bumps the epoch);
+- the one codec for the *packed row* — a row of arity ≤ 3 as a single
+  int64, 21 bits per id; no other module knows the layout;
+- a per-relation :class:`ColumnStore` holding exactly what the vector
+  kernel reads — runs + Bloom + CSR, built on demand: sorted packed
+  runs behind a Bloom prefilter (the absorb path's membership) and the
+  CSR probe images.
 
-The store is a cache over the relation's raw row set: it is built
-lazily, maintained incrementally on insert, and simply dropped on
-retraction or dictionary epoch change (rebuilt on next use).  Copies
-share the store copy-on-write — :meth:`ColumnStore.copy` duplicates
-the column arrays and row set but not the derived postings.
+The store is a cache over the relation's raw rows and hash indexes: it
+encodes nothing when created, the runs are packed from the raw row set
+in one pass and the CSR images are laid out from the raw hash index
+(same posting order — the vector kernel must derive each round's facts
+in the tuple kernel's order and reproduce its counters bit-for-bit),
+each stamped with the relation version it describes.  A raw ``add``
+leaves the stamp stale (the next packed use rebuilds), retraction and a
+dictionary epoch change drop the store, and copies do not carry it.
 
-**Order parity.**  The vector kernel must reproduce the tuple engine's
-stats counters bit-for-bit and derive each round's facts in the tuple
-kernel's order, and some tuple paths (existential scans with repeated
-variables, provenance) are enumeration-order dependent.  Encoded
-postings are therefore *derived from the raw hash index* (same posting
-order) instead of keeping an independently ordered mirror.
-
-Note on value identity: interning is keyed by ``==``/``hash`` like the
-raw row sets, so values the raw engine already conflates (``1``,
-``1.0``, ``True``) share one id and decode to the first-interned
-representative — exactly the representative-choice freedom the raw
-set storage already has.
+Interning is keyed by ``==``/``hash`` like the raw row sets, so values
+the raw engine already conflates (``1``, ``1.0``, ``True``) share one
+id and decode to the first-interned representative.
 """
 
 from __future__ import annotations
 
 import threading
-from array import array
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Collection, Iterable, Optional, Sequence
 
-try:  # numpy is optional; column arrays fall back to array('q')
+try:  # numpy is optional; without it nothing packs and no store fills
     import numpy as _np
 except Exception:  # pragma: no cover - environment without numpy
     _np = None
 
 __all__ = [
-    "ConstantDictionary",
-    "ColumnStore",
-    "global_dictionary",
-    "numpy_available",
-    "PACK_SHIFT",
-    "PACK_LIMIT",
-    "pack_encoded",
-    "unpack_column",
+    "ConstantDictionary", "ColumnStore", "global_dictionary", "numpy_available",
+    "PACK_SHIFT", "PACK_LIMIT", "pack_encoded", "pack_rows", "pack_columns",
+    "unpack_column", "decode_rows",
 ]
 
-Row = tuple
-EncodedRow = tuple
-
-#: bits per column in the packed single-int row representation used by
-#: the vectorized kernels: a row of arity k ≤ 3 packs into one int64
-#: by Horner's rule as long as every id is below ``PACK_LIMIT``
+#: bits per id in the packed row: arity k ≤ 3 packs into one int64 by
+#: Horner's rule as long as every id is below ``PACK_LIMIT``
 PACK_SHIFT = 21
 PACK_LIMIT = 1 << PACK_SHIFT
 
@@ -78,22 +62,8 @@ if _np is not None:
     _B63 = _np.uint64(63)
 
 
-def pack_encoded(enc: Sequence[int]) -> int:
-    """Pack an encoded row into one int (ids must be < PACK_LIMIT)."""
-    packed = 0
-    for c in enc:
-        packed = (packed << PACK_SHIFT) | c
-    return packed
-
-
-def unpack_column(arr, arity: int, position: int):
-    """The ids at *position* of packed rows *arr* (an int64 ndarray of
-    :func:`pack_encoded` values for rows of *arity*), as an ndarray."""
-    return (arr >> (PACK_SHIFT * (arity - 1 - position))) & (PACK_LIMIT - 1)
-
-
 def numpy_available() -> bool:
-    """True iff numpy is importable (``ColumnStore.numpy_column``)."""
+    """True iff numpy is importable (the packed plane needs it)."""
     return _np is not None
 
 
@@ -106,7 +76,7 @@ class ConstantDictionary:
     CPython list reads are safe under the GIL and the prefix up to a
     published id never changes.  :meth:`clear` swaps both maps for
     fresh ones and bumps ``epoch``; stores stamped with an older epoch
-    rebuild themselves on next access.
+    are replaced on next access.
     """
 
     __slots__ = ("_ids", "_values", "_lock", "epoch")
@@ -136,12 +106,19 @@ class ConstantDictionary:
                 ids[value] = code
             return code
 
-    def intern_row(self, row: Sequence) -> EncodedRow:
+    def intern_row(self, row: Sequence) -> tuple:
         """Encode a raw row to a tuple of ids."""
-        intern = self.intern
-        return tuple(intern(v) for v in row)
+        return tuple(self.intern_column(row))
 
-    def decode_row(self, enc: Sequence[int]) -> Row:
+    def intern_column(self, values: Collection) -> list:
+        """The ids of *values*, in order: one dict lookup each, and the
+        locked path only when some value is new."""
+        codes = list(map(self._ids.get, values))
+        if None in codes:
+            codes = list(map(self.intern, values))
+        return codes
+
+    def decode_row(self, enc: Sequence[int]) -> tuple:
         """Decode a tuple of ids back to raw values."""
         values = self._values
         return tuple(values[c] for c in enc)
@@ -176,7 +153,6 @@ class ConstantDictionary:
             self.epoch += 1
 
 
-#: the process-wide dictionary every relation encodes against
 _GLOBAL = ConstantDictionary()
 
 
@@ -186,181 +162,164 @@ def global_dictionary() -> ConstantDictionary:
     return _GLOBAL
 
 
+# -- the packed-row codec ------------------------------------------------------
+
+
+def pack_encoded(enc: Sequence[int]) -> int:
+    """Pack an encoded row into one int (ids must be < PACK_LIMIT)."""
+    packed = 0
+    for c in enc:
+        packed = (packed << PACK_SHIFT) | c
+    return packed
+
+
+def pack_columns(cols: Iterable, n: int):
+    """:func:`pack_encoded` over id columns (int64 ndarrays of length
+    *n*, or scalar ids broadcast over it): one int64 per row."""
+    out = _np.zeros(n, dtype=_np.int64)
+    for col in cols:
+        out <<= PACK_SHIFT
+        out |= col
+    return out
+
+
+def pack_rows(rows: Collection[tuple], arity: int, dictionary: ConstantDictionary):
+    """Intern and pack raw *rows* into one int64 per row, in iteration
+    order; None when the rows cannot be packed — an id at or past
+    ``PACK_LIMIT``, arity above 3, or no numpy."""
+    if _np is None or arity > 3:
+        return None
+    cols = []
+    for values in zip(*rows):
+        ids = _np.array(dictionary.intern_column(values), dtype=_np.int64)
+        if int(ids.max()) >= PACK_LIMIT:
+            return None
+        cols.append(ids)
+    return pack_columns(cols, len(rows))
+
+
+def unpack_column(arr, arity: int, position: int):
+    """The ids at *position* of packed rows *arr* (an int64 ndarray of
+    :func:`pack_encoded` values for rows of *arity*), as an ndarray."""
+    return (arr >> (PACK_SHIFT * (arity - 1 - position))) & (PACK_LIMIT - 1)
+
+
+def decode_rows(arr, arity: int, values: list, positions: Optional[Sequence[int]] = None) -> list:
+    """Packed rows *arr* as raw tuples in order, ids resolved through
+    the id → value table *values*; *positions* projects (default: the
+    whole row)."""
+    if positions is None:
+        positions = range(arity)
+    if not positions:
+        return [()] * len(arr)
+    cols = [
+        map(values.__getitem__, unpack_column(arr, arity, p).tolist())
+        for p in positions
+    ]
+    return list(zip(*cols))
+
+
 class ColumnStore:
-    """The encoded columnar image of one relation's rows.
-
-    Built lazily by :meth:`Relation.column_store` and maintained
-    incrementally on insert; dropped (and later rebuilt) on retraction
-    or dictionary epoch change.  All structures hold *encoded* values:
-
-    ``columns``
-        one ``array('q')`` per argument position, rows in insertion
-        order — the dense storage contract (``numpy_column`` exposes a
-        zero-copy ndarray view when numpy is present);
-    ``row_set``
-        the set of encoded row tuples (snapshots, degree profiles and
-        the packed membership set are derived from it);
-    postings (``encoded_index``)
-        per bound-position-set hash postings, derived from the raw
-        index so posting order matches the tuple engine's enumeration.
+    """The packed image of one relation: what the vector kernel reads.
+    Created empty by :meth:`Relation.column_store`; the owning relation
+    fills it under its build lock and decides when it is stale.
+    ``runs`` are sorted disjoint int64 runs covering every packed row
+    (searchsorted membership, log-structured merges) behind the
+    ``bloom`` prefilter, valid only while ``runs_version`` equals the
+    relation's version; ``overflow`` records a row with an id at or past
+    ``PACK_LIMIT``, which sends the absorb path back to tuple-at-a-time
+    for the life of the store; ``csr`` holds the probe images,
+    ``position → (relation version, image, builds so far)``.
     """
 
     __slots__ = (
-        "dictionary",
-        "arity",
-        "epoch",
-        "columns",
-        "row_set",
-        "_postings",
-        "_pending",
-        "_pending_rows",
-        "_packed",
-        "_packed_overflow",
-        "_runs",
-        "_runs_version",
-        "_bloom",
-        "_bloom_log2",
-        "_csr",
-        "_lock",
+        "dictionary", "arity", "epoch", "overflow",
+        "runs", "runs_version", "bloom", "bloom_log2", "csr",
     )
 
-    def __init__(self, dictionary: ConstantDictionary, arity: int, rows: Iterable):
+    def __init__(self, dictionary: ConstantDictionary, arity: int):
         self.dictionary = dictionary
         self.arity = arity
         self.epoch = dictionary.epoch
-        intern = dictionary.intern
-        enc = [tuple(intern(v) for v in row) for row in rows]
-        self.row_set: set = set(enc)
-        self.columns: list = [
-            array("q", (r[p] for r in enc)) for p in range(arity)
-        ]
-        self._postings: dict = {}
-        #: packed-row chunks (int64 ndarrays, insertion order) absorbed
-        #: by the vectorized kernels but not yet folded into the
-        #: encoded-tuple structures above; flushed lazily when an
-        #: encoded-tuple consumer next touches the store
-        self._pending: list = []
-        self._pending_rows: int = 0
-        #: set of all rows (flushed and pending) in packed-int form;
-        #: None until a vectorized absorb builds it, or permanently
-        #: None once an id exceeded PACK_LIMIT (``_packed_overflow``)
-        self._packed: Optional[set] = None
-        self._packed_overflow: bool = False
-        #: sorted disjoint int64 runs covering every packed row — the
-        #: vectorized absorb path's dedup structure (searchsorted
-        #: membership, log-structured merges); valid only while
-        #: ``_runs_version`` equals the owning relation's version
-        self._runs: Optional[list] = None
-        self._runs_version: int = -1
-        #: Bloom prefilter over the packed rows the runs cover: fresh
-        #: derivations miss here and skip the searchsorted passes
-        #: entirely; only the (rare) maybe-present candidates pay a
-        #: precise run probe.  Rebuilt alongside the runs and grown
-        #: whenever occupancy drops below ~8 bits per key.
-        self._bloom: Any = None
-        self._bloom_log2: int = 0
-        #: per-position CSR probe images for the vectorized kernels,
-        #: keyed by bound position and stamped with the relation
-        #: version they were built at
-        self._csr: dict = {}
-        #: serializes flushes: relations sharing this store copy-on-
-        #: write may flush concurrently from different threads
-        self._lock = threading.Lock()
+        self.overflow: bool = False
+        self.runs: list = []
+        self.runs_version: int = -1
+        self.bloom: Any = None
+        self.bloom_log2: int = 0
+        self.csr: dict = {}
 
-    def __len__(self) -> int:
-        return len(self.row_set) + self._pending_rows
+    def rebuild(self, rows: Collection[tuple], version: int) -> None:
+        """Pack the runs from the raw row set at *version*: intern + pack, then one sort."""
+        arr = pack_rows(rows, self.arity, self.dictionary)
+        if arr is None:
+            self.overflow = True
+            self.runs, self.bloom = [], None  # nothing reads them again
+            return
+        arr.sort()
+        self.runs = [arr] if arr.size else []
+        self._bloom_rebuild(arr.size)
+        self.runs_version = version  # last: the stamp publishes both
 
-    # -- maintenance --------------------------------------------------------
+    def novel_mask(self, uniq):
+        """Boolean mask over sorted packed rows *uniq* marking which
+        the runs do not hold.  A genuinely new row misses both Bloom
+        probes, so only the few maybe-present candidates pay a
+        searchsorted pass per run."""
+        mask = _np.ones(uniq.size, dtype=bool)
+        cand = self._bloom_maybe(uniq).nonzero()[0]
+        if cand.size:
+            vals = uniq.take(cand)
+            hit = _np.zeros(cand.size, dtype=bool)
+            for run in self.runs:
+                # clip keeps take() in bounds; the clipped last slot can
+                # never compare equal for a value beyond the run's max
+                idx = _np.minimum(run.searchsorted(vals), run.size - 1)
+                hit |= run.take(idx) == vals
+            mask[cand[hit]] = False
+        return mask
 
-    def add_raw(self, row: Sequence) -> None:
-        """Encode and absorb one raw row (already known new)."""
-        intern = self.dictionary.intern
-        enc = tuple(intern(v) for v in row)
-        if self._pending:
-            self.flush()
-        self.row_set.add(enc)
-        for col, v in zip(self.columns, enc):
-            col.append(v)
-        for positions, postings in self._postings.items():
-            if len(positions) == 1:
-                key = enc[positions[0]]
-            else:
-                key = tuple(enc[p] for p in positions)
-            posting = postings.get(key)
-            if posting is None:
-                postings[key] = [enc]
-            else:
-                posting.append(enc)
-        packed = self._packed
-        if packed is not None:
-            if any(c >= PACK_LIMIT for c in enc):
-                self._packed = None
-                self._packed_overflow = True
-            else:
-                packed.add(pack_encoded(enc))
+    def extend(self, sorted_fresh, version: int) -> None:
+        """Add sorted packed rows known to be new, bringing the runs to *version*."""
+        runs = self.runs
+        runs.append(sorted_fresh)
+        # log-structured merging: keep run sizes geometrically
+        # decreasing so membership stays O(log n) searchsorted
+        # passes and total merge work stays O(n log n)
+        while len(runs) > 1 and 2 * runs[-1].size >= runs[-2].size:
+            merged = _np.concatenate((runs.pop(), runs.pop()))
+            merged.sort(kind="stable")  # timsort: one linear merge of two runs
+            runs.append(merged)
+        self.runs_version = version
+        total = sum(r.size for r in runs)
+        if total << 3 > (1 << self.bloom_log2):
+            self._bloom_rebuild(total)  # keep ≥8 bits/key
+        else:
+            self._bloom_add(sorted_fresh)
 
-    # -- packed fast path ---------------------------------------------------
-
-    def packed_set(self) -> Optional[set]:
-        """The set of all rows in packed-int form (vectorized dedup).
-
-        Built lazily from the encoded row set; returns None — forever —
-        once any id fails the ``PACK_LIMIT`` bound, which sends the
-        vectorized absorb path back to the tuple-at-a-time one.
-        """
-        packed = self._packed
-        if packed is not None:
-            return packed
-        if self._packed_overflow:
-            return None
-        packed = set()
-        for enc in self.row_set:
-            if any(c >= PACK_LIMIT for c in enc):
-                self._packed_overflow = True
-                return None
-            packed.add(pack_encoded(enc))
-        for chunk in self._pending:
-            packed.update(chunk.tolist())
-        self._packed = packed
-        return packed
-
-    def add_packed_pending(self, fresh) -> None:
-        """Buffer one chunk of packed rows (an int64 ndarray in
-        derivation order) absorbed by a vectorized kernel.
-
-        The caller has already deduplicated *fresh* against every
-        existing row; the encoded-tuple structures here are brought up
-        to date by :meth:`flush` only when something reads them.
-        """
-        self._pending.append(fresh)
-        self._pending_rows += len(fresh)
-
-    # -- packed-row Bloom prefilter -----------------------------------------
-
-    def bloom_rebuild(self, runs: list, total: int) -> None:
+    def _bloom_rebuild(self, total: int) -> None:
         """(Re)build the Bloom prefilter over every packed row the runs
         cover, sized to at least 8 bits per key (≥ 1 MiB of bits)."""
         log2 = max(20, int(8 * max(total, 1) - 1).bit_length())
-        self._bloom_log2 = log2
-        self._bloom = _np.zeros(1 << (log2 - 6), dtype=_np.uint64)
-        for run in runs:
-            self.bloom_add(run)
+        self.bloom_log2 = log2
+        self.bloom = _np.zeros(1 << (log2 - 6), dtype=_np.uint64)
+        for run in self.runs:
+            self._bloom_add(run)
 
-    def bloom_add(self, arr) -> None:
+    def _bloom_add(self, arr) -> None:
         """Mark sorted packed rows *arr* (an int64 ndarray) present."""
-        words = self._bloom
-        shift = _np.uint64(64 - self._bloom_log2)
+        words = self.bloom
+        shift = _np.uint64(64 - self.bloom_log2)
         u = arr.view(_np.uint64)
         for k in (_BLOOM_K1, _BLOOM_K2):
             h = (u * k) >> shift
             _np.bitwise_or.at(words, h >> _B6, _B1 << (h & _B63))
 
-    def bloom_maybe(self, arr):
+    def _bloom_maybe(self, arr):
         """Per-element maybe-present flags (uint64 0/1) for packed rows
         *arr*; zero means definitely absent, one means a precise run
         probe is required (~2% false positives at design occupancy)."""
-        words = self._bloom
-        shift = _np.uint64(64 - self._bloom_log2)
+        words = self.bloom
+        shift = _np.uint64(64 - self.bloom_log2)
         u = arr.view(_np.uint64)
         h1 = (u * _BLOOM_K1) >> shift
         h2 = (u * _BLOOM_K2) >> shift
@@ -369,136 +328,3 @@ class ColumnStore:
             & (words[h2 >> _B6] >> (h2 & _B63))
             & _B1
         )
-
-    def flush(self) -> None:
-        """Fold pending packed rows into the encoded-tuple structures
-        (row set, column arrays, postings), preserving insertion order."""
-        if not self._pending:
-            return
-        with self._lock:
-            pending = self._pending
-            if not pending:  # lost the race to another flusher
-                return
-            arity = self.arity
-            arr = pending[0] if len(pending) == 1 else _np.concatenate(pending)
-            if arity == 0:
-                enc_rows: list = [()] * len(arr)
-                col_lists: list = []
-            else:
-                col_lists = [
-                    unpack_column(arr, arity, p).tolist() for p in range(arity)
-                ]
-                enc_rows = (
-                    list(zip(*col_lists))
-                    if arity > 1
-                    else [(c,) for c in col_lists[0]]
-                )
-            self.row_set.update(enc_rows)
-            for p, col in enumerate(self.columns):
-                col.extend(col_lists[p])
-            for positions, postings in self._postings.items():
-                single = len(positions) == 1
-                p0 = positions[0] if single else None
-                for enc in enc_rows:
-                    key = enc[p0] if single else tuple(enc[p] for p in positions)
-                    posting = postings.get(key)
-                    if posting is None:
-                        postings[key] = [enc]
-                    else:
-                        posting.append(enc)
-            self._pending = []
-            self._pending_rows = 0
-
-    def profile(self) -> tuple[int, tuple[int, ...]]:
-        """Measured degree profile: ``(row count, per-position max
-        degree)`` — the largest number of rows any single value matches
-        at each position.
-
-        Reads already-built single-position postings when present
-        (their posting lengths *are* the degrees); otherwise one
-        counting pass over the dense dictionary-encoded column — no
-        new postings are materialized and no constants are interned,
-        so profiling never perturbs the dictionary or the relation's
-        index-build counters.
-        """
-        self.flush()
-        degrees: list[int] = []
-        for p in range(self.arity):
-            postings = self._postings.get((p,))
-            if postings is not None:
-                degrees.append(
-                    max((len(rows) for rows in postings.values()), default=0)
-                )
-                continue
-            counts: dict[int, int] = {}
-            best = 0
-            for c in self.columns[p]:
-                n = counts.get(c, 0) + 1
-                counts[c] = n
-                if n > best:
-                    best = n
-            degrees.append(best)
-        return len(self.row_set), tuple(degrees)
-
-    # -- probes -------------------------------------------------------------
-
-    def encoded_index(self, positions: tuple[int, ...], raw_index: dict) -> dict:
-        """The encoded postings for *positions*, derived from the raw
-        index (posting order preserved — the order-parity contract).
-
-        Single-position indexes are keyed by the bare id instead of a
-        1-tuple, saving a tuple allocation per probe.  Callers must
-        hold the relation's build lock when the postings are missing.
-        """
-        postings = self._postings.get(positions)
-        if postings is None:
-            intern = self.dictionary.intern
-            if len(positions) == 1:
-                postings = {
-                    intern(key[0]): [
-                        tuple(intern(v) for v in row) for row in rows
-                    ]
-                    for key, rows in raw_index.items()
-                }
-            else:
-                postings = {
-                    tuple(intern(k) for k in key): [
-                        tuple(intern(v) for v in row) for row in rows
-                    ]
-                    for key, rows in raw_index.items()
-                }
-            self._postings[positions] = postings
-        return postings
-
-    def numpy_column(self, position: int):
-        """A zero-copy numpy view of one column (None without numpy)."""
-        if _np is None:
-            return None
-        return _np.frombuffer(self.columns[position], dtype=_np.int64)
-
-    # -- copy-on-write ------------------------------------------------------
-
-    def copy(self) -> "ColumnStore":
-        """An independent store for a privatized relation copy: column
-        arrays and the row set are duplicated, derived postings and the
-        scan cache are dropped (rebuilt lazily on the copy)."""
-        out = ColumnStore.__new__(ColumnStore)
-        out.dictionary = self.dictionary
-        out.arity = self.arity
-        out.epoch = self.epoch
-        out.columns = [col[:] for col in self.columns]
-        out.row_set = set(self.row_set)
-        out._postings = {}
-        out._pending = list(self._pending)  # chunks are never mutated
-        out._pending_rows = self._pending_rows
-        out._packed = None  # rebuilt lazily (cheap relative to a copy)
-        out._packed_overflow = self._packed_overflow
-        out._runs = list(self._runs) if self._runs is not None else None
-        out._runs_version = self._runs_version
-        # the bloom bit table is mutated in place by bloom_add, so a
-        # shared reference would cross-talk; rebuild lazily instead
-        out._bloom = None
-        out._bloom_log2 = 0
-        out._csr = {}
-        out._lock = threading.Lock()
-        return out

@@ -4,7 +4,11 @@ A :class:`Relation` is a set of equal-length tuples of plain Python
 values (the values of :class:`~repro.datalog.terms.Constant` terms).
 Hash indexes over argument-position subsets are built lazily and cached;
 the evaluation engine asks for the index matching the bound positions of
-each join step.
+each join step.  The vector kernel's packed image of a relation — sorted
+runs + Bloom for membership, CSR probe images — lives on its
+:class:`~repro.datalog.columnar.ColumnStore`, built on demand from the
+raw rows and hash indexes and valid while its stamp equals the
+relation's version counter.
 
 A :class:`Database` maps predicate names to relations and is the *EDB*
 of the paper's program triple ``P = (Q, EDB, IDB)``.  Databases are
@@ -21,7 +25,7 @@ from operator import itemgetter
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from .ast import Atom
-from .columnar import ColumnStore, global_dictionary, unpack_column
+from .columnar import ColumnStore, decode_rows, global_dictionary, unpack_column
 from .errors import ArityError, ValidationError
 
 try:  # numpy is optional; the packed fast path needs it
@@ -34,24 +38,6 @@ __all__ = ["Relation", "Database"]
 Row = Tuple
 
 
-def _merge_runs(lo, hi):
-    """Merge two sorted, disjoint int64 runs in one linear pass.
-
-    Equivalent to ``np.insert(lo, lo.searchsorted(hi), hi)`` but
-    without that function's per-call bookkeeping, which dominates for
-    the small merges the log-structured cascade performs every round.
-    """
-    if lo.size < hi.size:
-        lo, hi = hi, lo
-    pos = lo.searchsorted(hi) + _np.arange(hi.size)
-    out = _np.empty(lo.size + hi.size, dtype=lo.dtype)
-    out[pos] = hi
-    mask = _np.ones(out.size, dtype=bool)
-    mask[pos] = False
-    out[mask] = lo
-    return out
-
-
 class Relation:
     """A set of fixed-arity tuples with lazily built hash indexes."""
 
@@ -62,11 +48,8 @@ class Relation:
         "index_builds",
         "_build_lock",
         "_store",
-        "_store_shared",
         "_version",
         "_profile_memo",
-        "_packed_cache",
-        "_packed_cache_epoch",
         "_index_dirty",
         "_raw_dirty",
         "_raw_dirty_rows",
@@ -85,24 +68,16 @@ class Relation:
         #: callers may drive from their own threads, and exactly one of
         #: them must materialize (and count) each missing index
         self._build_lock = threading.Lock()
-        #: lazily built dictionary-encoded columnar image (see
-        #: :mod:`repro.datalog.columnar`); None until the vector kernel
-        #: asks for it, dropped on retraction / epoch change
+        #: the packed image (see :mod:`repro.datalog.columnar`); None
+        #: until the vector kernel asks for it, dropped on retraction /
+        #: epoch change, never carried by a copy
         self._store: Optional[ColumnStore] = None
-        #: True while ``_store`` is shared with a copy — the first
-        #: write privatizes it (copy-on-write)
-        self._store_shared: bool = False
         #: mutation counter: every content change bumps it, so derived
         #: summaries (the store's packed runs, the degree-profile memo)
         #: are valid exactly while their stamp equals it
         self._version: int = 0
         #: ``(version, degree_profile() result)`` of the last counting pass
         self._profile_memo: Optional[tuple] = None
-        #: raw row → packed-int map filled by the vectorized absorb
-        #: path; lets the next round's delta frontier pack without
-        #: re-interning (see :meth:`packed_cache`)
-        self._packed_cache: Optional[dict] = None
-        self._packed_cache_epoch: int = -1
         #: rows inserted by the vectorized absorb path whose hash-index
         #: postings have not been appended yet; folded in by
         #: :meth:`_sync_indexes` the next time an index is consulted
@@ -139,13 +114,7 @@ class Relation:
         for positions, index in self._indexes.items():
             key = tuple(row[p] for p in positions)
             index.setdefault(key, []).append(row)
-        self._version += 1
-        store = self._store
-        if store is not None:
-            if store.epoch != global_dictionary().epoch:
-                self._store = None  # stale encoding; rebuilt on demand
-            else:
-                self._own_store().add_raw(row)
+        self._version += 1  # the packed image's stamp goes stale
         return True
 
     def update(self, rows: Iterable[Row]) -> int:
@@ -155,8 +124,8 @@ class Relation:
     def bulk_load(self, rows: Iterable[Row]) -> int:
         """Fill an **empty** relation in one pass — the snapshot-restore
         fast path: rows land directly in the raw set with no per-row
-        index or columnar upkeep (nothing derived exists yet to
-        maintain; indexes and the columnar image build lazily later).
+        index upkeep (nothing derived exists yet to maintain; indexes
+        and the packed image build lazily later).
         """
         if self._rows or self._raw_dirty or self._indexes or self._store is not None:
             raise ValidationError("bulk_load requires an empty relation")
@@ -189,10 +158,9 @@ class Relation:
             self._sync_indexes()
         self._rows.discard(row)
         self._version += 1
-        # retraction drops the columnar image entirely (columns are
-        # append-only arrays); it rebuilds lazily on next columnar use
+        # retraction drops the packed image entirely (sorted runs are
+        # insert-only); it rebuilds lazily on next packed use
         self._store = None
-        self._store_shared = False
         for positions, index in self._indexes.items():
             key = tuple(row[p] for p in positions)
             posting = index.get(key)
@@ -242,19 +210,9 @@ class Relation:
                 return
             self._raw_dirty = []
             self._raw_dirty_rows = 0
-            arity = self.arity
             rows: list = []
             for arr, values in dirty:
-                if arity == 0:
-                    rows.extend([()] * len(arr))
-                    continue
-                cols = [
-                    unpack_column(arr, arity, p).tolist() for p in range(arity)
-                ]
-                raw = [list(map(values.__getitem__, cl)) for cl in cols]
-                rows.extend(
-                    zip(*raw) if arity > 1 else [(v,) for v in raw[0]]
-                )
+                rows.extend(decode_rows(arr, self.arity, values))
             self._rows.update(rows)
             if self._indexes:
                 self._index_dirty.extend(rows)
@@ -339,10 +297,9 @@ class Relation:
             self._sync()
         self._indexes.clear()
         self._index_dirty.clear()
-        # encoded postings are derived from the raw indexes, so the
-        # columnar image goes with them (rebuilt lazily)
+        # probe images are laid out from the raw indexes, so the
+        # packed image goes with them (rebuilt lazily)
         self._store = None
-        self._store_shared = False
         self._version += 1
 
     def lookup(self, positions: tuple[int, ...], key: Row) -> list[Row]:
@@ -456,44 +413,22 @@ class Relation:
             if not project:
                 out.add(())
                 return
-            decoded = [
-                map(values.__getitem__, unpack_column(arr, arity, p).tolist())
-                for p in project
-            ]
-            out.update(zip(*decoded))
+            out.update(decode_rows(arr, arity, values, project))
 
-    # -- columnar image -----------------------------------------------------
-
-    def _own_store(self) -> ColumnStore:
-        """The store, privatized if currently shared with a copy."""
-        store = self._store
-        if self._store_shared:
-            store = store.copy()
-            self._store = store
-            self._store_shared = False
-        return store
+    # -- packed image -------------------------------------------------------
 
     def column_store(self) -> ColumnStore:
-        """The dictionary-encoded columnar image (built on first use,
-        rebuilt when the global dictionary's epoch moved).
-
-        Packed rows the vectorized absorb path buffered are flushed
-        into the encoded-tuple structures here, so every consumer of
-        ``row_set`` / postings / columns sees a complete image.
-        """
+        """The packed image's holder (created on first use, replaced
+        when the global dictionary's epoch moved).  Creating one
+        encodes nothing: the runs fill in :meth:`packed_runs`, the
+        probe images where the vector kernel lays them out."""
         dictionary = global_dictionary()
         store = self._store
         if store is None or store.epoch != dictionary.epoch:
-            if self._raw_dirty:
-                self._sync()  # re-encode from the complete raw row set
             with self._build_lock:
                 store = self._store
                 if store is None or store.epoch != dictionary.epoch:
-                    store = ColumnStore(dictionary, self.arity, self._rows)
-                    self._store = store
-                    self._store_shared = False
-        if store._pending:
-            store.flush()
+                    store = self._store = ColumnStore(dictionary, self.arity)
         return store
 
     def degree_profile(self) -> tuple[int, tuple[int, ...]]:
@@ -503,20 +438,15 @@ class Relation:
         relation is counted once, however many evaluations, sessions or
         replans ask (copies carry the memo with the version).  Degrees
         are read from whatever structure is already paid for: an
-        existing single-position hash index (posting lengths), the
-        current-epoch columnar store's dictionary/posting image
-        (:meth:`ColumnStore.profile`), or one counting pass over the
-        raw rows.  Crucially this never *builds* a store or an index —
-        profiling must not intern constants or bump the index-build
-        counters, so the engine's work statistics are identical with
-        and without profiling.
+        existing single-position hash index (posting lengths), or one
+        counting pass over the raw rows.  Crucially this never *builds*
+        an index and never interns a constant, so the engine's work
+        statistics are identical with and without profiling.
         """
         memo = self._profile_memo
         if memo is not None and memo[0] == self._version:
             return memo[1]
-        store = self._store
-        current = store is not None and store.epoch == global_dictionary().epoch
-        if not current and self._raw_dirty:
+        if self._raw_dirty:
             self._sync()
         # locked like a lazy index build: evaluations sharing a base
         # relation may profile it at once, and exactly one should count it
@@ -525,12 +455,7 @@ class Relation:
             version = self._version
             if memo is not None and memo[0] == version:
                 return memo[1]
-            if current:
-                # a current-epoch store is maintained on every insert, so
-                # it is complete even while raw materialization is deferred
-                profile = store.profile()
-            else:
-                profile = self._count_degrees()
+            profile = self._count_degrees()
             self._profile_memo = (version, profile)
         return profile
 
@@ -556,29 +481,6 @@ class Relation:
             degrees.append(best)
         return len(rows), tuple(degrees)
 
-    def _store_for_packed(self) -> ColumnStore:
-        """The store for the vectorized absorb path: current-epoch and
-        privatized, but **without** flushing pending packed rows (the
-        whole point of the path is deferring that work)."""
-        dictionary = global_dictionary()
-        store = self._store
-        if store is None or store.epoch != dictionary.epoch:
-            return self.column_store()
-        if self._store_shared:
-            store = self._own_store()
-        return store
-
-    def packed_cache(self) -> dict:
-        """The raw-row → packed-int map for frontier packing (reset
-        when the dictionary epoch moves)."""
-        dictionary = global_dictionary()
-        cache = self._packed_cache
-        if cache is None or self._packed_cache_epoch != dictionary.epoch:
-            cache = {}
-            self._packed_cache = cache
-            self._packed_cache_epoch = dictionary.epoch
-        return cache
-
     def packed_runs(self) -> Optional[list]:
         """Sorted disjoint int64 runs covering every current row — the
         vectorized absorb path's membership structure — or None when a
@@ -587,55 +489,29 @@ class Relation:
         Runs live on the column store stamped with the relation version
         they describe; steady-state vectorized rounds extend them
         incrementally (:meth:`add_packed_deferred`), and any mutation
-        through another path desynchronizes the stamp, forcing a full
-        rebuild here from the packed row set.
+        through another path leaves the stamp stale, forcing one
+        re-pack here from the raw row set — under the build lock, like
+        the lazy index build: a base relation is shared between
+        evaluations and exactly one of them should pack it.
         """
         if _np is None:
             return None
-        store = self._store_for_packed()
-        runs = store._runs
-        if runs is not None and store._runs_version == self._version:
-            return runs
-        pset = store.packed_set()
-        if pset is None:
-            return None
-        arr = _np.fromiter(pset, dtype=_np.int64, count=len(pset))
-        arr.sort()
-        # the runs supersede the python-level packed set for membership;
-        # drop it so steady-state rounds don't pay per-row upkeep
-        store._packed = None
-        store._runs = runs = [arr] if arr.size else []
-        store._runs_version = self._version
-        store.bloom_rebuild(runs, arr.size)
-        return runs
+        store = self.column_store()
+        if store.runs_version != self._version and not store.overflow:
+            if self._raw_dirty:
+                self._sync()
+            with self._build_lock:
+                if store.runs_version != self._version and not store.overflow:
+                    store.rebuild(self._rows, self._version)
+        return None if store.overflow else store.runs
 
     def packed_novel_mask(self, uniq):
         """Boolean mask over sorted packed rows *uniq* marking which are
         not yet present in this relation, or None when the packed
-        membership structures are unavailable (see :meth:`packed_runs`).
-
-        The Bloom prefilter clears the common case — a genuinely new
-        row misses both hash probes — so only the few maybe-present
-        candidates pay a searchsorted pass per run.
-        """
-        runs = self.packed_runs()
-        if runs is None:
+        membership structures are unavailable (see :meth:`packed_runs`)."""
+        if self.packed_runs() is None:
             return None
-        store = self._store_for_packed()
-        if store._bloom is None:  # privatized copy: bit table not shared
-            store.bloom_rebuild(runs, sum(r.size for r in runs))
-        mask = _np.ones(uniq.size, dtype=bool)
-        cand = store.bloom_maybe(uniq).nonzero()[0]
-        if cand.size:
-            vals = uniq.take(cand)
-            hit = _np.zeros(cand.size, dtype=bool)
-            for run in runs:
-                # clip keeps take() in bounds; the clipped last slot can
-                # never compare equal for a value beyond the run's max
-                idx = _np.minimum(run.searchsorted(vals), run.size - 1)
-                hit |= run.take(idx) == vals
-            mask[cand[hit]] = False
-        return mask
+        return self.column_store().novel_mask(uniq)
 
     def add_packed_deferred(self, ordered, sorted_fresh) -> None:
         """Bulk-insert packed rows known to be new, deferring raw work.
@@ -643,62 +519,20 @@ class Relation:
         *ordered* is the fresh rows in derivation order (the frontier
         contract), *sorted_fresh* the same values sorted (the run
         extension).  Nothing row-at-a-time happens here: raw tuples
-        materialize in :meth:`_sync` when raw structures are next read,
-        and the store's encoded-tuple structures flush on their own
-        schedule (:meth:`ColumnStore.flush`).
+        materialize in :meth:`_sync` when raw structures are next read.
         """
-        store = self._store_for_packed()
+        store = self.column_store()
         n = len(ordered)
         self._raw_dirty.append((ordered, store.dictionary.values_list()))
         self._raw_dirty_rows += n
-        store.add_packed_pending(ordered)
-        store._packed = None  # rebuilt on demand; runs carry membership
-        version = self._version + n
-        runs = store._runs
-        if runs is not None and store._runs_version == self._version:
-            runs.append(sorted_fresh)
-            # log-structured merging: keep run sizes geometrically
-            # decreasing so membership stays O(log n) searchsorted
-            # passes and total merge work stays O(n log n)
-            while len(runs) > 1 and 2 * runs[-1].size >= runs[-2].size:
-                hi = runs.pop()
-                lo = runs.pop()
-                runs.append(_merge_runs(lo, hi))
-            store._runs_version = version
-            if store._bloom is not None:
-                total = sum(r.size for r in runs)
-                if total << 3 > (1 << store._bloom_log2):
-                    store.bloom_rebuild(runs, total)  # keep ≥8 bits/key
-                else:
-                    store.bloom_add(sorted_fresh)
-        self._version = version
+        if store.runs_version == self._version:
+            store.extend(sorted_fresh, self._version + n)
+        self._version += n
 
     def decode_packed(self, arr) -> list:
         """Decode packed rows (current dictionary epoch) to raw tuples,
         preserving order."""
-        arity = self.arity
-        if arity == 0:
-            return [()] * len(arr)
-        values = global_dictionary().values_list()
-        cols = [unpack_column(arr, arity, p).tolist() for p in range(arity)]
-        raw = [list(map(values.__getitem__, cl)) for cl in cols]
-        return list(zip(*raw)) if arity > 1 else [(v,) for v in raw[0]]
-
-    def encoded_index(self, positions: tuple[int, ...]) -> dict:
-        """Encoded postings on *positions* — what the vector kernel's
-        CSR probe images are laid out from.
-
-        Forces the raw index first — so lazy builds are counted in
-        ``index_builds`` exactly when the tuple engine would build
-        them, and encoded posting order mirrors raw posting order.
-        """
-        raw = self.index_for(positions)
-        store = self.column_store()
-        postings = store._postings.get(positions)
-        if postings is None:
-            with self._build_lock:
-                postings = store.encoded_index(positions, raw)
-        return postings
+        return decode_rows(arr, self.arity, global_dictionary().values_list())
 
     def copy(self) -> "Relation":
         """An independent copy carrying the materialized indexes.
@@ -725,17 +559,11 @@ class Relation:
         }
         out.index_builds = 0
         out._build_lock = threading.Lock()
-        # the columnar image is shared copy-on-write: both sides keep
-        # reading it for free, and whichever writes first privatizes
-        # its own copy (column arrays + row set) via _own_store
-        out._store = self._store
-        out._store_shared = self._store_shared = self._store is not None
+        # the packed image is not carried: the copy exists to be
+        # written, and its first raw write would stale the stamp anyway
+        out._store = None
         out._version = self._version
         out._profile_memo = self._profile_memo
-        # the packed encode cache is value-level (raw row → ids) and
-        # epoch-guarded, so sharing it by reference is safe
-        out._packed_cache = self._packed_cache
-        out._packed_cache_epoch = self._packed_cache_epoch
         return out
 
     def __eq__(self, other) -> bool:

@@ -7,13 +7,13 @@ linear recursion's delta plan (frontier step + one indexed join, head
 fused) — whose loop body is pure data movement over dictionary ids and
 so vectorizes completely:
 
-- the frontier arrives as one packed int64 per row (21 bits per
-  column, ``DeltaIndex.packed_rows``), unpacked to id columns with
-  two numpy ops;
-- the probed relation's encoded postings are laid out once per
-  version as a CSR image (sorted key array + offsets + row columns,
-  posting order preserved within each key); the whole frontier
-  probes it with one ``searchsorted`` and expands with ``repeat``;
+- the frontier arrives as one packed int64 per row
+  (``DeltaIndex.packed_rows``), unpacked to id columns with two numpy
+  ops;
+- the probed relation's raw hash index is laid out once per version
+  as a CSR image (sorted key array + offsets + row columns, posting
+  order preserved within each key); the whole frontier probes it
+  with one ``searchsorted`` and expands with ``repeat``;
 - head tuples are packed back into one int64 column, so duplicate
   elimination in the absorb path (``scheduler._absorb_packed``) is
   ``np.unique`` plus sorted-run membership instead of tuple hashing.
@@ -39,7 +39,12 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..datalog.columnar import PACK_LIMIT, PACK_SHIFT, global_dictionary
+from ..datalog.columnar import (
+    PACK_LIMIT,
+    global_dictionary,
+    pack_columns,
+    unpack_column,
+)
 from ..datalog.terms import Constant, Variable
 from .plan import CompiledRule
 
@@ -52,26 +57,29 @@ __all__ = ["vector_rule_kernel"]
 
 
 class _CSR:
-    """One relation's postings on a single bound position, as flat
-    arrays: ``keys`` (sorted ids), ``offsets`` (CSR row starts into the
-    column arrays), ``cols`` (one id array per argument position, rows
-    grouped by key in posting order)."""
+    """One relation's raw hash index on a single bound position, as
+    flat id arrays: ``keys`` (sorted ids), ``offsets`` (CSR row starts
+    into the column arrays), ``cols`` (one id array per argument
+    position, rows grouped by key in raw posting order — the
+    order-parity contract)."""
 
     __slots__ = ("keys", "offsets", "cols", "fits")
 
-    def __init__(self, postings: dict, arity: int):
-        keys_sorted = sorted(postings)
-        flat = [row for k in keys_sorted for row in postings[k]]
-        self.keys = _np.array(keys_sorted, dtype=_np.int64)
-        counts = _np.array(
-            [len(postings[k]) for k in keys_sorted], dtype=_np.int64
-        )
+    def __init__(self, index: dict, arity: int, dictionary):
+        key_ids = dictionary.intern_column([key[0] for key in index])
+        # distinct raw keys intern to distinct ids, so the sort never
+        # reaches the posting lists
+        by_id = sorted(zip(key_ids, index.values()))
+        flat = [row for _, posting in by_id for row in posting]
+        self.keys = _np.array([k for k, _ in by_id], dtype=_np.int64)
+        counts = _np.array([len(p) for _, p in by_id], dtype=_np.int64)
         self.offsets = _np.concatenate(
             (_np.zeros(1, dtype=_np.int64), _np.cumsum(counts))
         )
         if flat:
             self.cols = [
-                _np.array(col, dtype=_np.int64) for col in zip(*flat)
+                _np.array(dictionary.intern_column(col), dtype=_np.int64)
+                for col in zip(*flat)
             ]
             self.fits = all(int(c.max()) < PACK_LIMIT for c in self.cols)
         else:
@@ -90,19 +98,25 @@ def _csr_for(rel, position: int) -> Optional[_CSR]:
     """The (version-cached) CSR image of *rel*'s postings on
     *position*; None for volatile relations."""
     store = rel.column_store()
-    entry = store._csr.get(position)
+    entry = store.csr.get(position)
     version = rel._version
     if entry is not None:
         if entry[0] == version:
             return entry[1]
         if entry[2] >= _CSR_MAX_REBUILDS and len(rel) > _CSR_VOLATILE_ROWS:
             return None
-    # encoded_index forces the raw index first, so lazy index builds
-    # are counted exactly when the tuple kernel would count them
-    postings = rel.encoded_index((position,))
-    csr = _CSR(postings, rel.arity)
-    builds = entry[2] + 1 if entry is not None else 1
-    store._csr[position] = (version, csr, builds)
+    # the raw index first, so a lazy index build is counted exactly
+    # when the tuple kernel would count it
+    index = rel.index_for((position,))
+    # laid out under the build lock like the index itself: a base
+    # relation is shared between evaluations, one of which builds
+    with rel._build_lock:
+        current = store.csr.get(position)
+        if current is not None and current[0] == version:
+            return current[1]
+        csr = _CSR(index, rel.arity, store.dictionary)
+        builds = current[2] + 1 if current is not None else 1
+        store.csr[position] = (version, csr, builds)
     return csr
 
 
@@ -176,27 +190,22 @@ def _vector_spec(cr: CompiledRule, plan_id: Optional[int]):
         else:
             return None  # unbound head variable (unsafe rule)
     return {
-        "frontier_pred": step0.atom.predicate,
         "frontier_arity": step0.atom.arity,
         "proj": proj,
         "key_slot": slot_of[bound_arg],
         "join_pred": step1.atom.predicate,
         "join_pos": step1.bound_positions[0],
         "head": parts,
-        "head_arity": head.arity,
     }
 
 
 def _make_vector_kernel(spec) -> Callable:
-    frontier_pred = spec["frontier_pred"]
     frontier_arity = spec["frontier_arity"]
     proj = spec["proj"]
     key_slot = spec["key_slot"]
     join_pred = spec["join_pred"]
     join_pos = spec["join_pos"]
     head = spec["head"]
-    head_arity = spec["head_arity"]
-    mask = PACK_LIMIT - 1
     intern = global_dictionary().intern
     empty = _np.empty(0, dtype=_np.int64)
 
@@ -204,7 +213,7 @@ def _make_vector_kernel(spec) -> Callable:
         # -- feasibility first: nothing below mutates stats until the
         # fast path has committed to producing the firing itself
         rel1 = db.relation(join_pred)
-        arr = delta.packed_rows(db.relation(frontier_pred))
+        arr = delta.packed_rows()
         if arr is None:
             return None
         csr = None
@@ -233,10 +242,7 @@ def _make_vector_kernel(spec) -> Callable:
         if n == 0 or rel1 is None:
             return empty
 
-        ctx_cols = [
-            (arr >> (PACK_SHIFT * (frontier_arity - 1 - p))) & mask
-            for p in proj
-        ]
+        ctx_cols = [unpack_column(arr, frontier_arity, p) for p in proj]
 
         # -- join step: one searchsorted probe for the whole frontier
         stats.batch_probes += 1
@@ -270,18 +276,15 @@ def _make_vector_kernel(spec) -> Callable:
         )
 
         # -- fused head: gather columns, pack to one int64 per row
-        out = _np.zeros(total, dtype=_np.int64)
-        shift = PACK_SHIFT * (head_arity - 1)
+        cols = []
         for (kind, v), cid in zip(head, const_ids):
             if kind == "row":
-                col = csr.cols[v].take(flat)
+                cols.append(csr.cols[v].take(flat))
             elif kind == "ctx":
-                col = ctx_cols[v].take(ctx_idx)
+                cols.append(ctx_cols[v].take(ctx_idx))
             else:
-                col = cid  # scalar broadcast
-            out |= col << shift if shift else col
-            shift -= PACK_SHIFT
-        return out
+                cols.append(cid)  # scalar broadcast
+        return pack_columns(cols, total)
 
     return kernel
 

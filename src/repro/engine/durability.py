@@ -20,10 +20,10 @@ partial lower bound in memory).
 **Columnar snapshots.**  Periodically — every ``snapshot_every``
 batches, past ``max_wal_bytes`` of log, past ``max_wal_age_s`` of log
 age, or on a forced ``.checkpoint`` — the materialized state is
-serialized through the columnar plane: each relation's
-:class:`~repro.datalog.columnar.ColumnStore` provides dict-encoded
-int64 columns, and the snapshot embeds the id → value interning table
-those columns reference.  Loading decodes by direct table indexing —
+serialized column-wise: each relation's rows are dict-encoded into
+int64 columns against the snapshot's own dense value table, and the
+snapshot embeds exactly that id → value table (not the process-wide
+interning dictionary).  Loading decodes by direct table indexing —
 no per-cell re-interning against the process dictionary, and no
 dependence on the current dictionary epoch (the satellite test clears
 the dictionary and the prepared cache between write and load).  Writes
@@ -530,11 +530,10 @@ class Snapshot:
 
 def _snapshot_entries(db: Database, initial: Mapping[str, set]):
     """Yield ``(name, kind, arity, rows)`` for everything a snapshot
-    persists: every relation (rows None — the columnar image is the
-    source), then the initial-IDB row sets."""
+    persists: every relation, then the initial-IDB row sets."""
     for pred in sorted(db.predicates()):
         rel = db.relation(pred)
-        yield pred, "relation", rel.arity, None
+        yield pred, "relation", rel.arity, rel
     for pred in sorted(initial):
         rows = initial[pred]
         if not rows:
@@ -556,56 +555,46 @@ def write_snapshot(
     guard=None,
     injector=None,
 ) -> Path:
-    """Serialize the session state through the columnar plane into
-    ``<wal>.snap-<seq>``, atomically (temp + fsync + rename).
+    """Serialize the session state into ``<wal>.snap-<seq>``,
+    atomically (temp + fsync + rename).
 
-    Columns come from each relation's
-    :meth:`~repro.datalog.database.Relation.column_store` — the same
-    dict-encoded int64 arrays the vector kernel runs on — and the
-    embedded ``dict`` table is the id → value prefix those columns
-    reference, captured after every store is built so all ids resolve.
-    *guard* (a :class:`~repro.engine.governor.Guard`) is checkpointed
-    between relations, so snapshot work counts against the batch's
-    deadline like any other engine work.
+    Every section is dictionary-encoded against the snapshot's *own*
+    dense value table — ids in first-seen order while the sections are
+    encoded — and only that table is embedded as ``dict``, so a
+    snapshot holds (and type-checks) exactly the values its rows use,
+    whatever else the process has interned.  *guard* (a
+    :class:`~repro.engine.governor.Guard`) is checkpointed between
+    relations, so snapshot work counts against the batch's deadline
+    like any other engine work.
     """
-    from ..datalog.columnar import global_dictionary
+    from array import array
+
     from .faults import WalCrash
 
+    codes: dict = {}
+    encode = codes.setdefault
     entries = []
     stores = []
     for name, kind, arity, rows in _snapshot_entries(db, initial):
         if guard is not None and stats is not None:
             guard.checkpoint(stats)
-        if kind == "relation":
-            store = db.relation(name).column_store()
-            nrows = len(store.columns[0]) if arity else len(db.relation(name))
-            if arity and nrows != len(db.relation(name)):  # pragma: no cover
-                raise DurabilityError(
-                    f"columnar image of {name!r} has {nrows} rows but the "
-                    f"relation holds {len(db.relation(name))}"
-                )
-            columns = store.columns
-        else:
-            # initial-IDB row sets are tiny; encode them through the
-            # same dictionary so one embedded table serves everything
-            dictionary = global_dictionary()
-            enc = sorted(dictionary.intern_row(r) for r in rows)
-            from array import array
-
-            columns = [array("q", (r[p] for r in enc)) for p in range(arity)]
-            nrows = len(enc)
+        held = len(rows)  # before iterating: counts deferred chunks unseen
+        enc = [tuple(encode(v, len(codes)) for v in row) for row in rows]
+        if len(enc) != held:  # pragma: no cover
+            raise DurabilityError(
+                f"encoded image of {name!r} has {len(enc)} rows but the "
+                f"{kind} holds {held}"
+            )
         entries.append(
-            {"name": name, "kind": kind, "arity": arity, "rows": nrows}
+            {"name": name, "kind": kind, "arity": arity, "rows": len(enc)}
         )
-        stores.append(columns)
+        stores.append([array("q", (r[p] for r in enc)) for p in range(arity)])
 
-    # captured AFTER all stores exist: building a store may intern
-    # values, and every id used above must resolve in this table
-    values = list(global_dictionary().values_list())
+    values = list(codes)  # insertion order is id order
     for v in values:
         if type(v) not in _SCALARS:
             raise DurabilityError(
-                f"interned value {v!r} of type {type(v).__name__} cannot "
+                f"value {v!r} of type {type(v).__name__} cannot "
                 f"be snapshotted; values must be str/int/float/bool"
             )
     header = {
@@ -628,10 +617,7 @@ def write_snapshot(
         for i, columns in enumerate(stores):
             if guard is not None and stats is not None:
                 guard.checkpoint(stats)
-            blob = b"".join(
-                col.tobytes() if hasattr(col, "tobytes") else bytes(col)
-                for col in columns
-            )
+            blob = b"".join(col.tobytes() for col in columns)
             f.write(_frame(blob))
             if (
                 injector is not None

@@ -29,13 +29,8 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 from ..datalog.ast import Atom, Rule
 from ..datalog.builtins import is_builtin
-from ..datalog.columnar import PACK_LIMIT, PACK_SHIFT, global_dictionary
+from ..datalog.columnar import global_dictionary, pack_rows
 from ..datalog.database import Database
-
-try:  # numpy is optional; DeltaIndex.packed_rows needs it
-    import numpy as _np
-except Exception:  # pragma: no cover - environment without numpy
-    _np = None
 from ..datalog.terms import Constant, Variable
 from .statistics import EvalStats
 
@@ -152,44 +147,23 @@ class DeltaIndex:
             rows = self._rows = self._relation.decode_packed(self._packed)
         return rows
 
-    def packed_rows(self, relation):
+    def packed_rows(self):
         """The frontier as one packed int64 per row, in ``all_rows``
         order (the vectorized kernels' delta feed), or None when
         packing is unavailable (no numpy, arity > 3, id overflow).
 
-        *relation* is the frontier predicate's relation; rows the
-        vectorized absorb path derived hit its packed cache, so only
-        tuple-path contributions (typically the naive round) pay the
-        per-value intern here.  Cached per frontier — shared by every
-        rule probing it this round.
+        A frontier the vectorized absorb path left is born packed
+        (:meth:`from_packed`), so only tuple-path contributions
+        (typically the naive round) are interned here.  Cached per
+        frontier — shared by every rule probing it this round.
         """
         cached = self._packed
         if cached is not None:
             return None if cached is _PACK_FAIL else cached
-        arr = self._pack(relation)
+        rows = self._rows
+        arr = pack_rows(rows, len(rows[0]), global_dictionary()) if rows else None
         self._packed = arr if arr is not None else _PACK_FAIL
         return arr
-
-    def _pack(self, relation):
-        rows = self._rows
-        if _np is None or not rows or len(rows[0]) > 3:
-            return None
-        cache = relation.packed_cache() if relation is not None else {}
-        packed = list(map(cache.get, rows))
-        if None in packed:
-            intern = global_dictionary().intern
-            for i, v in enumerate(packed):
-                if v is not None:
-                    continue
-                p = 0
-                for value in rows[i]:
-                    c = intern(value)
-                    if c >= PACK_LIMIT:
-                        return None
-                    p = (p << PACK_SHIFT) | c
-                packed[i] = p
-                cache[rows[i]] = p
-        return _np.array(packed, dtype=_np.int64)
 
     def __len__(self) -> int:
         rows = self._rows

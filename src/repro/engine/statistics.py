@@ -12,137 +12,142 @@ paper reasons about alongside wall-clock time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 __all__ = ["EvalStats"]
+
+
+def _counter(merge: str = "sum", *, variant: bool = False, **kw):
+    """One counter's declaration: how :meth:`EvalStats.merge` combines
+    it (``sum``, ``max``, per-key ``sum_keys``, ``first`` non-None) and
+    whether it is engine-*variant* — measuring which path, planner or
+    durability work ran instead of how much join work was done, so
+    ``as_dict(engine_invariant=True)`` drops it."""
+    if "default_factory" not in kw:
+        kw.setdefault("default", 0)
+    return field(metadata={"merge": merge, "variant": variant}, **kw)
 
 
 @dataclass
 class EvalStats:
     """Mutable counters for one evaluation run."""
 
-    iterations: int = 0
+    iterations: int = _counter()
     #: Facts newly added to derived predicates.
-    facts_derived: int = 0
+    facts_derived: int = _counter()
     #: Head instantiations that produced an already-known fact — the
     #: duplicate-elimination work the paper's section 3.2 talks about.
-    duplicates: int = 0
+    duplicates: int = _counter()
     #: Number of complete body matches (head instantiations attempted).
-    rule_firings: int = 0
+    rule_firings: int = _counter()
     #: Index/scan probes performed while matching body literals; a
     #: proxy for join work.
-    join_probes: int = 0
+    join_probes: int = _counter()
     #: Rows enumerated from relations while matching body literals.
-    rows_scanned: int = 0
+    rows_scanned: int = _counter()
     #: Probes answered by a hash index on the literal's bound positions
     #: (a subset of ``join_probes``).
-    index_probes: int = 0
+    index_probes: int = _counter()
     #: Hash indexes materialized lazily during the run.
-    index_builds: int = 0
+    index_builds: int = _counter()
     #: Probes that fell back to a full relation scan — either because
     #: no argument position was bound when the literal was reached, or
     #: because indexing was disabled (``EngineOptions.use_indexes``).
-    scan_fallbacks: int = 0
+    scan_fallbacks: int = _counter()
     #: Boolean (cut) rules retired before the fixpoint finished.
-    rules_retired: int = 0
+    rules_retired: int = _counter()
     #: Compiled rule-kernel invocations (0 when the engine ran on the
-    #: interpreter, either by option or by per-rule fallback).  This is
-    #: the only counter allowed to differ between the kernel and
-    #: interpreter paths — everything else is bit-identical.
-    kernel_launches: int = 0
+    #: interpreter, either by option or by per-rule fallback).
+    kernel_launches: int = _counter(variant=True)
     #: Vector-kernel stages (frontier step, join step) executed with a
     #: non-empty batch (0 on the tuple-kernel and interpreter paths).
-    #: Like ``kernel_launches`` this is engine-variant: it measures how
-    #: much work ran columnar, not how much join work was done.
-    batch_probes: int = 0
+    batch_probes: int = _counter(variant=True)
     #: Rows produced by vector-kernel stages (the columnar analogue of
-    #: per-tuple loop iterations; engine-variant).
-    batch_rows: int = 0
+    #: per-tuple loop iterations).
+    batch_rows: int = _counter(variant=True)
     #: Size of the process-wide constant dictionary after the run
-    #: (merged with ``max``, not summed; 0 unless the columnar plane
-    #: was active).
-    dict_size: int = 0
+    #: (0 unless the columnar plane was active).
+    dict_size: int = _counter("max", variant=True)
     #: Firings a columnar run sent to the tuple kernel: the vector
-    #: kernel declined the plan, or a ``columnar`` fault was injected
-    #: (engine-variant).
-    columnar_fallbacks: int = 0
+    #: kernel declined the plan, or a ``columnar`` fault was injected.
+    columnar_fallbacks: int = _counter(variant=True)
     #: Rule bodies ordered by the cost model's DP search (0 with
     #: ``--no-cost-planner``, on a prepared-cache hit — the cached
     #: plans carry no new costing work — and for bodies the model
-    #: declined to the greedy rung).  Engine-variant: it measures
-    #: which planner ran, not how much join work was done.
-    plans_costed: int = 0
+    #: declined to the greedy rung).
+    plans_costed: int = _counter(variant=True)
     #: Adaptive replan events: a recursive fixpoint re-ranked its delta
     #: plans from observed round cardinalities
-    #: (``EngineOptions.replan_rounds``; engine-variant).
-    replans: int = 0
+    #: (``EngineOptions.replan_rounds``).
+    replans: int = _counter(variant=True)
     #: Largest factor by which a decayed frontier-cardinality estimate
     #: exceeded the next observed frontier (1.0 = perfect prediction;
-    #: 0.0 = no prediction was ever checked).  Merged with ``max``,
-    #: engine-variant.
-    bound_overestimate_max: float = 0.0
+    #: 0.0 = no prediction was ever checked).
+    bound_overestimate_max: float = _counter("max", variant=True, default=0.0)
     #: Evaluation units run by the SCC scheduler (0 with ``--no-scc``).
-    units_scheduled: int = 0
+    units_scheduled: int = _counter()
     #: Units terminated by the component-local cut: every head boolean
     #: of the unit fired, so the unit stopped before exhausting its
     #: pass or fixpoint.
-    unit_early_exits: int = 0
-    #: Fixpoint rounds per evaluation unit, keyed by the unit's label
-    #: ("+"-joined sorted SCC members); ``iterations`` is their sum.
-    unit_rounds: dict[str, int] = field(default_factory=dict)
-    #: Facts per derived predicate at fixpoint.
-    fact_counts: dict[str, int] = field(default_factory=dict)
+    unit_early_exits: int = _counter()
     #: Incremental update batches applied by an
     #: :class:`~repro.engine.incremental.IncrementalSession` (each
     #: ``insert``/``retract`` call counts once; 0 for plain ``evaluate``
     #: runs).
-    incremental_updates: int = 0
+    incremental_updates: int = _counter()
     #: Facts removed from relations by incremental retraction: the
     #: requested base deletions plus every derived fact the DRed
     #: overdeletion pass removed (rederived facts are counted removed
     #: here and re-added under ``facts_rederived``).
-    facts_retracted: int = 0
+    facts_retracted: int = _counter()
     #: Facts re-added by the delete–rederive pass: overdeleted facts
     #: that turned out to still have a derivation from the surviving
     #: database (also counted in ``facts_derived``).
-    facts_rederived: int = 0
+    facts_rederived: int = _counter()
     #: Evaluation units actually re-run by incremental maintenance — a
     #: subset of the units examined (``units_scheduled``): units whose
     #: inputs did not change are skipped, which is the point of
     #: maintaining through the SCC condensation.
-    units_reactivated: int = 0
+    units_reactivated: int = _counter()
     #: Write-ahead-log records appended by a durable session (one per
     #: accepted update batch; 0 for non-durable sessions).
-    wal_appends: int = 0
+    wal_appends: int = _counter(variant=True)
     #: WAL batches replayed through the seeded IVM path during
     #: :func:`~repro.engine.recovery.recover` (0 outside recovery).
-    wal_replays: int = 0
+    wal_replays: int = _counter(variant=True)
     #: Columnar snapshots written (baseline, policy-triggered, and
     #: forced ``.checkpoint`` snapshots all count).
-    snapshots_written: int = 0
+    snapshots_written: int = _counter(variant=True)
     #: Wall-clock milliseconds spent inside :func:`recover` building
     #: this session (0 for sessions not born from recovery).
-    recovery_ms: float = 0.0
+    recovery_ms: float = _counter(variant=True, default=0.0)
+    #: Fixpoint rounds per evaluation unit, keyed by the unit's label
+    #: ("+"-joined sorted SCC members); ``iterations`` is their sum.
+    unit_rounds: dict[str, int] = _counter("sum_keys", default_factory=dict)
+    #: Facts per derived predicate at fixpoint.
+    fact_counts: dict[str, int] = _counter("sum_keys", default_factory=dict)
     #: Governor checkpoints performed (0 unless a limit was set or a
     #: fault armed — the governor is free when idle).
-    governor_checks: int = 0
+    governor_checks: int = _counter()
     #: Faults fired by the run's :class:`~repro.engine.faults.FaultPlan`
     #: (0 on un-faulted runs).
-    faults_injected: int = 0
+    faults_injected: int = _counter()
     #: Degradation-ladder rungs taken, keyed by rung
     #: (``"kernel->interpreter"``, ``"index->scan"``,
     #: ``"scc->monolithic"``, and — during incremental maintenance —
     #: ``"incremental->recompute"``, the rung that recomputes the
     #: affected cone from its initial rows when the seeded maintenance
     #: scheduler faults).
-    degradations: dict[str, int] = field(default_factory=dict)
+    degradations: dict[str, int] = _counter(
+        "sum_keys", variant=True, default_factory=dict
+    )
     #: Why the run stopped early under ``on_limit="partial"`` (the
     #: governor's trip reason, e.g. ``"deadline"``); None when the run
     #: reached its fixpoint.  A set value flags the result — and its
     #: fact counts and answers — as a sound lower bound, not the
     #: complete least fixpoint.
-    aborted_reason: Optional[str] = None
+    aborted_reason: Optional[str] = _counter("first", default=None)
 
     @property
     def derivations(self) -> int:
@@ -163,120 +168,40 @@ class EvalStats:
         return self.index_probes / total if total else 0.0
 
     def merge(self, other: "EvalStats") -> None:
-        """Accumulate another run's counters into this one."""
-        self.iterations += other.iterations
-        self.facts_derived += other.facts_derived
-        self.duplicates += other.duplicates
-        self.rule_firings += other.rule_firings
-        self.join_probes += other.join_probes
-        self.rows_scanned += other.rows_scanned
-        self.index_probes += other.index_probes
-        self.index_builds += other.index_builds
-        self.scan_fallbacks += other.scan_fallbacks
-        self.rules_retired += other.rules_retired
-        self.kernel_launches += other.kernel_launches
-        self.batch_probes += other.batch_probes
-        self.batch_rows += other.batch_rows
-        if other.dict_size > self.dict_size:
-            self.dict_size = other.dict_size
-        self.columnar_fallbacks += other.columnar_fallbacks
-        self.plans_costed += other.plans_costed
-        self.replans += other.replans
-        if other.bound_overestimate_max > self.bound_overestimate_max:
-            self.bound_overestimate_max = other.bound_overestimate_max
-        self.units_scheduled += other.units_scheduled
-        self.unit_early_exits += other.unit_early_exits
-        self.incremental_updates += other.incremental_updates
-        self.facts_retracted += other.facts_retracted
-        self.facts_rederived += other.facts_rederived
-        self.units_reactivated += other.units_reactivated
-        self.wal_appends += other.wal_appends
-        self.wal_replays += other.wal_replays
-        self.snapshots_written += other.snapshots_written
-        self.recovery_ms += other.recovery_ms
-        self.governor_checks += other.governor_checks
-        self.faults_injected += other.faults_injected
-        for k, v in other.unit_rounds.items():
-            self.unit_rounds[k] = self.unit_rounds.get(k, 0) + v
-        for k, v in other.fact_counts.items():
-            self.fact_counts[k] = self.fact_counts.get(k, 0) + v
-        for k, v in other.degradations.items():
-            self.degradations[k] = self.degradations.get(k, 0) + v
-        if self.aborted_reason is None:
-            self.aborted_reason = other.aborted_reason
+        """Accumulate another run's counters into this one, each by
+        its declared rule."""
+        for f in fields(self):
+            rule = f.metadata["merge"]
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if rule == "sum":
+                setattr(self, f.name, mine + theirs)
+            elif rule == "max":
+                if theirs > mine:
+                    setattr(self, f.name, theirs)
+            elif rule == "sum_keys":
+                for k, v in theirs.items():
+                    mine[k] = mine.get(k, 0) + v
+            elif mine is None:  # "first": keep the earliest reason
+                setattr(self, f.name, theirs)
 
     def as_dict(self, *, engine_invariant: bool = False) -> dict:
         """All counters as a plain dict (for JSON reports and the
         kernel/interpreter differential tests).
 
-        With ``engine_invariant=True`` the counters that legitimately
-        differ between the kernel and interpreter paths are dropped
-        (``kernel_launches``), leaving exactly the quantities the two
-        paths must agree on bit-for-bit.
+        With ``engine_invariant=True`` the counters declared
+        engine-variant are dropped — which kernel, planner or rung ran,
+        and the durability work, which is orthogonal to evaluation
+        semantics — leaving exactly the quantities every engine
+        configuration must agree on bit-for-bit.
         """
-        out = {
-            "iterations": self.iterations,
-            "facts_derived": self.facts_derived,
-            "duplicates": self.duplicates,
-            "rule_firings": self.rule_firings,
-            "join_probes": self.join_probes,
-            "rows_scanned": self.rows_scanned,
-            "index_probes": self.index_probes,
-            "index_builds": self.index_builds,
-            "scan_fallbacks": self.scan_fallbacks,
-            "rules_retired": self.rules_retired,
-            "kernel_launches": self.kernel_launches,
-            "batch_probes": self.batch_probes,
-            "batch_rows": self.batch_rows,
-            "dict_size": self.dict_size,
-            "columnar_fallbacks": self.columnar_fallbacks,
-            "plans_costed": self.plans_costed,
-            "replans": self.replans,
-            "bound_overestimate_max": self.bound_overestimate_max,
-            "units_scheduled": self.units_scheduled,
-            "unit_early_exits": self.unit_early_exits,
-            "incremental_updates": self.incremental_updates,
-            "facts_retracted": self.facts_retracted,
-            "facts_rederived": self.facts_rederived,
-            "units_reactivated": self.units_reactivated,
-            "wal_appends": self.wal_appends,
-            "wal_replays": self.wal_replays,
-            "snapshots_written": self.snapshots_written,
-            "recovery_ms": self.recovery_ms,
-            "unit_rounds": dict(self.unit_rounds),
-            "fact_counts": dict(self.fact_counts),
-            "governor_checks": self.governor_checks,
-            "faults_injected": self.faults_injected,
-            "degradations": dict(self.degradations),
-            "aborted_reason": self.aborted_reason,
-            "derivations": self.derivations,
-            "join_work": self.join_work,
-        }
-        if engine_invariant:
-            del out["kernel_launches"]
-            # the columnar counters measure which path ran, not how
-            # much join work was done, so they differ by construction
-            del out["batch_probes"]
-            del out["batch_rows"]
-            del out["dict_size"]
-            del out["columnar_fallbacks"]
-            # the planner counters measure which planner ran (and how
-            # often it re-ranked), not how much join work resulted;
-            # prepared-cache hits alone make them configuration-variant
-            del out["plans_costed"]
-            del out["replans"]
-            del out["bound_overestimate_max"]
-            # faulted degradations name the rung actually taken, which
-            # legitimately differs between engine configurations
-            del out["degradations"]
-            # durability is orthogonal to evaluation semantics: a
-            # durable and a non-durable session over the same updates
-            # must agree on every engine-invariant counter, while these
-            # measure logging/snapshot/recovery work only
-            del out["wal_appends"]
-            del out["wal_replays"]
-            del out["snapshots_written"]
-            del out["recovery_ms"]
+        out: dict = {}
+        for f in fields(self):
+            if engine_invariant and f.metadata["variant"]:
+                continue
+            value = getattr(self, f.name)
+            out[f.name] = dict(value) if isinstance(value, dict) else value
+        out["derivations"] = self.derivations
+        out["join_work"] = self.join_work
         return out
 
     def summary(self) -> str:

@@ -1,6 +1,7 @@
 """Unit tests for the columnar data plane: the constant dictionary,
-per-relation column stores, copy-on-write privatization, and the
-vector kernel's gates (what it declines, what it commits to).
+each relation's packed image (membership runs, CSR probe images) seen
+through its contract, copy independence, and the vector kernel's gates
+(what it declines, what it commits to).
 
 Full-run parity (vector kernel vs tuple kernels vs interpreter on
 every engine-invariant counter) lives in
@@ -14,7 +15,6 @@ import pytest
 
 from repro.datalog import columnar
 from repro.datalog.columnar import (
-    ColumnStore,
     ConstantDictionary,
     global_dictionary,
     numpy_available,
@@ -75,96 +75,80 @@ class TestConstantDictionary:
 # -- column store ------------------------------------------------------------
 
 
+def _members(rel, rows):
+    """The subset of raw *rows* the relation's packed membership (runs
+    behind the Bloom prefilter) reports present."""
+    np = scheduler._np
+    rows = sorted(rows)
+    packed = columnar.pack_rows(rows, rel.arity, global_dictionary())
+    order = np.argsort(packed)
+    novel = rel.packed_novel_mask(packed[order])
+    return {rows[i] for i, new in zip(order.tolist(), novel.tolist()) if not new}
+
+
+@needs_numpy
 class TestColumnStore:
-    def test_columns_mirror_rows(self):
-        d = ConstantDictionary()
-        rows = [("a", "b"), ("b", "c")]
-        store = ColumnStore(d, 2, rows)
-        assert len(store) == 2
-        decoded = {
-            d.decode_row((store.columns[0][i], store.columns[1][i]))
-            for i in range(2)
-        }
-        assert decoded == set(rows)
-
-    def test_row_set_membership(self):
-        d = ConstantDictionary()
-        store = ColumnStore(d, 2, [("a", "b")])
-        assert d.intern_row(("a", "b")) in store.row_set
-        assert d.intern_row(("b", "a")) not in store.row_set
-
     def test_encoded_index_mirrors_raw_posting_order(self):
+        """The CSR probe image decodes, key by key, to the raw hash
+        index's posting lists in posting order (the order-parity
+        contract)."""
         rel = Relation(2, [(i % 3, i) for i in range(30)])
         raw = rel.index_for((0,))
-        enc = rel.encoded_index((0,))
+        csr = batch_kernel._csr_for(rel, 0)
         d = global_dictionary()
-        for key, posting in raw.items():
-            enc_posting = enc[d.intern(key[0])]
-            assert [d.decode_row(e) for e in enc_posting] == posting
-
-    def test_encoded_index_single_position_uses_scalar_keys(self):
-        rel = Relation(2, [("a", "b")])
-        enc = rel.encoded_index((0,))
-        assert all(isinstance(k, int) for k in enc)
-        both = rel.encoded_index((0, 1))
-        assert all(isinstance(k, tuple) for k in both)
-
-    def test_numpy_column_view(self):
-        if not numpy_available():
-            pytest.skip("numpy not available")
-        d = ConstantDictionary()
-        store = ColumnStore(d, 2, [("a", "b"), ("c", "b")])
-        col = store.numpy_column(1)
-        assert list(col) == list(store.columns[1])
+        assert csr.keys.tolist() == sorted(d.intern(key[0]) for key in raw)
+        for slot, key_id in enumerate(csr.keys.tolist()):
+            lo, hi = csr.offsets[slot], csr.offsets[slot + 1]
+            posting = list(zip(*(col[lo:hi].tolist() for col in csr.cols)))
+            key = (d.values_list()[key_id],)
+            assert [d.decode_row(e) for e in posting] == raw[key]
+        assert rel.index_builds == 1  # laid out from the index, not beside it
 
     def test_epoch_change_rebuilds_store(self):
-        rel = Relation(1, [("keep",)])
+        rel = Relation(1, [("keep",), ("also",)])
         store = rel.column_store()
+        assert _members(rel, [("keep",), ("also",), ("gone",)]) == {
+            ("keep",), ("also",)
+        }
         global_dictionary().clear()
+        global_dictionary().intern("shift")  # ids are reassigned, not reused
         rebuilt = rel.column_store()
         assert rebuilt is not store
         assert rebuilt.epoch == global_dictionary().epoch
-        assert global_dictionary().decode_row(next(iter(rebuilt.row_set))) == (
-            "keep",
-        )
+        assert _members(rel, [("keep",), ("also",), ("shift",)]) == {
+            ("keep",), ("also",)
+        }
 
     def test_retraction_drops_store(self):
-        rel = Relation(1, [(1,), (2,)])
-        rel.column_store()
+        rel = Relation(1, [(1,), (2,), (3,)])
+        assert _members(rel, [(1,), (2,), (3,)]) == {(1,), (2,), (3,)}
         rel.discard((1,))
-        assert rel._store is None
-        rebuilt = rel.column_store().row_set
-        assert {global_dictionary().decode_row(e) for e in rebuilt} == {(2,)}
+        assert _members(rel, [(1,), (2,), (3,)]) == {(2,), (3,)}
+        assert rel.rows() == {(2,), (3,)}
 
 
-# -- copy-on-write privatization (satellite: Relation.copy) -----------------
+# -- copies do not share the packed image ------------------------------------
 
 
+@needs_numpy
 class TestCopyOnWrite:
-    def test_copies_share_store_until_first_write(self):
-        rel = Relation(2, [("a", "b")])
-        store = rel.column_store()
-        twin = rel.copy()
-        assert twin._store is store and twin._store_shared
-        assert rel._store_shared
-
     def test_write_to_copy_does_not_leak_into_original(self):
         rel = Relation(2, [("a", "b")])
-        rel.column_store()
+        rel.packed_runs()
         twin = rel.copy()
         twin.add(("x", "y"))
-        assert ("x", "y") not in rel
-        enc = global_dictionary().intern_row(("x", "y"))
-        assert enc not in rel.column_store().row_set
-        assert enc in twin.column_store().row_set
+        probe = [("a", "b"), ("x", "y")]
+        assert _members(rel, probe) == {("a", "b")} == rel.rows()
+        assert _members(twin, probe) == {("a", "b"), ("x", "y")} == twin.rows()
 
     def test_write_to_original_does_not_leak_into_copy(self):
         rel = Relation(2, [("a", "b")])
-        rel.column_store()
+        rel.packed_runs()
         twin = rel.copy()
         rel.add(("x", "y"))
-        enc = global_dictionary().intern_row(("x", "y"))
-        assert enc not in twin.column_store().row_set
+        probe = [("a", "b"), ("x", "y")]
+        assert _members(twin, probe) == {("a", "b")} == twin.rows()
+        assert _members(rel, probe) == {("a", "b"), ("x", "y")} == rel.rows()
 
     def test_evaluations_sharing_a_database_do_not_cross_talk(self):
         """Two back-to-back columnar evaluations over one database: the
@@ -292,11 +276,9 @@ class TestBatchKernelGates:
 
     @needs_numpy
     def test_unpackable_frontier_declines_before_any_counter(self, monkeypatch):
-        from repro.engine import plan
-
         kernel = _vector_kernel(LEFT_TC, "tc")
         db = Database.from_dict({"e": [(1, 2)], "tc": [(0, 1)]})
-        monkeypatch.setattr(plan, "PACK_LIMIT", 1)
+        monkeypatch.setattr(columnar, "PACK_LIMIT", 1)
         assert _launch(kernel, db, [(0, 1)]) == (None, {})
 
     @needs_numpy

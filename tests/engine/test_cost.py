@@ -13,7 +13,7 @@
 import pytest
 
 from repro.datalog import Database, parse
-from repro.datalog.columnar import ColumnStore, global_dictionary, pack_encoded
+from repro.datalog.columnar import global_dictionary, pack_encoded
 from repro.datalog.database import Relation
 from repro.engine import EngineOptions, evaluate, scheduler
 
@@ -41,7 +41,6 @@ class ProfileSpy:
 
         real_profile = Relation.degree_profile
         real_count = Relation._count_degrees
-        real_store = ColumnStore.profile
         real_fixpoint = scheduler._fixpoint
 
         def degree_profile(rel):
@@ -53,10 +52,6 @@ class ProfileSpy:
             spy.passes.append((rel, len(rel)))
             return real_count(rel)
 
-        def store_profile(store):
-            spy.passes.append((store, len(store.row_set)))
-            return real_store(store)
-
         def fixpoint(*args, **kwargs):
             spy.in_fixpoint += 1
             try:
@@ -66,7 +61,6 @@ class ProfileSpy:
 
         monkeypatch.setattr(Relation, "degree_profile", degree_profile)
         monkeypatch.setattr(Relation, "_count_degrees", count_degrees)
-        monkeypatch.setattr(ColumnStore, "profile", store_profile)
         monkeypatch.setattr(scheduler, "_fixpoint", fixpoint)
 
     def rows_counted(self):
@@ -87,10 +81,7 @@ class TestProfileOnce:
         # what the loop did ask about is the frozen input, via the memo
         edge = db.relation("edge")
         assert all(rel is edge for rel in spy.asked_in_fixpoint)
-        counted_edge = [
-            obj for obj, rows in spy.passes
-            if rows and obj in (edge, edge._store)
-        ]
+        counted_edge = [obj for obj, rows in spy.passes if rows and obj is edge]
         assert len(counted_edge) == 1
         # nothing but the frozen input was ever counted
         assert spy.rows_counted() == len(edge)

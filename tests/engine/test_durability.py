@@ -37,7 +37,12 @@ from repro.engine import (
     read_wal,
     recover,
 )
-from repro.engine.durability import _FRAME, WAL_MAGIC, program_signature
+from repro.engine.durability import (
+    _FRAME,
+    SNAPSHOT_MAGIC,
+    WAL_MAGIC,
+    program_signature,
+)
 from repro.engine.statistics import EvalStats
 
 TC = """
@@ -303,6 +308,69 @@ class TestSnapshots:
         # epoch (columnar images rebuild lazily)
         r.insert({"edge": [("b", "c")]})
         assert ("a", "c") in r.facts("tc")
+        r.close()
+
+    def test_snapshot_ignores_values_other_relations_interned(
+        self, tmp_path, program
+    ):
+        """The embedded table is the snapshot's own: a value some
+        unrelated relation interned into the process-wide dictionary —
+        here one no snapshot could hold — is neither written nor
+        type-checked."""
+        from repro.datalog.database import Relation
+
+        Relation(1, [(("a", "tuple"),)]).packed_runs()
+        edb = Database.from_dict({"edge": [(1, 2), (2, 3), (3, 4)]})
+        cfg = _config(tmp_path, snapshot_every=0)
+        try:
+            s = IncrementalSession(program, edb, durable=cfg)
+        finally:
+            global_dictionary().clear()
+        want = s.facts("tc")
+        s.close()
+        snap = load_snapshot(list_snapshots(cfg)[0])
+        assert snap.db.rows("tc") == want
+        with open(list_snapshots(cfg)[0], "rb") as f:
+            f.seek(len(SNAPSHOT_MAGIC))
+            size, _ = _FRAME.unpack(f.read(_FRAME.size))
+            assert sorted(json.loads(f.read(size))["dict"]) == [1, 2, 3, 4]
+
+    def test_snapshot_size_tracks_its_rows_not_the_process(
+        self, tmp_path, program, edb
+    ):
+        for i in range(5000):
+            global_dictionary().intern(f"unrelated-{i}")
+        try:
+            cfg = _config(tmp_path, snapshot_every=0)
+            IncrementalSession(program, edb, durable=cfg).close()
+            assert os.path.getsize(list_snapshots(cfg)[0]) < 2000
+        finally:
+            global_dictionary().clear()
+
+    def test_snapshot_written_by_the_parent_commit_still_loads(
+        self, tmp_path, program
+    ):
+        """``tests/data/parent_snapshot`` was written before snapshots
+        got their own value table (its ``dict`` is the whole process
+        dictionary of that run); the layout did not change, so it loads
+        and recovers — snapshot plus a one-batch WAL suffix."""
+        import shutil
+        from pathlib import Path
+
+        fixture = Path(__file__).parent.parent / "data" / "parent_snapshot"
+        for name in ("s.wal", "s.wal.snap-0000000001"):
+            shutil.copy(fixture / name, tmp_path / name)
+        cfg = _config(tmp_path, snapshot_every=0)
+        edges = {(1, 2), (2, 3), ("a", "b"), (3, "a")}
+        snap = load_snapshot(list_snapshots(cfg)[0])
+        assert snap.seq == 1 and snap.db.rows("edge") == edges
+        r, report = recover(program, cfg)
+        assert report.source == "replay" and report.snapshot_seq == 1
+        assert r.facts("edge") == edges | {("b", 2.5)}
+        assert r.facts("tc") == evaluate(
+            program, Database.from_dict({"edge": sorted(r.facts("edge"), key=repr)})
+        ).facts("tc")
+        assert (1, 2.5) in r.facts("tc")
         r.close()
 
     def test_truncated_snapshot_detected(self, tmp_path, program, edb):

@@ -181,6 +181,40 @@ class TestStats:
         assert a.iterations == 3 and a.facts_derived == 2 and a.duplicates == 3
         assert a.fact_counts == {"p": 1}
 
+    def test_every_counter_declares_its_rule(self):
+        """One field table drives ``merge`` and ``as_dict``: every field
+        names a merge rule, each rule does what it says, and the
+        engine-invariant view drops exactly the thirteen counters that
+        measure which path ran."""
+        import dataclasses
+        from copy import deepcopy
+
+        from repro.engine import EvalStats
+
+        declared = dataclasses.fields(EvalStats)
+        rules = {f.name: f.metadata["merge"] for f in declared}
+        assert set(rules.values()) == {"sum", "max", "sum_keys", "first"}
+        full = EvalStats().as_dict()
+        assert set(full) == set(rules) | {"derivations", "join_work"}
+        assert set(full) - set(EvalStats().as_dict(engine_invariant=True)) == {
+            "kernel_launches", "batch_probes", "batch_rows", "dict_size",
+            "columnar_fallbacks", "plans_costed", "replans",
+            "bound_overestimate_max", "degradations", "wal_appends",
+            "wal_replays", "snapshots_written", "recovery_ms",
+        }
+        sample = {"sum": (2, 3, 5), "max": (2, 3, 3), "first": ("a", "b", "a"),
+                  "sum_keys": ({"k": 2}, {"k": 3, "j": 1}, {"k": 5, "j": 1})}
+        mine, theirs = EvalStats(), EvalStats()
+        for name, rule in rules.items():
+            setattr(mine, name, deepcopy(sample[rule][0]))
+            setattr(theirs, name, deepcopy(sample[rule][1]))
+        mine.merge(theirs)
+        for name, rule in rules.items():
+            assert getattr(mine, name) == sample[rule][2], name
+        fresh = EvalStats()
+        fresh.merge(theirs)
+        assert fresh.aborted_reason == "b"  # first non-None wins
+
     def test_summary_format(self):
         from repro.engine import EvalStats
 
