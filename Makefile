@@ -22,9 +22,11 @@ durability:  ## durable-runtime unit suites: WAL framing, snapshots, recovery ru
 	$(PYTHON) -m pytest tests/engine/test_durability.py tests/test_cli.py -q
 
 # The gate: tier-1 plus the oracle suite, all Hypothesis runs pinned
-# to a fixed seed so `make check` is reproducible run to run.
+# to a fixed seed so `make check` is reproducible run to run.  The
+# tier-1 step lists its ten slowest tests: the oracle harness calls
+# optimize(validate=True) per differential, so optimizer cost shows here.
 check:
-	$(PYTHON) -m pytest -x -q --hypothesis-seed=0
+	$(PYTHON) -m pytest -x -q --hypothesis-seed=0 --durations=10
 	$(PYTHON) -m pytest tests/oracle -q --hypothesis-seed=0
 
 lint:  ## static analysis: ruff + mypy over src, repro-lint over workloads

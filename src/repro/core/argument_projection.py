@@ -304,12 +304,14 @@ class QueryRootedSummaries:
     ``(q^a, ...), ..., (..., p.n^c)``").  For occurrences of the query
     predicate itself, the empty chain contributes the identity to
     ``by_predicate`` but not to ``by_occurrence`` (a chain ending *at*
-    an occurrence has at least one factor).
+    an occurrence has at least one factor).  ``projections``: the
+    :func:`program_projections` they were built from.
     """
 
     query: str
     by_predicate: Mapping[str, frozenset[ArgumentProjection]]
     by_occurrence: Mapping[Occurrence, frozenset[ArgumentProjection]]
+    projections: Mapping[Occurrence, ArgumentProjection]
 
 
 def query_rooted_summaries(
@@ -347,4 +349,5 @@ def query_rooted_summaries(
         query=query_pred,
         by_predicate={p: frozenset(s) for p, s in by_pred.items()},
         by_occurrence={o: frozenset(s) for o, s in by_occ.items()},
+        projections=projections,
     )

@@ -40,22 +40,18 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..datalog.ast import Rule
-from ..datalog.database import Database
 from ..datalog.errors import TransformError
 from ..datalog.terms import Term, Variable
-from ..datalog.unify import skolemize
-from ..engine.evaluator import EngineOptions, evaluate
 from .adornment import AdornedProgram, AdornedRule
 from .argument_projection import (
     ArgumentProjection,
     QueryRootedSummaries,
     head_body_projection,
     identity_projection,
-    program_projections,
     query_rooted_summaries,
     summary_closure,
 )
-from .uniform_equivalence import rule_deletable_uniform
+from .uniform_equivalence import frozen_chase, rule_deletable_uniform
 from .unit_rules import is_unit_rule
 
 __all__ = [
@@ -265,7 +261,6 @@ def chase_deletable(
     program: AdornedProgram,
     rule_index: int,
     summaries: Optional[QueryRootedSummaries] = None,
-    max_iterations: int = 10_000,
 ) -> Optional[str]:
     """The Example-6 uniform-query-equivalence chase test.
 
@@ -301,8 +296,7 @@ def chase_deletable(
         return None  # fact rules are data, not deletable by this test
 
     sigma_set: set[ArgumentProjection] = set()
-    projections = program_projections(program)
-    for occ, proj in projections.items():
+    for occ, proj in summaries.projections.items():
         if proj.right == head_pred:
             sigma_set.update(summaries.by_occurrence.get(occ, frozenset()))
     if head_pred == query_pred:
@@ -312,7 +306,6 @@ def chase_deletable(
 
     remaining = program.without_rules([rule_index]).to_program()
     plain_rule = rule.to_rule()
-    options = EngineOptions(max_iterations=max_iterations)
 
     for sigma in sigma_set:
         try:
@@ -322,12 +315,10 @@ def chase_deletable(
         if constrained is None:
             return None
         subst, representatives = constrained
-        instance = plain_rule.substitute(subst)
-        ground_head, ground_body, _ = skolemize(instance)
-        edb = Database.from_facts(ground_body)
-        result = evaluate(remaining, edb, options)
-        required = tuple(ground_head.args[j].value for j in representatives)  # type: ignore[union-attr]
-        if required not in result.facts(query_pred):
+        ground_head, fixpoint = frozen_chase(remaining, plain_rule.substitute(subst))
+        frozen = ground_head.as_fact()
+        answers = fixpoint.relation(query_pred)
+        if answers is None or tuple(frozen[j] for j in representatives) not in answers:
             return None
     return f"uniform-query-equivalence chase (head {head_pred}, {len(sigma_set)} summaries)"
 

@@ -37,8 +37,7 @@ from ..datalog.ast import Atom, Program, Rule
 from ..datalog.database import Database
 from ..datalog.errors import TransformError
 from ..datalog.terms import Constant, Variable
-from ..datalog.unify import skolemize
-from ..engine.evaluator import EngineOptions, evaluate
+from .uniform_equivalence import freeze, frozen_chase
 
 __all__ = ["WILDCARD", "optimistic_fixpoint", "optimistic_answer", "theorem52_deletable"]
 
@@ -177,10 +176,8 @@ def theorem52_deletable(
     rule = program.rules[rule_index]
     if not rule.body:
         return False
-    _, ground_body, _ = skolemize(rule)
-    edb = Database.from_facts(ground_body)
-
-    optimistic = optimistic_answer(program, edb)
+    _, frozen_body = freeze(rule)
+    optimistic = optimistic_answer(program, frozen_body)
     if any(WILDCARD in row for row in optimistic):
         return False
 
@@ -192,8 +189,5 @@ def theorem52_deletable(
         remainder = program.with_rules(
             [r for i, r in enumerate(program.rules) if i in idb2_indexes]
         )
-    result = evaluate(
-        remainder.with_query(None), edb, EngineOptions(max_iterations=10_000)
-    )
-    concrete = result.facts(program.query.predicate) | edb.rows(program.query.predicate)
-    return optimistic <= concrete
+    _, fixpoint = frozen_chase(remainder, rule)
+    return optimistic <= fixpoint.rows(program.query.predicate)

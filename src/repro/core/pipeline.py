@@ -286,30 +286,17 @@ def optimize(
     if subsumption and project:
         # Cheap syntactic pre-pass (section 6 direction): drop rules
         # θ-subsumed by another rule — sound for uniform equivalence.
-        from .subsumption import theta_subsumes
+        from .subsumption import delete_subsumed
 
-        kept: list = []
-        for arule in current.rules:
-            plain = arule.to_rule()
-            winner = next(
-                (
-                    other
-                    for other in current.rules
-                    if other is not arule
-                    and theta_subsumes(other.to_rule(), plain)
-                    and (
-                        not theta_subsumes(plain, other.to_rule())
-                        or other in kept
-                    )
-                ),
-                None,
-            )
-            if winner is not None:
-                subsumed.append((arule, winner))
-                continue
-            kept.append(arule)
-        if subsumed:
-            current = current.with_rules(kept)
+        plain = current.to_program()
+        index = {id(rule): i for i, rule in enumerate(plain.rules)}
+        pairs = [
+            (index[id(rule)], index[id(winner)])
+            for rule, winner in delete_subsumed(plain)[1]
+        ]
+        if pairs:
+            subsumed = [(current.rules[d], current.rules[w]) for d, w in pairs]
+            current = current.without_rules(d for d, _ in pairs)
             _check("theta_subsumption", current)
 
     unit_report: Optional[UnitRuleReport] = None

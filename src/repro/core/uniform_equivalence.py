@@ -26,13 +26,15 @@ literal-deletion test of Sagiv's minimization algorithm.
 
 from __future__ import annotations
 
-from ..datalog.ast import Program, Rule
+from ..datalog.ast import Atom, Program, Rule
 from ..datalog.database import Database
 from ..datalog.errors import TransformError
 from ..datalog.unify import skolemize
 from ..engine.evaluator import EngineOptions, evaluate
 
 __all__ = [
+    "freeze",
+    "frozen_chase",
     "rule_deletable_uniform",
     "literal_deletable_uniform",
     "uniformly_contains",
@@ -40,7 +42,33 @@ __all__ = [
     "minimize_uniform",
 ]
 
-_OPTIONS = EngineOptions(max_iterations=10_000)
+#: Every chase runs on the plan interpreter, the reference evaluator:
+#: a frozen body is a handful of facts, so pricing join orders and
+#: generating kernels for it costs more than its fixpoint.
+_REFERENCE_ENGINE = EngineOptions(
+    use_kernels=False,
+    use_columnar=False,
+    use_cost_planner=False,
+    use_scc=False,
+    max_iterations=10_000,
+)
+
+
+def freeze(rule: Rule) -> tuple[Atom, Database]:
+    """The frozen head of *rule* and its frozen body as a database; the
+    head's relation exists even when nothing defines it."""
+    ground_head, ground_body, _ = skolemize(rule)
+    edb = Database.from_facts(ground_body)
+    edb.ensure(ground_head.predicate, ground_head.arity)
+    return ground_head, edb
+
+
+def frozen_chase(program: Program, rule: Rule) -> tuple[Atom, Database]:
+    """The frozen head of *rule* (or of a rule instance) and the least
+    fixpoint of *program* over its frozen body: the one chase behind
+    Sagiv's test, the Example-6 chase and Theorem 5.2."""
+    ground_head, edb = freeze(rule)
+    return ground_head, evaluate(program.with_query(None), edb, _REFERENCE_ENGINE).db
 
 
 def _derives_frozen_head(program: Program, rule: Rule) -> bool:
@@ -57,15 +85,8 @@ def _derives_frozen_head(program: Program, rule: Rule) -> bool:
             "uniform-equivalence chase tests cannot evaluate comparison "
             "built-ins over frozen (skolem) constants"
         )
-    ground_head, ground_body, _ = skolemize(rule)
-    edb = Database.from_facts(ground_body)
-    # The head predicate may have no rules left in `program`; make sure
-    # its relation exists so the membership check is well-defined.
-    edb.ensure(ground_head.predicate, ground_head.arity)
-    result = evaluate(program.with_query(None), edb, _OPTIONS)
-    return ground_head.as_fact() in result.facts(ground_head.predicate) or (
-        ground_head.as_fact() in edb.rows(ground_head.predicate)
-    )
+    ground_head, fixpoint = frozen_chase(program, rule)
+    return ground_head.as_fact() in fixpoint.relation(ground_head.predicate)
 
 
 def rule_deletable_uniform(program: Program, rule_index: int) -> bool:

@@ -17,6 +17,14 @@ from repro.core import (
     rule_deletable_uniform,
     theorem52_deletable,
 )
+from repro.core import uniform_equivalence
+from repro.core.adornment import AdornedProgram, adorn
+from repro.core.components import split_components
+from repro.core.projection import push_projections
+from repro.datalog.errors import TransformError
+from repro.engine import EngineOptions
+from repro.workloads import paper_examples
+from repro.workloads.families import all_families
 from repro.workloads.paper_examples import adorned_from_text
 
 
@@ -140,3 +148,45 @@ def test_chase_strictly_stronger_than_nothing_on_matrix():
             assert (
                 evaluate(p1, db).answers() == evaluate(p2, db).answers()
             ), (name, seed)
+
+
+def _projected_corpus():
+    """Every paper example and family, as a projected adorned program."""
+    corpus = dict(all_families())
+    for name in dir(paper_examples):
+        if name.startswith("example") and not name.endswith(("_text", "_spec")):
+            corpus[name] = getattr(paper_examples, name)()
+    for name, program in corpus.items():
+        if not isinstance(program, AdornedProgram):
+            program = push_projections(split_components(adorn(program)).program)
+        yield name, program
+
+
+def _chase_verdicts(program):
+    """What the three frozen-body tests say about every rule (a refusal
+    — negation, built-ins — is a verdict too)."""
+    plain = program.to_program()
+    verdicts = []
+    for ri in range(len(program.rules)):
+        for test in (
+            lambda: rule_deletable_uniform(plain, ri),
+            lambda: chase_deletable(program, ri),
+            lambda: theorem52_deletable(plain, ri),
+        ):
+            try:
+                verdicts.append(test())
+            except TransformError as exc:
+                verdicts.append(str(exc))
+    return verdicts
+
+
+def test_chase_verdicts_do_not_depend_on_the_engine(monkeypatch):
+    """The chases run on the plan interpreter; the production engine
+    must reach the same verdict on every rule."""
+    reference = {n: _chase_verdicts(p) for n, p in _projected_corpus()}
+    assert any(v is True for vs in reference.values() for v in vs)
+    assert any(isinstance(v, str) and "chase" in v for vs in reference.values() for v in vs)
+    monkeypatch.setattr(
+        uniform_equivalence, "_REFERENCE_ENGINE", EngineOptions(max_iterations=10_000)
+    )
+    assert {n: _chase_verdicts(p) for n, p in _projected_corpus()} == reference

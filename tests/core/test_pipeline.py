@@ -3,13 +3,21 @@
 import pytest
 
 from repro.datalog import parse
-from repro.engine import evaluate
+from repro.engine import (
+    clear_kernel_cache,
+    clear_prepared_cache,
+    evaluate,
+    kernel_cache_stats,
+    prepared_cache_stats,
+)
 from repro.core.pipeline import optimize
 from repro.workloads.edb import random_edb
+from repro.workloads.families import boolean_chain, sibling_components
 from repro.workloads.paper_examples import (
     example1_program,
     example2_program,
     example5_program,
+    example12_original,
 )
 
 
@@ -75,47 +83,76 @@ class TestPipelineOptions:
             assert keyword in text
 
 
+class TestPipelineCompilesNothing:
+    def test_optimize_leaves_no_kernels_behind(self):
+        # the deletion chases run on the plan interpreter: deciding what
+        # to delete must not fill the process-wide kernel cache
+        clear_kernel_cache()
+        clear_prepared_cache()
+        for program in (boolean_chain(8), sibling_components(5), example12_original()):
+            optimize(program)
+        assert prepared_cache_stats()["misses"] > 0  # chases did run
+        assert kernel_cache_stats()["compiles"] == 0
+
+
 class TestPipelineGeneralPrograms:
+    # (program, the (deleted, winner) pairs of the θ-subsumption pre-pass)
     @pytest.mark.parametrize(
-        "src",
+        ("src", "subsumed"),
         [
             # same generation, existential query
-            """
+            ("""
             sg(X, Y) :- flat(X, Y).
             sg(X, Y) :- up(X, U), sg(U, V), down(V, Y).
             ?- sg(X, _).
-            """,
+            """, []),
             # two recursion levels
-            """
+            ("""
             q(X) :- r(X, Y).
             r(X, Y) :- s(X, Z), r(Z, Y).
             r(X, Y) :- s(X, Y).
             s(X, Y) :- e(X, Y).
             ?- q(X).
-            """,
+            """, []),
             # nonlinear recursion
-            """
+            ("""
             t(X, Y) :- e(X, Y).
             t(X, Y) :- t(X, Z), t(Z, Y).
             ?- t(X, _).
-            """,
+            """, []),
             # query with constants
-            """
+            ("""
             tc(X, Y) :- e(X, Y).
             tc(X, Y) :- e(X, Z), tc(Z, Y).
             ?- tc(1, _).
-            """,
+            """, [("tc@nd(X) :- e(X, Z), tc@nd(Z).", "tc@nd(X) :- e(X, Y).")]),
             # disconnected guard component
-            """
+            ("""
             q(X) :- item(X), ok(Y, Z).
             ok(Y, Z) :- w(Y), v(Z).
             ?- q(X).
-            """,
+            """, []),
+            # mutual variants: the later rule goes, the earlier wins
+            ("""
+            p(X) :- e(X, Y).
+            p(U) :- e(U, V).
+            ?- p(X).
+            """, [("p@n(U) :- e(U, V).", "p@n(X) :- e(X, Y).")]),
+            # a strict subsumer wins from behind, and over its own variant
+            ("""
+            p(X) :- e(X, Y), g(Y).
+            p(X) :- e(X, Y).
+            p(U) :- e(U, V).
+            ?- p(X).
+            """, [("p@n(X) :- e(X, Y), g(Y).", "p@n(X) :- e(X, Y)."),
+                  ("p@n(U) :- e(U, V).", "p@n(X) :- e(X, Y).")]),
         ],
-        ids=["same-gen", "two-level", "nonlinear", "constant-query", "guard"],
+        ids=["same-gen", "two-level", "nonlinear", "constant-query", "guard",
+             "variant-pair", "strict-subsumer"],
     )
-    def test_equivalence_on_random_edbs(self, src):
+    def test_equivalence_on_random_edbs(self, src, subsumed):
         result = optimize(parse(src))
+        assert [(str(r), str(w)) for r, w in result.subsumed] == subsumed
         check_equivalent(result, seeds=range(4), rows=20, domain=8)
 
     def test_never_more_rules_than_pre_deletion(self):
