@@ -18,8 +18,8 @@ died mid-apply (or the batch tripped a governor limit and left only a
 partial lower bound in memory).
 
 **Columnar snapshots.**  Periodically — every ``snapshot_every``
-batches, past ``max_wal_bytes`` of log, past ``max_wal_age_s`` of log
-age, or on a forced ``.checkpoint`` — the materialized state is
+batches, past ``max_wal_bytes`` of log, or on a forced
+``.checkpoint`` — the materialized state is
 serialized column-wise: each relation's rows are dict-encoded into
 int64 columns against the snapshot's own dense value table, and the
 snapshot embeds exactly that id → value table (not the process-wide
@@ -143,10 +143,10 @@ class DurabilityConfig:
         ``"always"`` / ``"batch"`` / ``"off"`` (see module docstring).
     snapshot_every
         Automatic snapshot every N accepted batches (0 = only forced
-        ``.checkpoint`` snapshots and the size/age policy below).
-    max_wal_bytes / max_wal_age_s
-        Additional compaction triggers: snapshot as soon as the log
-        exceeds this size / this age since its last compaction.
+        ``.checkpoint`` snapshots and the size policy below).
+    max_wal_bytes
+        An additional compaction trigger: snapshot as soon as the log
+        exceeds this size.
     keep_snapshots
         Snapshots retained after compaction.  The WAL is only truncated
         up to the *oldest retained* snapshot, so with the default 2 a
@@ -165,7 +165,6 @@ class DurabilityConfig:
     fsync: str = "batch"
     snapshot_every: int = 64
     max_wal_bytes: Optional[int] = None
-    max_wal_age_s: Optional[float] = None
     keep_snapshots: int = 2
     on_flag_drift: str = "refuse"
 
@@ -190,10 +189,6 @@ class DurabilityConfig:
         if self.max_wal_bytes is not None and self.max_wal_bytes < 0:
             raise DurabilityError(
                 f"max_wal_bytes must be >= 0, got {self.max_wal_bytes}"
-            )
-        if self.max_wal_age_s is not None and self.max_wal_age_s < 0:
-            raise DurabilityError(
-                f"max_wal_age_s must be >= 0, got {self.max_wal_age_s}"
             )
 
     def snapshot_path(self, seq: int) -> Path:
@@ -317,9 +312,6 @@ class WriteAheadLog:
     def size(self) -> int:
         self._file.flush()
         return os.fstat(self._file.fileno()).st_size
-
-    def age_s(self) -> float:
-        return max(0.0, time.time() - self.header.get("created", time.time()))
 
     def append(
         self,
@@ -812,11 +804,7 @@ class DurableLog:
         cfg = self.config
         if cfg.snapshot_every and self._batches_since_snapshot >= cfg.snapshot_every:
             return True
-        if cfg.max_wal_bytes is not None and self.wal.size() > cfg.max_wal_bytes:
-            return True
-        if cfg.max_wal_age_s is not None and self.wal.age_s() > cfg.max_wal_age_s:
-            return True
-        return False
+        return cfg.max_wal_bytes is not None and self.wal.size() > cfg.max_wal_bytes
 
     def maybe_snapshot(
         self, session: "IncrementalSession", stats, governor, injector=None

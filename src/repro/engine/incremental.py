@@ -18,25 +18,31 @@ topological order.  Units whose input predicates did not change are
 skipped entirely (``units_reactivated`` vs ``units_scheduled``).
 
 **Retractions** follow the DRed delete–rederive discipline
-(Gupta–Mumick–Subrahmanian):
+(Gupta–Mumick–Subrahmanian), stated as its authors state it: two rule
+rewrites, derived once per session and evaluated by the same seeded unit
+walk insertion uses.  For every rule ``h(t̄) :- L1…Ln, B, ¬N``:
 
-1. *Overdelete* — compute the closure of facts with **some** derivation
-   touching a deleted fact, by firing the existing delta plans with the
-   deletions as the frontier against the **unmodified** database
-   (removing rows eagerly would under-estimate when two body facts of
-   one derivation die together).  Facts asserted by program fact rules
-   or still present as initial IDB facts are *protected*: their
-   derivations are unconditional, so they never enter the closure.
-2. *Delete* — discard the closure (copy-on-write: shared EDB relations
+1. *Overdelete* — one rule per relational position *i*,
+   ``Δh(t̄) :- L1…ΔLi…Ln, B, ¬N, ¬Πh(t̄)``, seeded with the base
+   deletions (``Δp``) on a scratch database sharing every session
+   relation by reference, so each non-Δ literal reads the
+   **unmodified** state (removing rows eagerly would under-estimate
+   when two body facts of one derivation die together).  ``Πh`` holds
+   h's *protected* rows — program fact rules plus still-given initial
+   IDB facts: their derivations are unconditional, so they never enter
+   the closure.
+2. *Delete* — discard every Δ row (copy-on-write: shared EDB relations
    are privatized first, so sibling sessions over the same database
    never observe the retraction).
-3. *Rederive* — walk the affected units in topological order.  For a
-   **non-recursive** unit each overdeleted fact is decided by a single
-   goal-directed support probe (head bound, body matched against the
-   fully maintained lower relations) — the counting-style check, no
-   fixpoint needed.  A **recursive** unit additionally reseeds its
-   component-local fixpoint with the directly rederived facts, which
-   re-derives exactly the overdeleted facts that remain reachable.
+3. *Rederive* — one rule per rule, ``h(t̄) :- ∇h(t̄), L1…Ln, B, ¬N``,
+   with ``∇h`` the overdeleted rows of ``h``, writing straight into
+   ``h``.  The ``∇`` literal binds every head variable first, so the
+   body is answered by index probes; a recursive unit keeps iterating
+   inside itself until every overdeleted fact that is still reachable
+   is back.
+
+The generated predicates are named with a ``#``, a character the parser
+rejects, so no program's own predicate can collide with them.
 
 Updates whose affected cone crosses a **negative** dependency edge are
 non-monotone: the affected units are reset to their initial rows and
@@ -63,23 +69,20 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import replace
-from functools import partial
 from typing import Iterable, Optional, Union
 
 from ..datalog.analysis import condensation, negative_dependencies
-from ..datalog.ast import Atom, Program
+from ..datalog.ast import Atom, Program, Rule
+from ..datalog.builtins import is_builtin
 from ..datalog.database import Database
 from ..datalog.errors import ArityError
-from ..datalog.terms import Constant, Variable
 from .evaluator import EngineOptions, EvalResult, evaluate
 from .faults import FaultInjector
 from .governor import BudgetExceeded, Governor, settle
-from .plan import CompiledRule, DeltaIndex, match_plan, rebind_plans
+from .plan import compile_rule
 from .provenance import Justification
 from .scheduler import (
     EvalUnit,
-    _builtins_hold,
-    _negatives_hold,
     build_units,
     evaluate_unit,
     run_monolithic,
@@ -101,22 +104,44 @@ Facts = Union[
 _EMPTY: frozenset = frozenset()
 
 
-def _head_binding(cr: CompiledRule, row: tuple) -> Optional[dict]:
-    """Unify a rule head with a concrete row (the goal-directed entry
-    of the rederivation probe); None on a constant or repeated-variable
-    mismatch."""
-    subst: dict = {}
-    for arg, value in zip(cr.rule.head.args, row):
-        if isinstance(arg, Constant):
-            if arg.value != value:
-                return None
-        else:
-            bound = subst.get(arg, _EMPTY)
-            if bound is _EMPTY:
-                subst[arg] = value
-            elif bound != value:
-                return None
-    return subst
+#: name prefixes of the predicates the DRed rewrites generate: ``Δp``
+#: (deleted rows of p), ``∇p`` (its overdeleted rows, to rederive) and
+#: ``Πp`` (its protected rows)
+_DELETED, _REDERIVE, _PROTECTED = "del#", "rederive#", "protected#"
+
+
+def _dred_units(unit: EvalUnit) -> tuple[EvalUnit, EvalUnit]:
+    """The overdeletion and rederivation units of one evaluation unit —
+    its rules rewritten as in the module docstring.  Both keep the
+    unit's place in the walk and its recursion (Δ literals depend on one
+    another exactly as the literals they shadow do), and every rewritten
+    rule keeps its original rule index."""
+    delete, rederive = [], []
+    for cr in unit.rules:
+        rule, head = cr.rule, cr.rule.head
+        deleted_head = head.rename_predicate(_DELETED + head.predicate)
+        unprotected = (*rule.negative, head.rename_predicate(_PROTECTED + head.predicate))
+        for i, literal in enumerate(rule.body):
+            if is_builtin(literal.predicate):
+                continue
+            body = list(rule.body)
+            body[i] = literal.rename_predicate(_DELETED + literal.predicate)
+            delete.append(compile_rule(
+                Rule(deleted_head, tuple(body), unprotected), cr.rule_index
+            ))
+        overdeleted = head.rename_predicate(_REDERIVE + head.predicate)
+        rederive.append(compile_rule(
+            Rule(head, (overdeleted, *rule.body), rule.negative), cr.rule_index
+        ))
+    return (
+        replace(
+            unit,
+            members=frozenset(_DELETED + p for p in unit.members),
+            heads=frozenset(_DELETED + p for p in unit.heads),
+            rules=tuple(delete),
+        ),
+        replace(unit, rules=tuple(rederive)),
+    )
 
 
 class IncrementalSession:
@@ -261,6 +286,10 @@ class IncrementalSession:
                 self._units.extend(
                     build_units(stratum_rules, info, edges, component_of)
                 )
+        #: the DRed rewrites of every unit, in the same order
+        dred = [_dred_units(unit) for unit in self._units]
+        self._delete_units = [d for d, _ in dred]
+        self._rederive_units = [r for _, r in dred]
         #: per unit: the predicates its rule bodies read (the seed set)
         self._unit_inputs = {
             id(unit): frozenset(
@@ -268,7 +297,7 @@ class IncrementalSession:
                 for cr in unit.rules
                 for atom in cr.relational_body
             )
-            for unit in self._units
+            for unit in (*self._units, *self._delete_units)
         }
         #: reverse dependency graph, for affected-cone computation
         self._rev: dict[str, set] = {}
@@ -276,10 +305,6 @@ class IncrementalSession:
             for dep in deps:
                 self._rev.setdefault(dep, set()).add(head)
         self._neg_edges = negative_dependencies(program)
-        #: per compiled rule: the goal-directed probe (head-rebound
-        #: plans + the head's variable tuple when it is all distinct
-        #: variables), built lazily on the first retraction hitting it
-        self._goal_probe: dict[int, tuple] = {}
 
     # -- queries ------------------------------------------------------------
 
@@ -508,13 +533,14 @@ class IncrementalSession:
         self.stats.fact_counts = dict(batch.fact_counts)
         self.stats.aborted_reason = batch.aborted_reason
 
-    def _walk(self, stats, governor, select, run) -> None:
-        """The one maintenance unit walk, in global topological order:
-        every unit is examined (``units_scheduled``); those for which
-        ``select(unit)`` returns work are re-run (``units_reactivated``)
-        as ``run(unit, guard, work)`` under a guard of their own."""
+    def _walk(self, units, stats, governor, select, run) -> None:
+        """The one maintenance unit walk over *units* (a schedule in
+        global topological order): every unit is examined
+        (``units_scheduled``); those for which ``select(unit)`` returns
+        work are re-run (``units_reactivated``) as
+        ``run(unit, guard, work)`` under a guard of their own."""
         ordinal = 0
-        for unit in self._units:
+        for unit in units:
             stats.units_scheduled += 1
             work = select(unit)
             if not work:
@@ -523,6 +549,23 @@ class IncrementalSession:
             guard = governor.guard(unit=unit.label, ordinal=ordinal)
             ordinal += 1
             run_unit(unit, stats, guard, run, work)
+
+    def _propagate(self, units, db, changed, stats, opts, governor, provenance) -> None:
+        """Seeded propagation over *units* on *db*: each unit whose
+        inputs appear in *changed* resumes its fixpoint from those rows,
+        and every row it adds joins *changed* for the units after it."""
+
+        def seeds_of(unit):
+            inputs = self._unit_inputs[id(unit)]
+            return {p: changed[p] for p in inputs if changed.get(p)}
+
+        def propagate(unit, guard, seeds):
+            out = run_seeded_unit(unit, db, stats, provenance, opts, guard, seeds)
+            for p, rows in out.items():
+                if rows:
+                    changed.setdefault(p, set()).update(rows)
+
+        self._walk(units, stats, governor, seeds_of, propagate)
 
     def _privatize(self, pred: str) -> None:
         if pred in self._shared:
@@ -593,19 +636,9 @@ class IncrementalSession:
         # reseeding only those whose inputs changed.  A governor trip
         # mid-walk is already sound — bottom-up insertion only adds
         # true consequences.
-        def seeds_of(unit):
-            inputs = self._unit_inputs[id(unit)]
-            return {p: changed[p] for p in inputs if changed.get(p)}
-
-        def propagate(unit, guard, seeds):
-            out = run_seeded_unit(
-                unit, self.db, stats, self.provenance, opts, guard, seeds
-            )
-            for p, rows in out.items():
-                if rows:
-                    changed.setdefault(p, set()).update(rows)
-
-        self._walk(stats, governor, seeds_of, propagate)
+        self._propagate(
+            self._units, self.db, changed, stats, opts, governor, self.provenance
+        )
 
     # -- retraction ---------------------------------------------------------
 
@@ -632,102 +665,73 @@ class IncrementalSession:
             self._discard_rows(present, stats)
             self._recompute_affected(affected, stats, opts, governor)
             return
-        closure_guard = governor.guard()
+        # Overdelete: the Δ rules over the unmodified session state.
+        scratch = self.db.copy(mutating=())
+        for pred in affected:
+            arity = self._arities[pred]
+            scratch.ensure(_DELETED + pred, arity)
+            # an absent Πh reads as the empty relation it would be
+            protected = self._protected(pred)
+            if protected:
+                scratch.ensure(_PROTECTED + pred, arity).update(protected)
+        deleted: dict[str, set] = {}
+        for pred, rows in present.items():
+            scratch.ensure(_DELETED + pred, self.db.relation(pred).arity).update(rows)
+            deleted[_DELETED + pred] = set(rows)
         try:
-            deleted = self._overdelete_closure(
-                present, affected, stats, opts, closure_guard
+            self._propagate(
+                self._delete_units, scratch, deleted, stats,
+                replace(opts, record_provenance=False), governor, {},
             )
         except BudgetExceeded:
-            # The closure ran against the unmodified database, so
-            # nothing is applied yet; applying the base deletions and
-            # resetting the whole affected cone to its initial rows is
-            # the cheapest sound lower bound.
+            # The Δ walk wrote only its scratch relations, so nothing is
+            # applied yet; applying the base deletions and resetting the
+            # whole affected cone to its initial rows is the cheapest
+            # sound lower bound.
             self._discard_rows(present, stats)
-            self._reset_affected(affected, stats)
+            self._reset_affected(affected)
             raise
-        self._discard_rows(deleted, stats)
-        # A trip inside rederivation needs no cleanup: every fact not
-        # in the closure keeps a derivation avoiding the deleted facts,
-        # and rederived facts were re-added with a live support probe —
-        # the state is a sound lower bound wherever the walk stopped.
-        self._walk(
-            stats, governor,
-            lambda unit: {p: deleted[p] for p in unit.heads if deleted.get(p)},
-            partial(self._rederive_unit, stats=stats, opts=opts),
-        )
+        overdeleted = {
+            name[len(_DELETED):]: rows for name, rows in deleted.items()
+        }
+        self._discard_rows(overdeleted, stats)
 
-    def _overdelete_closure(
-        self, base_deleted, affected, stats, opts, guard
-    ) -> dict[str, set]:
-        """The DRed overestimate: every fact with *some* derivation
-        using a deleted fact, computed with the delta plans against the
-        **unmodified** database (protected facts excluded).  Returns
-        the base deletions merged with the derived closure."""
-        deleted = {p: set(rows) for p, rows in base_deleted.items()}
-        for unit in self._units:
-            if not (unit.heads & affected):
-                continue
-            inputs = self._unit_inputs[id(unit)]
-            pending = {
-                p: set(deleted[p]) for p in inputs if deleted.get(p)
-            }
-            protected: dict[str, frozenset] = {}
-            while pending:
-                guard.checkpoint(stats)
-                previous = {
-                    p: DeltaIndex(rows) for p, rows in pending.items()
-                }
-                new: dict[str, set] = {}
-                for cr in unit.rules:
-                    guard.checkpoint(stats)
-                    head_pred = cr.rule.head.predicate
-                    rel = self.db.relation(head_pred)
-                    if rel is None:
-                        continue
-                    # hoisted out of the candidate loop: all four
-                    # membership sets are fixed for the round (deleted
-                    # only grows between rounds)
-                    dead = deleted.get(head_pred, _EMPTY)
-                    found = new.setdefault(head_pred, set())
-                    prot = protected.get(head_pred)
-                    if prot is None:
-                        prot = self._protected(head_pred)
-                        protected[head_pred] = prot
-                    for i, literal in enumerate(cr.relational_body):
-                        frontier = previous.get(literal.predicate)
-                        if frontier is None:
-                            continue
-                        for subst, _rows in match_plan(
-                            cr.delta_plans[i], self.db, stats,
-                            delta_rows=frontier,
-                            use_indexes=opts.use_indexes,
-                        ):
-                            if cr.builtins and not _builtins_hold(cr, subst):
-                                continue
-                            if cr.rule.negative and not _negatives_hold(
-                                cr, self.db, subst, stats
-                            ):
-                                continue
-                            head = cr.head_values(subst)
-                            if (
-                                head not in rel
-                                or head in dead
-                                or head in found
-                                or head in prot
-                            ):
-                                continue
-                            found.add(head)
-                if not any(new.values()):
-                    break
-                for p, rows in new.items():
-                    if rows:
-                        deleted.setdefault(p, set()).update(rows)
-                # only deletions of the unit's own inputs (its members,
-                # for a recursive unit) can cascade further here
-                pending = {
-                    p: rows for p, rows in new.items() if p in inputs and rows
-                }
-        return deleted
+        # Rederive: the ∇ rules, seeded with each unit's overdeleted
+        # rows.  A trip here needs no cleanup: every fact not
+        # overdeleted keeps a derivation avoiding the deleted facts,
+        # and every rederived fact was re-added by a rule firing over
+        # present facts — a sound lower bound wherever the walk stopped.
+        # A fresh view: the first still holds the shared relations that
+        # discarding privatized, deleted rows included.
+        scratch = self.db.copy(mutating=())
+        for pred, rows in overdeleted.items():
+            if pred in self._idb:
+                scratch.ensure(_REDERIVE + pred, self._arities[pred]).update(rows)
+        derived_before = stats.facts_derived
+        try:
+            self._walk(
+                self._rederive_units, stats, governor,
+                lambda unit: {
+                    _REDERIVE + p: overdeleted[p]
+                    for p in unit.heads
+                    if overdeleted.get(p)
+                },
+                lambda unit, guard, seeds: run_seeded_unit(
+                    unit, scratch, stats, self.provenance, opts, guard, seeds
+                ),
+            )
+        finally:
+            stats.facts_rederived += stats.facts_derived - derived_before
+            if opts.record_provenance:
+                # a rederived fact's justification is its original
+                # rule's: drop the ∇ literal's row (body position 0)
+                for pred, rows in overdeleted.items():
+                    for row in rows:
+                        just = self.provenance.get((pred, row))
+                        if just is not None:
+                            self.provenance[(pred, row)] = Justification(
+                                just.rule_index, just.body[1:]
+                            )
 
     def _discard_rows(self, rows_by_pred, stats) -> None:
         for pred in sorted(rows_by_pred):
@@ -742,93 +746,6 @@ class IncrementalSession:
                 if rel.discard(row):
                     stats.facts_retracted += 1
                     self.provenance.pop((pred, row), None)
-
-    def _goal_probe_for(self, cr: CompiledRule) -> tuple:
-        """The cached goal-directed probe of one rule: its join plans
-        rebound for the head variables (so pre-bound positions answer
-        as index probes, not the scans the forward patterns would take)
-        plus, for the common all-distinct-variables head, the variable
-        tuple that turns head binding into a single ``dict(zip(...))``.
-        """
-        cached = self._goal_probe.get(id(cr))
-        if cached is None:
-            head_args = cr.rule.head.args
-            bound = frozenset(
-                a for a in head_args if isinstance(a, Variable)
-            )
-            plans = rebind_plans(cr.plan, bound)
-            fast = (
-                tuple(head_args)
-                if len(bound) == len(head_args)
-                else None
-            )
-            cached = (plans, fast)
-            self._goal_probe[id(cr)] = cached
-        return cached
-
-    def _rederive_unit(self, unit, guard, deleted_local, stats, opts) -> None:
-        """Decide each overdeleted fact of one unit: a goal-directed
-        support probe per fact (the counting-style check), then — for
-        recursive units — a reseeded component fixpoint that re-derives
-        whatever the directly supported facts still reach."""
-        guard.unit_boundary(stats)
-        readded: dict[str, set] = {}
-        rules_by_head: dict[str, list] = {}
-        for cr in unit.rules:
-            rules_by_head.setdefault(cr.rule.head.predicate, []).append(
-                (cr, *self._goal_probe_for(cr))
-            )
-        for pred in sorted(deleted_local):
-            rel = self.db.relation(pred)
-            if rel is None:
-                continue
-            for row in sorted(deleted_local[pred], key=repr):
-                guard.checkpoint(stats)
-                for cr, plans, head_vars in rules_by_head.get(pred, ()):
-                    if head_vars is not None:
-                        subst0 = dict(zip(head_vars, row))
-                    else:
-                        subst0 = _head_binding(cr, row)
-                        if subst0 is None:
-                            continue
-                    support = None
-                    for subst, body_rows in match_plan(
-                        plans, self.db, stats, subst=subst0,
-                        use_indexes=opts.use_indexes,
-                    ):
-                        if cr.builtins and not _builtins_hold(cr, subst):
-                            continue
-                        if cr.rule.negative and not _negatives_hold(
-                            cr, self.db, subst, stats
-                        ):
-                            continue
-                        support = body_rows
-                        break
-                    if support is None:
-                        continue
-                    rel.add(row)
-                    stats.facts_derived += 1
-                    stats.facts_rederived += 1
-                    if opts.record_provenance:
-                        body = tuple(
-                            (atom.predicate, r)
-                            for atom, r in zip(cr.relational_body, support)
-                        )
-                        self.provenance[(pred, row)] = Justification(cr.rule_index, body)
-                    readded.setdefault(pred, set()).add(row)
-                    break
-        if unit.recursive:
-            seeds = {
-                p: set(rows)
-                for p, rows in readded.items()
-                if p in unit.members and rows
-            }
-            if seeds:
-                before = stats.facts_derived
-                run_seeded_unit(
-                    unit, self.db, stats, self.provenance, opts, guard, seeds
-                )
-                stats.facts_rederived += stats.facts_derived - before
 
     # -- the non-monotone / degraded path -----------------------------------
 
@@ -846,36 +763,27 @@ class IncrementalSession:
             for row in keep:
                 rel.add(row)
 
-    def _reset_affected(self, affected, stats) -> None:
-        preds = {
-            p
-            for unit in self._units
-            if unit.heads & affected
-            for p in unit.heads
-        }
-        if not preds:
-            return
+    def _reset_affected(self, affected) -> bool:
+        """Reset every unit heading an affected predicate to its
+        unconditional rows, dropping their provenance; False iff there
+        was no such unit."""
+        targets = [u for u in self._units if u.heads & affected]
+        preds = {p for u in targets for p in u.heads}
         for key in [k for k in self.provenance if k[0] in preds]:
             del self.provenance[key]
-        for unit in self._units:
-            if unit.heads & affected:
-                self._reset_unit_rows(unit)
+        for unit in targets:
+            self._reset_unit_rows(unit)
+        return bool(targets)
 
     def _recompute_affected(self, affected, stats, opts, governor) -> None:
         """Reset every affected unit to its initial rows, then re-run
         them in topological order.  All resets happen up front, so a
         governor trip mid-walk leaves untouched initial state (a sound
         lower bound) in every not-yet-recomputed unit."""
-        targets = [u for u in self._units if u.heads & affected]
-        if not targets:
+        if not self._reset_affected(affected):
             return
-        preds = {p for u in targets for p in u.heads}
-        for key in [k for k in self.provenance if k[0] in preds]:
-            del self.provenance[key]
-        for unit in targets:
-            self._reset_unit_rows(unit)
         self._walk(
-            stats, governor,
+            self._units, stats, governor,
             lambda unit: unit.heads & affected,
             lambda unit, guard, _: evaluate_unit(
                 unit, guard, self.db, stats, self.provenance, opts

@@ -40,7 +40,6 @@ __all__ = [
     "LiteralPlan",
     "order_body",
     "compile_rule",
-    "rebind_plans",
     "replan_delta_plans",
 ]
 
@@ -402,52 +401,11 @@ def replan_delta_plans(cr: CompiledRule, cost_model) -> CompiledRule:
     return replace(cr, delta_plans=delta_plans)
 
 
-def _rebind(plan: LiteralPlan, bound: Mapping) -> LiteralPlan:
-    """*plan* with every free position whose variable is in *bound*
-    promoted to a bound (index-keyed) position.
-
-    Join plans are compiled knowing only which variables earlier body
-    literals bind; a goal-directed caller of :func:`match_plan` (the
-    rederivation support probe) additionally pre-binds the head
-    variables through ``subst``.  Promoting those positions turns what
-    the compile-time pattern thought was an unbound first literal —
-    a full scan — into an index probe on the pre-bound values.  The
-    initial substitution only ever grows, so the promotion is sound at
-    every plan step.
-    """
-    extra = tuple(p for p, var in plan.free_positions if var in bound)
-    if not extra:
-        return plan
-    return replace(
-        plan,
-        bound_positions=tuple(sorted(plan.bound_positions + extra)),
-        free_positions=tuple(
-            (p, var) for p, var in plan.free_positions if var not in bound
-        ),
-    )
-
-
-def rebind_plans(
-    plans: Sequence[LiteralPlan], bound: "Mapping | frozenset"
-) -> tuple[LiteralPlan, ...]:
-    """Rebind every plan step for a known pre-bound variable set.
-
-    Goal-directed callers that probe the same plan for many different
-    bindings of one fixed variable set (the rederivation support probe:
-    the head variables, one probe per overdeleted row) should rebind
-    once through this helper and reuse the result — :func:`match_plan`
-    still accepts raw plans plus ``subst`` and rebinds on the fly, but
-    that costs a plan reconstruction per call.
-    """
-    return tuple(_rebind(plan, bound) for plan in plans)
-
-
 def match_plan(
     plans: Sequence[LiteralPlan],
     db: Database,
     stats: EvalStats,
     delta_rows: "Optional[DeltaIndex | frozenset]" = None,
-    subst: Optional[dict] = None,
     use_indexes: bool = True,
 ) -> Iterator[tuple[dict, tuple]]:
     """Enumerate substitutions satisfying the planned body.
@@ -458,19 +416,12 @@ def match_plan(
     any iterable of rows), the first plan step is matched against
     exactly those rows instead of the stored relation — this is the
     semi-naive delta position, answered through the frontier's lazy
-    position groupings.  A non-empty *subst* pre-binds variables before
-    the first step; the binding patterns are rebound accordingly so
-    pre-bound positions are answered by index probes rather than the
-    scans the compile-time patterns would fall back to.  With
-    ``use_indexes=False``
-    every probe of a stored relation enumerates the whole relation and
-    filters (the pre-index seed behaviour, kept as the ``--no-index``
-    baseline); ``stats.rows_scanned`` then counts every enumerated row,
-    matching or not.
+    position groupings.  With ``use_indexes=False`` every probe of a
+    stored relation enumerates the whole relation and filters (the
+    pre-index seed behaviour, kept as the ``--no-index`` baseline);
+    ``stats.rows_scanned`` then counts every enumerated row, matching
+    or not.
     """
-    start = dict(subst) if subst else {}
-    if start:
-        plans = [_rebind(plan, start) for plan in plans]
     n = len(plans)
     body_rows: list = [None] * n
     delta = (
@@ -529,7 +480,7 @@ def match_plan(
                 # work (and identical head facts) per extra row
                 return
 
-    for final_subst, rows in step(0, start):
+    for final_subst, rows in step(0, {}):
         ordered: list = [None] * n
         for body_index, row in rows:
             ordered[body_index] = row

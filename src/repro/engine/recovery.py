@@ -244,16 +244,6 @@ def recover(
         session._durable = DurableLog.attach(
             config, wal, batches_since_snapshot=len(suffix)
         )
-        report = RecoveryReport(
-            source="replay",
-            snapshot_seq=anchor.seq,
-            snapshot_path=anchor.path,
-            base_seq=data.base_seq,
-            last_seq=data.last_seq,
-            replayed_batches=len(suffix),
-            torn_tail_dropped=data.torn_offset is not None,
-            skipped_snapshots=skipped,
-        )
     else:
         edb = _rebuild_edb(program, anchor, suffix)
         # full re-evaluation honours the provenance request (it was the
@@ -269,18 +259,18 @@ def recover(
         # re-anchor: the old log's flags/history no longer describe
         # this state, so durability restarts from a fresh baseline
         session._durable = DurableLog.create(config, session)
-        report = RecoveryReport(
-            source="scratch",
-            snapshot_seq=anchor.seq,
-            snapshot_path=anchor.path,
-            base_seq=data.base_seq,
-            last_seq=data.last_seq,
-            replayed_batches=len(suffix),
-            torn_tail_dropped=data.torn_offset is not None,
-            skipped_snapshots=skipped,
-        )
 
     elapsed = (time.perf_counter() - t0) * 1000.0
     session.stats.recovery_ms = elapsed
-    report.recovery_ms = elapsed
+    report = RecoveryReport(
+        source="replay" if scratch_reason is None else "scratch",
+        snapshot_seq=anchor.seq,
+        snapshot_path=anchor.path,
+        base_seq=data.base_seq,
+        last_seq=data.last_seq,
+        replayed_batches=len(suffix),
+        torn_tail_dropped=data.torn_offset is not None,
+        skipped_snapshots=skipped,
+        recovery_ms=elapsed,
+    )
     return session, report

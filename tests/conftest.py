@@ -5,13 +5,22 @@ over a batch of random databases and require identical query answers.
 Most suites inline their own variant (they compare through adorned
 programs, optimization results, or projected answers); this generic
 form is the one to reach for when adding new transformation tests.
+
+Hypothesis runs derandomized and without an example database, so every
+run of the suite draws the same examples: a property that fails, fails
+every time, and one that passes cannot be failed by a fresh draw.
 """
 
 from __future__ import annotations
 
+from hypothesis import settings
+
 from repro.datalog import Database, Program
 from repro.engine import EngineOptions, evaluate
 from repro.workloads.edb import random_edb
+
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def answers_on(program: Program, db: Database, **options) -> frozenset:

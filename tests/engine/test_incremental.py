@@ -6,23 +6,29 @@ pins the *session-level* contracts that equivalence alone does not
 force: algebraic no-op laws (insert-then-retract, idempotent batches,
 batch order-insensitivity), the maintenance counters and their
 invariants (``units_reactivated <= units_scheduled``, unaffected units
-skipped), copy-on-write isolation between sessions sharing one EDB,
-and the prepared-program cache (hits skip planning without changing a single
-counter).
+skipped), retraction as the two DRed rule rewrites on the compiled
+engine (no interpreter, collision-free generated names, sound trips in
+either walk), copy-on-write isolation between sessions sharing one EDB,
+and the prepared-program cache (hits skip planning without changing a
+single counter).
 """
 
+import sys
 from dataclasses import replace
 
 import pytest
 
-from repro.datalog import Database, parse
+from repro.datalog import Database, ParseError, parse
 from repro.datalog.errors import ArityError
 from repro.engine import (
+    EngineOptions,
     IncrementalSession,
+    ResourceExhausted,
     clear_prepared_cache,
     evaluate,
     prepared_cache_stats,
 )
+from repro.engine import incremental, plan
 
 TC = """
     tc(X, Y) :- edge(X, Y).
@@ -168,6 +174,94 @@ class TestMaintenanceCounters:
         scratch = evaluate(
             parse(TC), Database.from_dict({"edge": chain(n - 1)})
         )
+        assert session.facts("tc") == scratch.facts("tc")
+
+
+class TestDRedRewrites:
+    """Retraction is two rule rewrites (overdeletion Δ rules, rederivation
+    ∇ rules) walked by the same seeded unit walk as insertion."""
+
+    def test_retraction_runs_on_compiled_kernels(self, monkeypatch):
+        """No plan-interpreter call anywhere in a default retract batch:
+        both walks fire compiled kernels."""
+        calls = []
+        original = plan.match_plan
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith("repro.") \
+                    and getattr(module, "match_plan", None) is original:
+                monkeypatch.setattr(module, "match_plan", spy)
+        session = IncrementalSession(
+            parse(TC), Database.from_dict({"edge": chain(12) + [(0, 5)]})
+        )
+        stats = session.retract({"edge": [(3, 4)]})
+        assert calls == []
+        assert stats.kernel_launches > 0
+        assert stats.facts_rederived > 0  # both walks did work
+        scratch = evaluate(
+            parse(TC),
+            Database.from_dict({"edge": [e for e in chain(12) if e != (3, 4)] + [(0, 5)]}),
+        )
+        assert session.facts("tc") == scratch.facts("tc")
+
+    @pytest.mark.parametrize(
+        "prefix",
+        [incremental._DELETED, incremental._REDERIVE, incremental._PROTECTED],
+    )
+    def test_generated_names_are_unparsable(self, prefix):
+        with pytest.raises(ParseError):
+            parse(f"{prefix}tc(X) :- e(X).")
+
+    def test_lookalike_predicates_are_maintained_exactly(self):
+        """A program whose own predicates look like generated ones."""
+        text = TC + """
+            del_tc(X, Y) :- tc(X, Y), edge(Y, X).
+            tc_del(X) :- del_tc(X, Y), tc(Y, Y).
+        """
+        program = parse(text)
+        edges = set(chain(6)) | {(6, 0), (3, 1)}
+        session = IncrementalSession(program, Database.from_dict({"edge": edges}))
+        for kind, batch in (
+            ("retract", {(6, 0)}),
+            ("insert", {(5, 2), (6, 0)}),
+            ("retract", {(2, 3), (3, 1)}),
+        ):
+            getattr(session, kind)({"edge": batch})
+            edges = edges | batch if kind == "insert" else edges - batch
+            scratch = evaluate(program, Database.from_dict({"edge": edges}))
+            for pred in ("tc", "del_tc", "tc_del"):
+                assert session.facts(pred) == scratch.facts(pred), (kind, pred)
+
+    @pytest.mark.parametrize(
+        "limits, gone, tripped_in",
+        [
+            # the tail edge kills tc(*, 12) one Δ round per hop
+            ({"max_iterations": 2}, (11, 12), incremental._DELETED + "tc"),
+            ({"max_facts": 3}, (11, 12), incremental._DELETED + "tc"),
+            # edge(2, 3) overdeletes tc(0..2, 3..12) in four Δ rounds
+            # (30 rows); the bypass edge(1, 3) rederives tc(1, *) and
+            # then, one ∇ round later, tc(0, *)
+            ({"max_iterations": 5}, (2, 3), "tc"),
+            ({"max_facts": 30}, (2, 3), "tc"),
+        ],
+    )
+    def test_trip_in_either_walk_is_a_sound_lower_bound(self, limits, gone, tripped_in):
+        edges = set(chain(12)) | {(1, 3)}
+        session = IncrementalSession(parse(TC), Database.from_dict({"edge": edges}))
+        session.options = EngineOptions(**limits)
+        with pytest.raises(ResourceExhausted) as trip:
+            session.retract({"edge": [gone]})
+        assert trip.value.unit == tripped_in
+        assert session.is_partial
+        scratch = evaluate(parse(TC), Database.from_dict({"edge": edges - {gone}}))
+        assert session.facts("tc") <= scratch.facts("tc")
+        session.options = EngineOptions()
+        session.refresh()
+        assert not session.is_partial
         assert session.facts("tc") == scratch.facts("tc")
 
 

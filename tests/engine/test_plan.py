@@ -73,13 +73,13 @@ class TestLiteralPlan:
 
 
 class TestMatchPlan:
-    def run(self, rule_src, data, delta=None, subst=None):
+    def run(self, rule_src, data, delta=None):
         r = parse_rule(rule_src)
         plans = order_body(r.body, first=0 if delta is not None else None)
         db = Database.from_dict(data)
         stats = EvalStats()
         return list(
-            match_plan(plans, db, stats, delta_rows=delta, subst=subst)
+            match_plan(plans, db, stats, delta_rows=delta)
         ), stats
 
     def test_join(self):

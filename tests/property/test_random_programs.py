@@ -9,11 +9,13 @@ in the suite: any unsound adornment, projection, subsumption or
 deletion shows up here as a falsifying program.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import evaluate
 from repro.core import optimize
+from repro.datalog import parse
+from repro.engine import evaluate
 from repro.workloads.edb import random_edb
 
 from .strategies import random_programs
@@ -26,6 +28,23 @@ def test_pipeline_preserves_answers_on_random_programs(program, seed):
     result = optimize(program)
     db = random_edb(program, rows=10, domain=5, seed=seed)
     assert result.answers(db) == result.reference_answers(db)
+
+
+def _assert_work_bound(program, seed):
+    from repro.core.adornment import split_adorned
+
+    result = optimize(program)
+    db = random_edb(program, rows=12, domain=6, seed=seed)
+    original = evaluate(program, db).stats
+    optimized = result.evaluate(db).stats
+
+    versions: dict[str, set[str]] = {}
+    for pred in result.program.idb_predicates():
+        base, ad = split_adorned(pred)
+        versions.setdefault(base, set()).add(pred)
+    factor = max((len(v) for v in versions.values()), default=1)
+    slack = 4 * len(result.program.rules) + 4
+    assert optimized.derivations <= factor * original.derivations + slack
 
 
 @given(random_programs(), st.integers(min_value=0, max_value=3))
@@ -43,20 +62,24 @@ def test_pipeline_work_bound_on_random_programs(program, seed):
     slack for arity-0 boolean guards.  See EXPERIMENTS.md "Known
     deviations".
     """
-    from repro.core.adornment import split_adorned
+    _assert_work_bound(program, seed)
 
-    result = optimize(program)
-    db = random_edb(program, rows=12, domain=6, seed=seed)
-    original = evaluate(program, db).stats
-    optimized = result.evaluate(db).stats
 
-    versions: dict[str, set[str]] = {}
-    for pred in result.program.idb_predicates():
-        base, ad = split_adorned(pred)
-        versions.setdefault(base, set()).add(pred)
-    factor = max((len(v) for v in versions.values()), default=1)
-    slack = 4 * len(result.program.rules) + 4
-    assert optimized.derivations <= factor * original.derivations + slack
+@pytest.mark.xfail(
+    strict=True,
+    reason="minimize_rule_bodies drops single literals with private "
+    "variables only; unfolding the duplicated r literal leaves the "
+    "redundant pair f(_U3), e(_U3, X) beside f(_U2), e(_U2, X)",
+)
+def test_work_bound_falsifier_redundant_literal_pair():
+    """A known falsifier of the work bound above (EXPERIMENTS.md "Known
+    deviations", item 6): 32 derivations against a bound of 25."""
+    program = parse(
+        "q(X, X) :- r(X, X), r(X, X), e(X, Y).\n"
+        "r(X, X) :- f(Y), e(Y, X).\n"
+        "?- q(QX, _)."
+    )
+    _assert_work_bound(program, 0)
 
 
 @given(random_programs())
