@@ -6,28 +6,30 @@ export PYTHONPATH := src
 test:  ## tier-1 test suite
 	$(PYTHON) -m pytest -x -q
 
-oracle:  ## differential oracle suite (fixed Hypothesis randomness)
-	$(PYTHON) -m pytest tests/oracle -q --hypothesis-seed=0
+oracle:  ## differential oracle suite (derandomized Hypothesis profile)
+	$(PYTHON) -m pytest tests/oracle -q
 
 faults:  ## robustness suites: governor limits, fault injection, oracle property
 	$(PYTHON) -m pytest tests/engine/test_governor.py tests/engine/test_faults.py tests/oracle/test_faults.py -q
 
 incremental:  ## IVM suites: differential maintenance oracle + session properties
-	$(PYTHON) -m pytest tests/oracle/test_incremental.py tests/engine/test_incremental.py -q --hypothesis-seed=0
+	$(PYTHON) -m pytest tests/oracle/test_incremental.py tests/engine/test_incremental.py -q
 
 recovery:  ## crash-recovery oracle: injected crash points x bit-identity to from-scratch
-	$(PYTHON) -m pytest tests/oracle/test_recovery.py -q --hypothesis-seed=0
+	$(PYTHON) -m pytest tests/oracle/test_recovery.py -q
 
 durability:  ## durable-runtime unit suites: WAL framing, snapshots, recovery rungs, serve CLI
 	$(PYTHON) -m pytest tests/engine/test_durability.py tests/test_cli.py -q
 
-# The gate: tier-1 plus the oracle suite, all Hypothesis runs pinned
-# to a fixed seed so `make check` is reproducible run to run.  The
-# tier-1 step lists its ten slowest tests: the oracle harness calls
+# The gate: tier-1 plus the oracle suite.  Every Hypothesis run draws
+# the same examples: tests/conftest.py loads a derandomized profile
+# with no example database.  Add `--hypothesis-profile=default` to a
+# recipe's pytest command to draw fresh examples instead.  The tier-1
+# step lists its ten slowest tests: the oracle harness calls
 # optimize(validate=True) per differential, so optimizer cost shows here.
 check:
-	$(PYTHON) -m pytest -x -q --hypothesis-seed=0 --durations=10
-	$(PYTHON) -m pytest tests/oracle -q --hypothesis-seed=0
+	$(PYTHON) -m pytest -x -q --durations=10
+	$(PYTHON) -m pytest tests/oracle -q
 
 lint:  ## static analysis: ruff + mypy over src, repro-lint over workloads
 	$(PYTHON) -m ruff check src tests benchmarks

@@ -44,26 +44,6 @@ def _diag(code: str, message: str, **kw) -> Diagnostic:
     return Diagnostic(code, CODES[code].severity, message, **kw)
 
 
-def _canonical_rule(rule: Rule) -> tuple:
-    """A rename-invariant form: variables numbered in traversal order."""
-    mapping: dict[Variable, int] = {}
-
-    def canon(atom: Atom) -> tuple:
-        args = []
-        for t in atom.args:
-            if isinstance(t, Variable):
-                args.append(("v", mapping.setdefault(t, len(mapping))))
-            else:
-                args.append(("c", t.value))  # type: ignore[union-attr]
-        return (atom.predicate, tuple(args))
-
-    return (
-        canon(rule.head),
-        tuple(canon(a) for a in rule.body),
-        tuple(canon(a) for a in rule.negative),
-    )
-
-
 def _check_arities(program: Program, diags: list) -> bool:
     """DL002 — every predicate used at one arity; returns coherence."""
     first: dict[str, tuple[int, Optional[Atom]]] = {}
@@ -143,7 +123,7 @@ def _check_duplicates(program: Program, diags: list) -> None:
     """DL008 — rules identical up to variable renaming."""
     seen: dict[tuple, int] = {}
     for i, r in enumerate(program.rules):
-        key = _canonical_rule(r)
+        key = r.canonical_key()
         if key in seen:
             diags.append(
                 _diag(

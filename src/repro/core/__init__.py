@@ -49,7 +49,13 @@ from .optimistic import (
 )
 from .pipeline import OptimizationResult, optimize
 from .projection import project_literal, push_projections
-from .subsumption import delete_subsumed, subsumed_by_some, theta_subsumes
+from .subsumption import (
+    delete_subsumed,
+    homomorphism,
+    minimize_rule_bodies,
+    subsumed_by_some,
+    theta_subsumes,
+)
 from .uniform_equivalence import (
     literal_deletable_uniform,
     minimize_uniform,
@@ -60,7 +66,6 @@ from .uniform_equivalence import (
 from .unit_rules import (
     UnitRuleReport,
     add_covering_unit_rules,
-    canonical_rule_key,
     covering_unit_rule,
     is_unit_rule,
 )
@@ -99,6 +104,8 @@ __all__ = [
     "project_literal",
     "push_projections",
     "delete_subsumed",
+    "homomorphism",
+    "minimize_rule_bodies",
     "subsumed_by_some",
     "theta_subsumes",
     "literal_deletable_uniform",
@@ -108,7 +115,6 @@ __all__ = [
     "uniformly_equivalent",
     "UnitRuleReport",
     "add_covering_unit_rules",
-    "canonical_rule_key",
     "covering_unit_rule",
     "is_unit_rule",
 ]

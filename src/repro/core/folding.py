@@ -17,11 +17,10 @@ provides the mechanical part: :func:`define_view` introduces the view
 predicate, and :func:`fold_program` replaces embeddings of the view
 body in other rules.
 
-The fold is the classic Tamaki–Sato-style fold restricted to the safe
-case: an embedding must map the view's *local* variables (body-only
-variables of the definition) injectively to variables that occur
-nowhere else in the target rule, so replacing the matched literals
-cannot lose join constraints.
+The fold is the classic Tamaki–Sato-style fold in its safe case: the
+view exports every variable of its body, so it has no local variables,
+and any injective homomorphism of the view body into a rule body folds
+— unfolding the view atom gives back exactly the matched literals.
 """
 
 from __future__ import annotations
@@ -31,8 +30,9 @@ from typing import Optional, Sequence
 
 from ..datalog.ast import Atom
 from ..datalog.errors import TransformError
-from ..datalog.terms import Constant, Term, Variable
+from ..datalog.terms import Variable
 from .adornment import Adornment, AdornedLiteral, AdornedProgram, AdornedRule
+from .subsumption import homomorphism
 
 __all__ = ["FoldResult", "define_view", "fold_program"]
 
@@ -77,102 +77,6 @@ def define_view(
     return view_rule, head
 
 
-def _embedding(
-    view: AdornedRule,
-    target: AdornedRule,
-) -> Optional[tuple[tuple[int, ...], dict[Variable, Term]]]:
-    """Find an embedding of the view body into the target rule body.
-
-    Returns the matched body indexes and the substitution from view
-    variables to target terms, or ``None``.  Local view variables (not
-    exported in the view head) must map injectively to variables with
-    exactly one occurrence in the target (outside the matched
-    literals), which for the safe fold means: variables that occur only
-    inside the matched literals, exactly where the view's local
-    variable does.
-    """
-    view_body = view.body
-    target_body = target.body
-    n = len(view_body)
-    if n > len(target_body):
-        return None
-    candidates: list[list[int]] = []
-    for vlit in view_body:
-        matches = [
-            ti
-            for ti, tlit in enumerate(target_body)
-            if tlit.atom.predicate == vlit.atom.predicate
-            and tlit.atom.arity == vlit.atom.arity
-        ]
-        if not matches:
-            return None
-        candidates.append(matches)
-
-    # occurrence counts of variables across the whole target rule
-    counts: dict[Variable, int] = {}
-    for atom_ in (target.head.atom, *(lit.atom for lit in target_body)):
-        for a in atom_.args:
-            if isinstance(a, Variable):
-                counts[a] = counts.get(a, 0) + 1
-
-    exported = set(view.head.atom.variables())
-
-    def try_assignment(assignment: tuple[int, ...]) -> Optional[dict[Variable, Term]]:
-        subst: dict[Variable, Term] = {}
-        for vlit, ti in zip(view_body, assignment):
-            tlit = target_body[ti]
-            for va, ta in zip(vlit.atom.args, tlit.atom.args):
-                if isinstance(va, Constant):
-                    if va != ta:
-                        return None
-                else:
-                    bound = subst.get(va)
-                    if bound is None:
-                        subst[va] = ta
-                    elif bound != ta:
-                        return None
-        # Local (non-exported) view variables: their images must be
-        # variables private to the matched literals, and distinct.
-        local_images = []
-        matched_occurrences: dict[Variable, int] = {}
-        for ti in assignment:
-            for a in target_body[ti].atom.args:
-                if isinstance(a, Variable):
-                    matched_occurrences[a] = matched_occurrences.get(a, 0) + 1
-        for v in set(v for lit in view_body for v in lit.atom.variables()):
-            if v in exported:
-                continue
-            image = subst[v]
-            if not isinstance(image, Variable):
-                return None
-            if counts.get(image, 0) != matched_occurrences.get(image, 0):
-                return None  # image leaks outside the matched literals
-            local_images.append(image)
-        if len(set(local_images)) != len(local_images):
-            return None
-        return subst
-
-    # Enumerate injective assignments (bodies are short in practice).
-    def search(i: int, used: set[int], acc: list[int]):
-        if i == n:
-            yield tuple(acc)
-            return
-        for ti in candidates[i]:
-            if ti in used:
-                continue
-            used.add(ti)
-            acc.append(ti)
-            yield from search(i + 1, used, acc)
-            acc.pop()
-            used.discard(ti)
-
-    for assignment in search(0, set(), []):
-        subst = try_assignment(assignment)
-        if subst is not None:
-            return assignment, subst
-    return None
-
-
 def fold_program(
     program: AdornedProgram,
     rule_index: int,
@@ -196,15 +100,18 @@ def fold_program(
         raise TransformError(f"predicate {view_name!r} already defined")
 
     view_rule, _view_head = define_view(program, rule_index, body_indexes, view_name)
+    view_body = [lit.atom for lit in view_rule.body]
 
     new_rules: list[AdornedRule] = []
     folded: list[int] = []
     for ri, rule in enumerate(program.rules):
-        found = _embedding(view_rule, rule)
+        found = homomorphism(
+            view_body, [lit.atom for lit in rule.body], {}, distinct=True
+        )
         if found is None:
             new_rules.append(rule)
             continue
-        assignment, subst = found
+        subst, assignment = found
         matched = set(assignment)
         replacement_atom = view_rule.head.atom.substitute(subst)
         replacement = AdornedLiteral(
@@ -214,7 +121,7 @@ def fold_program(
         insert_at = min(matched)
         kept_before = sum(1 for ti in range(insert_at) if ti not in matched)
         body.insert(kept_before, replacement)
-        new_rules.append(AdornedRule(rule.head, tuple(body)))
+        new_rules.append(AdornedRule(rule.head, tuple(body), rule.negative))
         folded.append(ri)
 
     new_rules.append(view_rule)

@@ -243,8 +243,8 @@ def optimize(
 ) -> OptimizationResult:
     """Run the paper's optimization pipeline on *program*.
 
-    Phases can be switched off individually for ablation studies (the
-    benchmark suite does this).  ``deletion=None`` skips phase 3
+    Phases can be switched off individually for ablation studies.
+    ``deletion=None`` skips phase 3
     entirely; ``paper_mode=False`` uses the conservative component
     split, which is only meaningful with ``project=False`` (the paper's
     split may leave heads unsafe until projection runs).
@@ -360,10 +360,9 @@ def optimize(
         # Unfolding (and projection) can leave a body with literals
         # that only repeat an existential condition another literal
         # already states; evaluating them multiplies duplicate
-        # derivations, defeating the section-3.2 work reduction.  Drop
-        # them (sound conjunctive-query minimization; see
-        # repro.core.minimization).
-        from .minimization import minimize_rule_bodies
+        # derivations, defeating the section-3.2 work reduction.  Reduce
+        # each body to its core (see repro.core.subsumption).
+        from .subsumption import minimize_rule_bodies
 
         min_report = minimize_rule_bodies(current)
         if min_report.changed:

@@ -33,7 +33,6 @@ __all__ = [
     "is_unit_rule",
     "covering_unit_rule",
     "add_covering_unit_rules",
-    "canonical_rule_key",
     "UnitRuleReport",
 ]
 
@@ -64,19 +63,6 @@ def covering_unit_rule(
     head = AdornedLiteral(Atom(target, head_args), target_ad, derived=True)
     body = AdornedLiteral(Atom(source, body_args), source_ad, derived=True)
     return AdornedRule(head, (body,))
-
-
-def canonical_rule_key(rule: AdornedRule) -> str:
-    """A renaming-invariant key for rule identity.
-
-    Variables are renumbered in order of first occurrence, so two rules
-    that differ only in variable names get the same key.
-    """
-    mapping: dict[Variable, Variable] = {}
-    plain = rule.to_rule()
-    for v in plain.variables():
-        mapping[v] = Variable(f"C{len(mapping)}")
-    return str(plain.substitute(mapping))
 
 
 @dataclass(frozen=True)
@@ -119,7 +105,7 @@ def add_covering_unit_rules(
             note(lit)
     note(adorned.query)
 
-    existing = {canonical_rule_key(r) for r in adorned.rules}
+    existing = {r.to_rule().canonical_key() for r in adorned.rules}
     query_pred = adorned.query.atom.predicate
     added: list[AdornedRule] = []
     for base, preds in versions.items():
@@ -132,7 +118,7 @@ def add_covering_unit_rules(
                 if not source_ad.covers(target_ad):
                     continue
                 unit = covering_unit_rule(target, target_ad, source, source_ad)
-                key = canonical_rule_key(unit)
+                key = unit.to_rule().canonical_key()
                 if key not in existing:
                     existing.add(key)
                     added.append(unit)

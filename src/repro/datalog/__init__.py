@@ -28,7 +28,7 @@ from .parser import (
     split_facts,
 )
 from .terms import Constant, FreshVariables, Term, Variable, fresh_variable, term
-from .unify import Substitution, compose, match, match_args, skolemize, unify
+from .unify import Substitution, skolemize, unify
 
 __all__ = [
     "Atom",
@@ -52,10 +52,7 @@ __all__ = [
     "read_facts",
     "load_facts",
     "Substitution",
-    "match",
-    "match_args",
     "unify",
-    "compose",
     "skolemize",
     "ReproError",
     "ParseError",

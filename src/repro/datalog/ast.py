@@ -162,6 +162,30 @@ class Rule:
         mapping = {v: Variable(v.name + suffix) for v in self.variables()}
         return self.substitute(mapping)
 
+    def canonical_key(self) -> tuple:
+        """A renaming-invariant identity: variables are numbered in
+        order of first occurrence (head, body, negated literals) and
+        constants kept by value, so two rules share a key iff they are
+        variants of each other."""
+        numbers: dict[Variable, int] = {}
+
+        def canon(atom: Atom) -> tuple:
+            return (
+                atom.predicate,
+                tuple(
+                    ("v", numbers.setdefault(t, len(numbers)))
+                    if isinstance(t, Variable)
+                    else ("c", t.value)
+                    for t in atom.args
+                ),
+            )
+
+        return (
+            canon(self.head),
+            tuple(canon(a) for a in self.body),
+            tuple(canon(a) for a in self.negative),
+        )
+
     def predicates(self) -> frozenset[str]:
         """All predicate names occurring in the rule."""
         return frozenset(

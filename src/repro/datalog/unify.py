@@ -1,75 +1,33 @@
-"""Substitutions, matching and unification over function-free atoms.
+"""Substitutions, unification and skolemization over function-free atoms.
 
 Because Datalog terms are flat (no function symbols), unification never
 needs an occurs check and substitutions map variables to variables or
-constants only.  Three operations cover everything the library needs:
+constants only.  Two operations live here:
 
-- :func:`match` — one-way matching of a (possibly non-ground) pattern
-  atom against a ground fact; this is the engine's inner loop.
-- :func:`unify` — two-way unification of atoms, used by analysis code.
+- :func:`unify` — two-way unification of atoms, used by unfolding.
 - :func:`skolemize` — freeze a rule's variables into fresh constants,
   producing the canonical database used by chase-style equivalence
   tests (Sagiv's uniform-equivalence test, the paper's Example 4/6).
+
+One-way matching of atom lists is the optimizer's homomorphism search,
+:func:`repro.core.subsumption.homomorphism`.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Optional
 
 from .ast import Atom, Rule
 from .terms import Constant, Term, Variable
 
 __all__ = [
     "Substitution",
-    "match",
-    "match_args",
     "unify",
-    "compose",
     "skolemize",
     "skolem_constant",
 ]
 
 Substitution = dict[Variable, Term]
-
-
-def match(pattern: Atom, fact: Atom, subst: Optional[Substitution] = None) -> Optional[Substitution]:
-    """Match *pattern* against the ground atom *fact*.
-
-    Returns an extended copy of *subst* binding the pattern's variables,
-    or ``None`` if the match fails.  *fact* must be ground.
-    """
-    if pattern.predicate != fact.predicate or pattern.arity != fact.arity:
-        return None
-    return match_args(pattern.args, tuple(a.value for a in fact.args), subst)  # type: ignore[union-attr]
-
-
-def match_args(
-    pattern: Sequence[Term],
-    values: Sequence,
-    subst: Optional[Substitution] = None,
-) -> Optional[Substitution]:
-    """Match a vector of terms against a tuple of raw constant values.
-
-    This is the form the evaluation engine uses: facts are stored as
-    plain value tuples, not :class:`Atom` objects.
-    """
-    if len(pattern) != len(values):
-        return None
-    out: Substitution = dict(subst) if subst else {}
-    for t, v in zip(pattern, values):
-        if isinstance(t, Constant):
-            if t.value != v:
-                return None
-        else:
-            bound = out.get(t)
-            if bound is None:
-                out[t] = Constant(v)
-            elif isinstance(bound, Constant):
-                if bound.value != v:
-                    return None
-            else:  # bound to a variable: only in non-ground matching; disallow
-                return None
-    return out
 
 
 def unify(a: Atom, b: Atom, subst: Optional[Substitution] = None) -> Optional[Substitution]:
@@ -99,19 +57,6 @@ def unify(a: Atom, b: Atom, subst: Optional[Substitution] = None) -> Optional[Su
             return None
     # Flatten chains so the substitution is idempotent.
     return {v: resolve(t) for v, t in out.items()}
-
-
-def compose(first: Mapping[Variable, Term], second: Mapping[Variable, Term]) -> Substitution:
-    """Compose substitutions: ``compose(f, s)(x) == s(f(x))``."""
-    out: Substitution = {}
-    for v, t in first.items():
-        if isinstance(t, Variable) and t in second:
-            out[v] = second[t]
-        else:
-            out[v] = t
-    for v, t in second.items():
-        out.setdefault(v, t)
-    return out
 
 
 def skolem_constant(v: Variable) -> Constant:

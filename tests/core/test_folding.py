@@ -82,10 +82,10 @@ class TestFoldProgram:
         with pytest.raises(TransformError):
             fold_program(program, 0, (0, 1), "p@nn")
 
-    def test_local_variable_leak_blocks_fold(self):
-        # The view body has local variable W (not exported would require
-        # restricting define_view; here all vars are exported, so build
-        # a target where the candidate image is shared with the head).
+    def test_embedding_with_head_variables_folds(self):
+        # define_view exports every variable of the view body, so an
+        # embedding whose image variables the target's head also uses
+        # (Y in rule 1) folds like any other
         program = adorned_from_text(
             """
             q@n(X) :- a(X, Y), b(Y).
@@ -93,11 +93,18 @@ class TestFoldProgram:
             ?- q@n(X).
             """
         )
-        # fold a(X,Y),b(Y) from rule 0 exporting only X would lose Y;
-        # define_view exports everything, so instead check embedding
-        # does fold rule 1 (legal: Y is exported).
         result = fold_program(program, 0, (0, 1), "v")
         assert set(result.folded_rules) == {0, 1}
+
+    def test_fold_keeps_negated_literals(self):
+        program = adorned_from_text(
+            """
+            q@n(X) :- a(X, Y), b(Y), not c(X).
+            ?- q@n(X).
+            """
+        )
+        result = fold_program(program, 0, (0, 1), "v")
+        assert str(result.program.rules[0]) == "q@n(X) :- v(X, Y), not c(X)."
 
     def test_no_spurious_folds(self):
         program = adorned_from_text(

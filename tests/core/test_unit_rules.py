@@ -6,7 +6,6 @@ from repro.datalog import TransformError
 from repro.core.adornment import Adornment, adorn
 from repro.core.unit_rules import (
     add_covering_unit_rules,
-    canonical_rule_key,
     covering_unit_rule,
     is_unit_rule,
 )
@@ -89,9 +88,9 @@ class TestCanonicalKey:
     def test_renaming_invariance(self):
         p1 = adorned_from_text("a@nd(X) :- a@nn(X, Y). a@nn(U, V) :- e(U, V). ?- a@nd(X).")
         p2 = adorned_from_text("a@nd(Q) :- a@nn(Q, R). a@nn(U, V) :- e(U, V). ?- a@nd(X).")
-        assert canonical_rule_key(p1.rules[0]) == canonical_rule_key(p2.rules[0])
+        assert p1.rules[0].to_rule().canonical_key() == p2.rules[0].to_rule().canonical_key()
 
     def test_structure_sensitivity(self):
         p1 = adorned_from_text("a@nn(X, Y) :- e(X, Y). ?- a@nn(X, Y).")
         p2 = adorned_from_text("a@nn(X, Y) :- e(Y, X). ?- a@nn(X, Y).")
-        assert canonical_rule_key(p1.rules[0]) != canonical_rule_key(p2.rules[0])
+        assert p1.rules[0].to_rule().canonical_key() != p2.rules[0].to_rule().canonical_key()

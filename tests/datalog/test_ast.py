@@ -97,6 +97,14 @@ class TestRule:
         assert str(r) == "h(X) :- p(X, Y)."
         assert str(rule(atom("f", 1))) == "f(1)."
 
+    def test_canonical_key_separates_constants_from_variables(self):
+        # numbering Y as the second variable must not make it equal to
+        # a constant that happens to print like a numbered variable
+        var = rule(atom("h", "X"), atom("p", "X", "Y"))
+        const = rule(atom("h", "X"), atom("p", "X", Constant("C1")))
+        assert var.canonical_key() != const.canonical_key()
+        assert var.canonical_key() == var.rename_apart("_1").canonical_key()
+
 
 class TestProgram:
     def build(self):

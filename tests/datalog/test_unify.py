@@ -1,17 +1,21 @@
-"""Unit tests for matching, unification, and skolemization."""
+"""Unit tests for matching, unification, and skolemization.
 
-from repro.datalog import atom, parse_rule
+One-way matching of a pattern atom against a fact is the one-atom case
+of the optimizer's homomorphism search, which the matching cases below
+exercise.
+"""
+
+from repro.core.subsumption import homomorphism
+from repro.datalog import Atom, atom, parse_rule
 from repro.datalog.terms import Constant, Variable
-from repro.datalog.unify import (
-    compose,
-    match,
-    match_args,
-    skolem_constant,
-    skolemize,
-    unify,
-)
+from repro.datalog.unify import skolem_constant, skolemize, unify
 
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
+
+
+def match(pattern, fact, subst=None):
+    found = homomorphism((pattern,), (fact,), subst or {})
+    return None if found is None else found[0]
 
 
 class TestMatch:
@@ -44,14 +48,14 @@ class TestMatch:
 
 class TestMatchArgs:
     def test_raw_values(self):
-        s = match_args((X, Constant(3)), (7, 3))
+        s = match(Atom("p", (X, Constant(3))), atom("p", 7, 3))
         assert s == {X: Constant(7)}
 
     def test_constant_mismatch(self):
-        assert match_args((Constant(3),), (4,)) is None
+        assert match(Atom("p", (Constant(3),)), atom("p", 4)) is None
 
     def test_length_mismatch(self):
-        assert match_args((X,), (1, 2)) is None
+        assert match(Atom("p", (X,)), atom("p", 1, 2)) is None
 
 
 class TestUnify:
@@ -75,17 +79,6 @@ class TestUnify:
         s = unify(atom("p", "X", "Y", "Y"), atom("p", "Y", "Z", 5))
         a = atom("q", "X", "Y", "Z").substitute(s)
         assert a.substitute(s) == a
-
-
-class TestCompose:
-    def test_pipeline_order(self):
-        first = {X: Y}
-        second = {Y: Constant(1)}
-        assert compose(first, second)[X] == Constant(1)
-
-    def test_second_only_bindings_kept(self):
-        out = compose({X: Constant(1)}, {Y: Constant(2)})
-        assert out == {X: Constant(1), Y: Constant(2)}
 
 
 class TestSkolemize:

@@ -9,7 +9,6 @@ in the suite: any unsound adornment, projection, subsumption or
 deletion shows up here as a falsifying program.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -65,15 +64,11 @@ def test_pipeline_work_bound_on_random_programs(program, seed):
     _assert_work_bound(program, seed)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="minimize_rule_bodies drops single literals with private "
-    "variables only; unfolding the duplicated r literal leaves the "
-    "redundant pair f(_U3), e(_U3, X) beside f(_U2), e(_U2, X)",
-)
 def test_work_bound_falsifier_redundant_literal_pair():
-    """A known falsifier of the work bound above (EXPERIMENTS.md "Known
-    deviations", item 6): 32 derivations against a bound of 25."""
+    """The work bound above where unfolding the duplicated r literal
+    leaves the redundant pair f(_U2), e(_U2, X) beside f(_U3), e(_U3, X):
+    only reducing the body to its core removes it (with the pair, 32
+    derivations against a bound of 25)."""
     program = parse(
         "q(X, X) :- r(X, X), r(X, X), e(X, Y).\n"
         "r(X, X) :- f(Y), e(Y, X).\n"
