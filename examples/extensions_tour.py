@@ -57,7 +57,7 @@ def main() -> None:
     )
     result = optimize(program)
     print(result.final)
-    print(f"-> unfolded predicates: {result.unfolded}")
+    print(f"-> unfolded predicates: {result.record('unfold_nonrecursive').report}")
 
     banner("3. Stratified negation")
     program = parse(

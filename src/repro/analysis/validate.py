@@ -375,46 +375,36 @@ def check_compiled_program(program: Program, pass_name: str = "compile_rule") ->
 
 
 def validate_result(result) -> None:
-    """Re-check every recorded stage of an
-    :class:`~repro.core.pipeline.OptimizationResult` post hoc.
+    """Re-check every pass record of an
+    :class:`~repro.core.pipeline.OptimizationResult` post hoc, then the
+    final compiled program.
 
-    ``optimize(validate=True)`` checks each pass at its doorstep; this
-    entry point validates a result produced *without* inline checking
-    (e.g. one loaded from a report or built by tests).
+    ``optimize(validate=True)`` runs the same checks as each pass
+    finishes; this entry point validates a result produced *without*
+    inline checking.
     """
-    check_adorned_program(result.adorned, "adorn")
-    check_component_partition(result.adorned, "adorn")
-    if result.split is not None:
-        check_split_anchoring(result.split.program, "split_components")
-        check_adorned_program(result.split.program, "split_components")
-    if result.projected is not None:
-        check_adorned_program(result.projected, "push_projections")
-        check_argument_projections(result.projected, "push_projections")
-    check_adorned_program(result.final, "final")
-    if result.final.projected:
-        check_argument_projections(result.final, "final")
+    for record in result.passes:
+        check_pass(record)
     check_compiled_program(result.program, "final")
-    if result.answer_positions is not None:
-        width = result.final.query.atom.arity
-        bad = [i for i in result.answer_positions if not 0 <= i < width]
-        if bad:
-            _violate(
-                "inline_projection_query",
-                "answer-positions",
-                f"answer positions {result.answer_positions} index outside "
-                f"the final query arity {width}",
-            )
 
 
-def check_pass(pass_name: str, program, paper_mode: bool = True) -> None:
-    """Dispatch the invariant checks appropriate after *pass_name*.
-
-    The pipeline calls this after every pass when ``validate=True``;
-    *program* is the pass's output :class:`AdornedProgram`.
-    """
-    check_adorned_program(program, pass_name)
-    check_component_partition(program, pass_name)
-    if pass_name == "split_components":
-        check_split_anchoring(program, pass_name, paper_mode=paper_mode)
+def check_pass(record) -> None:
+    """The invariant checks appropriate after one pass, given its
+    :class:`~repro.core.pipeline.PassRecord` (name, output
+    :class:`AdornedProgram` and report)."""
+    name, program = record.name, record.program
+    check_adorned_program(program, name)
+    check_component_partition(program, name)
+    if name == "split_components":
+        check_split_anchoring(program, name)
     if program.projected:
-        check_argument_projections(program, pass_name)
+        check_argument_projections(program, name)
+    if name == "inline_projection_query" and record.report is not None:
+        width = program.query.atom.arity
+        if any(not 0 <= i < width for i in record.report):
+            _violate(
+                name,
+                "answer-positions",
+                f"answer positions {record.report} index outside the final "
+                f"query arity {width}",
+            )

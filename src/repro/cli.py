@@ -429,10 +429,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("program", help="Datalog program file (with a ?- query)")
     p_opt.add_argument("-q", "--quiet", action="store_true", help="final program only")
     p_opt.add_argument("--json", action="store_true", help="machine-readable report")
-    p_opt.add_argument("--no-deletion", action="store_true", help="skip phase 3")
-    p_opt.add_argument("--no-unit-rules", action="store_true")
-    p_opt.add_argument("--no-chase", action="store_true")
-    p_opt.add_argument("--no-sagiv", action="store_true")
+    p_opt.add_argument(
+        "--no-deletion",
+        action="store_true",
+        help="skip the delete_rules pass (sections 3.3/5)",
+    )
+    p_opt.add_argument(
+        "--no-unit-rules",
+        action="store_true",
+        help="delete_rules: do not retry with covering unit rules added (section 5)",
+    )
+    p_opt.add_argument(
+        "--no-chase",
+        action="store_true",
+        help="delete_rules: skip the Example-6 uniform-query-equivalence chase",
+    )
+    p_opt.add_argument(
+        "--no-sagiv",
+        action="store_true",
+        help="delete_rules: skip Sagiv's uniform-equivalence test",
+    )
     p_opt.add_argument(
         "--validate",
         action="store_true",

@@ -1,46 +1,56 @@
-"""The full optimization pipeline of the paper.
+"""The full optimization pipeline of the paper, as one table of passes.
 
-The phases, in the order the paper presents them:
+:func:`optimize` folds the program through these passes, in order:
 
-1. **Adorn** (section 2): propagate ``n``/``d`` adornments from the
+1. ``adorn`` (section 2): propagate ``n``/``d`` adornments from the
    query, producing the adorned program ``P^e,ad``.
-2. **Split connected components** (section 3.1): disconnected body
-   components become boolean subqueries ``B_i``, whose rules the engine
-   retires once satisfied (bottom-up cut).
-3. **Push projections** (section 3.2, Lemma 3.2): drop every
+2. ``split_components`` (section 3.1): disconnected body components
+   become boolean subqueries ``B_i``, whose rules the engine retires
+   once satisfied (bottom-up cut).
+3. ``push_projections`` (section 3.2, Lemma 3.2): drop every
    existential argument position of every derived predicate.
-4. **Add covering unit rules** (section 5): between adorned versions of
-   the same predicate, enabling the deletion phase.
-5. **Delete rules** (sections 3.3, 5): Sagiv's uniform-equivalence test,
+4. ``theta_subsumption`` (section 6): drop every rule θ-subsumed by
+   another rule — sound for uniform equivalence.
+5. ``delete_rules`` (sections 3.3, 5): Sagiv's uniform-equivalence test,
    the Lemma 5.1/5.3 summary tests, and the Example-6
-   uniform-query-equivalence chase, iterated with cascade clean-up.
+   uniform-query-equivalence chase, iterated with cascade clean-up, then
+   retried with the covering unit rules of section 5 added.
+6. ``unfold_nonrecursive`` (section 6): splice single-rule
+   non-recursive predicates into their consumers.
+7. ``minimize_rule_bodies`` (section 6): reduce every rule body to its
+   core.
+8. ``inline_projection_query``: query the predicate a pure-projection
+   unit rule reads instead of materializing the rule.
 
 The paper notes (end of section 1.2) that Magic Sets / Counting
 rewritings are orthogonal and can be applied to the result; see
 :mod:`repro.rewriting.magic`.
 
-:func:`optimize` returns an :class:`OptimizationResult` carrying every
-intermediate program, the deletion log, and the engine options (cut
-predicates) the final program should be run with.
+:func:`optimize` returns an :class:`OptimizationResult` carrying one
+:class:`PassRecord` per pass and the engine options (cut predicates)
+the final program should be run with.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
 from ..datalog.ast import Atom, Program
+from ..datalog.builtins import has_builtins
 from ..datalog.database import Database
 from ..datalog.terms import Variable
 from ..engine.evaluator import EngineOptions, EvalResult, answers_of, evaluate
 from .adornment import Adornment, AdornedLiteral, AdornedProgram, adorn
-from .components import ComponentSplit, split_components
-from .deletion import DeletionReport, delete_rules
+from .components import split_components
+from .deletion import cascade, delete_rules
 from .projection import push_projections
-from .unit_rules import UnitRuleReport, add_covering_unit_rules
+from .subsumption import delete_subsumed, minimize_rule_bodies
+from .unfolding import unfold_nonrecursive
+from .unit_rules import add_covering_unit_rules
 
-__all__ = ["OptimizationResult", "optimize"]
+__all__ = ["OptimizationResult", "PassRecord", "optimize"]
 
 
 def _needed_columns(query: Atom, adornment: Adornment) -> tuple[int, ...]:
@@ -55,6 +65,25 @@ def _needed_columns(query: Atom, adornment: Adornment) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
+class PassRecord:
+    """One pass of :func:`optimize`: its name, output program and report.
+
+    The reports: ``split_components`` its
+    :class:`~repro.core.components.ComponentSplit`;
+    ``theta_subsumption`` the ``(deleted, subsumer)`` rule pairs;
+    ``delete_rules`` ``(unit rules added, deletions)``, or ``None`` when
+    deletion was skipped; ``unfold_nonrecursive`` the eliminated
+    predicates; ``minimize_rule_bodies`` the ``(before, after)`` rule
+    pairs; ``inline_projection_query`` the answer positions, or
+    ``None``.  ``adorn`` and ``push_projections`` report nothing.
+    """
+
+    name: str
+    program: AdornedProgram
+    report: object = None
+
+
+@dataclass(frozen=True)
 class OptimizationResult:
     """Everything the pipeline produced.
 
@@ -62,28 +91,46 @@ class OptimizationResult:
     with :meth:`engine_options` so boolean cut rules are retired, or use
     :meth:`evaluate` / :meth:`answers` directly.
 
-    ``answer_positions``, when set, records that the final query atom is
-    a *wider* predicate than the user's query (the pipeline inlined a
-    pure-projection unit rule rather than paying a materialization pass
-    for it); :meth:`answers` projects the result tuples onto these
-    positions.
+    ``passes`` holds one :class:`PassRecord` per pass, in execution
+    order; ``adorned`` and ``final`` are the first and last programs.
     """
 
     original: Program
-    adorned: AdornedProgram
-    split: Optional[ComponentSplit]
-    projected: Optional[AdornedProgram]
-    unit_rules: Optional[UnitRuleReport]
-    deletion: Optional[DeletionReport]
-    final: AdornedProgram
-    answer_positions: Optional[tuple[int, ...]] = None
-    #: rules removed by the θ-subsumption pre-pass (deleted, subsumer)
-    subsumed: tuple = ()
-    #: predicates eliminated by the unfolding post-pass
-    unfolded: tuple = ()
-    #: rules whose bodies lost redundant literals to conjunctive
-    #: minimization, as (before, after) pairs
-    minimized: tuple = ()
+    passes: tuple[PassRecord, ...]
+
+    def record(self, name: str) -> PassRecord:
+        """The record of pass *name*."""
+        return next(r for r in self.passes if r.name == name)
+
+    @property
+    def adorned(self) -> AdornedProgram:
+        return self.passes[0].program
+
+    @property
+    def final(self) -> AdornedProgram:
+        return self.passes[-1].program
+
+    @property
+    def answer_positions(self) -> Optional[tuple[int, ...]]:
+        """When set, the final query atom is a *wider* predicate than the
+        user's query (the pipeline inlined a pure-projection unit rule
+        rather than paying a materialization pass for it);
+        :meth:`answers` projects the result tuples onto these
+        positions."""
+        return self.record("inline_projection_query").report
+
+    @property
+    def subsumed(self) -> tuple:
+        """Rules removed by θ-subsumption, as (deleted, subsumer) pairs."""
+        return self.record("theta_subsumption").report
+
+    @property
+    def deleted_count(self) -> int:
+        return len(self._deletion[1])
+
+    @property
+    def _deletion(self) -> tuple:
+        return self.record("delete_rules").report or ((), ())
 
     @cached_property
     def program(self) -> Program:
@@ -94,10 +141,6 @@ class OptimizationResult:
         """Boolean predicates still defined in the final program."""
         defined = self.final.derived_predicates()
         return frozenset(p for p in self.final.boolean_predicates if p in defined)
-
-    @property
-    def deleted_count(self) -> int:
-        return len(self.deletion.deleted) if self.deletion else 0
 
     def engine_options(self, **overrides) -> EngineOptions:
         return EngineOptions(cut_predicates=self.cut_predicates, **overrides)
@@ -111,22 +154,11 @@ class OptimizationResult:
         bindings of the original query's *needed* variables
         (existential positions were projected out, which is the point).
 
-        The final query atom may be wider than what was asked: the
-        pipeline ran without projection, so it still carries its
-        existential variables, or it inlined a pure-projection unit
-        rule (``answer_positions``).  Either way only the asked columns
-        are read out of the query relation, so the result is comparable
-        across pipeline configurations.
+        When the pipeline inlined a pure-projection unit rule, only the
+        ``answer_positions`` columns are read out of the (wider) query
+        relation.
         """
-        if self.answer_positions is not None:
-            keep: Optional[tuple[int, ...]] = self.answer_positions
-        elif self.final.projected:
-            keep = None
-        else:
-            keep = _needed_columns(
-                self.final.query.atom, self.final.query.adornment
-            )
-        return answers_of(evaluation.db, self.final.query.atom, keep)
+        return answers_of(evaluation.db, self.final.query.atom, self.answer_positions)
 
     def answers(self, edb: Database, **overrides) -> frozenset[tuple]:
         """:meth:`answers_of` a fresh :meth:`evaluate` over *edb*;
@@ -147,107 +179,75 @@ class OptimizationResult:
 
     def report_dict(self) -> dict:
         """A JSON-serializable summary of the run (CLI ``--json``)."""
+        added, deleted = self._deletion
         return {
             "original_rules": [str(r) for r in self.original.rules],
             "query": str(self.original.query) if self.original.query else None,
             "adorned_rules": [str(r) for r in self.adorned.rules],
             "boolean_predicates": sorted(self.cut_predicates),
-            "unit_rules_added": [str(r) for r in self.unit_rules.added]
-            if self.unit_rules
-            else [],
-            "deleted_rules": [
-                {"rule": str(d.rule), "reason": d.reason}
-                for d in (self.deletion.deleted if self.deletion else ())
-            ]
+            "unit_rules_added": [str(r) for r in added],
+            "deleted_rules": [{"rule": str(d.rule), "reason": d.reason} for d in deleted]
             + [
                 {"rule": str(rule), "reason": f"theta-subsumed by {winner}"}
                 for rule, winner in self.subsumed
             ],
             "minimized_bodies": [
                 {"before": str(before), "after": str(after)}
-                for before, after in self.minimized
+                for before, after in self.record("minimize_rule_bodies").report
             ],
             "final_rules": [str(r) for r in self.final.rules],
             "final_query": str(self.final.query.atom),
             "answer_positions": list(self.answer_positions)
             if self.answer_positions is not None
             else None,
-            "unfolded_predicates": list(self.unfolded),
+            "unfolded_predicates": list(self.record("unfold_nonrecursive").report),
         }
 
     def describe(self) -> str:
-        """A multi-line report of what each phase did."""
-        lines = [
-            "== original ==",
-            str(self.original),
-            "",
-            "== adorned (section 2) ==",
-            str(self.adorned),
+        """A multi-line report of what each pass did, in execution order."""
+        split = self.record("split_components").report
+        added, deleted = self._deletion
+        unfolded = self.record("unfold_nonrecursive").report
+        minimized = self.record("minimize_rule_bodies").report
+        sections = [
+            ("original", [self.original]),
+            ("adorned (section 2)", [self.adorned]),
+            (f"components split (section 3.1; {split.rules_split} rules split)",
+             [split.program]),
+            ("projections pushed (section 3.2)", [self.record("push_projections").program]),
+            ("rules removed by theta-subsumption (section 6)",
+             [f"{rule}   [subsumed by {winner}]" for rule, winner in self.subsumed]),
+            ("unit rules added (section 5)", added),
+            ("rules deleted (sections 3.3/5)", deleted),
+            ("predicates unfolded into their consumers (section 6)",
+             [", ".join(unfolded)] if unfolded else []),
+            ("redundant body literals minimized away",
+             [f"{before}   ->   {after}" for before, after in minimized]),
+            ("final", [self.final]),
         ]
-        if self.split is not None:
-            lines += [
-                "",
-                f"== components split (section 3.1; {self.split.rules_split} rules split) ==",
-                str(self.split.program),
-            ]
-        if self.projected is not None:
-            lines += ["", "== projections pushed (section 3.2) ==", str(self.projected)]
-        if self.unfolded:
-            lines += [
-                "",
-                "== predicates unfolded into their consumers (section 6) ==",
-                ", ".join(self.unfolded),
-            ]
-        if self.subsumed:
-            lines += [
-                "",
-                "== rules removed by theta-subsumption (section 6) ==",
-                *(f"{rule}   [subsumed by {winner}]" for rule, winner in self.subsumed),
-            ]
-        if self.minimized:
-            lines += [
-                "",
-                "== redundant body literals minimized away ==",
-                *(f"{before}   ->   {after}" for before, after in self.minimized),
-            ]
-        if self.unit_rules is not None and self.unit_rules.added:
-            lines += [
-                "",
-                "== unit rules added (section 5) ==",
-                *(str(r) for r in self.unit_rules.added),
-            ]
-        if self.deletion is not None and self.deletion.deleted:
-            lines += [
-                "",
-                "== rules deleted (sections 3.3/5) ==",
-                *(str(d) for d in self.deletion.deleted),
-            ]
-        lines += ["", "== final ==", str(self.final)]
-        return "\n".join(lines)
+        return "\n\n".join(
+            "\n".join([f"== {title} ==", *map(str, body)]) for title, body in sections if body
+        )
 
 
 def optimize(
     program: Program,
-    query_ad: Optional[Adornment] = None,
-    split: bool = True,
-    paper_mode: bool = True,
-    project: bool = True,
-    unit_rules: bool = True,
     deletion: Optional[str] = "lemma53",
+    unit_rules: bool = True,
     use_chase: bool = True,
     use_sagiv: bool = True,
-    subsumption: bool = True,
-    unfold: bool = True,
-    minimize_bodies: bool = True,
     validate: bool = False,
 ) -> OptimizationResult:
     """Run the paper's optimization pipeline on *program*.
 
-    Phases can be switched off individually for ablation studies.
-    ``deletion=None`` skips phase 3
-    entirely; ``paper_mode=False`` uses the conservative component
-    split, which is only meaningful with ``project=False`` (the paper's
-    split may leave heads unsafe until projection runs).
+    The ``delete_rules`` pass takes the settings: *deletion* is the
+    summary test (``"lemma53"``, ``"lemma51"``, or ``None`` to skip the
+    pass); *unit_rules* enables the retry with covering unit rules;
+    *use_chase* / *use_sagiv* enable the Example-6 chase and Sagiv's
+    test.  Programs with negation or comparison built-ins skip the pass:
+    rule deletion under uniform (query) equivalence assumes monotone
+    programs over stored relations (the paper lists both as future
+    work).
 
     ``validate=True`` arms the pass-contract sanitizer
     (:mod:`repro.analysis.validate`): after every pass its published
@@ -255,150 +255,88 @@ def optimize(
     raises :class:`~repro.analysis.validate.InvariantViolation` naming
     the pass and the broken rule.
     """
+    if program.has_negation() or has_builtins(program):
+        deletion = None
+    passes = (
+        ("adorn", lambda p: (adorn(p), None)),
+        ("split_components", _split_components),
+        ("push_projections", lambda p: (push_projections(p), None)),
+        ("theta_subsumption", _theta_subsumption),
+        (
+            "delete_rules",
+            lambda p: _delete_rules(p, deletion, unit_rules, use_chase, use_sagiv),
+        ),
+        ("unfold_nonrecursive", _unfold_nonrecursive),
+        ("minimize_rule_bodies", _minimize_rule_bodies),
+        ("inline_projection_query", _inline_projection_query),
+    )
     if validate:
         from ..analysis.validate import check_compiled_program, check_pass
-
-        def _check(pass_name: str, prog: AdornedProgram) -> None:
-            check_pass(pass_name, prog, paper_mode=paper_mode)
-
-    else:
-
-        def _check(pass_name: str, prog: AdornedProgram) -> None:
-            return None
-
-    adorned = adorn(program, query_ad=query_ad)
-    current = adorned
-    _check("adorn", current)
-
-    split_report: Optional[ComponentSplit] = None
-    if split:
-        split_report = split_components(current, paper_mode=paper_mode)
-        current = split_report.program
-        _check("split_components", current)
-
-    projected: Optional[AdornedProgram] = None
-    if project:
-        projected = push_projections(current)
-        current = projected
-        _check("push_projections", current)
-
-    subsumed: list = []
-    if subsumption and project:
-        # Cheap syntactic pre-pass (section 6 direction): drop rules
-        # θ-subsumed by another rule — sound for uniform equivalence.
-        from .subsumption import delete_subsumed
-
-        plain = current.to_program()
-        index = {id(rule): i for i, rule in enumerate(plain.rules)}
-        pairs = [
-            (index[id(rule)], index[id(winner)])
-            for rule, winner in delete_subsumed(plain)[1]
-        ]
-        if pairs:
-            subsumed = [(current.rules[d], current.rules[w]) for d, w in pairs]
-            current = current.without_rules(d for d, _ in pairs)
-            _check("theta_subsumption", current)
-
-    unit_report: Optional[UnitRuleReport] = None
-    deletion_report: Optional[DeletionReport] = None
-    from ..datalog.builtins import has_builtins
-
-    if program.has_negation() or has_builtins(program):
-        # Rule deletion under uniform (query) equivalence assumes
-        # monotone programs over stored relations; with stratified
-        # negation or comparison built-ins the pipeline stops after
-        # projection (the paper lists both as future work).
-        deletion = None
-    if deletion is not None and project:
-        # First pass: delete with the program's own unit rules only.
-        deletion_report = delete_rules(
-            current, method=deletion, use_chase=use_chase, use_sagiv=use_sagiv
-        )
-        current = deletion_report.program
-        if unit_rules:
-            # Second pass: add covering unit rules (section 5 — "we can
-            # always add such unit rules") and retry; keep the result
-            # only if it is strictly smaller, since otherwise the added
-            # rules are dead weight.
-            unit_report = add_covering_unit_rules(current)
-            if unit_report.added:
-                retry = delete_rules(
-                    unit_report.program,
-                    method=deletion,
-                    use_chase=use_chase,
-                    use_sagiv=use_sagiv,
-                )
-                if len(retry.program) < len(current):
-                    current = retry.program
-                    deletion_report = DeletionReport(
-                        current, deletion_report.deleted + retry.deleted
-                    )
-                else:
-                    unit_report = None
-        _check("delete_rules", current)
-
-    unfolded: tuple[str, ...] = ()
-    if unfold and project:
-        # Section-6-style literal transformation: splice single-rule
-        # non-recursive predicates into their consumers, removing the
-        # residual materialization cost when adornment forked a
-        # predicate into several query forms.
-        from .unfolding import unfold_nonrecursive
-
-        unfold_report = unfold_nonrecursive(current)
-        if unfold_report.unfolded:
-            current = unfold_report.program
-            unfolded = unfold_report.unfolded
-            # unfolding may strand unreachable definitions
-            from .deletion import cascade
-
-            current = cascade(current).program
-            _check("unfold_nonrecursive", current)
-
-    minimized: tuple = ()
-    if minimize_bodies and project:
-        # Unfolding (and projection) can leave a body with literals
-        # that only repeat an existential condition another literal
-        # already states; evaluating them multiplies duplicate
-        # derivations, defeating the section-3.2 work reduction.  Reduce
-        # each body to its core (see repro.core.subsumption).
-        from .subsumption import minimize_rule_bodies
-
-        min_report = minimize_rule_bodies(current)
-        if min_report.changed:
-            current = min_report.program
-            minimized = min_report.changed
-            _check("minimize_rule_bodies", current)
-
-    current, answer_positions = _inline_projection_query(current)
-    _check("inline_projection_query", current)
+    current = program
+    records = []
+    for name, run in passes:
+        current, report = run(current)
+        records.append(PassRecord(name, current, report))
+        if validate:
+            check_pass(records[-1])
     if validate:
-        check_compiled_program(current.to_program(), "inline_projection_query")
-        if answer_positions is not None:
-            width = current.query.atom.arity
-            if any(not 0 <= i < width for i in answer_positions):
-                from ..analysis.validate import InvariantViolation
+        check_compiled_program(current.to_program(), "final")
+    return OptimizationResult(original=program, passes=tuple(records))
 
-                raise InvariantViolation(
-                    "inline_projection_query",
-                    "answer-positions",
-                    f"answer positions {answer_positions} index outside the "
-                    f"final query arity {width}",
-                )
 
-    return OptimizationResult(
-        original=program,
-        adorned=adorned,
-        split=split_report,
-        projected=projected,
-        unit_rules=unit_report,
-        deletion=deletion_report,
-        final=current,
-        answer_positions=answer_positions,
-        subsumed=tuple(subsumed),
-        unfolded=unfolded,
-        minimized=minimized,
-    )
+def _split_components(program: AdornedProgram):
+    split = split_components(program)
+    return split.program, split
+
+
+def _theta_subsumption(program: AdornedProgram):
+    plain = program.to_program()
+    index = {id(rule): i for i, rule in enumerate(plain.rules)}
+    pairs = [
+        (index[id(rule)], index[id(winner)])
+        for rule, winner in delete_subsumed(plain)[1]
+    ]
+    subsumed = tuple((program.rules[d], program.rules[w]) for d, w in pairs)
+    return program.without_rules(d for d, _ in pairs), subsumed
+
+
+def _delete_rules(program, method, unit_rules, use_chase, use_sagiv):
+    """Delete rules with the program's own unit rules; then add the
+    covering unit rules (section 5 — "we can always add such unit
+    rules") and retry, keeping the retry only if it leaves strictly
+    fewer rules, since otherwise the added rules are dead weight."""
+    if method is None:
+        return program, None
+
+    def delete(prog):
+        return delete_rules(prog, method=method, use_chase=use_chase, use_sagiv=use_sagiv)
+
+    first = delete(program)
+    if unit_rules:
+        units = add_covering_unit_rules(first.program)
+        if units.added:
+            retry = delete(units.program)
+            if len(retry.program) < len(first.program):
+                return retry.program, (units.added, first.deleted + retry.deleted)
+    return first.program, ((), first.deleted)
+
+
+def _unfold_nonrecursive(program: AdornedProgram):
+    # removes the residual materialization cost when adornment forked a
+    # predicate into several query forms; the cascade drops the
+    # definitions unfolding strands
+    report = unfold_nonrecursive(program)
+    if not report.unfolded:
+        return program, ()
+    return cascade(report.program).program, report.unfolded
+
+
+def _minimize_rule_bodies(program: AdornedProgram):
+    # unfolding and projection can leave literals that only repeat an
+    # existential condition another literal already states; evaluating
+    # them multiplies duplicate derivations (see repro.core.subsumption)
+    report = minimize_rule_bodies(program)
+    return report.program, report.changed
 
 
 def _inline_projection_query(
@@ -417,13 +355,6 @@ def _inline_projection_query(
     Only applied when the query atom consists of distinct variables
     (constant selections are left to the magic-sets rewriting).
     """
-    from dataclasses import replace
-
-    if not program.projected:
-        # Unprojected query atoms still carry existential columns whose
-        # removal is the projection phase's job; inlining would tangle
-        # the two projections.
-        return program, None
     query_pred = program.query.atom.predicate
     defining = program.rules_for(query_pred)
     if len(defining) != 1:

@@ -208,6 +208,10 @@ class TestPipelineIntegration:
             optimize(TC_EXISTENTIAL, validate=True)
         assert e.value.pass_name == "push_projections"
         assert e.value.rule == "adornment-arity"
+        # the post-hoc check walks the same records and names the same pass
+        with pytest.raises(InvariantViolation) as e:
+            validate_result(optimize(TC_EXISTENTIAL))
+        assert (e.value.pass_name, e.value.rule) == ("push_projections", "adornment-arity")
 
     def test_broken_split_pass_is_caught(self, monkeypatch):
         from repro.core.components import ComponentSplit
@@ -224,6 +228,9 @@ class TestPipelineIntegration:
             optimize(EXAMPLE2_STYLE, validate=True)
         assert e.value.pass_name == "split_components"
         assert e.value.rule == "single-component"
+        with pytest.raises(InvariantViolation) as e:
+            validate_result(optimize(EXAMPLE2_STYLE))
+        assert (e.value.pass_name, e.value.rule) == ("split_components", "single-component")
 
     def test_without_validate_broken_pass_slips_through(self, monkeypatch):
         from repro.core.components import ComponentSplit
@@ -234,7 +241,40 @@ class TestPipelineIntegration:
             )
 
         monkeypatch.setattr("repro.core.pipeline.split_components", broken)
-        optimize(EXAMPLE2_STYLE)  # no validation: no exception here
+        result = optimize(EXAMPLE2_STYLE)  # no validation: no exception here
+        with pytest.raises(InvariantViolation):
+            validate_result(result)
+
+    def test_answer_positions_out_of_range_caught(self):
+        # the positions live in the inline_projection_query record, so
+        # the post-hoc check reads them through that pass's contract
+        from repro.workloads.families import nonlinear_tc
+
+        result = optimize(nonlinear_tc())
+        inline = result.passes[-1]
+        assert inline.report is not None
+        bad = replace(
+            result, passes=(*result.passes[:-1], replace(inline, report=(7,)))
+        )
+        with pytest.raises(InvariantViolation) as e:
+            validate_result(bad)
+        assert (e.value.pass_name, e.value.rule) == (
+            "inline_projection_query",
+            "answer-positions",
+        )
+
+    def test_every_pass_is_checked_post_hoc(self, monkeypatch):
+        # every projected record is re-checked, the passes between
+        # projection and the final program included
+        checked = []
+        monkeypatch.setattr(
+            "repro.analysis.validate.check_argument_projections",
+            lambda program, name: checked.append(name),
+        )
+        result = optimize(TC_EXISTENTIAL)
+        validate_result(result)
+        assert checked == [r.name for r in result.passes if r.program.projected]
+        assert "delete_rules" in checked
 
     def test_violation_message_names_pass_and_rule(self):
         err = InvariantViolation("push_projections", "adornment-arity", "boom")

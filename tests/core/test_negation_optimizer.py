@@ -138,7 +138,7 @@ class TestDeletionRefusal:
 class TestPipelineWithNegation:
     def test_pipeline_skips_deletion_and_preserves_answers(self):
         result = optimize(NEG_PROGRAM)
-        assert result.deletion is None
+        assert result.record("delete_rules").report is None
         for seed in range(4):
             db = random_edb(NEG_PROGRAM, rows=20, domain=8, seed=seed)
             assert result.answers(db) == result.reference_answers(db)

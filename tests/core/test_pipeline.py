@@ -51,20 +51,8 @@ class TestPipelinePaperPrograms:
 class TestPipelineOptions:
     def test_no_deletion(self):
         result = optimize(example1_program(), deletion=None)
-        assert result.deletion is None
-        check_equivalent(result)
-
-    def test_no_projection_skips_deletion(self):
-        result = optimize(example1_program(), project=False, split=False)
-        assert result.projected is None and result.deletion is None
-        # unprojected adorned program is still equivalent
-        check_equivalent(result)
-
-    def test_safe_split_without_projection(self):
-        result = optimize(
-            example2_program(), paper_mode=False, project=False, deletion=None
-        )
-        result.program.validate()
+        assert result.record("delete_rules").report is None
+        assert result.deleted_count == 0
         check_equivalent(result)
 
     def test_lemma51_method(self):
@@ -81,6 +69,53 @@ class TestPipelineOptions:
         text = optimize(example2_program()).describe()
         for keyword in ("original", "adorned", "components", "projections", "final"):
             assert keyword in text
+
+    def test_one_record_per_pass_in_table_order(self):
+        result = optimize(example2_program())
+        assert [r.name for r in result.passes] == [
+            "adorn",
+            "split_components",
+            "push_projections",
+            "theta_subsumption",
+            "delete_rules",
+            "unfold_nonrecursive",
+            "minimize_rule_bodies",
+            "inline_projection_query",
+        ]
+        assert result.adorned is result.passes[0].program
+        assert result.final is result.passes[-1].program
+
+    def test_describe_sections_follow_execution_order(self):
+        # every optional section fires on this program: a duplicated
+        # rule (θ-subsumption), covering unit rules, deletions, an
+        # unfolded predicate and a minimized body
+        program = parse(
+            """
+            r(V, V) :- q(V, V), e(Y, V).
+            s(Y) :- g(V, V, W), g(V, Y, Y).
+            q(V, V) :- s(V), e(V, W).
+            q(V, V) :- s(V), e(V, W).
+            r(X, X) :- e(Z, X), q(Z, Z), r(Z, Z).
+            ?- r(QX, _1).
+            """
+        )
+        headers = [
+            line.split(" (")[0].strip("= ")
+            for line in optimize(program).describe().splitlines()
+            if line.startswith("== ")
+        ]
+        assert headers == [
+            "original",
+            "adorned",
+            "components split",
+            "projections pushed",
+            "rules removed by theta-subsumption",
+            "unit rules added",
+            "rules deleted",
+            "predicates unfolded into their consumers",
+            "redundant body literals minimized away",
+            "final",
+        ]
 
 
 class TestPipelineCompilesNothing:
@@ -159,9 +194,8 @@ class TestPipelineGeneralPrograms:
         # deletion never leaves more rules than it started with
         for src_fn in (example1_program, example2_program, example5_program):
             result = optimize(src_fn())
-            pre = len(result.projected.rules) + (
-                len(result.unit_rules.added) if result.unit_rules else 0
-            )
+            added, _ = result.record("delete_rules").report
+            pre = len(result.record("push_projections").program) + len(added)
             assert len(result.program) <= pre
 
     def test_optimized_never_slower_in_facts(self):

@@ -71,7 +71,7 @@ class TestRender:
 class TestDiff:
     def test_deleted_rules_marked(self):
         result = optimize(example1_program())
-        diff = diff_programs(result.projected, result.final)
+        diff = diff_programs(result.record("push_projections").program, result.final)
         assert any(line.startswith("- ") for line in diff.splitlines())
 
     def test_common_rules_unmarked(self):

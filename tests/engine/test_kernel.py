@@ -171,6 +171,29 @@ class TestKernelEngine:
             engine_invariant=True
         )
 
+    # a fully bound literal compiles to a loop-free membership probe, so a
+    # failed check after it has no enclosing loop to ``continue``
+    @pytest.mark.parametrize(
+        ("src", "expected"),
+        [
+            ("p(Y) :- e(Y, X), f(1).\n?- p(Y).", {(1,), (2,)}),
+            ("p :- f(1), not g(1).\n?- p.", {()}),
+            ("p(X) :- e(X, Y), h(1, 2).\n?- p(X).", {(1,), (2,)}),
+        ],
+        ids=["ground-literal", "ground-negation", "ground-binary-literal"],
+    )
+    @pytest.mark.parametrize("use_indexes", [True, False])
+    def test_ground_body_literal_compiles(self, src, expected, use_indexes):
+        data = {"e": [(1, 2), (2, 3)], "f": [(1,)], "g": [(5,)], "h": [(1, 2)]}
+        kern, interp = self._pair(src, data, use_indexes=use_indexes)
+        assert kern.stats.kernel_launches > 0
+        assert kern.answers() == interp.answers() == expected
+        assert kern.stats.as_dict(engine_invariant=True) == interp.stats.as_dict(
+            engine_invariant=True
+        )
+        for cr in (compile_rule(r, i) for i, r in enumerate(parse(src).rules)):
+            compile(kernel_source(cr, use_indexes=use_indexes), "<kernel>", "exec")
+
     def test_cli_no_kernel_flag(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -17,11 +17,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.datalog.ast import Atom, Program, Rule
+from repro.datalog.terms import Constant
 from repro.engine import EngineOptions, evaluate
 from repro.workloads.edb import random_edb
 from repro.workloads.families import all_families
 
-from .strategies import random_programs
+from .strategies import BASE, random_programs
 
 FAMILIES = all_families()
 
@@ -92,6 +94,51 @@ def test_kernel_differential_on_random_programs(program, seed):
     """The 200 fixed random oracle programs: kernels and the
     interpreter agree on answers, fact counts, stats counters, and
     provenance, with and without indexes."""
+    program.validate()
+    db = random_edb(program, rows=10, domain=5, seed=seed)
+    _assert_kernel_matches_interpreter(program, db)
+
+
+#: constants inside random_edb's domain, so constant probes can hit
+CONSTANTS = st.integers(min_value=0, max_value=4).map(Constant)
+
+
+@st.composite
+def ground_atoms(draw):
+    pred, arity = draw(st.sampled_from(BASE))
+    return Atom(pred, tuple(draw(CONSTANTS) for _ in range(arity)))
+
+
+@st.composite
+def programs_with_constants(draw):
+    """A random oracle program whose rules also carry constants (the
+    shared ``random_programs`` draws none): up to two variables of a
+    rule are selected to constants throughout it — a literal left
+    without variables becomes ground — and a rule may gain a ground
+    body literal and a ground negated literal."""
+    program = draw(random_programs())
+    rules = []
+    for rule in program.rules:
+        chosen = draw(st.lists(st.sampled_from(rule.variables()), unique=True, max_size=2))
+        rule = rule.substitute({v: draw(CONSTANTS) for v in chosen})
+        body = rule.body + tuple(draw(st.lists(ground_atoms(), max_size=1)))
+        negative = tuple(draw(st.lists(ground_atoms(), max_size=1)))
+        rules.append(Rule(rule.head, body, negative))
+    return Program(tuple(rules), program.query)
+
+
+@given(programs_with_constants(), st.integers(min_value=0, max_value=3))
+@settings(
+    max_examples=200,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_kernel_differential_on_programs_with_constants(program, seed):
+    """Ground body literals, ground negated literals and constant
+    selections: a fully bound literal compiles to the loop-free
+    membership probe, and every kernel around it must still compile
+    and agree with the interpreter."""
     program.validate()
     db = random_edb(program, rows=10, domain=5, seed=seed)
     _assert_kernel_matches_interpreter(program, db)

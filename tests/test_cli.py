@@ -261,6 +261,59 @@ class TestJsonReport:
             for d in report["deleted_rules"]
         )
 
+    # each delete_rules flag, on a program where it changes the report
+    @pytest.mark.parametrize(
+        ("flag", "setting", "example"),
+        [
+            ("--no-deletion", {"deletion": None}, "example12_original"),
+            ("--no-unit-rules", {"unit_rules": False}, "example12_original"),
+            ("--no-chase", {"use_chase": False}, "example5_program"),
+            ("--no-sagiv", {"use_sagiv": False}, "example12_original"),
+        ],
+    )
+    def test_deletion_flags_reach_the_pass(self, tmp_path, capsys, flag, setting, example):
+        import json
+
+        from repro.core import optimize
+        from repro.workloads import paper_examples
+
+        program = getattr(paper_examples, example)()
+        path = tmp_path / "program.dl"
+        path.write_text(f"{program}\n")
+        assert main(["optimize", str(path), "--json"]) == 0
+        default = json.loads(capsys.readouterr().out)
+        assert main(["optimize", str(path), "--json", flag]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report != default
+        assert report == optimize(program, **setting).report_dict()
+
+    def test_deletion_flag_effects(self, tmp_path, capsys):
+        import json
+
+        from repro.workloads.paper_examples import example5_program, example12_original
+
+        def report(program, *flags):
+            path = tmp_path / "program.dl"
+            path.write_text(f"{program}\n")
+            assert main(["optimize", str(path), "--json", *flags]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        assert report(example5_program())["final_rules"] == ["a@nd(X) :- p(X, Y)."]
+        assert report(example5_program(), "--no-chase")["final_rules"] == [
+            "a@nd(V1) :- p(V1, V2)."
+        ]
+        e12 = example12_original()
+        reasons = [d["reason"] for d in report(e12)["deleted_rules"]]
+        assert reasons == ["sagiv uniform equivalence"] * 2
+        reasons = [d["reason"] for d in report(e12, "--no-sagiv")["deleted_rules"]]
+        assert len(reasons) == 2
+        assert all(r.startswith("uniform-query-equivalence chase") for r in reasons)
+        assert len(report(e12)["final_rules"]) == 2
+        without_units = report(e12, "--no-unit-rules")
+        assert without_units["unit_rules_added"] == []
+        assert len(without_units["final_rules"]) == 4
+        assert report(e12, "--no-deletion")["deleted_rules"] == []
+
     def test_report_dict_shape(self):
         from repro.core import optimize
         from repro.workloads.paper_examples import example2_program
