@@ -867,6 +867,9 @@ class DurableLog:
         if not keep:  # pragma: no cover - checkpoint just wrote one
             return
         oldest_kept = int(keep[-1].name.rsplit("-", 1)[1])
+        # under fsync="off" the newest records may still be buffered;
+        # reading the file without them would compact them away
+        self.wal._file.flush()
         data = read_wal(self.wal.path)
         if oldest_kept <= data.base_seq:
             return

@@ -618,12 +618,14 @@ class IncrementalSession:
             if arity is None:
                 arity = len(next(iter(rows)))
             rel = self.db.ensure(pred, arity)
+            if pred in self._idb:
+                # given even when already derived: it must outlive the
+                # loss of its derivations
+                self._initial.setdefault(pred, set()).update(rows)
             fresh = {row for row in rows if rel.add(row)}
             if not fresh:
                 continue
             stats.facts_derived += len(fresh)
-            if pred in self._idb:
-                self._initial.setdefault(pred, set()).update(fresh)
             changed[pred] = set(fresh)
         if not changed:
             return

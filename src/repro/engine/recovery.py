@@ -25,11 +25,17 @@ otherwise                                        snapshot + seeded IVM replay
 ===============================================  ================================
 
 The **replay rung** loads the newest valid snapshot (intern-free — ids
-decode through the snapshot's embedded table) and pushes every WAL
-record after the snapshot's sequence number through the session's
-normal :meth:`insert`/:meth:`retract` path — the exact seeded-unit IVM
-machinery whose batch-by-batch equality with from-scratch evaluation
-the differential oracle proves, which is what makes log replay
+decode through the snapshot's embedded table) and folds the WAL records
+after the snapshot's sequence number into one net delta against the
+anchor's base facts: per ``(pred, row)`` the last record that touches
+it decides, so a row inserted and retracted again cancels out.  That
+delta is applied as **one** batch through the path
+:meth:`insert`/:meth:`retract` share (retract, then insert) — the
+seeded-unit IVM machinery whose batch-by-batch equality with
+from-scratch evaluation the differential oracle proves.  Because the
+maintained state is the fixpoint of the current base facts, not of the
+path that reached them, one batch over the final base is exactly what
+replaying every record would leave, which is what makes log replay
 verifiable to the bit.  Replay runs with resource limits and fault
 plans stripped (a governed trip or a re-armed fault during recovery
 would make the recovered state partial); the user's options are
@@ -39,8 +45,8 @@ The **from-scratch rung** is the durability entry on the engine's
 degradation ladder (``recovery->scratch``): when seeded replay cannot
 be trusted — flag drift under ``"scratch"`` policy, a dirty anchor, or
 a provenance request — the base facts are reconstructed (snapshot base
-relations + given-IDB rows, then the WAL suffix's base deltas) and the
-program is re-evaluated in full.  Slower, never wrong.  A fresh
+relations + given-IDB rows, then the same net delta of the WAL suffix)
+and the program is re-evaluated in full.  Slower, never wrong.  A fresh
 baseline snapshot + WAL re-anchor durability afterwards.
 
 Refusal is structured and loud by design: a
@@ -56,7 +62,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..datalog.ast import Program
-from ..datalog.database import Database
+from ..datalog.database import Database, Relation
 from ..datalog.errors import RecoveryError
 from .durability import (
     DurabilityConfig,
@@ -85,6 +91,7 @@ class RecoveryReport:
     snapshot_path: Optional[str]
     base_seq: int
     last_seq: int
+    #: WAL records after the anchor, all folded into at most one batch
     replayed_batches: int
     torn_tail_dropped: bool
     #: ``(path, reason)`` per snapshot that could not anchor recovery
@@ -106,38 +113,62 @@ def _strip_limits(opts: EngineOptions) -> EngineOptions:
     )
 
 
-def _rebuild_edb(program: Program, snapshot, records) -> Database:
-    """The from-scratch rung's input: base facts at crash time.
+def _anchor_base(program: Program, snapshot) -> dict:
+    """The base facts at the anchor, per predicate: its base (EDB)
+    relations and its non-empty given-IDB row sets.
 
-    Base (EDB) relations and the given-IDB row sets are exact in every
-    snapshot — even a dirty one, because a batch applies its base
-    deltas before any propagation can trip the governor — so the EDB at
-    the anchor plus the WAL suffix's base deltas is the EDB the crashed
-    session had accepted.
+    Both are exact in every snapshot — even a dirty one, because a batch
+    applies its base deltas before any propagation can trip the governor.
     """
     idb = program.idb_predicates()
+    base: dict = {
+        pred: snapshot.db.relation(pred)
+        for pred in sorted(snapshot.db.predicates())
+        if pred not in idb
+    }
+    base.update((pred, rows) for pred, rows in snapshot.initial.items() if rows)
+    return base
+
+
+def _net_suffix(records, base: dict) -> tuple[dict, dict]:
+    """The WAL suffix as one net delta ``(adds, dels)`` against *base*.
+
+    *records* are ``(kind, facts)`` pairs in log order.  The last record
+    that touches a ``(pred, row)`` decides its fate — an insert puts it
+    in *adds*, a retract in *dels* — and rows whose fate *base* already
+    has drop out, so a row inserted and retracted again leaves no trace.
+    Both maps are ``{pred: set(rows)}`` and never share a row.
+    """
+    last: dict = {}
+    for kind, facts in records:
+        inserted = kind == "insert"
+        for pred, rows in facts.items():
+            for row in rows:
+                last[pred, row] = inserted
+    adds: dict[str, set] = {}
+    dels: dict[str, set] = {}
+    for (pred, row), inserted in last.items():
+        if inserted != (row in base.get(pred, ())):
+            (adds if inserted else dels).setdefault(pred, set()).add(row)
+    return adds, dels
+
+
+def _rebuild_edb(base: dict, adds: dict, dels: dict) -> Database:
+    """The from-scratch rung's input: the anchor's base facts with the
+    suffix's net delta applied — the EDB the crashed session had
+    accepted."""
     edb = Database()
-    for pred in sorted(snapshot.db.predicates()):
-        if pred in idb:
-            continue
-        rel = snapshot.db.relation(pred)
-        edb.ensure(pred, rel.arity).bulk_load(rel.rows())
-    for pred, rows in snapshot.initial.items():
-        if rows:
-            arity = len(next(iter(rows)))
-            edb.ensure(pred, arity).bulk_load(rows)
-    for record in records:
-        for pred, rows in record["facts"].items():
-            if record["kind"] == "insert":
-                arity = len(next(iter(rows))) if rows else 0
-                rel = edb.ensure(pred, arity)
-                for row in rows:
-                    rel.add(row)
-            else:
-                rel = edb.relation(pred)
-                if rel is not None:
-                    for row in rows:
-                        rel.discard(row)
+    for pred, rows in base.items():
+        arity = rows.arity if isinstance(rows, Relation) else len(next(iter(rows)))
+        edb.ensure(pred, arity).bulk_load(rows)
+    for pred, rows in dels.items():
+        rel = edb.relation(pred)
+        for row in rows:
+            rel.discard(row)
+    for pred, rows in adds.items():
+        rel = edb.ensure(pred, len(next(iter(rows))))
+        for row in rows:
+            rel.add(row)
     return edb
 
 
@@ -223,15 +254,19 @@ def recover(
     elif opts.record_provenance:
         scratch_reason = "snapshots do not persist provenance"
 
+    base = _anchor_base(program, anchor)
     if scratch_reason is None:
         session = IncrementalSession._restore(
             program, anchor.db, anchor.initial, replay_opts
         )
-        for record in suffix:
-            if record["kind"] == "insert":
-                session.insert(record["facts"])
-            else:
-                session.retract(record["facts"])
+        # each record through _normalize, as insert/retract take it, so
+        # a malformed record raises ArityError; then one IVM batch
+        adds, dels = _net_suffix(
+            [(r["kind"], session._normalize(r["facts"])) for r in suffix],
+            base,
+        )
+        if adds or dels:
+            session._update(adds, dels)
             session.stats.wal_replays += 1
         session.options = opts
         wal = WriteAheadLog.open_append(
@@ -245,7 +280,10 @@ def recover(
             config, wal, batches_since_snapshot=len(suffix)
         )
     else:
-        edb = _rebuild_edb(program, anchor, suffix)
+        edb = _rebuild_edb(
+            base,
+            *_net_suffix([(r["kind"], r["facts"]) for r in suffix], base),
+        )
         # full re-evaluation honours the provenance request (it was the
         # reason for this rung); only faults and limits stay stripped
         scratch_opts = replace(

@@ -113,8 +113,10 @@ class EvalStats:
     #: Write-ahead-log records appended by a durable session (one per
     #: accepted update batch; 0 for non-durable sessions).
     wal_appends: int = _counter(variant=True)
-    #: WAL batches replayed through the seeded IVM path during
-    #: :func:`~repro.engine.recovery.recover` (0 outside recovery).
+    #: IVM batches applied by :func:`~repro.engine.recovery.recover`'s
+    #: replay rung: 1 for the WAL suffix's net delta, 0 when the suffix
+    #: cancels out or outside recovery (``RecoveryReport.replayed_batches``
+    #: counts the WAL records consumed).
     wal_replays: int = _counter(variant=True)
     #: Columnar snapshots written (baseline, policy-triggered, and
     #: forced ``.checkpoint`` snapshots all count).

@@ -230,6 +230,24 @@ class TestDurableSession:
         assert r.facts("tc") == s.facts("tc")
         r.close(), s.close()
 
+    def test_compaction_keeps_unflushed_records(self, tmp_path, program, edb):
+        """Under ``fsync="off"`` appended records can still sit in the
+        file buffer when a snapshot compacts the log: compaction must
+        keep them, and recovery must find every batch."""
+        cfg = _config(tmp_path, fsync="off", snapshot_every=3)
+        s = IncrementalSession(program, edb, durable=cfg)
+        for i in range(10):
+            s.insert({"edge": [(10 + i, 11 + i)]})
+        want = s.facts("tc")
+        s.close()
+        # snapshots at 9 and 6 are kept: the log holds what follows 6
+        assert [r["seq"] for r in read_wal(cfg.wal_path).records] == [
+            7, 8, 9, 10
+        ]
+        r, report = recover(program, cfg)
+        assert r.facts("tc") == want
+        r.close()
+
     def test_wal_size_policy_triggers_snapshot(self, tmp_path, program, edb):
         cfg = _config(tmp_path, snapshot_every=0, max_wal_bytes=1)
         s = IncrementalSession(program, edb, durable=cfg)
@@ -478,6 +496,69 @@ class TestRecoveryRungs:
             assert row in r.facts(pred)
         for row in r.facts("tc") - r._protected("tc"):
             assert ("tc", row) in r.provenance
+        r.close()
+
+    def test_suffix_replays_as_one_net_batch(self, tmp_path, program, edb):
+        """The replay rung folds the whole suffix into one batch: an
+        insert later retracted and a retract later undone drop out, and
+        an inserted IDB row that is already derived stays given after
+        its derivation goes.  Both rungs land on the from-scratch state
+        of the final base facts."""
+        cfg = _config(tmp_path, snapshot_every=0)
+        s = IncrementalSession(program, edb, durable=cfg)
+        script = [
+            ("insert", {"edge": [(3, 4)]}),
+            ("retract", {"edge": [(3, 4)]}),
+            ("retract", {"edge": [(2, 3)]}),
+            ("insert", {"edge": [(2, 3)]}),
+            ("insert", {"tc": [(1, 2)]}),
+            ("retract", {"edge": [(1, 2)]}),
+        ]
+        for kind, facts in script:
+            getattr(s, kind)(facts)
+        s.close()
+        scratch = evaluate(
+            program, Database.from_dict({"edge": [(2, 3)], "tc": [(1, 2)]})
+        )
+        r, report = recover(program, cfg)
+        assert report.source == "replay"
+        assert report.replayed_batches == len(script)
+        assert r.stats.wal_replays == 1
+        for pred in ("edge", "tc"):
+            assert r.facts(pred) == s.facts(pred) == scratch.facts(pred)
+        assert r.answers() == scratch.answers()
+        r.close()
+        drifted = EngineOptions(use_scc=False)
+        r, report = recover(
+            program,
+            DurabilityConfig(wal_path=cfg.wal_path, on_flag_drift="scratch"),
+            drifted,
+        )
+        assert report.source == "scratch"
+        for pred in ("edge", "tc"):
+            assert r.facts(pred) == scratch.facts(pred)
+        r.close()
+
+    def test_suffix_that_cancels_out_applies_no_batch(
+        self, tmp_path, program, edb
+    ):
+        cfg = _config(tmp_path, snapshot_every=0)
+        s = IncrementalSession(program, edb, durable=cfg)
+        anchored = {p: s.facts(p) for p in ("edge", "tc")}
+        script = [
+            ("insert", {"edge": [(3, 4)]}),
+            ("retract", {"edge": [(1, 2)]}),
+            ("retract", {"edge": [(3, 4)]}),
+            ("insert", {"edge": [(1, 2)]}),
+        ]
+        for kind, facts in script:
+            getattr(s, kind)(facts)
+        s.close()
+        r, report = recover(program, cfg)
+        assert report.source == "replay"
+        assert report.replayed_batches == len(script)
+        assert r.stats.wal_replays == 0
+        assert {p: r.facts(p) for p in ("edge", "tc")} == anchored
         r.close()
 
     def test_recovery_reports_timing(self, tmp_path, program, edb):

@@ -103,6 +103,18 @@ class TestNoOpLaws:
         assert not tc_session.is_partial
         assert snapshot(tc_session, ["edge", "tc"]) == before
 
+    def test_inserted_idb_row_is_given_even_when_derived(self):
+        """Inserting an IDB row that is already derived still makes it a
+        given fact: it survives the loss of its derivation, as it would
+        in a from-scratch evaluation over the given row."""
+        session = IncrementalSession(
+            parse(TC), Database.from_dict({"edge": [(1, 2)]})
+        )
+        session.insert({"tc": [(1, 2)]})
+        session.retract({"edge": [(1, 2)]})
+        scratch = evaluate(parse(TC), Database.from_dict({"tc": [(1, 2)]}))
+        assert session.facts("tc") == scratch.facts("tc") == {(1, 2)}
+
     def test_arity_mismatch_rejected(self, tc_session):
         with pytest.raises(ArityError):
             tc_session.insert({"edge": [(1, 2, 3)]})

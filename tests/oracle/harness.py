@@ -77,6 +77,7 @@ __all__ = [
     "STRATEGIES",
     "BASE_OVERRIDES",
     "engine_options",
+    "update_script",
     "scan_answers",
     "strategy_answers",
     "assert_all_agree",
@@ -122,6 +123,28 @@ BASE_OVERRIDES: dict = _base_overrides()
 def engine_options(overrides: dict) -> EngineOptions:
     """Strategy overrides layered over the suite-wide base overrides."""
     return EngineOptions(**{**BASE_OVERRIDES, **overrides})
+
+
+def update_script(program: Program, rng, domain: int, steps: int):
+    """A deterministic random update script, shared by the IVM and
+    recovery oracles: per step, one insert or retract batch of 1-3 rows
+    on one predicate.  Batches go to a base predicate (any predicate when
+    the program has none), except that about a quarter of the inserts go
+    to a derived one, whose rows then count as given even when they are
+    already derived."""
+    arities = program.arities()
+    preds = sorted(program.edb_predicates()) or sorted(arities)
+    derived = sorted(program.idb_predicates())
+    for _ in range(steps):
+        kind = rng.choice(("insert", "retract"))
+        pred = rng.choice(preds)
+        if kind == "insert" and derived and rng.random() < 0.25:
+            pred = rng.choice(derived)
+        batch = {
+            tuple(rng.randrange(domain) for _ in range(arities[pred]))
+            for _ in range(rng.randint(1, 3))
+        }
+        yield kind, pred, batch
 
 
 def scan_answers(rows, query: Atom) -> frozenset:

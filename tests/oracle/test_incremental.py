@@ -5,8 +5,11 @@ after any sequence of insert/retract batches its database equals what a
 from-scratch evaluation over the updated EDB would produce — answers,
 per-predicate fact sets and counts, and (when recorded) a valid
 provenance justification for every derived fact.  This suite drives
-random update scripts against curated families and 200 fixed random
-programs and checks that claim after **every** batch, under the
+random update scripts (``harness.update_script``: base-fact batches,
+plus inserts of given rows into derived predicates, which the
+from-scratch reference takes as input rows) against curated families
+and 200 fixed random programs and checks that claim after **every**
+batch, under the
 suite-wide ``REPRO_ORACLE_BASE`` overlays (CI sweeps kernel/interp x
 index/scan x scc/monolithic through the same tests) and,
 in-process, across every named strategy overlay.  Every state is also
@@ -35,26 +38,9 @@ from repro.workloads.edb import random_edb
 from repro.workloads.families import all_families
 
 from ..property.strategies import random_programs
-from .harness import STRATEGIES, engine_options, scan_answers
+from .harness import STRATEGIES, engine_options, scan_answers, update_script
 
 FAMILIES = all_families()
-
-
-def _script(program, rng, domain, steps):
-    """A deterministic random update script: per step, one insert or
-    retract batch of 1-3 rows on one base predicate (retractions biased
-    toward rows that exist, so deletion paths actually run)."""
-    arities = program.arities()
-    preds = sorted(program.edb_predicates()) or sorted(arities)
-    for _ in range(steps):
-        kind = rng.choice(("insert", "retract"))
-        pred = rng.choice(preds)
-        arity = arities[pred]
-        batch = {
-            tuple(rng.randrange(domain) for _ in range(arity))
-            for _ in range(rng.randint(1, 3))
-        }
-        yield kind, pred, batch
 
 
 def _point_reads(pred, arity, rows):
@@ -138,8 +124,9 @@ def _run_script(program, overrides, *, seed, rows=10, domain=5, steps=6,
     cur = {p: set(edb.rows(p)) for p in edb.predicates()}
     rng = random.Random(seed * 6029 + 17)
     for step, (kind, pred, batch) in enumerate(
-        _script(program, rng, domain, steps)
+        update_script(program, rng, domain, steps)
     ):
+        # bias retractions toward rows that exist, so deletion paths run
         if kind == "retract" and cur.get(pred) and rng.random() < 0.7:
             batch = set(batch) | set(
                 rng.sample(sorted(cur[pred]), min(2, len(cur[pred])))

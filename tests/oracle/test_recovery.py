@@ -10,7 +10,9 @@ final record, mid-snapshot, a truncated snapshot), lets the injected
 :class:`~repro.engine.faults.WalCrash` kill the session with exactly the
 disk damage a real crash would leave, then recovers from the damaged
 files and checks the claim — across curated families, the strategy
-matrix, and 200 fixed random programs x random crash points.
+matrix, and 200 fixed random programs x random crash points.  The
+long-suffix legs take no policy snapshot, so recovery folds every
+record of the script into its one replay batch.
 
 The accepted-batch ledger is the WAL contract itself: a batch is
 accepted once its record is durable.  ``before-append`` and a torn
@@ -46,7 +48,7 @@ from repro.workloads.edb import random_edb
 from repro.workloads.families import all_families
 
 from ..property.strategies import random_programs
-from .harness import STRATEGIES, engine_options
+from .harness import STRATEGIES, engine_options, update_script
 
 FAMILIES = all_families()
 
@@ -63,23 +65,6 @@ CRASH_POINTS = (
 DURABLE_CRASH = frozenset(
     {"after-append", "mid-snapshot", "truncated-snapshot"}
 )
-
-
-def _script(program, rng, domain, steps):
-    """Same shape as the IVM oracle's script: per step one insert or
-    retract batch on one base predicate, retractions biased toward
-    rows that exist."""
-    arities = program.arities()
-    preds = sorted(program.edb_predicates()) or sorted(arities)
-    for _ in range(steps):
-        kind = rng.choice(("insert", "retract"))
-        pred = rng.choice(preds)
-        arity = arities[pred]
-        batch = {
-            tuple(rng.randrange(domain) for _ in range(arity))
-            for _ in range(rng.randint(1, 3))
-        }
-        yield kind, pred, batch
 
 
 def _check_recovered(session, program, accepted, opts, context):
@@ -144,8 +129,9 @@ def _run_crash_script(
         session = IncrementalSession(program, edb, armed, durable=config)
         crashed = None
         for step, (kind, pred, batch) in enumerate(
-            _script(program, rng, domain, steps)
+            update_script(program, rng, domain, steps)
         ):
+            # bias retractions toward rows that exist
             if kind == "retract" and accepted.get(pred) and rng.random() < 0.7:
                 batch = set(batch) | set(
                     rng.sample(
@@ -209,6 +195,12 @@ def test_recovery_on_curated_families(name, point):
         _run_crash_script(
             FAMILIES[name], {}, seed=0, crash_point=point, crash_seq=crash_seq
         )
+        # long suffix: no policy snapshot, so recovery anchors on the
+        # baseline and folds every record of the script into one batch
+        _run_crash_script(
+            FAMILIES[name], {}, seed=0, crash_point=point, crash_seq=crash_seq,
+            steps=8, snapshot_every=10_000,
+        )
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -267,3 +259,28 @@ def test_recovery_on_random_programs(program, seed, point, crash_seq):
     _run_crash_script(
         program, {}, seed=seed, crash_point=point, crash_seq=crash_seq, steps=4
     )
+
+
+@given(
+    random_programs(),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from(("before-append", "after-append", "torn-record")),
+    st.integers(min_value=1, max_value=8),
+)
+@settings(
+    max_examples=100,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_recovery_long_suffix_on_random_programs(program, seed, point, crash_seq):
+    """Every record of the script in the replay suffix (no policy
+    snapshot): the whole log folds into one net batch against the
+    baseline, and the result is still bit-identical to from-scratch.
+    Only the crash points that fire without a snapshot are drawn."""
+    program.validate()
+    report = _run_crash_script(
+        program, {}, seed=seed, crash_point=point, crash_seq=crash_seq,
+        steps=8, snapshot_every=10_000,
+    )
+    assert report.snapshot_seq == 0
