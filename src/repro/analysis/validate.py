@@ -294,10 +294,11 @@ def check_argument_projections(program, pass_name: str) -> None:
 def check_compiled_program(program: Program, pass_name: str = "compile_rule") -> None:
     """Compile every rule and check plan/slot-map coherence.
 
-    The kernel generator derives its integer slot map from the plan
-    order, so a plan whose bound/free split disagrees with the actual
-    binding order would make the generated code read an unassigned
-    register; this check recomputes the binding order independently.
+    The lowering (:func:`repro.engine.plan.lower`) derives the register
+    map every executor shares from each plan's bound/free split, so a
+    split that disagrees with the actual binding order would make the
+    kernels and the interpreter read an unassigned register; this check
+    recomputes the binding order independently.
     """
     from ..engine.plan import compile_rule
 

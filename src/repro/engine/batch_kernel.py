@@ -3,9 +3,9 @@
 The top rung of the engine ladder (vector kernel → tuple kernel →
 interpreter), and the whole of the columnar data plane's execution
 side.  It covers the single hottest shape of semi-naive evaluation — a
-linear recursion's delta plan (frontier step + one indexed join, head
-fused) — whose loop body is pure data movement over dictionary ids and
-so vectorizes completely:
+linear recursion's delta plan, lowered (:func:`repro.engine.plan.lower`)
+to the steps ``[delta, lookup]`` with the head fused — whose loop body
+is pure data movement over dictionary ids and so vectorizes completely:
 
 - the frontier arrives as one packed int64 per row
   (``DeltaIndex.packed_rows``), unpacked to id columns with two numpy
@@ -21,17 +21,17 @@ so vectorizes completely:
 The expansion order (frontier order outer, posting order inner) is
 exactly the tuple kernel's nested loop order, so first-occurrence dedup
 and every engine-invariant counter stay bit-identical to it.  Every
-other shape is declined at compile time (:func:`_vector_spec`), and any
-runtime condition the fast path cannot honor — an id past the 21-bit
-packing bound, a probed relation mutating so often the CSR image would
-be rebuilt quadratically — is detected *before any counter is touched*
+other lowered pattern is declined at compile time (:func:`_vector_spec`),
+and any runtime condition the fast path cannot honor — an id past the
+21-bit packing bound, a probed relation mutating so often the CSR image
+would be rebuilt quadratically — is detected *before any counter is touched*
 and reported by returning None; either way the firing runs on the tuple
 kernel unchanged.  Provenance recording needs per-fact body rows, which
 packed batches do not carry; the scheduler routes those runs to the
 tuple kernel before ever asking for a vector kernel.
 
 Nothing here is generated code: a kernel is a closure over its shape
-spec, memoized per compiled rule, so there is no process-wide cache to
+spec, memoized on the compiled rule, so there is no process-wide cache to
 reset (:func:`repro.engine.clear_kernel_cache` covers all codegen).
 """
 
@@ -45,8 +45,7 @@ from ..datalog.columnar import (
     pack_columns,
     unpack_column,
 )
-from ..datalog.terms import Constant, Variable
-from .plan import CompiledRule
+from .plan import CompiledRule, Lowered, Step
 
 try:  # numpy is optional; without it every plan is declined
     import numpy as _np
@@ -120,82 +119,47 @@ def _csr_for(rel, position: int) -> Optional[_CSR]:
     return csr
 
 
-def _vector_spec(cr: CompiledRule, plan_id: Optional[int]):
+def _vector_spec(cr: CompiledRule, low: Lowered):
     """Compile-time shape analysis for the vectorized delta kernel.
 
-    Returns the spec dict for the supported shape — delta step with
-    distinct needed variables, one indexed join step bound on a single
-    frontier variable, fused head of arity ≤ 3 — or None.
+    Returns the spec dict for the one lowered pattern it runs —
+    ``[delta, lookup]``: a delta step binding distinct variables, one
+    index lookup keyed on a single frontier register, no cut, no
+    built-in or negation, fused head of arity ≤ 3 — or None.
     """
-    if _np is None or plan_id is None:
+    if low.builtins or low.negated or len(low.head) > 3:
         return None
-    if cr.builtins or cr.rule.negative:
-        return None
-    plans = cr.delta_plans[plan_id]
-    if len(plans) != 2:
-        return None
-    step0, step1 = plans
-    head = cr.rule.head
-    if head.arity > 3 or step0.atom.arity > 3:
-        return None
-    if step1.atom.predicate == head.predicate:
+    match low.steps:
+        case (
+            Step(kind="delta", positions=(), checks=(), cut=False) as step0,
+            Step(kind="lookup", key=(int() as key_reg,), checks=(), cut=False) as step1,
+        ) if len(step0.binds) <= 3:
+            pass
+        case _:
+            return None
+    if step1.predicate == cr.rule.head.predicate:
         # the tuple engine inserts head facts per yield while still
         # enumerating, so a step that reads the head relation observes
         # mid-firing inserts; a whole-frontier batch cannot.  (The
         # delta frontier at step 0 is frozen in both.)
         return None
-    if step0.existential or step1.existential:
-        return None
-    if step0.bound_positions:  # constants in the delta literal
-        return None
-    if len(step1.bound_positions) != 1:
-        return None
-    if not step1.free_positions:
-        # fully bound: the tuple kernel answers this with a membership
-        # probe and builds no index; a CSR image would
-        return None
-    bound_arg = step1.atom.args[step1.bound_positions[0]]
-    if not isinstance(bound_arg, Variable):
-        return None
-    # repeated free variables (in either step) need per-row filters
-    for plan in plans:
-        fvars = [v for _, v in plan.free_positions]
-        if len(set(fvars)) != len(fvars):
-            return None
-
-    needed = {a for a in head.args if isinstance(a, Variable)}
-    needed.add(bound_arg)
-    first0 = {var: p for p, var in reversed(step0.free_positions)}
-    if bound_arg not in first0:
-        return None
-    proj = [p for p, var in step0.free_positions if var in needed]
-    slot_of = {
-        var: i
-        for i, (p, var) in enumerate(
-            (p, v) for p, v in step0.free_positions if v in needed
-        )
-    }
-    rowpos = {}
-    for p, var in step1.free_positions:
-        if var not in rowpos:
-            rowpos[var] = p
-    parts = []
-    for t in head.args:
-        if isinstance(t, Constant):
-            parts.append(("const", t.value))
-        elif t in rowpos:
-            parts.append(("row", rowpos[t]))
-        elif t in slot_of:
-            parts.append(("ctx", slot_of[t]))
-        else:
-            return None  # unbound head variable (unsafe rule)
+    needed = {t for t in low.head if type(t) is int} | {key_reg}
+    ctx = [(p, r) for p, r in step0.binds if r in needed]
+    slot_of = {r: i for i, (_, r) in enumerate(ctx)}
+    rowpos = {r: p for p, r in step1.binds}
+    head = [
+        ("const", t.value) if type(t) is not int
+        else ("row", rowpos[t]) if t in rowpos
+        else ("ctx", slot_of[t])
+        for t in low.head
+    ]
     return {
-        "frontier_arity": step0.atom.arity,
-        "proj": proj,
-        "key_slot": slot_of[bound_arg],
-        "join_pred": step1.atom.predicate,
-        "join_pos": step1.bound_positions[0],
-        "head": parts,
+        "frontier_arity": len(step0.binds),
+        "proj": [p for p, _ in ctx],
+        "key_slot": slot_of[key_reg],
+        "join_pred": step1.predicate,
+        "join_pos": step1.positions[0],
+        "head": head,
     }
 
 
@@ -300,15 +264,11 @@ def vector_rule_kernel(
     returned kernel itself returns None — before touching any counter —
     when a runtime condition (id overflow, volatile probed relation)
     forces the same fallback."""
-    if not use_indexes:
+    if _np is None or plan_id is None or not use_indexes:
         return None
-    cache = cr.__dict__.get("_vector_kernels")
-    if cache is None:
-        cache = {}
-        object.__setattr__(cr, "_vector_kernels", cache)
-    if plan_id in cache:
-        return cache[plan_id]
-    spec = _vector_spec(cr, plan_id)
-    fn = _make_vector_kernel(spec) if spec is not None else None
-    cache[plan_id] = fn
-    return fn
+
+    def build() -> Optional[Callable]:
+        spec = _vector_spec(cr, cr.lowered(plan_id))
+        return _make_vector_kernel(spec) if spec is not None else None
+
+    return cr.memoized((plan_id, "vector"), build)

@@ -354,7 +354,7 @@ class BoundCostModel:
             vars_of[mask] = vars_of[mask ^ low] | item_vars[low.bit_length() - 1]
         # later_of[mask]: variables that keep new bindings alive when
         # the literals *not yet placed* are exactly the complement of
-        # mask — the DP analogue of _mark_existential's backward scan
+        # mask — the DP analogue of the lowering's backward cut scan
         later_of = [needed | vars_of[full ^ mask] for mask in range(full + 1)]
 
         # best[mask] = (cost, card, order); ascending masks visit every

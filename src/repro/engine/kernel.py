@@ -1,42 +1,44 @@
 """Compiled rule kernels: the join hot path as generated Python.
 
-:func:`~repro.engine.plan.match_plan` is a recursive generator
-interpreter; correct, but every binding step allocates a generator
-frame and :meth:`LiteralPlan.bind` copies the whole substitution dict
-per candidate row.  On the fixpoint loop's hot path that interpretation
-overhead is the constant factor multiplying every optimization the
-paper's pipeline buys.
+:func:`~repro.engine.plan.interpret` evaluates a rule's lowered plan
+(:func:`~repro.engine.plan.lower`) step by step; correct, but every
+step is a generator frame and every probe, bind and head builds its
+values by walking term tuples.  On the fixpoint loop's hot path that
+interpretation overhead is the constant factor multiplying every
+optimization the paper's pipeline buys.
 
-This module compiles each ``(CompiledRule, plan)`` pair to a
-specialized generator function — one flat nest of ``for`` loops with
-**slot-based registers**:
+This module emits each lowered plan as a specialized generator
+function — one flat nest of ``for`` loops, one code block per step
+kind (``delta``, ``member``, ``lookup``, ``scan``, ``filter``):
 
-- every variable is assigned an integer slot at compile time and
-  becomes a plain local ``r<slot>`` in the generated function (Python
-  locals are array slots in the frame, so a "register file" needs no
-  allocation at all);
+- lowering register *n* becomes a plain local ``r<n>`` in the
+  generated function (Python locals are array slots in the frame, so a
+  "register file" needs no allocation at all);
 - constants are inlined as literals, index keys as tuple displays, and
   index lookups as direct ``rel.lookup(...)`` calls;
 - repeated-variable consistency checks compile to ``!=`` guards;
-- the existential first-match cut compiles to a ``break``;
+- the existential first-match cut compiles to a ``break``, and each
+  step's absent-relation action is the lowering's ``fail``;
 - built-in filters, negation checks, and head construction are emitted
   into the kernel body, so one ``yield`` per rule firing is the only
   interpreter traffic left.
 
-Kernels are *bit-identical* to the interpreter: same answers, same
-provenance (row enumeration order is preserved), and the same
-``EvalStats`` counters (``join_probes``, ``index_probes``,
-``scan_fallbacks``, ``rows_scanned``, ``rule_firings``) — the
-interpreter stays available as the differential oracle via
-``EngineOptions(use_kernels=False)`` / the CLI's ``--no-kernel``.
+The emitter decides nothing: registers, access methods, the cut and
+what an absent relation does all come from the lowering, so kernels
+are *bit-identical* to the interpreter — same answers, same provenance
+(row enumeration order is preserved), and the same ``EvalStats``
+counters (``join_probes``, ``index_probes``, ``scan_fallbacks``,
+``rows_scanned``, ``rule_firings``).  The interpreter stays available
+as the differential oracle via ``EngineOptions(use_kernels=False)`` /
+the CLI's ``--no-kernel``.
 
 Generated functions are cached globally by source text (the source *is*
-the plan signature: predicate names, slot assignments, bound-position
+the plan signature: predicate names, register numbers, bound-position
 keys, inlined constants, and flags all appear in it), so repeated
 ``evaluate()`` calls over the same program shapes skip ``compile()``.
 This process-wide cache is also what keeps adaptive replanning
 amortized: a :func:`~repro.engine.plan.replan_delta_plans` clone is a
-fresh ``CompiledRule`` whose per-object memo starts empty, but any
+fresh ``CompiledRule`` whose lowering memo starts empty, but any
 re-ranked plan whose join order was generated before — including a
 replan that toggles back to an earlier order — hits the source-text
 cache and costs string generation only, no ``compile()``.
@@ -54,11 +56,11 @@ fall back to the interpreter.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 from ..datalog.builtins import BUILTINS
-from ..datalog.terms import Constant, Variable
-from .plan import CompiledRule, LiteralPlan
+from .plan import CompiledRule
 
 __all__ = [
     "KernelError",
@@ -76,8 +78,11 @@ class KernelError(Exception):
 
 
 def _const(value) -> str:
-    if type(value) in (int, str, bool, float) or value is None:
+    if type(value) in (int, str, bool) or value is None or (
+        type(value) is float and math.isfinite(value)
+    ):
         return repr(value)
+    # inf / nan repr as names, not literals
     raise KernelError(f"constant {value!r} has no inline literal form")
 
 
@@ -116,159 +121,95 @@ def kernel_source(
     yields bare ``head_values`` tuples.  Raises :class:`KernelError`
     for rules the compiler cannot specialize.
     """
-    plans = cr.plan if plan_id is None else cr.delta_plans[plan_id]
-    delta = plan_id is not None
-    n = len(plans)
-
-    # -- register allocation: first binding order across plan steps ----
-    slots: dict[Variable, int] = {}
-    for plan in plans:
-        for _, var in plan.free_positions:
-            if var not in slots:
-                slots[var] = len(slots)
+    low = cr.lowered(plan_id, use_indexes)
 
     def term(t) -> str:
-        if isinstance(t, Constant):
-            return _const(t.value)
-        if t not in slots:
-            raise KernelError(f"variable {t} is never bound by the plan")
-        return f"r{slots[t]}"
+        return f"r{t}" if type(t) is int else _const(t.value)
+
+    def key(terms) -> str:
+        return _tuple_display([term(t) for t in terms])
 
     out = _Emitter()
     sig = f"plan={'naive' if plan_id is None else f'delta[{plan_id}]'}"
     out.w(0, f"def _kernel(db, stats, delta):")
     out.w(1, f"# rule {cr.rule_index}: {cr.rule}")
     out.w(1, f"# {sig} use_indexes={use_indexes} record_rows={record_rows}")
-    registers = ", ".join(
-        f"r{s}={v.name}" for v, s in sorted(slots.items(), key=lambda kv: kv[1])
-    )
+    registers = ", ".join(f"r{r}={v.name}" for r, v in enumerate(low.registers))
     out.w(1, f"# registers: {registers or '(none)'}")
 
     # -- prelude: hoist relation dict lookups (identities are stable
     # for the lifetime of a fixpoint run; emptiness is re-checked at
     # the step's position so counters match the interpreter exactly)
-    for i, plan in enumerate(plans):
-        if delta and i == 0:
-            continue
-        out.w(1, f"rel{i} = db.relation({plan.atom.predicate!r})")
-    for k, atom in enumerate(cr.rule.negative):
-        out.w(1, f"nrel{k} = db.relation({atom.predicate!r})")
+    for i, step in enumerate(low.steps):
+        if step.kind != "delta":
+            out.w(1, f"rel{i} = db.relation({step.predicate!r})")
+    for k, (predicate, _) in enumerate(low.negated):
+        out.w(1, f"nrel{k} = db.relation({predicate!r})")
 
-    def emit_step(i: int, depth: int, fail: str) -> None:
-        # *fail* abandons the current candidate the way match_plan does:
-        # ``continue`` the innermost open loop, ``break`` it when that
-        # loop is an existential cut (match_plan stops after the first
-        # witness whatever follows), ``return`` when no loop is open
-        # (the membership fast path opens none)
-        if i == n:
-            emit_tail(depth, fail)
-            return
-        plan = plans[i]
-        looped = True  # cleared by the loop-free membership fast path
-        if delta and i == 0:
-            out.w(depth, "stats.join_probes += 1")
-            if not plan.bound_positions:
-                out.w(depth, f"for row{i} in delta.all_rows():")
-            else:
-                positions = _tuple_display([str(p) for p in plan.bound_positions])
-                key = _tuple_display(
-                    [term(plan.atom.args[p]) for p in plan.bound_positions]
-                )
-                out.w(depth, f"for row{i} in delta.lookup({positions}, {key}):")
-            body = depth + 1
-            out.w(body, "stats.rows_scanned += 1")
-            emit_binds(plan, i, body)
-        elif use_indexes and plan.bound_positions and not plan.free_positions:
-            # fully bound: the key *is* the candidate row, so the row
-            # set answers the probe directly — the mirror of
-            # match_plan's fast path, keeping kernel counters
-            # bit-identical (no index build, at most one row).  Emitted
-            # as a guarded block, NOT an early exit: a miss must fall
-            # through to an enclosing existential cut exactly the way
-            # an exhausted loop would, or the cut would be skipped and
-            # further (identically doomed) candidates probed.
-            key = _tuple_display(
-                [term(plan.atom.args[p]) for p in plan.bound_positions]
-            )
+    # -- one block per step, each nested in the one before; a cut loop
+    # is closed by a ``break`` after everything nested in it
+    depth = 1
+    cuts = []
+    for i, step in enumerate(low.steps):
+        row = f"row{i}"
+        positions = _tuple_display([str(p) for p in step.positions])
+        if step.kind == "member":
+            # a guarded block, not an early exit: a miss falls through
+            # to an enclosing cut exactly the way an exhausted loop would
             out.w(depth, f"if rel{i} is not None:")
             out.w(depth + 1, "stats.join_probes += 1")
             out.w(depth + 1, "stats.index_probes += 1")
-            out.w(depth + 1, f"row{i} = {key}")
-            out.w(depth + 1, f"if row{i} in rel{i}:")
-            body = depth + 2
-            out.w(body, "stats.rows_scanned += 1")
-            looped = False
-        else:
-            # known divergence: an absent relation ``continue``s even an
-            # existential loop where match_plan cuts, so --no-index
-            # over-counts rows_scanned; ``break`` here would change the
-            # source (the cache key) of every kernel with this shape
-            skip = "return" if fail == "return" else "continue"
-            out.w(depth, f"if rel{i} is None: {skip}")
+            out.w(depth + 1, f"{row} = {key(step.key)}")
+            out.w(depth + 1, f"if {row} in rel{i}:")
+            depth += 2
+            out.w(depth, "stats.rows_scanned += 1")
+            continue
+        if step.kind == "delta":
             out.w(depth, "stats.join_probes += 1")
-            if not plan.bound_positions:
-                out.w(depth, "stats.scan_fallbacks += 1")
-                out.w(depth, f"for row{i} in list(rel{i}):")
-                body = depth + 1
-                out.w(body, "stats.rows_scanned += 1")
-                emit_binds(plan, i, body)
-            elif use_indexes:
-                positions = _tuple_display([str(p) for p in plan.bound_positions])
-                key = _tuple_display(
-                    [term(plan.atom.args[p]) for p in plan.bound_positions]
-                )
+            source = (
+                f"delta.lookup({positions}, {key(step.key)})"
+                if step.positions else "delta.all_rows()"
+            )
+        else:
+            out.w(depth, f"if rel{i} is None: {step.fail}")
+            out.w(depth, "stats.join_probes += 1")
+            if step.kind == "lookup":
                 out.w(depth, "stats.index_probes += 1")
-                out.w(depth, f"for row{i} in rel{i}.lookup({positions}, {key}):")
-                body = depth + 1
-                out.w(body, "stats.rows_scanned += 1")
-                emit_binds(plan, i, body)
+                source = f"rel{i}.lookup({positions}, {key(step.key)})"
             else:
-                # --no-index: enumerate the whole relation, filter on
-                # the bound positions (every enumerated row is charged
-                # exactly once, as in _scan_filter + the outer loop)
                 out.w(depth, "stats.scan_fallbacks += 1")
-                out.w(depth, f"for row{i} in list(rel{i}):")
-                body = depth + 1
-                out.w(body, "stats.rows_scanned += 1")
-                for p in plan.bound_positions:
-                    out.w(body, f"if row{i}[{p}] != {term(plan.atom.args[p])}: continue")
-                emit_binds(plan, i, body)
-        if looped:
-            fail = "break" if plan.existential else "continue"
-        emit_step(i + 1, body, fail)
-        if plan.existential and looped:
-            out.w(body, "break  # existential cut: one witness is enough")
-
-    def emit_binds(plan: LiteralPlan, i: int, depth: int) -> None:
-        seen: set[Variable] = set()
-        for p, var in plan.free_positions:
-            if var in seen:
-                out.w(depth, f"if row{i}[{p}] != r{slots[var]}: continue")
+                source = f"list(rel{i})"
+        out.w(depth, f"for {row} in {source}:")
+        depth += 1
+        out.w(depth, "stats.rows_scanned += 1")
+        if step.kind == "filter":
+            for p, t in zip(step.positions, step.key):
+                out.w(depth, f"if {row}[{p}] != {term(t)}: continue")
+        checks = set(step.checks)
+        for p, r in sorted(step.binds + step.checks):
+            if (p, r) in checks:
+                out.w(depth, f"if {row}[{p}] != r{r}: continue")
             else:
-                out.w(depth, f"r{slots[var]} = row{i}[{p}]")
-                seen.add(var)
+                out.w(depth, f"r{r} = {row}[{p}]")
+        if step.cut:
+            cuts.append(depth)
 
-    def emit_tail(depth: int, fail: str) -> None:
-        for atom in cr.builtins:
-            a, b = (term(t) for t in atom.args)
-            out.w(depth, f"if not _bi_{atom.predicate}({a}, {b}): {fail}")
-        for k, atom in enumerate(cr.rule.negative):
-            out.w(depth, "stats.join_probes += 1")
-            key = _tuple_display([term(t) for t in atom.args]) if atom.args else "()"
-            out.w(depth, f"if nrel{k} is not None and {key} in nrel{k}: {fail}")
-        out.w(depth, "stats.rule_firings += 1")
-        head = _tuple_display([term(t) for t in cr.rule.head.args]) \
-            if cr.rule.head.args else "()"
-        if record_rows:
-            rows = [""] * len(cr.relational_body)
-            for i, plan in enumerate(plans):
-                rows[plan.body_index] = f"row{i}"
-            rows_tuple = _tuple_display(rows) if rows else "()"
-            out.w(depth, f"yield {head}, {rows_tuple}")
-        else:
-            out.w(depth, f"yield {head}")
-
-    emit_step(0, 1, "return")
+    # -- tail: built-in filters, negation checks, the head
+    for name, a, b in low.builtins:
+        out.w(depth, f"if not _bi_{name}({term(a)}, {term(b)}): {low.fail}")
+    for k, (_, terms) in enumerate(low.negated):
+        out.w(depth, "stats.join_probes += 1")
+        out.w(depth, f"if nrel{k} is not None and {key(terms)} in nrel{k}: {low.fail}")
+    out.w(depth, "stats.rule_firings += 1")
+    if record_rows:
+        rows = [""] * len(low.steps)
+        for i, step in enumerate(low.steps):
+            rows[step.body_index] = f"row{i}"
+        out.w(depth, f"yield {key(low.head)}, {_tuple_display(rows)}")
+    else:
+        out.w(depth, f"yield {key(low.head)}")
+    for depth in reversed(cuts):
+        out.w(depth, "break  # existential cut: one witness is enough")
     return out.source()
 
 
@@ -321,23 +262,17 @@ def rule_kernel(
 ) -> Optional[Callable]:
     """The compiled kernel for one plan of *cr*, or ``None`` when the
     rule cannot be specialized (the caller falls back to the
-    interpreter).  Kernels are memoized on the compiled rule, so each
-    ``(plan, flags)`` pair is generated at most once per rule object.
+    interpreter).  Kernels are memoized on the compiled rule, beside the
+    plan's lowering, so each ``(plan, flags)`` pair is generated at most
+    once per rule object.
     """
-    cache = cr.__dict__.get("_kernels")
-    if cache is None:
-        cache = {}
-        object.__setattr__(cr, "_kernels", cache)
-    key = (plan_id, use_indexes, record_rows)
-    if key in cache:
-        return cache[key]
-    try:
-        fn = _compile_source(
-            kernel_source(
-                cr, plan_id, use_indexes=use_indexes, record_rows=record_rows
+
+    def build() -> Optional[Callable]:
+        try:
+            return _compile_source(
+                kernel_source(cr, plan_id, use_indexes=use_indexes, record_rows=record_rows)
             )
-        )
-    except KernelError:
-        fn = None
-    cache[key] = fn
-    return fn
+        except KernelError:
+            return None
+
+    return cr.memoized((plan_id, use_indexes, record_rows), build)

@@ -1,4 +1,4 @@
-"""Rule compilation: body ordering and index-aware literal matching.
+"""Rule compilation, lowering, and the reference evaluator.
 
 A rule body is evaluated as a left-deep nested-loop join over hash
 indexes.  :func:`order_body` picks a join order greedily by a
@@ -10,27 +10,35 @@ order), so index lookups replace scans wherever possible.
 bound when the literal is reached, so evaluation does no per-tuple
 planning.
 
+:func:`lower` turns one plan of a compiled rule into the form all
+three executors consume (:class:`Lowered`): numbered registers instead
+of variables, one access kind per step, the existential first-match
+cut, and what each step does when its relation is absent.  It runs
+lazily, on a plan's first firing, and is memoized on the compiled rule
+(:meth:`CompiledRule.lowered`).  :func:`interpret` evaluates the
+lowered steps over a register list — the reference the tuple kernels
+(:mod:`repro.engine.kernel`) and the vector kernel
+(:mod:`repro.engine.batch_kernel`) are generated from and checked
+against.
+
 Each probe of a stored relation is counted in exactly one of two ways:
 an **index probe** when the literal has bound positions and indexing is
 enabled (the relation's lazily built hash index on those positions
 answers the probe), or a **scan fallback** when no position is bound or
 ``use_indexes=False`` forces the engine back to the seed behaviour of
 enumerating the whole relation and filtering.
-
-Substitutions at evaluation time are plain ``dict[Variable, value]``
-with raw Python values (not :class:`Constant` wrappers); this is the
-engine's hot path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterator, Mapping, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from ..datalog.ast import Atom, Rule
-from ..datalog.builtins import is_builtin
+from ..datalog.builtins import BUILTINS, is_builtin
 from ..datalog.columnar import global_dictionary, pack_rows
 from ..datalog.database import Database
+from ..datalog.errors import ValidationError
 from ..datalog.terms import Constant, Variable
 from .statistics import EvalStats
 
@@ -38,13 +46,17 @@ __all__ = [
     "CompiledRule",
     "DeltaIndex",
     "LiteralPlan",
+    "Lowered",
+    "Step",
     "order_body",
     "compile_rule",
+    "interpret",
+    "lower",
     "replan_delta_plans",
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LiteralPlan:
     """One body literal with its precomputed binding pattern.
 
@@ -60,50 +72,10 @@ class LiteralPlan:
     body_index: int  # position in the original rule body
     bound_positions: tuple[int, ...]
     free_positions: tuple[tuple[int, Variable], ...]
-    #: every variable this literal newly binds is *dead* — unused by
-    #: later plan steps, the head, built-ins and negated literals — so
-    #: one matching row witnesses the literal and scanning further
-    #: candidates can only repeat downstream work (the existential
-    #: first-match cut; see compile_rule).
-    existential: bool = False
-
-    def key_for(self, subst: dict) -> Optional[tuple]:
-        """The index key under *subst*; None is never returned — every
-        bound position is a constant or a variable guaranteed bound."""
-        key = []
-        for p in self.bound_positions:
-            arg = self.atom.args[p]
-            if isinstance(arg, Constant):
-                key.append(arg.value)
-            else:
-                key.append(subst[arg])
-        return tuple(key)
-
-    def bind(self, row: Sequence, subst: dict) -> Optional[dict]:
-        """Extend *subst* with the free positions of *row*.
-
-        Returns the extended substitution (a new dict) or ``None`` if a
-        repeated free variable is inconsistent.  A fully-bound literal
-        binds nothing, so the input substitution is returned as-is
-        (substitutions are never mutated downstream, so sharing is
-        safe and skips a dict copy per candidate row).
-        """
-        if not self.free_positions:
-            return subst
-        out = dict(subst)
-        for p, var in self.free_positions:
-            value = row[p]
-            bound = out.get(var, _UNBOUND)
-            if bound is _UNBOUND:
-                out[var] = value
-            elif bound != value:
-                return None
-        return out
 
 
-_UNBOUND = object()
-_NO_ROWS: list = []
 _PACK_FAIL = object()  # memoized "frontier cannot be packed" sentinel
+_NO_ROWS: list = []
 
 
 class DeltaIndex:
@@ -265,7 +237,7 @@ def order_body(
     return tuple(plans)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompiledRule:
     """A rule together with its join plans.
 
@@ -285,12 +257,20 @@ class CompiledRule:
     builtins: tuple[Atom, ...]
     plan: tuple[LiteralPlan, ...]
     delta_plans: tuple[tuple[LiteralPlan, ...], ...]
+    #: the one memo: each plan's lowering and the executors generated
+    #: from it, filled on first firing; a replanned clone starts empty
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
-    def head_values(self, subst: dict) -> tuple:
-        """Instantiate the head under a complete substitution."""
-        return tuple(
-            a.value if isinstance(a, Constant) else subst[a] for a in self.rule.head.args
-        )
+    def memoized(self, key: tuple, build):
+        """``build()``, computed once per *key* for this rule."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
+
+    def lowered(self, plan_id: Optional[int], use_indexes: bool = True) -> "Lowered":
+        """The memoized :func:`lower` of one plan (``None``: naive)."""
+        return self.memoized((plan_id, use_indexes), lambda: lower(self, plan_id, use_indexes))
 
     def delta_literals(self, recursive) -> tuple[tuple[int, str], ...]:
         """The relational body positions whose predicate is in
@@ -305,32 +285,6 @@ class CompiledRule:
             for i, literal in enumerate(self.relational_body)
             if literal.predicate in recursive
         )
-
-
-def _mark_existential(
-    plans: tuple[LiteralPlan, ...], always_needed: frozenset[Variable]
-) -> tuple[LiteralPlan, ...]:
-    """Flag plan steps whose newly bound variables are all dead.
-
-    A flagged literal is a pure existence test: any single matching row
-    produces the same downstream substitution (its new bindings are
-    invisible to later steps, the head, built-ins and negations), so
-    :func:`match_plan` stops at the first match instead of enumerating
-    every candidate — this keeps dead existential variables (the
-    hallmark of the paper's queries, and a frequent by-product of
-    unfolding) from cross-multiplying into duplicate rule firings.
-    """
-    marked = list(plans)
-    needed = set(always_needed)
-    for i in range(len(plans) - 1, -1, -1):
-        plan = plans[i]
-        new_vars = {v for _, v in plan.free_positions}
-        if new_vars and not (new_vars & needed):
-            marked[i] = replace(plan, existential=True)
-        needed.update(
-            a for a in plan.atom.args if isinstance(a, Variable)
-        )
-    return tuple(marked)
 
 
 def _always_needed(rule: Rule, builtins: tuple[Atom, ...]) -> frozenset[Variable]:
@@ -359,17 +313,10 @@ def compile_rule(
     relational = tuple(a for a in rule.body if not is_builtin(a.predicate))
     builtins = tuple(a for a in rule.body if is_builtin(a.predicate))
     always_needed = _always_needed(rule, builtins)
-    plan = _mark_existential(
-        order_body(relational, sizes=sizes, cost_model=cost_model,
-                   needed=always_needed),
-        always_needed,
-    )
+    plan = order_body(relational, sizes=sizes, cost_model=cost_model, needed=always_needed)
     delta_plans = tuple(
-        _mark_existential(
-            order_body(relational, first=i, sizes=sizes,
-                       cost_model=cost_model, needed=always_needed),
-            always_needed,
-        )
+        order_body(relational, first=i, sizes=sizes, cost_model=cost_model,
+                   needed=always_needed)
         for i in range(len(relational))
     )
     return CompiledRule(rule, rule_index, relational, builtins, plan, delta_plans)
@@ -389,11 +336,7 @@ def replan_delta_plans(cr: CompiledRule, cost_model) -> CompiledRule:
     """
     always_needed = _always_needed(cr.rule, cr.builtins)
     delta_plans = tuple(
-        _mark_existential(
-            order_body(cr.relational_body, first=i, cost_model=cost_model,
-                       needed=always_needed),
-            always_needed,
-        )
+        order_body(cr.relational_body, first=i, cost_model=cost_model, needed=always_needed)
         for i in range(len(cr.relational_body))
     )
     if delta_plans == cr.delta_plans:
@@ -401,102 +344,199 @@ def replan_delta_plans(cr: CompiledRule, cost_model) -> CompiledRule:
     return replace(cr, delta_plans=delta_plans)
 
 
-def match_plan(
-    plans: Sequence[LiteralPlan],
+# ---------------------------------------------------------------------------
+# lowering: the one form every executor consumes
+# ---------------------------------------------------------------------------
+
+
+class Step(NamedTuple):
+    """How one body literal is read, in plan order.
+
+    ``kind`` is the access method:
+
+    - ``delta``: the semi-naive frontier (a delta plan's first step);
+    - ``member``: a fully bound literal with indexes on — the key *is*
+      the candidate row, so the row set answers the probe and no
+      whole-relation index is built to return at most one row;
+    - ``lookup``: the relation's hash index on ``positions``;
+    - ``scan``: no position bound, so enumerate the whole relation;
+    - ``filter``: bound positions under ``use_indexes=False`` (the
+      ``--no-index`` baseline): enumerate the whole relation and
+      compare each row's ``positions`` with ``key``.
+
+    ``key`` holds one term per bound position: a register number, or a
+    :class:`Constant`.  ``binds`` assign registers from a row's free
+    positions; ``checks`` compare a repeated free variable's later
+    positions with the register its first position bound.  ``cut`` is
+    the existential first-match cut (see :func:`lower`).  ``fail`` is
+    what a kernel does when the step's relation is absent: abandon the
+    candidate of the innermost open loop — ``continue`` it, ``break``
+    it when that loop is a cut, ``return`` when none is open.
+    """
+
+    kind: str
+    predicate: str
+    body_index: int
+    positions: tuple[int, ...]
+    key: tuple
+    binds: tuple[tuple[int, int], ...]
+    checks: tuple[tuple[int, int], ...]
+    cut: bool
+    fail: str
+
+
+class Lowered(NamedTuple):
+    """One plan of one compiled rule, lowered: the steps, then the
+    post-match filters and the head, all over numbered registers."""
+
+    steps: tuple[Step, ...]
+    #: register number -> the variable it holds, in first-binding order
+    registers: tuple[Variable, ...]
+    #: ``(built-in name, term, term)`` comparison filters
+    builtins: tuple[tuple, ...]
+    #: ``(predicate, key terms)`` of each negated literal
+    negated: tuple[tuple[str, tuple], ...]
+    head: tuple
+    #: the ``fail`` action of a failed built-in or negation check
+    fail: str
+
+
+def lower(cr: CompiledRule, plan_id: Optional[int], use_indexes: bool = True) -> Lowered:
+    """Lower the naive plan (``plan_id=None``) or delta plan *plan_id*
+    of *cr* — the one place that decides the register map, each step's
+    access method, the existential cut and the absent-relation action.
+
+    Registers are numbered in first-binding order across the steps.  A
+    step is a cut when every variable it newly binds is dead — unused
+    by later steps, the head, built-ins and negated literals — so any
+    one matching row produces the same downstream work and the first
+    is enough.  This keeps dead existential variables (the hallmark of
+    the paper's queries, and a frequent by-product of unfolding) from
+    cross-multiplying into duplicate rule firings.
+    """
+    plans = cr.plan if plan_id is None else cr.delta_plans[plan_id]
+    registers: dict[Variable, int] = {}
+
+    def term(t):
+        if isinstance(t, Constant):
+            return t
+        r = registers.get(t)
+        if r is None:
+            raise ValidationError(f"variable {t} is never bound by a plan of {cr.rule}")
+        return r
+
+    shapes = []  # per step: (key, binds, checks)
+    for plan in plans:
+        key = tuple(term(plan.atom.args[p]) for p in plan.bound_positions)
+        binds, checks = [], []
+        for p, var in plan.free_positions:
+            n = len(registers)
+            r = registers.setdefault(var, n)
+            (binds if r == n else checks).append((p, r))
+        shapes.append((key, tuple(binds), tuple(checks)))
+    builtins = tuple((a.predicate, *map(term, a.args)) for a in cr.builtins)
+    negated = tuple((a.predicate, tuple(map(term, a.args))) for a in cr.rule.negative)
+    head = tuple(map(term, cr.rule.head.args))
+
+    # the cut, scanning backwards over what later steps still read
+    reads = [*head, *(t for b in builtins for t in b[1:]), *(t for n in negated for t in n[1])]
+    needed = {t for t in reads if type(t) is int}
+    cuts = []
+    for key, binds, _ in reversed(shapes):
+        cuts.append(bool(binds) and needed.isdisjoint(r for _, r in binds))
+        needed.update(r for _, r in binds)
+        needed.update(t for t in key if type(t) is int)
+    cuts.reverse()
+
+    steps = []
+    fail = "return"
+    for i, (plan, (key, binds, checks), cut) in enumerate(zip(plans, shapes, cuts)):
+        if i == 0 and plan_id is not None:
+            kind = "delta"
+        elif not plan.bound_positions:
+            kind = "scan"
+        elif not use_indexes:
+            kind = "filter"
+        elif binds:
+            kind = "lookup"
+        else:
+            kind = "member"
+        steps.append(Step(kind, plan.atom.predicate, plan.body_index,
+                          plan.bound_positions, key, binds, checks, cut, fail))
+        if kind != "member":  # a membership probe opens no loop
+            fail = "break" if cut else "continue"
+    return Lowered(tuple(steps), tuple(registers), builtins, negated, head, fail)
+
+
+def interpret(
+    low: Lowered,
     db: Database,
     stats: EvalStats,
-    delta_rows: "Optional[DeltaIndex | frozenset]" = None,
-    use_indexes: bool = True,
-) -> Iterator[tuple[dict, tuple]]:
-    """Enumerate substitutions satisfying the planned body.
+    delta: Optional[DeltaIndex] = None,
+    record_rows: bool = False,
+) -> Iterator:
+    """Evaluate *low* over one register list: the reference executor
+    (``use_kernels=False`` / ``--no-kernel``), which every generated
+    kernel matches on answers, derivation order and counters.
 
-    Yields ``(substitution, body_rows)`` where ``body_rows[i]`` is the
-    matched row of the literal at *original* body index *i* (used for
-    provenance).  When *delta_rows* is given (a :class:`DeltaIndex` or
-    any iterable of rows), the first plan step is matched against
-    exactly those rows instead of the stored relation — this is the
-    semi-naive delta position, answered through the frontier's lazy
-    position groupings.  With ``use_indexes=False`` every probe of a
-    stored relation enumerates the whole relation and filters (the
-    pre-index seed behaviour, kept as the ``--no-index`` baseline);
-    ``stats.rows_scanned`` then counts every enumerated row, matching
-    or not.
+    Yields one head tuple per rule firing, or ``(head, body_rows)``
+    with *record_rows* (``body_rows[i]`` is the row body literal *i*
+    matched, for provenance).  An absent relation ends its step before
+    any probe is charged; a cut step stops after its first matching row,
+    whether or not anything downstream fired.
     """
-    n = len(plans)
-    body_rows: list = [None] * n
-    delta = (
-        delta_rows
-        if delta_rows is None or isinstance(delta_rows, DeltaIndex)
-        else DeltaIndex(delta_rows)
-    )
+    steps = low.steps
+    regs: list = [None] * len(low.registers)
+    rows: list = [None] * len(steps)
+    rels = [db.relation(s.predicate) for s in steps]
+    negated = [(db.relation(p), key) for p, key in low.negated]
 
-    def step(i: int, subst: dict) -> Iterator[tuple[dict, tuple]]:
-        if i == n:
-            yield subst, tuple(body_rows)
+    def values(terms) -> tuple:
+        return tuple([regs[t] if t.__class__ is int else t.value for t in terms])
+
+    def match(i: int) -> Iterator:
+        if i == len(steps):
+            for name, a, b in low.builtins:
+                if not BUILTINS[name](*values((a, b))):
+                    return
+            for rel, key in negated:
+                stats.join_probes += 1
+                if rel is not None and values(key) in rel:
+                    return
+            stats.rule_firings += 1
+            yield (values(low.head), tuple(rows)) if record_rows else values(low.head)
             return
-        plan = plans[i]
-        if i == 0 and delta is not None:
+        s = steps[i]
+        kind, rel = s.kind, rels[i]
+        key = values(s.key)
+        if kind == "delta":
             stats.join_probes += 1
-            if not plan.bound_positions:
-                candidates = delta.all_rows()
-            else:
-                candidates = delta.lookup(plan.bound_positions, plan.key_for(subst))
+            candidates = delta.lookup(s.positions, key)
+        elif rel is None:
+            return
         else:
-            rel = db.relation(plan.atom.predicate)
-            if rel is None:
-                return
             stats.join_probes += 1
-            if not plan.bound_positions:
-                # no binding available: a full scan is the only option
-                # (snapshot: the head relation may be the one scanned)
+            if kind == "lookup":
+                stats.index_probes += 1
+                candidates = rel.lookup(s.positions, key)
+            elif kind == "member":
+                stats.index_probes += 1
+                candidates = (key,) if key in rel else ()
+            else:
                 stats.scan_fallbacks += 1
                 candidates = list(rel)
-            elif use_indexes:
-                stats.index_probes += 1
-                if not plan.free_positions:
-                    # fully bound: the key *is* the candidate row, so
-                    # the row set answers the probe directly — building
-                    # a whole-relation index to return at most one row
-                    # would cost O(|rel|) for nothing
-                    key = plan.key_for(subst)
-                    candidates = [key] if key in rel else _NO_ROWS
-                else:
-                    candidates = rel.lookup(
-                        plan.bound_positions, plan.key_for(subst)
-                    )
-            else:
-                stats.scan_fallbacks += 1
-                candidates = _scan_filter(plan, rel, plan.key_for(subst), stats)
+        filtered = kind == "filter"
         for row in candidates:
             stats.rows_scanned += 1
-            extended = plan.bind(row, subst)
-            if extended is None:
+            if filtered and tuple([row[p] for p in s.positions]) != key:
                 continue
-            body_rows[i] = (plan.body_index, row)
-            yield from step(i + 1, extended)
-            if plan.existential:
-                # one witness is enough: every further candidate binds
-                # only dead variables, replaying identical downstream
-                # work (and identical head facts) per extra row
+            for p, r in s.binds:
+                regs[r] = row[p]
+            if s.checks and any(row[p] != regs[r] for p, r in s.checks):
+                continue
+            rows[s.body_index] = row
+            yield from match(i + 1)
+            if s.cut:
                 return
 
-    for final_subst, rows in step(0, {}):
-        ordered: list = [None] * n
-        for body_index, row in rows:
-            ordered[body_index] = row
-        yield final_subst, tuple(ordered)
-
-
-def _scan_filter(plan: LiteralPlan, rel, key: tuple, stats: EvalStats):
-    """Enumerate *rel* fully, yielding rows matching the bound
-    positions.  Rejected rows are charged to ``rows_scanned`` here
-    (delivered rows are charged by the caller), so the counter reflects
-    the full scan the missing index forced."""
-    positions = plan.bound_positions
-    for row in list(rel):
-        if all(row[p] == key[i] for i, p in enumerate(positions)):
-            yield row
-        else:
-            stats.rows_scanned += 1
-
-
+    return match(0)

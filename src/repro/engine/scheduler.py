@@ -35,7 +35,8 @@ frontier (:func:`run_seeded_unit`), and ``run_monolithic`` (the CLI's
 and no component-local cut, kept as the scheduler's differential
 oracle.  ``strategy="naive"`` swaps in the small reference loop.  Rule
 firing is a three-rung ladder (:func:`_fire`): vector kernel → tuple
-kernel → plan interpreter, identical on every engine-invariant counter.
+kernel → interpreter, three executors of one lowered plan, identical
+on every engine-invariant counter.
 
 The drivers are *governed*: they accept a
 :class:`~repro.engine.governor.Governor` whose cooperative checkpoints
@@ -66,15 +67,13 @@ from ..datalog.analysis import (
     condensation,
     is_recursive_component,
 )
-from ..datalog.builtins import eval_builtin
 from ..datalog.database import Database
-from ..datalog.terms import Constant
 from .batch_kernel import vector_rule_kernel
 from .cost import AdaptiveReplanner
 from .faults import SchedulerFault
 from .governor import BudgetExceeded, Governor, Guard
 from .kernel import rule_kernel
-from .plan import CompiledRule, DeltaIndex, match_plan, replan_delta_plans
+from .plan import CompiledRule, DeltaIndex, interpret, replan_delta_plans
 from .provenance import Justification
 from .statistics import EvalStats
 
@@ -108,12 +107,13 @@ def _fire(
     """Run one plan of one rule, inserting new head facts.
 
     *plan_id* selects the naive plan (``None``) or the delta plan
-    starting at relational literal *plan_id*.  Three executors, tried
-    in order: the vectorized delta kernel (``opts.use_columnar``; it
-    declines every plan outside its shape before touching a counter),
-    the compiled tuple kernel (``opts.use_kernels``; built-ins,
-    negation, and head construction are inside the kernel body), and
-    the plan interpreter — the fallback and the differential oracle.
+    starting at relational literal *plan_id*.  Three executors of the
+    plan's one lowering (:meth:`CompiledRule.lowered`), tried in order:
+    the vectorized delta kernel (``opts.use_columnar``; it declines
+    every lowered pattern but ``[delta, lookup]`` before touching a
+    counter), the compiled tuple kernel (``opts.use_kernels``; a
+    constant it cannot inline declines the rule), and the lowered-plan
+    interpreter — the fallback and the differential oracle.
 
     *guard* is the governor's per-unit view: its checkpoint here is
     the between-rules cancellation boundary (deadline / fact budget),
@@ -147,14 +147,16 @@ def _fire(
             cr, plan_id, use_indexes=opts.use_indexes, record_rows=opts.record_provenance
         )
     if kernel is None:
-        derivations = _interpret(cr, plan_id, db, stats, delta, opts.use_indexes)
+        derivations = interpret(
+            cr.lowered(plan_id, opts.use_indexes), db, stats, delta, opts.record_provenance
+        )
     else:
         stats.kernel_launches += 1
         derivations = kernel(db, stats, delta)
-        if not opts.record_provenance:
-            # the hot path: bare head tuples, no body rows to carry
-            _absorb_rows(rel, head_pred, derivations, stats, added)
-            return
+    if not opts.record_provenance:
+        # the hot path: bare head tuples, no body rows to carry
+        _absorb_rows(rel, head_pred, derivations, stats, added)
+        return
     new = _raw_frontier(added, head_pred)
     for values, body_rows in derivations:
         if rel.add(values):
@@ -162,29 +164,13 @@ def _fire(
             if new is None:
                 new = added.setdefault(head_pred, set())
             new.add(values)
-            if opts.record_provenance:
-                body = tuple(
-                    (atom.predicate, row)
-                    for atom, row in zip(cr.relational_body, body_rows)
-                )
-                provenance[(head_pred, values)] = Justification(cr.rule_index, body)
+            body = tuple(
+                (atom.predicate, row)
+                for atom, row in zip(cr.relational_body, body_rows)
+            )
+            provenance[(head_pred, values)] = Justification(cr.rule_index, body)
         else:
             stats.duplicates += 1
-
-
-def _interpret(cr, plan_id, db, stats, delta, use_indexes):
-    """The reference executor: one plan through :func:`match_plan`,
-    yielding ``(head values, body rows)`` per rule firing."""
-    plans = cr.plan if plan_id is None else cr.delta_plans[plan_id]
-    for subst, body_rows in match_plan(
-        plans, db, stats, delta_rows=delta, use_indexes=use_indexes
-    ):
-        if cr.builtins and not _builtins_hold(cr, subst):
-            continue
-        if cr.rule.negative and not _negatives_hold(cr, db, subst, stats):
-            continue
-        stats.rule_firings += 1
-        yield cr.head_values(subst), body_rows
 
 
 def _raw_frontier(added: dict, head_pred: str) -> Optional[set]:
@@ -298,34 +284,6 @@ def _absorb_packed(rel, head_pred, produced, stats, added) -> None:
         # a row-at-a-time tier already left a raw frontier set for this
         # predicate this round; join it
         cur.update(rel.decode_packed(fresh_ordered))
-
-
-def _builtins_hold(cr: CompiledRule, subst: dict) -> bool:
-    """Evaluate the rule's comparison built-ins under a complete match."""
-    for atom in cr.builtins:
-        a, b = (
-            t.value if isinstance(t, Constant) else subst[t] for t in atom.args
-        )
-        if not eval_builtin(atom.predicate, a, b):
-            return False
-    return True
-
-
-def _negatives_hold(cr: CompiledRule, db: Database, subst: dict, stats: EvalStats) -> bool:
-    """Check the negated literals of a rule under a complete positive
-    match.  Safety guarantees every variable is bound; stratification
-    guarantees the referenced relation is complete."""
-    for atom in cr.rule.negative:
-        rel = db.relation(atom.predicate)
-        stats.join_probes += 1
-        if rel is None:
-            continue  # empty relation: the negation holds
-        key = tuple(
-            a.value if isinstance(a, Constant) else subst[a] for a in atom.args
-        )
-        if key in rel:
-            return False
-    return True
 
 
 def _nonempty(db: Database, predicate: str) -> bool:

@@ -197,7 +197,7 @@ class TestDRedRewrites:
         """No plan-interpreter call anywhere in a default retract batch:
         both walks fire compiled kernels."""
         calls = []
-        original = plan.match_plan
+        original = plan.interpret
 
         def spy(*args, **kwargs):
             calls.append(args)
@@ -205,8 +205,8 @@ class TestDRedRewrites:
 
         for module in list(sys.modules.values()):
             if module is not None and module.__name__.startswith("repro.") \
-                    and getattr(module, "match_plan", None) is original:
-                monkeypatch.setattr(module, "match_plan", spy)
+                    and getattr(module, "interpret", None) is original:
+                monkeypatch.setattr(module, "interpret", spy)
         session = IncrementalSession(
             parse(TC), Database.from_dict({"edge": chain(12) + [(0, 5)]})
         )

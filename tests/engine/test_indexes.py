@@ -5,6 +5,7 @@ import pytest
 
 from repro.datalog import Database, parse
 from repro.datalog.database import Relation
+from repro.datalog.terms import Constant
 from repro.engine import EngineOptions, evaluate
 from repro.engine.plan import compile_rule, order_body
 
@@ -107,7 +108,8 @@ def test_constants_count_as_bound_positions():
     )
     cr = compile_rule(program.rules[0], 0)
     assert cr.plan[0].bound_positions == (0,)
-    assert cr.plan[0].key_for({}) == (1,)
+    (step,) = cr.lowered(None).steps
+    assert (step.kind, step.key) == ("lookup", (Constant(1),))
 
 
 # -- evaluator counters: index probes vs scan fallbacks ----------------------

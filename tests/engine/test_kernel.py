@@ -50,7 +50,7 @@ class TestKernelSource:
     def test_existential_cut_emits_break(self):
         # Y is dead after a(X, Y): the literal is an existence test
         cr = _compiled("h(X) :- p(X), a(X, Y).")
-        assert any(p.existential for p in cr.plan)
+        assert any(step.cut for step in cr.lowered(None).steps)
         assert "break" in kernel_source(cr)
 
     def test_non_existential_plan_has_no_break(self):
@@ -120,6 +120,27 @@ class TestKernelCache:
         with pytest.raises(KernelError):
             kernel_source(cr)
         assert rule_kernel(cr) is None  # engine falls back per rule
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_float_constant_falls_back_to_interpreter(self, value):
+        """``repr`` of a non-finite float is a name, not a literal: the
+        rule drops to the interpreter instead of failing at run time."""
+        from repro.datalog.ast import Atom, Program, Rule
+
+        rule = Rule(
+            Atom("h", (Variable("X"),)),
+            (Atom("a", (Variable("X"), Constant(value))),),
+        )
+        with pytest.raises(KernelError):
+            kernel_source(compile_rule(rule, 0))
+        program = Program((rule,), query=Atom("h", (Variable("X"),)))
+        db = Database.from_dict({"a": [(1, value), (2, 3)]})
+        res = evaluate(program, db)
+        assert res.stats.kernel_launches == 0
+        expected = evaluate(program, db, EngineOptions(use_kernels=False)).answers()
+        assert res.answers() == expected
+        if value == value:  # nan equals nothing, itself included
+            assert expected == {(1,)}
 
     def test_fallback_rule_still_evaluates_via_interpreter(self):
         from repro.datalog.ast import Atom, Program, Rule

@@ -1,9 +1,10 @@
-"""Unit tests for rule compilation and join planning."""
+"""Unit tests for rule compilation, join planning, lowering and the
+lowered-plan interpreter."""
 
 from repro.datalog import Database, parse_rule
-from repro.datalog.terms import Variable
+from repro.datalog.terms import Constant, Variable
 from repro.engine import EvalStats, compile_rule, order_body
-from repro.engine.plan import match_plan
+from repro.engine.plan import DeltaIndex, interpret
 
 
 class TestOrderBody:
@@ -59,66 +60,132 @@ class TestOrderBody:
         )
 
 
+def _lowered(rule_src, plan_id=None, use_indexes=True):
+    return compile_rule(parse_rule(rule_src), 0).lowered(plan_id, use_indexes)
+
+
 class TestLiteralPlan:
-    def test_key_for_mixes_constants_and_bindings(self):
-        r = parse_rule("h(X) :- b(1, X).")
-        plan = order_body(r.body)[0]
-        assert plan.key_for({}) == (1,)
+    def test_key_mixes_constants_and_registers(self):
+        low = _lowered("h(X, Y) :- a(X), b(1, X, Y).", plan_id=0)  # a first
+        step = low.steps[1]
+        assert (step.kind, step.positions) == ("lookup", (0, 1))
+        assert step.key == (Constant(1), 0)  # the constant, then X's register
+        assert low.registers == (Variable("X"), Variable("Y"))
 
     def test_bind_consistency(self):
-        r = parse_rule("h(X) :- a(X, X).")
-        plan = order_body(r.body)[0]
-        assert plan.bind((1, 1), {}) == {Variable("X"): 1}
-        assert plan.bind((1, 2), {}) is None
+        (step,) = _lowered("h(X) :- a(X, X).").steps
+        assert step.binds == ((0, 0),) and step.checks == ((1, 0),)
+        results, stats = TestMatchPlan.run(
+            "h(X) :- a(X, X).", {"a": [(1, 1), (1, 2), (3, 3)]}
+        )
+        assert {head for head, _ in results} == {(1,), (3,)}
+        assert stats.rows_scanned == 3  # the rejected row is still scanned
 
 
 class TestMatchPlan:
-    def run(self, rule_src, data, delta=None):
-        r = parse_rule(rule_src)
-        plans = order_body(r.body, first=0 if delta is not None else None)
+    """Matching one lowered plan with :func:`interpret`: answers, body
+    rows, and the exact counters of each access kind."""
+
+    @staticmethod
+    def run(rule_src, data, plan_id=None, delta=None, use_indexes=True):
+        low = _lowered(rule_src, plan_id, use_indexes)
         db = Database.from_dict(data)
         stats = EvalStats()
-        return list(
-            match_plan(plans, db, stats, delta_rows=delta)
-        ), stats
+        frontier = DeltaIndex(delta) if delta is not None else None
+        return list(interpret(low, db, stats, frontier, record_rows=True)), stats
+
+    @staticmethod
+    def counters(stats):
+        return (stats.join_probes, stats.index_probes, stats.scan_fallbacks,
+                stats.rows_scanned, stats.rule_firings)
 
     def test_join(self):
         results, _ = self.run(
             "h(X, Z) :- a(X, Y), b(Y, Z).",
             {"a": [(1, 2), (1, 3)], "b": [(2, 5), (3, 6), (9, 9)]},
         )
-        bindings = {
-            (s[Variable("X")], s[Variable("Z")]) for s, _ in results
-        }
-        assert bindings == {(1, 5), (1, 6)}
+        assert {head for head, _ in results} == {(1, 5), (1, 6)}
 
     def test_body_rows_in_original_order(self):
+        # the delta plan on b runs b first; rows come back in body order
         results, _ = self.run(
             "h(X) :- a(X, Y), b(Y, Z).",
             {"a": [(1, 2)], "b": [(2, 3)]},
+            plan_id=1, delta=[(2, 3)],
         )
-        (_, rows), = results
-        assert rows == ((1, 2), (2, 3))
+        assert results == [((1,), ((1, 2), (2, 3)))]
 
     def test_missing_relation_yields_nothing(self):
-        results, _ = self.run("h(X) :- ghost(X).", {"a": [(1, 2)]})
+        results, stats = self.run("h(X) :- ghost(X).", {"a": [(1, 2)]})
         assert results == []
+        assert self.counters(stats) == (0, 0, 0, 0, 0)  # nothing is charged
 
     def test_delta_restriction(self):
-        results, _ = self.run(
+        results, stats = self.run(
             "h(X, Z) :- a(X, Y), b(Y, Z).",
             {"a": [(1, 2), (4, 5)], "b": [(2, 3), (5, 6)]},
-            delta=frozenset({(1, 2)}),
+            plan_id=0, delta=[(1, 2)],
         )
-        assert len(results) == 1
+        assert [head for head, _ in results] == [(1, 3)]
+        assert [s.kind for s in _lowered("h(X, Z) :- a(X, Y), b(Y, Z).", 0).steps] == [
+            "delta", "lookup"]
+        assert self.counters(stats) == (2, 1, 0, 2, 1)
 
     def test_stats_counters_move(self):
-        _, stats = self.run(
+        # scan a (2 rows), then one index lookup on b per a-row
+        results, stats = self.run(
             "h(X, Z) :- a(X, Y), b(Y, Z).",
-            {"a": [(1, 2)], "b": [(2, 3)]},
+            {"a": [(1, 2), (1, 3)], "b": [(2, 5), (3, 6), (9, 9)]},
         )
-        assert stats.join_probes >= 2
-        assert stats.rows_scanned >= 2
+        assert [s.kind for s in _lowered("h(X, Z) :- a(X, Y), b(Y, Z).").steps] == [
+            "scan", "lookup"]
+        assert self.counters(stats) == (3, 2, 1, 4, 2)
+
+    def test_member_probe_builds_no_index(self):
+        src = "h(X) :- a(X), b(X)."
+        assert [s.kind for s in _lowered(src).steps] == ["scan", "member"]
+        data = {"a": [(1,), (2,), (3,)], "b": [(2,), (3,), (9,)]}
+        low = _lowered(src)
+        db = Database.from_dict(data)
+        stats = EvalStats()
+        assert set(interpret(low, db, stats)) == {(2,), (3,)}
+        assert self.counters(stats) == (4, 3, 1, 5, 2)
+        assert db.relation("b").index_builds == 0
+
+    def test_filter_scans_whole_relation_per_probe(self):
+        src = "h(X, Z) :- a(X, Y), b(Y, Z)."
+        assert [s.kind for s in _lowered(src, use_indexes=False).steps] == [
+            "scan", "filter"]
+        results, stats = self.run(
+            src, {"a": [(1, 2), (1, 3)], "b": [(2, 5), (3, 6), (9, 9)]},
+            use_indexes=False,
+        )
+        assert {head for head, _ in results} == {(1, 5), (1, 6)}
+        # every b row is charged on each of the two probes
+        assert self.counters(stats) == (3, 0, 3, 2 + 2 * 3, 2)
+
+    def test_existential_cut_stops_at_first_witness(self):
+        src = "h(X) :- a(X), b(X, Y)."  # Y is dead: b is an existence test
+        assert [s.cut for s in _lowered(src).steps] == [False, True]
+        results, stats = self.run(
+            src, {"a": [(1,), (2,)], "b": [(1, 7), (1, 8), (1, 9), (2, 7)]}
+        )
+        assert sorted(head for head, _ in results) == [(1,), (2,)]
+        assert (stats.rows_scanned, stats.rule_firings) == (2 + 1 + 1, 2)
+
+    def test_absent_relation_takes_the_fail_action(self):
+        # c is absent: inside b's cut loop that is a break, not a continue
+        src = "h(X) :- a(X), b(X, Y), c(X)."
+        low = _lowered(src, use_indexes=False)
+        assert [s.kind for s in low.steps] == ["scan", "filter", "filter"]
+        assert [s.fail for s in low.steps] == ["return", "continue", "break"]
+        three = [(1,), (2,), (3,)]
+        data = {"a": three, "b": [(x, y) for x in range(1, 4) for y in range(1, 4)]}
+        results, stats = self.run(src, data, use_indexes=False)
+        assert results == []
+        # one witness of b per a-row, then the absent c ends the cut
+        assert stats.join_probes == 1 + 3
+        assert stats.rule_firings == 0
 
     def test_compile_rule_has_delta_plan_per_literal(self):
         r = parse_rule("h(X) :- a(X, Y), b(Y, Z), c(Z).")
@@ -128,6 +195,11 @@ class TestMatchPlan:
             assert plans[0].body_index == i
 
     def test_head_values(self):
-        r = parse_rule("h(X, 7) :- a(X).")
-        cr = compile_rule(r, 0)
-        assert cr.head_values({Variable("X"): 3}) == (3, 7)
+        results, _ = self.run("h(X, 7) :- a(X).", {"a": [(3,)]})
+        assert [head for head, _ in results] == [(3, 7)]
+
+    def test_lowering_is_memoized_lazily(self):
+        cr = compile_rule(parse_rule("h(X) :- a(X, Y)."), 0)
+        assert cr._memo == {}  # compile_rule lowers nothing
+        assert cr.lowered(0) is cr.lowered(0)
+        assert cr.lowered(0) is not cr.lowered(0, use_indexes=False)

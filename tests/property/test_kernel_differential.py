@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.datalog import Database, parse
 from repro.datalog.ast import Atom, Program, Rule
 from repro.datalog.terms import Constant
 from repro.engine import EngineOptions, evaluate
@@ -69,6 +70,19 @@ def _assert_kernel_matches_interpreter(program, db):
 def test_kernel_differential_on_curated_families(name, seed):
     program = FAMILIES[name]
     db = random_edb(program, rows=14, domain=7, seed=seed)
+    _assert_kernel_matches_interpreter(program, db)
+
+
+def test_kernel_differential_on_absent_relation_under_cut():
+    """No ``c`` at all: inside ``b``'s existential loop (``Y`` is dead)
+    the absent relation ends the loop after the first witness, on the
+    kernel as in the interpreter — under ``use_indexes=False`` too,
+    where every extra ``b`` candidate would be a whole-relation scan."""
+    program = parse("h(X) :- a(X), b(X, Y), c(X).\n?- h(X).")
+    db = Database.from_dict({
+        "a": [(x,) for x in range(3)],
+        "b": [(x, y) for x in range(3) for y in range(3)],
+    })
     _assert_kernel_matches_interpreter(program, db)
 
 
