@@ -229,7 +229,9 @@ class ColumnStore:
     relation's version; ``overflow`` records a row with an id at or past
     ``PACK_LIMIT``, which sends the absorb path back to tuple-at-a-time
     for the life of the store; ``csr`` holds the probe images,
-    ``position → (relation version, image, builds so far)``.
+    ``position → (relation version, image)``, each laid out again when
+    its version is stale and a frontier at least as large as the
+    relation asks for it (:mod:`repro.engine.batch_kernel`).
     """
 
     __slots__ = (

@@ -505,6 +505,15 @@ class Relation:
                     store.rebuild(self._rows, self._version)
         return None if store.overflow else store.runs
 
+    def packed_runs_stale(self) -> bool:
+        """True iff :meth:`packed_runs` would re-pack the raw row set:
+        the runs' stamp is behind the relation's version and no
+        overflow has retired them."""
+        if _np is None:
+            return False
+        store = self.column_store()
+        return store.runs_version != self._version and not store.overflow
+
     def packed_novel_mask(self, uniq):
         """Boolean mask over sorted packed rows *uniq* marking which are
         not yet present in this relation, or None when the packed

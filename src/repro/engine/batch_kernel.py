@@ -23,12 +23,23 @@ exactly the tuple kernel's nested loop order, so first-occurrence dedup
 and every engine-invariant counter stay bit-identical to it.  Every
 other lowered pattern is declined at compile time (:func:`_vector_spec`),
 and any runtime condition the fast path cannot honor — an id past the
-21-bit packing bound, a probed relation mutating so often the CSR image
-would be rebuilt quadratically — is detected *before any counter is touched*
-and reported by returning None; either way the firing runs on the tuple
-kernel unchanged.  Provenance recording needs per-fact body rows, which
-packed batches do not carry; the scheduler routes those runs to the
-tuple kernel before ever asking for a vector kernel.
+21-bit packing bound, or a stale image larger than the frontier — is
+detected *before any counter is touched* and reported by returning None;
+either way the firing runs on the tuple kernel unchanged.
+
+A firing re-encodes only what its frontier pays for.  Two structures
+may be stale at launch: the probed relation's CSR image (``len(rel)``
+rows to lay out) and the head relation's packed runs (``len(head)``
+rows to re-pack).  If either one alone holds more rows than the
+frontier, the firing declines.  The two are not summed: a linear
+recursion's second round faces a V-row frontier and two V-row images,
+and must vectorize.  So every rebuild of m rows rides on a firing of at
+least m frontier rows, encoding costs at most twice the frontier rows,
+and no mutation pattern makes the rebuilds quadratic.
+
+Provenance recording needs per-fact body rows, which packed batches do
+not carry; the scheduler routes those runs to the tuple kernel before
+ever asking for a vector kernel.
 
 Nothing here is generated code: a kernel is a closure over its shape
 spec, memoized on the compiled rule, so there is no process-wide cache to
@@ -86,24 +97,21 @@ class _CSR:
             self.fits = True
 
 
-#: a probed relation mutating past this many CSR rebuilds while larger
-#: than _CSR_VOLATILE_ROWS is "volatile": rebuilding its image every
-#: round would be quadratic, so the fast path steps aside for it
-_CSR_MAX_REBUILDS = 4
-_CSR_VOLATILE_ROWS = 1024
+def _csr_current(rel, position: int) -> bool:
+    """True iff *rel*'s CSR image on *position* describes its current
+    version (laying it out again would cost nothing)."""
+    entry = rel.column_store().csr.get(position)
+    return entry is not None and entry[0] == rel._version
 
 
-def _csr_for(rel, position: int) -> Optional[_CSR]:
-    """The (version-cached) CSR image of *rel*'s postings on
-    *position*; None for volatile relations."""
+def _csr_for(rel, position: int) -> _CSR:
+    """The CSR image of *rel*'s postings on *position*, laid out anew
+    when its version stamp is stale."""
     store = rel.column_store()
-    entry = store.csr.get(position)
     version = rel._version
-    if entry is not None:
-        if entry[0] == version:
-            return entry[1]
-        if entry[2] >= _CSR_MAX_REBUILDS and len(rel) > _CSR_VOLATILE_ROWS:
-            return None
+    entry = store.csr.get(position)
+    if entry is not None and entry[0] == version:
+        return entry[1]
     # the raw index first, so a lazy index build is counted exactly
     # when the tuple kernel would count it
     index = rel.index_for((position,))
@@ -114,8 +122,7 @@ def _csr_for(rel, position: int) -> Optional[_CSR]:
         if current is not None and current[0] == version:
             return current[1]
         csr = _CSR(index, rel.arity, store.dictionary)
-        builds = current[2] + 1 if current is not None else 1
-        store.csr[position] = (version, csr, builds)
+        store.csr[position] = (version, csr)
     return csr
 
 
@@ -159,6 +166,7 @@ def _vector_spec(cr: CompiledRule, low: Lowered):
         "key_slot": slot_of[key_reg],
         "join_pred": step1.predicate,
         "join_pos": step1.positions[0],
+        "head_pred": cr.rule.head.predicate,
         "head": head,
     }
 
@@ -169,21 +177,31 @@ def _make_vector_kernel(spec) -> Callable:
     key_slot = spec["key_slot"]
     join_pred = spec["join_pred"]
     join_pos = spec["join_pos"]
+    head_pred = spec["head_pred"]
     head = spec["head"]
     intern = global_dictionary().intern
     empty = _np.empty(0, dtype=_np.int64)
 
     def kernel(db, stats, delta):
         # -- feasibility first: nothing below mutates stats until the
-        # fast path has committed to producing the firing itself
+        # fast path has committed to producing the firing itself.  A
+        # stale image larger than the frontier is not worth re-encoding
+        # for it (each side on its own; see the module docstring), and
+        # is checked before the frontier itself is interned
+        n = len(delta)
         rel1 = db.relation(join_pred)
+        if rel1 is not None and len(rel1) > n and not _csr_current(rel1, join_pos):
+            return None
+        head_rel = db.relation(head_pred)
+        if head_rel is not None and len(head_rel) > n and head_rel.packed_runs_stale():
+            return None
         arr = delta.packed_rows()
         if arr is None:
             return None
         csr = None
         if rel1 is not None:
             csr = _csr_for(rel1, join_pos)
-            if csr is None or not csr.fits:
+            if not csr.fits:
                 return None
         const_ids = []
         for kind, v in head:
@@ -197,7 +215,6 @@ def _make_vector_kernel(spec) -> Callable:
 
         # -- delta step (identity/projection, charged like the tuple
         # kernel: one frontier probe, every delivered row scanned)
-        n = len(arr)
         stats.join_probes += 1
         stats.rows_scanned += n
         if n:
@@ -262,8 +279,10 @@ def vector_rule_kernel(
     """The vectorized kernel for one delta plan of *cr*, or None when
     the shape is unsupported (the caller runs the tuple kernel).  The
     returned kernel itself returns None — before touching any counter —
-    when a runtime condition (id overflow, volatile probed relation)
-    forces the same fallback."""
+    when a runtime condition forces the same fallback: an id past the
+    packing bound, or a stale probe image or head run set holding more
+    rows than the frontier (re-encoding it would cost more than the
+    firing it serves)."""
     if _np is None or plan_id is None or not use_indexes:
         return None
 

@@ -208,10 +208,11 @@ class TestBatchKernelGates:
         if not numpy_available():
             pytest.skip("the vector kernel needs numpy")
         kernel = _vector_kernel("p(X,Y) :- e(X,Z), f(Z,Y).\n?- p(X,Y).", "e")
-        db = Database.from_dict({"e": [(1, 2)], "f": [(2, 3), (2, 4)]})
-        out, touched = _launch(kernel, db, [(1, 2)])
-        assert db.ensure("p", 2).decode_packed(out) == [(1, 3), (1, 4)]
-        assert touched["batch_probes"] == 2 and touched["rule_firings"] == 2
+        db = Database.from_dict({"e": [(1, 2), (5, 2)], "f": [(2, 3), (2, 4)]})
+        # the frontier covers f, so laying out f's probe image pays
+        out, touched = _launch(kernel, db, [(1, 2), (5, 2)])
+        assert db.ensure("p", 2).decode_packed(out) == [(1, 3), (1, 4), (5, 3), (5, 4)]
+        assert touched["batch_probes"] == 2 and touched["rule_firings"] == 4
 
     def test_self_referential_naive_plan_is_gated(self):
         # naive plans never vectorize: the tuple engine inserts per
@@ -282,15 +283,40 @@ class TestBatchKernelGates:
         assert _launch(kernel, db, [(0, 1)]) == (None, {})
 
     @needs_numpy
-    def test_volatile_probed_relation_declines_before_any_counter(self, monkeypatch):
-        monkeypatch.setattr(batch_kernel, "_CSR_VOLATILE_ROWS", 2)
+    @pytest.mark.parametrize("side", ["probed", "head"])
+    def test_stale_image_larger_than_frontier_declines_before_any_counter(self, side):
+        """Re-encoding a stale image larger than the frontier would cost
+        more than the firing: the launch declines untouched.  Once the
+        image is current, the same one-row frontier commits."""
+        kernel = _vector_kernel(LEFT_TC, "tc")
+        big = [(i, i + 1) for i in range(3)]
+        if side == "probed":  # e's CSR image was never laid out
+            db = Database.from_dict({"e": big, "tc": [(0, 1)]})
+        else:  # tc's packed runs were never packed
+            db = Database.from_dict({"e": [(1, 2)], "tc": big})
+        assert _launch(kernel, db, [(0, 1)]) == (None, {})
+        if side == "probed":
+            batch_kernel._csr_for(db.relation("e"), 0)
+        else:
+            db.relation("tc").packed_runs()
+        out, touched = _launch(kernel, db, [(0, 1)])
+        assert out is not None and touched["batch_probes"] == 2
+
+    @needs_numpy
+    def test_frontier_as_large_as_the_image_rebuilds_it_and_commits(self):
         kernel = _vector_kernel(LEFT_TC, "tc")
         db = Database.from_dict({"e": [(1, 2), (2, 3), (3, 4)], "tc": [(0, 1)]})
         e = db.relation("e")
-        for i in range(batch_kernel._CSR_MAX_REBUILDS):
-            assert _launch(kernel, db, [(0, 1)])[0] is not None
-            e.add((10 + i, 11 + i))  # every launch sees a new version
-        assert _launch(kernel, db, [(0, 1)]) == (None, {})
+        frontier = [(0, 1), (5, 2), (6, 3)]
+        out, _ = _launch(kernel, db, frontier)
+        assert db.relation("tc").decode_packed(out) == [(0, 2), (5, 3), (6, 4)]
+        assert batch_kernel._csr_current(e, 0)
+        e.add((4, 5))  # stale again, and now one row larger than the frontier
+        assert _launch(kernel, db, frontier) == (None, {})
+        out, touched = _launch(kernel, db, [*frontier, (7, 4)])
+        assert db.relation("tc").decode_packed(out) == [(0, 2), (5, 3), (6, 4), (7, 5)]
+        assert touched["rule_firings"] == 4
+        assert batch_kernel._csr_current(e, 0)
 
     @needs_numpy
     def test_absorb_without_packed_runs_decodes_in_order(self, monkeypatch):
@@ -387,6 +413,26 @@ class TestColumnarEngine:
         assert res.stats.dict_size > 0
         # the naive plans ran on the tuple kernel
         assert res.stats.columnar_fallbacks > 0
+
+    @needs_numpy
+    def test_right_linear_tc_over_a_cycle_vectorizes_every_delta_round(self):
+        """Round 2 faces a V-row frontier against two stale V-row
+        images (edge's probe image, tc's packed runs).  Each alone is
+        no larger than the frontier, so the round vectorizes — as does
+        every later one, whose images are current."""
+        program = parse(
+            """
+            tc(X,Y) :- edge(X,Y).
+            tc(X,Y) :- edge(X,Z), tc(Z,Y).
+            ?- tc(X,X).
+            """
+        )
+        v = 40
+        db = Database.from_dict({"edge": [(i, (i + 1) % v) for i in range(v)]})
+        stats = evaluate(program, db, EngineOptions()).stats
+        delta_rounds = stats.iterations - 1  # round 1 is the naive round
+        assert delta_rounds == v - 1
+        assert stats.kernel_launches - stats.columnar_fallbacks == delta_rounds
 
     def test_no_columnar_option_disables_batching(self):
         program = parse("p(X) :- e(X).\n?- p(X).")

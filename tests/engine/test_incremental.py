@@ -13,12 +13,14 @@ and the prepared-program cache (hits skip planning without changing a
 single counter).
 """
 
+import random
 import sys
 from dataclasses import replace
 
 import pytest
 
-from repro.datalog import Database, ParseError, parse
+from repro.datalog import Database, ParseError, columnar, parse
+from repro.datalog.columnar import numpy_available
 from repro.datalog.errors import ArityError
 from repro.engine import (
     EngineOptions,
@@ -28,7 +30,7 @@ from repro.engine import (
     evaluate,
     prepared_cache_stats,
 )
-from repro.engine import incremental, plan
+from repro.engine import batch_kernel, incremental, plan
 
 TC = """
     tc(X, Y) :- edge(X, Y).
@@ -187,6 +189,56 @@ class TestMaintenanceCounters:
             parse(TC), Database.from_dict({"edge": chain(n - 1)})
         )
         assert session.facts("tc") == scratch.facts("tc")
+
+
+def forest(trees, size, seed):
+    """Edges of *trees* random rooted trees of *size* nodes each (a
+    node's parent is drawn from the nodes before it)."""
+    rng = random.Random(seed)
+    return [
+        (t * size + rng.randrange(i), t * size + i)
+        for t in range(trees)
+        for i in range(1, size)
+    ]
+
+
+@pytest.mark.skipif(
+    not numpy_available(), reason="the vector kernel needs numpy"
+)
+class TestSmallUpdatesStayUnencoded:
+    def test_one_edge_insert_reencodes_nothing(self, monkeypatch):
+        """A small insert into a large closure: its frontiers hold a few
+        rows while edge's probe image and tc's packed runs hold
+        thousands, so re-encoding either would dwarf the batch.  The
+        firings run on the tuple kernel instead — no CSR layout, no run
+        re-pack — with the tuple engine's counters."""
+        edges = forest(4, 250, seed=3)
+        sessions = [
+            IncrementalSession(
+                parse(TC), Database.from_dict({"edge": edges}),
+                EngineOptions(use_columnar=use_columnar),
+            )
+            for use_columnar in (True, False)
+        ]
+        assert len(sessions[0].facts("tc")) >= 2000
+        calls = []
+
+        def spy(cls, name):
+            original = getattr(cls, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        spy(batch_kernel._CSR, "__init__")
+        spy(columnar.ColumnStore, "rebuild")
+        col, tup = (s.insert({"edge": [(3, 200)]}) for s in sessions)
+        assert calls == []
+        assert col.facts_derived > 0
+        assert col.as_dict(engine_invariant=True) == tup.as_dict(engine_invariant=True)
+        assert sessions[0].facts("tc") == sessions[1].facts("tc")
 
 
 class TestDRedRewrites:
