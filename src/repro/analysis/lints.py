@@ -35,6 +35,7 @@ from ..datalog.terms import Variable
 from .diagnostics import CODES, Diagnostic, LintReport, Severity
 
 if TYPE_CHECKING:
+    from ..core.adornment import AdornedProgram
     from ..engine.cost import RelationProfile
 
 __all__ = ["lint_program"]
@@ -194,7 +195,9 @@ def _positive_components(rule: Rule) -> list[list[int]]:
     return list(groups.values()) + singles
 
 
-def _check_cross_products(program: Program, diags: list) -> None:
+def _check_cross_products(
+    program: Program, adorned: Optional["AdornedProgram"], diags: list
+) -> None:
     """DL012 — ≥2 variable-disjoint body components each binding head
     variables the query actually *needs*: the engine joins them as a
     Cartesian product and Lemma 3.1 cannot cut any of them.
@@ -202,11 +205,10 @@ def _check_cross_products(program: Program, diags: list) -> None:
     The check is adornment-aware: a component anchored only to
     existential head positions is the Lemma 3.1 boolean-subquery case
     (reported as DL011 info), not a product the optimizer is stuck
-    with.  When the program cannot be adorned (no query, earlier
-    errors) the plain head-variable anchoring is used instead."""
-    try:
-        from ..core.adornment import adorn
-
+    with.  When the program cannot be adorned (*adorned* is None: no
+    query, earlier errors) the plain head-variable anchoring is used
+    instead."""
+    if adorned is not None:
         anchored_rules = [
             (
                 r.head.atom.predicate.partition("@")[0],
@@ -218,9 +220,9 @@ def _check_cross_products(program: Program, diags: list) -> None:
                 },
                 r.head.atom.span,
             )
-            for r in adorn(program).rules
+            for r in adorned.rules
         ]
-    except ReproError:
+    else:
         anchored_rules = [
             (r.head.predicate, r, set(r.head.variables()), r.span)
             for r in program.rules
@@ -402,15 +404,15 @@ def _check_dictionary_overhead(program: Program, diags: list) -> None:
     )
 
 
-def _check_adornment_opportunities(program: Program, diags: list) -> None:
+def _check_adornment_opportunities(
+    adorned: Optional["AdornedProgram"], diags: list
+) -> None:
     """DL010 / DL011 — what the adornment algorithm and the component
     split will find (Lemma 2.2 / Lemma 3.1)."""
-    from ..core.adornment import adorn, split_adorned
+    from ..core.adornment import split_adorned
     from ..core.components import rule_components
 
-    try:
-        adorned = adorn(program)
-    except ReproError:
+    if adorned is None:
         return  # earlier diagnostics already explain why adornment fails
 
     reported: set[str] = set()
@@ -475,6 +477,7 @@ BOUND_BLOWUP_FACTOR = 100
 
 def _check_bound_blowup(
     program: Program,
+    adorned: Optional["AdornedProgram"],
     diags: list,
     profiles: Optional[Mapping[str, "RelationProfile"]] = None,
 ) -> None:
@@ -503,7 +506,7 @@ def _check_bound_blowup(
     threshold then scales with the largest measured relation instead
     of ``DEFAULT_SIZE``.
     """
-    from ..core.adornment import adorn, split_adorned
+    from ..core.adornment import split_adorned
     from ..engine.cost import DEFAULT_SIZE, rule_intermediate_bound
 
     if profiles:
@@ -516,10 +519,6 @@ def _check_bound_blowup(
         basis = "synthetic relation size"
     threshold = BOUND_BLOWUP_FACTOR * base_size
     # (plain rule to price, needed override, anchor predicate, span)
-    try:
-        adorned = adorn(program)
-    except ReproError:
-        adorned = None
     if adorned is not None:
         priced = [
             (
@@ -631,15 +630,21 @@ def lint_program(
     loaded EDB) makes DL017 price rules with **measured** degree
     sketches instead of the synthetic defaults.
     """
+    from ..core.adornment import adorn
+
     edb_set = frozenset(edb) if edb is not None else None
     diags: list[Diagnostic] = []
+    try:
+        adorned = adorn(program)
+    except ReproError:
+        adorned = None
 
     _check_arities(program, diags)
     _check_safety(program, diags)
     _check_stratification(program, diags)
     _check_duplicates(program, diags)
     _check_redundant_literals(program, diags)
-    _check_cross_products(program, diags)
+    _check_cross_products(program, adorned, diags)
     _check_query(program, edb_set, diags)
     _check_undefined_predicates(program, edb_set, diags)
     _check_facts(program, diags)
@@ -647,7 +652,7 @@ def lint_program(
     if not any(d.severity is Severity.ERROR for d in diags):
         # optimization-opportunity lints need a program the pipeline
         # accepts; with errors present the story is already told above
-        _check_adornment_opportunities(program, diags)
+        _check_adornment_opportunities(adorned, diags)
         _check_chain_regularity(program, diags)
-        _check_bound_blowup(program, diags, profiles)
+        _check_bound_blowup(program, adorned, diags, profiles)
     return LintReport(tuple(diags), source=source)

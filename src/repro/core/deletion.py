@@ -188,15 +188,35 @@ def lemma53_deletable(
     _require_positive(program)
     if summaries is None:
         summaries = query_rooted_summaries(program)
-    query_pred = program.query.atom.predicate
+    return _lemma53(program, rule_index, summaries, _unit_closure(program, rule_index))
+
+
+def _unit_closure(
+    program: AdornedProgram, rule_index: Optional[int]
+) -> frozenset[ArgumentProjection]:
+    """``S2`` of Lemma 5.3: the summary closure of ``S1``, the
+    projections of every unit rule but rule *rule_index* plus the
+    identity on the query predicate.  Only a unit rule's own projection
+    is ever excluded, so every non-unit candidate of a program shares
+    the closure ``_unit_closure(program, None)``."""
+    query = program.query.atom
     s1 = [
         head_body_projection(urule, 0)
         for ui, urule in enumerate(program.rules)
         if ui != rule_index and is_unit_rule(urule)
     ]
-    s1.append(identity_projection(query_pred, program.query.atom.arity))
-    s2 = summary_closure(s1)
+    s1.append(identity_projection(query.predicate, query.arity))
+    return summary_closure(s1)
 
+
+def _lemma53(
+    program: AdornedProgram,
+    rule_index: int,
+    summaries: QueryRootedSummaries,
+    s2: frozenset[ArgumentProjection],
+) -> Optional[str]:
+    """Lemma 5.3 for rule *rule_index* against a precomputed closure
+    *s2* (:func:`_unit_closure`)."""
     rule = program.rules[rule_index]
     for bi, lit in enumerate(rule.body):
         if not lit.derived:
@@ -304,7 +324,7 @@ def chase_deletable(
     if not sigma_set:
         return None  # unreachable; the cascade removes it more cheaply
 
-    remaining = program.without_rules([rule_index]).to_program()
+    plain = program.to_program()
     plain_rule = rule.to_rule()
 
     for sigma in sigma_set:
@@ -315,7 +335,9 @@ def chase_deletable(
         if constrained is None:
             return None
         subst, representatives = constrained
-        ground_head, fixpoint = frozen_chase(remaining, plain_rule.substitute(subst))
+        ground_head, fixpoint = frozen_chase(
+            plain, plain_rule.substitute(subst), {rule_index}
+        )
         frozen = ground_head.as_fact()
         answers = fixpoint.relation(query_pred)
         if answers is None or tuple(frozen[j] for j in representatives) not in answers:
@@ -418,33 +440,52 @@ def delete_rules(
     then the summary test, then the Example-6 uniform-query-equivalence
     chase (*use_chase*).  After every deletion the cascade clean-up runs
     and all summaries are recomputed.
+
+    A rule whose Sagiv chase failed is not chased again after a
+    restart: the program only shrinks, and a positive sub-program
+    derives less, so the verdict cannot flip.  The summary test and the
+    Example-6 chase are not monotone and re-run on every pass.
     """
     _require_projected(program)
     _require_positive(program)
     if method not in ("lemma51", "lemma53"):
         raise TransformError(f"unknown deletion method {method!r}")
-    test = lemma51_deletable if method == "lemma51" else lemma53_deletable
 
     deleted: list[Deletion] = []
     report = cascade(program)
     deleted.extend(report.deleted)
     program = report.program
+    # id() of every rule whose Sagiv chase failed; each stays alive in
+    # the program or in the deletion log, so no id is reused
+    sagiv_failed: set[int] = set()
 
     progress = True
     while progress:
         progress = False
         summaries = query_rooted_summaries(program)
         plain = program.to_program()
-        for ri in range(len(program.rules)):
+        shared_s2 = None  # the Lemma 5.3 closure of this pass's non-unit rules
+        for ri, rule in enumerate(program.rules):
             reason = None
-            if use_sagiv and program.rules[ri].body and rule_deletable_uniform(plain, ri):
-                reason = "sagiv uniform equivalence"
-            if reason is None:
-                reason = test(program, ri, summaries)
+            if use_sagiv and rule.body and id(rule) not in sagiv_failed:
+                if rule_deletable_uniform(plain, ri):
+                    reason = "sagiv uniform equivalence"
+                else:
+                    sagiv_failed.add(id(rule))
+            if reason is None and method == "lemma51":
+                reason = lemma51_deletable(program, ri, summaries)
+            elif reason is None:
+                if is_unit_rule(rule):
+                    s2 = _unit_closure(program, ri)
+                else:
+                    if shared_s2 is None:
+                        shared_s2 = _unit_closure(program, None)
+                    s2 = shared_s2
+                reason = _lemma53(program, ri, summaries, s2)
             if reason is None and use_chase:
                 reason = chase_deletable(program, ri, summaries)
             if reason is not None:
-                deleted.append(Deletion(program.rules[ri], reason))
+                deleted.append(Deletion(rule, reason))
                 program = program.without_rules([ri])
                 report = cascade(program)
                 deleted.extend(report.deleted)

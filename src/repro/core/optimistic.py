@@ -182,12 +182,10 @@ def theorem52_deletable(
         return False
 
     if idb2_indexes is None:
-        remainder = program.without_rule(rule_index)
+        skip = {rule_index}
     else:
         if rule_index in idb2_indexes:
             raise TransformError("IDB2 must not contain the candidate rule")
-        remainder = program.with_rules(
-            [r for i, r in enumerate(program.rules) if i in idb2_indexes]
-        )
-    _, fixpoint = frozen_chase(remainder, rule)
+        skip = set(range(len(program.rules))) - idb2_indexes
+    _, fixpoint = frozen_chase(program, rule, skip)
     return optimistic <= fixpoint.rows(program.query.predicate)

@@ -26,11 +26,14 @@ literal-deletion test of Sagiv's minimization algorithm.
 
 from __future__ import annotations
 
+from typing import AbstractSet
+
 from ..datalog.ast import Atom, Program, Rule
 from ..datalog.database import Database
 from ..datalog.errors import TransformError
 from ..datalog.unify import skolemize
-from ..engine.evaluator import EngineOptions, evaluate
+from ..engine.evaluator import EngineOptions, run_prepared, working_database
+from ..engine.prepared import prepare
 
 __all__ = [
     "freeze",
@@ -63,17 +66,35 @@ def freeze(rule: Rule) -> tuple[Atom, Database]:
     return ground_head, edb
 
 
-def frozen_chase(program: Program, rule: Rule) -> tuple[Atom, Database]:
+def frozen_chase(
+    program: Program, rule: Rule, skip: AbstractSet[int] = frozenset()
+) -> tuple[Atom, Database]:
     """The frozen head of *rule* (or of a rule instance) and the least
-    fixpoint of *program* over its frozen body: the one chase behind
-    Sagiv's test, the Example-6 chase and Theorem 5.2."""
+    fixpoint of *program* without the rules at the indexes in *skip*
+    over its frozen body: the one chase behind Sagiv's test, the
+    Example-6 chase and Theorem 5.2.
+
+    The chase prepares the whole *program* with no size profile, so the
+    greedy planner orders bodies by bound positions and body order
+    alone and every chase over one program shares one preparation; the
+    rules in *skip* are masked out at run time
+    (:func:`~repro.engine.evaluator.run_prepared`).  The mask cannot
+    change a verdict: a masked rule never fires, join order never
+    changes a fixpoint, and the strata and SCC condensation of
+    *program* are a correct, coarser schedule for any of its subsets.
+    """
     ground_head, edb = freeze(rule)
-    return ground_head, evaluate(program.with_query(None), edb, _REFERENCE_ENGINE).db
+    prepared = prepare(program.with_query(None))
+    db = working_database(prepared.program, edb)
+    return ground_head, run_prepared(prepared, db, _REFERENCE_ENGINE, skip).db
 
 
-def _derives_frozen_head(program: Program, rule: Rule) -> bool:
-    """Does *program*, run on the frozen body of *rule*, derive the
-    frozen head?  The core of every test in this module."""
+def _derives_frozen_head(
+    program: Program, rule: Rule, skip: AbstractSet[int] = frozenset()
+) -> bool:
+    """Does *program* without the rules in *skip*, run on the frozen
+    body of *rule*, derive the frozen head?  The core of every test in
+    this module."""
     from ..datalog.builtins import has_builtins, is_builtin
 
     if program.has_negation() or rule.negative:
@@ -85,7 +106,7 @@ def _derives_frozen_head(program: Program, rule: Rule) -> bool:
             "uniform-equivalence chase tests cannot evaluate comparison "
             "built-ins over frozen (skolem) constants"
         )
-    ground_head, fixpoint = frozen_chase(program, rule)
+    ground_head, fixpoint = frozen_chase(program, rule, skip)
     return ground_head.as_fact() in fixpoint.relation(ground_head.predicate)
 
 
@@ -98,9 +119,7 @@ def rule_deletable_uniform(program: Program, rule_index: int) -> bool:
     ``a@nd(x) :- p(x, z), a@nd(z)`` is ``{p(x, z), a@nd(z)}``, and the
     exit rule re-derives ``a@nd(x)`` from ``p(x, z)``.
     """
-    rule = program.rules[rule_index]
-    rest = program.without_rule(rule_index)
-    return _derives_frozen_head(rest, rule)
+    return _derives_frozen_head(program, program.rules[rule_index], {rule_index})
 
 
 def literal_deletable_uniform(

@@ -31,7 +31,14 @@ from .durability import (
     load_snapshot,
     read_wal,
 )
-from .evaluator import EngineOptions, EvalResult, answers_of, evaluate
+from .evaluator import (
+    EngineOptions,
+    EvalResult,
+    answers_of,
+    evaluate,
+    run_prepared,
+    working_database,
+)
 from .incremental import IncrementalSession
 from .recovery import RecoveryReport, recover
 from .prepared import (
@@ -68,6 +75,8 @@ __all__ = [
     "EngineOptions",
     "EvalResult",
     "evaluate",
+    "run_prepared",
+    "working_database",
     "answers_of",
     "IncrementalSession",
     "DurabilityConfig",

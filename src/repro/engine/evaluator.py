@@ -29,7 +29,7 @@ earlier releases.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import AbstractSet, Optional, Sequence
 
 from ..datalog.ast import Atom, Program
 from ..datalog.columnar import global_dictionary
@@ -43,7 +43,14 @@ from .provenance import DerivationTree, derivation_tree
 from .scheduler import run_monolithic, run_scheduled
 from .statistics import EvalStats
 
-__all__ = ["EngineOptions", "EvalResult", "evaluate", "answers_of"]
+__all__ = [
+    "EngineOptions",
+    "EvalResult",
+    "evaluate",
+    "run_prepared",
+    "working_database",
+    "answers_of",
+]
 
 
 @dataclass(frozen=True)
@@ -121,8 +128,9 @@ class EngineOptions:
         loop treats each stratum's fixpoint as one unit, where this
         coincides with the global bound.
     deadline_s
-        Wall-clock budget in seconds for the whole evaluation,
-        enforced by cooperative cancellation at every iteration,
+        Wall-clock budget in seconds for the fixpoint, counted from
+        the end of preparation (which cancellation cannot interrupt)
+        and enforced by cooperative cancellation at every iteration,
         per-unit, and between-rule boundary (see
         :mod:`repro.engine.governor`).
     max_facts / max_delta_rows
@@ -325,8 +333,52 @@ def evaluate(
     changes answers or fact counts — only work counters move.
     """
     opts = options or EngineOptions()
-    program.validate()
-    db = edb.copy(mutating=program.idb_predicates())
+    db = working_database(program, edb)
+    # Rules compile against the input relation sizes, derived relations
+    # sized past every stored one (:func:`planning_inputs`).  The
+    # compiled artifacts (plans, analysis, stratification) come from
+    # the prepared-program cache: a hit skips planning and codegen
+    # entirely and is bit-identical to a fresh compile because the size
+    # profile is part of the cache key.
+    sizes, cost_model = planning_inputs(
+        program, db, opts.use_cost_planner,
+        analysis.sketches() if analysis is not None else None,
+    )
+    return run_prepared(prepare(program, sizes, cost_model=cost_model), db, opts)
+
+
+def working_database(program: Program, edb: Database) -> Database:
+    """The database one evaluation of *program* over *edb* writes:
+    *edb*'s base relations shared, its derived ones copied, and a
+    relation for every derived predicate, so that empty results are
+    observable and plans never miss a relation."""
+    idb = program.idb_predicates()
+    db = edb.copy(mutating=idb)
+    arities = program.arities()
+    for pred in idb:
+        db.ensure(pred, arities[pred])
+    return db
+
+
+def run_prepared(
+    prepared: PreparedProgram,
+    db: Database,
+    options: EngineOptions,
+    skip: AbstractSet[int] = frozenset(),
+) -> EvalResult:
+    """Run *prepared* to its least fixpoint over the working database
+    *db* (see :func:`working_database`), which it extends in place.
+
+    *skip* masks rules out by their index in ``prepared.program``: a
+    masked rule never fires and a masked fact rule seeds nothing, so
+    the run computes the fixpoint of the program without those rules.
+    The preparation's strata and SCC condensation stay a correct
+    schedule for any subset of its rules (a sub-program's dependency
+    graph is a subgraph), only a coarser one, and join order never
+    changes a fixpoint — so one preparation serves every rule mask.
+    """
+    opts = options
+    program = prepared.program
     builds_before = db.index_builds()
     stats = EvalStats()
     provenance: dict = {}
@@ -348,31 +400,14 @@ def evaluate(
         injector.record(stats, "index->scan")
         opts = replace(opts, use_indexes=False)
 
-    # Make sure every derived predicate has a relation, so that empty
-    # results are observable and plans never miss a relation.
-    arities = program.arities()
-    for pred in program.idb_predicates():
-        db.ensure(pred, arities[pred])
-
-    # Rules compile against the input relation sizes, derived relations
-    # sized past every stored one (:func:`planning_inputs`).  The
-    # compiled artifacts (plans, analysis, stratification) come from
-    # the prepared-program cache: a hit skips planning and codegen
-    # entirely and is bit-identical to a fresh compile because the size
-    # profile is part of the cache key.
-    sizes, cost_model = planning_inputs(
-        program, db, opts.use_cost_planner,
-        analysis.sketches() if analysis is not None else None,
-    )
-    prepared = prepare(program, sizes, cost_model=cost_model)
     # recorded on the preparation, not the call, so a prepared-cache
     # hit reports exactly the counters of the cold build it reuses
     stats.plans_costed += prepared.plans_costed
 
     # Seed fact rules (ground, body-less); the paper keeps facts in the
     # EDB but the parser tolerates them in programs.
-    for pred, row in prepared.fact_rules:
-        if db.ensure(pred, len(row)).add(row):
+    for index, pred, row in prepared.fact_rules:
+        if index not in skip and db.ensure(pred, len(row)).add(row):
             stats.facts_derived += 1
 
     # Stratified evaluation (section-6 extension): rules run stratum by
@@ -380,6 +415,11 @@ def evaluate(
     # lower-stratum relation.  Pure Datalog yields a single stratum.
     info = prepared.info
     strata = prepared.strata
+    if skip:
+        strata = tuple(
+            tuple(cr for cr in stratum if cr.rule_index not in skip)
+            for stratum in strata
+        )
 
     def finalize() -> None:
         for pred in program.idb_predicates():

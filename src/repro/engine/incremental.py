@@ -261,7 +261,7 @@ class IncrementalSession:
         #: rows asserted by body-less program rules, per predicate;
         #: program-mandated, hence never retractable
         grouped: dict[str, set] = {}
-        for pred, row in prepared.fact_rules:
+        for _, pred, row in prepared.fact_rules:
             grouped.setdefault(pred, set()).add(row)
         self._fact_rows: dict[str, frozenset] = {
             p: frozenset(rows) for p, rows in grouped.items()

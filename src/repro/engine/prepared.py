@@ -46,7 +46,6 @@ from typing import Mapping, Optional
 from ..datalog.analysis import DependencyInfo, analyze, stratify
 from ..datalog.ast import Program
 from ..datalog.database import Database
-from ..datalog.errors import ValidationError
 from .cost import BoundCostModel, RelationProfile, bucket_size, profile_database
 from .plan import CompiledRule, compile_rule
 
@@ -72,9 +71,10 @@ class PreparedProgram:
     #: the cache key this instance was prepared under
     key: tuple
     #: ground facts asserted by body-less program rules, as
-    #: ``(predicate, row)`` pairs in rule order — seeded into the
-    #: working database before the fixpoint (and after any reset)
-    fact_rules: tuple[tuple[str, tuple], ...]
+    #: ``(rule_index, predicate, row)`` triples in rule order — seeded
+    #: into the working database before the fixpoint (and after any
+    #: reset)
+    fact_rules: tuple[tuple[int, str, tuple], ...]
     #: compiled non-fact rules, in program order
     compiled: tuple[CompiledRule, ...]
     info: DependencyInfo
@@ -130,14 +130,15 @@ def _build(
     key: tuple,
     cost_model: Optional[BoundCostModel] = None,
 ) -> PreparedProgram:
-    fact_rules: list[tuple[str, tuple]] = []
+    # validated once per build: a cache hit's text was validated when
+    # its entry was built, and a safe body-less rule has a ground head
+    program.validate()
+    fact_rules: list[tuple[int, str, tuple]] = []
     compiled: list[CompiledRule] = []
     rep_sizes = bucketed_sizes(sizes)
     for i, r in enumerate(program.rules):
         if not r.body:
-            if not r.head.is_ground():
-                raise ValidationError(f"unsafe fact rule: {r}")
-            fact_rules.append((r.head.predicate, r.head.as_fact()))
+            fact_rules.append((i, r.head.predicate, r.head.as_fact()))
             continue
         compiled.append(compile_rule(r, i, sizes=rep_sizes, cost_model=cost_model))
     info = analyze(program)
@@ -201,7 +202,8 @@ def prepare(
     cost_model: Optional[BoundCostModel] = None,
     use_cache: bool = True,
 ) -> PreparedProgram:
-    """Return the (possibly cached) :class:`PreparedProgram`.
+    """Return the (possibly cached) :class:`PreparedProgram`; a build
+    validates *program* first (:meth:`~repro.datalog.ast.Program.validate`).
 
     *sizes* is the relation-size profile fed to the join-order
     heuristic, exactly as :func:`~repro.engine.evaluator.evaluate`
