@@ -16,7 +16,8 @@ each a small lattice with a monotone rule transfer function:
   (:meth:`repro.datalog.database.Relation.degree_profile`); IDB
   profiles are propagated through rule bodies by
   :meth:`repro.engine.cost.BoundCostModel.bound_walk` — the walk DL017
-  prices with, Lemma 3.1 existential-component drop included.
+  prices with, Lemma 3.1 existential-component drop included (the
+  components of :func:`repro.datalog.analysis.body_components`).
   Findings: DL021 (measured bound blowup) and DL022 (hub-key skew).
   Profiles persist as JSON (:func:`save_profiles` /
   :func:`load_profiles`).

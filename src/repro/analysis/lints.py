@@ -27,11 +27,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
-from ..datalog.analysis import is_chain_program, reachable_predicates
-from ..datalog.ast import Atom, Program, Rule
+from ..datalog.analysis import anchored, body_components, is_chain_program, reachable_predicates
+from ..datalog.ast import Atom, Program
 from ..datalog.builtins import is_builtin
 from ..datalog.errors import ReproError, ValidationError
-from ..datalog.terms import Variable
 from .diagnostics import CODES, Diagnostic, LintReport, Severity
 
 if TYPE_CHECKING:
@@ -163,38 +162,6 @@ def _check_redundant_literals(program: Program, diags: list) -> None:
             seen.add(a)
 
 
-def _positive_components(rule: Rule) -> list[list[int]]:
-    """Indexes of positive body literals grouped by shared variables
-    (transitively, with negated literals contributing connectivity)."""
-    parent: dict = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for a in (*rule.body, *rule.negative):
-        vs = a.variables()
-        for v in vs[1:]:
-            union(vs[0], v)
-    groups: dict = {}
-    singles: list[list[int]] = []
-    for i, a in enumerate(rule.body):
-        vs = a.variables()
-        if not vs:
-            singles.append([i])
-        else:
-            groups.setdefault(find(vs[0]), []).append(i)
-    return list(groups.values()) + singles
-
-
 def _check_cross_products(
     program: Program, adorned: Optional["AdornedProgram"], diags: list
 ) -> None:
@@ -213,11 +180,7 @@ def _check_cross_products(
             (
                 r.head.atom.predicate.partition("@")[0],
                 r.to_rule(),
-                {
-                    r.head.atom.args[i]
-                    for i in r.head.adornment.needed_positions
-                    if isinstance(r.head.atom.args[i], Variable)
-                },
+                r.head.needed_variables(),
                 r.head.atom.span,
             )
             for r in adorned.rules
@@ -231,19 +194,18 @@ def _check_cross_products(
     for predicate, r, anchor_vars, span in anchored_rules:
         if len(r.body) < 2:
             continue
-        anchored = 0
-        for comp in _positive_components(r):
-            comp_vars = {v for j in comp for v in r.body[j].variables()}
-            if comp_vars & anchor_vars:
-                anchored += 1
-        key = (predicate, span, anchored)
-        if anchored >= 2 and key not in seen:
+        bound = sum(
+            anchored(r.body, comp, anchor_vars)
+            for comp in body_components(r.body, r.negative)
+        )
+        key = (predicate, span, bound)
+        if bound >= 2 and key not in seen:
             seen.add(key)
             diags.append(
                 _diag(
                     "DL012",
                     f"the body of rule {r} is a Cartesian product of "
-                    f"{anchored} variable-disjoint components, each bound "
+                    f"{bound} variable-disjoint components, each bound "
                     f"to needed head positions",
                     predicate=predicate,
                     span=span,
@@ -410,7 +372,6 @@ def _check_adornment_opportunities(
     """DL010 / DL011 — what the adornment algorithm and the component
     split will find (Lemma 2.2 / Lemma 3.1)."""
     from ..core.adornment import split_adorned
-    from ..core.components import rule_components
 
     if adorned is None:
         return  # earlier diagnostics already explain why adornment fails
@@ -441,16 +402,11 @@ def _check_adornment_opportunities(
         head = rule.head
         if head.atom.arity == 0:
             continue
-        anchor_vars = {
-            head.atom.args[i]
-            for i in head.adornment.needed_positions
-            if isinstance(head.atom.args[i], Variable)
-        }
-        for comp in rule_components(rule):
-            comp_lits = [rule.body[i] for i in comp]
-            comp_vars = {v for lit in comp_lits for v in lit.atom.variables()}
-            if comp_vars & anchor_vars:
+        plain, anchor = rule.to_rule(), head.needed_variables()
+        for comp in body_components(plain.body, plain.negative):
+            if anchored(plain.body, comp, anchor):
                 continue
+            comp_lits = [rule.body[i] for i in comp]
             if len(comp_lits) == 1 and comp_lits[0].atom.arity == 0:
                 continue
             lits = ", ".join(str(lit.atom) for lit in comp_lits)
@@ -523,11 +479,7 @@ def _check_bound_blowup(
         priced = [
             (
                 rule.to_rule(),
-                frozenset(
-                    rule.head.atom.args[i]
-                    for i in rule.head.adornment.needed_positions
-                    if isinstance(rule.head.atom.args[i], Variable)
-                ),
+                rule.head.needed_variables(),
                 split_adorned(rule.head.atom.predicate)[0],
                 rule.head.atom.span,
             )

@@ -16,7 +16,7 @@ The contracts:
     Lemma 3.2); every derived body predicate has defining rules; the
     program's arity schema is coherent; boolean predicates are arity 0.
 ``component-partition`` / ``single-component`` (section 3.1)
-    :func:`~repro.core.components.rule_components` partitions the body
+    :func:`~repro.datalog.analysis.body_components` partitions the body
     literal indexes; after the split, every remaining body component of
     a non-boolean rule is anchored to a needed head variable
     (Lemma 3.1's "afterwards every rule has a single component").
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from typing import NoReturn
 
+from ..datalog.analysis import anchored, body_components
 from ..datalog.ast import Program
 from ..datalog.errors import ReproError, ValidationError
 from ..datalog.terms import Constant, Variable
@@ -180,11 +181,10 @@ def check_adorned_program(program, pass_name: str) -> None:
 
 
 def check_component_partition(program, pass_name: str) -> None:
-    """``rule_components`` yields a partition of each rule's body."""
-    from ..core.components import rule_components
-
+    """``body_components`` yields a partition of each rule's body."""
     for rule in program.rules:
-        comps = rule_components(rule)
+        plain = rule.to_rule()
+        comps = body_components(plain.body, plain.negative)
         flat = [i for comp in comps for i in comp]
         if sorted(flat) != list(range(len(rule.body))):
             _violate(
@@ -195,39 +195,26 @@ def check_component_partition(program, pass_name: str) -> None:
             )
 
 
-def check_split_anchoring(program, pass_name: str, paper_mode: bool = True) -> None:
+def check_split_anchoring(program, pass_name: str) -> None:
     """Post-split (Lemma 3.1): every body component of a non-boolean
-    rule is anchored to a head variable — a *needed* one in paper mode,
-    any head variable in the conservative mode — or is a boolean guard."""
-    from ..core.components import rule_components
-
+    rule is anchored to a needed head variable or is a variable-free
+    guard."""
     check_component_partition(program, pass_name)
     for rule in program.rules:
-        head = rule.head
-        if head.atom.arity == 0:
+        if rule.head.atom.arity == 0:
             continue
-        anchor_positions = (
-            head.adornment.needed_positions
-            if paper_mode
-            else range(len(head.atom.args))
-        )
-        anchor_vars = {
-            head.atom.args[i]
-            for i in anchor_positions
-            if i < len(head.atom.args) and isinstance(head.atom.args[i], Variable)
-        }
-        for comp in rule_components(rule):
-            lits = [rule.body[i] for i in comp]
-            comp_vars = {v for lit in lits for v in lit.atom.variables()}
-            if comp_vars & anchor_vars:
+        plain, anchor = rule.to_rule(), rule.head.needed_variables()
+        for comp in body_components(plain.body, plain.negative):
+            if anchored(plain.body, comp, anchor):
                 continue
-            if all(lit.atom.arity == 0 or not lit.atom.variables() for lit in lits):
+            lits = [plain.body[i] for i in comp]
+            if all(not atom.variables() for atom in lits):
                 continue
             _violate(
                 pass_name,
                 "single-component",
                 f"rule {rule} still has the unanchored body component "
-                f"{[str(lit.atom) for lit in lits]} after the split",
+                f"{[str(atom) for atom in lits]} after the split",
             )
 
 

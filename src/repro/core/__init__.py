@@ -31,7 +31,7 @@ from .argument_projection import (
     query_rooted_summaries,
     summary_closure,
 )
-from .components import ComponentSplit, rule_components, split_components
+from .components import ComponentSplit, split_components
 from .deletion import (
     Deletion,
     DeletionReport,
@@ -86,7 +86,6 @@ __all__ = [
     "query_rooted_summaries",
     "summary_closure",
     "ComponentSplit",
-    "rule_components",
     "split_components",
     "Deletion",
     "DeletionReport",

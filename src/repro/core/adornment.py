@@ -135,6 +135,16 @@ class AdornedLiteral:
     def base(self) -> str:
         return split_adorned(self.atom.predicate)[0]
 
+    def needed_variables(self) -> frozenset[Variable]:
+        """The variables at the occurrence's needed (``n``) positions —
+        for a rule head, the anchor of Lemma 3.1's component split."""
+        args = self.atom.args
+        return frozenset(
+            args[i]
+            for i in self.adornment.needed_positions
+            if i < len(args) and isinstance(args[i], Variable)
+        )
+
     def __str__(self) -> str:
         return str(self.atom)
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
+from ..datalog.analysis import UnionFind
 from ..datalog.errors import TransformError
 from ..datalog.terms import Variable
 from .adornment import AdornedProgram, AdornedRule
@@ -46,31 +47,8 @@ __all__ = [
 Occurrence = tuple[int, int]
 
 
-class _UnionFind:
-    """Minimal union-find over hashable nodes."""
-
-    def __init__(self):
-        self._parent: dict = {}
-
-    def find(self, x):
-        parent = self._parent
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, x, y) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self._parent[rx] = ry
-
-    def connected(self, x, y) -> bool:
-        return self.find(x) == self.find(y)
-
-
 def _endpoint_summary(
-    uf: "_UnionFind", left_nodes: set, right_nodes: set
+    uf: UnionFind, left_nodes: set, right_nodes: set
 ) -> tuple[frozenset, frozenset, frozenset]:
     """Summarize a composite's connectivity onto its end literals.
 
@@ -88,7 +66,7 @@ def _endpoint_summary(
         for k in right_nodes
         if uf.connected(("L", i), ("R", k))
     )
-    implied = _UnionFind()
+    implied = UnionFind()
     for i, k in edges:
         implied.union(("L", i), ("R", k))
 
@@ -160,7 +138,7 @@ class ArgumentProjection:
                 f"({other.left},{other.right})"
             )
         # Union-find over nodes tagged L/M/R.
-        uf = _UnionFind()
+        uf = UnionFind()
         for i, j in self.edges:
             uf.union(("L", i), ("M", j))
         for a, b in self.left_links:
@@ -214,7 +192,7 @@ def head_body_projection(rule: AdornedRule, body_index: int) -> ArgumentProjecti
     :class:`ArgumentProjection`).
     """
     head, lit = rule.head, rule.body[body_index]
-    uf = _UnionFind()
+    uf = UnionFind()
     left_nodes: set[int] = set()
     right_nodes: set[int] = set()
     by_var: dict[Variable, list] = {}

@@ -17,78 +17,29 @@ At run time, a boolean rule is retired from the fixpoint as soon as it
 fires once — the bottom-up analogue of Prolog's cut; see
 ``EngineOptions.cut_predicates``.
 
-Two modes are provided:
+Components are anchored only by *needed* head variables, exactly as in
+the paper's Example 2.  A head variable at an existential (``d``)
+position whose component is extracted loses its binding and is
+replaced by a fresh variable (the paper writes ``_``); the resulting
+rule is *unsafe* at that head position and only becomes a valid
+Datalog program after projection pushing drops the position, which
+the pipeline always runs next.
 
-``paper_mode=True`` (default; used by the pipeline)
-    Exactly the paper's Example 2: components are anchored only by
-    *needed* head variables.  A head variable at an existential (``d``)
-    position whose component is extracted loses its binding and is
-    replaced by a fresh variable (the paper writes ``_``); the resulting
-    rule is *unsafe* at that head position and only becomes a valid
-    Datalog program after projection pushing drops the position.
-
-``paper_mode=False``
-    A conservative variant anchored by *all* head variables.  Output is
-    always a safe, directly evaluable program (useful when projection
-    pushing is not applied).
+The partition and the anchoring test are
+:func:`repro.datalog.analysis.body_components` and
+:func:`repro.datalog.analysis.anchored`, shared with the lints, the
+planner's pricing and the pass validator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from ..datalog.analysis import anchored, body_components
 from ..datalog.ast import Atom
 from ..datalog.terms import FreshVariables, Variable
 from .adornment import Adornment, AdornedLiteral, AdornedProgram, AdornedRule
 
-__all__ = ["ComponentSplit", "split_components", "rule_components"]
-
-
-class _UnionFind:
-    def __init__(self):
-        self._parent: dict = {}
-
-    def find(self, x):
-        parent = self._parent.setdefault(x, x)
-        if parent is x or parent == x:
-            return x
-        root = self.find(parent)
-        self._parent[x] = root
-        return root
-
-    def union(self, x, y) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self._parent[rx] = ry
-
-    def same(self, x, y) -> bool:
-        return self.find(x) == self.find(y)
-
-
-def rule_components(rule: AdornedRule) -> list[list[int]]:
-    """Partition the body literal indexes of *rule* into connected
-    components; the component containing (or anchored to) the head is
-    not distinguished here — see :func:`split_components`.
-
-    Literals with no variables (ground or arity-0) are each their own
-    component.  Negated literals contribute to variable connectivity
-    (their bindings come from the positive literals around them) but
-    are not listed — :func:`split_components` keeps each negated
-    literal with the component its variables belong to.
-    """
-    uf = _UnionFind()
-    for lit in (*rule.body, *rule.negative):
-        vars_ = lit.atom.variables()
-        for v in vars_[1:]:
-            uf.union(vars_[0], v)
-    groups: dict = {}
-    singles: list[list[int]] = []
-    for i, lit in enumerate(rule.body):
-        vars_ = lit.atom.variables()
-        if not vars_:
-            singles.append([i])
-        else:
-            groups.setdefault(uf.find(vars_[0]), []).append(i)
-    return list(groups.values()) + singles
+__all__ = ["ComponentSplit", "split_components"]
 
 
 @dataclass(frozen=True)
@@ -103,9 +54,7 @@ class ComponentSplit:
     rules_split: int
 
 
-def split_components(
-    adorned: AdornedProgram, paper_mode: bool = True
-) -> ComponentSplit:
+def split_components(adorned: AdornedProgram) -> ComponentSplit:
     """Apply the section-3.1 rewriting to every rule of *adorned*."""
     from .adornment import split_adorned
 
@@ -138,26 +87,13 @@ def split_components(
             # so re-splitting would only wrap booleans in booleans.
             new_rules.append(rule)
             continue
-        if paper_mode:
-            anchor_positions = head.adornment.needed_positions
-        else:
-            anchor_positions = tuple(range(len(head.atom.args)))
-        anchor_vars = {
-            head.atom.args[i]
-            for i in anchor_positions
-            if i < len(head.atom.args) and isinstance(head.atom.args[i], Variable)
-        }
-
-        components = rule_components(rule)
+        plain, anchor = rule.to_rule(), head.needed_variables()
         kept: set[int] = set()
         extracted: list[list[int]] = []
-        for comp in components:
-            comp_vars = {
-                v for i in comp for v in rule.body[i].atom.variables()
-            }
-            if comp_vars & anchor_vars:
+        for comp in body_components(plain.body, plain.negative):
+            if anchored(plain.body, comp, anchor):
                 kept.update(comp)
-            elif len(comp) == 1 and rule.body[comp[0]].atom.arity == 0:
+            elif len(comp) == 1 and plain.body[comp[0]].arity == 0:
                 # An arity-0 literal is already a boolean guard.
                 kept.update(comp)
             else:
@@ -168,23 +104,6 @@ def split_components(
             continue
         rules_split += 1
 
-        def negatives_of(indexes: set[int]) -> tuple:
-            """Negated literals whose variables live in the given
-            positive component (safety puts every negated variable in
-            some positive literal); ground negations stay in the main
-            rule."""
-            comp_vars = {
-                v
-                for i in indexes
-                for v in rule.body[i].atom.variables()
-            }
-            return tuple(
-                lit
-                for lit in rule.negative
-                if lit.atom.variables()
-                and set(lit.atom.variables()) <= comp_vars
-            )
-
         extracted_vars: set[Variable] = set()
         new_body: list[AdornedLiteral] = [
             lit for i, lit in enumerate(rule.body) if i in kept
@@ -194,26 +113,34 @@ def split_components(
             name = fresh_boolean()
             booleans.add(name)
             comp_lits = tuple(rule.body[i] for i in comp)
-            comp_negs = negatives_of(set(comp))
+            comp_vars = {v for lit in comp_lits for v in lit.atom.variables()}
+            # negated literals whose variables live in this component
+            # (safety puts every negated variable in some positive
+            # literal); ground negations stay in the main rule
+            comp_negs = tuple(
+                lit
+                for lit in rule.negative
+                if lit.atom.variables() and comp_vars.issuperset(lit.atom.variables())
+            )
             moved_negatives.update(comp_negs)
-            extracted_vars.update(v for lit in comp_lits for v in lit.atom.variables())
-            boolean_head = AdornedLiteral(Atom(name, ()), Adornment(""), derived=True)
-            boolean_rules.append(AdornedRule(boolean_head, comp_lits, comp_negs))
-            new_body.append(AdornedLiteral(Atom(name, ()), Adornment(""), derived=True))
+            extracted_vars.update(comp_vars)
+            boolean = AdornedLiteral(Atom(name, ()), Adornment(""), derived=True)
+            boolean_rules.append(AdornedRule(boolean, comp_lits, comp_negs))
+            new_body.append(boolean)
         remaining_negatives = tuple(
             lit for lit in rule.negative if lit not in moved_negatives
         )
 
-        # In paper mode a head variable at a d position may have lost
-        # its binding to an extracted component; replace it by a fresh
-        # variable (the paper's "_").  The resulting head position is
-        # unsafe until projection pushing removes it.
+        # A head variable at a d position may have lost its binding to
+        # an extracted component; replace it by a fresh variable (the
+        # paper's "_").  The resulting head position is unsafe until
+        # projection pushing removes it.
         new_head = head
         lost = extracted_vars - {
             v for lit in new_body for v in lit.atom.variables()
         }
-        if paper_mode and lost:
-            fresh = FreshVariables(avoid=rule.to_rule().variables())
+        if lost:
+            fresh = FreshVariables(avoid=plain.variables())
             new_args = tuple(
                 fresh.take() if isinstance(a, Variable) and a in lost else a
                 for a in head.atom.args

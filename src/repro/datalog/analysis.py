@@ -11,15 +11,19 @@ Provides the structural facts every optimizer phase relies on:
   rule whose body mentions such a predicate can never fire and is
   itself discarded);
 - chain-program detection (section 1.1), which underpins the grammar
-  correspondence of Lemma 4.1 and Theorem 3.3.
+  correspondence of Lemma 4.1 and Theorem 3.3;
+- the connected components of a rule body and whether a component
+  reaches a given set of variables (Lemma 3.1): the component split,
+  the planner's pricing, the lints and the pass validator all ask this
+  one question here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
 
-from .ast import Program, Rule
+from .ast import Atom, Program, Rule
 from .terms import Variable
 
 __all__ = [
@@ -37,6 +41,9 @@ __all__ = [
     "undefined_body_predicates",
     "is_chain_rule",
     "is_chain_program",
+    "UnionFind",
+    "body_components",
+    "anchored",
     "DependencyInfo",
     "analyze",
 ]
@@ -338,6 +345,69 @@ def is_chain_rule(rule: Rule) -> bool:
 def is_chain_program(program: Program) -> bool:
     """True iff every rule is a binary chain rule (section 1.1)."""
     return all(is_chain_rule(r) for r in program.rules)
+
+
+class UnionFind:
+    """Minimal union-find over hashable nodes."""
+
+    def __init__(self):
+        self._parent: dict = {}
+
+    def find(self, x):
+        parent = self._parent
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, x, y) -> None:
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self._parent[rx] = ry
+
+    def connected(self, x, y) -> bool:
+        return self.find(x) == self.find(y)
+
+
+def body_components(
+    body: Sequence[Atom], negative: Sequence[Atom] = ()
+) -> list[list[int]]:
+    """Partition the indexes of *body* into connected components: two
+    literals are connected when they share a variable, transitively
+    (section 3.1, Lemma 3.1).
+
+    Components are listed in order of their first literal.  Literals
+    with no variables (ground or arity-0) are each their own component,
+    listed last.  *negative* literals contribute to connectivity (their
+    bindings come from the positive literals around them) but are not
+    listed: a negated literal belongs with the component its variables
+    fall in.
+    """
+    uf = UnionFind()
+    for atom in (*body, *negative):
+        vars_ = atom.variables()
+        for v in vars_[1:]:
+            uf.union(vars_[0], v)
+    groups: dict = {}
+    singles: list[list[int]] = []
+    for i, atom in enumerate(body):
+        vars_ = atom.variables()
+        if not vars_:
+            singles.append([i])
+        else:
+            groups.setdefault(uf.find(vars_[0]), []).append(i)
+    return list(groups.values()) + singles
+
+
+def anchored(
+    body: Sequence[Atom], component: Iterable[int], anchor: AbstractSet[Variable]
+) -> bool:
+    """True iff a literal of *component* (indexes into *body*) shares a
+    variable with *anchor*.  Anchored by the needed head variables, a
+    component carries result bindings; otherwise it is an existential
+    subquery that Lemma 3.1 evaluates once as a boolean."""
+    return any(not anchor.isdisjoint(body[i].variables()) for i in component)
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
+from ..datalog.analysis import anchored, body_components
 from ..datalog.ast import Atom, Rule
 from ..datalog.builtins import is_builtin
 from ..datalog.database import Database
@@ -243,26 +244,6 @@ def profile_database(
     return out
 
 
-def _live_literals(body: Sequence[Atom], needed: frozenset) -> tuple[int, ...]:
-    """Indexes of the *body* literals a result row depends on: those
-    whose weakly-connected component (the closure of variable sharing)
-    reaches a *needed* variable.  The rest form purely existential
-    components — the Lemma 3.1 cut evaluates each once as a boolean
-    subquery before the join ever runs, so pricing drops them."""
-    vars_of = [frozenset(a.variables()) for a in body]
-    reach = set(needed)
-    live: set[int] = set()
-    grew = True
-    while grew:
-        grew = False
-        for i, vs in enumerate(vars_of):
-            if i not in live and vs & reach:
-                live.add(i)
-                reach |= vs
-                grew = True
-    return tuple(sorted(live))
-
-
 class BoundCostModel:
     """Upper-bound propagation + DP order search over profiled relations.
 
@@ -393,17 +374,24 @@ class BoundCostModel:
         """Price *body* — the one walk DL017, DL021 and the cardinality
         domain all read: ``(order, final, worst)``.
 
-        Purely existential components are dropped
-        (:func:`_live_literals`), the rest is ordered by the DP (body
-        order past :data:`DP_LITERAL_LIMIT`) starting from the *bound*
-        variables, and the per-literal bounds are multiplied along it:
-        *order* indexes the priced literals in *body*, *final* bounds
-        the distinct *needed* bindings the body delivers, *worst* is
-        the largest intermediate cardinality on the way.  A body with
+        Body components (:func:`~repro.datalog.analysis.body_components`)
+        that reach no *needed* variable are purely existential — the
+        Lemma 3.1 cut evaluates each once as a boolean subquery before
+        the join ever runs — so they are dropped; the rest is ordered by
+        the DP (body order past :data:`DP_LITERAL_LIMIT`) starting from
+        the *bound* variables, and the per-literal bounds are multiplied
+        along it: *order* indexes the priced literals in *body*, *final*
+        bounds the distinct *needed* bindings the body delivers, *worst*
+        is the largest intermediate cardinality on the way.  A body with
         nothing left to price is one boolean test: ``((), 1.0, 1.0)``.
         """
         needed = frozenset(needed)
-        live = _live_literals(body, needed)
+        live = tuple(sorted(
+            i
+            for comp in body_components(body)
+            if anchored(body, comp, needed)
+            for i in comp
+        ))
         if not live:
             return (), 1.0, 1.0
         order = self.order_remaining(body, live, bound, needed) or live

@@ -18,8 +18,7 @@ died mid-apply (or the batch tripped a governor limit and left only a
 partial lower bound in memory).
 
 **Columnar snapshots.**  Periodically — every ``snapshot_every``
-batches, past ``max_wal_bytes`` of log, or on a forced
-``.checkpoint`` — the materialized state is
+batches, or on a forced ``.checkpoint`` — the materialized state is
 serialized column-wise: each relation's rows are dict-encoded into
 int64 columns against the snapshot's own dense value table, and the
 snapshot embeds exactly that id → value table (not the process-wide
@@ -61,7 +60,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
 from ..datalog.database import Database, Relation
-from ..datalog.errors import DurabilityError, RecoveryError
+from ..datalog.errors import DurabilityError, RecoveryError, ValidationError
 from .governor import BudgetExceeded
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -107,7 +106,7 @@ _SIGNATURE_FIELDS = (
 
 #: the only value types the JSON codec round-trips losslessly; exact
 #: type check on purpose (a tuple would silently come back as a list)
-_SCALARS = (str, int, float, bool)
+_SCALARS = frozenset({str, int, float, bool})
 
 
 def flag_signature(options: "EngineOptions") -> str:
@@ -143,10 +142,7 @@ class DurabilityConfig:
         ``"always"`` / ``"batch"`` / ``"off"`` (see module docstring).
     snapshot_every
         Automatic snapshot every N accepted batches (0 = only forced
-        ``.checkpoint`` snapshots and the size policy below).
-    max_wal_bytes
-        An additional compaction trigger: snapshot as soon as the log
-        exceeds this size.
+        ``.checkpoint`` snapshots).
     keep_snapshots
         Snapshots retained after compaction.  The WAL is only truncated
         up to the *oldest retained* snapshot, so with the default 2 a
@@ -164,7 +160,6 @@ class DurabilityConfig:
     wal_path: str
     fsync: str = "batch"
     snapshot_every: int = 64
-    max_wal_bytes: Optional[int] = None
     keep_snapshots: int = 2
     on_flag_drift: str = "refuse"
 
@@ -185,10 +180,6 @@ class DurabilityConfig:
             raise DurabilityError(
                 f"on_flag_drift must be 'refuse' or 'scratch', "
                 f"got {self.on_flag_drift!r}"
-            )
-        if self.max_wal_bytes is not None and self.max_wal_bytes < 0:
-            raise DurabilityError(
-                f"max_wal_bytes must be >= 0, got {self.max_wal_bytes}"
             )
 
     def snapshot_path(self, seq: int) -> Path:
@@ -309,10 +300,6 @@ class WriteAheadLog:
 
     # -- appending -----------------------------------------------------------
 
-    def size(self) -> int:
-        self._file.flush()
-        return os.fstat(self._file.fileno()).st_size
-
     def append(
         self,
         kind: str,
@@ -408,6 +395,22 @@ class WalData:
         return self.records[-1]["seq"] if self.records else self.base_seq
 
 
+def _well_formed(record) -> bool:
+    """True iff *record* has the shape :meth:`WriteAheadLog.append`
+    writes: an insert/retract kind, and facts mapping each predicate to
+    a list of rows, each a list of scalars."""
+    facts = record.get("facts") if isinstance(record, dict) else None
+    if not isinstance(facts, dict) or record.get("kind") not in ("insert", "retract"):
+        return False
+    for rows in facts.values():
+        if not isinstance(rows, list):
+            return False
+        for row in rows:
+            if not isinstance(row, list) or not _SCALARS.issuperset(map(type, row)):
+                return False
+    return True
+
+
 def read_wal(path: str) -> WalData:
     """Parse and validate a WAL file.
 
@@ -415,8 +418,9 @@ def read_wal(path: str) -> WalData:
     CRC-mismatched **final** record (the artifact an interrupted append
     leaves) — reporting it as a torn tail.  Everything else is a
     structured :class:`~repro.datalog.errors.RecoveryError`: a bad
-    magic/header, a mid-file checksum mismatch, a sequence gap, or a
-    record whose flag signature differs from the header's.
+    magic/header, a mid-file checksum mismatch or malformed record, a
+    sequence gap, or a record whose flag signature differs from the
+    header's.
     """
     try:
         with open(path, "rb") as f:
@@ -433,12 +437,14 @@ def read_wal(path: str) -> WalData:
         )
     try:
         header = json.loads(payload)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise RecoveryError(
             "bad-header", f"{path}: WAL header is not valid JSON: {exc}"
         ) from exc
-    if not isinstance(header, dict) or "base_seq" not in header:
-        raise RecoveryError("bad-header", f"{path}: WAL header missing base_seq")
+    if not isinstance(header, dict) or type(header.get("base_seq")) is not int:
+        raise RecoveryError(
+            "bad-header", f"{path}: WAL header has no integer base_seq"
+        )
 
     records: list[dict] = []
     expected = header["base_seq"] + 1
@@ -466,12 +472,18 @@ def read_wal(path: str) -> WalData:
             )
         try:
             record = json.loads(payload)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise RecoveryError(
                 "checksum-mismatch",
                 f"{path}: WAL record {expected} is not valid JSON: {exc}",
                 record=expected,
             ) from exc
+        if not _well_formed(record):
+            raise RecoveryError(
+                "checksum-mismatch",
+                f"{path}: WAL record {expected} is not a batch record",
+                record=expected,
+            )
         seq = record.get("seq")
         if seq != expected:
             raise RecoveryError(
@@ -488,8 +500,7 @@ def read_wal(path: str) -> WalData:
                 record=seq,
             )
         record["facts"] = {
-            p: [tuple(r) for r in rows]
-            for p, rows in record.get("facts", {}).items()
+            p: [tuple(r) for r in rows] for p, rows in record["facts"].items()
         }
         records.append(record)
         expected += 1
@@ -651,11 +662,42 @@ def _snapshot_damage(path, message: str) -> RecoveryError:
     return RecoveryError("snapshot-corrupt", message, record=str(path))
 
 
+#: the type :func:`write_snapshot` gives each field of a header entry
+_ENTRY_FIELDS = {"name": str, "kind": str, "arity": int, "rows": int}
+
+
+def _snapshot_header(path, payload: bytes) -> dict:
+    """Decode a snapshot header whose frame checksum passed, refusing
+    (``snapshot-corrupt``) any shape :func:`write_snapshot` never
+    writes."""
+    try:
+        header = json.loads(payload)
+    except (ValueError, RecursionError) as exc:
+        raise _snapshot_damage(path, f"{path}: header is not JSON: {exc}") from exc
+    if not (
+        isinstance(header, dict)
+        and type(header.get("seq")) is int
+        and isinstance(header.get("dict", []), list)
+        and _SCALARS.issuperset(map(type, header.get("dict", [])))
+        and isinstance(header.get("entries", []), list)
+        and all(
+            isinstance(entry, dict)
+            and all(type(entry.get(k)) is t for k, t in _ENTRY_FIELDS.items())
+            and entry["kind"] in ("relation", "initial")
+            and min(entry["arity"], entry["rows"]) >= 0
+            for entry in header.get("entries", [])
+        )
+    ):
+        raise _snapshot_damage(path, f"{path}: header is not a snapshot header")
+    return header
+
+
 def load_snapshot(path) -> Snapshot:
     """Decode one snapshot file; raises a structured
     :class:`~repro.datalog.errors.RecoveryError` (``snapshot-corrupt``)
-    on any damage — a truncated file, a failed CRC, or a row-count
-    mismatch — so a bad snapshot is skipped, never half-trusted.
+    on any damage — a truncated file, a failed CRC, a malformed header,
+    a row-count mismatch or an id outside the embedded value table — so
+    a bad snapshot is skipped, never half-trusted.
 
     Decoding is intern-free: column ids index the embedded value table
     directly, and rows enter each relation through
@@ -676,10 +718,7 @@ def load_snapshot(path) -> Snapshot:
     payload, offset = _read_frame(buf, offset)
     if payload in (None, False):
         raise _snapshot_damage(path, f"{path}: snapshot header torn or corrupt")
-    try:
-        header = json.loads(payload)
-    except ValueError as exc:
-        raise _snapshot_damage(path, f"{path}: header is not JSON: {exc}") from exc
+    header = _snapshot_header(path, payload)
     values = header.get("dict", [])
     swap = header.get("byteorder") != _sys.byteorder
 
@@ -704,7 +743,10 @@ def load_snapshot(path) -> Snapshot:
         if arity == 0:
             rows = [()] * nrows
         else:
-            ids = array("q")
+            # read unsigned: a negative id becomes one past any list
+            # index, so it fails like an id beyond the table instead of
+            # reading the table from its end
+            ids = array("Q")
             ids.frombytes(payload)
             if swap:
                 ids.byteswap()
@@ -716,12 +758,17 @@ def load_snapshot(path) -> Snapshot:
             except IndexError as exc:
                 raise _snapshot_damage(
                     path,
-                    f"{path}: section for {name!r} references an id beyond "
+                    f"{path}: section for {name!r} references an id outside "
                     f"the embedded dictionary",
                 ) from exc
             rows = list(zip(*cols)) if arity > 1 else [(v,) for v in cols[0]]
         if kind == "relation":
-            db.ensure(name, arity).bulk_load(rows)
+            try:
+                db.ensure(name, arity).bulk_load(rows)
+            except ValidationError as exc:
+                raise _snapshot_damage(
+                    path, f"{path}: section for {name!r}: {exc}"
+                ) from exc
         else:
             initial[name] = set(rows)
     return Snapshot(
@@ -801,10 +848,8 @@ class DurableLog:
     def _snapshot_due(self) -> bool:
         if self._pending_snapshot:
             return True
-        cfg = self.config
-        if cfg.snapshot_every and self._batches_since_snapshot >= cfg.snapshot_every:
-            return True
-        return cfg.max_wal_bytes is not None and self.wal.size() > cfg.max_wal_bytes
+        every = self.config.snapshot_every
+        return bool(every) and self._batches_since_snapshot >= every
 
     def maybe_snapshot(
         self, session: "IncrementalSession", stats, governor, injector=None

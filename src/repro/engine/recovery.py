@@ -15,8 +15,8 @@ engine-flag drift, ``on_flag_drift="refuse"``    ``RecoveryError`` (refuse)
 engine-flag drift, ``on_flag_drift="scratch"``   from-scratch rung
 torn **final** WAL record                        dropped; replay to the last
                                                  complete record
-newest snapshot corrupt / truncated              skipped; next-newest anchors
-                                                 (longer replay)
+newest snapshot corrupt / truncated /            skipped; next-newest anchors
+its relations disagree with the program          (longer replay)
 no loadable snapshot covers the log              ``RecoveryError`` (refuse)
 anchor snapshot dirty (governed partial)         from-scratch rung
 options request provenance recording             from-scratch rung (snapshots
@@ -110,6 +110,18 @@ def _strip_limits(opts: EngineOptions) -> EngineOptions:
         max_facts=None,
         max_delta_rows=None,
         record_provenance=False,
+    )
+
+
+def _fits(program: Program, snapshot) -> bool:
+    """True iff *snapshot* holds every relation *program* derives and
+    stores each relation the program names at the program's arity: a
+    checksummed snapshot that disagrees is as unusable as a torn one."""
+    stored = {p: snapshot.db.relation(p).arity for p in snapshot.db.predicates()}
+    stored.update((p, len(next(iter(r)))) for p, r in snapshot.initial.items() if r)
+    arities = program.arities()
+    return program.idb_predicates() <= stored.keys() and all(
+        arities.get(p, arity) == arity for p, arity in stored.items()
     )
 
 
@@ -220,6 +232,9 @@ def recover(
             continue
         if candidate.flags != data.header.get("flags"):
             skipped.append((str(path), "flag-drift"))
+            continue
+        if not _fits(program, candidate):
+            skipped.append((str(path), "snapshot-corrupt"))
             continue
         if candidate.seq < data.base_seq:
             # compaction already folded records this old away

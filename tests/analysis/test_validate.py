@@ -218,7 +218,7 @@ class TestPipelineIntegration:
 
         # mutation fixture: the component split does nothing but still
         # reports success — the unanchored component survives
-        def broken(adorned, paper_mode=True):
+        def broken(adorned):
             return ComponentSplit(
                 program=adorned, booleans=frozenset(), rules_split=0
             )
@@ -235,7 +235,7 @@ class TestPipelineIntegration:
     def test_without_validate_broken_pass_slips_through(self, monkeypatch):
         from repro.core.components import ComponentSplit
 
-        def broken(adorned, paper_mode=True):
+        def broken(adorned):
             return ComponentSplit(
                 program=adorned, booleans=frozenset(), rules_split=0
             )

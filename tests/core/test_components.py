@@ -1,9 +1,10 @@
 """Tests for the connected-component / boolean rewriting (section 3.1)."""
 
 from repro.datalog import parse
+from repro.datalog.analysis import body_components
 from repro.engine import EngineOptions, evaluate
 from repro.core.adornment import adorn
-from repro.core.components import rule_components, split_components
+from repro.core.components import split_components
 from repro.core.projection import push_projections
 from repro.workloads.paper_examples import example2_program
 from repro.workloads.edb import random_edb
@@ -11,8 +12,8 @@ from repro.workloads.edb import random_edb
 
 class TestRuleComponents:
     def components_of(self, src):
-        adorned = adorn(parse(src))
-        return rule_components(adorned.rules[0])
+        rule = adorn(parse(src)).rules[0].to_rule()
+        return body_components(rule.body, rule.negative)
 
     def test_single_component(self):
         comps = self.components_of("q(X) :- a(X, Y), b(Y, Z). ?- q(X).")
@@ -69,39 +70,13 @@ class TestSplitComponents:
     def test_paper_mode_frees_head_d_variable(self):
         # U anchors only through the head's d position
         adorned = adorn(example2_program())
-        split = split_components(adorned, paper_mode=True)
+        split = split_components(adorned)
         main = next(
             r for r in split.program.rules if r.head.atom.predicate == "p@nd"
         )
         head_second = main.head.atom.args[1]
         body_vars = {v for lit in main.body for v in lit.atom.variables()}
         assert head_second not in body_vars  # replaced by a fresh variable
-
-    def test_safe_mode_keeps_head_variables_bound(self):
-        adorned = adorn(example2_program())
-        split = split_components(adorned, paper_mode=False)
-        for rule in split.program.rules:
-            assert rule.to_rule().is_safe()
-
-    def test_safe_mode_splits_fully_disconnected_only(self):
-        adorned = adorn(example2_program())
-        split = split_components(adorned, paper_mode=False)
-        # q5(W) has no head variable at all: split in both modes
-        assert len(split.booleans) == 1
-
-    def test_safe_mode_preserves_answers(self):
-        program = example2_program()
-        adorned = adorn(program)
-        split = split_components(adorned, paper_mode=False)
-        rewritten = split.program.to_program()
-        for seed in range(4):
-            db = random_edb(program, rows=15, domain=6, seed=seed)
-            a1 = evaluate(program, db).answers()
-            a2 = evaluate(
-                rewritten, db, EngineOptions(cut_predicates=split.booleans)
-            ).answers()
-            # compare on the needed first column
-            assert {t[0] for t in a1} == {t[0] for t in a2}
 
     def test_paper_mode_plus_projection_preserves_answers(self):
         program = example2_program()

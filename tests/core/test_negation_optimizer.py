@@ -113,8 +113,8 @@ class TestComponentsWithNegation:
             ?- q(X).
             """
         )
-        split = split_components(adorn(program), paper_mode=False)
-        rewritten = split.program.to_program()
+        split = split_components(adorn(program))
+        rewritten = push_projections(split.program).to_program()
         for seed in range(3):
             db = random_edb(program, rows=12, domain=6, seed=seed)
             a1 = evaluate(program, db).answers()

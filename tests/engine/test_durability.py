@@ -10,6 +10,7 @@ interaction between snapshots and the interning dictionary's epochs.
 import json
 import os
 import struct
+import sys
 import zlib
 
 import pytest
@@ -41,6 +42,7 @@ from repro.engine.durability import (
     _FRAME,
     SNAPSHOT_MAGIC,
     WAL_MAGIC,
+    _frame,
     program_signature,
 )
 from repro.engine.statistics import EvalStats
@@ -168,6 +170,39 @@ class TestWalValidation:
             read_wal(path)
         assert exc.value.reason == "flag-drift"
 
+    @pytest.mark.parametrize(
+        "header, record, reason",
+        [
+            ({"base_seq": "0", "flags": "flags"}, None, "bad-header"),
+            (None, [1, 2], "checksum-mismatch"),
+            (None, {"seq": 2, "kind": "insert", "flags": "flags",
+                    "facts": {"edge": [1]}}, "checksum-mismatch"),
+            (None, {"seq": 2, "kind": "insert", "flags": "flags",
+                    "facts": {"edge": 5}}, "checksum-mismatch"),
+            (None, {"seq": 2, "kind": "insert", "flags": "flags",
+                    "facts": {"edge": [[1, [2]]]}}, "checksum-mismatch"),
+            (None, {"seq": 2, "flags": "flags", "facts": {}},
+             "checksum-mismatch"),
+        ],
+        ids=["base-seq-not-int", "record-not-object", "row-not-list",
+             "rows-not-list", "value-not-scalar", "no-kind"],
+    )
+    def test_malformed_json_shapes_refused(self, tmp_path, header, record, reason):
+        """Frames whose checksum passes but whose JSON has a shape the
+        writer never produces are refused with a typed reason."""
+        path = self._write(tmp_path, n=1)
+        if header is not None:
+            with open(path, "wb") as f:
+                f.write(WAL_MAGIC + _frame(json.dumps(header).encode()))
+        else:
+            with open(path, "ab") as f:
+                f.write(_frame(json.dumps(record).encode()))
+        with pytest.raises(RecoveryError) as exc:
+            read_wal(path)
+        assert exc.value.reason == reason
+        if record is not None:
+            assert exc.value.record == 2
+
     def test_bad_magic_refused(self, tmp_path):
         path = tmp_path / "not-a-wal"
         path.write_bytes(b"hello world, definitely not a WAL file")
@@ -247,13 +282,6 @@ class TestDurableSession:
         r, report = recover(program, cfg)
         assert r.facts("tc") == want
         r.close()
-
-    def test_wal_size_policy_triggers_snapshot(self, tmp_path, program, edb):
-        cfg = _config(tmp_path, snapshot_every=0, max_wal_bytes=1)
-        s = IncrementalSession(program, edb, durable=cfg)
-        s.insert({"edge": [(3, 4)]})
-        assert s.stats.snapshots_written == 2
-        s.close()
 
     def test_non_durable_checkpoint_refused(self, program, edb):
         s = IncrementalSession(program, edb)
@@ -408,21 +436,101 @@ class TestSnapshots:
         s.close()
 
     def test_corrupt_newest_falls_back_to_older(self, tmp_path, program, edb):
-        cfg = _config(tmp_path, snapshot_every=0, keep_snapshots=2)
-        s = IncrementalSession(program, edb, durable=cfg)
-        s.insert({"edge": [(3, 4)]})
-        s.checkpoint()
-        s.insert({"edge": [(4, 5)]})
-        want = s.facts("tc")
-        s.close()
-        newest = list_snapshots(cfg)[0]
-        with open(newest, "r+b") as f:
-            f.truncate(os.path.getsize(newest) - 11)
-        r, report = recover(program, cfg)
-        assert report.snapshot_seq == 0  # anchored on the baseline
-        assert report.skipped_snapshots
-        assert r.facts("tc") == want
-        r.close()
+        def truncate(path):
+            with open(path, "r+b") as f:
+                f.truncate(os.path.getsize(path) - 11)
+
+        def malformed_header(path):
+            # the header frame's checksum passes, its JSON has no seq
+            path.write_bytes(SNAPSHOT_MAGIC + _frame(b'{"entries": []}'))
+
+        def wrong_relations(path):
+            # well-formed and checksummed, but tc is stored under
+            # another name: the snapshot no longer fits the program
+            buf = path.read_bytes()
+            start = len(SNAPSHOT_MAGIC)
+            length, _ = _FRAME.unpack_from(buf, start)
+            end = start + _FRAME.size + length
+            header = json.loads(buf[start + _FRAME.size:end])
+            for entry in header["entries"]:
+                entry["name"] = entry["name"].replace("tc", "other")
+            path.write_bytes(
+                SNAPSHOT_MAGIC + _frame(json.dumps(header).encode()) + buf[end:]
+            )
+
+        for damage in (truncate, malformed_header, wrong_relations):
+            cfg = _config(
+                tmp_path / damage.__name__, snapshot_every=0, keep_snapshots=2
+            )
+            s = IncrementalSession(program, edb, durable=cfg)
+            s.insert({"edge": [(3, 4)]})
+            s.checkpoint()
+            s.insert({"edge": [(4, 5)]})
+            want = s.facts("tc")
+            s.close()
+            damage(list_snapshots(cfg)[0])
+            r, report = recover(program, cfg)
+            assert report.snapshot_seq == 0  # anchored on the baseline
+            assert report.skipped_snapshots
+            assert r.facts("tc") == want
+            r.close()
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            [],
+            {"entries": []},
+            {"seq": "1", "entries": []},
+            {"seq": 1, "dict": {"a": 1}, "entries": []},
+            {"seq": 1, "dict": [[1]], "entries": []},
+            {"seq": 1, "entries": {}},
+            {"seq": 1, "entries": [{"kind": "relation", "arity": 1, "rows": 0}]},
+            {"seq": 1, "entries": [{"name": "e", "arity": 1, "rows": 0}]},
+            {"seq": 1, "entries": [{"name": "e", "kind": "relation", "rows": 0}]},
+            {"seq": 1, "entries": [{"name": "e", "kind": "relation", "arity": 1}]},
+            {"seq": 1, "entries": [
+                {"name": "e", "kind": "relation", "arity": -1, "rows": 0}
+            ]},
+            {"seq": 1, "entries": [
+                {"name": "e", "kind": "relation", "arity": 1, "rows": "0"}
+            ]},
+            {"seq": 1, "entries": [
+                {"name": "e", "kind": "relation", "arity": 1, "rows": 0},
+                {"name": "e", "kind": "relation", "arity": 2, "rows": 0},
+            ]},
+        ],
+        ids=["not-object", "no-seq", "seq-not-int", "dict-not-list",
+             "value-not-scalar", "entries-not-list", "no-name", "no-kind",
+             "no-arity", "no-rows", "negative-arity", "rows-not-int",
+             "conflicting-arity"],
+    )
+    def test_malformed_header_refused(self, tmp_path, header):
+        # empty data sections follow, so zero-row entries find theirs
+        path = tmp_path / "s.wal.snap-0000000001"
+        path.write_bytes(
+            SNAPSHOT_MAGIC + _frame(json.dumps(header).encode()) + 2 * _frame(b"")
+        )
+        with pytest.raises(RecoveryError) as exc:
+            load_snapshot(path)
+        assert exc.value.reason == "snapshot-corrupt"
+
+    @pytest.mark.parametrize("bad_id", [-1, 1])
+    def test_id_outside_the_value_table_refused(self, tmp_path, bad_id):
+        header = {
+            "seq": 1,
+            "byteorder": sys.byteorder,
+            "dict": [7],
+            "entries": [{"name": "e", "kind": "relation", "arity": 1, "rows": 1}],
+        }
+        path = tmp_path / "s.wal.snap-0000000001"
+        path.write_bytes(
+            SNAPSHOT_MAGIC
+            + _frame(json.dumps(header).encode())
+            + _frame(struct.pack("=q", bad_id))
+        )
+        with pytest.raises(RecoveryError) as exc:
+            load_snapshot(path)
+        assert exc.value.reason == "snapshot-corrupt"
 
 
 class TestRecoveryRungs:

@@ -76,11 +76,12 @@ def test_chase_and_sagiv_deletion_preserve_answers(grammar, db):
 def test_component_split_preserves_answers(grammar, db):
     assume("s" in grammar.nonterminals)
     program = program_from(grammar)
-    split = split_components(adorn(program), paper_mode=False)
+    split = split_components(adorn(program))
+    projected = push_projections(split.program)
     options = EngineOptions(cut_predicates=split.booleans)
     got = {
         t[0]
-        for t in evaluate(split.program.to_program(), db, options).answers()
+        for t in evaluate(projected.to_program(), db, options).answers()
     }
     assert got == projected_reference(program, db)
 
