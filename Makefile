@@ -9,7 +9,7 @@ test:  ## tier-1 test suite
 oracle:  ## differential oracle suite (derandomized Hypothesis profile)
 	$(PYTHON) -m pytest tests/oracle -q
 
-faults:  ## robustness suites: governor limits, fault injection, oracle property
+faults:  ## robustness suites: governor limits, injected unit errors and slow units, oracle triad
 	$(PYTHON) -m pytest tests/engine/test_governor.py tests/engine/test_faults.py tests/oracle/test_faults.py -q
 
 incremental:  ## IVM suites: differential maintenance oracle + session properties

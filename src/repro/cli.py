@@ -693,10 +693,11 @@ def _add_engine_flags(p_run: argparse.ArgumentParser) -> None:
         action="append",
         default=[],
         metavar="SPEC",
-        help="deterministically inject a fault to exercise the "
-        "degradation ladder; repeatable.  SPEC is columnar, "
-        "kernel-compile[:pred], index-build, scheduler, unit-error:N, "
-        "or slow-unit:N[:seconds]",
+        help="deterministically inject a failure no flag can produce; "
+        "repeatable.  SPEC is unit-error:N (unit N raises), "
+        "slow-unit:N[:seconds] (unit N sleeps at every boundary) or, "
+        "under serve --wal, wal-crash:POINT[:seq] (simulated death at a "
+        "durability crash point)",
     )
 
 

@@ -53,7 +53,6 @@ from .faults import (
     FaultPlan,
     InjectedFault,
     InjectedUnitError,
-    SchedulerFault,
     WalCrash,
     parse_fault_specs,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "FaultInjector",
     "InjectedFault",
     "InjectedUnitError",
-    "SchedulerFault",
     "parse_fault_specs",
     "CompiledRule",
     "DeltaIndex",

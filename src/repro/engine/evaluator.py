@@ -28,7 +28,7 @@ earlier releases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import AbstractSet, Optional, Sequence
 
 from ..datalog.ast import Atom, Program
@@ -36,7 +36,7 @@ from ..datalog.columnar import global_dictionary
 from ..datalog.database import Database
 from ..datalog.errors import ArityError, EvaluationError, ValidationError
 from ..datalog.terms import Constant, Variable
-from .faults import FaultInjector, FaultPlan, SchedulerFault
+from .faults import FaultInjector, FaultPlan
 from .governor import BudgetExceeded, Governor, settle
 from .prepared import PreparedProgram, planning_inputs, prepare
 from .provenance import DerivationTree, derivation_tree
@@ -82,12 +82,11 @@ class EngineOptions:
         indexes): the whole semi-naive frontier joins as packed int64
         arrays (:mod:`repro.engine.batch_kernel`) instead of per-tuple
         loops, with the tuple kernels as the rung below for every
-        other plan shape, provenance-recording runs and injected
-        ``columnar`` faults.  ``False`` (the CLI's ``--no-columnar``)
-        pins every rule to the tuple kernels — the vector kernel's
-        differential oracle; answers, fact counts and every
-        engine-invariant counter are bit-identical.  Without numpy the
-        flag changes nothing.
+        other plan shape and for provenance-recording runs.  ``False``
+        (the CLI's ``--no-columnar``) pins every rule to the tuple
+        kernels — the vector kernel's differential oracle; answers,
+        fact counts and every engine-invariant counter are
+        bit-identical.  Without numpy the flag changes nothing.
     use_cost_planner
         Order rule bodies with the bound-driven cost model (default):
         relations are profiled into log-bucketed sizes and per-position
@@ -122,11 +121,6 @@ class EngineOptions:
         programs converge; the bound exists to stop pathological or
         adversarial fixpoints cleanly (:class:`ResourceExhausted`,
         honoring ``on_limit``).
-    max_unit_iterations
-        Per-unit round bound under SCC scheduling (the knob the old
-        per-unit ``max_iterations`` semantics became); the monolithic
-        loop treats each stratum's fixpoint as one unit, where this
-        coincides with the global bound.
     deadline_s
         Wall-clock budget in seconds for the fixpoint, counted from
         the end of preparation (which cancellation cannot interrupt)
@@ -148,9 +142,10 @@ class EngineOptions:
         answers are a sound lower bound.
     fault_plan
         A :class:`~repro.engine.faults.FaultPlan` of deterministic
-        faults to inject, exercising the degradation ladder
-        (columnar→tuple-kernel, kernel→interpreter, index→scan,
-        SCC→monolithic).  None (default) injects nothing.
+        failures no flag can produce: a genuine error inside a unit, a
+        slow unit, a simulated crash at a durability crash point.  The
+        executor tiers themselves are reached through the ``use_*``
+        flags above.  None (default) injects nothing.
     """
 
     strategy: str = "seminaive"
@@ -163,7 +158,6 @@ class EngineOptions:
     use_scc: bool = True
     record_provenance: bool = False
     max_iterations: Optional[int] = None
-    max_unit_iterations: Optional[int] = None
     deadline_s: Optional[float] = None
     max_facts: Optional[int] = None
     max_delta_rows: Optional[int] = None
@@ -181,8 +175,7 @@ class EngineOptions:
             raise ValidationError(
                 f"replan_rounds must be >= 0, got {self.replan_rounds}"
             )
-        for name in ("max_iterations", "max_unit_iterations", "max_facts",
-                     "max_delta_rows"):
+        for name in ("max_iterations", "max_facts", "max_delta_rows"):
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise ValidationError(f"{name} must be >= 0, got {value}")
@@ -363,7 +356,7 @@ def working_database(program: Program, edb: Database) -> Database:
 def run_prepared(
     prepared: PreparedProgram,
     db: Database,
-    options: EngineOptions,
+    opts: EngineOptions,
     skip: AbstractSet[int] = frozenset(),
 ) -> EvalResult:
     """Run *prepared* to its least fixpoint over the working database
@@ -377,7 +370,6 @@ def run_prepared(
     graph is a subgraph), only a coarser one, and join order never
     changes a fixpoint — so one preparation serves every rule mask.
     """
-    opts = options
     program = prepared.program
     builds_before = db.index_builds()
     stats = EvalStats()
@@ -393,12 +385,6 @@ def run_prepared(
         else None
     )
     governor = Governor(opts, injector)
-    if injector is not None and injector.index_build_fails():
-        # index→scan rung: hash-index construction "failed", so the
-        # whole run degrades to full-scan probing — same answers,
-        # different work counters
-        injector.record(stats, "index->scan")
-        opts = replace(opts, use_indexes=False)
 
     # recorded on the preparation, not the call, so a prepared-cache
     # hit reports exactly the counters of the cold build it reuses
@@ -447,18 +433,10 @@ def run_prepared(
     trip = None
     try:
         if opts.use_scc:
-            try:
-                run_scheduled(
-                    strata, info, db, stats, provenance, opts, governor,
-                    replan_rounds=replan,
-                )
-            except SchedulerFault:
-                # SCC→monolithic rung: scheduling failed before any
-                # unit ran, so the stratum loop takes over from the
-                # same (untouched) database state
-                injector.record(stats, "scc->monolithic")
-                run_monolithic(strata, db, stats, provenance, opts, governor,
-                               replan_rounds=replan)
+            run_scheduled(
+                strata, info, db, stats, provenance, opts, governor,
+                replan_rounds=replan,
+            )
         else:
             run_monolithic(strata, db, stats, provenance, opts, governor,
                            replan_rounds=replan)

@@ -28,9 +28,10 @@ The :class:`Governor` enforces, cooperatively:
     One **global** bound on fixpoint rounds across the whole run (the
     sum of every unit's rounds under SCC scheduling, identical to the
     monolithic count by construction).
-``max_unit_iterations``
-    Bounds the rounds of any single evaluation unit (the monolithic
-    loop counts as one unit).
+
+The governor also carries the run's
+:class:`~repro.engine.faults.FaultInjector`, if any: a slow unit sleeps
+and an injected unit error raises at the same boundaries.
 
 Limits are *cooperative*: the fixpoint loops call the governor at
 round, unit, and rule boundaries; the governor never interrupts a
@@ -67,10 +68,9 @@ class ResourceExhausted(EvaluationError):
     """A governed evaluation hit one of its resource limits.
 
     ``reason`` is the limit that tripped (``"deadline"``,
-    ``"max_facts"``, ``"max_delta_rows"``, ``"max_iterations"``,
-    ``"max_unit_iterations"``); ``stats`` the partial
-    :class:`~repro.engine.statistics.EvalStats` at abort (fact counts
-    finalized); ``unit`` the label of the evaluation unit that tripped
+    ``"max_facts"``, ``"max_delta_rows"``, ``"max_iterations"``);
+    ``stats`` the partial :class:`~repro.engine.statistics.EvalStats`
+    at abort (fact counts finalized); ``unit`` the label of the evaluation unit that tripped
     the limit (None under the monolithic loop); ``stratum`` the index
     of the stratum being evaluated.
     """
@@ -140,7 +140,6 @@ class Governor:
         "max_facts",
         "max_delta_rows",
         "max_iterations",
-        "max_unit_iterations",
         "injector",
         "enabled",
         "delta_rows",
@@ -153,12 +152,11 @@ class Governor:
         self.max_facts = opts.max_facts
         self.max_delta_rows = opts.max_delta_rows
         self.max_iterations = opts.max_iterations
-        self.max_unit_iterations = opts.max_unit_iterations
         self.injector = injector
         self.enabled = injector is not None or any(
             limit is not None
             for limit in (self.deadline, self.max_facts, self.max_delta_rows,
-                          self.max_iterations, self.max_unit_iterations)
+                          self.max_iterations)
         )
         #: rows that have entered semi-naive delta frontiers so far
         self.delta_rows = 0
@@ -167,17 +165,14 @@ class Governor:
         """A per-unit (or per-stratum, for the monolithic loop) view."""
         return Guard(self, unit, ordinal)
 
-    def check(self, stats, unit: Optional[str], rounds: Optional[int] = None) -> None:
+    def check(self, stats, unit: Optional[str], iteration: bool = False) -> None:
         """What every checkpoint of an ``enabled`` governor tests — the
-        deadline and the fact budget — plus, at an iteration boundary
-        (*rounds*: the unit's own count), the unit and global round bounds."""
+        deadline and the fact budget — plus, at an *iteration* boundary,
+        the global round bound."""
         stats.governor_checks += 1
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExceeded("deadline", unit)
-        if rounds is not None:
-            limit = self.max_unit_iterations
-            if limit is not None and rounds > limit:
-                raise BudgetExceeded("max_unit_iterations", unit)
+        if iteration:
             limit = self.max_iterations
             if limit is not None and stats.iterations > limit:
                 raise BudgetExceeded("max_iterations", unit)
@@ -201,7 +196,7 @@ class Guard:
         self.unit = unit
         self.ordinal = ordinal
         #: fixpoint rounds this unit has started — what
-        #: ``max_unit_iterations`` bounds and ``stats.unit_rounds`` books
+        #: ``stats.unit_rounds`` books
         self.rounds = 0
         #: ``stats.facts_derived`` as of the previous semi-naive round
         #: boundary — the diff is exactly the rows entering this round's
@@ -230,7 +225,7 @@ class Guard:
             self._last_facts = facts
         if g.injector is not None:
             g.injector.slow_down(self.ordinal)
-        g.check(stats, self.unit, self.rounds)
+        g.check(stats, self.unit, iteration=True)
 
     def checkpoint(self, stats) -> None:
         """A rule firing is starting (the between-rules boundary)."""
@@ -249,22 +244,3 @@ class Guard:
         if g.injector is not None:
             g.injector.slow_down(self.ordinal)
         g.check(stats, self.unit)
-
-    def kernel_fault(self, stats, head_predicate: str) -> bool:
-        """True iff an injected fault forbids the kernel for this rule
-        (the kernel→interpreter degradation); records the degradation
-        once per head predicate."""
-        injector = self.governor.injector
-        if injector is None or not injector.kernel_compile_fails(head_predicate):
-            return False
-        injector.record(stats, "kernel->interpreter", head_predicate)
-        return True
-
-    def columnar_fault(self, stats) -> bool:
-        """True iff an injected fault forbids the vector kernel (the
-        columnar→tuple-kernel degradation); recorded once per run."""
-        injector = self.governor.injector
-        if injector is None or not injector.columnar_fails():
-            return False
-        injector.record(stats, "columnar->tuple")
-        return True

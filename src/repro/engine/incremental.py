@@ -47,8 +47,7 @@ rejects, so no program's own predicate can collide with them.
 Updates whose affected cone crosses a **negative** dependency edge are
 non-monotone: the affected units are reset to their initial rows and
 recomputed from scratch in topological order (still skipping everything
-outside the cone).  The same recompute path doubles as a degradation
-rung (``incremental->recompute``) when a scheduler fault is injected.
+outside the cone).
 
 The **governor** applies per update batch: each ``insert``/``retract``
 constructs a fresh :class:`~repro.engine.governor.Governor` from the
@@ -450,26 +449,11 @@ class IncrementalSession:
                 stats,
                 injector=injector,
             )
-        force_recompute = False
-        if injector is not None:
-            if injector.index_build_fails():
-                injector.record(stats, "index->scan")
-                opts = replace(opts, use_indexes=False)
-            if injector.scheduler_fails():
-                # incremental->recompute rung: seeded maintenance
-                # "failed", so the affected cone is recomputed from its
-                # initial rows — same state, more work
-                injector.record(stats, "incremental->recompute")
-                force_recompute = True
         try:
             if deletions:
-                self._retract_batch(
-                    deletions, stats, opts, governor, force_recompute
-                )
+                self._retract_batch(deletions, stats, opts, governor)
             if additions:
-                self._insert_batch(
-                    additions, stats, opts, governor, force_recompute
-                )
+                self._insert_batch(additions, stats, opts, governor)
         except BudgetExceeded as trip:
             # Every trip handler below leaves the database a *sound
             # lower bound* of the updated fixpoint; refresh() restores
@@ -607,9 +591,7 @@ class IncrementalSession:
 
     # -- insertion ----------------------------------------------------------
 
-    def _insert_batch(
-        self, additions, stats, opts, governor, force_recompute
-    ) -> None:
+    def _insert_batch(self, additions, stats, opts, governor) -> None:
         changed: dict[str, set] = {}
         for pred in sorted(additions):
             rows = additions[pred]
@@ -630,7 +612,7 @@ class IncrementalSession:
         if not changed:
             return
         affected = self._affected_idb(changed)
-        if force_recompute or self._crosses_negation(affected, changed):
+        if self._crosses_negation(affected, changed):
             self._recompute_affected(affected, stats, opts, governor)
             return
 
@@ -644,9 +626,7 @@ class IncrementalSession:
 
     # -- retraction ---------------------------------------------------------
 
-    def _retract_batch(
-        self, deletions, stats, opts, governor, force_recompute
-    ) -> None:
+    def _retract_batch(self, deletions, stats, opts, governor) -> None:
         present: dict[str, set] = {}
         for pred in sorted(deletions):
             rows = deletions[pred]
@@ -663,7 +643,7 @@ class IncrementalSession:
         if not present:
             return
         affected = self._affected_idb(present)
-        if force_recompute or self._crosses_negation(affected, present):
+        if self._crosses_negation(affected, present):
             self._discard_rows(present, stats)
             self._recompute_affected(affected, stats, opts, governor)
             return

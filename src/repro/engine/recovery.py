@@ -106,6 +106,7 @@ def _strip_limits(opts: EngineOptions) -> EngineOptions:
     return replace(
         opts,
         fault_plan=None,
+        max_iterations=None,
         deadline_s=None,
         max_facts=None,
         max_delta_rows=None,

@@ -70,7 +70,6 @@ from ..datalog.analysis import (
 from ..datalog.database import Database
 from .batch_kernel import vector_rule_kernel
 from .cost import AdaptiveReplanner
-from .faults import SchedulerFault
 from .governor import BudgetExceeded, Governor, Guard
 from .kernel import rule_kernel
 from .plan import CompiledRule, DeltaIndex, interpret, replan_delta_plans
@@ -116,33 +115,25 @@ def _fire(
     interpreter — the fallback and the differential oracle.
 
     *guard* is the governor's per-unit view: its checkpoint here is
-    the between-rules cancellation boundary (deadline / fact budget),
-    and it decides the degradations when a columnar or kernel-compile
-    fault is injected.
+    the between-rules boundary, where the deadline and the fact budget
+    are tested and an injected unit error fires.
     """
     head_pred = cr.rule.head.predicate
     rel = db.relation(head_pred)
     assert rel is not None
     if guard is not None:
         guard.checkpoint(stats)
-    use_kernels = opts.use_kernels
-    injector_armed = guard is not None and guard.governor.injector is not None
-    if use_kernels and injector_armed and guard.kernel_fault(stats, head_pred):
-        # a kernel-compile fault fails the whole codegen tier: the
-        # vector kernel rides on it, so both fall to the interpreter
-        use_kernels = False
-    if use_kernels and opts.use_columnar and not opts.record_provenance:
-        if not (injector_armed and guard.columnar_fault(stats)):
-            vkernel = vector_rule_kernel(cr, plan_id, use_indexes=opts.use_indexes)
-            packed = vkernel(db, stats, delta) if vkernel is not None else None
-            if packed is not None:
-                stats.kernel_launches += 1
-                if len(packed):
-                    _absorb_packed(rel, head_pred, packed, stats, added)
-                return
+    if opts.use_kernels and opts.use_columnar and not opts.record_provenance:
+        vkernel = vector_rule_kernel(cr, plan_id, use_indexes=opts.use_indexes)
+        packed = vkernel(db, stats, delta) if vkernel is not None else None
+        if packed is not None:
+            stats.kernel_launches += 1
+            if len(packed):
+                _absorb_packed(rel, head_pred, packed, stats, added)
+            return
         stats.columnar_fallbacks += 1  # this firing runs on the tuple kernel
     kernel = None
-    if use_kernels:
+    if opts.use_kernels:
         kernel = rule_kernel(
             cr, plan_id, use_indexes=opts.use_indexes, record_rows=opts.record_provenance
         )
@@ -567,8 +558,8 @@ def run_monolithic(
     whose members are all the stratum's heads, with a unit-less retirer
     (rules retire, the stratum never exits early) and no unit boundary
     — the differential oracle for :func:`run_scheduled`.  The whole run
-    is one "unit" to the governor, so ``max_iterations`` (global) and
-    ``max_unit_iterations`` both bound ``stats.iterations``.
+    is one "unit" to the governor; ``max_iterations`` bounds
+    ``stats.iterations`` exactly as under scheduling.
     """
     governor = governor if governor is not None else Governor(opts)
     guard = governor.guard()
@@ -652,9 +643,6 @@ def run_scheduled(
     after a trip or an error ``stats`` lists exactly the units that ran.
     """
     governor = governor if governor is not None else Governor(opts)
-    injector = governor.injector
-    if injector is not None and injector.scheduler_fails():
-        raise SchedulerFault("injected SCC scheduling failure")
     edges = condensation(info)
     component_of = {p: i for i, scc in enumerate(info.sccs) for p in scc}
     ordinal = 0  # unit executions across the whole run, scheduling order

@@ -132,15 +132,12 @@ class EvalStats:
     #: Governor checkpoints performed (0 unless a limit was set or a
     #: fault armed — the governor is free when idle).
     governor_checks: int = _counter()
-    #: Faults fired by the run's :class:`~repro.engine.faults.FaultPlan`
-    #: (0 on un-faulted runs).
-    faults_injected: int = _counter()
-    #: Degradation-ladder rungs taken, keyed by rung
-    #: (``"kernel->interpreter"``, ``"index->scan"``,
-    #: ``"scc->monolithic"``, and — during incremental maintenance —
-    #: ``"incremental->recompute"``, the rung that recomputes the
-    #: affected cone from its initial rows when the seeded maintenance
-    #: scheduler faults).
+    #: Degradation rungs taken, keyed by rung: ``"recovery->scratch"``
+    #: (:func:`~repro.engine.recovery.recover` re-evaluated from the
+    #: base facts because seeded replay could not be trusted) and
+    #: ``"snapshot->deferred"`` (the governor tripped while a durable
+    #: batch wrote its due snapshot, so the snapshot waits for the next
+    #: batch).
     degradations: dict[str, int] = _counter(
         "sum_keys", variant=True, default_factory=dict
     )
@@ -241,9 +238,8 @@ class EvalStats:
             )
         if self.recovery_ms:
             line += f" recovery_ms={self.recovery_ms:.1f}"
-        if self.faults_injected:
-            rungs = ",".join(sorted(self.degradations))
-            line += f" faults={self.faults_injected} degraded=[{rungs}]"
+        if self.degradations:
+            line += f" degraded=[{','.join(sorted(self.degradations))}]"
         if self.aborted_reason is not None:
             line += f" PARTIAL(aborted: {self.aborted_reason})"
         return line

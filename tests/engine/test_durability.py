@@ -669,6 +669,29 @@ class TestRecoveryRungs:
         assert {p: r.facts(p) for p in ("edge", "tc")} == anchored
         r.close()
 
+    @pytest.mark.parametrize(
+        "limits", [{"max_iterations": 3}, {"max_facts": 3}, {"max_delta_rows": 3}]
+    )
+    def test_replay_runs_without_resource_limits(
+        self, tmp_path, program, edb, limits
+    ):
+        """Replay is bounded by nothing the caller's options set: a
+        35-edge chain needs far more than three rounds, facts or delta
+        rows, yet recovers exactly, and the caller's limits come back
+        on the returned session."""
+        cfg = _config(tmp_path, snapshot_every=0)
+        s = IncrementalSession(program, edb, durable=cfg)
+        s.insert({"edge": [(i, i + 1) for i in range(3, 38)]})
+        want = s.facts("tc")
+        s.close()
+        opts = EngineOptions(**limits)
+        r, report = recover(program, cfg, opts)
+        assert report.source == "replay"
+        assert r.facts("tc") == want
+        assert not r.is_partial
+        assert r.options == opts
+        r.close()
+
     def test_recovery_reports_timing(self, tmp_path, program, edb):
         cfg = _config(tmp_path)
         s = IncrementalSession(program, edb, durable=cfg)

@@ -1,22 +1,26 @@
-"""Fault injection and the graceful-degradation ladder.
+"""Fault injection: the failures no engine flag can produce.
 
-Every recoverable fault must step the engine down exactly one rung —
-columnar→tuple-kernel, kernel→interpreter, index→scan, SCC→monolithic —
-and still produce the exact fixpoint.  A genuine exception inside a
-unit (``unit-error``) must surface verbatim: no wrapping that loses the
-original message.
+A slow unit changes nothing but time, a genuine exception inside a
+unit (``unit-error``) surfaces verbatim — no wrapping that loses the
+original message — and a degradation rung the engine really takes
+shows in the stats summary.  Each executor tier is reached through its
+own flag instead (``tests/oracle``, ``tests/engine/test_kernel.py``);
+crash points are ``tests/engine/test_durability.py``'s.
 """
 
 import pytest
 
 from repro.datalog import Database, parse
-from repro.datalog.errors import EvaluationError
+from repro.datalog.errors import EvaluationError, ValidationError
 from repro.engine import (
+    DurabilityConfig,
     EngineOptions,
     FaultPlan,
+    IncrementalSession,
     InjectedUnitError,
     evaluate,
     parse_fault_specs,
+    recover,
 )
 
 PROGRAM = """
@@ -43,110 +47,6 @@ def expected():
 
 
 class TestDegradationLadder:
-    def test_columnar_fault_falls_back_to_tuple_kernels(self, expected):
-        plan = FaultPlan(columnar=True)
-        faulted = evaluate(
-            parse(PROGRAM), edb(), EngineOptions(fault_plan=plan)
-        )
-        clean = evaluate(parse(PROGRAM), edb())
-        assert faulted.answers() == expected
-        # every rule ran, but on the tuple kernels: no batch work, and
-        # each routed firing counted as a columnar fallback
-        assert faulted.stats.batch_probes == 0
-        assert faulted.stats.batch_rows == 0
-        assert faulted.stats.columnar_fallbacks > 0
-        assert faulted.stats.kernel_launches > 0
-        assert faulted.stats.degradations == {"columnar->tuple": 1}
-        assert faulted.stats.faults_injected == 1
-        assert not faulted.is_partial
-        # the rung below is intact: engine-invariant work is identical
-        # (modulo the fault bookkeeping the injection itself performs)
-        injection_keys = {"faults_injected", "governor_checks"}
-        faulted_work = faulted.stats.as_dict(engine_invariant=True)
-        clean_work = clean.stats.as_dict(engine_invariant=True)
-        for key in injection_keys:
-            faulted_work.pop(key), clean_work.pop(key)
-        assert faulted_work == clean_work
-
-    def test_columnar_fault_is_a_noop_without_the_columnar_plane(self, expected):
-        plan = FaultPlan(columnar=True)
-        result = evaluate(
-            parse(PROGRAM),
-            edb(),
-            EngineOptions(use_columnar=False, fault_plan=plan),
-        )
-        assert result.answers() == expected
-        assert result.stats.degradations == {}
-        assert result.stats.columnar_fallbacks == 0
-
-    def test_kernel_fault_falls_back_to_interpreter(self, expected):
-        plan = FaultPlan(kernel_compile=frozenset(["*"]))
-        result = evaluate(
-            parse(PROGRAM), edb(), EngineOptions(fault_plan=plan)
-        )
-        assert result.answers() == expected
-        assert result.stats.kernel_launches == 0
-        assert result.stats.degradations.get("kernel->interpreter", 0) > 0
-        assert result.stats.faults_injected > 0
-        assert not result.is_partial
-
-    def test_kernel_fault_single_predicate(self, expected):
-        plan = FaultPlan(kernel_compile=frozenset(["tc1"]))
-        faulted = evaluate(
-            parse(PROGRAM), edb(), EngineOptions(fault_plan=plan)
-        )
-        clean = evaluate(parse(PROGRAM), edb())
-        assert faulted.answers() == expected
-        # only tc1's rules lost their kernels; the rest still launch
-        assert 0 < faulted.stats.kernel_launches < clean.stats.kernel_launches
-        assert faulted.stats.degradations == {"kernel->interpreter": 1}
-
-    def test_index_fault_falls_back_to_scans(self, expected):
-        plan = FaultPlan(index_build=True)
-        result = evaluate(
-            parse(PROGRAM), edb(), EngineOptions(fault_plan=plan)
-        )
-        assert result.answers() == expected
-        assert result.stats.index_probes == 0
-        assert result.stats.scan_fallbacks > 0
-        assert result.stats.degradations == {"index->scan": 1}
-
-    def test_scheduler_fault_falls_back_to_monolithic(self, expected):
-        plan = FaultPlan(scheduler=True)
-        result = evaluate(
-            parse(PROGRAM), edb(), EngineOptions(fault_plan=plan)
-        )
-        assert result.answers() == expected
-        assert result.stats.units_scheduled == 0
-        assert result.stats.degradations == {"scc->monolithic": 1}
-
-    def test_stacked_faults_descend_multiple_rungs(self, expected):
-        plan = FaultPlan(kernel_compile=frozenset(["*"]), index_build=True)
-        result = evaluate(
-            parse(PROGRAM), edb(), EngineOptions(fault_plan=plan)
-        )
-        assert result.answers() == expected
-        assert result.stats.kernel_launches == 0
-        assert result.stats.index_probes == 0
-        assert set(result.stats.degradations) == {
-            "kernel->interpreter",
-            "index->scan",
-        }
-
-    def test_columnar_and_kernel_faults_stack_to_interpreter(self, expected):
-        """Both codegen rungs at once: the run lands on the plan
-        interpreter and still reaches the exact fixpoint."""
-        plan = FaultPlan(columnar=True, kernel_compile=frozenset(["*"]))
-        result = evaluate(
-            parse(PROGRAM), edb(), EngineOptions(fault_plan=plan)
-        )
-        assert result.answers() == expected
-        assert result.stats.batch_probes == 0
-        assert result.stats.kernel_launches == 0
-        # kernel-compile fires first at every rule, so the columnar
-        # rung is never separately consulted
-        assert set(result.stats.degradations) == {"kernel->interpreter"}
-
     def test_slow_unit_changes_nothing_but_time(self, expected):
         plan = FaultPlan(slow_unit=0, slow_s=0.01)
         result = evaluate(
@@ -155,14 +55,19 @@ class TestDegradationLadder:
         assert result.answers() == expected
         assert result.stats.degradations == {}
 
-    def test_summary_mentions_degradations(self):
-        plan = FaultPlan(kernel_compile=frozenset(["*"]))
-        result = evaluate(
-            parse(PROGRAM), edb(), EngineOptions(fault_plan=plan)
+    def test_summary_mentions_degradations(self, tmp_path):
+        """A real rung shows in the one-line summary ``serve`` prints:
+        recovery under drifted flags with the ``scratch`` policy."""
+        program = parse(PROGRAM)
+        cfg = DurabilityConfig(
+            wal_path=str(tmp_path / "s.wal"), on_flag_drift="scratch"
         )
-        text = result.stats.summary()
-        assert "faults=" in text
-        assert "kernel->interpreter" in text
+        IncrementalSession(program, edb(), durable=cfg).close()
+        session, report = recover(program, cfg, EngineOptions(use_scc=False))
+        assert report.source == "scratch"
+        assert "degraded=[recovery->scratch]" in session.stats.summary()
+        session.close()
+        assert "degraded" not in evaluate(program, edb()).stats.summary()
 
 
 class TestUnitFailureSurfaces:
@@ -230,24 +135,11 @@ class TestUnitFailureSurfaces:
 class TestFaultSpecParsing:
     def test_round_trip_all_specs(self):
         plan = parse_fault_specs(
-            [
-                "columnar",
-                "kernel-compile:tc1",
-                "index-build",
-                "scheduler",
-                "unit-error:3",
-                "slow-unit:1:0.25",
-            ]
+            ["unit-error:3", "slow-unit:1:0.25", "wal-crash:after-append:2"]
         )
-        assert plan.kernel_compile == frozenset(["tc1"])
-        assert plan.columnar
-        assert plan.index_build and plan.scheduler
-        assert plan.unit_error == 3
-        assert plan.slow_unit == 1 and plan.slow_s == 0.25
-
-    def test_kernel_compile_wildcard(self):
-        assert parse_fault_specs(["kernel-compile"]).kernel_compile == frozenset(
-            ["*"]
+        assert plan == FaultPlan(
+            unit_error=3, slow_unit=1, slow_s=0.25,
+            wal_crash="after-append", wal_crash_seq=2,
         )
 
     def test_empty_specs_mean_no_faults(self):
@@ -255,9 +147,31 @@ class TestFaultSpecParsing:
 
     @pytest.mark.parametrize(
         "spec",
-        # the third to fifth are a retired fault kind: rejected like any typo
-        ["bogus", "worker-death", "worker-death:x", "worker-death:2", "slow-unit:0:x"],
+        [
+            "bogus",
+            # retired kinds: rejected like any typo
+            "worker-death", "worker-death:x", "worker-death:2",
+            "columnar", "index-build", "scheduler", "kernel-compile",
+            "kernel-compile:tc1",
+            # malformed or never-firing arguments
+            "slow-unit:0:x", "unit-error:-1", "slow-unit:-1",
+            "slow-unit:0:-0.5", "wal-crash:after-append:-1",
+        ],
     )
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(EvaluationError):
             parse_fault_specs([spec])
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("unit_error", -1),
+            ("slow_unit", -1),
+            ("slow_s", -0.5),
+            ("wal_crash_seq", -1),
+            ("wal_crash", "quietly"),
+        ],
+    )
+    def test_bad_plan_is_a_validation_error(self, field, value):
+        with pytest.raises(ValidationError):
+            FaultPlan(**{field: value})

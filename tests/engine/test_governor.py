@@ -192,7 +192,6 @@ class TestDerivationBudgets:
                 max_facts=10**9,
                 max_delta_rows=10**9,
                 max_iterations=10**6,
-                max_unit_iterations=10**6,
             ),
         )
         assert governed.answers() == plain.answers()
@@ -203,9 +202,7 @@ class TestDerivationBudgets:
 
 
 class TestIterationBounds:
-    """Satellite regression: ``max_iterations`` is one global bound
-    under both engines; ``max_unit_iterations`` is the per-unit knob
-    the old SCC behaviour turned into."""
+    """``max_iterations`` is one global bound under both engines."""
 
     def test_global_bound_is_global_under_scc(self, siblings):
         program, db = siblings
@@ -242,22 +239,6 @@ class TestIterationBounds:
                 EngineOptions(use_scc=False, max_iterations=total - 1),
             )
         assert exc.value.reason == "max_iterations"
-
-    def test_per_unit_knob_bounds_single_units(self, siblings):
-        program, db = siblings
-        baseline = evaluate(program, db)
-        per_unit = max(baseline.stats.unit_rounds.values())
-        ok = evaluate(
-            program, db, EngineOptions(max_unit_iterations=per_unit)
-        )
-        assert ok.answers() == baseline.answers()
-        with pytest.raises(ResourceExhausted) as exc:
-            evaluate(
-                program, db, EngineOptions(max_unit_iterations=per_unit - 1)
-            )
-        assert exc.value.reason == "max_unit_iterations"
-        # the offending unit is one of the recursive siblings
-        assert exc.value.unit in {"tc1", "tc2"}
 
     def test_resource_exhausted_is_evaluation_error(self, tc):
         """Core passes guard divergent chase fixpoints with
@@ -396,8 +377,7 @@ class TestOptionValidation:
             EngineOptions(on_limit="ignore")
 
     @pytest.mark.parametrize(
-        "field", ["max_iterations", "max_unit_iterations", "max_facts",
-                  "max_delta_rows", "deadline_s"]
+        "field", ["max_iterations", "max_facts", "max_delta_rows", "deadline_s"]
     )
     def test_negative_limits_rejected(self, field):
         with pytest.raises(ValidationError):

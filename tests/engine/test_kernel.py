@@ -7,6 +7,7 @@ import pstats
 import pytest
 
 from repro.datalog import Database, parse, parse_rule
+from repro.datalog.columnar import numpy_available
 from repro.datalog.terms import Constant, Variable
 from repro.engine import (
     EngineOptions,
@@ -152,6 +153,34 @@ class TestKernelCache:
         res = evaluate(program, db)
         assert res.answers() == {(7,)}
         assert res.stats.kernel_launches == 0
+
+        # One run on every tier at once: the TC rules on the tuple and
+        # vector kernels, the rule with a non-inlinable constant on the
+        # interpreter.  It agrees with the all-interpreter run on
+        # answers and on every engine-invariant counter.
+        X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
+        far = Rule(
+            Atom("far", (X,)),
+            (Atom("tc", (X, Y)), Atom("w", (Y, Constant(float("inf"))))),
+        )
+        with pytest.raises(KernelError):
+            kernel_source(compile_rule(far, 2))
+        tc = parse(TC)
+        program = Program(tc.rules + (far,), query=Atom("far", (X,)))
+        edges = [(i, i + 1) for i in range(30)] + [(30, 0), (7, 19)]
+        data = {"edge": edges, "w": [(5, float("inf")), (9, 1.0)]}
+        mixed = evaluate(program, Database.from_dict(data))
+        interp = evaluate(
+            program, Database.from_dict(data), EngineOptions(use_kernels=False)
+        )
+        assert mixed.answers() == interp.answers() == {(i,) for i in range(31)}
+        # the vector kernel ran (numpy permitting), and the tuple kernel
+        assert (mixed.stats.batch_rows > 0) == numpy_available()
+        assert mixed.stats.kernel_launches > 0
+        assert interp.stats.kernel_launches == 0
+        assert mixed.stats.as_dict(engine_invariant=True) == interp.stats.as_dict(
+            engine_invariant=True
+        )
 
 
 # -- engine integration -------------------------------------------------------

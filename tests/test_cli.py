@@ -191,16 +191,38 @@ class TestGovernedRun:
         assert sorted(captured.out.strip().splitlines()) == ["1", "2", "7"]
         assert "PARTIAL" not in captured.err
 
-    def test_injected_fault_degrades_not_wrong(self, files, capsys):
+    @pytest.mark.parametrize(
+        "spec", ["columnar", "index-build", "scheduler", "kernel-compile"]
+    )
+    def test_retired_fault_kinds_exit_2(self, files, capsys, spec):
+        """The executor tiers are flags (--no-columnar, --no-index,
+        --no-scc, --no-kernel), not faults: their old fault specs are
+        bad specs like any other."""
         program, facts, _ = files
-        rc = main(
-            ["run", str(program), str(facts), "--stats",
-             "--inject-fault", "kernel-compile", "--inject-fault", "index-build"]
-        )
-        assert rc == 0
+        rc = main(["run", str(program), str(facts), "--inject-fault", spec])
+        assert rc == 2
+        assert "unknown fault spec" in capsys.readouterr().err
+
+    def test_injected_wal_crash_then_restart_recovers(self, files, tmp_path, capsys):
+        """A crash injected after batch 2's record is durable kills
+        serve mid-batch; a restart on the same WAL replays both records
+        and answers with both batches applied."""
+        from repro.engine import WalCrash
+
+        program, facts, _ = files
+        wal = tmp_path / "serve.wal"
+        with pytest.raises(WalCrash):
+            _serve(
+                [program, facts, "--wal", wal,
+                 "--inject-fault", "wal-crash:after-append:2"],
+                ["+edge(3, 9).", "-edge(7, 8).", "?"],
+            )
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 1 and out[0].startswith("ok ")  # batch 1 only
+        assert _serve([program, "--wal", wal], ["?"]) == 0
         captured = capsys.readouterr()
-        assert sorted(captured.out.strip().splitlines()) == ["1", "2", "7"]
-        assert "degraded" in captured.err
+        assert "recovered source=replay snapshot_seq=0 replayed=2 " in captured.err
+        assert sorted(captured.out.splitlines()) == ["1", "2", "3"]
 
     def test_bad_fault_spec_exits_2(self, files, capsys):
         program, facts, _ = files
