@@ -110,7 +110,6 @@ def _engine_kwargs(args) -> dict:
         use_scc=not args.no_scc,
         deadline_s=args.deadline,
         max_facts=args.max_facts,
-        max_delta_rows=args.max_delta_rows,
         on_limit=args.on_limit,
     )
     if args.inject_fault:
@@ -186,8 +185,9 @@ def _cmd_serve(args) -> int:
     With ``--wal`` the session is **durable**: every accepted batch is
     appended to the write-ahead log before it is applied, and snapshots
     per ``--snapshot-every``/``--fsync`` bound the replay tail.  If the
-    WAL already exists on startup, the session is *recovered* from it
-    (the facts file is ignored in that case — state comes from disk).
+    WAL already exists on startup, the session is *recovered* from it,
+    under whatever engine flags this run passes (the facts file is
+    ignored in that case — state comes from disk).
     """
     import os
 
@@ -204,7 +204,6 @@ def _cmd_serve(args) -> int:
             wal_path=args.wal,
             fsync=args.fsync,
             snapshot_every=args.snapshot_every,
-            on_flag_drift=args.on_flag_drift,
         )
 
     def open_session():
@@ -511,15 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
         "flushes every record (survives process death; default), 'off' "
         "leaves flushing to the OS",
     )
-    p_serve.add_argument(
-        "--on-flag-drift",
-        choices=("refuse", "scratch"),
-        default="refuse",
-        help="with --wal, what recovery does when the log was written "
-        "under different engine flags: 'refuse' (default) fails with a "
-        "structured RecoveryError; 'scratch' re-evaluates from the "
-        "reconstructed base facts (slower, never wrong)",
-    )
     p_serve.set_defaults(fn=_cmd_serve, input=None)
 
     p_lint = sub.add_parser(
@@ -670,15 +660,6 @@ def _add_engine_flags(p_run: argparse.ArgumentParser) -> None:
         help="derivation budget: abort once more than N facts have "
         "been derived (checked periodically between rule firings; may "
         "overshoot by a few firings' worth)",
-    )
-    p_run.add_argument(
-        "--max-delta-rows",
-        type=int,
-        default=None,
-        metavar="N",
-        help="abort once more than N rows have entered semi-naive "
-        "delta frontiers (trips early on geometrically growing "
-        "recursions)",
     )
     p_run.add_argument(
         "--on-limit",

@@ -73,7 +73,7 @@ class RecoveryError(ReproError):
 
     def __init__(self, reason: str, message: str, record=None):
         #: stable reason code, e.g. ``"checksum-mismatch"``,
-        #: ``"sequence-gap"``, ``"flag-drift"``, ``"program-drift"``,
+        #: ``"sequence-gap"``, ``"program-drift"``,
         #: ``"no-valid-snapshot"``, ``"bad-header"``
         self.reason = reason
         #: the WAL record sequence number / snapshot path involved

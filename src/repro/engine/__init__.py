@@ -26,7 +26,6 @@ from .durability import (
     DurabilityConfig,
     DurableLog,
     WriteAheadLog,
-    flag_signature,
     list_snapshots,
     load_snapshot,
     read_wal,
@@ -81,7 +80,6 @@ __all__ = [
     "DurabilityConfig",
     "DurableLog",
     "WriteAheadLog",
-    "flag_signature",
     "read_wal",
     "load_snapshot",
     "list_snapshots",

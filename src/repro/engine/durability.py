@@ -7,7 +7,7 @@ and every update since load.  This module makes a session *durable*:
 **Write-ahead log.**  Every accepted ``insert``/``retract`` batch is
 appended to a per-session WAL *before* it is applied in memory, as a
 length-prefixed, CRC32-checksummed JSON record carrying the batch
-sequence number, the engine-flag signature, and the batch's base facts.
+sequence number, its kind, and the batch's base facts.
 The fsync policy is configurable: ``always`` (flush + ``os.fsync`` per
 record — survives power loss), ``batch`` (flush per record — survives
 process death, the serving default) or ``off`` (OS-buffered — fastest,
@@ -64,7 +64,6 @@ from ..datalog.errors import DurabilityError, RecoveryError, ValidationError
 from .governor import BudgetExceeded
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .evaluator import EngineOptions
     from .incremental import IncrementalSession
 
 __all__ = [
@@ -73,7 +72,6 @@ __all__ = [
     "WriteAheadLog",
     "Snapshot",
     "WalData",
-    "flag_signature",
     "program_signature",
     "read_wal",
     "load_snapshot",
@@ -90,36 +88,9 @@ SNAPSHOT_MAGIC = b"RSNAP1\n"
 #: every frame is ``<u32 payload length> <u32 crc32(payload)> payload``
 _FRAME = struct.Struct("<II")
 
-#: the engine flags that participate in the WAL/snapshot signature:
-#: the knobs that select *which engine* maintained the state.  Replay
-#: under a different engine configuration is refused (or degraded to
-#: the from-scratch rung) rather than trusted.
-_SIGNATURE_FIELDS = (
-    "strategy",
-    "use_indexes",
-    "use_kernels",
-    "use_columnar",
-    "use_cost_planner",
-    "use_scc",
-    "cut_predicates",
-)
-
 #: the only value types the JSON codec round-trips losslessly; exact
 #: type check on purpose (a tuple would silently come back as a list)
 _SCALARS = frozenset({str, int, float, bool})
-
-
-def flag_signature(options: "EngineOptions") -> str:
-    """The canonical engine-flag signature recorded with every WAL
-    record and snapshot; drift between writer and recoverer is refused
-    (see :class:`~repro.datalog.errors.RecoveryError`)."""
-    parts = []
-    for name in _SIGNATURE_FIELDS:
-        value = getattr(options, name)
-        if isinstance(value, frozenset):
-            value = ",".join(sorted(value))
-        parts.append(f"{name}={value}")
-    return ";".join(parts)
 
 
 def program_signature(program) -> str:
@@ -148,20 +119,12 @@ class DurabilityConfig:
         up to the *oldest retained* snapshot, so with the default 2 a
         corrupt newest snapshot degrades to the previous one plus a
         longer replay instead of an unrecoverable gap.
-    on_flag_drift
-        What :func:`~repro.engine.recovery.recover` does when the
-        recorded engine-flag signature differs from the recovering
-        options: ``"refuse"`` (default) raises
-        :class:`~repro.datalog.errors.RecoveryError`; ``"scratch"``
-        degrades to from-scratch re-evaluation over the reconstructed
-        EDB — the ``recovery->scratch`` rung of the degradation ladder.
     """
 
     wal_path: str
     fsync: str = "batch"
     snapshot_every: int = 64
     keep_snapshots: int = 2
-    on_flag_drift: str = "refuse"
 
     def __post_init__(self):
         if self.fsync not in ("always", "batch", "off"):
@@ -175,11 +138,6 @@ class DurabilityConfig:
         if self.keep_snapshots < 1:
             raise DurabilityError(
                 f"keep_snapshots must be >= 1, got {self.keep_snapshots}"
-            )
-        if self.on_flag_drift not in ("refuse", "scratch"):
-            raise DurabilityError(
-                f"on_flag_drift must be 'refuse' or 'scratch', "
-                f"got {self.on_flag_drift!r}"
             )
 
     def snapshot_path(self, seq: int) -> Path:
@@ -252,13 +210,12 @@ class WriteAheadLog:
 
     @classmethod
     def create(
-        cls, path: str, fsync: str, flags: str, program: str, base_seq: int
+        cls, path: str, fsync: str, program: str, base_seq: int
     ) -> "WriteAheadLog":
         """Write a fresh (empty) log whose records will start at
         ``base_seq + 1``."""
         header = {
             "version": 1,
-            "flags": flags,
             "program": program,
             "base_seq": base_seq,
             "created": time.time(),
@@ -318,7 +275,6 @@ class WriteAheadLog:
         record = {
             "seq": seq,
             "kind": kind,
-            "flags": self.header["flags"],
             "facts": {p: _encode_rows(facts[p]) for p in sorted(facts)},
         }
         payload = json.dumps(
@@ -383,8 +339,6 @@ class WalData:
     #: byte offset where a torn final record starts (None = clean tail);
     #: recovery truncates here before appending resumes
     torn_offset: Optional[int]
-    #: total bytes of valid frames (== file size when not torn)
-    end_offset: int
 
     @property
     def base_seq(self) -> int:
@@ -418,9 +372,9 @@ def read_wal(path: str) -> WalData:
     CRC-mismatched **final** record (the artifact an interrupted append
     leaves) — reporting it as a torn tail.  Everything else is a
     structured :class:`~repro.datalog.errors.RecoveryError`: a bad
-    magic/header, a mid-file checksum mismatch or malformed record, a
-    sequence gap, or a record whose flag signature differs from the
-    header's.
+    magic/header, a mid-file checksum mismatch or malformed record, or a
+    sequence gap.  Keys a record or header carries beyond the ones read
+    here (an older writer's ``flags``) are ignored.
     """
     try:
         with open(path, "rb") as f:
@@ -491,21 +445,13 @@ def read_wal(path: str) -> WalData:
                 f"{path}: expected WAL seq {expected}, found {seq}",
                 record=seq,
             )
-        if record.get("flags") != header.get("flags"):
-            raise RecoveryError(
-                "flag-drift",
-                f"{path}: WAL record {seq} was written under engine flags "
-                f"{record.get('flags')!r} but the log header says "
-                f"{header.get('flags')!r}",
-                record=seq,
-            )
         record["facts"] = {
             p: [tuple(r) for r in rows] for p, rows in record["facts"].items()
         }
         records.append(record)
         expected += 1
         offset = next_offset
-    return WalData(header, records, torn_offset, offset)
+    return WalData(header, records, torn_offset)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +464,6 @@ class Snapshot:
     bookkeeping needed to resume maintenance (see :func:`load_snapshot`)."""
 
     seq: int
-    flags: str
     program: str
     #: True iff the state was a governed partial lower bound when
     #: written; seeded replay from a dirty anchor is unsound, so
@@ -550,7 +495,6 @@ def write_snapshot(
     seq: int,
     db: Database,
     initial: Mapping[str, set],
-    flags: str,
     program: str,
     dirty: bool,
     *,
@@ -603,7 +547,6 @@ def write_snapshot(
     header = {
         "version": 1,
         "seq": seq,
-        "flags": flags,
         "program": program,
         "dirty": dirty,
         "byteorder": __import__("sys").byteorder,
@@ -773,7 +716,6 @@ def load_snapshot(path) -> Snapshot:
             initial[name] = set(rows)
     return Snapshot(
         seq=header["seq"],
-        flags=header.get("flags", ""),
         program=header.get("program", ""),
         dirty=bool(header.get("dirty", False)),
         db=db,
@@ -807,16 +749,14 @@ class DurableLog:
         """Start durability for a freshly materialized session: write
         the baseline snapshot (seq 0) and a fresh WAL, so recovery is
         self-contained from the first batch on."""
-        flags = flag_signature(session.options)
         program = program_signature(session.program)
         for stale in config.snapshot_glob():
             stale.unlink(missing_ok=True)
         Path(config.wal_path).parent.mkdir(parents=True, exist_ok=True)
         write_snapshot(
-            config, 0, session.db, session._initial, flags, program,
-            session.is_partial,
+            config, 0, session.db, session._initial, program, session.is_partial
         )
-        wal = WriteAheadLog.create(config.wal_path, config.fsync, flags, program, 0)
+        wal = WriteAheadLog.create(config.wal_path, config.fsync, program, 0)
         log = cls(config, wal)
         session.stats.snapshots_written += 1
         return log
@@ -890,8 +830,7 @@ class DurableLog:
         seq = self.wal.next_seq - 1
         write_snapshot(
             self.config, seq, session.db, session._initial,
-            self.wal.header["flags"], self.wal.header["program"],
-            session.is_partial,
+            self.wal.header["program"], session.is_partial,
             stats=stats, guard=guard, injector=injector,
         )
         stats.snapshots_written += 1

@@ -61,7 +61,10 @@ class EngineOptions:
         ``"seminaive"`` (default) or ``"naive"``.
     cut_predicates
         Arity-0 predicates whose rules are retired once the predicate
-        becomes true (the boolean subqueries of section 3.1).
+        becomes true (the boolean subqueries of section 3.1).  A
+        predicate the program defines at arity > 0 is rejected with a
+        :class:`~repro.datalog.errors.ValidationError` when the run
+        starts: retiring its rules would truncate its fixpoint.
     use_indexes
         Answer bound-position probes with lazily built hash indexes
         (default).  ``False`` forces every probe back to a full
@@ -127,13 +130,13 @@ class EngineOptions:
         and enforced by cooperative cancellation at every iteration,
         per-unit, and between-rule boundary (see
         :mod:`repro.engine.governor`).
-    max_facts / max_delta_rows
-        Derivation budgets: total facts derived, and total rows
-        entering semi-naive delta frontiers.  ``max_facts`` is tested
-        at every governor checkpoint against the exact count, so a run
-        overshoots by at most the one in-flight rule firing;
-        ``max_delta_rows`` at every round boundary.  Trip points are
-        deterministic.
+    max_facts
+        Derivation budget: total facts derived, tested at every
+        governor checkpoint against the exact count, so a run
+        overshoots by at most the one in-flight rule firing.  Trip
+        points are deterministic.  (Every row entering a semi-naive
+        delta frontier is a derived fact, so this one budget also
+        bounds the frontiers.)
     on_limit
         What a tripped limit does: ``"raise"`` (default) raises
         :class:`ResourceExhausted` carrying the partial stats and the
@@ -160,7 +163,6 @@ class EngineOptions:
     max_iterations: Optional[int] = None
     deadline_s: Optional[float] = None
     max_facts: Optional[int] = None
-    max_delta_rows: Optional[int] = None
     on_limit: str = "raise"
     fault_plan: Optional[FaultPlan] = None
 
@@ -175,7 +177,7 @@ class EngineOptions:
             raise ValidationError(
                 f"replan_rounds must be >= 0, got {self.replan_rounds}"
             )
-        for name in ("max_iterations", "max_facts", "max_delta_rows"):
+        for name in ("max_iterations", "max_facts"):
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise ValidationError(f"{name} must be >= 0, got {value}")
@@ -370,6 +372,7 @@ def run_prepared(
     graph is a subgraph), only a coarser one, and join order never
     changes a fixpoint — so one preparation serves every rule mask.
     """
+    prepared.check_cut_predicates(opts.cut_predicates)
     program = prepared.program
     builds_before = db.index_builds()
     stats = EvalStats()

@@ -19,11 +19,6 @@ The :class:`Governor` enforces, cooperatively:
     A global budget on facts derived, tested at the same checkpoints
     against the run's exact count: a run stops at the first boundary
     after the crossing, overshooting by at most the one firing in flight.
-``max_delta_rows``
-    A global budget on rows entering semi-naive delta frontiers — a
-    proxy for the total work recursion has enqueued, which trips
-    earlier than ``max_facts`` on programs whose rounds grow
-    geometrically.  Charged and tested at every round boundary.
 ``max_iterations``
     One **global** bound on fixpoint rounds across the whole run (the
     sum of every unit's rounds under SCC scheduling, identical to the
@@ -68,7 +63,7 @@ class ResourceExhausted(EvaluationError):
     """A governed evaluation hit one of its resource limits.
 
     ``reason`` is the limit that tripped (``"deadline"``,
-    ``"max_facts"``, ``"max_delta_rows"``, ``"max_iterations"``);
+    ``"max_facts"``, ``"max_iterations"``);
     ``stats`` the partial :class:`~repro.engine.statistics.EvalStats`
     at abort (fact counts finalized); ``unit`` the label of the evaluation unit that tripped
     the limit (None under the monolithic loop); ``stratum`` the index
@@ -138,11 +133,9 @@ class Governor:
     __slots__ = (
         "deadline",
         "max_facts",
-        "max_delta_rows",
         "max_iterations",
         "injector",
         "enabled",
-        "delta_rows",
     )
 
     def __init__(self, opts, injector: Optional[FaultInjector] = None):
@@ -150,16 +143,12 @@ class Governor:
             None if opts.deadline_s is None else time.monotonic() + opts.deadline_s
         )
         self.max_facts = opts.max_facts
-        self.max_delta_rows = opts.max_delta_rows
         self.max_iterations = opts.max_iterations
         self.injector = injector
         self.enabled = injector is not None or any(
             limit is not None
-            for limit in (self.deadline, self.max_facts, self.max_delta_rows,
-                          self.max_iterations)
+            for limit in (self.deadline, self.max_facts, self.max_iterations)
         )
-        #: rows that have entered semi-naive delta frontiers so far
-        self.delta_rows = 0
 
     def guard(self, *, unit=None, ordinal: Optional[int] = None) -> "Guard":
         """A per-unit (or per-stratum, for the monolithic loop) view."""
@@ -186,10 +175,10 @@ class Guard:
     The fixpoint loops receive a guard instead of the raw governor so
     every checkpoint carries the unit label and scheduling ordinal that
     :class:`ResourceExhausted` reports.  Its own state is what is per
-    unit, not per run: the round count and the previous boundary's facts.
+    unit, not per run: the round count.
     """
 
-    __slots__ = ("governor", "unit", "ordinal", "rounds", "_last_facts")
+    __slots__ = ("governor", "unit", "ordinal", "rounds")
 
     def __init__(self, governor: Governor, unit: Optional[str], ordinal: Optional[int]):
         self.governor = governor
@@ -198,31 +187,14 @@ class Guard:
         #: fixpoint rounds this unit has started — what
         #: ``stats.unit_rounds`` books
         self.rounds = 0
-        #: ``stats.facts_derived`` as of the previous semi-naive round
-        #: boundary — the diff is exactly the rows entering this round's
-        #: delta frontier (every new fact enters it once)
-        self._last_facts = 0
 
-    def iteration(self, stats, delta: Optional[dict] = None) -> None:
-        """One fixpoint round is starting.  A semi-naive loop passes
-        *delta* (its frontier) on every round after the first; the rows
-        entering it — the facts derived since the previous boundary —
-        are charged to the delta-row budget before the other checks."""
+    def iteration(self, stats) -> None:
+        """One fixpoint round is starting."""
         g = self.governor
         stats.iterations += 1
         self.rounds += 1
         if not g.enabled:
             return
-        limit = g.max_delta_rows
-        if limit is not None:
-            facts = stats.facts_derived
-            if delta is not None:
-                g.delta_rows += facts - self._last_facts
-                if g.delta_rows > limit:
-                    raise BudgetExceeded("max_delta_rows", self.unit)
-            # with no *delta* a loop is (re)starting: only snapshot, so
-            # facts derived outside semi-naive rounds never count
-            self._last_facts = facts
         if g.injector is not None:
             g.injector.slow_down(self.ordinal)
         g.check(stats, self.unit, iteration=True)

@@ -220,6 +220,7 @@ class IncrementalSession:
         # cache is shared and the plan shape matches a live session's
         sizes, cost_model = planning_inputs(program, db, opts.use_cost_planner)
         prepared = prepare(program, sizes, cost_model=cost_model)
+        prepared.check_cut_predicates(opts.cut_predicates)
         stats = EvalStats()
         for pred in program.idb_predicates():
             rel = db.relation(pred)

@@ -41,11 +41,12 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import AbstractSet, Mapping, Optional
 
 from ..datalog.analysis import DependencyInfo, analyze, stratify
 from ..datalog.ast import Program
 from ..datalog.database import Database
+from ..datalog.errors import ValidationError
 from .cost import BoundCostModel, RelationProfile, bucket_size, profile_database
 from .plan import CompiledRule, compile_rule
 
@@ -92,6 +93,19 @@ class PreparedProgram:
 
     def idb_predicates(self) -> frozenset[str]:
         return self.info.idb
+
+    def check_cut_predicates(self, cut: AbstractSet[str]) -> None:
+        """Reject a cut predicate this program defines at arity > 0.
+
+        Rule retirement stops a cut predicate's rules once it holds one
+        row, which completes an arity-0 (boolean) predicate and
+        truncates any other: its fixpoint would silently lose rows."""
+        for pred in sorted(cut & self.info.idb):
+            if self.arities[pred] > 0:
+                raise ValidationError(
+                    f"cut predicate {pred!r} has arity {self.arities[pred]}; "
+                    f"only arity-0 (boolean) predicates can be cut"
+                )
 
 
 def bucketed_sizes(sizes: Optional[Mapping[str, int]]) -> Optional[dict]:

@@ -11,8 +11,6 @@ WAL missing / bad magic / corrupt header         ``RecoveryError`` (refuse)
 mid-log checksum mismatch                        ``RecoveryError`` (refuse)
 batch sequence gap                               ``RecoveryError`` (refuse)
 program text drift                               ``RecoveryError`` (refuse)
-engine-flag drift, ``on_flag_drift="refuse"``    ``RecoveryError`` (refuse)
-engine-flag drift, ``on_flag_drift="scratch"``   from-scratch rung
 torn **final** WAL record                        dropped; replay to the last
                                                  complete record
 newest snapshot corrupt / truncated /            skipped; next-newest anchors
@@ -23,6 +21,12 @@ options request provenance recording             from-scratch rung (snapshots
                                                  do not persist justifications)
 otherwise                                        snapshot + seeded IVM replay
 ===============================================  ================================
+
+Engine flags (strategy, executor tiers, planner, scheduler) are not
+part of the durable state and not a row of the table: the maintained
+state is the program's least fixpoint over the base facts, whichever
+strategy computed it, so files written under one set of flags replay
+under any other.  Only the program text is checked.
 
 The **replay rung** loads the newest valid snapshot (intern-free — ids
 decode through the snapshot's embedded table) and folds the WAL records
@@ -43,8 +47,7 @@ restored on the returned session afterwards.
 
 The **from-scratch rung** is the durability entry on the engine's
 degradation ladder (``recovery->scratch``): when seeded replay cannot
-be trusted — flag drift under ``"scratch"`` policy, a dirty anchor, or
-a provenance request — the base facts are reconstructed (snapshot base
+be trusted — a dirty anchor or a provenance request — the base facts are reconstructed (snapshot base
 relations + given-IDB rows, then the same net delta of the WAL suffix)
 and the program is re-evaluated in full.  Slower, never wrong.  A fresh
 baseline snapshot + WAL re-anchor durability afterwards.
@@ -68,7 +71,6 @@ from .durability import (
     DurabilityConfig,
     DurableLog,
     WriteAheadLog,
-    flag_signature,
     list_snapshots,
     load_snapshot,
     program_signature,
@@ -109,7 +111,6 @@ def _strip_limits(opts: EngineOptions) -> EngineOptions:
         max_iterations=None,
         deadline_s=None,
         max_facts=None,
-        max_delta_rows=None,
         record_provenance=False,
     )
 
@@ -200,7 +201,6 @@ def recover(
     """
     t0 = time.perf_counter()
     opts = options or EngineOptions()
-    sig = flag_signature(opts)
     psig = program_signature(program)
 
     data = read_wal(config.wal_path)
@@ -209,14 +209,6 @@ def recover(
             "program-drift",
             f"WAL {config.wal_path} was written for program "
             f"{data.header.get('program')!r}, recovering program is {psig!r}",
-        )
-    drift = data.header.get("flags") != sig
-    if drift and config.on_flag_drift == "refuse":
-        raise RecoveryError(
-            "flag-drift",
-            f"WAL {config.wal_path} was written under engine flags "
-            f"{data.header.get('flags')!r}, recovering under {sig!r}; "
-            f"set on_flag_drift='scratch' to re-evaluate instead",
         )
 
     # newest loadable snapshot whose replay suffix the WAL still covers
@@ -230,9 +222,6 @@ def recover(
             continue
         if candidate.program != data.header.get("program"):
             skipped.append((str(path), "program-drift"))
-            continue
-        if candidate.flags != data.header.get("flags"):
-            skipped.append((str(path), "flag-drift"))
             continue
         if not _fits(program, candidate):
             skipped.append((str(path), "snapshot-corrupt"))
@@ -262,16 +251,12 @@ def recover(
 
     suffix = [r for r in data.records if r["seq"] > anchor.seq]
     replay_opts = _strip_limits(opts)
-    scratch_reason = None
-    if drift:
-        scratch_reason = "flag drift under on_flag_drift='scratch'"
-    elif anchor.dirty:
-        scratch_reason = "anchor snapshot is a governed partial state"
-    elif opts.record_provenance:
-        scratch_reason = "snapshots do not persist provenance"
+    # a dirty anchor is not a fixpoint, and snapshots do not persist
+    # provenance: either sends recovery to the from-scratch rung
+    scratch = anchor.dirty or opts.record_provenance
 
     base = _anchor_base(program, anchor)
-    if scratch_reason is None:
+    if not scratch:
         session = IncrementalSession._restore(
             program, anchor.db, anchor.initial, replay_opts
         )
@@ -310,14 +295,14 @@ def recover(
         session.stats.degradations["recovery->scratch"] = (
             session.stats.degradations.get("recovery->scratch", 0) + 1
         )
-        # re-anchor: the old log's flags/history no longer describe
+        # re-anchor: the old log's history no longer describes
         # this state, so durability restarts from a fresh baseline
         session._durable = DurableLog.create(config, session)
 
     elapsed = (time.perf_counter() - t0) * 1000.0
     session.stats.recovery_ms = elapsed
     report = RecoveryReport(
-        source="replay" if scratch_reason is None else "scratch",
+        source="scratch" if scratch else "replay",
         snapshot_seq=anchor.seq,
         snapshot_path=anchor.path,
         base_seq=data.base_seq,

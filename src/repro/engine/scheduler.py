@@ -444,7 +444,7 @@ def _fixpoint(
             # rediscover facts nobody will read
             stats.unit_early_exits += 1
             return
-        guard.iteration(stats, delta)
+        guard.iteration(stats)
         # One shared DeltaIndex per changed predicate: every rule
         # specialization probing that frontier this round reuses the
         # same lazily built position groupings.

@@ -6,8 +6,11 @@ variable can be removed from the fixpoint computation once the variable
 becomes true".
 """
 
+import pytest
+
 from repro.datalog import Database, parse
-from repro.engine import EngineOptions, evaluate
+from repro.datalog.errors import ValidationError
+from repro.engine import EngineOptions, IncrementalSession, evaluate
 from repro.workloads.graphs import chain
 
 
@@ -93,3 +96,38 @@ class TestCut:
         db = Database.from_dict({"item": [(1,)], "q": [(6,)]})
         result = evaluate(program, db, EngineOptions(cut_predicates={"b1"}))
         assert result.answers() == frozenset()
+
+
+RIGHT_LINEAR_TC = parse(
+    """
+    tc(X, Y) :- edge(X, Y).
+    tc(X, Y) :- edge(X, Z), tc(Z, Y).
+    ?- tc(X, Y).
+    """
+)
+
+
+class TestCutArity:
+    """Retirement completes a boolean once it holds a row; a predicate
+    of arity > 0 is not complete then, so cutting it is rejected
+    instead of silently truncating its fixpoint."""
+
+    def test_cut_of_a_non_boolean_is_rejected(self):
+        db = Database.from_dict({"edge": chain(4)})
+        assert len(evaluate(RIGHT_LINEAR_TC, db).answers()) == 6
+        with pytest.raises(ValidationError, match="'tc' has arity 2"):
+            evaluate(RIGHT_LINEAR_TC, db, EngineOptions(cut_predicates={"tc"}))
+
+    def test_restored_session_rejects_it_too(self):
+        db = evaluate(RIGHT_LINEAR_TC, Database.from_dict({"edge": chain(4)})).db
+        with pytest.raises(ValidationError, match="'tc' has arity 2"):
+            IncrementalSession._restore(
+                RIGHT_LINEAR_TC, db, {}, EngineOptions(cut_predicates={"tc"})
+            )
+
+    def test_cut_names_outside_the_program_are_ignored(self):
+        db = Database.from_dict({"edge": chain(4)})
+        result = evaluate(
+            RIGHT_LINEAR_TC, db, EngineOptions(cut_predicates={"edge", "b"})
+        )
+        assert len(result.answers()) == 6

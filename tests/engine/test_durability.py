@@ -31,7 +31,6 @@ from repro.engine import (
     WriteAheadLog,
     clear_prepared_cache,
     evaluate,
-    flag_signature,
     list_snapshots,
     load_snapshot,
     parse_fault_specs,
@@ -43,6 +42,7 @@ from repro.engine.durability import (
     SNAPSHOT_MAGIC,
     WAL_MAGIC,
     _frame,
+    _read_frame,
     program_signature,
 )
 from repro.engine.statistics import EvalStats
@@ -77,14 +77,10 @@ class TestConfig:
             DurabilityConfig(wal_path="x", snapshot_every=-1)
         with pytest.raises(DurabilityError):
             DurabilityConfig(wal_path="x", keep_snapshots=0)
-        with pytest.raises(DurabilityError):
-            DurabilityConfig(wal_path="x", on_flag_drift="pray")
 
     @pytest.mark.parametrize("fsync", ["always", "batch", "off"])
     def test_fsync_policies_all_append(self, tmp_path, fsync):
-        wal = WriteAheadLog.create(
-            str(tmp_path / "w"), fsync, "f", "p", 0
-        )
+        wal = WriteAheadLog.create(str(tmp_path / "w"), fsync, "p", 0)
         wal.append("insert", {"edge": [(1, 2)]})
         wal.append("retract", {"edge": [(1, 2)]})
         wal.close()
@@ -98,7 +94,7 @@ class TestConfig:
 class TestWalValidation:
     def _write(self, tmp_path, n=3):
         path = str(tmp_path / "w")
-        wal = WriteAheadLog.create(path, "batch", "flags", "prog", 0)
+        wal = WriteAheadLog.create(path, "batch", "prog", 0)
         for i in range(n):
             wal.append("insert", {"edge": [(i, i + 1)]})
         wal.close()
@@ -140,7 +136,7 @@ class TestWalValidation:
     def test_sequence_gap_refused(self, tmp_path):
         path = self._write(tmp_path, n=1)
         skipping = json.dumps(
-            {"seq": 5, "kind": "insert", "flags": "flags", "facts": {}},
+            {"seq": 5, "kind": "insert", "facts": {}},
             sort_keys=True,
         ).encode()
         with open(path, "ab") as f:
@@ -153,36 +149,35 @@ class TestWalValidation:
         assert exc.value.reason == "sequence-gap"
         assert exc.value.record == 5
 
-    def test_record_flag_drift_refused(self, tmp_path):
+    def test_record_engine_flags_are_ignored(self, tmp_path):
+        """Records of an older writer carry an engine-flag ``flags``
+        key, which may differ from record to record; the state does not
+        depend on engine flags, so the reader ignores the key."""
         path = self._write(tmp_path, n=1)
-        drifted = json.dumps(
-            {"seq": 2, "kind": "insert", "flags": "OTHER", "facts": {}},
-            sort_keys=True,
-        ).encode()
-        filler = json.dumps(
-            {"seq": 3, "kind": "insert", "flags": "flags", "facts": {}},
-            sort_keys=True,
-        ).encode()
         with open(path, "ab") as f:
-            f.write(_FRAME.pack(len(drifted), zlib.crc32(drifted)) + drifted)
-            f.write(_FRAME.pack(len(filler), zlib.crc32(filler)) + filler)
-        with pytest.raises(RecoveryError) as exc:
-            read_wal(path)
-        assert exc.value.reason == "flag-drift"
+            for seq, flags in ((2, "OTHER"), (3, "use_scc=False")):
+                record = json.dumps(
+                    {"seq": seq, "kind": "insert", "flags": flags,
+                     "facts": {"edge": [[seq, seq + 1]]}},
+                    sort_keys=True,
+                ).encode()
+                f.write(_frame(record))
+        data = read_wal(path)
+        assert [r["seq"] for r in data.records] == [1, 2, 3]
+        assert data.records[2]["facts"] == {"edge": [(3, 4)]}
 
     @pytest.mark.parametrize(
         "header, record, reason",
         [
-            ({"base_seq": "0", "flags": "flags"}, None, "bad-header"),
+            ({"base_seq": "0"}, None, "bad-header"),
             (None, [1, 2], "checksum-mismatch"),
-            (None, {"seq": 2, "kind": "insert", "flags": "flags",
-                    "facts": {"edge": [1]}}, "checksum-mismatch"),
-            (None, {"seq": 2, "kind": "insert", "flags": "flags",
-                    "facts": {"edge": 5}}, "checksum-mismatch"),
-            (None, {"seq": 2, "kind": "insert", "flags": "flags",
-                    "facts": {"edge": [[1, [2]]]}}, "checksum-mismatch"),
-            (None, {"seq": 2, "flags": "flags", "facts": {}},
+            (None, {"seq": 2, "kind": "insert", "facts": {"edge": [1]}},
              "checksum-mismatch"),
+            (None, {"seq": 2, "kind": "insert", "facts": {"edge": 5}},
+             "checksum-mismatch"),
+            (None, {"seq": 2, "kind": "insert", "facts": {"edge": [[1, [2]]]}},
+             "checksum-mismatch"),
+            (None, {"seq": 2, "facts": {}}, "checksum-mismatch"),
         ],
         ids=["base-seq-not-int", "record-not-object", "row-not-list",
              "rows-not-list", "value-not-scalar", "no-kind"],
@@ -229,8 +224,13 @@ class TestDurableSession:
         s.close()
         assert not s.durable
         data = read_wal(cfg.wal_path)
-        assert data.header["flags"] == flag_signature(s.options)
         assert data.header["program"] == program_signature(program)
+        # the files are valid for the program under any engine flags
+        assert "flags" not in data.header
+        assert all("flags" not in r for r in data.records)
+        snapshot = list_snapshots(cfg)[0].read_bytes()
+        header, _ = _read_frame(snapshot, len(SNAPSHOT_MAGIC))
+        assert "flags" not in json.loads(header)
 
     def test_unloggable_value_rejected_atomically(self, tmp_path, program, edb):
         cfg = _config(tmp_path)
@@ -534,32 +534,29 @@ class TestSnapshots:
 
 
 class TestRecoveryRungs:
-    def test_flag_drift_refuse_then_scratch(self, tmp_path, program, edb):
+    def test_engine_flag_change_replays(self, tmp_path, program, edb):
+        """Engine flags pick a strategy, not a state: a log written
+        under the defaults replays under other flags, and a log those
+        flags extended replays under the defaults again."""
         cfg = _config(tmp_path)
         s = IncrementalSession(program, edb, durable=cfg)
         s.insert({"edge": [(3, 4)]})
-        want = s.facts("tc")
         s.close()
-        drifted = EngineOptions(use_scc=False)
-        with pytest.raises(RecoveryError) as exc:
-            recover(program, cfg, drifted)
-        assert exc.value.reason == "flag-drift"
-        scratch_cfg = DurabilityConfig(
-            wal_path=cfg.wal_path, on_flag_drift="scratch"
-        )
-        r, report = recover(program, scratch_cfg, drifted)
-        assert report.source == "scratch"
-        assert r.stats.degradations.get("recovery->scratch") == 1
-        assert r.facts("tc") == want
-        # re-anchored: a fresh recovery under the new flags replays
+        changed = EngineOptions(use_scc=False, use_kernels=False)
+        r, report = recover(program, cfg, changed)
+        assert report.source == "replay"
+        assert r.stats.degradations == {}
+        assert r.options == changed
+        r.insert({"edge": [(4, 5)]})
+        want = r.facts("tc")
         r.close()
-        r2, rep2 = recover(program, scratch_cfg, drifted)
+        r2, rep2 = recover(program, cfg)
         assert rep2.source == "replay"
         assert r2.facts("tc") == want
         r2.close()
 
     def test_program_drift_always_refused(self, tmp_path, program, edb):
-        cfg = _config(tmp_path, on_flag_drift="scratch")
+        cfg = _config(tmp_path)
         s = IncrementalSession(program, edb, durable=cfg)
         s.close()
         other = parse("p(X) :- edge(X, Y).\n?- p(X).")
@@ -636,12 +633,7 @@ class TestRecoveryRungs:
             assert r.facts(pred) == s.facts(pred) == scratch.facts(pred)
         assert r.answers() == scratch.answers()
         r.close()
-        drifted = EngineOptions(use_scc=False)
-        r, report = recover(
-            program,
-            DurabilityConfig(wal_path=cfg.wal_path, on_flag_drift="scratch"),
-            drifted,
-        )
+        r, report = recover(program, cfg, EngineOptions(record_provenance=True))
         assert report.source == "scratch"
         for pred in ("edge", "tc"):
             assert r.facts(pred) == scratch.facts(pred)
@@ -670,14 +662,14 @@ class TestRecoveryRungs:
         r.close()
 
     @pytest.mark.parametrize(
-        "limits", [{"max_iterations": 3}, {"max_facts": 3}, {"max_delta_rows": 3}]
+        "limits", [{"max_iterations": 3}, {"max_facts": 3}, {"deadline_s": 0.0}]
     )
     def test_replay_runs_without_resource_limits(
         self, tmp_path, program, edb, limits
     ):
         """Replay is bounded by nothing the caller's options set: a
-        35-edge chain needs far more than three rounds, facts or delta
-        rows, yet recovers exactly, and the caller's limits come back
+        35-edge chain needs far more than three rounds or facts and
+        more than no time at all, yet recovers exactly, and the caller's limits come back
         on the returned session."""
         cfg = _config(tmp_path, snapshot_every=0)
         s = IncrementalSession(program, edb, durable=cfg)

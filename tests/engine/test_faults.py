@@ -57,13 +57,13 @@ class TestDegradationLadder:
 
     def test_summary_mentions_degradations(self, tmp_path):
         """A real rung shows in the one-line summary ``serve`` prints:
-        recovery under drifted flags with the ``scratch`` policy."""
+        recovery that must record provenance takes the scratch rung."""
         program = parse(PROGRAM)
-        cfg = DurabilityConfig(
-            wal_path=str(tmp_path / "s.wal"), on_flag_drift="scratch"
-        )
+        cfg = DurabilityConfig(wal_path=str(tmp_path / "s.wal"))
         IncrementalSession(program, edb(), durable=cfg).close()
-        session, report = recover(program, cfg, EngineOptions(use_scc=False))
+        session, report = recover(
+            program, cfg, EngineOptions(record_provenance=True)
+        )
         assert report.source == "scratch"
         assert "degraded=[recovery->scratch]" in session.stats.summary()
         session.close()

@@ -1,9 +1,9 @@
 """Unit tests for the resource governor.
 
-Covers each limit (deadline, fact budget, delta budget, global and
-per-unit iteration bounds), both ``on_limit`` policies, the structured
-payload of :class:`ResourceExhausted`, and the guarantee that a
-governor with limits *set but not hit* changes no engine counter.
+Covers each limit (deadline, fact budget, global iteration bound),
+both ``on_limit`` policies, the structured payload of
+:class:`ResourceExhausted`, and the guarantee that a governor with
+limits *set but not hit* changes no engine counter.
 """
 
 from dataclasses import replace
@@ -167,12 +167,6 @@ class TestDerivationBudgets:
         assert partial.stats.aborted_reason == "max_facts"
         assert partial.stats.facts_derived == 60
 
-    def test_max_delta_rows_trips_on_recursion(self, tc):
-        program, db = tc
-        with pytest.raises(ResourceExhausted) as exc:
-            evaluate(program, db, EngineOptions(max_delta_rows=3))
-        assert exc.value.reason == "max_delta_rows"
-
     def test_budget_not_hit_is_invisible(self):
         """Limits set far above the run's needs must not change any
         engine counter except the governor's own check count.
@@ -190,7 +184,6 @@ class TestDerivationBudgets:
             EngineOptions(
                 deadline_s=300.0,
                 max_facts=10**9,
-                max_delta_rows=10**9,
                 max_iterations=10**6,
             ),
         )
@@ -336,16 +329,6 @@ class TestIncrementalBatchGovernance:
         tiny = session.retract({"edge": [(20, 21)]})
         assert tiny is not None  # the session keeps serving
 
-    def test_max_delta_rows_applies_per_batch(self, tc):
-        program, db = tc
-        session = IncrementalSession(program, db)
-        session.options = replace(
-            session.options, max_delta_rows=2, on_limit="raise"
-        )
-        with pytest.raises(ResourceExhausted) as exc:
-            session.insert({"edge": [(20, 21), (21, 22), (22, 23)]})
-        assert exc.value.reason == "max_delta_rows"
-
     def test_generous_batch_limits_are_invisible(self, tc):
         """Mirror of test_budget_not_hit_is_invisible for maintenance:
         unhit per-batch limits change no counter but governor_checks."""
@@ -362,9 +345,7 @@ class TestIncrementalBatchGovernance:
             return session, batch
 
         _, plain = run()
-        _, governed = run(
-            deadline_s=300.0, max_facts=10**9, max_delta_rows=10**9
-        )
+        _, governed = run(deadline_s=300.0, max_facts=10**9)
         a, b = plain.as_dict(), governed.as_dict()
         assert a.pop("governor_checks") == 0
         assert b.pop("governor_checks") > 0
@@ -377,7 +358,7 @@ class TestOptionValidation:
             EngineOptions(on_limit="ignore")
 
     @pytest.mark.parametrize(
-        "field", ["max_iterations", "max_facts", "max_delta_rows", "deadline_s"]
+        "field", ["max_iterations", "max_facts", "deadline_s"]
     )
     def test_negative_limits_rejected(self, field):
         with pytest.raises(ValidationError):

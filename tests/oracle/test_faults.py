@@ -55,14 +55,12 @@ GOVERNOR_CONFIGS = {
     "generous": {
         "deadline_s": 300.0,
         "max_facts": 10**9,
-        "max_delta_rows": 10**9,
         "max_iterations": 10**6,
     },
     "tight-facts-raise": {"max_facts": 4, "on_limit": "raise"},
     "tight-facts-partial": {"max_facts": 4, "on_limit": "partial"},
     "tight-deadline-raise": {"deadline_s": 0.0, "on_limit": "raise"},
     "tight-deadline-partial": {"deadline_s": 0.0, "on_limit": "partial"},
-    "tight-delta": {"max_delta_rows": 3, "on_limit": "partial"},
     "tight-iterations": {"max_iterations": 2, "on_limit": "partial"},
 }
 

@@ -12,7 +12,9 @@ disk damage a real crash would leave, then recovers from the damaged
 files and checks the claim — across curated families, the strategy
 matrix, and 200 fixed random programs x random crash points.  The
 long-suffix legs take no policy snapshot, so recovery folds every
-record of the script into its one replay batch.
+record of the script into its one replay batch.  The cross-flag leg
+writes under one strategy and recovers under another: the files hold
+the program's fixpoint, whichever engine computed it.
 
 The accepted-batch ledger is the WAL contract itself: a batch is
 accepted once its record is durable.  ``before-append`` and a torn
@@ -100,6 +102,7 @@ def _run_crash_script(
     program,
     overrides,
     *,
+    recover_overrides=None,
     seed,
     crash_point,
     crash_seq,
@@ -108,7 +111,11 @@ def _run_crash_script(
     steps=5,
     snapshot_every=2,
 ):
-    """Drive a durable session into an injected crash, recover, verify."""
+    """Drive a durable session into an injected crash, recover, verify.
+
+    The session writes under *overrides* and recovers (and serves its
+    post-recovery batch) under *recover_overrides*, by default the same.
+    """
     armed = engine_options(
         {
             **overrides,
@@ -117,7 +124,9 @@ def _run_crash_script(
             ),
         }
     )
-    clean = engine_options(overrides)
+    clean = engine_options(
+        overrides if recover_overrides is None else recover_overrides
+    )
     edb = random_edb(program, rows=rows, domain=domain, seed=seed)
     accepted = {p: set(edb.rows(p)) for p in edb.predicates()}
     rng = random.Random(seed * 7901 + 13)
@@ -224,6 +233,41 @@ def test_recovery_strategy_matrix(label):
         crash_point="after-append",
         crash_seq=3,
     )
+
+
+#: each label writes, and the next one in sorted order recovers, so
+#: every strategy takes both roles
+_LABELS = sorted(STRATEGIES)
+CROSS_FLAG_PAIRS = list(zip(_LABELS, _LABELS[1:] + _LABELS[:1]))
+
+
+@pytest.mark.parametrize(
+    "writer, recoverer",
+    CROSS_FLAG_PAIRS,
+    ids=[f"{w}->{r}" for w, r in CROSS_FLAG_PAIRS],
+)
+@pytest.mark.parametrize(
+    "name", ["right_linear_tc", "win_move_stratified", "sibling_components"]
+)
+def test_recovery_under_changed_engine_flags(name, writer, recoverer):
+    """Engine flags pick a strategy, not a state: files written under
+    one strategy replay under another, and the result is bit-identical
+    to from-scratch — from a policy snapshot and from the baseline with
+    the whole script as the suffix."""
+    for crash_point, snapshot_every in (
+        ("after-append", 2), ("torn-record", 10_000)
+    ):
+        report = _run_crash_script(
+            FAMILIES[name],
+            STRATEGIES[writer],
+            recover_overrides=STRATEGIES[recoverer],
+            seed=3,
+            crash_point=crash_point,
+            crash_seq=3,
+            steps=6,
+            snapshot_every=snapshot_every,
+        )
+        assert report.source == "replay"
 
 
 def test_recovery_clean_shutdown():

@@ -183,8 +183,7 @@ class TestGovernedRun:
         program, facts, _ = files
         rc = main(
             ["run", str(program), str(facts),
-             "--deadline", "3600", "--max-facts", "1000000",
-             "--max-delta-rows", "1000000"]
+             "--deadline", "3600", "--max-facts", "1000000"]
         )
         assert rc == 0
         captured = capsys.readouterr()
@@ -599,44 +598,56 @@ class TestServe:
         assert sorted(out) == ["1", "2", "3"]
 
     def test_main_entry_serves_durably(self, files, tmp_path, capsys):
-        """End-to-end through main(): flags parse and thread through."""
+        """End-to-end through main(): flags parse and thread through.
+        The first session runs under a one-fact budget, so every
+        snapshot it writes is dirty and the restart takes the scratch
+        rung back to the exact state."""
         import repro.cli as cli
 
         program, facts, _ = files
         wal = tmp_path / "serve.wal"
-        lines = iter(["+edge(3, 9).\n", ".checkpoint\n", "?\n"])
         real = cli.build_parser
 
-        def patched():
-            parser = real()
-            original = parser.parse_args
+        def serve(argv, lines):
+            lines = iter(lines)
 
-            def parse_args(argv=None):
-                args = original(argv)
-                if getattr(args, "fn", None) is cli._cmd_serve:
-                    args.input = lines
-                return args
+            def patched():
+                parser = real()
+                original = parser.parse_args
 
-            parser.parse_args = parse_args
-            return parser
+                def parse_args(argv=None):
+                    args = original(argv)
+                    if getattr(args, "fn", None) is cli._cmd_serve:
+                        args.input = lines
+                    return args
 
-        cli.build_parser = patched
-        try:
-            rc = main(
-                [
-                    "serve", str(program), str(facts),
-                    "--wal", str(wal),
-                    "--fsync", "always",
-                    "--snapshot-every", "1",
-                    "--on-flag-drift", "scratch",
-                ]
-            )
-        finally:
-            cli.build_parser = real
+                parser.parse_args = parse_args
+                return parser
+
+            cli.build_parser = patched
+            try:
+                return main(["serve", str(program), *argv, "--wal", str(wal)])
+            finally:
+                cli.build_parser = real
+
+        rc = serve(
+            [
+                str(facts),
+                "--fsync", "always",
+                "--snapshot-every", "1",
+                "--max-facts", "1",
+                "--on-limit", "partial",
+            ],
+            ["+edge(3, 9).\n", ".checkpoint\n", "?\n"],
+        )
         assert rc == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0].startswith("ok ")
         assert "ok checkpoint seq=1" in out
+        assert serve([], ["?\n"]) == 0
+        captured = capsys.readouterr()
+        assert "recovered source=scratch" in captured.err
+        assert sorted(captured.out.splitlines()) == ["1", "2", "3", "7"]
 
 
 MISMATCH = """
