@@ -25,7 +25,7 @@ distinguish "stored relation" from "never defined anywhere".
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from ..datalog.analysis import anchored, body_components, is_chain_program, reachable_predicates
 from ..datalog.ast import Atom, Program
@@ -35,7 +35,6 @@ from .diagnostics import CODES, Diagnostic, LintReport, Severity
 
 if TYPE_CHECKING:
     from ..core.adornment import AdornedProgram
-    from ..engine.cost import RelationProfile
 
 __all__ = ["lint_program"]
 
@@ -435,7 +434,6 @@ def _check_bound_blowup(
     program: Program,
     adorned: Optional["AdornedProgram"],
     diags: list,
-    profiles: Optional[Mapping[str, "RelationProfile"]] = None,
 ) -> None:
     """DL017 — a rule whose *best* join order still blows up.
 
@@ -454,26 +452,14 @@ def _check_bound_blowup(
     pipeline accepts), the **adorned** rules are priced — a head
     position the adornment marks ``d`` no longer anchors its body
     component, exactly as projection pushing will evaluate it; without
-    a usable adornment the raw rules are priced instead.
-
-    *profiles* (predicate → :class:`RelationProfile`) replaces the
-    synthetic defaults with **measured** statistics for the predicates
-    it covers (``repro lint`` passes the loaded EDB's profile); the
-    threshold then scales with the largest measured relation instead
-    of ``DEFAULT_SIZE``.
+    a usable adornment the raw rules are priced instead.  Pricing under
+    a loaded EDB's measured profile is DL021's
+    (:func:`repro.analysis.analyze_program`).
     """
     from ..core.adornment import split_adorned
     from ..engine.cost import DEFAULT_SIZE, rule_intermediate_bound
 
-    if profiles:
-        base_size = max(
-            max((p.size for p in profiles.values()), default=0), 1
-        )
-        basis = "largest measured relation"
-    else:
-        base_size = DEFAULT_SIZE
-        basis = "synthetic relation size"
-    threshold = BOUND_BLOWUP_FACTOR * base_size
+    threshold = BOUND_BLOWUP_FACTOR * DEFAULT_SIZE
     # (plain rule to price, needed override, anchor predicate, span)
     if adorned is not None:
         priced = [
@@ -495,7 +481,7 @@ def _check_bound_blowup(
     for rule, anchor, predicate, span in priced:
         if len(rule.body) < 2:
             continue
-        bound = rule_intermediate_bound(rule, needed=anchor, profiles=profiles)
+        bound = rule_intermediate_bound(rule, needed=anchor)
         if bound <= threshold:
             continue
         if (predicate, span) in seen:
@@ -505,7 +491,8 @@ def _check_bound_blowup(
             _diag(
                 "DL017",
                 f"best-order intermediate bound {bound:.0f} exceeds "
-                f"{threshold} (= {BOUND_BLOWUP_FACTOR}x the {basis}): "
+                f"{threshold} (= {BOUND_BLOWUP_FACTOR}x the synthetic "
+                f"relation size): "
                 f"every join order materializes a blown-up "
                 f"intermediate result",
                 predicate=predicate,
@@ -567,7 +554,6 @@ def lint_program(
     program: Program,
     edb: Optional[Iterable[str]] = None,
     source: str = "<program>",
-    profiles: Optional[Mapping[str, "RelationProfile"]] = None,
 ) -> LintReport:
     """Run every lint over *program* and return the report.
 
@@ -576,11 +562,6 @@ def lint_program(
     (DL005 sharpening, DL006, DL014), which are unanswerable from the
     program text alone because never-defined predicates are by
     convention assumed to be EDB relations.
-
-    *profiles* (predicate → :class:`~repro.engine.cost.RelationProfile`,
-    e.g. from :func:`repro.engine.cost.profile_database` over the
-    loaded EDB) makes DL017 price rules with **measured** degree
-    sketches instead of the synthetic defaults.
     """
     from ..core.adornment import adorn
 
@@ -606,5 +587,5 @@ def lint_program(
         # accepts; with errors present the story is already told above
         _check_adornment_opportunities(adorned, diags)
         _check_chain_regularity(program, diags)
-        _check_bound_blowup(program, adorned, diags, profiles)
+        _check_bound_blowup(program, adorned, diags)
     return LintReport(tuple(diags), source=source)

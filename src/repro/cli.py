@@ -166,7 +166,8 @@ def _cmd_serve(args) -> int:
         .checkpoint                force a snapshot + WAL compaction
                                    (requires --wal)
         .recover                   reopen the session from disk, as a
-                                   restart would (requires --wal)
+                                   restart would (requires --wal); a
+                                   refused recovery keeps the session
         .quit                      exit (EOF also exits)
 
     Each update line is one governed batch: deadlines/budgets from the
@@ -193,7 +194,6 @@ def _cmd_serve(args) -> int:
 
     program = _load_program(args.program)
     db = _load_facts(args.facts) if args.facts else Database()
-    _warn_diagnostics(program, args.program, edb=db.predicates())
     opts = EngineOptions(**_engine_kwargs(args))
 
     config = None
@@ -226,6 +226,17 @@ def _cmd_serve(args) -> int:
     except ResourceExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE_EXHAUSTED
+    # after opening: a recovered session's stored relations come from
+    # disk, not from the (absent) facts file
+    _warn_diagnostics(program, args.program, edb=session.db.predicates())
+
+    def check_known(predicates) -> None:
+        unknown = sorted(set(predicates) - session.known_predicates())
+        if unknown:
+            raise ReproError(
+                f"undefined predicate(s) {', '.join(unknown)}: not in "
+                f"the program or the loaded EDB"
+            )
 
     def parse_batch(text: str):
         batch_program, facts = split_facts(parse(text))
@@ -233,14 +244,7 @@ def _cmd_serve(args) -> int:
             raise ReproError(
                 "update batches must contain only ground facts"
             )
-        unknown = sorted(
-            {f.predicate for f in facts} - session.known_predicates()
-        )
-        if unknown:
-            raise ReproError(
-                f"undefined predicate(s) {', '.join(unknown)}: not in "
-                f"the program or the loaded EDB"
-            )
+        check_known(f.predicate for f in facts)
         return facts
 
     from .engine import WalCrash
@@ -275,8 +279,12 @@ def _cmd_serve(args) -> int:
                         raise ReproError(".recover requires --wal")
                     from .engine import recover
 
+                    # recovery reads the log this session appends to;
+                    # a refused recovery keeps this session serving
+                    session.flush()
+                    recovered, report = recover(program, config, opts)
                     session.close()
-                    session, report = recover(program, config, opts)
+                    session = recovered
                     print(
                         f"ok recovered source={report.source} "
                         f"replayed={report.replayed_batches}"
@@ -284,6 +292,8 @@ def _cmd_serve(args) -> int:
                     continue
                 if line == "?" or line.startswith("? "):
                     pred = line[1:].strip()
+                    if pred:
+                        check_known([pred])
                     rows = session.facts(pred) if pred else session.answers()
                     for row in sorted(rows, key=repr):
                         print(", ".join(map(str, row)))
@@ -331,17 +341,8 @@ def _cmd_lint(args) -> int:
     # containing facts should *lint* (DL015) instead of being rejected.
     with open(args.program) as f:
         program = parse(f.read())
-    edb = None
-    profiles = None
-    if args.facts:
-        from .engine.cost import profile_database
-
-        db = _load_facts(args.facts)
-        edb = db.predicates()
-        # with a loaded EDB, DL017 prices with measured degree
-        # profiles instead of the synthetic defaults
-        profiles = profile_database(db)
-    report = lint_program(program, edb=edb, source=args.program, profiles=profiles)
+    edb = _load_facts(args.facts).predicates() if args.facts else None
+    report = lint_program(program, edb=edb, source=args.program)
     print(report.render_json() if args.format == "json" else report.render_text())
     return report.exit_code(strict=args.strict)
 

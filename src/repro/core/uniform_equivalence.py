@@ -53,7 +53,6 @@ _REFERENCE_ENGINE = EngineOptions(
     use_columnar=False,
     use_cost_planner=False,
     use_scc=False,
-    max_iterations=10_000,
 )
 
 

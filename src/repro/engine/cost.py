@@ -443,21 +443,19 @@ def rule_model(
 
 
 def rule_intermediate_bound(
-    rule: Rule,
-    needed: Optional[Iterable[Variable]] = None,
-    profiles: Optional[Mapping[str, RelationProfile]] = None,
+    rule: Rule, needed: Optional[Iterable[Variable]] = None
 ) -> float:
-    """The static intermediate-result bound of *rule*: the **largest
-    intermediate cardinality along the best order** the DP finds
-    (:meth:`BoundCostModel.bound_walk` over :func:`rule_model`; the
-    DL017 lint passes the loaded EDB's profiles when it has them).
+    """The static intermediate-result bound of *rule* under the
+    synthetic profile: the **largest intermediate cardinality along the
+    best order** the DP finds (:meth:`BoundCostModel.bound_walk` over
+    :func:`rule_model`), the walk lint DL017 prices with.
 
     Chains stay near the relation size (each step multiplies by the
     fanout at most), purely existential components collapse to 1, and
     bodies that force a *needed* Cartesian product blow up
-    multiplicatively, which is exactly what lints DL017/DL021 flag.
+    multiplicatively, which is exactly what lint DL017 flags.
     """
-    body, live, model = rule_model(rule, needed, profiles)
+    body, live, model = rule_model(rule, needed)
     return model.bound_walk(body, live)[2] if body else 0.0
 
 

@@ -28,6 +28,10 @@ dependence on the current dictionary epoch (the satellite test clears
 the dictionary and the prepared cache between write and load).  Writes
 are atomic (temp file + fsync + rename) and verified by per-section
 CRCs on load, so a torn snapshot is *detected*, never half-loaded.
+Both kinds of snapshot are written whole, outside the batch's governor:
+its deadline and fact budget bound the fixpoint, not the snapshot.  A
+snapshot falling due while the session is partial (a governed lower
+bound) waits for the next exact state.
 
 **Snapshot-then-truncate compaction.**  After a snapshot at sequence
 ``S`` the WAL is rewritten to drop records already folded into the
@@ -61,7 +65,6 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
 from ..datalog.database import Database, Relation
 from ..datalog.errors import DurabilityError, RecoveryError, ValidationError
-from .governor import BudgetExceeded
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .incremental import IncrementalSession
@@ -248,6 +251,11 @@ class WriteAheadLog:
         f.seek(0, os.SEEK_END)
         wal._file = f
         return wal
+
+    def flush(self) -> None:
+        """Hand buffered records to the OS (``fsync="off"`` buffers
+        them), so a reader of the file sees every appended record."""
+        self._file.flush()
 
     def close(self) -> None:
         f = self._file
@@ -498,8 +506,6 @@ def write_snapshot(
     program: str,
     dirty: bool,
     *,
-    stats=None,
-    guard=None,
     injector=None,
 ) -> Path:
     """Serialize the session state into ``<wal>.snap-<seq>``,
@@ -509,10 +515,8 @@ def write_snapshot(
     dense value table — ids in first-seen order while the sections are
     encoded — and only that table is embedded as ``dict``, so a
     snapshot holds (and type-checks) exactly the values its rows use,
-    whatever else the process has interned.  *guard* (a
-    :class:`~repro.engine.governor.Guard`) is checkpointed between
-    relations, so snapshot work counts against the batch's deadline
-    like any other engine work.
+    whatever else the process has interned.  The snapshot is written
+    whole: the governor bounds a batch's fixpoint, not its snapshot.
     """
     from array import array
 
@@ -523,8 +527,6 @@ def write_snapshot(
     entries = []
     stores = []
     for name, kind, arity, rows in _snapshot_entries(db, initial):
-        if guard is not None and stats is not None:
-            guard.checkpoint(stats)
         held = len(rows)  # before iterating: counts deferred chunks unseen
         enc = [tuple(encode(v, len(codes)) for v in row) for row in rows]
         if len(enc) != held:  # pragma: no cover
@@ -561,8 +563,6 @@ def write_snapshot(
         f.write(SNAPSHOT_MAGIC)
         f.write(_frame(json.dumps(header, sort_keys=True, allow_nan=False).encode("utf-8")))
         for i, columns in enumerate(stores):
-            if guard is not None and stats is not None:
-                guard.checkpoint(stats)
             blob = b"".join(col.tobytes() for col in columns)
             f.write(_frame(blob))
             if (
@@ -736,8 +736,8 @@ class DurableLog:
         self.config = config
         self.wal = wal
         self._batches_since_snapshot = 0
-        #: a policy snapshot that had to be skipped (partial state or a
-        #: tripped governor); retried after the next clean batch
+        #: a policy snapshot that had to be skipped (partial state);
+        #: retried after the next clean batch
         self._pending_snapshot = False
 
     # -- lifecycle -----------------------------------------------------------
@@ -792,37 +792,26 @@ class DurableLog:
         return bool(every) and self._batches_since_snapshot >= every
 
     def maybe_snapshot(
-        self, session: "IncrementalSession", stats, governor, injector=None
+        self, session: "IncrementalSession", stats, injector=None
     ) -> bool:
         """Apply the snapshot policy after an applied batch.
 
         A partial (governed lower-bound) state is never snapshotted —
-        seeded replay from a non-fixpoint anchor would be unsound — and
-        a governor trip *during* the snapshot abandons the temp file
-        and defers: the previous snapshot stays valid and the policy
-        retries after the next batch.  Neither case fails the batch,
-        which is already applied and logged.
+        seeded replay from a non-fixpoint anchor would be unsound — so
+        the snapshot waits for the next exact state; the batch, already
+        applied and logged, does not fail.  A due snapshot of an exact
+        state is written whole, outside the batch's governor.
         """
         if not self._snapshot_due():
             return False
         if session.is_partial:
             self._pending_snapshot = True
             return False
-        guard = governor.guard(unit="snapshot") if governor is not None else None
-        try:
-            self.checkpoint(session, stats, guard=guard, injector=injector)
-        except BudgetExceeded:
-            self._pending_snapshot = True
-            stats.degradations["snapshot->deferred"] = (
-                stats.degradations.get("snapshot->deferred", 0) + 1
-            )
-            tmp = Path(str(self.config.snapshot_path(self.wal.next_seq - 1)) + ".tmp")
-            tmp.unlink(missing_ok=True)
-            return False
+        self.checkpoint(session, stats, injector=injector)
         return True
 
     def checkpoint(
-        self, session: "IncrementalSession", stats, *, guard=None, injector=None
+        self, session: "IncrementalSession", stats, *, injector=None
     ) -> int:
         """Write a snapshot of the current state at the last appended
         sequence number, then compact the WAL up to the oldest retained
@@ -831,7 +820,7 @@ class DurableLog:
         write_snapshot(
             self.config, seq, session.db, session._initial,
             self.wal.header["program"], session.is_partial,
-            stats=stats, guard=guard, injector=injector,
+            injector=injector,
         )
         stats.snapshots_written += 1
         self._batches_since_snapshot = 0
@@ -853,7 +842,7 @@ class DurableLog:
         oldest_kept = int(keep[-1].name.rsplit("-", 1)[1])
         # under fsync="off" the newest records may still be buffered;
         # reading the file without them would compact them away
-        self.wal._file.flush()
+        self.wal.flush()
         data = read_wal(self.wal.path)
         if oldest_kept <= data.base_seq:
             return

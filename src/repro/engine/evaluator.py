@@ -115,15 +115,6 @@ class EngineOptions:
     record_provenance
         Record a first justification per derived fact, enabling
         :meth:`EvalResult.derivation`.
-    max_iterations
-        One **global** bound on fixpoint rounds across the whole run
-        (None = unbounded): under SCC scheduling the rounds of every
-        evaluation unit count against it, and under the monolithic
-        loop it bounds ``stats.iterations`` directly — the two engines
-        enforce the same documented quantity.  All safe Datalog
-        programs converge; the bound exists to stop pathological or
-        adversarial fixpoints cleanly (:class:`ResourceExhausted`,
-        honoring ``on_limit``).
     deadline_s
         Wall-clock budget in seconds for the fixpoint, counted from
         the end of preparation (which cancellation cannot interrupt)
@@ -134,9 +125,11 @@ class EngineOptions:
         Derivation budget: total facts derived, tested at every
         governor checkpoint against the exact count, so a run
         overshoots by at most the one in-flight rule firing.  Trip
-        points are deterministic.  (Every row entering a semi-naive
-        delta frontier is a derived fact, so this one budget also
-        bounds the frontiers.)
+        points are deterministic.  Every row entering a semi-naive
+        delta frontier is a derived fact, and a round starts only after
+        the previous one derived one, so this one budget also bounds
+        the frontiers and the rounds (``stats.iterations`` is at most
+        ``stats.facts_derived`` plus the number of SCCs).
     on_limit
         What a tripped limit does: ``"raise"`` (default) raises
         :class:`ResourceExhausted` carrying the partial stats and the
@@ -160,7 +153,6 @@ class EngineOptions:
     replan_rounds: int = 4
     use_scc: bool = True
     record_provenance: bool = False
-    max_iterations: Optional[int] = None
     deadline_s: Optional[float] = None
     max_facts: Optional[int] = None
     on_limit: str = "raise"
@@ -177,10 +169,8 @@ class EngineOptions:
             raise ValidationError(
                 f"replan_rounds must be >= 0, got {self.replan_rounds}"
             )
-        for name in ("max_iterations", "max_facts"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValidationError(f"{name} must be >= 0, got {value}")
+        if self.max_facts is not None and self.max_facts < 0:
+            raise ValidationError(f"max_facts must be >= 0, got {self.max_facts}")
         if self.deadline_s is not None and self.deadline_s < 0:
             raise ValidationError(f"deadline_s must be >= 0, got {self.deadline_s}")
         object.__setattr__(self, "cut_predicates", frozenset(self.cut_predicates))

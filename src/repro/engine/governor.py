@@ -19,10 +19,12 @@ The :class:`Governor` enforces, cooperatively:
     A global budget on facts derived, tested at the same checkpoints
     against the run's exact count: a run stops at the first boundary
     after the crossing, overshooting by at most the one firing in flight.
-``max_iterations``
-    One **global** bound on fixpoint rounds across the whole run (the
-    sum of every unit's rounds under SCC scheduling, identical to the
-    monolithic count by construction).
+
+No round budget is needed: a round starts only after the previous one
+derived a new fact, so ``stats.iterations`` is at most
+``stats.facts_derived`` plus the number of SCCs, and the fact
+budget bounds the rounds too.  The governor bounds the fixpoint and
+nothing else: a durable session's snapshot is written whole after it.
 
 The governor also carries the run's
 :class:`~repro.engine.faults.FaultInjector`, if any: a slow unit sleeps
@@ -62,8 +64,8 @@ __all__ = ["Governor", "Guard", "ResourceExhausted", "BudgetExceeded", "settle"]
 class ResourceExhausted(EvaluationError):
     """A governed evaluation hit one of its resource limits.
 
-    ``reason`` is the limit that tripped (``"deadline"``,
-    ``"max_facts"``, ``"max_iterations"``);
+    ``reason`` is the limit that tripped (``"deadline"`` or
+    ``"max_facts"``);
     ``stats`` the partial :class:`~repro.engine.statistics.EvalStats`
     at abort (fact counts finalized); ``unit`` the label of the evaluation unit that tripped
     the limit (None under the monolithic loop); ``stratum`` the index
@@ -122,8 +124,8 @@ class Governor:
     per :class:`~repro.engine.incremental.IncrementalSession` batch)
     from the options' limits and fault plan, next to the run's one
     :class:`~repro.engine.statistics.EvalStats`: every unit writes that
-    one object, so ``stats.facts_derived`` and ``stats.iterations``
-    *are* the global counts and each limit is one exact comparison.
+    one object, so ``stats.facts_derived`` *is* the global count and
+    the fact budget is one exact comparison.
     With no limit set and no fault armed, ``enabled`` is False and every
     checkpoint is a single attribute test.  With limits *set but not
     hit*, alternating governed / ungoverned runs read 1.00–1.02x
@@ -133,7 +135,6 @@ class Governor:
     __slots__ = (
         "deadline",
         "max_facts",
-        "max_iterations",
         "injector",
         "enabled",
     )
@@ -143,28 +144,21 @@ class Governor:
             None if opts.deadline_s is None else time.monotonic() + opts.deadline_s
         )
         self.max_facts = opts.max_facts
-        self.max_iterations = opts.max_iterations
         self.injector = injector
         self.enabled = injector is not None or any(
-            limit is not None
-            for limit in (self.deadline, self.max_facts, self.max_iterations)
+            limit is not None for limit in (self.deadline, self.max_facts)
         )
 
     def guard(self, *, unit=None, ordinal: Optional[int] = None) -> "Guard":
         """A per-unit (or per-stratum, for the monolithic loop) view."""
         return Guard(self, unit, ordinal)
 
-    def check(self, stats, unit: Optional[str], iteration: bool = False) -> None:
-        """What every checkpoint of an ``enabled`` governor tests — the
-        deadline and the fact budget — plus, at an *iteration* boundary,
-        the global round bound."""
+    def check(self, stats, unit: Optional[str]) -> None:
+        """What every checkpoint of an ``enabled`` governor tests: the
+        deadline and the fact budget."""
         stats.governor_checks += 1
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExceeded("deadline", unit)
-        if iteration:
-            limit = self.max_iterations
-            if limit is not None and stats.iterations > limit:
-                raise BudgetExceeded("max_iterations", unit)
         if self.max_facts is not None and stats.facts_derived > self.max_facts:
             raise BudgetExceeded("max_facts", unit)
 
@@ -197,7 +191,7 @@ class Guard:
             return
         if g.injector is not None:
             g.injector.slow_down(self.ordinal)
-        g.check(stats, self.unit, iteration=True)
+        g.check(stats, self.unit)
 
     def checkpoint(self, stats) -> None:
         """A rule firing is starting (the between-rules boundary)."""

@@ -390,7 +390,7 @@ class IncrementalSession:
         if self._durable is not None:
             # a snapshot deferred during a partial batch retries here,
             # now that exactness is restored
-            self._durable.maybe_snapshot(self, stats, governor, None)
+            self._durable.maybe_snapshot(self, stats)
         self._absorb(stats)
         return stats
 
@@ -470,7 +470,7 @@ class IncrementalSession:
         if self._durable is not None:
             # after apply, before absorb: a snapshot failure can then
             # never un-apply the batch, and its counters land in stats
-            self._durable.maybe_snapshot(self, stats, governor, injector)
+            self._durable.maybe_snapshot(self, stats, injector)
         self._absorb(stats)
         return stats
 
@@ -493,6 +493,13 @@ class IncrementalSession:
                 "(pass durable= to IncrementalSession)"
             )
         return self._durable.checkpoint(self, self.stats)
+
+    def flush(self) -> None:
+        """Hand the WAL's buffered records to the OS (no-op for
+        in-memory sessions), so a recovery reading the log while this
+        session stays open sees every accepted batch."""
+        if self._durable is not None:
+            self._durable.wal.flush()
 
     def close(self) -> None:
         """Flush and close the durability runtime (no-op for in-memory

@@ -45,9 +45,9 @@ plans stripped (a governed trip or a re-armed fault during recovery
 would make the recovered state partial); the user's options are
 restored on the returned session afterwards.
 
-The **from-scratch rung** is the durability entry on the engine's
-degradation ladder (``recovery->scratch``): when seeded replay cannot
-be trusted — a dirty anchor or a provenance request — the base facts are reconstructed (snapshot base
+The **from-scratch rung** (``RecoveryReport.source == "scratch"``,
+which ``serve`` prints as ``recovered source=scratch``): when seeded
+replay cannot be trusted — a dirty anchor or a provenance request — the base facts are reconstructed (snapshot base
 relations + given-IDB rows, then the same net delta of the WAL suffix)
 and the program is re-evaluated in full.  Slower, never wrong.  A fresh
 baseline snapshot + WAL re-anchor durability afterwards.
@@ -87,7 +87,7 @@ class RecoveryReport:
     """What :func:`recover` did, for operators and the oracle."""
 
     #: ``"replay"`` (snapshot + WAL suffix through the IVM path) or
-    #: ``"scratch"`` (full re-evaluation — the degradation rung)
+    #: ``"scratch"`` (full re-evaluation from the base facts)
     source: str
     snapshot_seq: int
     snapshot_path: Optional[str]
@@ -108,7 +108,6 @@ def _strip_limits(opts: EngineOptions) -> EngineOptions:
     return replace(
         opts,
         fault_plan=None,
-        max_iterations=None,
         deadline_s=None,
         max_facts=None,
         record_provenance=False,
@@ -292,9 +291,6 @@ def recover(
         )
         session = IncrementalSession(program, edb, scratch_opts)
         session.options = opts
-        session.stats.degradations["recovery->scratch"] = (
-            session.stats.degradations.get("recovery->scratch", 0) + 1
-        )
         # re-anchor: the old log's history no longer describes
         # this state, so durability restarts from a fresh baseline
         session._durable = DurableLog.create(config, session)

@@ -390,9 +390,8 @@ def _fixpoint(
     SCC, so literals over sibling components — frozen inputs here —
     never seed a delta body.  With no members every input is complete
     and no head occurs in a body, so one naive pass *is* the fixpoint:
-    no delta rounds, no ``iterations`` charge (``max_iterations`` only
-    bounds loops that could diverge), and a cut unit stops between
-    rules once every head boolean has fired.
+    no delta rounds, no ``iterations`` charge, and a cut unit stops
+    between rules once every head boolean has fired.
 
     The first round is naive (it also accounts for initial IDB facts,
     which uniform-equivalence inputs may contain) unless *seeds* — rows
@@ -558,8 +557,8 @@ def run_monolithic(
     whose members are all the stratum's heads, with a unit-less retirer
     (rules retire, the stratum never exits early) and no unit boundary
     — the differential oracle for :func:`run_scheduled`.  The whole run
-    is one "unit" to the governor; ``max_iterations`` bounds
-    ``stats.iterations`` exactly as under scheduling.
+    is one "unit" to the governor, which tests the same deadline and
+    fact budget at the same kinds of boundary as under scheduling.
     """
     governor = governor if governor is not None else Governor(opts)
     guard = governor.guard()

@@ -33,6 +33,9 @@ def _counter(merge: str = "sum", *, variant: bool = False, **kw):
 class EvalStats:
     """Mutable counters for one evaluation run."""
 
+    #: Fixpoint rounds started.  A round starts only after the previous
+    #: one derived a fact, so this is at most ``facts_derived`` plus the
+    #: number of SCCs: the governor's fact budget bounds it.
     iterations: int = _counter()
     #: Facts newly added to derived predicates.
     facts_derived: int = _counter()
@@ -132,15 +135,6 @@ class EvalStats:
     #: Governor checkpoints performed (0 unless a limit was set or a
     #: fault armed — the governor is free when idle).
     governor_checks: int = _counter()
-    #: Degradation rungs taken, keyed by rung: ``"recovery->scratch"``
-    #: (:func:`~repro.engine.recovery.recover` re-evaluated from the
-    #: base facts because seeded replay could not be trusted) and
-    #: ``"snapshot->deferred"`` (the governor tripped while a durable
-    #: batch wrote its due snapshot, so the snapshot waits for the next
-    #: batch).
-    degradations: dict[str, int] = _counter(
-        "sum_keys", variant=True, default_factory=dict
-    )
     #: Why the run stopped early under ``on_limit="partial"`` (the
     #: governor's trip reason, e.g. ``"deadline"``); None when the run
     #: reached its fixpoint.  A set value flags the result — and its
@@ -238,8 +232,6 @@ class EvalStats:
             )
         if self.recovery_ms:
             line += f" recovery_ms={self.recovery_ms:.1f}"
-        if self.degradations:
-            line += f" degraded=[{','.join(sorted(self.degradations))}]"
         if self.aborted_reason is not None:
             line += f" PARTIAL(aborted: {self.aborted_reason})"
         return line

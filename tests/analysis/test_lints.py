@@ -294,35 +294,30 @@ class TestDL017BoundBlowup:
 
 
     def test_measured_profiles_override_synthetic(self):
-        # a cross product over tiny *measured* relations is harmless:
-        # the loaded EDB's profile replaces the synthetic defaults and
-        # the blowup threshold scales with the largest measured size
+        # DL017 prices the synthetic profile only; a cross product over
+        # tiny *measured* relations is DL021's call, and harmless there:
+        # its threshold scales with the largest measured size
+        from repro.analysis import analyze_program
         from repro.datalog import Database
-        from repro.engine.cost import profile_database
 
         program = parse("q(X, Y) :- a(X, Z), b(Y, W).\n?- q(X, Y).")
         db = Database()
         db.ensure("a", 2).update([(i, i) for i in range(5)])
         db.ensure("b", 2).update([(i, i) for i in range(5)])
-        profiles = profile_database(db)
-        synthetic = lint_program(program)
-        measured = lint_program(program, profiles=profiles)
-        assert "DL017" in {d.code for d in synthetic.diagnostics}
-        assert "DL017" not in {d.code for d in measured.diagnostics}
+        assert "DL017" in lint_program(program, edb=db.predicates()).codes()
+        assert "DL021" not in analyze_program(program, db).report.codes()
 
     def test_measured_profiles_catch_real_blowups(self):
-        # ...while a genuinely skewed measured EDB still trips the
-        # threshold relative to its own largest relation
+        # ...while a genuinely large measured EDB trips DL021 relative
+        # to its own largest relation
+        from repro.analysis import analyze_program
         from repro.datalog import Database
-        from repro.engine.cost import profile_database
 
         program = parse("q(X, Y) :- a(X, Z), b(Y, W).\n?- q(X, Y).")
         db = Database()
         db.ensure("a", 2).update([(i, i) for i in range(300)])
         db.ensure("b", 2).update([(i, i) for i in range(300)])
-        profiles = profile_database(db)
-        measured = lint_program(program, profiles=profiles)
-        assert "DL017" in {d.code for d in measured.diagnostics}
+        assert "DL021" in analyze_program(program, db).report.codes()
 
     def test_error_program_suppresses(self):
         # opportunity lints are gated on an error-free program

@@ -187,6 +187,6 @@ def test_chase_verdicts_do_not_depend_on_the_engine(monkeypatch):
     assert any(v is True for vs in reference.values() for v in vs)
     assert any(isinstance(v, str) and "chase" in v for vs in reference.values() for v in vs)
     monkeypatch.setattr(
-        uniform_equivalence, "_REFERENCE_ENGINE", EngineOptions(max_iterations=10_000)
+        uniform_equivalence, "_REFERENCE_ENGINE", EngineOptions()
     )
     assert {n: _chase_verdicts(p) for n, p in _projected_corpus()} == reference

@@ -1,9 +1,8 @@
 """Fault injection: the failures no engine flag can produce.
 
-A slow unit changes nothing but time, a genuine exception inside a
+A slow unit changes nothing but time, and a genuine exception inside a
 unit (``unit-error``) surfaces verbatim — no wrapping that loses the
-original message — and a degradation rung the engine really takes
-shows in the stats summary.  Each executor tier is reached through its
+original message.  Each executor tier is reached through its
 own flag instead (``tests/oracle``, ``tests/engine/test_kernel.py``);
 crash points are ``tests/engine/test_durability.py``'s.
 """
@@ -13,14 +12,11 @@ import pytest
 from repro.datalog import Database, parse
 from repro.datalog.errors import EvaluationError, ValidationError
 from repro.engine import (
-    DurabilityConfig,
     EngineOptions,
     FaultPlan,
-    IncrementalSession,
     InjectedUnitError,
     evaluate,
     parse_fault_specs,
-    recover,
 )
 
 PROGRAM = """
@@ -53,21 +49,6 @@ class TestDegradationLadder:
             parse(PROGRAM), edb(), EngineOptions(fault_plan=plan)
         )
         assert result.answers() == expected
-        assert result.stats.degradations == {}
-
-    def test_summary_mentions_degradations(self, tmp_path):
-        """A real rung shows in the one-line summary ``serve`` prints:
-        recovery that must record provenance takes the scratch rung."""
-        program = parse(PROGRAM)
-        cfg = DurabilityConfig(wal_path=str(tmp_path / "s.wal"))
-        IncrementalSession(program, edb(), durable=cfg).close()
-        session, report = recover(
-            program, cfg, EngineOptions(record_provenance=True)
-        )
-        assert report.source == "scratch"
-        assert "degraded=[recovery->scratch]" in session.stats.summary()
-        session.close()
-        assert "degraded" not in evaluate(program, edb()).stats.summary()
 
 
 class TestUnitFailureSurfaces:

@@ -145,8 +145,7 @@ class TestDerivationBudgets:
         assert partial.stats.iterations == 1
 
     @pytest.mark.parametrize(
-        "limit", [{"deadline_s": 0.0}, {"max_iterations": 0}],
-        ids=["deadline", "max_iterations"],
+        "limit", [{"deadline_s": 0.0}], ids=["deadline"]
     )
     def test_zero_budget_trips_before_any_firing(self, limit):
         program = families.right_linear_tc()
@@ -184,7 +183,6 @@ class TestDerivationBudgets:
             EngineOptions(
                 deadline_s=300.0,
                 max_facts=10**9,
-                max_iterations=10**6,
             ),
         )
         assert governed.answers() == plain.answers()
@@ -195,51 +193,49 @@ class TestDerivationBudgets:
 
 
 class TestIterationBounds:
-    """``max_iterations`` is one global bound under both engines."""
+    """Rounds are bounded by the fact budget (a round starts only after
+    the previous one derived a fact), and that budget is one global
+    bound under both engines."""
 
     def test_global_bound_is_global_under_scc(self, siblings):
         program, db = siblings
         baseline = evaluate(program, db)
-        total = baseline.stats.iterations
-        per_unit = max(baseline.stats.unit_rounds.values())
-        # the sibling units' rounds sum: the global count strictly
-        # exceeds any single unit's (the premise of the regression)
-        assert total > per_unit >= 2
+        total = baseline.stats.facts_derived
+        per_unit = max(baseline.stats.fact_counts.values())
+        # the sibling units' facts sum: the global count exceeds twice
+        # any single unit's (the premise of the regression)
+        assert total > 2 * per_unit
 
-        # exactly the global count passes; one less trips — if the
-        # bound were still per-unit, max_iterations=total-1 (far above
-        # any single unit's rounds) would never trip
-        ok = evaluate(program, db, EngineOptions(max_iterations=total))
+        # the global count passes; the largest unit's count trips in
+        # the second sibling — a per-unit budget never would
+        ok = evaluate(program, db, EngineOptions(max_facts=total))
         assert ok.answers() == baseline.answers()
         with pytest.raises(ResourceExhausted) as exc:
-            evaluate(program, db, EngineOptions(max_iterations=total - 1))
-        assert exc.value.reason == "max_iterations"
+            evaluate(program, db, EngineOptions(max_facts=per_unit))
+        assert exc.value.reason == "max_facts"
+        assert exc.value.unit == "tc2"
 
     def test_global_bound_matches_monolithic_count(self, siblings):
-        """The same global bound governs the monolithic loop: its
-        iteration total is its own stats.iterations, pinned here so
-        the two engines document one quantity."""
+        """The same global budget governs the monolithic loop: its fact
+        total is its own stats.facts_derived, and one less trips."""
         program, db = siblings
         mono = evaluate(program, db, EngineOptions(use_scc=False))
-        total = mono.stats.iterations
-        ok = evaluate(
-            program, db, EngineOptions(use_scc=False, max_iterations=total)
-        )
+        total = mono.stats.facts_derived
+        ok = evaluate(program, db, EngineOptions(use_scc=False, max_facts=total))
         assert ok.answers() == mono.answers()
         with pytest.raises(ResourceExhausted) as exc:
             evaluate(
                 program, db,
-                EngineOptions(use_scc=False, max_iterations=total - 1),
+                EngineOptions(use_scc=False, max_facts=total - 1),
             )
-        assert exc.value.reason == "max_iterations"
+        assert exc.value.reason == "max_facts"
 
     def test_resource_exhausted_is_evaluation_error(self, tc):
-        """Core passes guard divergent chase fixpoints with
-        max_iterations and catch EvaluationError; the governed error
-        must stay inside that hierarchy."""
+        """Callers catch EvaluationError; the governed error must stay
+        inside that hierarchy."""
         program, db = tc
         with pytest.raises(EvaluationError):
-            evaluate(program, db, EngineOptions(max_iterations=1))
+            evaluate(program, db, EngineOptions(max_facts=1))
 
 
 class TestIncrementalBatchGovernance:
@@ -358,7 +354,7 @@ class TestOptionValidation:
             EngineOptions(on_limit="ignore")
 
     @pytest.mark.parametrize(
-        "field", ["max_iterations", "max_facts", "deadline_s"]
+        "field", ["max_facts", "deadline_s"]
     )
     def test_negative_limits_rejected(self, field):
         with pytest.raises(ValidationError):

@@ -304,12 +304,10 @@ class TestDRedRewrites:
         "limits, gone, tripped_in",
         [
             # the tail edge kills tc(*, 12) one Δ round per hop
-            ({"max_iterations": 2}, (11, 12), incremental._DELETED + "tc"),
             ({"max_facts": 3}, (11, 12), incremental._DELETED + "tc"),
             # edge(2, 3) overdeletes tc(0..2, 3..12) in four Δ rounds
             # (30 rows); the bypass edge(1, 3) rederives tc(1, *) and
             # then, one ∇ round later, tc(0, *)
-            ({"max_iterations": 5}, (2, 3), "tc"),
             ({"max_facts": 30}, (2, 3), "tc"),
         ],
     )

@@ -129,17 +129,16 @@ class TestUnitCounters:
         db = random_edb(program, rows=20, domain=8, seed=3)
         full = evaluate(program, db).stats
         assert list(full.unit_rounds) == ["tc1", "tc2", "tc3", "q"]
-        # one round more than tc1 needs: tc2 starts, and trips on its
-        # second round
-        limit = full.unit_rounds["tc1"] + 1
+        # exactly tc1's facts: tc1 completes, tc2 starts and trips after
+        # its first firing
+        limit = full.fact_counts["tc1"]
         with pytest.raises(ResourceExhausted) as exc:
-            evaluate(program, db, EngineOptions(max_iterations=limit))
-        assert exc.value.reason == "max_iterations"
+            evaluate(program, db, EngineOptions(max_facts=limit))
+        assert exc.value.reason == "max_facts"
         assert exc.value.unit == "tc2"
         stats = exc.value.stats
         assert stats.units_scheduled == 2
-        assert stats.unit_rounds == {"tc1": full.unit_rounds["tc1"], "tc2": 2}
-        assert stats.iterations == limit + 1
+        assert stats.unit_rounds == {"tc1": full.unit_rounds["tc1"], "tc2": 1}
 
 
 class TestComponentLocalCut:
@@ -231,7 +230,7 @@ class TestOneFixpointDriver:
 
         session, unit = self._seeded_session()
         out: dict = {}
-        tight = EngineOptions(max_iterations=3)
+        tight = EngineOptions(max_facts=2)
         with pytest.raises(BudgetExceeded):
             run_seeded_unit(
                 unit, session.db, EvalStats(), {}, tight,

@@ -35,7 +35,7 @@ from repro.engine import (
 from repro.workloads.edb import random_edb
 from repro.workloads.families import all_families
 
-from .harness import engine_options
+from .harness import STRATEGIES, engine_options
 
 FAMILIES = all_families()
 
@@ -55,13 +55,11 @@ GOVERNOR_CONFIGS = {
     "generous": {
         "deadline_s": 300.0,
         "max_facts": 10**9,
-        "max_iterations": 10**6,
     },
     "tight-facts-raise": {"max_facts": 4, "on_limit": "raise"},
     "tight-facts-partial": {"max_facts": 4, "on_limit": "partial"},
     "tight-deadline-raise": {"deadline_s": 0.0, "on_limit": "raise"},
     "tight-deadline-partial": {"deadline_s": 0.0, "on_limit": "partial"},
-    "tight-iterations": {"max_iterations": 2, "on_limit": "partial"},
 }
 
 
@@ -126,6 +124,24 @@ def test_governor_preserves_oracle_property(workload_name, config_name):
     assert_property(
         program, db, opts, oracle, f"{workload_name}/{config_name}"
     )
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_fact_budget_bounds_the_rounds(family):
+    """Why the governor needs no round budget: a round starts only after
+    the previous one derived a new fact, so under every strategy the
+    rounds never exceed the facts derived plus the number of SCCs —
+    ``max_facts`` and ``deadline_s`` bound every run."""
+    program = FAMILIES[family]
+    for seed in range(3):
+        db = random_edb(program, rows=14, domain=7, seed=seed)
+        for label, overrides in sorted(STRATEGIES.items()):
+            result = evaluate(program, db, engine_options(overrides))
+            stats, sccs = result.stats, len(result.prepared.info.sccs)
+            assert stats.iterations <= stats.facts_derived + sccs, (
+                f"{family}/seed {seed}/{label}: {stats.iterations} rounds, "
+                f"{stats.facts_derived} facts, {sccs} SCCs"
+            )
 
 
 def _maintenance_batches(program):

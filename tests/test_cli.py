@@ -442,6 +442,20 @@ class TestLint:
         assert "warning[DL006] undefined-body-predicate" in out
         assert "ghost" in out
 
+    def test_facts_never_reprice_bound_blowup(self, tmp_path, capsys):
+        """DL017 prices the synthetic profile with or without FACTS;
+        measured pricing is ``analyze``'s DL021."""
+        program = tmp_path / "p.dl"
+        program.write_text("q(X, Y, Z) :- a(X), b(Y), c(Z).\n?- q(X, Y, Z).")
+        facts = tmp_path / "f.dl"
+        facts.write_text(
+            "".join(f"{p}({i}). " for p in "abc" for i in range(40))
+        )
+        assert main(["lint", str(program), str(facts)]) == 0
+        out = capsys.readouterr().out
+        assert "DL017" in out and "synthetic relation size" in out
+        assert "measured" not in out
+
     def test_missing_file(self, capsys):
         assert main(["lint", "/nonexistent.dl"]) == 2
         assert "error" in capsys.readouterr().err
@@ -488,7 +502,7 @@ def _serve(argv, lines):
 
     parser = build_parser()
     args = parser.parse_args(["serve", *map(str, argv)])
-    args.input = iter([line + "\n" for line in lines])
+    args.input = (line + "\n" for line in lines)  # lazy: a generator may act between lines
     return args.fn(args)
 
 
@@ -577,6 +591,70 @@ class TestServe:
         captured = capsys.readouterr()
         assert sorted(captured.out.splitlines()) == ["1", "2", "3", "7"]
         assert "recovered source=" in captured.err
+
+    def test_recover_sees_buffered_batches(self, files, tmp_path, capsys):
+        """Under ``--fsync off`` the live log buffers its records;
+        ``.recover`` must still replay every accepted batch."""
+        program, facts, _ = files
+        wal = tmp_path / "serve.wal"
+        rc = _serve(
+            [program, facts, "--wal", wal, "--fsync", "off"],
+            ["+edge(3, 9).", ".recover", "? reach"],
+        )
+        assert rc == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[1] == "ok recovered source=replay replayed=1"
+        assert "3, 9" in out[2:]
+
+    def test_refused_recover_keeps_the_session_durable(self, files, tmp_path, capsys):
+        """A refused ``.recover`` leaves the live session serving with
+        its log attached: later batches are logged, ``.checkpoint``
+        works, and a restart replays them."""
+        program, facts, _ = files
+        wal = tmp_path / "serve.wal"
+
+        def lines():
+            yield "+edge(3, 4)."
+            for snap in tmp_path.glob("serve.wal.snap-*"):
+                snap.unlink()
+            yield ".recover"
+            yield "+edge(4, 5)."
+            yield ".checkpoint"
+
+        assert _serve([program, facts, "--wal", wal], lines()) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[1].startswith("err RecoveryError")
+        assert "no-valid-snapshot" in out[1]
+        assert out[2].startswith("ok ")
+        assert out[3] == "ok checkpoint seq=2"
+        assert _serve([program, "--wal", wal], ["? reach"]) == 0
+        captured = capsys.readouterr()
+        assert "recovered source=replay" in captured.err
+        assert "4, 5" in captured.out.splitlines()
+
+    def test_unknown_predicate_query_rejected(self, files, capsys):
+        """A typo'd ``? pred`` is an error, not an empty relation."""
+        program, facts, _ = files
+        rc = _serve([program, facts], ["? reachh", "? reach"])
+        assert rc == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("err ReproError: undefined predicate(s) reachh")
+        assert "1, 3" in out[1:]
+
+    def test_restart_without_facts_lints_against_recovered_state(
+        self, files, tmp_path, capsys
+    ):
+        """The stored relations of a restart come from the WAL, so the
+        lint must not warn that ``edge`` has no facts."""
+        program, facts, _ = files
+        wal = tmp_path / "serve.wal"
+        assert _serve([program, facts, "--wal", wal], ["+edge(3, 9)."]) == 0
+        capsys.readouterr()
+        assert _serve([program, "--wal", wal], ["?"]) == 0
+        assert "DL006" not in capsys.readouterr().err
+        # a fresh session without facts still warns
+        assert _serve([program], ["?"]) == 0
+        assert "DL006" in capsys.readouterr().err
 
     def test_rejected_lines_never_reach_the_wal(self, files, tmp_path, capsys):
         """WAL consistency under garbage: rejected lines leave no log
