@@ -12,9 +12,12 @@ cleared prepared-program cache and one line is printed:
   optimizer's output can be compared between trees;
 - ``passes``: ``delete_rules`` passes (one per restart, counted as
   calls of ``query_rooted_summaries`` in ``repro.core.deletion``);
-- ``chases``: frozen-body chases run (calls of ``freeze`` inside
+- ``chases``: frozen-body chases (calls of ``freeze`` inside
   ``repro.core.uniform_equivalence``, which ``frozen_chase`` makes once
   per chase);
+- ``runs``: chases that ran the engine (calls of ``run_prepared`` made
+  by ``repro.core.uniform_equivalence``); a chase in which no rule can
+  fire returns its frozen body without one;
 - ``misses``: prepared-program cache misses;
 - ``compiles``: ``compile_rule`` calls made by ``prepare``;
 - ``closures``: ``summary_closure`` calls made by ``repro.core.deletion``.
@@ -48,10 +51,11 @@ ROOT = Path(__file__).resolve().parent.parent
 WRAPPED = (
     ("passes", "repro.core.deletion", "query_rooted_summaries"),
     ("chases", "repro.core.uniform_equivalence", "freeze"),
+    ("runs", "repro.core.uniform_equivalence", "run_prepared"),
     ("compiles", "repro.engine.prepared", "compile_rule"),
     ("closures", "repro.core.deletion", "summary_closure"),
 )
-COLUMNS = ("passes", "chases", "misses", "compiles", "closures")
+COLUMNS = ("passes", "chases", "runs", "misses", "compiles", "closures")
 
 
 def install_counters() -> dict:

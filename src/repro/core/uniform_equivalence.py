@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import AbstractSet
 
+from ..datalog.analysis import firable_rules
 from ..datalog.ast import Atom, Program, Rule
 from ..datalog.database import Database
 from ..datalog.errors import TransformError
@@ -81,8 +82,17 @@ def frozen_chase(
     change a verdict: a masked rule never fires, join order never
     changes a fixpoint, and the strata and SCC condensation of
     *program* are a correct, coarser schedule for any of its subsets.
+
+    When no rule of *program* without *skip* can fire from the frozen
+    body's non-empty predicates (:func:`~repro.datalog.analysis.firable_rules`),
+    the frozen body is returned as the fixpoint and nothing is prepared
+    or run: the chase is monotone, so a rule that cannot fire never
+    fires.
     """
     ground_head, edb = freeze(rule)
+    present = [p for p in edb if edb.relation(p)]
+    if not firable_rules(program, present, skip):
+        return ground_head, edb
     prepared = prepare(program.with_query(None))
     db = working_database(prepared.program, edb)
     return ground_head, run_prepared(prepared, db, _REFERENCE_ENGINE, skip).db

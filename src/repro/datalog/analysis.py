@@ -15,7 +15,10 @@ Provides the structural facts every optimizer phase relies on:
 - the connected components of a rule body and whether a component
   reaches a given set of variables (Lemma 3.1): the component split,
   the planner's pricing, the lints and the pass validator all ask this
-  one question here.
+  one question here;
+- which rules can fire at all from a given set of non-empty predicates,
+  which lets a frozen-body chase (section 3.3) skip an evaluation that
+  cannot derive anything.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
 
 from .ast import Atom, Program, Rule
+from .builtins import is_builtin
 from .terms import Variable
 
 __all__ = [
@@ -39,6 +43,7 @@ __all__ = [
     "component_depths",
     "reachable_predicates",
     "undefined_body_predicates",
+    "firable_rules",
     "is_chain_rule",
     "is_chain_program",
     "UnionFind",
@@ -311,6 +316,37 @@ def undefined_body_predicates(program: Program, edb: Iterable[str] = ()) -> froz
         used.update(a.predicate for a in r.body)
         used.update(a.predicate for a in r.negative)
     return frozenset(p for p in used if p not in defined and p not in edb_set)
+
+
+def firable_rules(
+    program: Program,
+    present: Iterable[str],
+    skip: AbstractSet[int] = frozenset(),
+) -> frozenset[int]:
+    """Indexes of the rules of *program* without those in *skip* that
+    can fire once the predicates in *present* are non-empty.
+
+    A fixpoint over predicate names: a rule can fire when every
+    predicate of its positive, non-built-in body is present (so a fact
+    rule always can), and the head of a rule that can fire becomes
+    present.  Negated and built-in literals never block.  The answer
+    over-approximates: a rule outside it fires on no instance whose
+    non-empty predicates are *present*.
+    """
+    nonempty = set(present)
+    pending = {i: r for i, r in enumerate(program.rules) if i not in skip}
+    fired: set[int] = set()
+    while True:
+        new = [
+            i
+            for i, r in pending.items()
+            if all(a.predicate in nonempty or is_builtin(a.predicate) for a in r.body)
+        ]
+        if not new:
+            return frozenset(fired)
+        for i in new:
+            fired.add(i)
+            nonempty.add(pending.pop(i).head.predicate)
 
 
 def is_chain_rule(rule: Rule) -> bool:

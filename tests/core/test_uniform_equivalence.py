@@ -1,8 +1,9 @@
 """Tests for Sagiv's uniform-equivalence machinery (Examples 4 and 5)."""
 
 from repro.datalog import parse
-from repro.engine import evaluate
+from repro.engine import clear_prepared_cache, evaluate, prepared_cache_stats
 from repro.core.adornment import adorn
+from repro.core.pipeline import optimize
 from repro.core.projection import push_projections
 from repro.core.uniform_equivalence import (
     literal_deletable_uniform,
@@ -12,10 +13,12 @@ from repro.core.uniform_equivalence import (
     uniformly_equivalent,
 )
 from repro.workloads.edb import uniform_instance
+from repro.workloads.families import boolean_chain, sibling_components
 from repro.workloads.paper_examples import (
     adorned_from_text,
     example1_program,
     example5_adorned_text,
+    example5_program,
 )
 
 
@@ -169,3 +172,28 @@ class TestMinimize:
                 evaluate(program, db).answers()
                 == evaluate(minimized, db).answers()
             )
+
+
+class TestChaseGate:
+    """A chase in which no rule can fire returns its frozen body without
+    preparing or running the program."""
+
+    @staticmethod
+    def _misses(program):
+        clear_prepared_cache()
+        result = optimize(program)
+        return prepared_cache_stats()["misses"], result
+
+    def test_unfirable_chases_prepare_nothing(self):
+        for program in (boolean_chain(8), sibling_components(4)):
+            assert self._misses(program)[0] == 0
+
+    def test_example5_chase_still_runs(self):
+        # the left-linear chase of Example 5 fires a@nn's rules, so its
+        # deletion verdicts still come from the engine
+        misses, result = self._misses(example5_program())
+        assert misses > 0
+        assert any(
+            d["reason"].startswith("uniform-query-equivalence chase")
+            for d in result.report_dict()["deleted_rules"]
+        )

@@ -6,6 +6,7 @@ from repro.datalog.analysis import (
     component_depths,
     condensation,
     dependency_graph,
+    firable_rules,
     is_chain_program,
     is_chain_rule,
     reachable_predicates,
@@ -90,6 +91,52 @@ class TestReachability:
         p = parse("q(X) :- ghost(X). ?- q(X).")
         assert undefined_body_predicates(p) == {"ghost"}
         assert undefined_body_predicates(p, edb=["ghost"]) == frozenset()
+
+
+class TestFirableRules:
+    def test_fact_rule_always_fires(self):
+        program = parse("p(1).\nq(X) :- r(X).\n?- q(X).")
+        assert firable_rules(program, ()) == {0}
+
+    def test_builtin_and_negated_literals_never_block(self):
+        program = parse(
+            """
+            p(1) :- lt(1, 2).
+            p(2) :- not r(2).
+            q(X) :- e(X), not r(X), neq(X, 3).
+            ?- q(X).
+            """
+        )
+        assert firable_rules(program, ()) == {0, 1}
+        assert firable_rules(program, {"e"}) == {0, 1, 2}
+
+    def test_heads_propagate(self):
+        program = parse("b() :- a().\nc() :- b().\n?- c().")
+        assert firable_rules(program, {"a"}) == {0, 1}
+        assert firable_rules(program, ()) == frozenset()
+
+    def test_skipped_rules_neither_fire_nor_propagate(self):
+        program = parse("b() :- a().\nc() :- b().\n?- c().")
+        assert firable_rules(program, {"a"}, {0}) == frozenset()
+
+    def test_frozen_head_relation_is_not_present(self, monkeypatch):
+        # the frozen body of rule 0 is {b(x)}; freeze also creates the
+        # (empty) relation of the head a, which must not let rule 1 fire
+        from repro.core import uniform_equivalence
+
+        program = parse("a(X) :- b(X).\nc(X) :- a(X).\n?- c(X).")
+        _, body = uniform_equivalence.freeze(program.rules[0])
+        assert body.relation("a") is not None and not body.relation("a")
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("a chase in which no rule fires prepared")
+
+        monkeypatch.setattr(uniform_equivalence, "prepare", no_engine)
+        head, fixpoint = uniform_equivalence.frozen_chase(
+            program, program.rules[0], {0}
+        )
+        assert fixpoint.fact_count() == 1
+        assert head.as_fact() not in fixpoint.relation("a")
 
 
 class TestChainDetection:
