@@ -12,8 +12,8 @@ module adds a second, *derived* representation under the same
   int64, 21 bits per id; no other module knows the layout;
 - a per-relation :class:`ColumnStore` holding exactly what the vector
   kernel reads — runs + Bloom + CSR, built on demand: sorted packed
-  runs behind a Bloom prefilter (the absorb path's membership) and the
-  CSR probe images.
+  runs behind a Bloom prefilter (the absorb path's membership, a
+  member probe's answer, a scan's rows) and the CSR probe images.
 
 The store is a cache over the relation's raw rows and hash indexes: it
 encodes nothing when created, the runs are packed from the raw row set
@@ -262,15 +262,15 @@ class ColumnStore:
         self._bloom_rebuild(arr.size)
         self.runs_version = version  # last: the stamp publishes both
 
-    def novel_mask(self, uniq):
-        """Boolean mask over sorted packed rows *uniq* marking which
-        the runs do not hold.  A genuinely new row misses both Bloom
-        probes, so only the few maybe-present candidates pay a
-        searchsorted pass per run."""
-        mask = _np.ones(uniq.size, dtype=bool)
-        cand = self._bloom_maybe(uniq).nonzero()[0]
+    def novel_mask(self, rows):
+        """Boolean mask over packed *rows* (any order, repeats allowed)
+        marking which the runs do not hold.  A genuinely new row misses
+        both Bloom probes, so only the few maybe-present candidates pay
+        a searchsorted pass per run."""
+        mask = _np.ones(rows.size, dtype=bool)
+        cand = self._bloom_maybe(rows).nonzero()[0]
         if cand.size:
-            vals = uniq.take(cand)
+            vals = rows.take(cand)
             hit = _np.zeros(cand.size, dtype=bool)
             for run in self.runs:
                 # clip keeps take() in bounds; the clipped last slot can

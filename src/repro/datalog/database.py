@@ -483,8 +483,9 @@ class Relation:
 
     def packed_runs(self) -> Optional[list]:
         """Sorted disjoint int64 runs covering every current row — the
-        vectorized absorb path's membership structure — or None when a
-        constant id exceeds the packing bound (or numpy is absent).
+        vector kernel's membership structure and scan source — or None
+        when a constant id exceeds the packing bound (or numpy is
+        absent).
 
         Runs live on the column store stamped with the relation version
         they describe; steady-state vectorized rounds extend them
@@ -514,13 +515,14 @@ class Relation:
         store = self.column_store()
         return store.runs_version != self._version and not store.overflow
 
-    def packed_novel_mask(self, uniq):
-        """Boolean mask over sorted packed rows *uniq* marking which are
-        not yet present in this relation, or None when the packed
-        membership structures are unavailable (see :meth:`packed_runs`)."""
+    def packed_novel_mask(self, rows):
+        """Boolean mask over packed *rows* (any order, repeats allowed)
+        marking which are not yet present in this relation, or None
+        when the packed membership structures are unavailable (see
+        :meth:`packed_runs`)."""
         if self.packed_runs() is None:
             return None
-        return self.column_store().novel_mask(uniq)
+        return self.column_store().novel_mask(rows)
 
     def add_packed_deferred(self, ordered, sorted_fresh) -> None:
         """Bulk-insert packed rows known to be new, deferring raw work.

@@ -45,13 +45,14 @@ cache and costs string generation only, no ``compile()``.
 Use :func:`kernel_source` to read the generated code when debugging.
 
 These per-row kernels are the middle rung of the three-rung engine
-ladder: when numpy is available the scheduler first offers a delta plan
+ladder: when numpy is available the scheduler first offers each plan
 to the vector kernel in :mod:`repro.engine.batch_kernel`, which runs a
 whole frontier through one array join (``EngineOptions(
 use_columnar=False)`` / ``--no-columnar`` selects this tier directly);
-every plan it declines — any shape but a linear recursion's, an id past
-the packing bound, an injected fault — runs here, and failures here
-fall back to the interpreter.
+every firing it declines — a shape it cannot express, an id past the
+packing bound, a stale image the firing would not pay for — runs
+here.  A rule this module cannot compile (:class:`KernelError`) runs
+on the interpreter instead.
 """
 
 from __future__ import annotations

@@ -108,11 +108,12 @@ def _fire(
     *plan_id* selects the naive plan (``None``) or the delta plan
     starting at relational literal *plan_id*.  Three executors of the
     plan's one lowering (:meth:`CompiledRule.lowered`), tried in order:
-    the vectorized delta kernel (``opts.use_columnar``; it declines
-    every lowered pattern but ``[delta, lookup]`` before touching a
-    counter), the compiled tuple kernel (``opts.use_kernels``; a
-    constant it cannot inline declines the rule), and the lowered-plan
-    interpreter — the fallback and the differential oracle.
+    the vector kernel (``opts.use_columnar``; it declines every lowered
+    pattern but a ``delta`` or ``scan`` step followed by a ``lookup`` or
+    a fully bound ``member``, before touching a counter), the compiled
+    tuple kernel (``opts.use_kernels``; a constant it cannot inline
+    declines the rule), and the lowered-plan interpreter — the fallback
+    and the differential oracle.
 
     *guard* is the governor's per-unit view: its checkpoint here is
     the between-rules boundary, where the deadline and the fact budget

@@ -73,7 +73,7 @@ class EvalStats:
     #: (0 unless the columnar plane was active).
     dict_size: int = _counter("max", variant=True)
     #: Firings a columnar run sent to the tuple kernel: the vector
-    #: kernel declined the plan, or a ``columnar`` fault was injected.
+    #: kernel declined the plan or the launch.
     columnar_fallbacks: int = _counter(variant=True)
     #: Rule bodies ordered by the cost model's DP search (0 with
     #: ``--no-cost-planner``, on a prepared-cache hit — the cached

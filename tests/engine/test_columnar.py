@@ -31,6 +31,7 @@ from repro.engine import (
 )
 from repro.engine import batch_kernel, scheduler
 from repro.engine.batch_kernel import vector_rule_kernel
+from repro.engine.kernel import rule_kernel
 from repro.engine.plan import DeltaIndex, compile_rule
 
 needs_numpy = pytest.mark.skipif(
@@ -192,10 +193,38 @@ def _vector_kernel(text, predicate, **kw):
 
 
 def _launch(kernel, db, frontier):
-    """Run *kernel* over *frontier*; (packed result, counters touched)."""
+    """Run *kernel* over *frontier* (None: a naive plan's launch);
+    (packed result, counters touched)."""
     stats = EvalStats()
-    out = kernel(db, stats, DeltaIndex(frontier))
+    out = kernel(db, stats, None if frontier is None else DeltaIndex(frontier))
     return out, {k: v for k, v in stats.as_dict().items() if v}
+
+
+def _tuple_launch(cr, plan_id, db, frontier):
+    """The tuple kernel's firing of the same plan: (head rows in
+    derivation order, engine-invariant counters touched)."""
+    stats = EvalStats()
+    delta = None if frontier is None else DeltaIndex(frontier)
+    rows = list(rule_kernel(cr, plan_id)(db, stats, delta))
+    return rows, {k: v for k, v in stats.as_dict(engine_invariant=True).items() if v}
+
+
+def _invariant(touched):
+    variant = set(EvalStats().as_dict()) - set(EvalStats().as_dict(engine_invariant=True))
+    return {k: v for k, v in touched.items() if k not in variant}
+
+
+#: a semijoin whose naive plan is ``[scan r, member s]`` once r is priced
+#: below s (the shape of ``exist_reach``'s optimized query rule)
+SEMIJOIN = "q(Y) :- r(X,Y), s(X).\n?- q(Y)."
+
+
+def _semijoin():
+    cr = _compiled(SEMIJOIN, sizes={"r": 1, "s": 10})
+    assert [(s.kind, s.predicate) for s in cr.lowered(None).steps] == [
+        ("scan", "r"), ("member", "s")
+    ]
+    return cr
 
 
 class TestBatchKernelGates:
@@ -215,11 +244,40 @@ class TestBatchKernelGates:
         assert touched["batch_probes"] == 2 and touched["rule_firings"] == 4
 
     def test_self_referential_naive_plan_is_gated(self):
-        # naive plans never vectorize: the tuple engine inserts per
-        # yield while enumerating, so a step reading the head relation
-        # sees mid-firing inserts a whole-frontier batch cannot
-        cr = _compiled(LEFT_TC, sizes={"tc": 10, "e": 10})
+        # a naive plan whose probe step reads the head never vectorizes:
+        # the tuple engine inserts per yield while enumerating, so that
+        # step sees mid-firing inserts a whole-frontier batch cannot
+        cr = _compiled(RIGHT_TC, sizes={"tc": 10, "e": 10})
+        assert [(s.kind, s.predicate) for s in cr.lowered(None).steps] == [
+            ("scan", "e"), ("lookup", "tc")
+        ]
         assert vector_rule_kernel(cr) is None
+
+    @needs_numpy
+    def test_naive_scan_of_the_head_commits_like_the_tuple_kernel(self):
+        """LEFT_TC's naive plan ``[scan tc, lookup e]`` scans the head
+        itself: the tuple kernel snapshots it with ``list(tc)`` and the
+        packed runs are a snapshot too, so the plan vectorizes, with
+        the tuple kernel's rows (in sorted-id order, not set order) and
+        counters."""
+        cr = _compiled(LEFT_TC, sizes={"tc": 10, "e": 10})
+        assert [(s.kind, s.predicate) for s in cr.lowered(None).steps] == [
+            ("scan", "tc"), ("lookup", "e")
+        ]
+        kernel = vector_rule_kernel(cr)
+        db = Database.from_dict(
+            {"e": [(2, 3), (3, 4), (2, 5)], "tc": [(1, 2), (2, 3), (7, 7)]}
+        )
+        db.relation("tc").packed_runs()
+        rows, expected = _tuple_launch(cr, None, db, None)
+        out, touched = _launch(kernel, db, None)
+        assert sorted(db.relation("tc").decode_packed(out)) == sorted(rows)
+        assert len(rows) == 3
+        assert _invariant(touched) == expected == {
+            "join_probes": 4, "scan_fallbacks": 1, "index_probes": 3,
+            "rows_scanned": 6, "rule_firings": 3, "join_work": 9,
+        }
+        assert (touched["batch_probes"], touched["batch_rows"]) == (2, 6)
 
     @needs_numpy
     def test_delta_step_on_head_is_allowed(self):
@@ -247,7 +305,7 @@ class TestBatchKernelGates:
             pytest.param("p(X,V) :- d(X,Y,Z,W), f(Y,V).", id="arity-above-3"),
             pytest.param("p(X,Y) :- d(1,X), f(X,Y).", id="constant-in-delta"),
             pytest.param("p(X,Y) :- d(X,X), f(X,Y).", id="repeated-variable"),
-            pytest.param("p(X,Y) :- d(X,Y), f(Y).", id="fully-bound-probe"),
+            pytest.param("p(X,Y) :- d(X,Y), f(Y,1).", id="constant-in-member-key"),
             pytest.param("p(X,Y) :- d(X,Z), f(Z,Y), lt(Z,Y).", id="built-in"),
             pytest.param("p(X,Y) :- d(X,Z), f(Z,Y), not g(Y).", id="negation"),
         ],
@@ -255,6 +313,68 @@ class TestBatchKernelGates:
     def test_shape_gates_decline_at_compile_time(self, text):
         cr = _compiled(text + "\n?- " + text.split(" :-")[0] + ".")
         assert vector_rule_kernel(cr, _delta_plan(cr, "d")) is None
+
+    @needs_numpy
+    def test_fully_bound_probe_commits_exactly(self):
+        """``[delta d, member f]``: the keys are packed and answered by
+        f's membership runs, charged one probe per frontier row."""
+        cr = _compiled("p(X,Y) :- d(X,Y), f(Y).\n?- p(X,Y).")
+        kernel = vector_rule_kernel(cr, _delta_plan(cr, "d"))
+        db = Database.from_dict({"f": [(2,), (4,)]})
+        frontier = [(1, 2), (3, 4), (5, 6)]
+        rows, expected = _tuple_launch(cr, _delta_plan(cr, "d"), db, frontier)
+        out, touched = _launch(kernel, db, frontier)
+        assert db.ensure("p", 2).decode_packed(out) == rows == [(1, 2), (3, 4)]
+        assert _invariant(touched) == expected == {
+            "join_probes": 4, "index_probes": 3, "rows_scanned": 5,
+            "rule_firings": 2, "join_work": 8,
+        }
+        assert (touched["batch_probes"], touched["batch_rows"]) == (2, 5)
+
+    @needs_numpy
+    def test_stale_scanned_runs_decline_before_any_counter(self):
+        # re-packing the whole scanned relation to read it once never
+        # pays, whatever its size
+        cr = _semijoin()
+        db = Database.from_dict({"r": [(1, 2)], "s": [(1,)]})
+        assert _launch(vector_rule_kernel(cr), db, None) == (None, {})
+        db.relation("r").packed_runs()
+        out, touched = _launch(vector_rule_kernel(cr), db, None)
+        assert db.ensure("q", 1).decode_packed(out) == [(2,)]
+        assert touched["rule_firings"] == 1
+
+    @needs_numpy
+    def test_stale_member_relation_larger_than_frontier_declines(self):
+        cr = _semijoin()
+        db = Database.from_dict({"r": [(1, 2)], "s": [(i,) for i in range(3)]})
+        db.relation("r").packed_runs()
+        assert _launch(vector_rule_kernel(cr), db, None) == (None, {})
+        db.relation("s").packed_runs()
+        out, touched = _launch(vector_rule_kernel(cr), db, None)
+        assert db.ensure("q", 1).decode_packed(out) == [(2,)]
+        assert touched["index_probes"] == 1
+
+    @needs_numpy
+    def test_absent_scanned_relation_counts_nothing(self):
+        # the scan's ``fail`` is ``return``: the tuple kernel counts nothing
+        cr = _semijoin()
+        db = Database.from_dict({"s": [(1,)]})
+        out, touched = _launch(vector_rule_kernel(cr), db, None)
+        assert out is not None and len(out) == 0 and touched == {}
+        assert _tuple_launch(cr, None, db, None) == ([], {})
+
+    @needs_numpy
+    def test_absent_member_relation_charges_only_the_scan(self):
+        cr = _semijoin()
+        db = Database.from_dict({"r": [(1, 2), (3, 4)]})
+        db.relation("r").packed_runs()
+        out, touched = _launch(vector_rule_kernel(cr), db, None)
+        assert out is not None and len(out) == 0
+        only_scan = {
+            "join_probes": 1, "scan_fallbacks": 1, "rows_scanned": 2, "join_work": 2,
+        }
+        assert _invariant(touched) == only_scan
+        assert _tuple_launch(cr, None, db, None) == ([], only_scan)
 
     def test_existential_repeat_is_gated(self):
         cr = _compiled("p(X) :- e(X), f(Y,Y).\n?- p(X).")

@@ -18,8 +18,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.pipeline import optimize
 from repro.datalog.columnar import numpy_available
-from repro.engine import EngineOptions, evaluate
+from repro.datalog.database import Database
+from repro.datalog.parser import parse
+from repro.engine import EngineOptions, evaluate, scheduler
+from repro.workloads import families
 from repro.workloads.edb import random_edb
 from repro.workloads.families import all_families
 
@@ -140,6 +144,50 @@ def test_linear_recursion_takes_the_vector_rung(name, use_scc):
     assert col.answers() == tup.answers()
     for pred in program.idb_predicates():
         assert col.db.rows(pred) == tup.db.rows(pred), pred
+
+
+@pytest.mark.skipif(not numpy_available(), reason="the vector kernel needs numpy")
+def test_semijoin_query_over_packed_closure_takes_the_vector_rung(monkeypatch):
+    """``exist_reach``'s shape: after Lemma 3.2 the query rule is
+    ``q@n(Y) :- start(X), reach@nndd(X, Y)``, lowered to ``[scan
+    reach@nndd, member start]`` because the cost planner prices the
+    empty ``reach@nndd`` first.  Over a chain every round of the
+    recursion vectorizes, so ``reach@nndd``'s packed runs are current
+    when the query rule fires, and its one firing must run on the
+    vector kernel, leaving the tuple kernel's and the interpreter's
+    state behind."""
+    rules = "\n".join(map(str, families.reachability_with_payload(2).rules))
+    program = optimize(
+        parse(f"q(Y) :- start(X), reach(X, Y, T0, T1).\n{rules}\n?- q(Y).")
+    ).program
+    (query,) = [cr for cr in program.rules if cr.head.predicate == "q@n"]
+    v = 40
+    db = Database.from_dict({
+        "edge": [(i, i + 1) for i in range(v)],
+        "tag0": [(i, "a") for i in range(v + 1)],
+        "tag1": [(i, i % 3) for i in range(v + 1)],
+        "start": [(0,), (17,), (33,)],
+    })
+    launches = []
+    real = scheduler.vector_rule_kernel
+
+    def spy(cr, plan_id, **kw):
+        kernel = real(cr, plan_id, **kw)
+        if kernel is None or cr.rule != query:
+            return kernel
+
+        def launch(db, stats, delta):
+            out = kernel(db, stats, delta)
+            launches.append(out is not None)
+            return out
+
+        return launch
+
+    monkeypatch.setattr(scheduler, "vector_rule_kernel", spy)
+    res = evaluate(program, db.copy())
+    assert launches == [True], "the query rule's firing fell back to the tuple kernel"
+    assert len(res.answers()) == v
+    _assert_columnar_matches(program, db)
 
 
 @given(random_programs(), st.integers(min_value=0, max_value=3))
