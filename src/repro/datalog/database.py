@@ -190,6 +190,14 @@ class Relation:
         # is exact without materializing them
         return len(self._rows) + self._raw_dirty_rows
 
+    def live_rows(self) -> set[Row]:
+        """The row set itself, deferred packed rows materialized first:
+        every later :meth:`add` extends it, so a caller that inserts
+        through :meth:`add` can test membership per row without a call."""
+        if self._raw_dirty:
+            self._sync()
+        return self._rows
+
     def rows(self) -> frozenset[Row]:
         if self._raw_dirty:
             self._sync()

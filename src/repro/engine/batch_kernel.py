@@ -164,7 +164,7 @@ def _vector_spec(cr: CompiledRule, low: Lowered):
     if not all(type(t) is int for t in keys) or not (member or len(keys) == 1):
         return None
     if step1.predicate == cr.rule.head.predicate:
-        # the tuple engine inserts head facts per yield while still
+        # the tuple engine inserts head facts per derivation while still
         # enumerating, so a step that reads the head relation observes
         # mid-firing inserts; a whole-frontier batch cannot.  (Step 0
         # is frozen in both: the delta frontier, or the ``list(rel)``

@@ -7,21 +7,23 @@ values by walking term tuples.  On the fixpoint loop's hot path that
 interpretation overhead is the constant factor multiplying every
 optimization the paper's pipeline buys.
 
-This module emits each lowered plan as a specialized generator
-function — one flat nest of ``for`` loops, one code block per step
-kind (``delta``, ``member``, ``lookup``, ``scan``, ``filter``):
+This module emits each lowered plan as a specialized function — one
+flat nest of ``for`` loops, one code block per step kind (``delta``,
+``member``, ``lookup``, ``scan``, ``filter``):
 
 - lowering register *n* becomes a plain local ``r<n>`` in the
   generated function (Python locals are array slots in the frame, so a
   "register file" needs no allocation at all);
-- constants are inlined as literals, index keys as tuple displays, and
-  index lookups as direct ``rel.lookup(...)`` calls;
+- constants are inlined as literals and index keys as tuple displays;
+  a ``lookup`` step resolves its hash index once per firing, at its
+  first probe, and then probes the live dict directly;
 - repeated-variable consistency checks compile to ``!=`` guards;
 - the existential first-match cut compiles to a ``break``, and each
   step's absent-relation action is the lowering's ``fail``;
-- built-in filters, negation checks, and head construction are emitted
-  into the kernel body, so one ``yield`` per rule firing is the only
-  interpreter traffic left.
+- built-in filters, negation checks, head construction and the head's
+  absorb — duplicate test against the head's live row set, insert,
+  frontier, first justification — are emitted into the kernel body, so
+  a firing is one call with no per-row interpreter traffic at all.
 
 The emitter decides nothing: registers, access methods, the cut and
 what an absent relation does all come from the lowering, so kernels
@@ -62,6 +64,7 @@ from typing import Callable, Optional
 
 from ..datalog.builtins import BUILTINS
 from .plan import CompiledRule
+from .provenance import Justification
 
 __all__ = [
     "KernelError",
@@ -117,10 +120,12 @@ def kernel_source(
 
     *plan_id* is ``None`` for the naive plan or the index of a delta
     plan (the semi-naive specialization whose first step reads the
-    delta frontier).  With *record_rows* the kernel yields
-    ``(head_values, body_rows)`` for provenance recording; otherwise it
-    yields bare ``head_values`` tuples.  Raises :class:`KernelError`
-    for rules the compiler cannot specialize.
+    delta frontier).  The kernel is called as ``kernel(db, stats,
+    delta, head, new, provenance)``: it inserts each new head fact into
+    the relation *head* and the frontier set *new*, and with
+    *record_rows* records the fact's first justification in
+    *provenance*.  Raises :class:`KernelError` for rules the compiler
+    cannot specialize.
     """
     low = cr.lowered(plan_id, use_indexes)
 
@@ -132,18 +137,22 @@ def kernel_source(
 
     out = _Emitter()
     sig = f"plan={'naive' if plan_id is None else f'delta[{plan_id}]'}"
-    out.w(0, f"def _kernel(db, stats, delta):")
+    out.w(0, f"def _kernel(db, stats, delta, head, new, provenance):")
     out.w(1, f"# rule {cr.rule_index}: {cr.rule}")
     out.w(1, f"# {sig} use_indexes={use_indexes} record_rows={record_rows}")
     registers = ", ".join(f"r{r}={v.name}" for r, v in enumerate(low.registers))
     out.w(1, f"# registers: {registers or '(none)'}")
 
-    # -- prelude: hoist relation dict lookups (identities are stable
-    # for the lifetime of a fixpoint run; emptiness is re-checked at
-    # the step's position so counters match the interpreter exactly)
+    # -- prelude: hoist the head's live row set and relation dict
+    # lookups (identities are stable for the lifetime of a fixpoint
+    # run; emptiness is re-checked at the step's position so counters
+    # match the interpreter exactly)
+    out.w(1, "live = head.live_rows()")
     for i, step in enumerate(low.steps):
         if step.kind != "delta":
             out.w(1, f"rel{i} = db.relation({step.predicate!r})")
+        if step.kind == "lookup":
+            out.w(1, f"idx{i} = None")
     for k, (predicate, _) in enumerate(low.negated):
         out.w(1, f"nrel{k} = db.relation({predicate!r})")
 
@@ -176,7 +185,10 @@ def kernel_source(
             out.w(depth, "stats.join_probes += 1")
             if step.kind == "lookup":
                 out.w(depth, "stats.index_probes += 1")
-                source = f"rel{i}.lookup({positions}, {key(step.key)})"
+                # resolved at the first probe, so an unreached step
+                # builds nothing; the index is live, inserts included
+                out.w(depth, f"if idx{i} is None: idx{i} = rel{i}.index_for({positions})")
+                source = f"idx{i}.get({key(step.key)}, ())"
             else:
                 out.w(depth, "stats.scan_fallbacks += 1")
                 source = f"list(rel{i})"
@@ -202,13 +214,19 @@ def kernel_source(
         out.w(depth, "stats.join_probes += 1")
         out.w(depth, f"if nrel{k} is not None and {key(terms)} in nrel{k}: {low.fail}")
     out.w(depth, "stats.rule_firings += 1")
+    out.w(depth, f"h = {key(low.head)}")
+    out.w(depth, "if h in live:")
+    out.w(depth + 1, "stats.duplicates += 1")
+    out.w(depth, "else:")
+    out.w(depth + 1, "head.add(h)")
+    out.w(depth + 1, "stats.facts_derived += 1")
+    out.w(depth + 1, "new.add(h)")
     if record_rows:
-        rows = [""] * len(low.steps)
+        body = [""] * len(low.steps)
         for i, step in enumerate(low.steps):
-            rows[step.body_index] = f"row{i}"
-        out.w(depth, f"yield {key(low.head)}, {_tuple_display(rows)}")
-    else:
-        out.w(depth, f"yield {key(low.head)}")
+            body[step.body_index] = f"({step.predicate!r}, row{i})"
+        out.w(depth + 1, f"provenance[({cr.rule.head.predicate!r}, h)] = "
+                         f"_Justification({cr.rule_index}, {_tuple_display(body)})")
     for depth in reversed(cuts):
         out.w(depth, "break  # existential cut: one witness is enough")
     return out.source()
@@ -218,7 +236,9 @@ def kernel_source(
 
 #: the module-level namespace every kernel executes in: the evaluable
 #: built-ins under stable names (direct calls, no dict lookup per row)
+#: and the provenance record type
 _KERNEL_GLOBALS = {f"_bi_{name}": fn for name, fn in BUILTINS.items()}
+_KERNEL_GLOBALS["_Justification"] = Justification
 
 #: source text -> compiled kernel function.  The source is the cache
 #: key: it embeds predicate names, slot numbering, inlined constants,

@@ -112,8 +112,9 @@ def _fire(
     pattern but a ``delta`` or ``scan`` step followed by a ``lookup`` or
     a fully bound ``member``, before touching a counter), the compiled
     tuple kernel (``opts.use_kernels``; a constant it cannot inline
-    declines the rule), and the lowered-plan interpreter — the fallback
-    and the differential oracle.
+    declines the rule; one call that absorbs its own rows), and the
+    lowered-plan interpreter — the fallback and the differential
+    oracle, whose rows are absorbed here.
 
     *guard* is the governor's per-unit view: its checkpoint here is
     the between-rules boundary, where the deadline and the fact budget
@@ -138,13 +139,18 @@ def _fire(
         kernel = rule_kernel(
             cr, plan_id, use_indexes=opts.use_indexes, record_rows=opts.record_provenance
         )
-    if kernel is None:
-        derivations = interpret(
-            cr.lowered(plan_id, opts.use_indexes), db, stats, delta, opts.record_provenance
-        )
-    else:
+    if kernel is not None:
+        # the tuple kernel absorbs its own rows into the round's frontier
         stats.kernel_launches += 1
-        derivations = kernel(db, stats, delta)
+        new = _raw_frontier(added, head_pred)
+        frontier = set() if new is None else new
+        kernel(db, stats, delta, rel, frontier, provenance)
+        if new is None and frontier:
+            added[head_pred] = frontier
+        return
+    derivations = interpret(
+        cr.lowered(plan_id, opts.use_indexes), db, stats, delta, opts.record_provenance
+    )
     if not opts.record_provenance:
         # the hot path: bare head tuples, no body rows to carry
         _absorb_rows(rel, head_pred, derivations, stats, added)
@@ -176,9 +182,10 @@ def _raw_frontier(added: dict, head_pred: str) -> Optional[set]:
 
 
 def _absorb_rows(rel, head_pred, rows, stats, added) -> None:
-    """Insert head rows one at a time, in order.  *rows* may be a tuple
-    kernel's live generator: each insert is visible to the enumeration
-    still running, which is what rules reading their own head rely on."""
+    """Insert head rows one at a time, in order.  *rows* may be the
+    interpreter's live generator: each insert is visible to the
+    enumeration still running, which is what rules reading their own
+    head rely on."""
     new = _raw_frontier(added, head_pred)
     for values in rows:
         if rel.add(values):
@@ -231,7 +238,7 @@ def _absorb_packed(rel, head_pred, produced, stats, added) -> None:
 
     :func:`_absorb_rows` in id space, with no per-row python:
     ``np.unique`` performs in-batch first-occurrence dedup (its index
-    array restores production order, which equals tuple-kernel yield
+    array restores production order, which equals tuple-kernel insert
     order), membership is a Bloom prefilter backed by precise probes of
     the relation's sorted packed runs
     (:meth:`Relation.packed_novel_mask`), and the fresh rows enter

@@ -201,12 +201,30 @@ def _launch(kernel, db, frontier):
 
 
 def _tuple_launch(cr, plan_id, db, frontier):
-    """The tuple kernel's firing of the same plan: (head rows in
-    derivation order, engine-invariant counters touched)."""
+    """The tuple kernel's firing of the same plan into a fresh head:
+    (the rows it inserted, in derivation order, and every
+    engine-invariant counter touched, its absorb's included).
+
+    An index over all head positions, built before the firing, keeps
+    its keys in insertion order, which is derivation order."""
     stats = EvalStats()
     delta = None if frontier is None else DeltaIndex(frontier)
-    rows = list(rule_kernel(cr, plan_id)(db, stats, delta))
+    head = Relation(len(cr.rule.head.args))
+    order = head.index_for(tuple(range(head.arity)))
+    new: set = set()
+    rule_kernel(cr, plan_id)(db, stats, delta, head, new, {})
+    rows = list(order)
+    assert set(rows) == new == head.rows()
     return rows, {k: v for k, v in stats.as_dict(engine_invariant=True).items() if v}
+
+
+def _absorbed(out, arity):
+    """The counters the vector rung's absorb charges for *out* into a
+    fresh head, as ``_fire`` charges them."""
+    stats = EvalStats()
+    if len(out):
+        scheduler._absorb_packed(Relation(arity), "head", out, stats, {})
+    return {k: v for k, v in stats.as_dict(engine_invariant=True).items() if v}
 
 
 def _invariant(touched):
@@ -273,9 +291,10 @@ class TestBatchKernelGates:
         out, touched = _launch(kernel, db, None)
         assert sorted(db.relation("tc").decode_packed(out)) == sorted(rows)
         assert len(rows) == 3
-        assert _invariant(touched) == expected == {
+        assert _invariant(touched) | _absorbed(out, 2) == expected == {
             "join_probes": 4, "scan_fallbacks": 1, "index_probes": 3,
             "rows_scanned": 6, "rule_firings": 3, "join_work": 9,
+            "facts_derived": 3, "derivations": 3,
         }
         assert (touched["batch_probes"], touched["batch_rows"]) == (2, 6)
 
@@ -325,9 +344,9 @@ class TestBatchKernelGates:
         rows, expected = _tuple_launch(cr, _delta_plan(cr, "d"), db, frontier)
         out, touched = _launch(kernel, db, frontier)
         assert db.ensure("p", 2).decode_packed(out) == rows == [(1, 2), (3, 4)]
-        assert _invariant(touched) == expected == {
+        assert _invariant(touched) | _absorbed(out, 2) == expected == {
             "join_probes": 4, "index_probes": 3, "rows_scanned": 5,
-            "rule_firings": 2, "join_work": 8,
+            "rule_firings": 2, "join_work": 8, "facts_derived": 2, "derivations": 2,
         }
         assert (touched["batch_probes"], touched["batch_rows"]) == (2, 5)
 

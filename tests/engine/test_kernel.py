@@ -11,6 +11,7 @@ from repro.datalog.columnar import numpy_available
 from repro.datalog.terms import Constant, Variable
 from repro.engine import (
     EngineOptions,
+    EvalStats,
     compile_rule,
     evaluate,
     kernel_cache_stats,
@@ -18,10 +19,22 @@ from repro.engine import (
     rule_kernel,
 )
 from repro.engine.kernel import KernelError
+from repro.engine.plan import DeltaIndex, interpret
+from repro.engine.scheduler import _absorb_rows
 
 
 def _compiled(src: str, index: int = 0):
     return compile_rule(parse_rule(src), index)
+
+
+def _fire_tuple(cr, plan_id, db, frontier=None):
+    """One tuple-kernel firing of *cr*'s plan into its head relation in
+    *db*: (the counters, the frontier it extended)."""
+    stats, new = EvalStats(), set()
+    head = db.ensure(cr.rule.head.predicate, len(cr.rule.head.args))
+    delta = None if frontier is None else DeltaIndex(frontier)
+    rule_kernel(cr, plan_id)(db, stats, delta, head, new, {})
+    return stats, new
 
 
 # -- generated source shape ---------------------------------------------------
@@ -43,10 +56,21 @@ class TestKernelSource:
         assert "'abc'" in src  # constant key for f
 
     def test_index_lookup_emitted_directly(self):
+        """A ``lookup`` step resolves its hash index at its first probe
+        and then probes the live dict; ``index_probes`` still counts
+        every probe, once."""
         cr = _compiled("h(X, Z) :- a(X, Y), b(Y, Z).")
         src = kernel_source(cr)
-        assert ".lookup((0,)," in src
-        assert "index_probes" in src
+        assert "idx1 = None" in src
+        assert "if idx1 is None: idx1 = rel1.index_for((0,))" in src
+        assert "for row1 in idx1.get((r1,), ()):" in src
+        assert ".lookup(" not in src
+        assert src.count("index_probes") == 1
+        db = Database.from_dict({"a": [(1, 2), (3, 2), (4, 5)], "b": [(2, 7), (2, 8)]})
+        stats, _ = _fire_tuple(cr, None, db)
+        assert stats.index_probes == 3  # one per row of a
+        assert stats.rows_scanned == 3 + 4
+        assert db.relation("b").index_builds == 1
 
     def test_existential_cut_emits_break(self):
         # Y is dead after a(X, Y): the literal is an existence test
@@ -82,12 +106,17 @@ class TestKernelSource:
         assert "scan_fallbacks" in src
         assert "if row1[0] != r1: continue" in src
 
-    def test_provenance_variant_yields_rows_in_body_order(self):
+    def test_provenance_variant_records_rows_in_body_order(self):
         cr = _compiled("h(X, Y) :- e(X, Z), t(Z, Y).")
         src = kernel_source(cr, 1, record_rows=True)
-        # delta plan starts at body literal 1, but rows come back in
-        # original body order: (e-row, t-row)
-        assert "yield (r2, r1), (row1, row0)" in src
+        # delta plan starts at body literal 1, but the justification
+        # lists rows in original body order: (e-row, t-row)
+        assert "h = (r2, r1)" in src
+        assert (
+            "provenance[('h', h)] = _Justification(0, (('e', row1), ('t', row0)))"
+            in src
+        )
+        assert "yield" not in kernel_source(cr, 1)
 
 
 # -- caching and fallback -----------------------------------------------------
@@ -274,3 +303,79 @@ class TestKernelEngine:
         kernel_calls = calls(EngineOptions())
         interp_calls = calls(EngineOptions(use_kernels=False))
         assert kernel_calls * 2 <= interp_calls, (kernel_calls, interp_calls)
+
+
+# -- the kernel absorbs its own rows ------------------------------------------
+
+NONLINEAR_TC = """
+tc(X, Y) :- edge(X, Y).
+tc(X, Y) :- tc(X, Z), tc(Z, Y).
+?- tc(X, Y).
+"""
+
+
+class TestKernelAbsorb:
+    @pytest.mark.parametrize("scc", [True, False])
+    def test_lookup_on_own_head_matches_interpreter(self, scc):
+        """Non-linear TC probes ``tc`` while inserting into it, in every
+        round: the kernel's inline absorb and the interpreter's
+        generator agree on every counter."""
+        program = parse(NONLINEAR_TC)
+        data = {"edge": [(i, (i + 1) % 6) for i in range(6)] + [(2, 4)]}
+        runs = [
+            evaluate(program, Database.from_dict(data), EngineOptions(
+                use_kernels=kernels, use_columnar=False, use_scc=scc,
+            ))
+            for kernels in (True, False)
+        ]
+        kern, interp = (run.stats for run in runs)
+        assert kern.kernel_launches > 0 and interp.kernel_launches == 0
+        assert runs[0].answers() == runs[1].answers()
+        assert len(runs[0].answers()) == 36
+        for counter in ("iterations", "duplicates", "join_work", "rows_scanned"):
+            assert getattr(kern, counter) == getattr(interp, counter), counter
+        assert kern.as_dict(engine_invariant=True) == interp.as_dict(engine_invariant=True)
+
+    def test_lookup_on_own_head_walks_rows_inserted_mid_firing(self):
+        """``[scan k, lookup h, lookup succ]``: each derived ``h(1, Z)``
+        lands in the posting list the ``h`` step is walking, so one
+        firing follows the whole ``succ`` chain — on the kernel exactly
+        as on the interpreter's live lookup."""
+        cr = compile_rule(
+            parse_rule("h(X, Z) :- k(X), h(X, Y), succ(Y, Z)."), 0,
+            sizes={"k": 1, "h": 10, "succ": 100},
+        )
+        assert [s.kind for s in cr.lowered(None).steps] == ["scan", "lookup", "lookup"]
+        data = {"h": [(1, 0)], "k": [(1,)], "succ": [(i, i + 1) for i in range(8)]}
+        db = Database.from_dict(data)
+        stats, new = _fire_tuple(cr, None, db)
+        interp_db, interp_stats, added = Database.from_dict(data), EvalStats(), {}
+        rows = interpret(cr.lowered(None), interp_db, interp_stats, None)
+        _absorb_rows(interp_db.relation("h"), "h", rows, interp_stats, added)
+        assert new == added["h"] == {(1, z) for z in range(1, 9)}
+        assert stats.as_dict(engine_invariant=True) == interp_stats.as_dict(
+            engine_invariant=True
+        )
+
+    @pytest.mark.parametrize(
+        ("src", "data", "frontier"),
+        [
+            # the delta plan over a: an empty frontier reaches no lookup
+            ("h(X, Z) :- a(X, Y), b(Y, Z).", {"b": [(2, 3)]}, []),
+            # the repeated-variable check fails on every row of a
+            ("h(X, Z) :- a(X, X), b(X, Z).", {"a": [(1, 2), (2, 3)], "b": [(1, 3)]}, None),
+            # a failed membership probe guards the lookup
+            ("h(X, Z) :- a(X), f(X), b(X, Z).",
+             {"a": [(1,), (2,)], "f": [(7,)], "b": [(1, 3)]}, None),
+        ],
+        ids=["empty-frontier", "failed-check", "failed-member"],
+    )
+    def test_unreached_lookup_builds_no_index(self, src, data, frontier):
+        cr = _compiled(src)
+        plan_id = None if frontier is None else 0
+        kinds = [step.kind for step in cr.lowered(plan_id).steps]
+        assert kinds[-1] == "lookup", kinds
+        db = Database.from_dict(data)
+        stats, new = _fire_tuple(cr, plan_id, db, frontier)
+        assert new == set() and stats.rule_firings == 0
+        assert db.index_builds() == 0

@@ -7,7 +7,7 @@ baseline depend on them), and the same first-justification
 provenance.  This suite checks full-state agreement on the curated
 program families and on the 200 fixed random oracle programs
 (``derandomize=True``; ``make check`` pins the Hypothesis seed), in
-both index modes.
+both index modes, with provenance recorded and without it.
 
 Answer-set agreement across *all* strategies lives in ``tests/oracle``;
 this file owns the stronger claim about counters and provenance.
@@ -36,11 +36,7 @@ def _full_state(program, db_factory, **overrides):
     indexes carried on shared base relations (see ``Database.copy``)
     cannot leak work between the runs being compared.
     """
-    res = evaluate(
-        program,
-        db_factory(),
-        EngineOptions(record_provenance=True, **overrides),
-    )
+    res = evaluate(program, db_factory(), EngineOptions(**overrides))
     return (
         res.answers(),
         res.stats.fact_counts,
@@ -50,19 +46,23 @@ def _full_state(program, db_factory, **overrides):
 
 
 def _assert_kernel_matches_interpreter(program, db):
+    """Both index modes, with provenance recorded and without it — the
+    hot path, whose kernels record nothing.  Without provenance the
+    vector kernel would take the firings it admits, so the kernel side
+    runs the tuple kernel alone (``use_columnar=False``)."""
     for use_indexes in (True, False):
-        kern = _full_state(program, db.copy, use_indexes=use_indexes)
-        interp = _full_state(
-            program, db.copy, use_indexes=use_indexes, use_kernels=False
-        )
-        for part, kernel_side, interp_side in zip(
-            ("answers", "fact_counts", "stats", "provenance"), kern, interp
-        ):
-            assert kernel_side == interp_side, (
-                f"kernel/interpreter divergence in {part} "
-                f"(use_indexes={use_indexes}): "
-                f"kernel={kernel_side!r} interpreter={interp_side!r}"
-            )
+        for record in (True, False):
+            common = dict(use_indexes=use_indexes, record_provenance=record)
+            kern = _full_state(program, db.copy, use_columnar=False, **common)
+            interp = _full_state(program, db.copy, use_kernels=False, **common)
+            for part, kernel_side, interp_side in zip(
+                ("answers", "fact_counts", "stats", "provenance"), kern, interp
+            ):
+                assert kernel_side == interp_side, (
+                    f"kernel/interpreter divergence in {part} "
+                    f"(use_indexes={use_indexes}, record_provenance={record}): "
+                    f"kernel={kernel_side!r} interpreter={interp_side!r}"
+                )
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -107,7 +107,7 @@ def test_kernel_path_is_not_vacuously_equal():
 def test_kernel_differential_on_random_programs(program, seed):
     """The 200 fixed random oracle programs: kernels and the
     interpreter agree on answers, fact counts, stats counters, and
-    provenance, with and without indexes."""
+    provenance, with and without indexes and provenance recording."""
     program.validate()
     db = random_edb(program, rows=10, domain=5, seed=seed)
     _assert_kernel_matches_interpreter(program, db)
