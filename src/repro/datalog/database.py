@@ -38,6 +38,30 @@ __all__ = ["Relation", "Database"]
 Row = Tuple
 
 
+def post_rows(index: dict, positions: tuple[int, ...], rows: Iterable[Row]) -> None:
+    """Append each of *rows*, in order, to the posting list of its key in
+    *index*: the row's values at *positions* (``(row[p],)`` for one)."""
+    get = index.get
+    if len(positions) == 1:
+        p = positions[0]
+        for row in rows:
+            key = (row[p],)
+            posting = get(key)
+            if posting is None:
+                index[key] = [row]
+            else:
+                posting.append(row)
+        return
+    at = itemgetter(*positions)
+    for row in rows:
+        key = at(row)
+        posting = get(key)
+        if posting is None:
+            index[key] = [row]
+        else:
+            posting.append(row)
+
+
 class Relation:
     """A set of fixed-arity tuples with lazily built hash indexes."""
 
@@ -112,7 +136,7 @@ class Relation:
             self._sync_indexes()
         self._rows.add(row)
         for positions, index in self._indexes.items():
-            key = tuple(row[p] for p in positions)
+            key = (row[positions[0]],) if len(positions) == 1 else itemgetter(*positions)(row)
             index.setdefault(key, []).append(row)
         self._version += 1  # the packed image's stamp goes stale
         return True
@@ -162,7 +186,7 @@ class Relation:
         # insert-only); it rebuilds lazily on next packed use
         self._store = None
         for positions, index in self._indexes.items():
-            key = tuple(row[p] for p in positions)
+            key = (row[positions[0]],) if len(positions) == 1 else itemgetter(*positions)(row)
             posting = index.get(key)
             if posting is not None:
                 try:
@@ -239,24 +263,7 @@ class Relation:
             return
         self._index_dirty = []
         for positions, index in self._indexes.items():
-            get = index.get
-            if len(positions) == 1:
-                p0 = positions[0]
-                for row in dirty:
-                    key = (row[p0],)
-                    posting = get(key)
-                    if posting is None:
-                        index[key] = [row]
-                    else:
-                        posting.append(row)
-            else:
-                for row in dirty:
-                    key = tuple(row[p] for p in positions)
-                    posting = get(key)
-                    if posting is None:
-                        index[key] = [row]
-                    else:
-                        posting.append(row)
+            post_rows(index, positions, dirty)
 
     def index_for(self, positions: tuple[int, ...]) -> dict[Row, list[Row]]:
         """Return (building if necessary) the hash index on *positions*.
@@ -279,9 +286,7 @@ class Relation:
                 index = self._indexes.get(positions)
                 if index is None:
                     index = {}
-                    for row in self._rows:
-                        key = tuple(row[p] for p in positions)
-                        index.setdefault(key, []).append(row)
+                    post_rows(index, positions, self._rows)
                     self._indexes[positions] = index
                     self.index_builds += 1
         return index

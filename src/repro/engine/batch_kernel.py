@@ -20,8 +20,8 @@ movement over dictionary ids and so vectorizes completely — a
   the probed relation's membership runs, the same Bloom-fronted test
   the absorb path uses (``Relation.packed_novel_mask``);
 - head tuples are packed back into one int64 column, so duplicate
-  elimination in the absorb path (``scheduler._absorb_packed``) is
-  ``np.unique`` plus sorted-run membership instead of tuple hashing.
+  elimination in the absorb path (``scheduler._absorb_packed``) is one
+  sort plus sorted-run membership instead of tuple hashing.
 
 For a delta plan the expansion order (frontier order outer, posting
 order inner) is exactly the tuple kernel's nested loop order, so

@@ -23,16 +23,22 @@ flat nest of ``for`` loops, one code block per step kind (``delta``,
 - built-in filters, negation checks, head construction and the head's
   absorb — duplicate test against the head's live row set, insert,
   frontier, first justification — are emitted into the kernel body, so
-  a firing is one call with no per-row interpreter traffic at all.
+  a firing is one call with no per-row interpreter traffic at all;
+- the work counters are locals (``c_rows_scanned += 1``), added to
+  ``EvalStats`` once per firing by a one-call ``finally`` on every exit
+  path; ``duplicates`` is derived there as ``rule_firings -
+  facts_derived``, and when nothing can reject the innermost row one
+  local counts both its ``rows_scanned`` and its ``rule_firings``.
 
 The emitter decides nothing: registers, access methods, the cut and
 what an absent relation does all come from the lowering, so kernels
 are *bit-identical* to the interpreter — same answers, same provenance
 (row enumeration order is preserved), and the same ``EvalStats``
 counters (``join_probes``, ``index_probes``, ``scan_fallbacks``,
-``rows_scanned``, ``rule_firings``).  The interpreter stays available
-as the differential oracle via ``EngineOptions(use_kernels=False)`` /
-the CLI's ``--no-kernel``.
+``rows_scanned``, ``rule_firings``, ``facts_derived``,
+``duplicates``).  The interpreter stays available as the differential
+oracle via ``EngineOptions(use_kernels=False)`` / the CLI's
+``--no-kernel``.
 
 Generated functions are cached globally by source text (the source *is*
 the plan signature: predicate names, register numbers, bound-position
@@ -124,7 +130,10 @@ def kernel_source(
     delta, head, new, provenance)``: it inserts each new head fact into
     the relation *head* and the frontier set *new*, and with
     *record_rows* records the fact's first justification in
-    *provenance*.  Raises :class:`KernelError` for rules the compiler
+    *provenance*.  Its counters accumulate in locals that one
+    ``finally`` statement adds to *stats* when the firing ends, however
+    it ends; ``duplicates`` is derived there as ``rule_firings -
+    facts_derived``.  Raises :class:`KernelError` for rules the compiler
     cannot specialize.
     """
     low = cr.lowered(plan_id, use_indexes)
@@ -143,10 +152,12 @@ def kernel_source(
     registers = ", ".join(f"r{r}={v.name}" for r, v in enumerate(low.registers))
     out.w(1, f"# registers: {registers or '(none)'}")
 
-    # -- prelude: hoist the head's live row set and relation dict
-    # lookups (identities are stable for the lifetime of a fixpoint
-    # run; emptiness is re-checked at the step's position so counters
-    # match the interpreter exactly)
+    # -- prelude: zero the counter locals, hoist the head's live row set
+    # and relation dict lookups (identities are stable for the lifetime
+    # of a fixpoint run; emptiness is re-checked at the step's position
+    # so counters match the interpreter exactly)
+    out.w(1, "c_join_probes = c_index_probes = c_scan_fallbacks = c_rows_scanned = "
+             "c_rule_firings = c_facts_derived = 0")
     out.w(1, "live = head.live_rows()")
     for i, step in enumerate(low.steps):
         if step.kind != "delta":
@@ -155,10 +166,17 @@ def kernel_source(
             out.w(1, f"idx{i} = None")
     for k, (predicate, _) in enumerate(low.negated):
         out.w(1, f"nrel{k} = db.relation({predicate!r})")
+    out.w(1, "try:")
+
+    # nothing can reject the innermost row: one local counts its
+    # rows_scanned and its rule_firings
+    last = low.steps[-1] if low.steps else None
+    fused = (last is not None and last.kind in ("delta", "scan", "lookup")
+             and not last.checks and not low.builtins and not low.negated)
 
     # -- one block per step, each nested in the one before; a cut loop
     # is closed by a ``break`` after everything nested in it
-    depth = 1
+    depth = 2
     cuts = []
     for i, step in enumerate(low.steps):
         row = f"row{i}"
@@ -167,34 +185,34 @@ def kernel_source(
             # a guarded block, not an early exit: a miss falls through
             # to an enclosing cut exactly the way an exhausted loop would
             out.w(depth, f"if rel{i} is not None:")
-            out.w(depth + 1, "stats.join_probes += 1")
-            out.w(depth + 1, "stats.index_probes += 1")
+            out.w(depth + 1, "c_join_probes += 1")
+            out.w(depth + 1, "c_index_probes += 1")
             out.w(depth + 1, f"{row} = {key(step.key)}")
             out.w(depth + 1, f"if {row} in rel{i}:")
             depth += 2
-            out.w(depth, "stats.rows_scanned += 1")
+            out.w(depth, "c_rows_scanned += 1")
             continue
         if step.kind == "delta":
-            out.w(depth, "stats.join_probes += 1")
+            out.w(depth, "c_join_probes += 1")
             source = (
                 f"delta.lookup({positions}, {key(step.key)})"
                 if step.positions else "delta.all_rows()"
             )
         else:
             out.w(depth, f"if rel{i} is None: {step.fail}")
-            out.w(depth, "stats.join_probes += 1")
+            out.w(depth, "c_join_probes += 1")
             if step.kind == "lookup":
-                out.w(depth, "stats.index_probes += 1")
+                out.w(depth, "c_index_probes += 1")
                 # resolved at the first probe, so an unreached step
                 # builds nothing; the index is live, inserts included
                 out.w(depth, f"if idx{i} is None: idx{i} = rel{i}.index_for({positions})")
                 source = f"idx{i}.get({key(step.key)}, ())"
             else:
-                out.w(depth, "stats.scan_fallbacks += 1")
+                out.w(depth, "c_scan_fallbacks += 1")
                 source = f"list(rel{i})"
         out.w(depth, f"for {row} in {source}:")
         depth += 1
-        out.w(depth, "stats.rows_scanned += 1")
+        out.w(depth, "c_rule_firings += 1" if fused and step is last else "c_rows_scanned += 1")
         if step.kind == "filter":
             for p, t in zip(step.positions, step.key):
                 out.w(depth, f"if {row}[{p}] != {term(t)}: continue")
@@ -211,15 +229,14 @@ def kernel_source(
     for name, a, b in low.builtins:
         out.w(depth, f"if not _bi_{name}({term(a)}, {term(b)}): {low.fail}")
     for k, (_, terms) in enumerate(low.negated):
-        out.w(depth, "stats.join_probes += 1")
+        out.w(depth, "c_join_probes += 1")
         out.w(depth, f"if nrel{k} is not None and {key(terms)} in nrel{k}: {low.fail}")
-    out.w(depth, "stats.rule_firings += 1")
+    if not fused:
+        out.w(depth, "c_rule_firings += 1")
     out.w(depth, f"h = {key(low.head)}")
-    out.w(depth, "if h in live:")
-    out.w(depth + 1, "stats.duplicates += 1")
-    out.w(depth, "else:")
+    out.w(depth, "if h not in live:")
     out.w(depth + 1, "head.add(h)")
-    out.w(depth + 1, "stats.facts_derived += 1")
+    out.w(depth + 1, "c_facts_derived += 1")
     out.w(depth + 1, "new.add(h)")
     if record_rows:
         body = [""] * len(low.steps)
@@ -229,16 +246,35 @@ def kernel_source(
                          f"_Justification({cr.rule_index}, {_tuple_display(body)})")
     for depth in reversed(cuts):
         out.w(depth, "break  # existential cut: one witness is enough")
+    # one statement: CPython copies a ``finally`` body to every exit
+    out.w(1, "finally:")
+    rows_scanned = "c_rows_scanned + c_rule_firings" if fused else "c_rows_scanned"
+    out.w(2, f"_count(stats, c_join_probes, c_index_probes, c_scan_fallbacks, "
+             f"{rows_scanned}, c_rule_firings, c_facts_derived)")
     return out.source()
 
 
 # -- compilation cache -------------------------------------------------------
 
+def _count(stats, join_probes, index_probes, scan_fallbacks, rows_scanned,
+           rule_firings, facts_derived) -> None:
+    """Add one firing's counters to *stats*: a kernel's ``finally``.
+    Every rule firing ends as a new fact or as a duplicate."""
+    stats.join_probes += join_probes
+    stats.index_probes += index_probes
+    stats.scan_fallbacks += scan_fallbacks
+    stats.rows_scanned += rows_scanned
+    stats.rule_firings += rule_firings
+    stats.facts_derived += facts_derived
+    stats.duplicates += rule_firings - facts_derived
+
+
 #: the module-level namespace every kernel executes in: the evaluable
-#: built-ins under stable names (direct calls, no dict lookup per row)
-#: and the provenance record type
+#: built-ins under stable names (direct calls, no dict lookup per row),
+#: the provenance record type and the counter flush
 _KERNEL_GLOBALS = {f"_bi_{name}": fn for name, fn in BUILTINS.items()}
 _KERNEL_GLOBALS["_Justification"] = Justification
+_KERNEL_GLOBALS["_count"] = _count
 
 #: source text -> compiled kernel function.  The source is the cache
 #: key: it embeds predicate names, slot numbering, inlined constants,

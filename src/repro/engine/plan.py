@@ -37,7 +37,7 @@ from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 from ..datalog.ast import Atom, Rule
 from ..datalog.builtins import BUILTINS, is_builtin
 from ..datalog.columnar import global_dictionary, pack_rows
-from ..datalog.database import Database
+from ..datalog.database import Database, post_rows
 from ..datalog.errors import ValidationError
 from ..datalog.terms import Constant, Variable
 from .statistics import EvalStats
@@ -147,8 +147,7 @@ class DeltaIndex:
         group = self._groups.get(positions)
         if group is None:
             group = {}
-            for row in self.all_rows():
-                group.setdefault(tuple(row[p] for p in positions), []).append(row)
+            post_rows(group, positions, self.all_rows())
             self._groups[positions] = group
         return group.get(tuple(key), _NO_ROWS)
 

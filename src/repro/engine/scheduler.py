@@ -236,10 +236,12 @@ def _frontier(rows) -> DeltaIndex:
 def _absorb_packed(rel, head_pred, produced, stats, added) -> None:
     """Insert a vectorized kernel's packed head rows.
 
-    :func:`_absorb_rows` in id space, with no per-row python:
-    ``np.unique`` performs in-batch first-occurrence dedup (its index
-    array restores production order, which equals tuple-kernel insert
-    order), membership is a Bloom prefilter backed by precise probes of
+    :func:`_absorb_rows` in id space, with no per-row python: one sort
+    finds in-batch repeats, and only when there are some does an
+    (unstable) argsort give each distinct row its first occurrence —
+    the minimum original index per group of equal sorted rows — which
+    restores production order, the tuple kernel's insert order.
+    Membership is a Bloom prefilter backed by precise probes of
     the relation's sorted packed runs
     (:meth:`Relation.packed_novel_mask`), and the fresh rows enter
     the relation deferred (:meth:`Relation.add_packed_deferred`) and
@@ -253,10 +255,12 @@ def _absorb_packed(rel, head_pred, produced, stats, added) -> None:
     n = len(produced)
     uniq = _np.sort(produced)
     first = None
-    if n > 1 and not (uniq[1:] != uniq[:-1]).all():
-        # in-batch duplicates: redo with the (costlier) index form so
-        # first-occurrence order can be restored below
-        uniq, first = _np.unique(produced, return_index=True)
+    step = uniq[1:] != uniq[:-1]
+    if not step.all():
+        # in-batch duplicates: keep each group's first occurrence
+        starts = _np.flatnonzero(_np.concatenate(([True], step)))
+        first = _np.minimum.reduceat(produced.argsort(), starts)
+        uniq = uniq[starts]
     mask = rel.packed_novel_mask(uniq)
     k = int(mask.sum())
     stats.duplicates += n - k

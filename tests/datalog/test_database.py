@@ -3,6 +3,7 @@
 import pytest
 
 from repro.datalog import ArityError, Database, Relation, ValidationError, atom
+from repro.engine.plan import DeltaIndex
 
 
 class TestRelation:
@@ -59,6 +60,62 @@ class TestRelation:
     def test_unhashable(self):
         with pytest.raises(TypeError):
             hash(Relation(1))
+
+
+def _key(row, positions):
+    return tuple(row[p] for p in positions)
+
+
+def _generator_index(rows, positions):
+    """The reference index: generator-expression keys, rows posted in
+    iteration order."""
+    index = {}
+    for row in rows:
+        index.setdefault(_key(row, positions), []).append(row)
+    return index
+
+
+#: 40 distinct rows, every key at every position set repeated
+ROWS3 = [(i % 4, (i * 7) % 5, i % 3) for i in range(40)]
+
+
+@pytest.mark.parametrize("positions", [(0,), (2,), (1, 0), (0, 2), (2, 0, 1)])
+class TestIndexKeys:
+    """Index keys are ``(row[p],)`` for one position and an
+    ``itemgetter`` tuple for more: the same keys, key order and posting
+    order as the generator form."""
+
+    def test_build(self, positions):
+        r = Relation(3, ROWS3)
+        assert list(r.index_for(positions).items()) == list(
+            _generator_index(r, positions).items()
+        )
+
+    def test_add_and_discard(self, positions):
+        r = Relation(3, ROWS3[:20])
+        ref = _generator_index(r, positions)
+        r.index_for(positions)
+        for row in ROWS3[20:]:
+            assert r.add(row)
+            ref.setdefault(_key(row, positions), []).append(row)
+        for row in ROWS3[::3]:
+            assert r.discard(row)
+            posting = ref[_key(row, positions)]
+            posting.remove(row)
+            if not posting:
+                del ref[_key(row, positions)]
+        for row in ROWS3[:6]:
+            r.add(row)
+            if row not in ref.get(_key(row, positions), []):
+                ref.setdefault(_key(row, positions), []).append(row)
+        assert list(r.index_for(positions).items()) == list(ref.items())
+
+    def test_delta_lookup(self, positions):
+        delta = DeltaIndex(ROWS3)
+        ref = _generator_index(ROWS3, positions)
+        for key, posting in ref.items():
+            assert delta.lookup(positions, key) == posting
+        assert list(delta._groups[positions]) == list(ref)
 
 
 class TestDatabase:

@@ -12,6 +12,8 @@ substrate-level contracts those runs rest on.
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datalog import columnar
 from repro.datalog.columnar import (
@@ -480,6 +482,53 @@ class TestBatchKernelGates:
         assert added == {"p": {("c", "d"), ("e", "f")}}
         assert rel.index_for((0,))[("c",)] == [("c", "d")]
         assert rel.rows() == {("a", "b"), ("c", "d"), ("e", "f")}
+
+
+# -- the packed absorb's dedup --------------------------------------------------
+
+
+def _absorb_reference(rel, produced, stats, added):
+    """``_absorb_packed``'s packed branch with in-batch dedup by
+    ``np.unique(return_index=True)``: the form it replaced."""
+    np = scheduler._np
+    uniq, first = np.unique(produced, return_index=True)
+    mask = rel.packed_novel_mask(uniq)
+    k = int(mask.sum())
+    stats.duplicates += len(produced) - k
+    if k:
+        stats.facts_derived += k
+        fresh_ordered = produced[np.sort(first[mask])]
+        rel.add_packed_deferred(fresh_ordered, uniq[mask])
+        added.setdefault("p", scheduler.PackedDelta(rel)).chunks.append(fresh_ordered)
+
+
+_pairs = st.tuples(st.integers(0, 5), st.integers(0, 5))
+
+
+@needs_numpy
+@settings(max_examples=60, deadline=None)
+@given(
+    present=st.lists(_pairs, max_size=12),
+    batches=st.lists(st.lists(_pairs, min_size=1, max_size=60), min_size=1, max_size=3),
+)
+def test_absorb_packed_dedup_matches_unique(present, batches):
+    """Batches with repeats, some rows already present: the same
+    frontier chunks (values and order), counters and packed runs as
+    the ``np.unique`` reference."""
+    runs = []
+    for absorb in (scheduler._absorb_packed, None):
+        rel, stats, added = Relation(2, present), EvalStats(), {}
+        for batch in batches:
+            produced = columnar.pack_rows(batch, 2, global_dictionary())
+            if absorb is None:
+                _absorb_reference(rel, produced, stats, added)
+            else:
+                absorb(rel, "p", produced, stats, added)
+        chunks = [c.tolist() for c in added["p"].chunks] if added else []
+        packed = [r.tolist() for r in rel.packed_runs()]
+        runs.append((chunks, stats.duplicates, stats.facts_derived, packed, rel.rows()))
+    assert runs[0] == runs[1]
+    assert runs[0][1] + runs[0][2] == sum(map(len, batches))
 
 
 # -- the public cache resets -------------------------------------------------

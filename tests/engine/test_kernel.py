@@ -27,13 +27,13 @@ def _compiled(src: str, index: int = 0):
     return compile_rule(parse_rule(src), index)
 
 
-def _fire_tuple(cr, plan_id, db, frontier=None):
+def _fire_tuple(cr, plan_id, db, frontier=None, use_indexes=True):
     """One tuple-kernel firing of *cr*'s plan into its head relation in
     *db*: (the counters, the frontier it extended)."""
     stats, new = EvalStats(), set()
     head = db.ensure(cr.rule.head.predicate, len(cr.rule.head.args))
     delta = None if frontier is None else DeltaIndex(frontier)
-    rule_kernel(cr, plan_id)(db, stats, delta, head, new, {})
+    rule_kernel(cr, plan_id, use_indexes=use_indexes)(db, stats, delta, head, new, {})
     return stats, new
 
 
@@ -65,7 +65,7 @@ class TestKernelSource:
         assert "if idx1 is None: idx1 = rel1.index_for((0,))" in src
         assert "for row1 in idx1.get((r1,), ()):" in src
         assert ".lookup(" not in src
-        assert src.count("index_probes") == 1
+        assert src.count("c_index_probes += 1") == 1  # one increment site
         db = Database.from_dict({"a": [(1, 2), (3, 2), (4, 5)], "b": [(2, 7), (2, 8)]})
         stats, _ = _fire_tuple(cr, None, db)
         assert stats.index_probes == 3  # one per row of a
@@ -379,3 +379,150 @@ class TestKernelAbsorb:
         stats, new = _fire_tuple(cr, plan_id, db, frontier)
         assert new == set() and stats.rule_firings == 0
         assert db.index_builds() == 0
+
+
+# -- counters: locals flushed once per firing ---------------------------------
+
+#: marks a kernel whose innermost row count is fused with rule_firings
+FUSED = "c_rows_scanned + c_rule_firings"
+
+
+def _contract(src, data, plan_id=None, frontier=None, use_indexes=True):
+    """Fire one plan of *src*'s rule on the tuple kernel and on the
+    interpreter (rows absorbed by ``_absorb_rows``), each into its own
+    copy of *data*: the two must derive the same frontier and agree on
+    every engine-invariant counter, ``duplicates`` included.  Returns
+    the kernel's source and counters."""
+    cr = _compiled(src)
+    head = cr.rule.head
+    stats, new = _fire_tuple(cr, plan_id, Database.from_dict(data), frontier, use_indexes)
+    interp_stats, added = EvalStats(), {}
+    interp_db = Database.from_dict(data)
+    rel = interp_db.ensure(head.predicate, len(head.args))
+    delta = None if frontier is None else DeltaIndex(frontier)
+    rows = interpret(cr.lowered(plan_id, use_indexes), interp_db, interp_stats, delta)
+    _absorb_rows(rel, head.predicate, rows, interp_stats, added)
+    assert new == added.get(head.predicate, set())
+    assert stats.as_dict(engine_invariant=True) == interp_stats.as_dict(
+        engine_invariant=True
+    )
+    return kernel_source(cr, plan_id, use_indexes=use_indexes), stats
+
+
+#: ``h(1, 7)`` is derived twice and ``h(3, 8)`` is already in the head
+JOIN_DATA = {
+    "a": [(1, 2), (3, 2), (1, 4), (5, 6)],
+    "b": [(2, 7), (4, 7), (2, 8), (6, 6)],
+    "h": [(3, 8)],
+    "c": [(8,)],
+    "t": [(2, 7, 7), (2, 8, 9), (4, 7, 7), (6, 6, 6)],
+}
+
+
+class TestKernelCounters:
+    @pytest.mark.parametrize(
+        ("src", "plan_id", "frontier", "last"),
+        [
+            ("h(X, Z) :- a(X, Y), b(Y, Z).", None, None, "lookup"),
+            ("h(X, Z) :- a(X, Y), b(Y, Z).", 1, [(2, 7), (2, 8), (4, 7)], "lookup"),
+            ("h(X, Y) :- a(X, Y).", 0, [(1, 2), (3, 8), (5, 6)], "delta"),
+            ("h(Y, Y) :- a(X, Y).", None, None, "scan"),
+            ("h(X, X) :- a(X, Y).", None, None, "scan"),  # a cut step
+        ],
+        ids=["lookup", "delta-plan", "delta", "scan", "scan-cut"],
+    )
+    def test_fused_innermost_count(self, src, plan_id, frontier, last):
+        """Nothing filters the innermost row: one local counts its
+        ``rows_scanned`` and its ``rule_firings``."""
+        cr = _compiled(src)
+        assert cr.lowered(plan_id).steps[-1].kind == last
+        source, stats = _contract(src, JOIN_DATA, plan_id, frontier)
+        assert FUSED in source
+        assert stats.rule_firings > 0 and stats.duplicates > 0
+
+    @pytest.mark.parametrize(
+        ("src", "use_indexes"),
+        [
+            ("h(X, Z) :- a(X, Y), t(Y, Z, Z).", True),
+            ("h(X, Z) :- a(X, Y), b(Y, Z), lt(X, Z).", True),
+            ("h(X, Z) :- a(X, Y), b(Y, Z), not c(Z).", True),
+            ("h(X, Z) :- a(X, Y), b(Y, Z).", False),
+        ],
+        ids=["check", "builtin", "negation", "filter"],
+    )
+    def test_unfused_when_something_filters(self, src, use_indexes):
+        """Each reason that blocks fusion: a repeated-variable check on
+        the last step, a built-in, a negated literal, a ``filter``
+        step."""
+        cr = _compiled(src)
+        last = cr.lowered(None, use_indexes).steps[-1]
+        assert last.checks or cr.builtins or cr.rule.negative or last.kind == "filter"
+        source, stats = _contract(src, JOIN_DATA, use_indexes=use_indexes)
+        assert FUSED not in source
+        assert stats.rule_firings > 0
+
+    def test_return_path_flushes(self):
+        """A ``member`` step, then a scan of an absent relation: the
+        kernel returns from inside the member's block, and the member's
+        probe is still counted."""
+        src = "h(X) :- f(1), e(X)."
+        steps = _compiled(src).lowered(None).steps
+        assert [(s.kind, s.fail) for s in steps] == [("member", "return"), ("scan", "return")]
+        _, stats = _contract(src, {"f": [(1,)]})
+        assert (stats.join_probes, stats.index_probes, stats.rows_scanned) == (1, 1, 1)
+        assert stats.rule_firings == 0
+
+    def test_exception_path_flushes(self):
+        """A probe that raises mid-loop: *stats* holds every count made
+        before the raise."""
+
+        class FlakyIndex(dict):
+            probes = 0
+
+            def get(self, key, default=None):
+                FlakyIndex.probes += 1
+                if FlakyIndex.probes == 2:
+                    raise RuntimeError("second probe")
+                return [(key[0], 7), (key[0], 8)]
+
+        class StubRelation:
+            def index_for(self, positions):
+                return FlakyIndex()
+
+        data = Database.from_dict({"a": [(1, 2), (1, 3)], "h": [(1, 7)]})
+        rels = {"a": data.relation("a"), "b": StubRelation()}
+
+        class StubDatabase:
+            def relation(self, predicate):
+                return rels.get(predicate)
+
+        cr = _compiled("h(X, Z) :- a(X, Y), b(Y, Z).")
+        assert [s.kind for s in cr.lowered(None).steps] == ["scan", "lookup"]
+        stats, new = EvalStats(), set()
+        with pytest.raises(RuntimeError, match="second probe"):
+            rule_kernel(cr)(StubDatabase(), stats, None, data.relation("h"), new, {})
+        assert new == {(1, 8)}
+        assert (stats.join_probes, stats.index_probes, stats.scan_fallbacks) == (3, 2, 1)
+        assert (stats.rows_scanned, stats.rule_firings) == (4, 2)
+        assert (stats.facts_derived, stats.duplicates) == (1, 1)
+
+    def test_one_flush_statement_per_kernel(self):
+        """``compile()`` copies a ``finally`` body to every exit, so the
+        flush stays one statement, the source's last line."""
+        rules = [
+            "h(X, Z) :- a(X, Y), b(Y, Z).",
+            "h(X, Z) :- a(X, Y), t(Y, Z, Z), lt(X, Z), not c(Z).",
+            "h(X) :- f(1), e(X), a(X, Y).",
+            "h :- a(X, Y), b(Y, Z), f(Z).",
+        ]
+        for text in rules:
+            cr = _compiled(text)
+            for plan_id in (None, *range(len(cr.delta_plans))):
+                for use_indexes in (True, False):
+                    for record_rows in (True, False):
+                        lines = kernel_source(
+                            cr, plan_id, use_indexes=use_indexes, record_rows=record_rows
+                        ).splitlines()
+                        assert lines[-2:-1] == ["    finally:"]
+                        assert lines[-1].startswith("        _count(stats, ")
+                        assert sum("_count(" in line for line in lines) == 1
