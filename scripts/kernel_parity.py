@@ -62,7 +62,6 @@ def dump(out) -> None:
     from repro.core.pipeline import optimize
     from repro.engine import kernel_source
     from repro.engine.batch_kernel import vector_rule_kernel
-    from repro.engine.kernel import KernelError
     from repro.engine.prepared import planning_inputs, prepare
     from repro.workloads.edb import random_edb
 
@@ -87,13 +86,10 @@ def dump(out) -> None:
                                     f"{head} plan={plan_id} use_indexes={use_indexes} "
                                     f"record_rows={record_rows}\n"
                                 )
-                                try:
-                                    out.write(kernel_source(
-                                        cr, plan_id, use_indexes=use_indexes,
-                                        record_rows=record_rows,
-                                    ))
-                                except KernelError as exc:
-                                    out.write(f"KernelError: {exc}\n")
+                                out.write(kernel_source(
+                                    cr, plan_id, use_indexes=use_indexes,
+                                    record_rows=record_rows,
+                                ))
                     admitted = [
                         plan_id for plan_id in plan_ids
                         if vector_rule_kernel(cr, plan_id) is not None

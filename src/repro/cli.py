@@ -659,8 +659,8 @@ def _add_engine_flags(p_run: argparse.ArgumentParser) -> None:
         default=None,
         metavar="N",
         help="derivation budget: abort once more than N facts have "
-        "been derived (checked periodically between rule firings; may "
-        "overshoot by a few firings' worth)",
+        "been derived (checked before every rule firing; may overshoot "
+        "by at most the one in-flight firing)",
     )
     p_run.add_argument(
         "--on-limit",

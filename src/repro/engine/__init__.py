@@ -57,7 +57,6 @@ from .faults import (
 )
 from .governor import Governor, Guard, ResourceExhausted
 from .kernel import (
-    KernelError,
     clear_kernel_cache,
     kernel_cache_stats,
     kernel_source,
@@ -110,7 +109,6 @@ __all__ = [
     "profile_database",
     "bucket_size",
     "rule_intermediate_bound",
-    "KernelError",
     "kernel_source",
     "rule_kernel",
     "kernel_cache_stats",

@@ -1,10 +1,10 @@
 """The vectorized kernel: packed int64 rows, numpy joins.
 
-The top rung of the engine ladder (vector kernel → tuple kernel →
-interpreter), and the whole of the columnar data plane's execution
-side.  It covers the two-step lowered plans
-(:func:`repro.engine.plan.lower`) whose loop body is pure data
-movement over dictionary ids and so vectorizes completely — a
+The top rung of the engine ladder (vector kernel → tuple kernel), and
+the whole of the columnar data plane's execution side.  It covers the
+two-step lowered plans (:func:`repro.engine.plan.lower`) whose loop
+body is pure data movement over dictionary ids and so vectorizes
+completely — a
 ``delta`` or ``scan`` step, then a ``lookup`` or a fully bound
 ``member`` probe, with the head fused:
 

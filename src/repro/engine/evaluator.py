@@ -40,7 +40,7 @@ from .faults import FaultInjector, FaultPlan
 from .governor import BudgetExceeded, Governor, settle
 from .prepared import PreparedProgram, planning_inputs, prepare
 from .provenance import DerivationTree, derivation_tree
-from .scheduler import run_monolithic, run_scheduled
+from .scheduler import run_strata
 from .statistics import EvalStats
 
 __all__ = [
@@ -392,7 +392,6 @@ def run_prepared(
     # Stratified evaluation (section-6 extension): rules run stratum by
     # stratum, so a negated literal always refers to a fully computed
     # lower-stratum relation.  Pure Datalog yields a single stratum.
-    info = prepared.info
     strata = prepared.strata
     if skip:
         strata = tuple(
@@ -425,14 +424,7 @@ def run_prepared(
     )
     trip = None
     try:
-        if opts.use_scc:
-            run_scheduled(
-                strata, info, db, stats, provenance, opts, governor,
-                replan_rounds=replan,
-            )
-        else:
-            run_monolithic(strata, db, stats, provenance, opts, governor,
-                           replan_rounds=replan)
+        run_strata(strata, prepared.info, db, stats, provenance, opts, governor, replan)
     except BudgetExceeded as exc:
         trip = exc
 

@@ -84,9 +84,8 @@ from .scheduler import (
     EvalUnit,
     build_units,
     evaluate_unit,
-    run_monolithic,
-    run_scheduled,
     run_seeded_unit,
+    run_strata,
     run_unit,
 )
 from .statistics import EvalStats
@@ -367,16 +366,10 @@ class IncrementalSession:
         builds_before = self.db.index_builds()
         governor = Governor(opts)
         try:
-            if opts.use_scc:
-                run_scheduled(
-                    self.prepared.strata, self.prepared.info, self.db,
-                    stats, self.provenance, opts, governor,
-                )
-            else:
-                run_monolithic(
-                    self.prepared.strata, self.db, stats,
-                    self.provenance, opts, governor,
-                )
+            run_strata(
+                self.prepared.strata, self.prepared.info, self.db,
+                stats, self.provenance, opts, governor,
+            )
         except BudgetExceeded as trip:
             self._finalize(stats, builds_before)
             self._dirty = True
@@ -398,14 +391,16 @@ class IncrementalSession:
 
     def _normalize(self, facts: Facts) -> dict[str, set]:
         out: dict[str, set] = {}
+        arities: dict[str, int] = {}
 
         def put(pred: str, row) -> None:
             row = tuple(row)
             known = self._arities.get(pred)
             if known is None:
                 rel = self.db.relation(pred)
-                known = rel.arity if rel is not None else None
-            if known is not None and len(row) != known:
+                # a new predicate's first row in the batch fixes its arity
+                known = rel.arity if rel is not None else arities.setdefault(pred, len(row))
+            if len(row) != known:
                 raise ArityError(
                     f"row of length {len(row)} for predicate {pred!r} "
                     f"of arity {known}"

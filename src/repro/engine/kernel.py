@@ -15,7 +15,10 @@ flat nest of ``for`` loops, one code block per step kind (``delta``,
   generated function (Python locals are array slots in the frame, so a
   "register file" needs no allocation at all);
 - constants are inlined as literals and index keys as tuple displays;
-  a ``lookup`` step resolves its hash index once per firing, at its
+  a constant with no literal form (a tuple, ``inf``, ``nan``) becomes
+  a kernel global ``_k<i>``, compared identity first, then ``==``, as
+  the interpreter's tuple comparison does;
+- a ``lookup`` step resolves its hash index once per firing, at its
   first probe, and then probes the live dict directly;
 - repeated-variable consistency checks compile to ``!=`` guards;
 - the existential first-match cut compiles to a ``break``, and each
@@ -40,9 +43,10 @@ counters (``join_probes``, ``index_probes``, ``scan_fallbacks``,
 oracle via ``EngineOptions(use_kernels=False)`` / the CLI's
 ``--no-kernel``.
 
-Generated functions are cached globally by source text (the source *is*
-the plan signature: predicate names, register numbers, bound-position
-keys, inlined constants, and flags all appear in it), so repeated
+Generated functions are cached globally by source text plus pooled
+constants (the source *is* the plan signature: predicate names,
+register numbers, bound-position keys, inlined constants, and flags all
+appear in it; a pooled constant appears only as its name), so repeated
 ``evaluate()`` calls over the same program shapes skip ``compile()``.
 This process-wide cache is also what keeps adaptive replanning
 amortized: a :func:`~repro.engine.plan.replan_delta_plans` clone is a
@@ -52,15 +56,14 @@ replan that toggles back to an earlier order — hits the source-text
 cache and costs string generation only, no ``compile()``.
 Use :func:`kernel_source` to read the generated code when debugging.
 
-These per-row kernels are the middle rung of the three-rung engine
-ladder: when numpy is available the scheduler first offers each plan
-to the vector kernel in :mod:`repro.engine.batch_kernel`, which runs a
-whole frontier through one array join (``EngineOptions(
-use_columnar=False)`` / ``--no-columnar`` selects this tier directly);
-every firing it declines — a shape it cannot express, an id past the
-packing bound, a stale image the firing would not pay for — runs
-here.  A rule this module cannot compile (:class:`KernelError`) runs
-on the interpreter instead.
+These per-row kernels compile every rule, and are the second rung of
+the engine's two-rung ladder: when numpy is available the scheduler
+first offers each plan to the vector kernel in
+:mod:`repro.engine.batch_kernel`, which runs a whole frontier through
+one array join (``EngineOptions(use_columnar=False)`` /
+``--no-columnar`` selects this tier directly); every firing it declines
+— a shape it cannot express, an id past the packing bound, a stale
+image the firing would not pay for — runs here.
 """
 
 from __future__ import annotations
@@ -73,7 +76,6 @@ from .plan import CompiledRule
 from .provenance import Justification
 
 __all__ = [
-    "KernelError",
     "kernel_source",
     "rule_kernel",
     "kernel_cache_stats",
@@ -81,19 +83,12 @@ __all__ = [
 ]
 
 
-class KernelError(Exception):
-    """A rule cannot be compiled to a kernel (e.g. a constant with no
-    safe literal representation); the engine falls back to the
-    interpreter for that rule."""
-
-
-def _const(value) -> str:
-    if type(value) in (int, str, bool) or value is None or (
+def _literal(value) -> bool:
+    """Whether ``repr(value)`` is a literal that evaluates to *value*
+    (inf / nan repr as names, tuples may hold anything)."""
+    return type(value) in (int, str, bool) or value is None or (
         type(value) is float and math.isfinite(value)
-    ):
-        return repr(value)
-    # inf / nan repr as names, not literals
-    raise KernelError(f"constant {value!r} has no inline literal form")
+    )
 
 
 def _tuple_display(parts: list[str]) -> str:
@@ -133,13 +128,23 @@ def kernel_source(
     *provenance*.  Its counters accumulate in locals that one
     ``finally`` statement adds to *stats* when the firing ends, however
     it ends; ``duplicates`` is derived there as ``rule_firings -
-    facts_derived``.  Raises :class:`KernelError` for rules the compiler
-    cannot specialize.
+    facts_derived``.
     """
+    return _generate(cr, plan_id, use_indexes, record_rows)[0]
+
+
+def _generate(cr: CompiledRule, plan_id, use_indexes, record_rows) -> tuple[str, tuple]:
+    """The kernel source and the constants it names ``_k<i>``."""
     low = cr.lowered(plan_id, use_indexes)
+    pooled: list = []
 
     def term(t) -> str:
-        return f"r{t}" if type(t) is int else _const(t.value)
+        if type(t) is int:
+            return f"r{t}"
+        if _literal(t.value):
+            return repr(t.value)
+        pooled.append(t.value)
+        return f"_k{len(pooled) - 1}"
 
     def key(terms) -> str:
         return _tuple_display([term(t) for t in terms])
@@ -215,7 +220,10 @@ def kernel_source(
         out.w(depth, "c_rule_firings += 1" if fused and step is last else "c_rows_scanned += 1")
         if step.kind == "filter":
             for p, t in zip(step.positions, step.key):
-                out.w(depth, f"if {row}[{p}] != {term(t)}: continue")
+                value, cell = term(t), f"{row}[{p}]"
+                # a pooled constant: identity first, as a tuple compares
+                other = f"{cell} is not {value} and " if value.startswith("_k") else ""
+                out.w(depth, f"if {other}{cell} != {value}: continue")
         checks = set(step.checks)
         for p, r in sorted(step.binds + step.checks):
             if (p, r) in checks:
@@ -251,7 +259,7 @@ def kernel_source(
     rows_scanned = "c_rows_scanned + c_rule_firings" if fused else "c_rows_scanned"
     out.w(2, f"_count(stats, c_join_probes, c_index_probes, c_scan_fallbacks, "
              f"{rows_scanned}, c_rule_firings, c_facts_derived)")
-    return out.source()
+    return out.source(), tuple(pooled)
 
 
 # -- compilation cache -------------------------------------------------------
@@ -276,24 +284,30 @@ _KERNEL_GLOBALS = {f"_bi_{name}": fn for name, fn in BUILTINS.items()}
 _KERNEL_GLOBALS["_Justification"] = Justification
 _KERNEL_GLOBALS["_count"] = _count
 
-#: source text -> compiled kernel function.  The source is the cache
-#: key: it embeds predicate names, slot numbering, inlined constants,
-#: bound-position keys, and the use_indexes / record_rows flags, so two
-#: plans share a kernel exactly when they are structurally identical.
-_FN_CACHE: dict[str, Callable] = {}
+#: source text (plus pooled constants) -> compiled kernel function.
+#: The source embeds predicate names, slot numbering, inlined
+#: constants, bound-position keys, and the use_indexes / record_rows
+#: flags, so two plans share a kernel exactly when they are
+#: structurally identical.  Pooled constants key by identity: equal
+#: values need not be interchangeable (``nan`` matches only itself,
+#: ``(1, 2)`` and ``(1.0, 2)`` print apart), and the kernel's globals
+#: keep each one alive, so its id names one object while cached.
+_FN_CACHE: dict = {}
 _CACHE_STATS = {"compiles": 0, "hits": 0}
 
 
-def _compile_source(source: str) -> Callable:
-    fn = _FN_CACHE.get(source)
+def _compile_source(source: str, pooled: tuple) -> Callable:
+    key = (source, *map(id, pooled)) if pooled else source
+    fn = _FN_CACHE.get(key)
     if fn is not None:
         _CACHE_STATS["hits"] += 1
         return fn
     namespace = dict(_KERNEL_GLOBALS)
+    namespace.update((f"_k{i}", value) for i, value in enumerate(pooled))
     code = compile(source, "<repro-kernel>", "exec")
     exec(code, namespace)
     fn = namespace["_kernel"]
-    _FN_CACHE[source] = fn
+    _FN_CACHE[key] = fn
     _CACHE_STATS["compiles"] += 1
     return fn
 
@@ -316,20 +330,12 @@ def rule_kernel(
     *,
     use_indexes: bool = True,
     record_rows: bool = False,
-) -> Optional[Callable]:
-    """The compiled kernel for one plan of *cr*, or ``None`` when the
-    rule cannot be specialized (the caller falls back to the
-    interpreter).  Kernels are memoized on the compiled rule, beside the
-    plan's lowering, so each ``(plan, flags)`` pair is generated at most
-    once per rule object.
+) -> Callable:
+    """The compiled kernel for one plan of *cr*.  Kernels are memoized
+    on the compiled rule, beside the plan's lowering, so each ``(plan,
+    flags)`` pair is generated at most once per rule object.
     """
-
-    def build() -> Optional[Callable]:
-        try:
-            return _compile_source(
-                kernel_source(cr, plan_id, use_indexes=use_indexes, record_rows=record_rows)
-            )
-        except KernelError:
-            return None
-
-    return cr.memoized((plan_id, use_indexes, record_rows), build)
+    return cr.memoized(
+        (plan_id, use_indexes, record_rows),
+        lambda: _compile_source(*_generate(cr, plan_id, use_indexes, record_rows)),
+    )

@@ -16,7 +16,8 @@ of variables, one access kind per step, the existential first-match
 cut, and what each step does when its relation is absent.  It runs
 lazily, on a plan's first firing, and is memoized on the compiled rule
 (:meth:`CompiledRule.lowered`).  :func:`interpret` evaluates the
-lowered steps over a register list — the reference the tuple kernels
+lowered steps over a register list and absorbs its own head rows, with
+a tuple kernel's call contract — the reference the tuple kernels
 (:mod:`repro.engine.kernel`) and the vector kernel
 (:mod:`repro.engine.batch_kernel`) are generated from and checked
 against.
@@ -32,14 +33,15 @@ enumerating the whole relation and filtering.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from ..datalog.ast import Atom, Rule
 from ..datalog.builtins import BUILTINS, is_builtin
 from ..datalog.columnar import global_dictionary, pack_rows
-from ..datalog.database import Database, post_rows
+from ..datalog.database import Database, Relation, post_rows
 from ..datalog.errors import ValidationError
 from ..datalog.terms import Constant, Variable
+from .provenance import Justification
 from .statistics import EvalStats
 
 __all__ = [
@@ -386,7 +388,8 @@ class Step(NamedTuple):
 
 class Lowered(NamedTuple):
     """One plan of one compiled rule, lowered: the steps, then the
-    post-match filters and the head, all over numbered registers."""
+    post-match filters and the head, all over numbered registers, and
+    what a justification of a derived fact names."""
 
     steps: tuple[Step, ...]
     #: register number -> the variable it holds, in first-binding order
@@ -398,6 +401,9 @@ class Lowered(NamedTuple):
     head: tuple
     #: the ``fail`` action of a failed built-in or negation check
     fail: str
+    #: the head's predicate and the rule's index, as a justification names them
+    head_predicate: str
+    rule_index: int
 
 
 def lower(cr: CompiledRule, plan_id: Optional[int], use_indexes: bool = True) -> Lowered:
@@ -464,36 +470,47 @@ def lower(cr: CompiledRule, plan_id: Optional[int], use_indexes: bool = True) ->
                           plan.bound_positions, key, binds, checks, cut, fail))
         if kind != "member":  # a membership probe opens no loop
             fail = "break" if cut else "continue"
-    return Lowered(tuple(steps), tuple(registers), builtins, negated, head, fail)
+    return Lowered(tuple(steps), tuple(registers), builtins, negated, head, fail,
+                   cr.rule.head.predicate, cr.rule_index)
 
 
 def interpret(
     low: Lowered,
     db: Database,
     stats: EvalStats,
-    delta: Optional[DeltaIndex] = None,
-    record_rows: bool = False,
-) -> Iterator:
+    delta: Optional[DeltaIndex],
+    head: Relation,
+    new: set,
+    provenance: Optional[dict],
+) -> None:
     """Evaluate *low* over one register list: the reference executor
-    (``use_kernels=False`` / ``--no-kernel``), which every generated
-    kernel matches on answers, derivation order and counters.
+    (``use_kernels=False`` / ``--no-kernel``), called like a tuple
+    kernel, which every generated kernel matches on answers, derivation
+    order and counters.
 
-    Yields one head tuple per rule firing, or ``(head, body_rows)``
-    with *record_rows* (``body_rows[i]`` is the row body literal *i*
-    matched, for provenance).  An absent relation ends its step before
-    any probe is charged; a cut step stops after its first matching row,
-    whether or not anything downstream fired.
+    Each rule firing's head row is absorbed at once: a row already in
+    the relation *head* counts as a duplicate, a new one goes into
+    *head* and the frontier set *new* and, when *provenance* is a dict,
+    its first justification is recorded there, body rows in relational
+    body order.  Each insert is visible to the enumeration still
+    running (a lookup on the rule's own head walks the live posting
+    list).  An absent relation ends its step before any probe is
+    charged; a cut step stops after its first matching row, whether or
+    not anything downstream fired.
     """
     steps = low.steps
     regs: list = [None] * len(low.registers)
     rows: list = [None] * len(steps)
+    body: list = [None] * len(steps)  # predicates, in relational body order
+    for step in steps:
+        body[step.body_index] = step.predicate
     rels = [db.relation(s.predicate) for s in steps]
     negated = [(db.relation(p), key) for p, key in low.negated]
 
     def values(terms) -> tuple:
         return tuple([regs[t] if t.__class__ is int else t.value for t in terms])
 
-    def match(i: int) -> Iterator:
+    def match(i: int) -> None:
         if i == len(steps):
             for name, a, b in low.builtins:
                 if not BUILTINS[name](*values((a, b))):
@@ -503,7 +520,16 @@ def interpret(
                 if rel is not None and values(key) in rel:
                     return
             stats.rule_firings += 1
-            yield (values(low.head), tuple(rows)) if record_rows else values(low.head)
+            h = values(low.head)
+            if not head.add(h):
+                stats.duplicates += 1
+                return
+            stats.facts_derived += 1
+            new.add(h)
+            if provenance is not None:
+                provenance[(low.head_predicate, h)] = Justification(
+                    low.rule_index, tuple(zip(body, rows))
+                )
             return
         s = steps[i]
         kind, rel = s.kind, rels[i]
@@ -534,8 +560,8 @@ def interpret(
             if s.checks and any(row[p] != regs[r] for p, r in s.checks):
                 continue
             rows[s.body_index] = row
-            yield from match(i + 1)
+            match(i + 1)
             if s.cut:
                 return
 
-    return match(0)
+    match(0)

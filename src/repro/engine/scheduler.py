@@ -30,13 +30,15 @@ the SCC condensation DAG in topological order:
 
 Every path runs one semi-naive driver, :func:`_fixpoint`: a unit from
 scratch (:func:`evaluate_unit`), a unit resumed from an incremental seed
-frontier (:func:`run_seeded_unit`), and ``run_monolithic`` (the CLI's
-``--no-scc``) — one all-heads unit per stratum with no unit boundary
-and no component-local cut, kept as the scheduler's differential
-oracle.  ``strategy="naive"`` swaps in the small reference loop.  Rule
-firing is a three-rung ladder (:func:`_fire`): vector kernel → tuple
-kernel → interpreter, three executors of one lowered plan, identical
-on every engine-invariant counter.
+frontier (:func:`run_seeded_unit`), and :func:`run_strata` without
+``use_scc`` (the CLI's ``--no-scc``) — one all-heads unit per stratum
+with no unit boundary and no component-local cut, kept as the
+scheduler's differential oracle.  ``strategy="naive"`` swaps in the
+small reference loop.  Rule firing is a two-rung ladder
+(:func:`_fire`): vector kernel → tuple kernel, which compiles every
+rule; ``use_kernels=False`` runs the interpreter instead, through the
+tuple kernel's call.  All three execute one lowered plan and agree on
+every engine-invariant counter.
 
 The drivers are *governed*: they accept a
 :class:`~repro.engine.governor.Governor` whose cooperative checkpoints
@@ -54,6 +56,7 @@ already in ``stats``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 try:  # numpy is optional; without it the vectorized path never engages
@@ -73,16 +76,14 @@ from .cost import AdaptiveReplanner
 from .governor import BudgetExceeded, Governor, Guard
 from .kernel import rule_kernel
 from .plan import CompiledRule, DeltaIndex, interpret, replan_delta_plans
-from .provenance import Justification
 from .statistics import EvalStats
 
 __all__ = [
     "EvalUnit",
     "build_units",
     "evaluate_unit",
-    "run_monolithic",
-    "run_scheduled",
     "run_seeded_unit",
+    "run_strata",
     "run_unit",
 ]
 
@@ -106,15 +107,14 @@ def _fire(
     """Run one plan of one rule, inserting new head facts.
 
     *plan_id* selects the naive plan (``None``) or the delta plan
-    starting at relational literal *plan_id*.  Three executors of the
-    plan's one lowering (:meth:`CompiledRule.lowered`), tried in order:
-    the vector kernel (``opts.use_columnar``; it declines every lowered
-    pattern but a ``delta`` or ``scan`` step followed by a ``lookup`` or
-    a fully bound ``member``, before touching a counter), the compiled
-    tuple kernel (``opts.use_kernels``; a constant it cannot inline
-    declines the rule; one call that absorbs its own rows), and the
-    lowered-plan interpreter — the fallback and the differential
-    oracle, whose rows are absorbed here.
+    starting at relational literal *plan_id*.  Executors of the plan's
+    one lowering (:meth:`CompiledRule.lowered`): the vector kernel
+    (``opts.use_columnar``; it declines every lowered pattern but a
+    ``delta`` or ``scan`` step followed by a ``lookup`` or a fully bound
+    ``member``, before touching a counter), then the compiled tuple
+    kernel — or, with ``opts.use_kernels`` off, the lowered-plan
+    interpreter, the differential oracle.  Either is one row-at-a-time
+    call that absorbs its own rows into the round's frontier.
 
     *guard* is the governor's per-unit view: its checkpoint here is
     the between-rules boundary, where the deadline and the fact budget
@@ -134,41 +134,18 @@ def _fire(
                 _absorb_packed(rel, head_pred, packed, stats, added)
             return
         stats.columnar_fallbacks += 1  # this firing runs on the tuple kernel
-    kernel = None
     if opts.use_kernels:
-        kernel = rule_kernel(
+        stats.kernel_launches += 1
+        run = rule_kernel(
             cr, plan_id, use_indexes=opts.use_indexes, record_rows=opts.record_provenance
         )
-    if kernel is not None:
-        # the tuple kernel absorbs its own rows into the round's frontier
-        stats.kernel_launches += 1
-        new = _raw_frontier(added, head_pred)
-        frontier = set() if new is None else new
-        kernel(db, stats, delta, rel, frontier, provenance)
-        if new is None and frontier:
-            added[head_pred] = frontier
-        return
-    derivations = interpret(
-        cr.lowered(plan_id, opts.use_indexes), db, stats, delta, opts.record_provenance
-    )
-    if not opts.record_provenance:
-        # the hot path: bare head tuples, no body rows to carry
-        _absorb_rows(rel, head_pred, derivations, stats, added)
-        return
+    else:
+        run = partial(interpret, cr.lowered(plan_id, opts.use_indexes))
     new = _raw_frontier(added, head_pred)
-    for values, body_rows in derivations:
-        if rel.add(values):
-            stats.facts_derived += 1
-            if new is None:
-                new = added.setdefault(head_pred, set())
-            new.add(values)
-            body = tuple(
-                (atom.predicate, row)
-                for atom, row in zip(cr.relational_body, body_rows)
-            )
-            provenance[(head_pred, values)] = Justification(cr.rule_index, body)
-        else:
-            stats.duplicates += 1
+    frontier = set() if new is None else new
+    run(db, stats, delta, rel, frontier, provenance if opts.record_provenance else None)
+    if new is None and frontier:
+        added[head_pred] = frontier
 
 
 def _raw_frontier(added: dict, head_pred: str) -> Optional[set]:
@@ -182,10 +159,8 @@ def _raw_frontier(added: dict, head_pred: str) -> Optional[set]:
 
 
 def _absorb_rows(rel, head_pred, rows, stats, added) -> None:
-    """Insert head rows one at a time, in order.  *rows* may be the
-    interpreter's live generator: each insert is visible to the
-    enumeration still running, which is what rules reading their own
-    head rely on."""
+    """Insert head rows one at a time, in order: the decoded rows of a
+    packed batch whose relation has no packed runs."""
     new = _raw_frontier(added, head_pred)
     for values in rows:
         if rel.add(values):
@@ -514,7 +489,7 @@ def evaluate_unit(
 
 def run_unit(unit: "EvalUnit", stats: EvalStats, guard: Guard, step, *args, **kwargs) -> None:
     """One scheduled unit execution — the step every unit walk shares
-    (:func:`run_scheduled` and incremental maintenance's): run
+    (:func:`run_strata` and incremental maintenance's): run
     ``step(unit, guard, ...)`` and book the rounds it took under the
     unit's label, whether it finished, tripped a limit or raised."""
     try:
@@ -559,37 +534,6 @@ def run_seeded_unit(
         out = {}
     evaluate_unit(unit, guard, db, stats, provenance, opts, seeds, out)
     return out
-
-
-def run_monolithic(
-    strata, db, stats, provenance, opts, governor=None, replan_rounds: int = 0
-) -> None:
-    """Evaluate each stratum as one fixpoint over all its rules
-    (``use_scc=False``): the unit driver over one unit per stratum
-    whose members are all the stratum's heads, with a unit-less retirer
-    (rules retire, the stratum never exits early) and no unit boundary
-    — the differential oracle for :func:`run_scheduled`.  The whole run
-    is one "unit" to the governor, which tests the same deadline and
-    fact budget at the same kinds of boundary as under scheduling.
-    """
-    governor = governor if governor is not None else Governor(opts)
-    guard = governor.guard()
-    retire = _Retirer(opts.cut_predicates, stats)
-    for stratum_index, stratum_rules in enumerate(strata):
-        active = retire.filter(stratum_rules, db)
-        if not active:
-            continue
-        try:
-            if opts.strategy == "naive":
-                _naive_loop(active, db, stats, provenance, opts, retire, guard)
-            else:
-                heads = frozenset(cr.rule.head.predicate for cr in active)
-                _fixpoint(active, heads, db, stats, provenance, opts, retire, guard,
-                          replan_rounds=replan_rounds)
-        except BudgetExceeded as exc:
-            if exc.stratum is None:
-                exc.stratum = stratum_index
-            raise
 
 
 # ---------------------------------------------------------------------------
@@ -644,31 +588,56 @@ def build_units(stratum_rules, info: DependencyInfo, edges, component_of) -> lis
     return units
 
 
-def run_scheduled(
+def run_strata(
     strata, info: DependencyInfo, db, stats, provenance, opts, governor=None,
     replan_rounds: int = 0,
 ) -> None:
-    """Evaluate every stratum as a topologically scheduled DAG of units,
-    one after another in :func:`build_units` order.  A unit counts as
-    scheduled (``units_scheduled``, ``unit_rounds``) once it starts, so
-    after a trip or an error ``stats`` lists exactly the units that ran.
+    """Evaluate every stratum, in order, the one way both
+    :func:`~repro.engine.evaluator.run_prepared` and a session's
+    ``refresh`` run a program.
+
+    With ``opts.use_scc`` each stratum is a topologically scheduled DAG
+    of units, one after another in :func:`build_units` order; a unit
+    counts as scheduled (``units_scheduled``, ``unit_rounds``) once it
+    starts, so after a trip or an error ``stats`` lists exactly the
+    units that ran.  Without it (``--no-scc``) each stratum is one
+    fixpoint over all its rules: the unit driver over one unit whose
+    members are all the stratum's heads, with a unit-less retirer (rules
+    retire, the stratum never exits early) and no unit boundary — the
+    scheduler's differential oracle.  The whole run is then one "unit"
+    to the governor, which tests the same deadline and fact budget at
+    the same kinds of boundary.  A tripped budget is stamped with the
+    stratum it tripped in.
     """
     governor = governor if governor is not None else Governor(opts)
-    edges = condensation(info)
-    component_of = {p: i for i, scc in enumerate(info.sccs) for p in scc}
-    ordinal = 0  # unit executions across the whole run, scheduling order
+    if opts.use_scc:
+        edges = condensation(info)
+        component_of = {p: i for i, scc in enumerate(info.sccs) for p in scc}
+        ordinal = 0  # unit executions across the whole run, scheduling order
+    else:
+        run_guard = governor.guard()
+        retire = _Retirer(opts.cut_predicates, stats)
     for stratum_index, stratum_rules in enumerate(strata):
-        if not stratum_rules:
-            continue
         try:
-            for unit in build_units(stratum_rules, info, edges, component_of):
-                stats.units_scheduled += 1
-                guard = governor.guard(unit=unit.label, ordinal=ordinal)
-                ordinal += 1
-                run_unit(
-                    unit, stats, guard, evaluate_unit, db, stats, provenance, opts,
-                    replan_rounds=replan_rounds,
-                )
+            if opts.use_scc:
+                for unit in build_units(stratum_rules, info, edges, component_of):
+                    stats.units_scheduled += 1
+                    guard = governor.guard(unit=unit.label, ordinal=ordinal)
+                    ordinal += 1
+                    run_unit(
+                        unit, stats, guard, evaluate_unit, db, stats, provenance, opts,
+                        replan_rounds=replan_rounds,
+                    )
+                continue
+            active = retire.filter(stratum_rules, db)
+            if not active:
+                continue
+            if opts.strategy == "naive":
+                _naive_loop(active, db, stats, provenance, opts, retire, run_guard)
+            else:
+                heads = frozenset(cr.rule.head.predicate for cr in active)
+                _fixpoint(active, heads, db, stats, provenance, opts, retire, run_guard,
+                          replan_rounds=replan_rounds)
         except BudgetExceeded as exc:
             if exc.stratum is None:
                 exc.stratum = stratum_index

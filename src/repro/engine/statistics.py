@@ -61,7 +61,7 @@ class EvalStats:
     #: Boolean (cut) rules retired before the fixpoint finished.
     rules_retired: int = _counter()
     #: Compiled rule-kernel invocations (0 when the engine ran on the
-    #: interpreter, either by option or by per-rule fallback).
+    #: interpreter, ``use_kernels=False``).
     kernel_launches: int = _counter(variant=True)
     #: Vector-kernel stages (frontier step, join step) executed with a
     #: non-empty batch (0 on the tuple-kernel and interpreter paths).

@@ -248,6 +248,27 @@ class TestDurableSession:
         assert (1, 4) in s.facts("tc")
         s.close()
 
+    def test_mixed_arity_batch_refused_before_the_log(self, tmp_path, program, edb):
+        """A new predicate's first row fixes its arity, so a batch that
+        disagrees with itself is refused typed, before the WAL append:
+        log and state stay as they were, and the log still recovers."""
+        from repro.datalog.errors import ArityError
+
+        cfg = _config(tmp_path, snapshot_every=0)
+        s = IncrementalSession(program, edb, durable=cfg)
+        before_bytes = os.path.getsize(cfg.wal_path)
+        with pytest.raises(ArityError):
+            s.insert({"newp": [(1,), (1, 2)]})
+        assert os.path.getsize(cfg.wal_path) == before_bytes
+        assert s.stats.wal_appends == 0
+        assert s.facts("newp") == frozenset()
+        s.insert({"edge": [(3, 4)]})
+        s.close()
+        r, _ = recover(program, cfg)
+        assert (1, 4) in r.facts("tc")
+        assert r.facts("newp") == frozenset()
+        r.close()
+
     def test_checkpoint_compacts(self, tmp_path, program, edb):
         cfg = _config(tmp_path, snapshot_every=0, keep_snapshots=2)
         s = IncrementalSession(program, edb, durable=cfg)

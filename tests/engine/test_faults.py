@@ -86,7 +86,7 @@ class TestUnitFailureSurfaces:
         from repro.engine.faults import FaultInjector
         from repro.engine.governor import Governor
         from repro.engine.plan import compile_rule
-        from repro.engine.scheduler import run_scheduled
+        from repro.engine.scheduler import run_strata
         from repro.engine.statistics import EvalStats
 
         program = parse(PROGRAM)
@@ -105,7 +105,7 @@ class TestUnitFailureSurfaces:
             db.ensure(pred, arities[pred])
         stats = EvalStats()
         with pytest.raises(InjectedUnitError):
-            run_scheduled(strata, info, db, stats, {}, opts, governor)
+            run_strata(strata, info, db, stats, {}, opts, governor)
         assert stats.units_scheduled == 2  # tc1 and the failing tc2
         assert stats.unit_rounds["tc1"] > 0  # ...including its rounds
         assert set(stats.unit_rounds) == {"tc1", "tc2"}

@@ -1,8 +1,9 @@
-"""Compiled rule kernels: codegen shape, caching, fallback, and
-bit-identical agreement with the plan interpreter."""
+"""Compiled rule kernels: codegen shape, caching, pooled constants,
+and bit-identical agreement with the plan interpreter."""
 
 import cProfile
 import pstats
+from functools import partial
 
 import pytest
 
@@ -18,22 +19,25 @@ from repro.engine import (
     kernel_source,
     rule_kernel,
 )
-from repro.engine.kernel import KernelError
 from repro.engine.plan import DeltaIndex, interpret
-from repro.engine.scheduler import _absorb_rows
 
 
 def _compiled(src: str, index: int = 0):
     return compile_rule(parse_rule(src), index)
 
 
-def _fire_tuple(cr, plan_id, db, frontier=None, use_indexes=True):
-    """One tuple-kernel firing of *cr*'s plan into its head relation in
-    *db*: (the counters, the frontier it extended)."""
+def _fire_tuple(cr, plan_id, db, frontier=None, use_indexes=True, kernel=True):
+    """One firing of *cr*'s plan into its head relation in *db*, on the
+    tuple kernel or (*kernel* false) on the interpreter through the same
+    call: (the counters, the frontier it extended)."""
     stats, new = EvalStats(), set()
     head = db.ensure(cr.rule.head.predicate, len(cr.rule.head.args))
     delta = None if frontier is None else DeltaIndex(frontier)
-    rule_kernel(cr, plan_id, use_indexes=use_indexes)(db, stats, delta, head, new, {})
+    if kernel:
+        run = rule_kernel(cr, plan_id, use_indexes=use_indexes)
+    else:
+        run = partial(interpret, cr.lowered(plan_id, use_indexes))
+    run(db, stats, delta, head, new, None)
     return stats, new
 
 
@@ -119,7 +123,12 @@ class TestKernelSource:
         assert "yield" not in kernel_source(cr, 1)
 
 
-# -- caching and fallback -----------------------------------------------------
+# -- caching and pooled constants ---------------------------------------------
+
+#: one nan object for every run of a rule reading it: programs are
+#: prepared once per text, and two nan objects print alike
+NAN = float("nan")
+
 
 
 class TestKernelCache:
@@ -139,6 +148,8 @@ class TestKernelCache:
         assert after["compiles"] + after["hits"] > before["compiles"] + before["hits"]
 
     def test_unsupported_constant_falls_back_to_interpreter(self):
+        """A constant with no literal form becomes a kernel global, and
+        the kernel matches the interpreter in both index modes."""
         from repro.datalog.ast import Atom, Rule
 
         weird = Constant((1, 2))  # no inline literal form
@@ -147,32 +158,90 @@ class TestKernelCache:
             (Atom("p", (Variable("X"), weird)),),
         )
         cr = compile_rule(rule, 0)
-        with pytest.raises(KernelError):
-            kernel_source(cr)
-        assert rule_kernel(cr) is None  # engine falls back per rule
+        assert "for row0 in idx0.get((_k0,), ()):" in kernel_source(cr)
+        data = {"p": [(7, (1, 2)), (8, (9, 9))], "h": [(9,)]}
+        for use_indexes in (True, False):
+            kern = _fire_tuple(cr, None, Database.from_dict(data), use_indexes=use_indexes)
+            interp = _fire_tuple(
+                cr, None, Database.from_dict(data), use_indexes=use_indexes, kernel=False
+            )
+            assert kern[1] == interp[1] == {(7,)}
+            assert kern[0].as_dict(engine_invariant=True) == interp[0].as_dict(
+                engine_invariant=True
+            )
 
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     def test_non_finite_float_constant_falls_back_to_interpreter(self, value):
         """``repr`` of a non-finite float is a name, not a literal: the
-        rule drops to the interpreter instead of failing at run time."""
+        rule runs on the tuple kernel with the constant as a kernel
+        global, and matches the interpreter."""
         from repro.datalog.ast import Atom, Program, Rule
 
         rule = Rule(
             Atom("h", (Variable("X"),)),
             (Atom("a", (Variable("X"), Constant(value))),),
         )
-        with pytest.raises(KernelError):
-            kernel_source(compile_rule(rule, 0))
+        assert "_k0" in kernel_source(compile_rule(rule, 0))
         program = Program((rule,), query=Atom("h", (Variable("X"),)))
-        db = Database.from_dict({"a": [(1, value), (2, 3)]})
-        res = evaluate(program, db)
-        assert res.stats.kernel_launches == 0
-        expected = evaluate(program, db, EngineOptions(use_kernels=False)).answers()
-        assert res.answers() == expected
-        if value == value:  # nan equals nothing, itself included
-            assert expected == {(1,)}
+        data = {"a": [(1, value), (2, 3)]}
+        res = evaluate(program, Database.from_dict(data))
+        assert res.stats.kernel_launches > 0
+        interp = evaluate(program, Database.from_dict(data), EngineOptions(use_kernels=False))
+        # the row holds the constant's own object, so even nan matches it
+        assert res.answers() == interp.answers() == {(1,)}
+        assert res.stats.as_dict(engine_invariant=True) == interp.stats.as_dict(
+            engine_invariant=True
+        )
+
+    @pytest.mark.parametrize("use_indexes", [True, False])
+    def test_nan_constant_matches_itself_only(self, use_indexes):
+        """A pooled nan compares identity first, then ``==``, on every
+        access kind: it matches the row holding that very object, and
+        not another nan — under ``--no-index`` a plain ``!=`` would
+        reject both."""
+        from repro.datalog.ast import Atom, Program, Rule
+
+        X = Variable("X")
+        rule = Rule(Atom("h", (X,)), (Atom("a", (X, Constant(NAN))),))
+        program = Program((rule,), query=Atom("h", (X,)))
+        data = {"a": [(1, NAN), (2, 3), (3, float("nan"))]}
+        kern, interp = (
+            evaluate(program, Database.from_dict(data),
+                     EngineOptions(use_kernels=kernels, use_indexes=use_indexes))
+            for kernels in (True, False)
+        )
+        assert kern.stats.kernel_launches > 0
+        assert kern.answers() == interp.answers() == {(1,)}
+        assert kern.stats.as_dict(engine_invariant=True) == interp.stats.as_dict(
+            engine_invariant=True
+        )
+
+    def test_pooled_constants_key_the_cache(self):
+        """Rules whose pooled constants differ get distinct kernels,
+        each answering its own constant — also when their sources are
+        equal (two nan objects print alike)."""
+        from repro.datalog.ast import Atom, Rule
+
+        def rule(value):
+            X = Variable("X")
+            return compile_rule(Rule(Atom("h", (X,)), (Atom("p", (X, Constant(value))),)), 0)
+
+        nan_a, nan_b = float("nan"), float("nan")
+        data = {"p": [(7, (1, 2)), (8, (3, 4)), (5, nan_a), (6, nan_b)]}
+        for (a, b), answers in [
+            ((rule((1, 2)), rule((3, 4))), ({(7,)}, {(8,)})),
+            ((rule(nan_a), rule(nan_b)), ({(5,)}, {(6,)})),
+        ]:
+            assert rule_kernel(a) is not rule_kernel(b)
+            for cr, expected in zip((a, b), answers):
+                for use_indexes in (True, False):
+                    db = Database.from_dict(data)
+                    assert _fire_tuple(cr, None, db, use_indexes=use_indexes)[1] == expected
+        assert kernel_source(rule(nan_a)) == kernel_source(rule(nan_b))
 
     def test_fallback_rule_still_evaluates_via_interpreter(self):
+        """A rule with a pooled constant runs on the tuple kernel, also
+        in one run with every other tier."""
         from repro.datalog.ast import Atom, Program, Rule
 
         weird = Constant((1, 2))
@@ -181,19 +250,18 @@ class TestKernelCache:
         db = Database.from_dict({"p": [(7, (1, 2)), (8, (9, 9))]})
         res = evaluate(program, db)
         assert res.answers() == {(7,)}
-        assert res.stats.kernel_launches == 0
+        assert res.stats.kernel_launches > 0
 
         # One run on every tier at once: the TC rules on the tuple and
-        # vector kernels, the rule with a non-inlinable constant on the
-        # interpreter.  It agrees with the all-interpreter run on
-        # answers and on every engine-invariant counter.
+        # vector kernels, the rule with a pooled constant on the tuple
+        # kernel.  It agrees with the all-interpreter run on answers
+        # and on every engine-invariant counter.
         X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
         far = Rule(
             Atom("far", (X,)),
             (Atom("tc", (X, Y)), Atom("w", (Y, Constant(float("inf"))))),
         )
-        with pytest.raises(KernelError):
-            kernel_source(compile_rule(far, 2))
+        assert "_k0" in kernel_source(compile_rule(far, 2))
         tc = parse(TC)
         program = Program(tc.rules + (far,), query=Atom("far", (X,)))
         edges = [(i, i + 1) for i in range(30)] + [(30, 0), (7, 19)]
@@ -347,12 +415,9 @@ class TestKernelAbsorb:
         )
         assert [s.kind for s in cr.lowered(None).steps] == ["scan", "lookup", "lookup"]
         data = {"h": [(1, 0)], "k": [(1,)], "succ": [(i, i + 1) for i in range(8)]}
-        db = Database.from_dict(data)
-        stats, new = _fire_tuple(cr, None, db)
-        interp_db, interp_stats, added = Database.from_dict(data), EvalStats(), {}
-        rows = interpret(cr.lowered(None), interp_db, interp_stats, None)
-        _absorb_rows(interp_db.relation("h"), "h", rows, interp_stats, added)
-        assert new == added["h"] == {(1, z) for z in range(1, 9)}
+        stats, new = _fire_tuple(cr, None, Database.from_dict(data))
+        interp_stats, added = _fire_tuple(cr, None, Database.from_dict(data), kernel=False)
+        assert new == added == {(1, z) for z in range(1, 9)}
         assert stats.as_dict(engine_invariant=True) == interp_stats.as_dict(
             engine_invariant=True
         )
@@ -389,20 +454,16 @@ FUSED = "c_rows_scanned + c_rule_firings"
 
 def _contract(src, data, plan_id=None, frontier=None, use_indexes=True):
     """Fire one plan of *src*'s rule on the tuple kernel and on the
-    interpreter (rows absorbed by ``_absorb_rows``), each into its own
-    copy of *data*: the two must derive the same frontier and agree on
-    every engine-invariant counter, ``duplicates`` included.  Returns
-    the kernel's source and counters."""
+    interpreter (the reference absorb), each into its own copy of
+    *data*: the two must derive the same frontier and agree on every
+    engine-invariant counter, ``duplicates`` included.  Returns the
+    kernel's source and counters."""
     cr = _compiled(src)
-    head = cr.rule.head
     stats, new = _fire_tuple(cr, plan_id, Database.from_dict(data), frontier, use_indexes)
-    interp_stats, added = EvalStats(), {}
-    interp_db = Database.from_dict(data)
-    rel = interp_db.ensure(head.predicate, len(head.args))
-    delta = None if frontier is None else DeltaIndex(frontier)
-    rows = interpret(cr.lowered(plan_id, use_indexes), interp_db, interp_stats, delta)
-    _absorb_rows(rel, head.predicate, rows, interp_stats, added)
-    assert new == added.get(head.predicate, set())
+    interp_stats, added = _fire_tuple(
+        cr, plan_id, Database.from_dict(data), frontier, use_indexes, kernel=False
+    )
+    assert new == added
     assert stats.as_dict(engine_invariant=True) == interp_stats.as_dict(
         engine_invariant=True
     )

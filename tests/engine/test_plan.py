@@ -88,11 +88,20 @@ class TestMatchPlan:
 
     @staticmethod
     def run(rule_src, data, plan_id=None, delta=None, use_indexes=True):
+        """Interpret one plan of *rule_src* over *data*, called like a
+        tuple kernel: (each new head row with its body rows, in
+        derivation order; the counters)."""
         low = _lowered(rule_src, plan_id, use_indexes)
         db = Database.from_dict(data)
-        stats = EvalStats()
+        stats, new, provenance = EvalStats(), set(), {}
+        head = db.ensure("h", len(low.head))
         frontier = DeltaIndex(delta) if delta is not None else None
-        return list(interpret(low, db, stats, frontier, record_rows=True)), stats
+        interpret(low, db, stats, frontier, head, new, provenance)
+        assert {row for _, row in provenance} == new
+        return [
+            (row, tuple(body_row for _, body_row in why.body))
+            for (_, row), why in provenance.items()
+        ], stats
 
     @staticmethod
     def counters(stats):
@@ -147,8 +156,9 @@ class TestMatchPlan:
         data = {"a": [(1,), (2,), (3,)], "b": [(2,), (3,), (9,)]}
         low = _lowered(src)
         db = Database.from_dict(data)
-        stats = EvalStats()
-        assert set(interpret(low, db, stats)) == {(2,), (3,)}
+        stats, new = EvalStats(), set()
+        interpret(low, db, stats, None, db.ensure("h", 1), new, None)
+        assert new == {(2,), (3,)}
         assert self.counters(stats) == (4, 3, 1, 5, 2)
         assert db.relation("b").index_builds == 0
 
