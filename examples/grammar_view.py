@@ -9,8 +9,9 @@ results live on:
   *uniform* equivalence (Lemma 4.1) — shown on the left-/right-linear
   transitive-closure pair of Example 5;
 - the self-embedding test flags grammars that may not be regular;
-- for a right-linear program, the NFA construction yields an
-  equivalent *monadic* program (Theorem 3.3's positive direction).
+- for a right-linear program asked for one endpoint (``a(X, _)``), the
+  NFA construction yields an equivalent *monadic* program (Theorem
+  3.3's positive direction).
 
 Run:  python examples/grammar_view.py
 """
@@ -82,15 +83,18 @@ def main() -> None:
     print()
 
     print(f"right TC right-linear? {is_right_linear(g_right)}")
-    monadic = monadic_program_for(RIGHT)
-    print("equivalent monadic program (Theorem 3.3, constructive direction):")
+    sources = RIGHT.with_query(parse("?- a(X, _).").query)
+    monadic = monadic_program_for(sources)
+    print("equivalent monadic program for ?- a(X, _) (Theorem 3.3, constructive direction):")
     print(monadic)
     db = Database.from_dict({"e": [(0, 1), (1, 2), (2, 0), (5, 6)]})
-    binary = {t[0] for t in evaluate(RIGHT, db).answers()}
+    binary = {t[0] for t in evaluate(sources, db).answers()}
     unary = {t[0] for t in evaluate(monadic, db).answers()}
     assert binary == unary
     print(f"-> agrees with the binary program on a sample graph: {sorted(unary)}")
     print()
+    print(f"monadic_program_for(a(X, Y)) = {monadic_program_for(RIGHT)}")
+    print("-> None: a pair query asks for both endpoints")
     print(f"monadic_program_for(push^n pop^n) = {monadic_program_for(ANBN)}")
     print("-> None: outside the constructive fragment, as expected")
 

@@ -542,7 +542,8 @@ def _check_chain_regularity(program: Program, diags: list) -> None:
             _diag(
                 "DL013",
                 "chain program whose grammar is not self-embedding, hence "
-                "regular: an equivalent monadic program exists",
+                "regular: asked for one endpoint, it has an equivalent "
+                "monadic program",
                 predicate=program.query.predicate,
                 span=program.query.span,
                 hint="Theorem 3.3; see 'repro grammar' for the CFG view",

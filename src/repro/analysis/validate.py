@@ -23,6 +23,9 @@ The contracts:
 ``post-projection-safety`` (section 3.2)
     After Lemma 3.2 the program is plain safe Datalog again (the paper
     mode split deliberately passes through an unsafe intermediate).
+``monadic-*`` (Theorem 3.3)
+    Every predicate ``monadic_chains`` introduces is unary, and no rule
+    (nor the query) still reads a binary predicate the pass dropped.
 ``hidden-link-*`` (section 5)
     Argument projections are canonical: an edge ``(i, k)`` exactly when
     head position *i* and body position *k* hold the same variable, and
@@ -52,6 +55,7 @@ __all__ = [
     "check_component_partition",
     "check_split_anchoring",
     "check_argument_projections",
+    "check_monadic_chains",
     "check_compiled_program",
     "check_pass",
     "validate_result",
@@ -216,6 +220,40 @@ def check_split_anchoring(program, pass_name: str) -> None:
                 f"rule {rule} still has the unanchored body component "
                 f"{[str(atom) for atom in lits]} after the split",
             )
+
+
+# -- Theorem 3.3: monadic chains --------------------------------------------
+
+
+def check_monadic_chains(program, chains, pass_name: str = "monadic_chains") -> None:
+    """The introduced state predicates are unary and the dropped
+    components are read nowhere (*chains* is the pass's report)."""
+    arity = {r.head.atom.predicate: r.head.atom.arity for r in program.rules}
+    dropped = {p for chain in chains for p in chain.component}
+    for chain in chains:
+        for pred in chain.states:
+            if arity.get(pred) != 1:
+                _violate(
+                    pass_name,
+                    "monadic-unary",
+                    f"state predicate {pred!r} introduced for {chain.start} is "
+                    f"defined at arity {arity.get(pred)}, not 1",
+                )
+    for rule in program.rules:
+        for lit in (rule.head, *rule.body, *rule.negative):
+            if lit.atom.predicate in dropped:
+                _violate(
+                    pass_name,
+                    "monadic-dropped",
+                    f"rule {rule} still uses {lit.atom.predicate!r}, which the "
+                    f"pass dropped",
+                )
+    if program.query.atom.predicate in dropped:
+        _violate(
+            pass_name,
+            "monadic-dropped",
+            f"the query reads the dropped predicate {program.query.atom.predicate!r}",
+        )
 
 
 # -- section 5: argument projections -----------------------------------------
@@ -385,6 +423,8 @@ def check_pass(record) -> None:
     check_component_partition(program, name)
     if name == "split_components":
         check_split_anchoring(program, name)
+    if name == "monadic_chains" and record.report:
+        check_monadic_chains(program, record.report, name)
     if program.projected:
         check_argument_projections(program, name)
     if name == "inline_projection_query" and record.report is not None:

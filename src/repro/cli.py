@@ -389,6 +389,9 @@ def _cmd_grammar(args) -> int:
     if monadic is not None:
         print("equivalent monadic program (Theorem 3.3):")
         print(monadic)
+    else:
+        print("no monadic program: one is built for a p(X, _) query "
+              "over a right-linear grammar")
     return 0
 
 

@@ -1,26 +1,41 @@
 """The full optimization pipeline of the paper, as one table of passes.
 
-:func:`optimize` folds the program through these passes, in order:
+:func:`optimize` folds the program through these passes, in order.
+Each row declares its guarantee: a *uniform* pass keeps the query's
+answers on every input instance, including one that already holds rows
+of derived predicates (uniform query equivalence, section 4); an
+*edb-only* pass assumes the derived predicates start empty.
 
-1. ``adorn`` (section 2): propagate ``n``/``d`` adornments from the
-   query, producing the adorned program ``P^e,ad``.
-2. ``split_components`` (section 3.1): disconnected body components
-   become boolean subqueries ``B_i``, whose rules the engine retires
-   once satisfied (bottom-up cut).
-3. ``push_projections`` (section 3.2, Lemma 3.2): drop every
+1. ``adorn`` (section 2; uniform): propagate ``n``/``d`` adornments
+   from the query, producing the adorned program ``P^e,ad``.
+2. ``split_components`` (section 3.1; uniform): disconnected body
+   components become boolean subqueries ``B_i``, whose rules the
+   engine retires once satisfied (bottom-up cut).
+3. ``push_projections`` (section 3.2, Lemma 3.2; uniform): drop every
    existential argument position of every derived predicate.
-4. ``theta_subsumption`` (section 6): drop every rule θ-subsumed by
-   another rule — sound for uniform equivalence.
-5. ``delete_rules`` (sections 3.3, 5): Sagiv's uniform-equivalence test,
-   the Lemma 5.1/5.3 summary tests, and the Example-6
-   uniform-query-equivalence chase, iterated with cascade clean-up, then
-   retried with the covering unit rules of section 5 added.
-6. ``unfold_nonrecursive`` (section 6): splice single-rule
+4. ``monadic_chains`` (Theorem 3.3; edb-only): a one-sided-linear
+   binary chain recursion whose readers want one endpoint becomes
+   unary automaton-state predicates (:mod:`repro.core.monadic`).
+5. ``theta_subsumption`` (section 6; uniform): drop every rule
+   θ-subsumed by another rule.
+6. ``delete_rules`` (sections 3.3, 5; edb-only, for the cascade):
+   Sagiv's uniform-equivalence test, the Lemma 5.1/5.3 summary tests,
+   and the Example-6 uniform-query-equivalence chase, iterated with
+   cascade clean-up, then retried with the covering unit rules of
+   section 5 added.
+7. ``unfold_nonrecursive`` (section 6; edb-only): splice single-rule
    non-recursive predicates into their consumers.
-7. ``minimize_rule_bodies`` (section 6): reduce every rule body to its
-   core.
-8. ``inline_projection_query``: query the predicate a pure-projection
-   unit rule reads instead of materializing the rule.
+8. ``minimize_rule_bodies`` (section 6; uniform): reduce every rule
+   body to its core.
+9. ``inline_projection_query`` (edb-only): query the predicate a
+   pure-projection unit rule reads instead of materializing the rule.
+
+The adorned program renames every derived predicate, so no optimized
+program reads given rows of one: :meth:`OptimizationResult.evaluate`
+refuses a database holding rows of a derived predicate the query
+depends on with a
+:class:`~repro.datalog.errors.DerivedInputError` naming the predicate
+and the first edb-only pass that changed the program.
 
 The paper notes (end of section 1.2) that Magic Sets / Counting
 rewritings are orthogonal and can be applied to the result; see
@@ -33,13 +48,15 @@ the final program should be run with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from typing import Optional
 
+from ..datalog.analysis import reachable_predicates
 from ..datalog.ast import Atom, Program
 from ..datalog.builtins import has_builtins
 from ..datalog.database import Database
+from ..datalog.errors import DerivedInputError
 from ..datalog.terms import Variable
 from ..engine.evaluator import EngineOptions, EvalResult, answers_of, evaluate
 from .adornment import Adornment, AdornedLiteral, AdornedProgram, adorn
@@ -69,18 +86,22 @@ class PassRecord:
     """One pass of :func:`optimize`: its name, output program and report.
 
     The reports: ``split_components`` its
-    :class:`~repro.core.components.ComponentSplit`;
-    ``theta_subsumption`` the ``(deleted, subsumer)`` rule pairs;
-    ``delete_rules`` ``(unit rules added, deletions)``, or ``None`` when
+    :class:`~repro.core.components.ComponentSplit`; ``monadic_chains``
+    one :class:`~repro.core.monadic.MonadicChain` per rewired reader
+    (``()`` when it declined); ``theta_subsumption`` the
+    ``(deleted, subsumer)`` rule pairs; ``delete_rules`` ``(unit rules added, deletions)``, or ``None`` when
     deletion was skipped; ``unfold_nonrecursive`` the eliminated
     predicates; ``minimize_rule_bodies`` the ``(before, after)`` rule
     pairs; ``inline_projection_query`` the answer positions, or
     ``None``.  ``adorn`` and ``push_projections`` report nothing.
+    ``guarantee`` is the pass's row of the table: ``"uniform"`` or
+    ``"edb-only"``.
     """
 
     name: str
     program: AdornedProgram
     report: object = None
+    guarantee: str = "uniform"
 
 
 @dataclass(frozen=True)
@@ -132,9 +153,44 @@ class OptimizationResult:
     def _deletion(self) -> tuple:
         return self.record("delete_rules").report or ((), ())
 
+    @property
+    def monadic(self) -> tuple:
+        """The readers ``monadic_chains`` rewired (Theorem 3.3)."""
+        return self.record("monadic_chains").report
+
     @cached_property
     def program(self) -> Program:
         return self.final.to_program()
+
+    @cached_property
+    def _source_derived(self) -> tuple[str, ...]:
+        """The source's derived predicates the query depends on; rows of
+        any other derived predicate cannot change the answers."""
+        roots = (self.original.query.predicate,) if self.original.query else ()
+        relevant = reachable_predicates(self.original, roots)
+        return tuple(sorted(self.original.idb_predicates() & relevant))
+
+    def _first_edb_only_change(self) -> Optional[str]:
+        previous = None
+        for record in self.passes:
+            if (
+                record.guarantee == "edb-only"
+                and previous is not None
+                and str(record.program) != str(previous)
+            ):
+                return record.name
+            previous = record.program
+        return None
+
+    def _check_input(self, edb: Database) -> None:
+        """Refuse *edb* if it holds rows of a predicate the source
+        program derives and the query depends on: the optimized program
+        would ignore them.
+        Raises :class:`~repro.datalog.errors.DerivedInputError`."""
+        for predicate in self._source_derived:
+            rel = edb.relation(predicate)
+            if rel is not None and len(rel):
+                raise DerivedInputError(predicate, self._first_edb_only_change())
 
     @cached_property
     def cut_predicates(self) -> frozenset[str]:
@@ -146,7 +202,12 @@ class OptimizationResult:
         return EngineOptions(cut_predicates=self.cut_predicates, **overrides)
 
     def evaluate(self, edb: Database, **overrides) -> EvalResult:
-        """Evaluate the optimized program (with cut) over *edb*."""
+        """Evaluate the optimized program (with cut) over *edb*.
+
+        Raises :class:`~repro.datalog.errors.DerivedInputError` when
+        *edb* holds rows of a predicate the source program derives and
+        the query depends on."""
+        self._check_input(edb)
         return evaluate(self.program, edb, self.engine_options(**overrides))
 
     def answers_of(self, evaluation: EvalResult) -> frozenset[tuple]:
@@ -180,7 +241,7 @@ class OptimizationResult:
     def report_dict(self) -> dict:
         """A JSON-serializable summary of the run (CLI ``--json``)."""
         added, deleted = self._deletion
-        return {
+        report = {
             "original_rules": [str(r) for r in self.original.rules],
             "query": str(self.original.query) if self.original.query else None,
             "adorned_rules": [str(r) for r in self.adorned.rules],
@@ -202,6 +263,9 @@ class OptimizationResult:
             else None,
             "unfolded_predicates": list(self.record("unfold_nonrecursive").report),
         }
+        if self.monadic:
+            report["monadic_chains"] = [asdict(chain) for chain in self.monadic]
+        return report
 
     def describe(self) -> str:
         """A multi-line report of what each pass did, in execution order."""
@@ -215,6 +279,7 @@ class OptimizationResult:
             (f"components split (section 3.1; {split.rules_split} rules split)",
              [split.program]),
             ("projections pushed (section 3.2)", [self.record("push_projections").program]),
+            ("chains made monadic (Theorem 3.3)", self.monadic),
             ("rules removed by theta-subsumption (section 6)",
              [f"{rule}   [subsumed by {winner}]" for rule, winner in self.subsumed]),
             ("unit rules added (section 5)", added),
@@ -249,6 +314,9 @@ def optimize(
     programs over stored relations (the paper lists both as future
     work).
 
+    Every pass always runs; ``monadic_chains`` declines on its own
+    syntactic test (see :mod:`repro.core.monadic`).
+
     ``validate=True`` arms the pass-contract sanitizer
     (:mod:`repro.analysis.validate`): after every pass its published
     invariant is asserted over the pass's output, and a violation
@@ -258,25 +326,27 @@ def optimize(
     if program.has_negation() or has_builtins(program):
         deletion = None
     passes = (
-        ("adorn", lambda p: (adorn(p), None)),
-        ("split_components", _split_components),
-        ("push_projections", lambda p: (push_projections(p), None)),
-        ("theta_subsumption", _theta_subsumption),
+        ("adorn", "uniform", lambda p: (adorn(p), None)),
+        ("split_components", "uniform", _split_components),
+        ("push_projections", "uniform", lambda p: (push_projections(p), None)),
+        ("monadic_chains", "edb-only", _monadic_chains),
+        ("theta_subsumption", "uniform", _theta_subsumption),
         (
             "delete_rules",
+            "edb-only",
             lambda p: _delete_rules(p, deletion, unit_rules, use_chase, use_sagiv),
         ),
-        ("unfold_nonrecursive", _unfold_nonrecursive),
-        ("minimize_rule_bodies", _minimize_rule_bodies),
-        ("inline_projection_query", _inline_projection_query),
+        ("unfold_nonrecursive", "edb-only", _unfold_nonrecursive),
+        ("minimize_rule_bodies", "uniform", _minimize_rule_bodies),
+        ("inline_projection_query", "edb-only", _inline_projection_query),
     )
     if validate:
         from ..analysis.validate import check_compiled_program, check_pass
     current = program
     records = []
-    for name, run in passes:
+    for name, guarantee, run in passes:
         current, report = run(current)
-        records.append(PassRecord(name, current, report))
+        records.append(PassRecord(name, current, report, guarantee))
         if validate:
             check_pass(records[-1])
     if validate:
@@ -287,6 +357,14 @@ def optimize(
 def _split_components(program: AdornedProgram):
     split = split_components(program)
     return split.program, split
+
+
+def _monadic_chains(program: AdornedProgram):
+    # imported on first use: a fresh `import repro` (every CLI start)
+    # does not compile the pass unless something optimizes
+    from .monadic import monadic_chains
+
+    return monadic_chains(program)
 
 
 def _theta_subsumption(program: AdornedProgram):

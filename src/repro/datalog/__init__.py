@@ -10,6 +10,7 @@ from .ast import Atom, Program, Rule, Span, atom, rule
 from .database import Database, Relation
 from .errors import (
     ArityError,
+    DerivedInputError,
     DurabilityError,
     EvaluationError,
     ParseError,
@@ -58,6 +59,7 @@ __all__ = [
     "ParseError",
     "ValidationError",
     "ArityError",
+    "DerivedInputError",
     "SafetyError",
     "EvaluationError",
     "DurabilityError",

@@ -36,6 +36,33 @@ class ValidationError(ReproError):
     """
 
 
+class DerivedInputError(ValidationError):
+    """Raised when an optimized program is asked to evaluate a database
+    that holds rows of a predicate the source program derives.
+
+    The optimized program renames every derived predicate by its
+    adornment, and its ``edb-only`` passes assume the derived predicates
+    start empty, so it would ignore such rows and answer wrongly.
+    :attr:`predicate` names the derived predicate; :attr:`pass_name`
+    names the first ``edb-only`` pipeline pass that changed the program
+    (None when none did).
+    """
+
+    def __init__(self, predicate: str, pass_name=None):
+        self.predicate = predicate
+        self.pass_name = pass_name
+        why = (
+            f"the first edb-only pass that changed the program is {pass_name!r}"
+            if pass_name
+            else "it renames every derived predicate"
+        )
+        super().__init__(
+            f"the database holds rows of {predicate!r}, which the program "
+            f"derives; the optimized program would ignore them ({why}); "
+            f"evaluate the original program instead"
+        )
+
+
 class ArityError(ValidationError):
     """Raised when a predicate is used with two different arities."""
 

@@ -19,6 +19,11 @@ that theorem:
   ``can_reach_accept_from[q](X)``; :func:`monadic_program_for` glues
   the steps together, answering a ``p^nd`` query with a unary
   recursion.
+- :func:`left_linear_to_nfa`, :func:`reverse_nfa` and
+  :func:`minimal_dfa` — the automata of the optimizer's
+  ``monadic_chains`` pass (:mod:`repro.core.monadic`), which covers
+  both one-sided linear forms and both query directions, and emits one
+  unary predicate per state of the minimal DFA.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from typing import Iterable, Optional
 from ..datalog.ast import Atom, Program, Rule
 from ..datalog.errors import TransformError
 from ..datalog.terms import Variable
-from .cfg import Grammar, program_to_grammar
+from .cfg import Grammar, Production, program_to_grammar
 
 __all__ = [
     "is_self_embedding",
@@ -192,6 +197,128 @@ def right_linear_to_nfa(grammar: Grammar) -> NFA:
     )
 
 
+def reverse_nfa(nfa: NFA) -> NFA:
+    """An NFA for the reversed language: every transition flipped, the
+    old start the accepting state, and a fresh start state that makes
+    the (flipped) last moves into every old accepting state."""
+    start = "$rev"
+    while start in nfa.states:
+        start += "'"
+    transitions: dict[tuple[str, str], set[str]] = {}
+    for (src, symbol), dsts in nfa.transitions.items():
+        for dst in dsts:
+            transitions.setdefault((dst, symbol), set()).add(src)
+            if dst in nfa.finals:
+                transitions.setdefault((start, symbol), set()).add(src)
+    finals = {nfa.start} | ({start} if nfa.start in nfa.finals else set())
+    return NFA(
+        states=nfa.states | {start},
+        start=start,
+        finals=frozenset(finals),
+        transitions={k: frozenset(v) for k, v in transitions.items()},
+    )
+
+
+def left_linear_to_nfa(grammar: Grammar) -> NFA:
+    """The mirror image of :func:`right_linear_to_nfa`: reverse every
+    right-hand side (the grammar is now right-linear and generates the
+    reversed language), build its NFA, and reverse that."""
+    if not is_left_linear(grammar):
+        raise TransformError("grammar is not left-linear")
+    mirrored = Grammar(
+        tuple(Production(p.lhs, p.rhs[::-1]) for p in grammar.productions),
+        grammar.start,
+    )
+    return reverse_nfa(right_linear_to_nfa(mirrored))
+
+
+#: The subset construction refuses to grow a DFA past this many states.
+#: ``monadic_chains`` emits one predicate per state, so a blown-up
+#: automaton would trade one binary recursion for hundreds of unary
+#: rules; the pass declines instead.
+MAX_DFA_STATES = 256
+
+
+def minimal_dfa(nfa: NFA) -> NFA:
+    """The minimal trim DFA of ``L(nfa)``, as an :class:`NFA` whose
+    successor sets are singletons.
+
+    Subset construction, then the states that cannot reach acceptance
+    are dropped, then Moore's partition refinement merges equivalent
+    states.  States are named ``"0"``, ``"1"``, ... in breadth-first
+    order from the start ``"0"`` over sorted symbols, so the result
+    does not depend on hash order.  Raises :class:`TransformError` when
+    the subset construction exceeds :data:`MAX_DFA_STATES`.
+    """
+    alphabet = sorted({symbol for _state, symbol in nfa.transitions})
+    first = frozenset({nfa.start})
+    subsets, queue = {first: 0}, deque([first])
+    delta: dict[int, dict[str, int]] = {}
+    while queue:
+        subset = queue.popleft()
+        moves = delta.setdefault(subsets[subset], {})
+        for symbol in alphabet:
+            target = frozenset(s for q in subset for s in nfa.successors(q, symbol))
+            if not target:
+                continue
+            if target not in subsets:
+                if len(subsets) >= MAX_DFA_STATES:
+                    raise TransformError(f"DFA exceeds {MAX_DFA_STATES} states")
+                subsets[target] = len(subsets)
+                queue.append(target)
+            moves[symbol] = subsets[target]
+    accepting = {i for subset, i in subsets.items() if subset & nfa.finals}
+    # trim: keep the states from which acceptance is reachable
+    live, changed = set(accepting), True
+    while changed:
+        changed = False
+        for i, moves in delta.items():
+            if i not in live and any(j in live for j in moves.values()):
+                live.add(i)
+                changed = True
+    if 0 not in live:
+        return NFA(frozenset({"0"}), "0", frozenset(), {})
+    delta = {
+        i: {a: j for a, j in moves.items() if j in live}
+        for i, moves in delta.items()
+        if i in live
+    }
+    # Moore: refine {accepting, rejecting} by each state's move signature
+    block = {i: int(i in accepting) for i in delta}
+    while True:
+        signature = {
+            i: (block[i], tuple(block.get(delta[i].get(a)) for a in alphabet))
+            for i in delta
+        }
+        numbering: dict[tuple, int] = {}
+        refined = {i: numbering.setdefault(signature[i], len(numbering)) for i in sorted(delta)}
+        if len(numbering) == len(set(block.values())):
+            break
+        block = refined
+    # rename blocks breadth-first from the start
+    names: dict[int, str] = {block[0]: "0"}
+    transitions: dict[tuple[str, str], frozenset[str]] = {}
+    order = deque([0])
+    seen = {block[0]}
+    while order:
+        i = order.popleft()
+        for symbol in alphabet:
+            j = delta[i].get(symbol)
+            if j is None:
+                continue
+            if block[j] not in seen:
+                seen.add(block[j])
+                names[block[j]] = str(len(names))
+                order.append(j)
+            transitions[(names[block[i]], symbol)] = frozenset({names[block[j]]})
+    return NFA(
+        states=frozenset(names.values()),
+        start="0",
+        finals=frozenset(names[block[i]] for i in accepting if i in delta),
+        transitions=transitions,
+    )
+
+
 def nfa_accepts(nfa: NFA, word: Iterable[str]) -> bool:
     """Membership test by subset simulation."""
     current = {nfa.start}
@@ -241,11 +368,23 @@ def nfa_to_monadic_program(nfa: NFA, query_var: str = "X") -> Program:
 
 def monadic_program_for(program: Program) -> Optional[Program]:
     """End-to-end Theorem 3.3 (positive direction) for a binary chain
-    program queried as ``p^nd``: if the corresponding grammar is
-    right-linear, return an equivalent monadic program; otherwise
-    return None (the general question is undecidable and this
+    program queried as ``p^nd`` (``?- p(X, _)``): if the corresponding
+    grammar is right-linear, return an equivalent monadic program;
+    otherwise return None (the general question is undecidable and this
     constructive fragment stops at one-sided linearity).
+
+    Any other query form returns None as well: ``p(X, Y)``, ``p(X, X)``
+    or a constant argument asks for more than the first endpoint, which
+    the program :func:`nfa_to_monadic_program` builds does not answer.
     """
+    query = program.query
+    if query is None or query.arity != 2:
+        return None
+    x, y = query.args
+    if not (isinstance(x, Variable) and isinstance(y, Variable)):
+        return None
+    if x.name.startswith("_") or not y.name.startswith("_"):
+        return None
     grammar = program_to_grammar(program)
     if not is_right_linear(grammar):
         return None

@@ -76,6 +76,7 @@ class TestPipelineOptions:
             "adorn",
             "split_components",
             "push_projections",
+            "monadic_chains",
             "theta_subsumption",
             "delete_rules",
             "unfold_nonrecursive",

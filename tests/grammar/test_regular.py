@@ -8,11 +8,16 @@ from repro.engine import evaluate
 from repro.grammar.cfg import Grammar, Production
 from repro.grammar.language import language
 from repro.grammar.regular import (
+    MAX_DFA_STATES,
+    NFA,
     is_left_linear,
     is_right_linear,
     is_self_embedding,
+    left_linear_to_nfa,
+    minimal_dfa,
     monadic_program_for,
     nfa_accepts,
+    reverse_nfa,
     right_linear_to_nfa,
 )
 from repro.workloads.graphs import chain, random_digraph
@@ -108,7 +113,7 @@ class TestMonadicProgram:
             """
             a(X, Y) :- e(X, Z), a(Z, Y).
             a(X, Y) :- e(X, Y).
-            ?- a(X, Y).
+            ?- a(X, _).
             """
         )
 
@@ -137,7 +142,7 @@ class TestMonadicProgram:
             """
             s(X, Y) :- x(X, Z1), s(Z1, Z2), y(Z2, Y).
             s(X, Y) :- x(X, Z), y(Z, Y).
-            ?- s(X, Y).
+            ?- s(X, _).
             """
         )
         assert monadic_program_for(program) is None
@@ -148,10 +153,88 @@ class TestMonadicProgram:
             a(X, Y) :- u(X, Z), b(Z, Y).
             b(X, Y) :- v(X, Z), b(Z, Y).
             b(X, Y) :- v(X, Y).
-            ?- a(X, Y).
+            ?- a(X, _).
             """
         )
         monadic = monadic_program_for(program)
         assert monadic is not None
         db = Database.from_dict({"u": [(0, 1)], "v": [(1, 2), (2, 3)]})
         assert {t[0] for t in evaluate(monadic, db).answers()} == {0}
+
+
+class TestQueryForm:
+    """monadic_program_for answers the first endpoint, so it checks the
+    query."""
+
+    RIGHT = "a(X, Y) :- e(X, Z), a(Z, Y).\na(X, Y) :- f(X, Y).\n"
+    LEFT = "a(X, Y) :- a(X, Z), e(Z, Y).\na(X, Y) :- f(X, Y).\n"
+
+    @pytest.mark.parametrize(
+        "query", ["a(X, Y)", "a(X, X)", "a(1, Y)", "a(X, 1)", "a(_, _)", "a(_, Y)"]
+    )
+    def test_other_query_forms_get_none(self, query):
+        assert monadic_program_for(parse(f"{self.RIGHT}?- {query}.")) is None
+
+    def test_left_linear_gets_none(self):
+        assert monadic_program_for(parse(f"{self.LEFT}?- a(X, _).")) is None
+
+    def test_first_endpoint(self):
+        program = parse(f"{self.RIGHT}?- a(X, _).")
+        monadic = monadic_program_for(program)
+        assert monadic is not None
+        assert all(arity == 1 for p, arity in monadic.arities().items()
+                   if p in monadic.idb_predicates())
+        for seed in range(4):
+            db = Database.from_dict({"e": random_digraph(10, 16, seed=seed),
+                                     "f": random_digraph(10, 6, seed=seed + 5)})
+            reference = {t[0] for t in evaluate(program, db).answers()}
+            assert {t[0] for t in evaluate(monadic, db).answers()} == reference
+
+
+class TestAutomata:
+    def words(self, alphabet, n):
+        from itertools import product
+
+        return [w for k in range(1, n + 1) for w in product(alphabet, repeat=k)]
+
+    def test_minimal_dfa_of_e_plus_f(self):
+        # a -> e a | e f: the NFA has an intermediate state per two-terminal
+        # production; the minimal DFA has three states
+        g = Grammar((Production("a", ("e", "a")), Production("a", ("e", "f"))), "a")
+        nfa = right_linear_to_nfa(g)
+        dfa = minimal_dfa(nfa)
+        assert len(dfa.states) == 3 and dfa.start == "0"
+        assert all(len(dsts) == 1 for dsts in dfa.transitions.values())
+        for w in self.words("ef", 5):
+            assert nfa_accepts(dfa, w) == nfa_accepts(nfa, w), w
+
+    def test_reverse_and_left_linear(self):
+        g = Grammar((Production("a", ("a", "e")), Production("a", ("f",))), "a")
+        nfa = left_linear_to_nfa(g)  # f e*
+        assert nfa_accepts(nfa, ("f", "e", "e")) and not nfa_accepts(nfa, ("e", "f"))
+        back = reverse_nfa(nfa)  # e* f
+        for w in self.words("ef", 4):
+            assert nfa_accepts(back, w) == nfa_accepts(nfa, w[::-1]), w
+
+    def test_trim_drops_dead_states(self):
+        nfa = NFA(frozenset({"s", "t", "dead"}), "s", frozenset({"t"}),
+                  {("s", "e"): frozenset({"t", "dead"}), ("s", "f"): frozenset({"dead"})})
+        dfa = minimal_dfa(nfa)
+        assert dfa.transitions == {("0", "e"): frozenset({"1"})}
+        assert minimal_dfa(NFA(frozenset({"s"}), "s", frozenset(), {})).finals == frozenset()
+
+    @staticmethod
+    def kth_from_last(k: int) -> Grammar:
+        """(e|f)* e (e|f)^k, whose minimal DFA has 2^(k+1) states."""
+        prods = [Production("a", ("e", "a")), Production("a", ("f", "a")),
+                 Production("a", ("e", "b1"))]
+        for i in range(1, k):
+            prods += [Production(f"b{i}", (t, f"b{i + 1}")) for t in "ef"]
+        prods += [Production(f"b{k}", (t,)) for t in "ef"]
+        return Grammar(tuple(prods), "a")
+
+    def test_subset_blowup_refused(self):
+        assert 2 ** 8 <= MAX_DFA_STATES < 2 ** 9
+        assert len(minimal_dfa(right_linear_to_nfa(self.kth_from_last(7))).states) == 2 ** 8
+        with pytest.raises(TransformError, match="exceeds"):
+            minimal_dfa(right_linear_to_nfa(self.kth_from_last(8)))

@@ -155,11 +155,13 @@ def test_semijoin_query_over_packed_closure_takes_the_vector_rung(monkeypatch):
     recursion vectorizes, so ``reach@nndd``'s packed runs are current
     when the query rule fires, and its one firing must run on the
     vector kernel, leaving the tuple kernel's and the interpreter's
-    state behind."""
+    state behind.  (The program is taken right after
+    ``push_projections``: the full pipeline's ``monadic_chains`` pass
+    replaces the binary closure with unary state predicates.)"""
     rules = "\n".join(map(str, families.reachability_with_payload(2).rules))
     program = optimize(
         parse(f"q(Y) :- start(X), reach(X, Y, T0, T1).\n{rules}\n?- q(Y).")
-    ).program
+    ).record("push_projections").program.to_program()
     (query,) = [cr for cr in program.rules if cr.head.predicate == "q@n"]
     v = 40
     db = Database.from_dict({

@@ -114,7 +114,7 @@ def test_monadic_program_agrees_with_binary(grammar, db):
     from repro.grammar.regular import monadic_program_for
 
     assume("s" in grammar.nonterminals)
-    program = grammar_to_program(grammar)
+    program = grammar_to_program(grammar, ("X", "_"))
     monadic = monadic_program_for(program)
     assert monadic is not None
     reference = {t[0] for t in evaluate(program, db).answers()}

@@ -101,6 +101,18 @@ class TestRun:
         assert len(runs) == 1
         assert sorted(capsys.readouterr().out.splitlines()) == ["1", "2", "7"]
 
+    def test_optimized_run_refuses_rows_of_a_derived_predicate(self, tmp_path, capsys):
+        program = tmp_path / "f1.dl"
+        program.write_text("q(X) :- a(X).\na(X) :- e(X, Y), a(Y).\na(X) :- s(X).\n?- q(X).\n")
+        facts = tmp_path / "f1_facts.dl"
+        facts.write_text("e(1,2). s(2). a(9). e(3,9).\n")
+        assert main(["run", str(program), str(facts)]) == 0
+        assert sorted(capsys.readouterr().out.split()) == ["1", "2", "3", "9"]
+        assert main(["run", str(program), str(facts), "-O"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'a'" in captured.err and "inline_projection_query" in captured.err
+
     def test_stats_to_stderr(self, files, capsys):
         program, facts, _ = files
         assert main(["run", str(program), str(facts), "--stats"]) == 0
