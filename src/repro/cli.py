@@ -226,9 +226,9 @@ def _cmd_serve(args) -> int:
     except ResourceExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE_EXHAUSTED
-    # after opening: a recovered session's stored relations come from
-    # disk, not from the (absent) facts file
-    _warn_diagnostics(program, args.program, edb=session.db.predicates())
+    # no EDB: the stdin batches may fill any program predicate, so none
+    # is known to stay empty (lint as ``repro lint P`` does)
+    _warn_diagnostics(program, args.program)
 
     def check_known(predicates) -> None:
         unknown = sorted(set(predicates) - session.known_predicates())

@@ -27,6 +27,12 @@ dictionary epoch change drop the store, and copies do not carry it.
 Interning is keyed by ``==``/``hash`` like the raw row sets, so values
 the raw engine already conflates (``1``, ``1.0``, ``True``) share one
 id and decode to the first-interned representative.
+
+numpy is optional and loaded lazily: :func:`load_numpy` is the
+package's one import of it, asked for by the packed entry points and
+by the vector kernel once it admits a plan.  Importing ``repro``, and
+any run that never vectorizes a firing, leaves numpy unloaded; without
+numpy nothing packs and no store fills.
 """
 
 from __future__ import annotations
@@ -34,15 +40,10 @@ from __future__ import annotations
 import threading
 from typing import Any, Collection, Iterable, Optional, Sequence
 
-try:  # numpy is optional; without it nothing packs and no store fills
-    import numpy as _np
-except Exception:  # pragma: no cover - environment without numpy
-    _np = None
-
 __all__ = [
-    "ConstantDictionary", "ColumnStore", "global_dictionary", "numpy_available",
-    "PACK_SHIFT", "PACK_LIMIT", "pack_encoded", "pack_rows", "pack_columns",
-    "unpack_column", "decode_rows",
+    "ConstantDictionary", "ColumnStore", "global_dictionary", "load_numpy",
+    "numpy_available", "PACK_SHIFT", "PACK_LIMIT", "pack_encoded", "pack_rows",
+    "pack_columns", "unpack_column", "decode_rows",
 ]
 
 #: bits per id in the packed row: arity k ≤ 3 packs into one int64 by
@@ -50,21 +51,51 @@ __all__ = [
 PACK_SHIFT = 21
 PACK_LIMIT = 1 << PACK_SHIFT
 
-if _np is not None:
-    # Fibonacci-style multiplicative hashes for the packed-row Bloom
-    # prefilter; the top bits of each product index the bit table.
-    # The table is uint64 words so every hash/index/mask op stays in
-    # one dtype — no astype round-trips on the per-round hot path.
-    _BLOOM_K1 = _np.uint64(0x9E3779B97F4A7C15)
-    _BLOOM_K2 = _np.uint64(0xC2B2AE3D27D4EB4F)
-    _B1 = _np.uint64(1)
-    _B6 = _np.uint64(6)
-    _B63 = _np.uint64(63)
+_UNLOADED: Any = object()
+#: numpy once :func:`load_numpy` has run, None when it is not importable
+_np: Any = _UNLOADED
+# the packed-row Bloom prefilter's uint64 constants, built on that load
+_BLOOM_K1: Any = None
+_BLOOM_K2: Any = None
+_B1: Any = None
+_B6: Any = None
+_B63: Any = None
+
+
+def load_numpy():
+    """The numpy module, imported on the first call; None when it is not
+    importable, and that failure is remembered.
+
+    The one place the package imports numpy.  The packed entry points
+    (:func:`pack_rows`, ``Relation.packed_runs`` and the rest) ask here
+    once per call, so a process whose rules the vector kernel never
+    admits never pays numpy's import.  Everything else in this module
+    that touches ``_np`` runs only on arrays an entry point made.
+    """
+    global _np, _BLOOM_K1, _BLOOM_K2, _B1, _B6, _B63
+    if _np is not _UNLOADED:
+        return _np
+    try:
+        import numpy as np
+    except ImportError:
+        _np = None
+        return None
+    # Fibonacci-style multiplicative hashes for the Bloom prefilter; the
+    # top bits of each product index the bit table.  The table is uint64
+    # words so every hash/index/mask op stays in one dtype — no astype
+    # round-trips on the per-round hot path.
+    _BLOOM_K1 = np.uint64(0x9E3779B97F4A7C15)
+    _BLOOM_K2 = np.uint64(0xC2B2AE3D27D4EB4F)
+    _B1 = np.uint64(1)
+    _B6 = np.uint64(6)
+    _B63 = np.uint64(63)
+    _np = np  # last: a concurrent caller sees the constants first
+    return np
 
 
 def numpy_available() -> bool:
     """True iff numpy is importable (the packed plane needs it)."""
-    return _np is not None
+    return load_numpy() is not None
 
 
 class ConstantDictionary:
@@ -187,11 +218,12 @@ def pack_rows(rows: Collection[tuple], arity: int, dictionary: ConstantDictionar
     """Intern and pack raw *rows* into one int64 per row, in iteration
     order; None when the rows cannot be packed — an id at or past
     ``PACK_LIMIT``, arity above 3, or no numpy."""
-    if _np is None or arity > 3:
+    np = load_numpy() if arity <= 3 else None
+    if np is None:
         return None
     cols = []
     for values in zip(*rows):
-        ids = _np.array(dictionary.intern_column(values), dtype=_np.int64)
+        ids = np.array(dictionary.intern_column(values), dtype=np.int64)
         if int(ids.max()) >= PACK_LIMIT:
             return None
         cols.append(ids)

@@ -25,13 +25,14 @@ from operator import itemgetter
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from .ast import Atom
-from .columnar import ColumnStore, decode_rows, global_dictionary, unpack_column
+from .columnar import (
+    ColumnStore,
+    decode_rows,
+    global_dictionary,
+    load_numpy,
+    unpack_column,
+)
 from .errors import ArityError, ValidationError
-
-try:  # numpy is optional; the packed fast path needs it
-    import numpy as _np
-except Exception:  # pragma: no cover - environment without numpy
-    _np = None
 
 __all__ = ["Relation", "Database"]
 
@@ -399,6 +400,7 @@ class Relation:
         further; a constant that table never saw matches nothing.
         Adjacent chunks sharing a table are filtered as one array.
         """
+        np = load_numpy()  # loaded: the chunks are its arrays
         arity = self.arity
         dictionary = global_dictionary()
         groups: list = []
@@ -411,7 +413,7 @@ class Relation:
             codes = {p: dictionary.code_in(values, v) for p, v in bound.items()}
             if None in codes.values():
                 continue
-            arr = chunks[0] if len(chunks) == 1 else _np.concatenate(chunks)
+            arr = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
             tests = [
                 unpack_column(arr, arity, p) == code for p, code in codes.items()
             ]
@@ -420,7 +422,7 @@ class Relation:
                 for p, q in equal
             ]
             if tests:
-                arr = arr[_np.logical_and.reduce(tests)]
+                arr = arr[np.logical_and.reduce(tests)]
             if not len(arr):
                 continue
             if not project:
@@ -508,7 +510,7 @@ class Relation:
         the lazy index build: a base relation is shared between
         evaluations and exactly one of them should pack it.
         """
-        if _np is None:
+        if load_numpy() is None:
             return None
         store = self.column_store()
         if store.runs_version != self._version and not store.overflow:
@@ -523,7 +525,7 @@ class Relation:
         """True iff :meth:`packed_runs` would re-pack the raw row set:
         the runs' stamp is behind the relation's version and no
         overflow has retired them."""
-        if _np is None:
+        if load_numpy() is None:
             return False
         store = self.column_store()
         return store.runs_version != self._version and not store.overflow

@@ -56,7 +56,10 @@ ever asking for a vector kernel.
 
 Nothing here is generated code: a kernel is a closure over its shape
 spec, memoized on the compiled rule, so there is no process-wide cache to
-reset (:func:`repro.engine.clear_kernel_cache` covers all codegen).
+reset (:func:`repro.engine.clear_kernel_cache` covers all codegen).  The
+shape analysis uses no numpy; a kernel's build asks
+:func:`~repro.datalog.columnar.load_numpy` for it only once the spec is
+admitted, so a process whose plans are all declined never imports it.
 """
 
 from __future__ import annotations
@@ -66,15 +69,11 @@ from typing import Callable, Optional
 from ..datalog.columnar import (
     PACK_LIMIT,
     global_dictionary,
+    load_numpy,
     pack_columns,
     unpack_column,
 )
 from .plan import CompiledRule, Lowered, Step
-
-try:  # numpy is optional; without it every plan is declined
-    import numpy as _np
-except Exception:  # pragma: no cover - environment without numpy
-    _np = None
 
 __all__ = ["vector_rule_kernel"]
 
@@ -89,24 +88,25 @@ class _CSR:
     __slots__ = ("keys", "offsets", "cols", "fits")
 
     def __init__(self, index: dict, arity: int, dictionary):
+        np = load_numpy()
         key_ids = dictionary.intern_column([key[0] for key in index])
         # distinct raw keys intern to distinct ids, so the sort never
         # reaches the posting lists
         by_id = sorted(zip(key_ids, index.values()))
         flat = [row for _, posting in by_id for row in posting]
-        self.keys = _np.array([k for k, _ in by_id], dtype=_np.int64)
-        counts = _np.array([len(p) for _, p in by_id], dtype=_np.int64)
-        self.offsets = _np.concatenate(
-            (_np.zeros(1, dtype=_np.int64), _np.cumsum(counts))
+        self.keys = np.array([k for k, _ in by_id], dtype=np.int64)
+        counts = np.array([len(p) for _, p in by_id], dtype=np.int64)
+        self.offsets = np.concatenate(
+            (np.zeros(1, dtype=np.int64), np.cumsum(counts))
         )
         if flat:
             self.cols = [
-                _np.array(dictionary.intern_column(col), dtype=_np.int64)
+                np.array(dictionary.intern_column(col), dtype=np.int64)
                 for col in zip(*flat)
             ]
             self.fits = all(int(c.max()) < PACK_LIMIT for c in self.cols)
         else:
-            self.cols = [_np.empty(0, dtype=_np.int64)] * arity
+            self.cols = [np.empty(0, dtype=np.int64)] * arity
             self.fits = True
 
 
@@ -193,7 +193,7 @@ def _vector_spec(cr: CompiledRule, low: Lowered):
     }
 
 
-def _make_vector_kernel(spec) -> Callable:
+def _make_vector_kernel(spec, np) -> Callable:
     scan_pred = spec["scan_pred"]
     frontier_arity = spec["frontier_arity"]
     proj = spec["proj"]
@@ -204,7 +204,7 @@ def _make_vector_kernel(spec) -> Callable:
     head_pred = spec["head_pred"]
     head = spec["head"]
     intern = global_dictionary().intern
-    empty = _np.empty(0, dtype=_np.int64)
+    empty = np.empty(0, dtype=np.int64)
 
     def kernel(db, stats, delta):
         # -- feasibility first: nothing below mutates stats until the
@@ -233,7 +233,7 @@ def _make_vector_kernel(spec) -> Callable:
             runs = rel0.packed_runs()
             if runs is None:
                 return None
-            arr = runs[0] if len(runs) == 1 else _np.concatenate(runs or [empty])
+            arr = runs[0] if len(runs) == 1 else np.concatenate(runs or [empty])
         else:
             arr = delta.packed_rows()
             if arr is None:
@@ -286,7 +286,7 @@ def _make_vector_kernel(spec) -> Callable:
             key_col = ctx_cols[key_slots[0]]
             if len(keys):
                 pos = keys.searchsorted(key_col)
-                clipped = _np.minimum(pos, len(keys) - 1)
+                clipped = np.minimum(pos, len(keys) - 1)
                 vidx = (keys.take(clipped) == key_col).nonzero()[0]
             else:
                 vidx = empty
@@ -307,7 +307,7 @@ def _make_vector_kernel(spec) -> Callable:
             ctx_idx = vidx.repeat(counts)
             flat = (
                 (sel - (counts.cumsum() - counts)).repeat(counts)
-                + _np.arange(total, dtype=_np.int64)
+                + np.arange(total, dtype=np.int64)
             )
 
         # -- fused head: gather columns, pack to one int64 per row
@@ -338,11 +338,14 @@ def vector_rule_kernel(
     stale probe image or head run set holding more rows than the
     frontier (re-encoding it would cost more than the firing it
     serves)."""
-    if _np is None or not use_indexes:
+    if not use_indexes:
         return None
 
     def build() -> Optional[Callable]:
         spec = _vector_spec(cr, cr.lowered(plan_id))
-        return _make_vector_kernel(spec) if spec is not None else None
+        if spec is None:
+            return None  # declined at compile time: numpy stays unloaded
+        np = load_numpy()
+        return _make_vector_kernel(spec, np) if np is not None else None
 
     return cr.memoized((plan_id, "vector"), build)

@@ -59,17 +59,13 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
-try:  # numpy is optional; without it the vectorized path never engages
-    import numpy as _np
-except Exception:  # pragma: no cover - environment without numpy
-    _np = None
-
 from ..datalog.analysis import (
     DependencyInfo,
     component_depths,
     condensation,
     is_recursive_component,
 )
+from ..datalog.columnar import load_numpy
 from ..datalog.database import Database
 from .batch_kernel import vector_rule_kernel
 from .cost import AdaptiveReplanner
@@ -197,7 +193,7 @@ class PackedDelta:
 
     def packed(self):
         chunks = self.chunks
-        return chunks[0] if len(chunks) == 1 else _np.concatenate(chunks)
+        return chunks[0] if len(chunks) == 1 else load_numpy().concatenate(chunks)
 
 
 def _frontier(rows) -> DeltaIndex:
@@ -227,14 +223,15 @@ def _absorb_packed(rel, head_pred, produced, stats, added) -> None:
     if rel.packed_runs() is None:
         _absorb_rows(rel, head_pred, rel.decode_packed(produced), stats, added)
         return
+    np = load_numpy()
     n = len(produced)
-    uniq = _np.sort(produced)
+    uniq = np.sort(produced)
     first = None
     step = uniq[1:] != uniq[:-1]
     if not step.all():
         # in-batch duplicates: keep each group's first occurrence
-        starts = _np.flatnonzero(_np.concatenate(([True], step)))
-        first = _np.minimum.reduceat(produced.argsort(), starts)
+        starts = np.flatnonzero(np.concatenate(([True], step)))
+        first = np.minimum.reduceat(produced.argsort(), starts)
         uniq = uniq[starts]
     mask = rel.packed_novel_mask(uniq)
     k = int(mask.sum())
@@ -250,7 +247,7 @@ def _absorb_packed(rel, head_pred, produced, stats, added) -> None:
         # so dropping the already-known rows keeps it
         fresh_ordered = produced[mask[uniq.searchsorted(produced)]]
     else:
-        fresh_ordered = produced[_np.sort(first[mask])]
+        fresh_ordered = produced[np.sort(first[mask])]
     rel.add_packed_deferred(fresh_ordered, fresh_sorted)
     cur = added.get(head_pred)
     if cur is None:

@@ -12,8 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.datalog.database as database
-from repro.datalog import Relation
+from repro.datalog import Relation, columnar
 from repro.datalog.columnar import (
     PACK_LIMIT,
     global_dictionary,
@@ -207,9 +206,9 @@ def test_ids_past_the_packing_bound():
 @given(cases())
 @settings(max_examples=50, deadline=None)
 def test_without_numpy(case):
-    saved = database._np
-    database._np = None
+    saved = columnar._np
+    columnar._np = None  # load_numpy: not importable
     try:
         assert_select_is_scan(*build(case, deferred=False))
     finally:
-        database._np = saved
+        columnar._np = saved

@@ -81,7 +81,7 @@ class TestConstantDictionary:
 def _members(rel, rows):
     """The subset of raw *rows* the relation's packed membership (runs
     behind the Bloom prefilter) reports present."""
-    np = scheduler._np
+    np = columnar.load_numpy()
     rows = sorted(rows)
     packed = columnar.pack_rows(rows, rel.arity, global_dictionary())
     order = np.argsort(packed)
@@ -406,7 +406,7 @@ class TestBatchKernelGates:
         assert _vector_kernel(LEFT_TC, "tc", use_indexes=False) is None
 
     def test_numpy_absent_declines_everything(self, monkeypatch):
-        monkeypatch.setattr(batch_kernel, "_np", None)
+        monkeypatch.setattr(columnar, "_np", None)  # load_numpy: not importable
         assert _vector_kernel(LEFT_TC, "tc") is None
 
     @needs_numpy
@@ -468,12 +468,13 @@ class TestBatchKernelGates:
         d = global_dictionary()
         rel = Relation(2, [("a", "b")])
         rel.index_for((0,))
-        packed = scheduler._np.array(
+        np = columnar.load_numpy()
+        packed = np.array(
             [
                 columnar.pack_encoded(d.intern_row(r))
                 for r in [("c", "d"), ("a", "b"), ("e", "f"), ("c", "d")]
             ],
-            dtype=scheduler._np.int64,
+            dtype=np.int64,
         )
         monkeypatch.setattr(Relation, "packed_runs", lambda self: None)
         stats, added = EvalStats(), {}
@@ -490,7 +491,7 @@ class TestBatchKernelGates:
 def _absorb_reference(rel, produced, stats, added):
     """``_absorb_packed``'s packed branch with in-batch dedup by
     ``np.unique(return_index=True)``: the form it replaced."""
-    np = scheduler._np
+    np = columnar.load_numpy()
     uniq, first = np.unique(produced, return_index=True)
     mask = rel.packed_novel_mask(uniq)
     k = int(mask.sum())

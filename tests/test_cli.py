@@ -664,9 +664,15 @@ class TestServe:
         capsys.readouterr()
         assert _serve([program, "--wal", wal], ["?"]) == 0
         assert "DL006" not in capsys.readouterr().err
-        # a fresh session without facts still warns
-        assert _serve([program], ["?"]) == 0
-        assert "DL006" in capsys.readouterr().err
+
+    def test_fresh_session_without_facts_does_not_warn_empty_edb(self, files, capsys):
+        """The stdin batches fill the EDB predicates, so ``serve P``
+        lints like ``repro lint P``: no DL006 for ``edge``."""
+        program, _, _ = files
+        assert _serve([program], ["+edge(1, 2). edge(2, 3).", "?"]) == 0
+        captured = capsys.readouterr()
+        assert "DL006" not in captured.err
+        assert sorted(captured.out.splitlines()[1:]) == ["1", "2"]
 
     def test_rejected_lines_never_reach_the_wal(self, files, tmp_path, capsys):
         """WAL consistency under garbage: rejected lines leave no log
