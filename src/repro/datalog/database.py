@@ -103,9 +103,12 @@ class Relation:
         self._version: int = 0
         #: ``(version, degree_profile() result)`` of the last counting pass
         self._profile_memo: Optional[tuple] = None
-        #: rows inserted by the vectorized absorb path whose hash-index
-        #: postings have not been appended yet; folded in by
-        #: :meth:`_sync_indexes` the next time an index is consulted
+        #: raw rows whose hash-index postings have not been appended
+        #: yet, in insertion order: deferred packed rows as :meth:`_sync`
+        #: materializes them, and rows a tuple kernel inserted through
+        #: :meth:`absorb_buffers`; only fed while an index is built, and
+        #: folded in by :meth:`_sync_indexes` the next time an index is
+        #: consulted
         self._index_dirty: list[Row] = []
         #: packed-row chunks inserted by the vectorized absorb path
         #: whose raw tuples have not been materialized yet; each entry
@@ -222,6 +225,18 @@ class Relation:
         if self._raw_dirty:
             self._sync()
         return self._rows
+
+    def absorb_buffers(self) -> tuple[set[Row], Optional[list[Row]]]:
+        """The live row set and the buffered-postings list (None while
+        no index is built), for a caller that inserts rows itself: each
+        new row goes into the set and, when there is one, the list, and
+        the caller then moves the version by the number of rows it
+        inserted.  Built indexes fold the list in, in insertion order,
+        the next time anything reads them, so their posting lists end
+        up as :meth:`add` would have left them.  The caller must read
+        no index of this relation while it inserts."""
+        rows = self.live_rows()
+        return rows, (self._index_dirty if self._indexes else None)
 
     def rows(self) -> frozenset[Row]:
         if self._raw_dirty:

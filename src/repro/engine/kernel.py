@@ -27,6 +27,14 @@ flat nest of ``for`` loops, one code block per step kind (``delta``,
   absorb — duplicate test against the head's live row set, insert,
   frontier, first justification — are emitted into the kernel body, so
   a firing is one call with no per-row interpreter traffic at all;
+- a kernel with no step but ``delta`` over its own head predicate
+  inserts a new row with no call: into the live row set and, while the
+  head has a built index, onto its buffered postings
+  (``Relation.absorb_buffers``), which the next read of an index folds
+  in, in insertion order; the head's version moves once, in the flush.
+  A kernel that reads its head elsewhere (non-linear TC's ``lookup`` on
+  ``tc``) inserts through ``head.add``, so its own probes see every
+  insert at once.  The header comment names the mode (``# head:``);
 - the work counters are locals (``c_rows_scanned += 1``), added to
   ``EvalStats`` once per firing by a one-call ``finally`` on every exit
   path; ``duplicates`` is derived there as ``rule_firings -
@@ -156,14 +164,25 @@ def _generate(cr: CompiledRule, plan_id, use_indexes, record_rows) -> tuple[str,
     out.w(1, f"# {sig} use_indexes={use_indexes} record_rows={record_rows}")
     registers = ", ".join(f"r{r}={v.name}" for r, v in enumerate(low.registers))
     out.w(1, f"# registers: {registers or '(none)'}")
+    # a step that reads the head relation itself must see this firing's
+    # inserts in its postings, so such a kernel inserts through
+    # ``head.add``; any other defers the postings of built indexes
+    deferred = not any(
+        step.kind != "delta" and step.predicate == low.head_predicate
+        for step in low.steps
+    )
+    out.w(1, "# head: deferred postings" if deferred
+          else "# head: live (a step reads the head)")
 
     # -- prelude: zero the counter locals, hoist the head's live row set
-    # and relation dict lookups (identities are stable for the lifetime
-    # of a fixpoint run; emptiness is re-checked at the step's position
-    # so counters match the interpreter exactly)
+    # (and its buffered postings) and relation dict lookups (identities
+    # are stable for the lifetime of a fixpoint run; emptiness is
+    # re-checked at the step's position so counters match the
+    # interpreter exactly)
     out.w(1, "c_join_probes = c_index_probes = c_scan_fallbacks = c_rows_scanned = "
              "c_rule_firings = c_facts_derived = 0")
-    out.w(1, "live = head.live_rows()")
+    out.w(1, "live, pend = head.absorb_buffers()" if deferred
+          else "live = head.live_rows()")
     for i, step in enumerate(low.steps):
         if step.kind != "delta":
             out.w(1, f"rel{i} = db.relation({step.predicate!r})")
@@ -221,8 +240,10 @@ def _generate(cr: CompiledRule, plan_id, use_indexes, record_rows) -> tuple[str,
         if step.kind == "filter":
             for p, t in zip(step.positions, step.key):
                 value, cell = term(t), f"{row}[{p}]"
-                # a pooled constant: identity first, as a tuple compares
-                other = f"{cell} is not {value} and " if value.startswith("_k") else ""
+                # a register or a pooled constant: identity first, as a
+                # tuple compares (``nan`` matches its own object)
+                exact = type(t) is int or value.startswith("_k")
+                other = f"{cell} is not {value} and " if exact else ""
                 out.w(depth, f"if {other}{cell} != {value}: continue")
         checks = set(step.checks)
         for p, r in sorted(step.binds + step.checks):
@@ -243,7 +264,11 @@ def _generate(cr: CompiledRule, plan_id, use_indexes, record_rows) -> tuple[str,
         out.w(depth, "c_rule_firings += 1")
     out.w(depth, f"h = {key(low.head)}")
     out.w(depth, "if h not in live:")
-    out.w(depth + 1, "head.add(h)")
+    if deferred:
+        out.w(depth + 1, "live.add(h)")
+        out.w(depth + 1, "if pend is not None: pend.append(h)")
+    else:
+        out.w(depth + 1, "head.add(h)")
     out.w(depth + 1, "c_facts_derived += 1")
     out.w(depth + 1, "new.add(h)")
     if record_rows:
@@ -257,17 +282,23 @@ def _generate(cr: CompiledRule, plan_id, use_indexes, record_rows) -> tuple[str,
     # one statement: CPython copies a ``finally`` body to every exit
     out.w(1, "finally:")
     rows_scanned = "c_rows_scanned + c_rule_firings" if fused else "c_rows_scanned"
-    out.w(2, f"_count(stats, c_join_probes, c_index_probes, c_scan_fallbacks, "
-             f"{rows_scanned}, c_rule_firings, c_facts_derived)")
+    out.w(2, f"_count(stats, {'head' if deferred else 'None'}, c_join_probes, "
+             f"c_index_probes, c_scan_fallbacks, {rows_scanned}, c_rule_firings, "
+             f"c_facts_derived)")
     return out.source(), tuple(pooled)
 
 
 # -- compilation cache -------------------------------------------------------
 
-def _count(stats, join_probes, index_probes, scan_fallbacks, rows_scanned,
+def _count(stats, head, join_probes, index_probes, scan_fallbacks, rows_scanned,
            rule_firings, facts_derived) -> None:
     """Add one firing's counters to *stats*: a kernel's ``finally``.
-    Every rule firing ends as a new fact or as a duplicate."""
+    Every rule firing ends as a new fact or as a duplicate.  *head* is
+    the relation a deferred-postings kernel inserted into without
+    ``Relation.add`` (None for one that used it): its version moves by
+    one per new row, as that many ``add`` calls would have moved it."""
+    if head is not None:
+        head._version += facts_derived
     stats.join_probes += join_probes
     stats.index_probes += index_probes
     stats.scan_fallbacks += scan_fallbacks

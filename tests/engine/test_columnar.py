@@ -208,14 +208,17 @@ def _tuple_launch(cr, plan_id, db, frontier):
     engine-invariant counter touched, its absorb's included).
 
     An index over all head positions, built before the firing, keeps
-    its keys in insertion order, which is derivation order."""
+    its keys in insertion order, which is derivation order; the kernel
+    buffers its postings, so the order is read back through
+    ``index_for``, which folds them in."""
     stats = EvalStats()
     delta = None if frontier is None else DeltaIndex(frontier)
     head = Relation(len(cr.rule.head.args))
-    order = head.index_for(tuple(range(head.arity)))
+    everything = tuple(range(head.arity))
+    head.index_for(everything)
     new: set = set()
     rule_kernel(cr, plan_id)(db, stats, delta, head, new, {})
-    rows = list(order)
+    rows = list(head.index_for(everything))
     assert set(rows) == new == head.rows()
     return rows, {k: v for k, v in stats.as_dict(engine_invariant=True).items() if v}
 

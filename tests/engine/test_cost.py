@@ -135,7 +135,7 @@ class TestMemoInvalidation:
         assert rel.degree_profile() == (3, (2, 2))
 
     def test_add_packed_deferred(self):
-        np = pytest.importorskip("numpy")
+        np = pytest.importorskip("numpy", exc_type=ImportError)
         rel, version = self.fresh()
         rel.column_store()
         ids = global_dictionary().intern_row((1, 4))

@@ -108,7 +108,8 @@ class TestKernelSource:
         src = kernel_source(cr, use_indexes=False)
         assert ".lookup(" not in src
         assert "scan_fallbacks" in src
-        assert "if row1[0] != r1: continue" in src
+        # a register compares identity first, as the interpreter's tuple does
+        assert "if row1[0] is not r1 and row1[0] != r1: continue" in src
 
     def test_provenance_variant_records_rows_in_body_order(self):
         cr = _compiled("h(X, Y) :- e(X, Z), t(Z, Y).")
@@ -212,6 +213,30 @@ class TestKernelCache:
         )
         assert kern.stats.kernel_launches > 0
         assert kern.answers() == interp.answers() == {(1,)}
+        assert kern.stats.as_dict(engine_invariant=True) == interp.stats.as_dict(
+            engine_invariant=True
+        )
+
+    def test_nan_register_matches_itself_under_filter(self):
+        """Under ``--no-index`` a register bound to nan is compared by a
+        ``filter`` step identity first, as the interpreter's tuple
+        compare does: it matches the row holding its own object and not
+        another nan."""
+        cr = _compiled("h(X) :- a(X, Y), b(Y).")
+        steps = cr.lowered(None, False).steps
+        assert [s.kind for s in steps] == ["scan", "filter"]
+        assert "if row1[0] is not r1 and row1[0] != r1: continue" in kernel_source(
+            cr, use_indexes=False
+        )
+        program = parse("h(X) :- a(X, Y), b(Y).\n?- h(X).")
+        data = {"a": [(1, NAN), (2, float("nan")), (3, 4)], "b": [(NAN,), (4,)]}
+        kern, interp = (
+            evaluate(program, Database.from_dict(data),
+                     EngineOptions(use_kernels=kernels, use_indexes=False))
+            for kernels in (True, False)
+        )
+        assert kern.stats.kernel_launches > 0
+        assert kern.answers() == interp.answers() == {(1,), (3,)}
         assert kern.stats.as_dict(engine_invariant=True) == interp.stats.as_dict(
             engine_invariant=True
         )
@@ -446,6 +471,162 @@ class TestKernelAbsorb:
         assert db.index_builds() == 0
 
 
+# -- head inserts: postings deferred unless a step reads the head -------------
+
+#: ``h`` starts with an index on position 0; the firing derives
+#: ``h(1, 7)``, ``h(1, 8)``, ``h(3, 7)`` and ``h(5, 6)`` behind it
+PENDING_DATA = {
+    "a": [(1, 2), (3, 2), (1, 4), (5, 6)],
+    "b": [(2, 7), (4, 7), (2, 8), (6, 6)],
+    "h": [(3, 8), (1, 9)],
+}
+
+
+def _pending_pair():
+    """``h(X, Z) :- a(X, Y), b(Y, Z)`` fired into a head carrying a
+    built index and a memoized degree profile, on the kernel (postings
+    left pending) and on the interpreter (``head.add`` keeps them
+    current): the two head relations."""
+    cr = _compiled("h(X, Z) :- a(X, Y), b(Y, Z).")
+    heads = []
+    for kernel in (True, False):
+        db = Database.from_dict(PENDING_DATA)
+        head = db.relation("h")
+        head.index_for((0,))
+        head.degree_profile()
+        _fire_tuple(cr, None, db, kernel=kernel)
+        heads.append(head)
+    kern, interp = heads
+    assert sorted(kern._index_dirty) == [(1, 7), (1, 8), (3, 7), (5, 6)]
+    assert interp._index_dirty == []
+    assert kern._version == interp._version
+    return kern, interp
+
+
+def _postings(rel, positions=(0,)):
+    """Every posting list of *rel*'s index on *positions*, in order."""
+    return list(rel.index_for(positions).items())
+
+
+class TestDeferredHeadPostings:
+    def test_kernel_source_names_the_insert_mode(self):
+        cr = _compiled("h(X, Z) :- a(X, Y), b(Y, Z).")
+        src = kernel_source(cr)
+        assert "# head: deferred postings" in src
+        assert "live, pend = head.absorb_buffers()" in src
+        assert "head.add(" not in src
+        assert "_count(stats, head, " in src
+
+    def test_nonlinear_tc_keeps_live_upkeep(self):
+        """Every plan of non-linear TC's recursive rule reads ``tc``
+        outside its delta step, so it inserts through ``head.add``, and
+        the counters still equal the interpreter's."""
+        cr = compile_rule(parse(NONLINEAR_TC).rules[1], 1)
+        for plan_id in (None, *range(len(cr.delta_plans))):
+            src = kernel_source(cr, plan_id)
+            assert "# head: live (a step reads the head)" in src
+            assert "live = head.live_rows()" in src
+            assert "head.add(h)" in src and "pend" not in src
+            assert "_count(stats, None, " in src
+        program = parse(NONLINEAR_TC)
+        data = {"edge": [(i, (i + 1) % 5) for i in range(5)]}
+        kern, interp = (
+            evaluate(program, Database.from_dict(data),
+                     EngineOptions(use_kernels=kernels, use_columnar=False))
+            for kernels in (True, False)
+        )
+        assert kern.stats.kernel_launches > 0
+        assert kern.answers() == interp.answers()
+        assert kern.stats.as_dict(engine_invariant=True) == interp.stats.as_dict(
+            engine_invariant=True
+        )
+
+    @pytest.mark.parametrize("use_scc", [True, False])
+    def test_head_index_built_early_matches_interpreter(self, use_scc):
+        """``r``'s index on position 0 is built by the naive round of
+        ``r(X, Y) :- s(X, Z), r(Z, Y)`` and never read again: on the
+        kernel every later posting stays pending, and read back through
+        ``index_for`` each posting list equals the interpreter's eagerly
+        kept one, in the same order."""
+        from repro.workloads.edb import random_edb
+        from repro.workloads.families import two_level_chain
+
+        program = two_level_chain()
+        kern, interp = (
+            evaluate(program, random_edb(program, 40, 120, seed=3),
+                     EngineOptions(use_kernels=kernels, use_columnar=False,
+                                   use_scc=use_scc))
+            for kernels in (True, False)
+        )
+        assert kern.stats.iterations > 2
+        r_kern, r_interp = kern.db.relation("r"), interp.db.relation("r")
+        assert r_kern.has_index((0,)) and len(r_kern._index_dirty) == len(r_kern)
+        assert r_kern.indexed_position_sets() == r_interp.indexed_position_sets()
+        assert _postings(r_kern) == _postings(r_interp)
+        assert not r_kern._index_dirty
+        assert kern.answers() == interp.answers()
+        assert kern.stats.as_dict(engine_invariant=True) == interp.stats.as_dict(
+            engine_invariant=True
+        )
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            pytest.param(lambda rel: rel.lookup((0,), (1,)), id="lookup"),
+            pytest.param(lambda rel: rel.lookup((1,), (7,)), id="lookup-new-index"),
+            pytest.param(lambda rel: rel.select({0: 1}), id="select-bound"),
+            pytest.param(lambda rel: rel.select({0: 5}, project=()), id="select-exists"),
+            pytest.param(lambda rel: rel.degree_profile(), id="degree-profile"),
+            pytest.param(lambda rel: _postings(rel.copy()), id="copy"),
+            pytest.param(
+                lambda rel: (rel.discard((1, 8)), _postings(rel), rel.degree_profile()),
+                id="discard",
+            ),
+        ],
+    )
+    def test_readers_see_pending_rows(self, read):
+        kern, interp = _pending_pair()
+        assert read(kern) == read(interp)
+        assert _postings(kern) == _postings(interp)
+        assert kern.rows() == interp.rows()
+
+    def test_select_leaves_postings_pending(self):
+        """A point read over a head with pending postings probes the
+        index and scans the buffer beside it; it folds nothing."""
+        kern, _ = _pending_pair()
+        pending = list(kern._index_dirty)
+        assert kern.select({0: 1}) == {(1, 7), (1, 8), (1, 9)}
+        assert kern._index_dirty == pending
+
+    def test_no_index_buffers_nothing(self):
+        """A head with no built index gets no buffer: a later build
+        reads the row set."""
+        cr = _compiled("h(X, Z) :- a(X, Y), b(Y, Z).")
+        db = Database.from_dict(PENDING_DATA)
+        _fire_tuple(cr, None, db)
+        head = db.relation("h")
+        assert head._index_dirty == [] and not head.indexed_position_sets()
+        assert head.lookup((0,), (1,)) == [
+            row for row in head.live_rows() if row[0] == 1
+        ]
+
+    def test_mismatched_head_arity_raises_before_any_firing(self, monkeypatch):
+        """The kernel inserts without ``Relation.add``'s arity check:
+        an IDB relation of the wrong arity is refused while the working
+        database is built, before any rule fires."""
+        from repro.datalog.errors import ArityError
+        from repro.engine import scheduler
+
+        def no_firing(*args, **kwargs):
+            raise AssertionError("a rule fired")
+
+        monkeypatch.setattr(scheduler, "_fire", no_firing)
+        program = parse("h(X, Y) :- a(X, Y).\n?- h(X, Y).")
+        db = Database.from_dict({"a": [(1, 2)], "h": [(1, 2, 3)]})
+        with pytest.raises(ArityError, match="relation h has arity 3"):
+            evaluate(program, db)
+
+
 # -- counters: locals flushed once per firing ---------------------------------
 
 #: marks a kernel whose innermost row count is fused with rule_firings
@@ -535,7 +716,8 @@ class TestKernelCounters:
 
     def test_exception_path_flushes(self):
         """A probe that raises mid-loop: *stats* holds every count made
-        before the raise."""
+        before the raise, and the head's version moves by the one new
+        row (its packed runs read stale) whose posting stays buffered."""
 
         class FlakyIndex(dict):
             probes = 0
@@ -559,13 +741,21 @@ class TestKernelCounters:
 
         cr = _compiled("h(X, Z) :- a(X, Y), b(Y, Z).")
         assert [s.kind for s in cr.lowered(None).steps] == ["scan", "lookup"]
+        head = data.relation("h")
+        head.index_for((0,))
+        packed = head.packed_runs() is not None  # None without numpy
+        version = head._version
         stats, new = EvalStats(), set()
         with pytest.raises(RuntimeError, match="second probe"):
-            rule_kernel(cr)(StubDatabase(), stats, None, data.relation("h"), new, {})
+            rule_kernel(cr)(StubDatabase(), stats, None, head, new, {})
         assert new == {(1, 8)}
         assert (stats.join_probes, stats.index_probes, stats.scan_fallbacks) == (3, 2, 1)
         assert (stats.rows_scanned, stats.rule_firings) == (4, 2)
         assert (stats.facts_derived, stats.duplicates) == (1, 1)
+        assert head._version == version + 1
+        assert head.packed_runs_stale() == packed == numpy_available()
+        assert head._index_dirty == [(1, 8)]
+        assert head.lookup((0,), (1,)) == [(1, 7), (1, 8)]
 
     def test_one_flush_statement_per_kernel(self):
         """``compile()`` copies a ``finally`` body to every exit, so the
