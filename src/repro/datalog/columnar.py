@@ -38,7 +38,8 @@ numpy nothing packs and no store fills.
 from __future__ import annotations
 
 import threading
-from typing import Any, Collection, Iterable, Optional, Sequence
+from itertools import repeat
+from typing import Any, Collection, Iterable, Iterator, Optional, Sequence
 
 __all__ = [
     "ConstantDictionary", "ColumnStore", "global_dictionary", "load_numpy",
@@ -178,10 +179,12 @@ class ConstantDictionary:
 
     def clear(self) -> None:
         """Forget every interned constant and invalidate all stores."""
+        global _OBJECT_VIEW
         with self._lock:
             self._ids = {}
             self._values = []
             self.epoch += 1
+        _OBJECT_VIEW = (None, None)  # nor keep the old table alive
 
 
 _GLOBAL = ConstantDictionary()
@@ -236,19 +239,34 @@ def unpack_column(arr, arity: int, position: int):
     return (arr >> (PACK_SHIFT * (arity - 1 - position))) & (PACK_LIMIT - 1)
 
 
-def decode_rows(arr, arity: int, values: list, positions: Optional[Sequence[int]] = None) -> list:
+#: ``(id → value table, object ndarray of it)`` for the table last
+#: decoded through, so repeated decodes resolve ids without a rebuild
+_OBJECT_VIEW: tuple = (None, None)
+
+
+def _object_view(values: list):
+    """*values* as an object ndarray, so a whole id column resolves in
+    one ``take``; rebuilt once the table has grown (or another table is
+    asked for)."""
+    global _OBJECT_VIEW
+    table, view = _OBJECT_VIEW
+    if table is not values or len(view) != len(values):
+        view = _np.fromiter(values, dtype=object, count=len(values))
+        _OBJECT_VIEW = (values, view)
+    return view
+
+
+def decode_rows(arr, arity: int, values: list, positions: Optional[Sequence[int]] = None) -> Iterator[tuple]:
     """Packed rows *arr* as raw tuples in order, ids resolved through
     the id → value table *values*; *positions* projects (default: the
-    whole row)."""
+    whole row).  An iterator: no id or row list is built, so a caller
+    feeds it straight into the set or list it fills."""
     if positions is None:
         positions = range(arity)
     if not positions:
-        return [()] * len(arr)
-    cols = [
-        map(values.__getitem__, unpack_column(arr, arity, p).tolist())
-        for p in positions
-    ]
-    return list(zip(*cols))
+        return repeat((), len(arr))
+    view = _object_view(values)
+    return zip(*[view.take(unpack_column(arr, arity, p)) for p in positions])
 
 
 class ColumnStore:

@@ -20,7 +20,6 @@ them functionally in tests.
 from __future__ import annotations
 
 import threading
-from itertools import chain
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
@@ -61,6 +60,20 @@ def post_rows(index: dict, positions: tuple[int, ...], rows: Iterable[Row]) -> N
             index[key] = [row]
         else:
             posting.append(row)
+
+
+def _packed_groups(chunks: list) -> Iterator[tuple]:
+    """``(value table, int64 ndarray)`` per run of adjacent deferred
+    chunks ``(ndarray, table)`` sharing one table, concatenated in order."""
+    np = load_numpy()  # loaded: the chunks are its arrays
+    groups: list = []
+    for arr, values in chunks:
+        if groups and groups[-1][0] is values:
+            groups[-1][1].append(arr)
+        else:
+            groups.append((values, [arr]))
+    for values, run in groups:
+        yield values, run[0] if len(run) == 1 else np.concatenate(run)
 
 
 class Relation:
@@ -248,7 +261,8 @@ class Relation:
 
         Chunks decode in insertion order, so the raw set's insertion
         history — and therefore set iteration order downstream — is
-        bit-identical to eager per-row insertion.  Locked: callers
+        bit-identical to eager per-row insertion; adjacent chunks
+        sharing a value table decode as one array.  Locked: callers
         sharing a completed relation across their own threads may hit
         its first raw access concurrently.
         """
@@ -258,12 +272,12 @@ class Relation:
                 return
             self._raw_dirty = []
             self._raw_dirty_rows = 0
-            rows: list = []
-            for arr, values in dirty:
-                rows.extend(decode_rows(arr, self.arity, values))
-            self._rows.update(rows)
-            if self._indexes:
-                self._index_dirty.extend(rows)
+            for values, arr in _packed_groups(dirty):
+                rows: Iterable[Row] = decode_rows(arr, self.arity, values)
+                if self._indexes:
+                    rows = list(rows)
+                    self._index_dirty.extend(rows)
+                self._rows.update(rows)
 
     def _sync_indexes(self) -> None:
         """Fold rows buffered by the vectorized absorb path into every
@@ -354,15 +368,16 @@ class Relation:
         An empty *project* makes this an existence test that stops at
         the first hit: the result is ``{()}`` or empty.
 
-        A pure read: it never materializes deferred packed rows, never
+        A read: it never materializes deferred packed rows, never
         builds (or counts) an index and never interns a constant, so
-        the relation is left exactly as the fixpoint left it.  Three
-        tiers cover the rows between them: deferred packed chunks are
-        filtered as int64 arrays and only the survivors' projected ids
-        are decoded; raw rows go through an already-built hash index on
-        a subset of the bound positions when there is one — together
-        with the rows whose postings are still buffered — and through
-        one pass over the row set otherwise.
+        the relation's rows and counters are left as the fixpoint left
+        them.  Three tiers cover the rows between them: deferred packed
+        chunks are filtered as int64 arrays and only the survivors'
+        projected ids are decoded; raw rows go through an already-built
+        hash index on a subset of the bound positions when there is
+        one — its buffered postings folded in first, once, as
+        :meth:`index_for` folds them — and through one pass over the
+        row set otherwise.
         """
         if project is None:
             project = range(self.arity)
@@ -384,10 +399,10 @@ class Relation:
                 default=None,
             )
             if covered is not None:
-                key = tuple(bound[p] for p in covered)
-                rows = chain(
-                    self._indexes[covered].get(key, ()), self._index_dirty
-                )
+                if self._index_dirty:
+                    with self._build_lock:
+                        self._sync_indexes()
+                rows = self._indexes[covered].get(tuple(bound[p] for p in covered), ())
             at = itemgetter(*bound)
             want = at(bound)
             rows = (row for row in rows if at(row) == want)
@@ -418,17 +433,10 @@ class Relation:
         np = load_numpy()  # loaded: the chunks are its arrays
         arity = self.arity
         dictionary = global_dictionary()
-        groups: list = []
-        for arr, values in self._raw_dirty:
-            if groups and groups[-1][0] is values:
-                groups[-1][1].append(arr)
-            else:
-                groups.append((values, [arr]))
-        for values, chunks in groups:
+        for values, arr in _packed_groups(self._raw_dirty):
             codes = {p: dictionary.code_in(values, v) for p, v in bound.items()}
             if None in codes.values():
                 continue
-            arr = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
             tests = [
                 unpack_column(arr, arity, p) == code for p, code in codes.items()
             ]
@@ -573,7 +581,7 @@ class Relation:
     def decode_packed(self, arr) -> list:
         """Decode packed rows (current dictionary epoch) to raw tuples,
         preserving order."""
-        return decode_rows(arr, self.arity, global_dictionary().values_list())
+        return list(decode_rows(arr, self.arity, global_dictionary().values_list()))
 
     def copy(self) -> "Relation":
         """An independent copy carrying the materialized indexes.

@@ -2,20 +2,24 @@
 
 The top rung of the engine ladder (vector kernel → tuple kernel), and
 the whole of the columnar data plane's execution side.  It covers the
-two-step lowered plans (:func:`repro.engine.plan.lower`) whose loop
-body is pure data movement over dictionary ids and so vectorizes
-completely — a
-``delta`` or ``scan`` step, then a ``lookup`` or a fully bound
-``member`` probe, with the head fused:
+lowered plans (:func:`repro.engine.plan.lower`) whose loop body is pure
+data movement over dictionary ids and so vectorizes completely — a
+``delta`` or ``scan`` step, then a chain of ``lookup`` steps each keyed
+on one register, optionally ending in a fully bound ``member`` probe,
+with the head fused:
 
 - a delta frontier arrives as one packed int64 per row
   (``DeltaIndex.packed_rows``); a scan reads the relation's sorted
   packed runs (``Relation.packed_runs``); either is unpacked to id
-  columns with two numpy ops;
+  columns with two numpy ops, one column per register a later step or
+  the head still reads;
 - a lookup probes the relation's raw hash index, laid out once per
   version as a CSR image (sorted key array + offsets + row columns,
-  posting order preserved within each key): the whole frontier probes
-  it with one ``searchsorted`` and expands with ``repeat``;
+  posting order preserved within each key): the whole batch probes it
+  with one ``searchsorted`` and expands with ``repeat``, and the
+  columns of the registers still live after the step (carried, or
+  bound from the image) are gathered for the next one — the slot lists
+  are compiled once per plan, so a dead register is never gathered;
 - a member probe packs its key columns into candidate rows and asks
   the probed relation's membership runs, the same Bloom-fronted test
   the absorb path uses (``Relation.packed_novel_mask``);
@@ -23,32 +27,40 @@ completely — a
   elimination in the absorb path (``scheduler._absorb_packed``) is one
   sort plus sorted-run membership instead of tuple hashing.
 
-For a delta plan the expansion order (frontier order outer, posting
-order inner) is exactly the tuple kernel's nested loop order, so
-first-occurrence dedup and every engine-invariant counter stay
-bit-identical to it.  A scan yields rows run by run in sorted-id order,
-not in the tuple kernel's set order; with no cut, no check and no step
-after the first reading the head, every engine-invariant counter of an
-admitted shape is order-independent, so they stay bit-identical too.
-Every other lowered pattern is declined at compile time
-(:func:`_vector_spec`), and any runtime condition the fast path cannot
-honor — an id past the 21-bit packing bound, or a stale image the
-firing would not pay for — is detected *before any counter is touched*
-and reported by returning None; either way the firing runs on the
-tuple kernel unchanged.
+For a delta plan every expansion keeps the batch's row order outer and
+posting order inner, which is exactly the tuple kernel's nested loop
+order, so first-occurrence dedup and every engine-invariant counter
+stay bit-identical to it.  A scan yields rows run by run in sorted-id
+order, not in the tuple kernel's set order; with no cut, no check and
+no step after the first reading the head, every engine-invariant
+counter of an admitted shape is order-independent, so they stay
+bit-identical too.  A step's probe image is laid out only when the
+step is reached with rows, which is when the tuple kernel resolves its
+index, so ``index_builds`` agrees as well.  Every other lowered pattern
+is declined at compile time (:func:`_vector_spec`), and any runtime
+condition the fast path cannot honor — an id past the 21-bit packing
+bound, or a stale image the firing would not pay for — is detected
+*before any counter is touched* (a firing counts in locals and adds
+them to the stats only once it has produced its rows) and reported by
+returning None; either way the firing runs on the tuple kernel
+unchanged.
 
 A firing re-encodes only what its frontier pays for.  A scan whose
 relation's packed runs are stale declines: re-packing the whole
 relation to read it once never pays.  Otherwise, with n frontier rows,
-two structures may be stale at launch: the probed relation's image
-(its CSR image, or its packed runs for a member probe; ``len(rel)``
-rows to encode) and the head relation's packed runs (``len(head)``
-rows to re-pack).  If either one alone holds more rows than the
-frontier, the firing declines.  The two are not summed: a linear
-recursion's second round faces a V-row frontier and two V-row images,
-and must vectorize.  So every rebuild of m rows rides on a firing of at
-least m frontier rows, encoding costs at most twice the frontier rows,
-and no mutation pattern makes the rebuilds quadratic.
+two kinds of structure may be stale at launch: each probed relation's
+image (its CSR image, or its packed runs for a member probe;
+``len(rel)`` rows to encode) and the head relation's packed runs.  If
+any probed image alone holds more rows than the frontier, the firing
+declines.  The head's runs are re-packed from ``len(head)`` rows; when
+step 0 is a delta over the head predicate itself, n of those rows are
+the frontier's own (a recursive head holds each frontier it produced),
+so the firing declines only when the *older* rows, ``len(head) − n``,
+outnumber the frontier; otherwise when ``len(head)`` does.  The images
+are not summed: a linear recursion's second round faces a V-row
+frontier and two V-row images, and must vectorize.  So every rebuild of
+m rows rides on a firing of at least m/2 frontier rows (m for a probed
+image), and no mutation pattern makes the rebuilds quadratic.
 
 Provenance recording needs per-fact body rows, which packed batches do
 not carry; the scheduler routes those runs to the tuple kernel before
@@ -73,7 +85,7 @@ from ..datalog.columnar import (
     pack_columns,
     unpack_column,
 )
-from .plan import CompiledRule, Lowered, Step
+from .plan import CompiledRule, Lowered
 
 __all__ = ["vector_rule_kernel"]
 
@@ -143,64 +155,116 @@ def _vector_spec(cr: CompiledRule, low: Lowered):
     """Compile-time shape analysis for the vectorized kernel.
 
     Returns the spec dict for the lowered patterns it runs — a
-    ``delta`` or ``scan`` step binding distinct variables, then either
-    an index ``lookup`` keyed on one register or a ``member`` probe
-    keyed on registers only; no check, no cut, no built-in or
-    negation, frontier, probe key and fused head of arity ≤ 3 — or
-    None.
+    ``delta`` or ``scan`` step binding distinct variables, then one or
+    more index ``lookup`` steps each keyed on one register, optionally
+    ending in a ``member`` probe keyed on registers only; no check, no
+    cut, no built-in or negation, no step after the first reading the
+    head, frontier, probe keys and fused head of arity ≤ 3 — or None.
+
+    The spec names, per stage, the id columns a firing carries: a
+    register leaves the columns once no later step's key and no head
+    position reads it, so each step gathers only what is still live.
     """
-    if low.builtins or low.negated or len(low.head) > 3:
+    if low.builtins or low.negated or len(low.head) > 3 or len(low.steps) < 2:
         return None
-    match low.steps:
-        case (
-            Step(kind="delta" | "scan", positions=(), checks=(), cut=False) as step0,
-            Step(kind="lookup" | "member", checks=(), cut=False) as step1,
-        ) if len(step0.binds) <= 3 and len(step1.key) <= 3:
-            pass
-        case _:
+    step0, *probes = low.steps
+    if (step0.kind not in ("delta", "scan") or step0.positions or step0.checks
+            or step0.cut or len(step0.binds) > 3):
+        return None
+    head_pred = cr.rule.head.predicate
+    for step in probes:
+        if step.checks or step.cut or not all(type(t) is int for t in step.key):
             return None
-    member = step1.kind == "member"
-    keys = step1.key
-    if not all(type(t) is int for t in keys) or not (member or len(keys) == 1):
-        return None
-    if step1.predicate == cr.rule.head.predicate:
-        # the tuple engine inserts head facts per derivation while still
-        # enumerating, so a step that reads the head relation observes
-        # mid-firing inserts; a whole-frontier batch cannot.  (Step 0
-        # is frozen in both: the delta frontier, or the ``list(rel)``
-        # snapshot a scan takes.)
-        return None
-    needed = {t for t in low.head if type(t) is int} | set(keys)
-    ctx = [(p, r) for p, r in step0.binds if r in needed]
-    slot_of = {r: i for i, (_, r) in enumerate(ctx)}
-    rowpos = {r: p for p, r in step1.binds}
-    head = [
-        ("const", t.value) if type(t) is not int
-        else ("row", rowpos[t]) if t in rowpos
-        else ("ctx", slot_of[t])
-        for t in low.head
-    ]
+        if step.kind == "lookup":
+            if len(step.key) != 1:
+                return None
+        elif step.kind != "member" or step is not probes[-1] or len(step.key) > 3:
+            return None
+        if step.predicate == head_pred:
+            # the tuple engine inserts head facts per derivation while
+            # still enumerating, so a step that reads the head relation
+            # observes mid-firing inserts; a whole-frontier batch cannot.
+            # (Step 0 is frozen in both: the delta frontier, or the
+            # ``list(rel)`` snapshot a scan takes.)
+            return None
+
+    # the registers live before each probe step, scanning backwards
+    needed = {t for t in low.head if type(t) is int}
+    live_before = []
+    for step in reversed(probes):
+        needed = (needed - {r for _, r in step.binds}) | set(step.key)
+        live_before.append(needed)
+    live_before.reverse()
+
+    # slots: the registers whose id columns the batch carries, in order
+    proj = [(p, r) for p, r in step0.binds if r in live_before[0]]
+    slots = [r for _, r in proj]
+    stages = []
+    for step, after in zip(probes, live_before[1:]):
+        binds = [(p, r) for p, r in step.binds if r in after]
+        carry = [s for s, r in enumerate(slots) if r in after]
+        stages.append((slots.index(step.key[0]), carry, [p for p, _ in binds]))
+        slots = [slots[s] for s in carry] + [r for _, r in binds]
+    last = probes[-1]
+    rowpos = {r: p for p, r in last.binds}
     return {
         "scan_pred": step0.predicate if step0.kind == "scan" else None,
+        "delta_head": step0.kind == "delta" and step0.predicate == head_pred,
         "frontier_arity": len(step0.binds),
-        "proj": [p for p, _ in ctx],
-        "key_slots": [slot_of[r] for r in keys],
-        "member": member,
-        "join_pred": step1.predicate,
-        "join_pos": None if member else step1.positions[0],
-        "head_pred": cr.rule.head.predicate,
-        "head": head,
+        "proj": [p for p, _ in proj],
+        # (predicate, probed position, or None for the member) per step
+        "probed": [
+            (step.predicate, step.positions[0] if step.kind == "lookup" else None)
+            for step in probes
+        ],
+        # (key slot, carried slots, bound positions) per lookup but the last
+        "stages": stages,
+        "key_slots": [slots.index(r) for r in last.key],
+        "member": last.kind == "member",
+        "head_pred": head_pred,
+        "head": [
+            ("const", t.value) if type(t) is not int
+            else ("row", rowpos[t]) if t in rowpos
+            else ("ctx", slots.index(t))
+            for t in low.head
+        ],
     }
+
+
+def _expand(np, csr: _CSR, key_col):
+    """Probe *csr* with a whole column of key ids at once: for each
+    match, the index of its probing row and its row in *csr*'s columns,
+    probing rows in order and posting order within each (the tuple
+    kernel's nested-loop order); None when nothing matches."""
+    keys = csr.keys
+    if not len(keys):
+        return None
+    pos = keys.searchsorted(key_col)
+    clipped = np.minimum(pos, len(keys) - 1)
+    vidx = (keys.take(clipped) == key_col).nonzero()[0]
+    if not len(vidx):
+        return None
+    hits = pos.take(vidx)
+    sel = csr.offsets.take(hits)
+    counts = csr.offsets.take(hits + 1) - sel
+    total = int(counts.sum())
+    flat = (
+        (sel - (counts.cumsum() - counts)).repeat(counts)
+        + np.arange(total, dtype=np.int64)
+    )
+    return vidx.repeat(counts), flat
 
 
 def _make_vector_kernel(spec, np) -> Callable:
     scan_pred = spec["scan_pred"]
+    delta_head = spec["delta_head"]
     frontier_arity = spec["frontier_arity"]
     proj = spec["proj"]
+    probed = spec["probed"]
+    last_pos = probed[-1][1]
+    stages = spec["stages"]
     key_slots = spec["key_slots"]
     member = spec["member"]
-    join_pred = spec["join_pred"]
-    join_pos = spec["join_pos"]
     head_pred = spec["head_pred"]
     head = spec["head"]
     intern = global_dictionary().intern
@@ -208,10 +272,10 @@ def _make_vector_kernel(spec, np) -> Callable:
 
     def kernel(db, stats, delta):
         # -- feasibility first: nothing below mutates stats until the
-        # fast path has committed to producing the firing itself.  A
-        # stale image larger than the frontier is not worth re-encoding
-        # for it (each side on its own; see the module docstring), and
-        # is checked before the frontier itself is interned
+        # fast path has produced the firing itself.  A stale image
+        # larger than the frontier is not worth re-encoding for it
+        # (each on its own; see the module docstring), and is checked
+        # before the frontier itself is interned
         if scan_pred is not None:
             rel0 = db.relation(scan_pred)
             if rel0 is None:
@@ -221,13 +285,20 @@ def _make_vector_kernel(spec, np) -> Callable:
             n = len(rel0)
         else:
             n = len(delta)
-        rel1 = db.relation(join_pred)
-        if rel1 is not None and len(rel1) > n and (
-            rel1.packed_runs_stale() if member else not _csr_current(rel1, join_pos)
-        ):
-            return None
+        rels = []
+        for pred, pos in probed:
+            rel = db.relation(pred)
+            if rel is not None and len(rel) > n and (
+                rel.packed_runs_stale() if pos is None else not _csr_current(rel, pos)
+            ):
+                return None
+            rels.append(rel)
         head_rel = db.relation(head_pred)
-        if head_rel is not None and len(head_rel) > n and head_rel.packed_runs_stale():
+        # a delta frontier over the head is already head rows, which
+        # the re-pack covers anyway: only the older rows count against it
+        if (head_rel is not None
+                and len(head_rel) - (n if delta_head else 0) > n
+                and head_rel.packed_runs_stale()):
             return None
         if scan_pred is not None:
             runs = rel0.packed_runs()
@@ -238,15 +309,6 @@ def _make_vector_kernel(spec, np) -> Callable:
             arr = delta.packed_rows()
             if arr is None:
                 return None
-        csr = None
-        if rel1 is not None:
-            if member:
-                if rel1.packed_runs() is None:
-                    return None
-            else:
-                csr = _csr_for(rel1, join_pos)
-                if not csr.fits:
-                    return None
         const_ids = []
         for kind, v in head:
             if kind == "const":
@@ -257,69 +319,85 @@ def _make_vector_kernel(spec, np) -> Callable:
             else:
                 const_ids.append(None)
 
-        # -- step 0, charged like the tuple kernel: one frontier probe
-        # or one whole-relation scan, every delivered row scanned
-        stats.join_probes += 1
+        # -- the joins, counted in locals; a probe image laid out here
+        # (and the raw index under it) is one the tuple kernel would
+        # build too, since a step is reached only with rows to probe.
+        # Step 0 is charged like the tuple kernel: one frontier probe or
+        # one whole-relation scan, every delivered row scanned
+        join_probes, index_probes, rows_scanned = 1, 0, n
+        batch_probes, batch_rows = (1 if n else 0), n
+        firings = 0
+        out = empty
+        m = n
+        if n:
+            ctx = [unpack_column(arr, frontier_arity, p) for p in proj]
+            # each lookup before the last: one probe for all m rows,
+            # charged per row; only the still-live columns go on
+            for rel, (_, pos), (key_slot, carry, binds) in zip(rels, probed, stages):
+                if rel is None:
+                    m = 0  # the step's ``continue``, for every row
+                    break
+                csr = _csr_for(rel, pos)
+                if not csr.fits:
+                    return None
+                batch_probes += 1
+                join_probes += m
+                index_probes += m
+                hit = _expand(np, csr, ctx[key_slot])
+                if hit is None:
+                    m = 0
+                    break
+                ctx_idx, flat = hit
+                m = len(flat)
+                rows_scanned += m
+                batch_rows += m
+                ctx = [ctx[s].take(ctx_idx) for s in carry]
+                ctx += [csr.cols[p].take(flat) for p in binds]
+            rel = rels[-1]
+            if m and rel is not None:
+                if member:
+                    if rel.packed_runs() is None:
+                        return None
+                    # the packed key is a candidate row of rel: present
+                    # iff the membership runs do not call it novel
+                    key = pack_columns([ctx[s] for s in key_slots], m)
+                    ctx_idx = (~rel.packed_novel_mask(key)).nonzero()[0]
+                    total = len(ctx_idx)
+                else:
+                    csr = _csr_for(rel, last_pos)
+                    if not csr.fits:
+                        return None
+                    hit = _expand(np, csr, ctx[key_slots[0]])
+                    total = 0 if hit is None else len(hit[1])
+                    if total:
+                        ctx_idx, flat = hit
+                batch_probes += 1
+                join_probes += m
+                index_probes += m
+                rows_scanned += total
+                batch_rows += total
+                firings = total
+                if total:
+                    # -- fused head: gather columns, pack to one int64 per row
+                    cols = []
+                    for (kind, v), cid in zip(head, const_ids):
+                        if kind == "row":
+                            cols.append(csr.cols[v].take(flat))
+                        elif kind == "ctx":
+                            cols.append(ctx[v].take(ctx_idx))
+                        else:
+                            cols.append(cid)  # scalar broadcast
+                    out = pack_columns(cols, total)
+
+        stats.join_probes += join_probes
         if scan_pred is not None:
             stats.scan_fallbacks += 1
-        stats.rows_scanned += n
-        if n:
-            stats.batch_probes += 1
-            stats.batch_rows += n
-        if n == 0 or rel1 is None:
-            return empty
-
-        ctx_cols = [unpack_column(arr, frontier_arity, p) for p in proj]
-
-        # -- step 1: one probe for the whole frontier, charged per row
-        stats.batch_probes += 1
-        stats.join_probes += n
-        stats.index_probes += n
-        if member:
-            # the packed key is a candidate row of rel1: present iff
-            # the membership runs do not call it novel
-            key = pack_columns([ctx_cols[s] for s in key_slots], n)
-            ctx_idx = (~rel1.packed_novel_mask(key)).nonzero()[0]
-            total = len(ctx_idx)
-        else:
-            keys = csr.keys
-            key_col = ctx_cols[key_slots[0]]
-            if len(keys):
-                pos = keys.searchsorted(key_col)
-                clipped = np.minimum(pos, len(keys) - 1)
-                vidx = (keys.take(clipped) == key_col).nonzero()[0]
-            else:
-                vidx = empty
-            if len(vidx):
-                hits = pos.take(vidx)
-                sel = csr.offsets.take(hits)
-                counts = csr.offsets.take(hits + 1) - sel
-                total = int(counts.sum())
-            else:
-                total = 0
-        stats.rows_scanned += total
-        stats.batch_rows += total
-        stats.rule_firings += total
-        if total == 0:
-            return empty
-
-        if not member:
-            ctx_idx = vidx.repeat(counts)
-            flat = (
-                (sel - (counts.cumsum() - counts)).repeat(counts)
-                + np.arange(total, dtype=np.int64)
-            )
-
-        # -- fused head: gather columns, pack to one int64 per row
-        cols = []
-        for (kind, v), cid in zip(head, const_ids):
-            if kind == "row":
-                cols.append(csr.cols[v].take(flat))
-            elif kind == "ctx":
-                cols.append(ctx_cols[v].take(ctx_idx))
-            else:
-                cols.append(cid)  # scalar broadcast
-        return pack_columns(cols, total)
+        stats.index_probes += index_probes
+        stats.rows_scanned += rows_scanned
+        stats.rule_firings += firings
+        stats.batch_probes += batch_probes
+        stats.batch_rows += batch_rows
+        return out
 
     return kernel
 
@@ -334,10 +412,10 @@ def vector_rule_kernel(
     plan), or None when the shape is unsupported (the caller runs the
     tuple kernel).  The returned kernel itself returns None — before
     touching any counter — when a runtime condition forces the same
-    fallback: an id past the packing bound, stale scanned runs, or a
-    stale probe image or head run set holding more rows than the
-    frontier (re-encoding it would cost more than the firing it
-    serves)."""
+    fallback: an id past the packing bound, stale scanned runs, a stale
+    probe image holding more rows than the frontier, or stale head runs
+    holding more rows than the frontier besides its own (re-encoding
+    it would cost more than the firing it serves)."""
     if not use_indexes:
         return None
 

@@ -106,8 +106,9 @@ def _fire(
     starting at relational literal *plan_id*.  Executors of the plan's
     one lowering (:meth:`CompiledRule.lowered`): the vector kernel
     (``opts.use_columnar``; it declines every lowered pattern but a
-    ``delta`` or ``scan`` step followed by a ``lookup`` or a fully bound
-    ``member``, before touching a counter), then the compiled tuple
+    ``delta`` or ``scan`` step followed by a chain of one-register
+    ``lookup`` steps, optionally ending in a fully bound ``member``,
+    before touching a counter), then the compiled tuple
     kernel — or, with ``opts.use_kernels`` off, the lowered-plan
     interpreter, the differential oracle.  Either is one row-at-a-time
     call that absorbs its own rows into the round's frontier.

@@ -242,6 +242,12 @@ def _invariant(touched):
 SEMIJOIN = "q(Y) :- r(X,Y), s(X).\n?- q(Y)."
 
 
+#: a three-step lookup chain, and probe relations no larger than the
+#: three-row frontiers it is fired with (so their images are laid out)
+CHAIN = "p(X, W) :- d(X, Y), e(Y, Z), f(Z, W).\n?- p(X, W)."
+CHAIN_DATA = {"e": [(2, 3), (2, 4), (5, 6)], "f": [(3, 7), (4, 8), (4, 9)]}
+
+
 def _semijoin():
     cr = _compiled(SEMIJOIN, sizes={"r": 1, "s": 10})
     assert [(s.kind, s.predicate) for s in cr.lowered(None).steps] == [
@@ -463,6 +469,86 @@ class TestBatchKernelGates:
         assert batch_kernel._csr_current(e, 0)
 
     @needs_numpy
+    def test_three_step_chain_commits_with_the_tuple_kernels_counters(self):
+        """``[delta d, lookup e, lookup f]``: each lookup probes the
+        whole batch once, and rows come out in the tuple kernel's
+        nested-loop order with its counters."""
+        cr = _compiled(CHAIN)
+        plan_id = _delta_plan(cr, "d")
+        assert [s.kind for s in cr.lowered(plan_id).steps] == ["delta", "lookup", "lookup"]
+        frontier = [(1, 2), (9, 5), (8, 2)]
+        rows, expected = _tuple_launch(cr, plan_id, Database.from_dict(CHAIN_DATA), frontier)
+        db = Database.from_dict(CHAIN_DATA)
+        out, touched = _launch(vector_rule_kernel(cr, plan_id), db, frontier)
+        assert db.ensure("p", 2).decode_packed(out) == rows
+        assert sorted(rows) == [(1, 7), (1, 8), (1, 9), (8, 7), (8, 8), (8, 9)]
+        assert _invariant(touched) | _absorbed(out, 2) == expected
+        assert expected["join_probes"] == 1 + 3 + 5 and expected["rows_scanned"] == 3 + 5 + 6
+        assert (touched["batch_probes"], touched["batch_rows"]) == (3, 14)
+
+    @needs_numpy
+    def test_chain_ending_in_a_member_commits_with_the_tuple_kernels_counters(self):
+        """``[delta d, lookup e, member g]``: ``X`` is carried through
+        the lookup, since the member's key still reads it, while the
+        dead ``Y`` is dropped."""
+        cr = _compiled("p(X, Z) :- d(X, Y), e(Y, Z), g(Z, X).\n?- p(X, Z).")
+        plan_id = _delta_plan(cr, "d")
+        assert [s.kind for s in cr.lowered(plan_id).steps] == ["delta", "lookup", "member"]
+        spec = batch_kernel._vector_spec(cr, cr.lowered(plan_id))
+        assert spec["proj"] == [0, 1] and spec["key_slots"] == [1, 0]
+        data = {"e": CHAIN_DATA["e"], "g": [(3, 1), (4, 1), (6, 9), (4, 8)]}
+        frontier = [(1, 2), (9, 5), (8, 2)]
+        rows, expected = _tuple_launch(cr, plan_id, Database.from_dict(data), frontier)
+        db = Database.from_dict(data)
+        db.relation("g").packed_runs()  # g holds more rows than the frontier
+        out, touched = _launch(vector_rule_kernel(cr, plan_id), db, frontier)
+        assert db.ensure("p", 2).decode_packed(out) == rows
+        assert sorted(rows) == [(1, 3), (1, 4), (8, 4), (9, 6)]
+        assert _invariant(touched) | _absorbed(out, 2) == expected
+        assert (touched["batch_probes"], touched["batch_rows"]) == (3, 3 + 5 + 4)
+
+    @needs_numpy
+    def test_a_step_reached_with_no_rows_builds_no_index(self):
+        """The tuple kernel resolves a lookup's index at its first
+        probe, so when ``e`` matches nothing ``f``'s index is never
+        built; nor is its probe image laid out."""
+        cr = _compiled(CHAIN)
+        plan_id = _delta_plan(cr, "d")
+        frontier = [(1, 6), (9, 7), (4, 0)]
+        tuple_db, vector_db = Database.from_dict(CHAIN_DATA), Database.from_dict(CHAIN_DATA)
+        rows, expected = _tuple_launch(cr, plan_id, tuple_db, frontier)
+        out, touched = _launch(vector_rule_kernel(cr, plan_id), vector_db, frontier)
+        assert rows == [] and len(out) == 0
+        assert _invariant(touched) == expected == {
+            "join_probes": 4, "index_probes": 3, "rows_scanned": 3, "join_work": 6,
+        }
+        assert vector_db.index_builds() == tuple_db.index_builds() == 1
+        assert not vector_db.relation("f").indexed_position_sets()
+        assert not batch_kernel._csr_current(vector_db.relation("f"), 0)
+
+    @needs_numpy
+    @pytest.mark.parametrize("older, commits", [(2, True), (3, False)])
+    def test_recursive_heads_own_frontier_does_not_count_against_its_repack(
+        self, older, commits
+    ):
+        """A delta step over the head: its n frontier rows are head
+        rows the re-pack covers anyway, so only the older rows count.
+        A head of the frontier plus n older rows re-packs (the plain
+        size rule, ``len(head) > n``, would decline it); one more
+        older row declines untouched."""
+        kernel = _vector_kernel(LEFT_TC, "tc")
+        frontier = [(0, 1), (5, 1)]
+        older = [(7 + i, 7 + i) for i in range(older)]
+        db = Database.from_dict({"e": [(1, 2)], "tc": frontier + older})
+        assert db.relation("tc").packed_runs_stale()
+        out, touched = _launch(kernel, db, frontier)
+        if commits:
+            assert db.relation("tc").decode_packed(out) == [(0, 2), (5, 2)]
+            assert touched["rule_firings"] == 2
+        else:
+            assert (out, touched) == (None, {})
+
+    @needs_numpy
     def test_absorb_without_packed_runs_decodes_in_order(self, monkeypatch):
         """The head relation holds an id the packing bound excludes, so
         the vectorized absorb has no membership runs: the packed rows
@@ -625,6 +711,32 @@ class TestColumnarEngine:
         delta_rounds = stats.iterations - 1  # round 1 is the naive round
         assert delta_rounds == v - 1
         assert stats.kernel_launches - stats.columnar_fallbacks == delta_rounds
+
+    @needs_numpy
+    def test_warm_same_generation_runs_its_delta_rounds_vectorized(self):
+        """``sg(X, Y) :- up(X, U), sg(U, V), down(V, Y)`` lowers to a
+        three-step chain.  The first evaluation lays out ``up``'s and
+        ``down``'s probe images once a frontier is as large as they
+        are; they are shared base relations, so a second evaluation
+        runs every delta round on the vector kernel and only the two
+        naive firings on the tuple kernel."""
+        from repro.workloads import families
+
+        program = families.same_generation()
+        nodes = 63
+        tree = [((i - 1) // 2, i) for i in range(1, nodes)]
+        db = Database.from_dict({
+            "up": [(c, p) for p, c in tree], "down": tree, "flat": [(0, 0)],
+        })
+        cold = evaluate(program, db)
+        warm = evaluate(program, db)
+        assert warm.stats.columnar_fallbacks == 2
+        assert warm.stats.batch_rows > 0
+        assert warm.answers() == cold.answers()
+        tup = evaluate(program, db, EngineOptions(use_columnar=False))
+        assert warm.stats.as_dict(engine_invariant=True) == tup.stats.as_dict(
+            engine_invariant=True
+        )
 
     def test_no_columnar_option_disables_batching(self):
         program = parse("p(X) :- e(X).\n?- p(X).")

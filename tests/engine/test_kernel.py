@@ -590,13 +590,19 @@ class TestDeferredHeadPostings:
         assert _postings(kern) == _postings(interp)
         assert kern.rows() == interp.rows()
 
-    def test_select_leaves_postings_pending(self):
-        """A point read over a head with pending postings probes the
-        index and scans the buffer beside it; it folds nothing."""
-        kern, _ = _pending_pair()
-        pending = list(kern._index_dirty)
-        assert kern.select({0: 1}) == {(1, 7), (1, 8), (1, 9)}
-        assert kern._index_dirty == pending
+    def test_point_reads_fold_pending_postings_once(self):
+        """A point read over a head with pending postings folds them
+        into the built index once, as ``index_for`` does: repeated
+        reads leave nothing pending, return the same rows, and leave
+        the posting lists as eager upkeep would."""
+        kern, interp = _pending_pair()
+        version = kern._version
+        for _ in range(3):
+            assert kern.select({0: 1}) == {(1, 7), (1, 8), (1, 9)}
+            assert kern._index_dirty == []
+        assert kern.select({0: 3}) == interp.select({0: 3}) == {(3, 7), (3, 8)}
+        assert kern._version == version and kern.index_builds == interp.index_builds
+        assert _postings(kern) == _postings(interp)
 
     def test_no_index_buffers_nothing(self):
         """A head with no built index gets no buffer: a later build

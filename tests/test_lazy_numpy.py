@@ -103,12 +103,13 @@ def test_commands_that_never_vectorize_never_import_numpy(tc_files, command):
 
 
 def test_run_whose_plans_are_all_declined_never_imports_numpy(tc_files, tmp_path):
-    """Three-literal bodies are declined at compile time, so a default
-    run that never admits a plan leaves numpy unloaded."""
+    """Bodies with a built-in are declined at compile time (and a
+    one-literal body is never admitted), so a default run that never
+    admits a plan leaves numpy unloaded."""
     program = tmp_path / "tc3.dl"
     program.write_text(
         "tc(X, Y) :- e(X, Y).\n"
-        "tc(X, Y) :- e(X, Z), e(Z, W), tc(W, Y).\n"
+        "tc(X, Y) :- e(X, Z), e(Z, W), tc(W, Y), lt(X, Y).\n"
         "?- tc(0, Y).\n"
     )
     result = _cli(["run", str(program), tc_files[1], "--stats"])
