@@ -11,9 +11,9 @@ module adds a second, *derived* representation under the same
 - the one codec for the *packed row* — a row of arity ≤ 3 as a single
   int64, 21 bits per id; no other module knows the layout;
 - a per-relation :class:`ColumnStore` holding exactly what the vector
-  kernel reads — runs + Bloom + CSR, built on demand: sorted packed
-  runs behind a Bloom prefilter (the absorb path's membership, a
-  member probe's answer, a scan's rows) and the CSR probe images.
+  kernel reads — runs + CSR, built on demand: at most two sorted packed
+  runs (the absorb path's membership, a member probe's answer, a
+  scan's rows) and the CSR probe images.
 
 The store is a cache over the relation's raw rows and hash indexes: it
 encodes nothing when created, the runs are packed from the raw row set
@@ -52,15 +52,14 @@ __all__ = [
 PACK_SHIFT = 21
 PACK_LIMIT = 1 << PACK_SHIFT
 
+#: a relation's packed rows are a base run and a tail run; the tail
+#: merges into the base once it holds ``1 / _TAIL_FRACTION`` of it
+#: (1/4 lost on ``tc_cycle``, 1/8 and 1/16 tied: EXPERIMENTS.md)
+_TAIL_FRACTION = 8
+
 _UNLOADED: Any = object()
 #: numpy once :func:`load_numpy` has run, None when it is not importable
 _np: Any = _UNLOADED
-# the packed-row Bloom prefilter's uint64 constants, built on that load
-_BLOOM_K1: Any = None
-_BLOOM_K2: Any = None
-_B1: Any = None
-_B6: Any = None
-_B63: Any = None
 
 
 def load_numpy():
@@ -73,24 +72,14 @@ def load_numpy():
     admits never pays numpy's import.  Everything else in this module
     that touches ``_np`` runs only on arrays an entry point made.
     """
-    global _np, _BLOOM_K1, _BLOOM_K2, _B1, _B6, _B63
+    global _np
     if _np is not _UNLOADED:
         return _np
     try:
         import numpy as np
     except ImportError:
-        _np = None
-        return None
-    # Fibonacci-style multiplicative hashes for the Bloom prefilter; the
-    # top bits of each product index the bit table.  The table is uint64
-    # words so every hash/index/mask op stays in one dtype — no astype
-    # round-trips on the per-round hot path.
-    _BLOOM_K1 = np.uint64(0x9E3779B97F4A7C15)
-    _BLOOM_K2 = np.uint64(0xC2B2AE3D27D4EB4F)
-    _B1 = np.uint64(1)
-    _B6 = np.uint64(6)
-    _B63 = np.uint64(63)
-    _np = np  # last: a concurrent caller sees the constants first
+        np = None
+    _np = np
     return np
 
 
@@ -273,21 +262,19 @@ class ColumnStore:
     """The packed image of one relation: what the vector kernel reads.
     Created empty by :meth:`Relation.column_store`; the owning relation
     fills it under its build lock and decides when it is stale.
-    ``runs`` are sorted disjoint int64 runs covering every packed row
-    (searchsorted membership, log-structured merges) behind the
-    ``bloom`` prefilter, valid only while ``runs_version`` equals the
-    relation's version; ``overflow`` records a row with an id at or past
-    ``PACK_LIMIT``, which sends the absorb path back to tuple-at-a-time
-    for the life of the store; ``csr`` holds the probe images,
-    ``position → (relation version, image)``, each laid out again when
-    its version is stale and a frontier at least as large as the
-    relation asks for it (:mod:`repro.engine.batch_kernel`).
+    ``runs`` holds every packed row in at most two sorted, disjoint
+    int64 runs — a base and a tail the fresh rows merge into — so a
+    membership test is at most two ``searchsorted`` probes, exact;
+    valid only while ``runs_version`` equals the relation's version.
+    ``overflow`` records a row with an id at or past ``PACK_LIMIT``,
+    which sends the absorb path back to tuple-at-a-time for the life of
+    the store; ``csr`` holds the probe images, ``position → (relation
+    version, image)``, each laid out again when its version is stale
+    and a frontier at least as large as the relation asks for it
+    (:mod:`repro.engine.batch_kernel`).
     """
 
-    __slots__ = (
-        "dictionary", "arity", "epoch", "overflow",
-        "runs", "runs_version", "bloom", "bloom_log2", "csr",
-    )
+    __slots__ = ("dictionary", "arity", "epoch", "overflow", "runs", "runs_version", "csr")
 
     def __init__(self, dictionary: ConstantDictionary, arity: int):
         self.dictionary = dictionary
@@ -296,8 +283,6 @@ class ColumnStore:
         self.overflow: bool = False
         self.runs: list = []
         self.runs_version: int = -1
-        self.bloom: Any = None
-        self.bloom_log2: int = 0
         self.csr: dict = {}
 
     def rebuild(self, rows: Collection[tuple], version: int) -> None:
@@ -305,78 +290,40 @@ class ColumnStore:
         arr = pack_rows(rows, self.arity, self.dictionary)
         if arr is None:
             self.overflow = True
-            self.runs, self.bloom = [], None  # nothing reads them again
+            self.runs = []  # nothing reads them again
             return
         arr.sort()
         self.runs = [arr] if arr.size else []
-        self._bloom_rebuild(arr.size)
-        self.runs_version = version  # last: the stamp publishes both
+        self.runs_version = version  # last: the stamp publishes the runs
 
     def novel_mask(self, rows):
         """Boolean mask over packed *rows* (any order, repeats allowed)
-        marking which the runs do not hold.  A genuinely new row misses
-        both Bloom probes, so only the few maybe-present candidates pay
-        a searchsorted pass per run."""
-        mask = _np.ones(rows.size, dtype=bool)
-        cand = self._bloom_maybe(rows).nonzero()[0]
-        if cand.size:
-            vals = rows.take(cand)
-            hit = _np.zeros(cand.size, dtype=bool)
-            for run in self.runs:
-                # clip keeps take() in bounds; the clipped last slot can
-                # never compare equal for a value beyond the run's max
-                idx = _np.minimum(run.searchsorted(vals), run.size - 1)
-                hit |= run.take(idx) == vals
-            mask[cand[hit]] = False
-        return mask
+        marking which the runs do not hold: one searchsorted per run."""
+        hit = _np.zeros(rows.size, dtype=bool)
+        for run in self.runs:
+            # clip keeps take() in bounds; the clipped last slot can
+            # never compare equal for a value beyond the run's max
+            idx = _np.minimum(run.searchsorted(rows), run.size - 1)
+            hit |= run.take(idx) == rows
+        return ~hit
 
     def extend(self, sorted_fresh, version: int) -> None:
-        """Add sorted packed rows known to be new, bringing the runs to *version*."""
+        """Add sorted packed rows known to be new, bringing the runs to
+        *version*.  They merge into the tail, and the tail into the base
+        once it holds ``1 / _TAIL_FRACTION`` of it: a merge into the tail
+        copies at most about that fraction of the base, and the base is
+        copied once each time it grows by that fraction."""
         runs = self.runs
-        runs.append(sorted_fresh)
-        # log-structured merging: keep run sizes geometrically
-        # decreasing so membership stays O(log n) searchsorted
-        # passes and total merge work stays O(n log n)
-        while len(runs) > 1 and 2 * runs[-1].size >= runs[-2].size:
-            merged = _np.concatenate((runs.pop(), runs.pop()))
-            merged.sort(kind="stable")  # timsort: one linear merge of two runs
-            runs.append(merged)
-        self.runs_version = version
-        total = sum(r.size for r in runs)
-        if total << 3 > (1 << self.bloom_log2):
-            self._bloom_rebuild(total)  # keep ≥8 bits/key
+        tail = _merge(runs.pop(), sorted_fresh) if len(runs) == 2 else sorted_fresh
+        if runs and tail.size * _TAIL_FRACTION >= runs[0].size:
+            runs[0] = _merge(runs[0], tail)
         else:
-            self._bloom_add(sorted_fresh)
+            runs.append(tail)  # the tail, or the first base
+        self.runs_version = version
 
-    def _bloom_rebuild(self, total: int) -> None:
-        """(Re)build the Bloom prefilter over every packed row the runs
-        cover, sized to at least 8 bits per key (≥ 1 MiB of bits)."""
-        log2 = max(20, int(8 * max(total, 1) - 1).bit_length())
-        self.bloom_log2 = log2
-        self.bloom = _np.zeros(1 << (log2 - 6), dtype=_np.uint64)
-        for run in self.runs:
-            self._bloom_add(run)
 
-    def _bloom_add(self, arr) -> None:
-        """Mark sorted packed rows *arr* (an int64 ndarray) present."""
-        words = self.bloom
-        shift = _np.uint64(64 - self.bloom_log2)
-        u = arr.view(_np.uint64)
-        for k in (_BLOOM_K1, _BLOOM_K2):
-            h = (u * k) >> shift
-            _np.bitwise_or.at(words, h >> _B6, _B1 << (h & _B63))
-
-    def _bloom_maybe(self, arr):
-        """Per-element maybe-present flags (uint64 0/1) for packed rows
-        *arr*; zero means definitely absent, one means a precise run
-        probe is required (~2% false positives at design occupancy)."""
-        words = self.bloom
-        shift = _np.uint64(64 - self.bloom_log2)
-        u = arr.view(_np.uint64)
-        h1 = (u * _BLOOM_K1) >> shift
-        h2 = (u * _BLOOM_K2) >> shift
-        return (
-            (words[h1 >> _B6] >> (h1 & _B63))
-            & (words[h2 >> _B6] >> (h2 & _B63))
-            & _B1
-        )
+def _merge(a, b):
+    """Two sorted disjoint int64 runs as one sorted run."""
+    merged = _np.concatenate((a, b))
+    merged.sort(kind="stable")  # timsort: one linear merge of two runs
+    return merged

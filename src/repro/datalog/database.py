@@ -5,7 +5,7 @@ values (the values of :class:`~repro.datalog.terms.Constant` terms).
 Hash indexes over argument-position subsets are built lazily and cached;
 the evaluation engine asks for the index matching the bound positions of
 each join step.  The vector kernel's packed image of a relation — sorted
-runs + Bloom for membership, CSR probe images — lives on its
+runs for membership, CSR probe images — lives on its
 :class:`~repro.datalog.columnar.ColumnStore`, built on demand from the
 raw rows and hash indexes and valid while its stamp equals the
 relation's version counter.
@@ -20,6 +20,7 @@ them functionally in tests.
 from __future__ import annotations
 
 import threading
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
@@ -361,10 +362,11 @@ class Relation:
         bound: Mapping[int, object],
         equal: Sequence[tuple[int, int]] = (),
         project: Optional[Sequence[int]] = None,
-    ) -> set[Row]:
+    ) -> frozenset[Row]:
         """The rows with ``row[p] == v`` for every ``p: v`` in *bound*
         and ``row[p] == row[q]`` for every ``(p, q)`` in *equal*,
-        projected onto the positions *project* (default: whole rows).
+        projected onto the positions *project* (default: whole rows),
+        as a frozenset built once from one iterator over every tier.
         An empty *project* makes this an existence test that stops at
         the first hit: the result is ``{()}`` or empty.
 
@@ -382,11 +384,13 @@ class Relation:
         if project is None:
             project = range(self.arity)
         project = tuple(project)
-        out: set[Row] = set()
+        rows = chain.from_iterable(self._selected(bound, equal, project))
+        return frozenset(rows if project else islice(rows, 1))
+
+    def _selected(self, bound, equal, project) -> Iterator[Iterable[Row]]:
+        """:meth:`select`'s projected rows, one iterable per tier."""
         if self._raw_dirty:
-            self._select_packed(bound, equal, project, out)
-            if out and not project:
-                return out
+            yield from self._select_packed(bound, equal, project)
         rows: Iterable[Row] = self._rows
         if bound:
             covered = max(
@@ -411,19 +415,18 @@ class Relation:
             right = itemgetter(*(q for _, q in equal))
             rows = (row for row in rows if left(row) == right(row))
         if not project:
-            if any(True for _ in rows):
-                out.add(())
+            yield (() for _ in rows)
         elif len(project) == 1:
             p0 = project[0]
-            out.update((row[p0],) for row in rows)
+            yield ((row[p0],) for row in rows)
         elif project == tuple(range(self.arity)):
-            out.update(rows)
+            yield rows
         else:
-            out.update(map(itemgetter(*project), rows))
-        return out
+            yield map(itemgetter(*project), rows)
 
-    def _select_packed(self, bound, equal, project, out: set) -> None:
-        """:meth:`select` over the deferred packed chunks, into *out*.
+    def _select_packed(self, bound, equal, project) -> Iterator[Iterable[Row]]:
+        """:meth:`select` over the deferred packed chunks: the decoded
+        rows of each group of them.
 
         A constant is compared by the id it has in the chunk's own
         captured value table — the live dictionary may be an epoch
@@ -446,12 +449,8 @@ class Relation:
             ]
             if tests:
                 arr = arr[np.logical_and.reduce(tests)]
-            if not len(arr):
-                continue
-            if not project:
-                out.add(())
-                return
-            out.update(decode_rows(arr, arity, values, project))
+            if len(arr):
+                yield decode_rows(arr, arity, values, project)
 
     # -- packed image -------------------------------------------------------
 
@@ -520,9 +519,9 @@ class Relation:
         return len(rows), tuple(degrees)
 
     def packed_runs(self) -> Optional[list]:
-        """Sorted disjoint int64 runs covering every current row — the
-        vector kernel's membership structure and scan source — or None
-        when a constant id exceeds the packing bound (or numpy is
+        """Every current row in at most two sorted disjoint int64 runs
+        — the vector kernel's membership structure and scan source — or
+        None when a constant id exceeds the packing bound (or numpy is
         absent).
 
         Runs live on the column store stamped with the relation version

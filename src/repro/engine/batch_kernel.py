@@ -21,8 +21,8 @@ with the head fused:
   bound from the image) are gathered for the next one — the slot lists
   are compiled once per plan, so a dead register is never gathered;
 - a member probe packs its key columns into candidate rows and asks
-  the probed relation's membership runs, the same Bloom-fronted test
-  the absorb path uses (``Relation.packed_novel_mask``);
+  the probed relation's membership runs, the same exact test the
+  absorb path uses (``Relation.packed_novel_mask``);
 - head tuples are packed back into one int64 column, so duplicate
   elimination in the absorb path (``scheduler._absorb_packed``) is one
   sort plus sorted-run membership instead of tuple hashing.

@@ -97,10 +97,11 @@ _SCALARS = frozenset({str, int, float, bool})
 
 
 def program_signature(program) -> str:
-    """CRC of the canonical program text (``str(program)`` — the same
-    canonical form the prepared-program cache keys on).  A WAL replayed
-    against a different program would be silently wrong; the signature
-    makes it a structured refusal instead."""
+    """CRC of the canonical program text (``str(program)``).  A WAL
+    replayed against a different program would be silently wrong; the
+    signature makes it a structured refusal instead.  Unlike the
+    prepared-program cache's typed key, the text does not tell apart
+    constants that print alike (``1`` and ``'1'``)."""
     text = str(program).encode("utf-8")
     return f"{zlib.crc32(text) & 0xFFFFFFFF:08x}:{len(text)}"
 

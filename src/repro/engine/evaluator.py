@@ -286,7 +286,7 @@ def answers_of(
     columns = list(first.values())
     if keep is not None:
         columns = [columns[i] for i in keep]
-    return frozenset(rel.select(bound, equal, columns))
+    return rel.select(bound, equal, columns)
 
 
 def evaluate(

@@ -10,9 +10,11 @@ on every invocation.
 
 :func:`prepare` bundles those artifacts into an immutable
 :class:`PreparedProgram` and caches it in a bounded process-wide LRU,
-keyed by the **canonical program text** (``str(program)`` — rules in
-order, negation rendered, query included, and for adorned programs the
-adornment is part of every predicate name) together with the
+keyed by the **typed program** (:func:`program_key` — rules in order,
+negated literals apart, query included, and for adorned programs the
+adornment is part of every predicate name; each variable by name and
+each constant by type and value, so ``1`` and ``'1'`` differ where
+``str(program)`` prints both as ``1``) together with the
 **log-bucketed size signature** the join-order heuristic consumed and
 the **cost-model signature** when a cost-based planner ordered the
 plans.  Two calls with the same key are guaranteed byte-identical
@@ -47,6 +49,7 @@ from ..datalog.analysis import DependencyInfo, analyze, stratify
 from ..datalog.ast import Program
 from ..datalog.database import Database
 from ..datalog.errors import ValidationError
+from ..datalog.terms import Variable
 from .cost import BoundCostModel, RelationProfile, bucket_size, profile_database
 from .plan import CompiledRule, compile_rule
 
@@ -121,14 +124,33 @@ def program_key(
     sizes: Optional[Mapping[str, int]],
     cost_signature: tuple = (),
 ) -> tuple:
-    """The cache key: canonical text, log-bucketed size signature, and
-    the planner's cost-model signature (``()`` for pure greedy)."""
+    """The cache key: the typed program, log-bucketed size signature,
+    and the planner's cost-model signature (``()`` for pure greedy).
+
+    The program is nested tuples of predicate names, variable names and
+    ``(type, value)`` constants: equal exactly when the programs are,
+    where ``str(program)`` conflates constants that print alike (``1``
+    and ``'1'``, a variable and a string constant of its name).  A
+    tuple compares its items by identity first, so two ``nan`` objects
+    key apart and one ``nan`` keys like itself.  Built on every
+    ``evaluate``, it costs about what ``str(program)`` does."""
+
+    def atom(a) -> tuple:
+        return (a.predicate, *[
+            t.name if type(t) is Variable else (type(t.value), t.value) for t in a.args
+        ])
+
+    rules = tuple(
+        (atom(r.head), tuple(map(atom, r.body)), tuple(map(atom, r.negative)))
+        for r in program.rules
+    )
+    query = None if program.query is None else atom(program.query)
     size_sig = (
         tuple(sorted((p, bucket_size(n)) for p, n in sizes.items()))
         if sizes
         else ()
     )
-    return (str(program), size_sig, cost_signature)
+    return ((rules, query), size_sig, cost_signature)
 
 
 _CACHE: "OrderedDict[tuple, PreparedProgram]" = OrderedDict()

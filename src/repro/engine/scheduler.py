@@ -213,8 +213,8 @@ def _absorb_packed(rel, head_pred, produced, stats, added) -> None:
     (unstable) argsort give each distinct row its first occurrence —
     the minimum original index per group of equal sorted rows — which
     restores production order, the tuple kernel's insert order.
-    Membership is a Bloom prefilter backed by precise probes of
-    the relation's sorted packed runs
+    Membership is one precise probe of each of the relation's (at
+    most two) sorted packed runs
     (:meth:`Relation.packed_novel_mask`), and the fresh rows enter
     the relation deferred (:meth:`Relation.add_packed_deferred`) and
     the frontier packed (:class:`PackedDelta`).  When runs are

@@ -115,9 +115,9 @@ class _Tabling:
             # engine honors that; tabling must agree.
             rel = self.edb.relation(pred)
             if rel is not None:
-                self.tables[key] = rel.select(
+                self.tables[key] = set(rel.select(
                     {p: v for p, v in enumerate(pattern) if v is not None}
-                )
+                ))
                 self.stats.facts_derived += len(self.tables[key])
             else:
                 self.tables[key] = set()

@@ -9,6 +9,7 @@ every engine-invariant counter) lives in
 substrate-level contracts those runs rest on.
 """
 
+import random
 import sys
 
 import pytest
@@ -79,8 +80,8 @@ class TestConstantDictionary:
 
 
 def _members(rel, rows):
-    """The subset of raw *rows* the relation's packed membership (runs
-    behind the Bloom prefilter) reports present."""
+    """The subset of raw *rows* the relation's packed membership (its
+    sorted runs) reports present."""
     np = columnar.load_numpy()
     rows = sorted(rows)
     packed = columnar.pack_rows(rows, rel.arity, global_dictionary())
@@ -128,6 +129,39 @@ class TestColumnStore:
         rel.discard((1,))
         assert _members(rel, [(1,), (2,), (3,)]) == {(2,), (3,)}
         assert rel.rows() == {(2,), (3,)}
+
+    def test_absorbs_keep_two_disjoint_sorted_runs(self, monkeypatch):
+        """Batches of varied sizes, each partly known, cross the
+        tail→base merge many times; after every batch the packed image
+        is at most a base and a tail, each strictly increasing, and
+        together exactly the relation's rows — extended in place, never
+        re-packed."""
+        np = columnar.load_numpy()
+        rng = random.Random(45)
+        domain = range(120)
+        rel = Relation(2, {(rng.choice(domain), rng.choice(domain)) for _ in range(40)})
+        rel.packed_runs()
+        monkeypatch.setattr(
+            columnar.ColumnStore, "rebuild",
+            lambda *a: pytest.fail("the runs were re-packed"),
+        )
+        merges = tails = 0
+        base = rel.packed_runs()[0]
+        for size in [1, 3, 7, 30, 2, 90, 5, 400, 11, 60, 1, 250, 17, 8, 700, 4, 120, 40] * 2:
+            batch = [(rng.choice(domain), rng.choice(domain)) for _ in range(size)]
+            produced = columnar.pack_rows(batch, 2, global_dictionary())
+            scheduler._absorb_packed(rel, "p", produced, EvalStats(), {})
+            runs = rel.packed_runs()
+            assert 1 <= len(runs) <= 2
+            for run in runs:
+                assert (run[1:] > run[:-1]).all()
+            both = np.concatenate(runs)
+            assert len(np.unique(both)) == len(both)  # disjoint
+            assert set(rel.decode_packed(both)) == rel.rows()
+            merges += runs[0] is not base
+            tails += len(runs) == 2
+            base = runs[0]
+        assert merges >= 5 and tails >= 5
 
 
 # -- copies do not share the packed image ------------------------------------

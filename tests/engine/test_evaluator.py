@@ -3,7 +3,10 @@
 import pytest
 
 from repro.datalog import Database, ValidationError, parse
+from repro.datalog.ast import Atom, Program, Rule
+from repro.datalog.terms import Constant, Variable
 from repro.engine import EngineOptions, evaluate
+from repro.engine.prepared import clear_prepared_cache, prepared_cache_stats
 from repro.workloads.graphs import chain, complete, cycle, random_digraph
 
 
@@ -214,3 +217,40 @@ class TestStats:
         from repro.engine import EvalStats
 
         assert "iters=0" in EvalStats().summary()
+
+
+class TestPreparedCacheKey:
+    """Programs whose constants print alike must not share plans."""
+
+    @staticmethod
+    def _query(value):
+        X = Variable("X")
+        q = Atom("q", (X,))
+        return Program((Rule(q, (Atom("e", (X, Constant(value))),)),), query=q)
+
+    def test_int_and_str_constants_key_apart(self):
+        # str(program) prints both as "q(X) :- e(X, 1)."
+        clear_prepared_cache()
+        data = {"e": [(1, 1), (2, "1")]}
+        assert evaluate(self._query(1), Database.from_dict(data)).answers() == {(1,)}
+        assert evaluate(self._query("1"), Database.from_dict(data)).answers() == {(2,)}
+
+    def test_nan_objects_key_apart(self):
+        clear_prepared_cache()
+        nan_a, nan_b = float("nan"), float("nan")
+        data = {"e": [(5, nan_a), (6, nan_b)]}
+        assert evaluate(self._query(nan_a), Database.from_dict(data)).answers() == {(5,)}
+        assert evaluate(self._query(nan_b), Database.from_dict(data)).answers() == {(6,)}
+        assert evaluate(self._query(nan_a), Database.from_dict(data)).answers() == {(5,)}
+        assert prepared_cache_stats()["entries"] == 2
+
+    def test_variable_and_constant_of_one_name_key_apart(self):
+        clear_prepared_cache()
+        X, Y = Variable("X"), Variable("Y")
+        q = Atom("q", (X,))
+        data = {"e": [(1, "Y"), (2, "Z")]}
+        with_var = Program((Rule(q, (Atom("e", (X, Y)),)),), query=q)
+        with_const = Program((Rule(q, (Atom("e", (X, Constant("Y"))),)),), query=q)
+        assert str(with_var) == str(with_const)
+        assert evaluate(with_var, Database.from_dict(data)).answers() == {(1,), (2,)}
+        assert evaluate(with_const, Database.from_dict(data)).answers() == {(1,)}
