@@ -11,17 +11,27 @@ as the metric says is better).  It only reads the benchmark: nothing
 under ``benchmarks/e2e/`` is changed, and each run's result file goes
 to a temporary directory.
 
+Both trees start from the same bytecode state.  Each side's runs read
+and write compiled modules under a temporary ``PYTHONPYCACHEPREFIX`` of
+its own, never the trees' ``__pycache__`` directories, which may be
+missing or stale in one checkout and current in the other (under
+``PYTHONDONTWRITEBYTECODE`` a missing cache is compiled from source in
+every fresh interpreter).  Before a workload's first pair each side
+compiles its ``src/`` and runs the workload once at ``--smoke`` size,
+unmeasured, which fills its cache with whatever else the runs import.
+
 Usage (from the repository root; PARENT_TREE is a checkout of the
 commit to compare against, e.g. a ``git clone`` of it)::
 
     python scripts/abba.py PARENT_TREE --workload tc_cycle --pairs 10
-    python scripts/abba.py PARENT_TREE                 # all five, 10 pairs
+    python scripts/abba.py PARENT_TREE --seed 1990     # all five, 10 pairs
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -37,11 +47,33 @@ def benchmark() -> dict:
         return json.load(f)
 
 
-def run_once(tree: Path, workload: str, out: Path) -> dict:
-    """One benchmark run of *workload* from *tree*: its result dict."""
+def side_envs(sides, tmp: Path) -> dict[str, dict]:
+    """Per side, the environment of its runs: compiled modules live
+    under a directory of its own in *tmp* (written there too, whatever
+    the caller's environment says), so neither tree's own bytecode
+    state counts."""
+    envs = {}
+    for side in sides:
+        env = dict(os.environ, PYTHONPYCACHEPREFIX=str(tmp / f"pycache-{side}"))
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        envs[side] = env
+    return envs
+
+
+def warm(tree: Path, env: dict, workload: str, out: Path, *extra: str) -> None:
+    """Fill *env*'s bytecode cache for *workload* from *tree*: compile
+    its ``src/``, then one unmeasured, untraced ``--smoke`` run."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=tree,
+                   env=env, check=True, stdout=subprocess.DEVNULL)
+    run_once(tree, env, workload, out, *extra, "--smoke", "--trace", "0")
+
+
+def run_once(tree: Path, env: dict, workload: str, out: Path, *extra: str) -> dict:
+    """One benchmark run of *workload* from *tree* (*extra* are more
+    ``run.py`` arguments): its result dict."""
     cmd = [sys.executable, "benchmarks/e2e/run.py", "--workload", workload,
-           "--out", str(out)]
-    subprocess.run(cmd, cwd=tree, check=True, stdout=subprocess.DEVNULL)
+           "--out", str(out), *extra]
+    subprocess.run(cmd, cwd=tree, env=env, check=True, stdout=subprocess.DEVNULL)
     with open(out) as f:
         (result,) = json.load(f)["results"]
     return result
@@ -97,14 +129,21 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", choices=workloads,
                         help="repeatable; default: every workload")
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=None,
+                        help="the benchmark's input seed (default: run.py's)")
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "tree": ROOT}
     with tempfile.TemporaryDirectory() as tmp:
+        envs = side_envs(sides, Path(tmp))
+        extra = () if args.seed is None else ("--seed", str(args.seed))
         for workload in args.workload or workloads:
+            for side in sides:
+                warm(sides[side], envs[side], workload, Path(tmp) / f"{side}.json", *extra)
             pairs = []
             for i in range(args.pairs):
                 order = ("parent", "tree") if i % 2 == 0 else ("tree", "parent")
-                got = {side: run_once(sides[side], workload, Path(tmp) / f"{side}.json")
+                got = {side: run_once(sides[side], envs[side], workload,
+                                      Path(tmp) / f"{side}.json", *extra)
                        for side in order}
                 pairs.append((got["parent"], got["tree"]))
                 print(f"{workload} pair {i + 1} ({order[0]} first): " + "  ".join(

@@ -1,11 +1,11 @@
-"""Theorem 3.3 as an optimizer pass: one-sided-linear chains go monadic.
+"""Theorem 3.3 as an optimizer pass: regular chain recursions go monadic.
 
 Theorem 3.3: a binary chain program has an equivalent *monadic* program
-iff its language is regular.  :mod:`repro.grammar.regular` holds the
-constructive fragment (one-sided-linear grammar → automaton); this pass
-applies it inside :func:`~repro.core.pipeline.optimize`, after
-projection pushing, wherever a binary recursion is only ever asked for
-one endpoint.
+iff its language is regular.  :mod:`repro.grammar.regular` holds two
+constructive fragments — one-sided-linear grammars and doubled
+grammars, each to an automaton; this pass applies them inside
+:func:`~repro.core.pipeline.optimize`, after projection pushing,
+wherever a binary recursion is only ever asked for one endpoint.
 
 A *chain component* is a recursive component of binary derived
 predicates, none of them the query's, each of whose rules is a chain
@@ -14,7 +14,11 @@ other binary literals, read first argument to second — that may carry
 *node tests*: a literal with one chain variable whose other positions
 hold constants or variables occurring nowhere else in the rule
 (``tag0(Y, T0)``).  Edges and tests are the terminals of the
-component's grammar, which must be right- or left-linear.
+component's grammar, which must be right- or left-linear, or
+*doubled*: one member ``P`` whose rules are ``P -> P P``, ``P -> L P``,
+``P -> P R`` or ``P -> B`` for words ``L``, ``R``, ``B`` of terminals,
+as in non-linear transitive closure.  A doubled grammar is
+self-embedding, yet its language ``(L* B R*)+`` is regular.
 
 Every reader of the component must want one endpoint only:
 
@@ -23,8 +27,9 @@ Every reader of the component must want one endpoint only:
   computes that projection of the member, so its rules are replaced:
   state predicates propagate forward from any edge (backward to any
   node), and the version names the accepting state.  The query's own
-  adorned predicate is not redefined: there section 5's deletion phase
-  already removes the recursion (Example 6).
+  adorned predicate is redefined only for a doubled component: for a
+  one-sided-linear one, section 5's deletion phase already removes the
+  recursion (Example 6), but it cannot remove ``P -> P P``.
 - In any other rule, a literal ``c(A, B)`` whose ``A`` side — the
   literals connected to ``A`` through variables other than ``B`` —
   shares no variable with the head, with ``B``'s side or with a negated
@@ -36,9 +41,10 @@ Every reader of the component must want one endpoint only:
 The pass emits one unary predicate per state of the minimal DFA of the
 language read in the propagation direction, and drops the component,
 which nothing reads any more.  Anything else — the query predicate in
-the component (``tc(X, X)``), a non-linear or self-embedding grammar,
-both endpoints needed, a reader outside the two shapes — declines on
-the syntax alone, before any grammar or automaton is built.
+the component (``tc(X, X)``), a grammar neither one-sided linear nor
+doubled (``P -> L P R``, doubling inside mutual recursion), both
+endpoints needed, a reader outside the two shapes — declines on the
+syntax alone, before any automaton is built.
 
 The rewrite is *edb-only*: the binary predicates are no longer
 computed, so rows given for them would be ignored.
@@ -264,9 +270,10 @@ def _siblings(program: AdornedProgram, members: frozenset[str]) -> dict[str, tup
 # -- the automaton side ------------------------------------------------------
 
 
-def _dfa(productions, start: str, direction: str):
-    from ..grammar.cfg import Grammar, Production
+def _dfa(grammar, start: str, direction: str):
     from ..grammar.regular import (
+        doubled_to_nfa,
+        is_left_linear,
         is_right_linear,
         left_linear_to_nfa,
         minimal_dfa,
@@ -274,8 +281,13 @@ def _dfa(productions, start: str, direction: str):
         right_linear_to_nfa,
     )
 
-    grammar = Grammar(tuple(Production(lhs, rhs) for lhs, rhs in productions), start)
-    nfa = right_linear_to_nfa(grammar) if is_right_linear(grammar) else left_linear_to_nfa(grammar)
+    grammar = grammar.with_start(start)
+    if is_right_linear(grammar):
+        nfa = right_linear_to_nfa(grammar)
+    elif is_left_linear(grammar):
+        nfa = left_linear_to_nfa(grammar)
+    else:
+        nfa = doubled_to_nfa(grammar)
     return minimal_dfa(nfa if direction == FORWARD else reverse_nfa(nfa))
 
 
@@ -361,24 +373,22 @@ def monadic_chains(program: AdornedProgram) -> tuple[AdornedProgram, tuple[Monad
 
 
 def _rewrite_component(program: AdornedProgram, members: frozenset[str]):
+    from ..grammar.cfg import Grammar, Production
+    from ..grammar.regular import is_doubled, is_left_linear, is_right_linear
+
     symbols: dict[str, tuple] = {}
     productions = []
-    sides = set()
     for r in program.rules:
         if r.head.atom.predicate not in members:
             continue
-        if sum(lit.atom.predicate in members for lit in r.body) > 1:
-            return None
         word = _chain(r, members, symbols)
         if word is None:
             return None
-        if len(word) > 1 and word[0] in members:
-            sides.add("left")
-        if len(word) > 1 and word[-1] in members:
-            sides.add("right")
-        if any(s in members for s in word[1:-1]) or len(sides) > 1:
-            return None
-        productions.append((r.head.atom.predicate, word))
+        productions.append(Production(r.head.atom.predicate, word))
+    grammar = Grammar(tuple(productions), min(members))
+    doubled = is_doubled(grammar)
+    if not (doubled or is_right_linear(grammar) or is_left_linear(grammar)):
+        return None
 
     # readers: whole adorned versions, or rules rewired literal by literal
     siblings = _siblings(program, members)
@@ -394,7 +404,7 @@ def _rewrite_component(program: AdornedProgram, members: frozenset[str]):
         if not any(lit.atom.predicate in members for lit in r.body):
             continue
         if pred in siblings:
-            if pred == query:
+            if pred == query and not doubled:
                 return None
             redefined[pred] = siblings[pred]
         else:
@@ -408,10 +418,10 @@ def _rewrite_component(program: AdornedProgram, members: frozenset[str]):
             return None
 
     # the syntax holds: build the automata
-    return _emit(program, members, productions, symbols, redefined, readers)
+    return _emit(program, members, grammar, symbols, redefined, readers)
 
 
-def _emit(program, members, productions, symbols, redefined, readers):
+def _emit(program, members, grammar, symbols, redefined, readers):
     component = tuple(sorted(members))
     taken = {lit.atom.predicate for r in program.rules for lit in (r.head, *r.body, *r.negative)}
     automata: dict[tuple[str, str], object] = {}
@@ -421,7 +431,7 @@ def _emit(program, members, productions, symbols, redefined, readers):
     def automaton(start: str, direction: str):
         key = (start, direction)
         if key not in automata:
-            automata[key] = _dfa(productions, start, direction)
+            automata[key] = _dfa(grammar, start, direction)
         return automata[key]
 
     def fresh(start: str, direction: str) -> str:

@@ -13,9 +13,10 @@ of derived predicates (uniform query equivalence, section 4); an
    engine retires once satisfied (bottom-up cut).
 3. ``push_projections`` (section 3.2, Lemma 3.2; uniform): drop every
    existential argument position of every derived predicate.
-4. ``monadic_chains`` (Theorem 3.3; edb-only): a one-sided-linear
-   binary chain recursion whose readers want one endpoint becomes
-   unary automaton-state predicates (:mod:`repro.core.monadic`).
+4. ``monadic_chains`` (Theorem 3.3; edb-only): a one-sided-linear or
+   doubled (``P -> P P``) binary chain recursion whose readers want one
+   endpoint becomes unary automaton-state predicates
+   (:mod:`repro.core.monadic`).
 5. ``theta_subsumption`` (section 6; uniform): drop every rule
    θ-subsumed by another rule.
 6. ``delete_rules`` (sections 3.3, 5; edb-only, for the cascade):

@@ -39,6 +39,14 @@ bound) waits for the next exact state.
 recommended), so a snapshot that later turns out corrupt still has an
 older anchor whose replay suffix survives in the log.
 
+**Program signature.**  Both headers carry the CRC of the program they
+were written for (``program``) and the version of that signature
+(``signature``): version 2 signs the typed program walk the prepared
+cache keys on, so constants that print alike (``1`` and ``'1'``) sign
+apart.  A header without the field was written before it existed and
+is checked against version 1, the CRC of ``str(program)``, so old files
+still recover.
+
 Recovery itself — newest-valid-snapshot selection, suffix replay, and
 the structured refusal rules — lives in :mod:`repro.engine.recovery`.
 
@@ -76,6 +84,7 @@ __all__ = [
     "Snapshot",
     "WalData",
     "program_signature",
+    "signed_for",
     "read_wal",
     "load_snapshot",
     "list_snapshots",
@@ -96,14 +105,36 @@ _FRAME = struct.Struct("<II")
 _SCALARS = frozenset({str, int, float, bool})
 
 
-def program_signature(program) -> str:
-    """CRC of the canonical program text (``str(program)``).  A WAL
-    replayed against a different program would be silently wrong; the
-    signature makes it a structured refusal instead.  Unlike the
-    prepared-program cache's typed key, the text does not tell apart
-    constants that print alike (``1`` and ``'1'``)."""
-    text = str(program).encode("utf-8")
+#: the version of :func:`program_signature` new headers are written with
+SIGNATURE_VERSION = 2
+
+
+def _signed_text(program, version: int) -> str:
+    if version == 1:
+        return str(program)
+    from .prepared import program_key
+
+    return repr(program_key(program, None)[0])
+
+
+def program_signature(program, version: int = SIGNATURE_VERSION) -> str:
+    """CRC of *program* under signature *version*.  A WAL replayed
+    against a different program would be silently wrong; the signature
+    makes it a structured refusal instead.  Version 2 signs the typed
+    program (:func:`~repro.engine.prepared.program_key`'s program part);
+    version 1, the text ``str(program)``, which does not tell apart
+    constants that print alike (``1`` and ``'1'``), is kept to check
+    files written before headers carried a version."""
+    text = _signed_text(program, version).encode("utf-8")
     return f"{zlib.crc32(text) & 0xFFFFFFFF:08x}:{len(text)}"
+
+
+def signed_for(program, signature, version) -> bool:
+    """Was a file whose header holds *signature* under *version*
+    written for *program*?  An unknown version never matches."""
+    if type(version) is not int or version not in (1, SIGNATURE_VERSION):
+        return False
+    return signature == program_signature(program, version)
 
 
 @dataclass(frozen=True)
@@ -217,10 +248,11 @@ class WriteAheadLog:
         cls, path: str, fsync: str, program: str, base_seq: int
     ) -> "WriteAheadLog":
         """Write a fresh (empty) log whose records will start at
-        ``base_seq + 1``."""
+        ``base_seq + 1``; *program* is a current-version signature."""
         header = {
             "version": 1,
             "program": program,
+            "signature": SIGNATURE_VERSION,
             "base_seq": base_seq,
             "created": time.time(),
         }
@@ -474,6 +506,9 @@ class Snapshot:
 
     seq: int
     program: str
+    #: the version *program* was signed under (1 when the header
+    #: predates the field)
+    signature: int
     #: True iff the state was a governed partial lower bound when
     #: written; seeded replay from a dirty anchor is unsound, so
     #: recovery takes the from-scratch rung instead
@@ -507,10 +542,12 @@ def write_snapshot(
     program: str,
     dirty: bool,
     *,
+    signature: int = SIGNATURE_VERSION,
     injector=None,
 ) -> Path:
     """Serialize the session state into ``<wal>.snap-<seq>``,
-    atomically (temp + fsync + rename).
+    atomically (temp + fsync + rename); *program* is the program's
+    signature under version *signature*.
 
     Every section is dictionary-encoded against the snapshot's *own*
     dense value table — ids in first-seen order while the sections are
@@ -551,6 +588,7 @@ def write_snapshot(
         "version": 1,
         "seq": seq,
         "program": program,
+        "signature": signature,
         "dirty": dirty,
         "byteorder": __import__("sys").byteorder,
         "dict": values,
@@ -718,6 +756,7 @@ def load_snapshot(path) -> Snapshot:
     return Snapshot(
         seq=header["seq"],
         program=header.get("program", ""),
+        signature=header.get("signature", 1),
         dirty=bool(header.get("dirty", False)),
         db=db,
         initial=initial,
@@ -821,6 +860,7 @@ class DurableLog:
         write_snapshot(
             self.config, seq, session.db, session._initial,
             self.wal.header["program"], session.is_partial,
+            signature=self.wal.header.get("signature", 1),
             injector=injector,
         )
         stats.snapshots_written += 1

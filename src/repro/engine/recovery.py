@@ -75,6 +75,7 @@ from .durability import (
     load_snapshot,
     program_signature,
     read_wal,
+    signed_for,
 )
 from .evaluator import EngineOptions
 from .incremental import IncrementalSession
@@ -200,14 +201,15 @@ def recover(
     """
     t0 = time.perf_counter()
     opts = options or EngineOptions()
-    psig = program_signature(program)
-
     data = read_wal(config.wal_path)
-    if data.header.get("program") != psig:
+    version = data.header.get("signature", 1)
+    if not signed_for(program, data.header.get("program"), version):
+        psig = program_signature(program)
         raise RecoveryError(
             "program-drift",
             f"WAL {config.wal_path} was written for program "
-            f"{data.header.get('program')!r}, recovering program is {psig!r}",
+            f"{data.header.get('program')!r} (signature version {version!r}), "
+            f"recovering program is {psig!r}",
         )
 
     # newest loadable snapshot whose replay suffix the WAL still covers
@@ -219,7 +221,7 @@ def recover(
         except RecoveryError as exc:
             skipped.append((str(path), exc.reason))
             continue
-        if candidate.program != data.header.get("program"):
+        if not signed_for(program, candidate.program, candidate.signature):
             skipped.append((str(path), "program-drift"))
             continue
         if not _fits(program, candidate):

@@ -24,6 +24,12 @@ that theorem:
   ``monadic_chains`` pass (:mod:`repro.core.monadic`), which covers
   both one-sided linear forms and both query directions, and emits one
   unary predicate per state of the minimal DFA.
+- :func:`is_doubled` / :func:`doubled_to_nfa` — one self-embedding
+  class that is still regular: a single nonterminal ``P`` with the
+  doubling rule ``P -> P P`` beside ``P -> L P``, ``P -> P R`` and
+  ``P -> B`` (``L``, ``R``, ``B`` terminal words), as in non-linear
+  transitive closure.  Its language is ``(L* B R*)+``; the NFA is that
+  of an equivalent right-linear grammar.
 """
 
 from __future__ import annotations
@@ -43,6 +49,8 @@ __all__ = [
     "is_left_linear",
     "NFA",
     "right_linear_to_nfa",
+    "is_doubled",
+    "doubled_to_nfa",
     "nfa_accepts",
     "nfa_to_monadic_program",
     "monadic_program_for",
@@ -230,6 +238,56 @@ def left_linear_to_nfa(grammar: Grammar) -> NFA:
         grammar.start,
     )
     return reverse_nfa(right_linear_to_nfa(mirrored))
+
+
+def is_doubled(grammar: Grammar) -> bool:
+    """One nonterminal, the start ``P``, with a doubling production
+    ``P -> P P`` and every other production ``P -> w P``, ``P -> P w``
+    or ``P -> w`` for a non-empty terminal word ``w``."""
+    p = grammar.start
+    if grammar.nonterminals != {p}:
+        return False
+    doubling = False
+    for prod in grammar.productions:
+        inner = [i for i, sym in enumerate(prod.rhs) if sym == p]
+        if prod.rhs == (p, p):
+            doubling = True
+        elif (len(prod.rhs) == 1 and inner) or inner not in ([], [0], [len(prod.rhs) - 1]):
+            return False
+    return doubling
+
+
+def doubled_to_nfa(grammar: Grammar) -> NFA:
+    """The NFA of a doubled grammar (:func:`is_doubled`).
+
+    ``P -> P P | L P | P R | B`` generates ``(L* B R*)+``: a derivation
+    is a sequence of blocks, each a base word with left words before it
+    and right words after it.  So does the ε-free right-linear grammar
+    ``P -> L P | B | B P | B Q`` with ``Q -> R | R Q | R P`` (``Q``, a
+    fresh nonterminal, only when some ``R`` exists), whose NFA is
+    :func:`right_linear_to_nfa`'s.
+    """
+    if not is_doubled(grammar):
+        raise TransformError("grammar is not doubled")
+    p = grammar.start
+    q = p + "$R"
+    while q in grammar.terminals:
+        q += "'"
+    lefts, rights, bases = [], [], []
+    for prod in grammar.productions:
+        if prod.rhs == (p, p):
+            continue
+        if prod.rhs[-1] == p:
+            lefts.append(prod.rhs)
+        elif prod.rhs[0] == p:
+            rights.append(prod.rhs[1:])
+        else:
+            bases.append(prod.rhs)
+    tails = ((), (p,), (q,)) if rights else ((), (p,))
+    productions = [Production(p, w) for w in lefts]
+    productions += [Production(p, w + t) for w in bases for t in tails]
+    productions += [Production(q, w + t) for w in rights for t in ((), (q,), (p,))]
+    return right_linear_to_nfa(Grammar(tuple(productions), p))
 
 
 #: The subset construction refuses to grow a DFA past this many states.

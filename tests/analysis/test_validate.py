@@ -248,9 +248,9 @@ class TestPipelineIntegration:
     def test_answer_positions_out_of_range_caught(self):
         # the positions live in the inline_projection_query record, so
         # the post-hoc check reads them through that pass's contract
-        from repro.workloads.families import nonlinear_tc
+        from repro.workloads.families import same_generation_sources
 
-        result = optimize(nonlinear_tc())
+        result = optimize(same_generation_sources())
         inline = result.passes[-1]
         assert inline.report is not None
         bad = replace(

@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis.validate import InvariantViolation
 from repro.core import optimize
+from repro.core.monadic import MonadicChain
 from repro.core.adornment import Adornment, AdornedLiteral, AdornedRule
 from repro.datalog import Database, DerivedInputError, parse
 from repro.datalog.ast import Atom
@@ -33,10 +34,10 @@ PINNED = {
         "tc@nn(X, Y) :- edge(X, Y).\ntc@nn(X, Y) :- edge(X, Z), tc@nn(Z, Y).\n"
         "?- tc@nn(X, X).",
     ),
-    "nonlinear_tc": (
-        families.nonlinear_tc(),
+    "nonlinear_tc_both_endpoints": (
+        parse("tc(X, Y) :- edge(X, Y).\ntc(X, Y) :- tc(X, Z), tc(Z, Y).\n?- tc(X, Y)."),
         "tc@nn(X, Y) :- edge(X, Y).\ntc@nn(X, Y) :- tc@nn(X, Z), tc@nn(Z, Y).\n"
-        "?- tc@nn(V1, V2).",
+        "?- tc@nn(X, Y).",
     ),
     "same_generation": (
         families.same_generation(),
@@ -120,6 +121,43 @@ class TestGuardedItems:
         ]
 
 
+class TestNonlinearTC:
+    """A doubled component (``P -> P P``): the query's own version is
+    redefined, because the section-5 chase cannot remove the doubling."""
+
+    def test_final_program(self):
+        result = check_answers(families.nonlinear_tc(), seeds=range(20))
+        assert str(result.final) == "tc@nd(Y) :- edge(Y, X).\n?- tc@nd(X)."
+
+    def test_the_chain(self):
+        (chain,) = optimize(families.nonlinear_tc()).monadic
+        assert chain == MonadicChain(
+            ("tc@nn",), "tc@nn", "backward", "any edge", "tc@nd", ()
+        )
+
+    @pytest.mark.parametrize("rules", [
+        # P -> P P | L P | B, read forward from a seed
+        "c(X, Y) :- c(X, Z), c(Z, Y).\nc(X, Y) :- a(X, Z), c(Z, Y).\nc(X, Y) :- b(X, Y).",
+        # P -> P P | P R | B with a node test on the base word
+        "c(X, Y) :- c(X, Z), c(Z, Y).\nc(X, Y) :- c(X, Z), r(Z, Y).\n"
+        "c(X, Y) :- b(X, Y), ok(Y, 1).",
+        # both one-sided rules at once: (a* b r*)+
+        "c(X, Y) :- c(X, Z), c(Z, Y).\nc(X, Y) :- a(X, Z), c(Z, Y).\n"
+        "c(X, Y) :- c(X, Z), r(Z, Y).\nc(X, Y) :- b(X, Z), b(Z, Y).",
+    ], ids=["left", "right-tested", "both-sides"])
+    @pytest.mark.parametrize("reader", [
+        "q(Y) :- s(X), c(X, Y).\n?- q(Y).",
+        "q(X) :- c(X, Y), s(Y).\n?- q(X).",
+        "?- c(X, _).",
+        "?- c(_, Y).",
+    ], ids=["seed-forward", "seed-backward", "query-first", "query-second"])
+    def test_mixed_words(self, rules, reader):
+        program = parse(f"{rules}\n{reader}")
+        result = check_answers(program, seeds=range(10), domain=5)
+        assert result.monadic
+        assert set(derived_arities(result).values()) == {1}
+
+
 class TestDeclines:
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_pinned_final_program(self, name):
@@ -170,13 +208,29 @@ class TestDeclines:
         def boom(*args, **kwargs):
             raise AssertionError("a declined program built an automaton")
 
-        for name in ("right_linear_to_nfa", "left_linear_to_nfa", "minimal_dfa"):
+        for name in ("right_linear_to_nfa", "left_linear_to_nfa", "doubled_to_nfa", "minimal_dfa"):
             monkeypatch.setattr(regular, name, boom)
         for program, _text in PINNED.values():
             optimize(program)
         for name, program in families.all_families().items():
-            if name != "guarded_items":
+            if name not in ("guarded_items", "nonlinear_tc"):
                 optimize(program)
+
+    @pytest.mark.parametrize("program", [
+        # mutual recursion with doubling
+        "c(X, Y) :- e(X, Y).\nc(X, Y) :- d(X, Z), d(Z, Y).\nd(X, Y) :- c(X, Y).\n"
+        "d(X, Y) :- f(X, Y).\n?- c(X, _).",
+        # P -> L P R beside the doubling rule
+        "c(X, Y) :- e(X, Y).\nc(X, Y) :- c(X, Z), c(Z, Y).\n"
+        "c(X, Y) :- a(X, Z), c(Z, W), b(W, Y).\n?- c(X, _).",
+        # a doubled member read at both endpoints
+        "q(X) :- c(X, Y), c(Y, X).\nc(X, Y) :- e(X, Y).\n"
+        "c(X, Y) :- c(X, Z), c(Z, Y).\n?- q(X).",
+        # a test between the two halves of the doubling rule
+        "c(X, Y) :- e(X, Y).\nc(X, Y) :- c(X, Z), t(Z), c(Z, Y).\n?- c(X, _).",
+    ], ids=["mutual", "two-sided", "both-endpoints", "tested-middle"])
+    def test_doubled_outside_the_shapes(self, program):
+        assert check_answers(parse(program), seeds=range(2)).monadic == ()
 
 
 class TestShapes:

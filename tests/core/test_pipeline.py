@@ -155,7 +155,7 @@ class TestPipelineGeneralPrograms:
             t(X, Y) :- e(X, Y).
             t(X, Y) :- t(X, Z), t(Z, Y).
             ?- t(X, _).
-            """, []),
+            """, [("t@nd(Y) :- t@nd(X), e(Y, X).", "t@nd(Y) :- e(Y, X).")]),
             # query with constants
             ("""
             tc(X, Y) :- e(X, Y).

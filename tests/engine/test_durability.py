@@ -589,6 +589,54 @@ class TestRecoveryRungs:
             recover(other, cfg)
         assert exc.value.reason == "program-drift"
 
+    def test_constants_that_print_alike_are_drift(self, tmp_path):
+        written = parse("q(X) :- e(X, 1).\n?- q(X).")
+        other = parse("q(X) :- e(X, '1').\n?- q(X).")
+        assert str(written) == str(other)
+        cfg = _config(tmp_path)
+        s = IncrementalSession(written, Database.from_dict({"e": [(1, 1)]}), durable=cfg)
+        s.insert({"e": [(2, 1)]})
+        s.close()
+        with pytest.raises(RecoveryError) as exc:
+            recover(other, cfg)
+        assert exc.value.reason == "program-drift"
+        r, report = recover(written, cfg)
+        assert report.source == "replay" and r.facts("q") == {(1,), (2,)}
+        r.close()
+
+    def test_legacy_signature_still_recovers(self, tmp_path, program, edb):
+        """Headers without a ``signature`` field sign ``str(program)``."""
+        cfg = _config(tmp_path, snapshot_every=0)
+        s = IncrementalSession(program, edb, durable=cfg)
+        s.insert({"edge": [(3, 4)]})
+        s.close()
+        legacy = program_signature(program, 1)
+        assert legacy != program_signature(program)
+        for path, magic in [(cfg.wal_path, WAL_MAGIC), (list_snapshots(cfg)[0], SNAPSHOT_MAGIC)]:
+            blob = open(path, "rb").read()
+            payload, end = _read_frame(blob, len(magic))
+            header = json.loads(payload)
+            assert header.pop("signature") == 2
+            header["program"] = legacy
+            with open(path, "wb") as f:
+                f.write(magic + _frame(json.dumps(header).encode()) + blob[end:])
+        assert load_snapshot(list_snapshots(cfg)[0]).signature == 1
+        r, report = recover(program, cfg)
+        assert report.source == "replay" and report.snapshot_seq == 0
+        assert (1, 4) in r.facts("tc")
+        # the resumed log keeps its legacy header, and so do its snapshots
+        r.checkpoint()
+        r.close()
+        assert "signature" not in read_wal(cfg.wal_path).header
+        assert load_snapshot(list_snapshots(cfg)[0]).signature == 1
+        r, report = recover(program, cfg)
+        assert report.snapshot_seq == 1
+        r.close()
+        # a legacy header is checked against the legacy text: still drift
+        with pytest.raises(RecoveryError) as exc:
+            recover(parse("p(X) :- edge(X, Y).\n?- p(X)."), cfg)
+        assert exc.value.reason == "program-drift"
+
     def test_dirty_snapshot_takes_scratch_rung(self, tmp_path, program):
         """A governed-partial state is never replay-anchored: the
         baseline snapshot of a partial materialization is marked dirty

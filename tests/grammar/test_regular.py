@@ -1,6 +1,8 @@
 """Tests for Theorem 3.3 machinery: self-embedding, NFAs, and the
 monadic-program construction."""
 
+from itertools import product
+
 import pytest
 
 from repro.datalog import Database, TransformError, parse
@@ -10,6 +12,8 @@ from repro.grammar.language import language
 from repro.grammar.regular import (
     MAX_DFA_STATES,
     NFA,
+    doubled_to_nfa,
+    is_doubled,
     is_left_linear,
     is_right_linear,
     is_self_embedding,
@@ -27,6 +31,11 @@ def grammar(*prods, start):
     return Grammar(
         tuple(Production(lhs, tuple(rhs.split())) for lhs, rhs in prods), start
     )
+
+
+def words(alphabet, n):
+    """Every non-empty word over *alphabet* of length at most *n*."""
+    return [w for k in range(1, n + 1) for w in product(alphabet, repeat=k)]
 
 
 TC = grammar(("a", "e a"), ("a", "e"), start="a")
@@ -105,6 +114,47 @@ class TestNFA:
         assert all(nfa_accepts(nfa, w) for w in words)
         # and a non-member is rejected
         assert not nfa_accepts(nfa, ("y", "x"))
+
+
+class TestDoubled:
+    """``P -> P P | L P | P R | B``: self-embedding, yet regular."""
+
+    DOUBLED = [
+        grammar(("p", "p p"), ("p", "e"), start="p"),
+        grammar(("p", "p p"), ("p", "a p"), ("p", "b"), start="p"),
+        grammar(("p", "p p"), ("p", "p r"), ("p", "b c"), start="p"),
+        grammar(("p", "p p"), ("p", "a a p"), ("p", "p r"), ("p", "b"), ("p", "c"), start="p"),
+        grammar(("p", "a p"), ("p", "p p"), ("p", "p r s"), ("p", "a"), start="p"),
+    ]
+
+    @pytest.mark.parametrize("g", DOUBLED, ids=range(len(DOUBLED)))
+    def test_nfa_accepts_the_bounded_language(self, g):
+        assert is_doubled(g) and is_self_embedding(g)
+        nfa = doubled_to_nfa(g)
+        members = language(g, 6)
+        assert members
+        for w in words(sorted(g.terminals), 6):
+            assert nfa_accepts(nfa, w) == (w in members), w
+
+    @pytest.mark.parametrize("g", [
+        TC,                                                          # no doubling rule
+        grammar(("p", "p p"), ("p", "a p b"), ("p", "e"), start="p"),  # two-sided
+        grammar(("p", "p p"), ("p", "p"), ("p", "e"), start="p"),      # unit rule
+        grammar(("p", "p p p"), ("p", "e"), start="p"),                # tripling
+        grammar(("p", "q q"), ("q", "p"), ("q", "e"), start="p"),      # two nonterminals
+    ], ids=["linear", "two-sided", "unit", "tripling", "mutual"])
+    def test_other_grammars_are_not_doubled(self, g):
+        assert not is_doubled(g)
+        with pytest.raises(TransformError):
+            doubled_to_nfa(g)
+
+    def test_the_tail_nonterminal_is_fresh(self):
+        # the rewrite's Q for p is "p$R"; here that name is a terminal
+        g = grammar(("p", "p p"), ("p", "p p$R"), ("p", "e"), start="p")
+        nfa = doubled_to_nfa(g)
+        members = language(g, 5)
+        for w in words(["e", "p$R"], 5):
+            assert nfa_accepts(nfa, w) == (w in members), w
 
 
 class TestMonadicProgram:
@@ -192,11 +242,6 @@ class TestQueryForm:
 
 
 class TestAutomata:
-    def words(self, alphabet, n):
-        from itertools import product
-
-        return [w for k in range(1, n + 1) for w in product(alphabet, repeat=k)]
-
     def test_minimal_dfa_of_e_plus_f(self):
         # a -> e a | e f: the NFA has an intermediate state per two-terminal
         # production; the minimal DFA has three states
@@ -205,7 +250,7 @@ class TestAutomata:
         dfa = minimal_dfa(nfa)
         assert len(dfa.states) == 3 and dfa.start == "0"
         assert all(len(dsts) == 1 for dsts in dfa.transitions.values())
-        for w in self.words("ef", 5):
+        for w in words("ef", 5):
             assert nfa_accepts(dfa, w) == nfa_accepts(nfa, w), w
 
     def test_reverse_and_left_linear(self):
@@ -213,7 +258,7 @@ class TestAutomata:
         nfa = left_linear_to_nfa(g)  # f e*
         assert nfa_accepts(nfa, ("f", "e", "e")) and not nfa_accepts(nfa, ("e", "f"))
         back = reverse_nfa(nfa)  # e* f
-        for w in self.words("ef", 4):
+        for w in words("ef", 4):
             assert nfa_accepts(back, w) == nfa_accepts(nfa, w[::-1]), w
 
     def test_trim_drops_dead_states(self):

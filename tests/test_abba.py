@@ -1,7 +1,8 @@
-"""The ABBA summary of ``scripts/abba.py`` on canned benchmark results
-(no benchmark is run)."""
+"""The ABBA summary of ``scripts/abba.py`` on canned benchmark results,
+and the environment each side runs in (no benchmark is run)."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -57,3 +58,46 @@ def test_metrics_come_from_the_benchmark_declaration():
     spec = abba.benchmark()
     assert "warm_ms" in [m["name"] for m in spec["end_to_end"]]
     assert "tc_cycle" in [w["name"] for w in spec["workloads"]]
+
+
+def test_each_side_has_a_bytecode_cache_of_its_own(tmp_path, monkeypatch):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(abba.ROOT / "stale"))
+    sides = {"parent": tmp_path / "parent", "tree": abba.ROOT}
+    envs = abba.side_envs(sides, tmp_path / "tmp")
+    prefixes = {side: Path(env["PYTHONPYCACHEPREFIX"]) for side, env in envs.items()}
+    assert prefixes["parent"] != prefixes["tree"]
+    for prefix in prefixes.values():
+        assert prefix.parent == tmp_path / "tmp"
+        assert not any(prefix.is_relative_to(tree) for tree in sides.values())
+    for env in envs.values():
+        assert "PYTHONDONTWRITEBYTECODE" not in env
+        assert env["PATH"] == abba.os.environ["PATH"]
+
+
+def test_every_run_uses_its_sides_environment(tmp_path, monkeypatch):
+    """``main`` with ``subprocess.run`` recorded, not started: each side
+    compiles and warms before the first measured pair, always in its
+    own environment."""
+    calls = []
+
+    def fake_run(cmd, cwd, env, check, stdout):
+        calls.append((cmd, Path(cwd), env["PYTHONPYCACHEPREFIX"]))
+        if "--out" in cmd:
+            canned = {"results": [result(setup_s=1.0, cold_s=1.0, warm_ms=1.0)]}
+            Path(cmd[cmd.index("--out") + 1]).write_text(json.dumps(canned))
+
+    monkeypatch.setattr(abba.subprocess, "run", fake_run)
+    parent = tmp_path / "parent"
+    abba.main([str(parent), "--workload", "family_mix", "--pairs", "2", "--seed", "1990"])
+    prefix = {}
+    for cmd, cwd, cache in calls:
+        assert prefix.setdefault(cwd, cache) == cache
+    assert set(prefix) == {parent, abba.ROOT} and len(set(prefix.values())) == 2
+    kinds = [(cwd, "compileall" if "compileall" in cmd else
+              "warm" if "--smoke" in cmd else "pair") for cmd, cwd, _ in calls]
+    assert kinds[:4] == [(parent, "compileall"), (parent, "warm"),
+                         (abba.ROOT, "compileall"), (abba.ROOT, "warm")]
+    assert [k for _, k in kinds[4:]] == ["pair"] * 4
+    runs = [cmd for cmd, _, _ in calls if "compileall" not in cmd]
+    assert all(cmd[cmd.index("--seed") + 1] == "1990" for cmd in runs)
