@@ -515,6 +515,7 @@ def _check_chain_regularity(program: Program, diags: list) -> None:
         monadic_program_for,
         program_to_grammar,
     )
+    from ..grammar.regular import is_doubled
 
     try:
         grammar = program_to_grammar(program)
@@ -547,6 +548,18 @@ def _check_chain_regularity(program: Program, diags: list) -> None:
                 predicate=program.query.predicate,
                 span=program.query.span,
                 hint="Theorem 3.3; see 'repro grammar' for the CFG view",
+            )
+        )
+    elif is_doubled(grammar):
+        diags.append(
+            _diag(
+                "DL013",
+                "chain program with a doubled grammar (P -> P P beside "
+                "one-sided words), self-embedding but regular: asked for one "
+                "endpoint, it has an equivalent monadic program",
+                predicate=program.query.predicate,
+                span=program.query.span,
+                hint="Theorem 3.3; 'repro optimize' rewrites it (monadic_chains)",
             )
         )
 

@@ -38,12 +38,25 @@ bit-identical too.  A step's probe image is laid out only when the
 step is reached with rows, which is when the tuple kernel resolves its
 index, so ``index_builds`` agrees as well.  Every other lowered pattern
 is declined at compile time (:func:`_vector_spec`), and any runtime
-condition the fast path cannot honor — an id past the 21-bit packing
-bound, or a stale image the firing would not pay for — is detected
-*before any counter is touched* (a firing counts in locals and adds
-them to the stats only once it has produced its rows) and reported by
-returning None; either way the firing runs on the tuple kernel
-unchanged.
+condition the fast path cannot honor — a frontier below the crossover,
+an id past the 21-bit packing bound, or a stale image the firing would
+not pay for — is detected *before any counter is touched* (a firing
+counts in locals and adds them to the stats only once it has produced
+its rows) and reported by returning None; either way the firing runs on
+the tuple kernel unchanged.
+
+A launch has a fixed cost the tuple kernel does not pay (unpacking,
+numpy calls per step, the packed absorb), so on a small frontier the
+tuple kernel is cheaper.  A firing whose frontier (n rows: ``len(delta)``
+for a delta plan, the scanned relation's ``len`` for a scan) is below
+:data:`CROSSOVER_ROWS` declines.  The constant is fitted, not tuned:
+``scripts/crossover.py`` times both kernels per launch on frontiers of
+16 to 1024 rows, fits ``a + b·n`` to each, and reports where the lines
+meet (EXPERIMENTS.md records the fit).  One recursion may then run its
+narrow rounds on the tuple kernel and its wide ones vectorized, in
+either order; a round's packed frontier is materialized for a tuple
+firing (``scheduler._raw_frontier``), and the stale-head rule below
+re-packs the head on the first wide round after narrow ones.
 
 A firing re-encodes only what its frontier pays for.  A scan whose
 relation's packed runs are stale declines: re-packing the whole
@@ -60,7 +73,8 @@ outnumber the frontier; otherwise when ``len(head)`` does.  The images
 are not summed: a linear recursion's second round faces a V-row
 frontier and two V-row images, and must vectorize.  So every rebuild of
 m rows rides on a firing of at least m/2 frontier rows (m for a probed
-image), and no mutation pattern makes the rebuilds quadratic.
+image), and no mutation pattern makes the rebuilds quadratic.  The
+crossover only adds declines, so the bound still holds.
 
 Provenance recording needs per-fact body rows, which packed batches do
 not carry; the scheduler routes those runs to the tuple kernel before
@@ -88,6 +102,12 @@ from ..datalog.columnar import (
 from .plan import CompiledRule, Lowered
 
 __all__ = ["vector_rule_kernel"]
+
+#: frontier rows below which a firing declines to the tuple kernel: the
+#: crossover ``scripts/crossover.py`` fitted from per-launch times of
+#: both kernels at frontiers of 16 to 1024 rows (EXPERIMENTS.md, "The
+#: vector kernel's crossover")
+CROSSOVER_ROWS = 207
 
 
 class _CSR:
@@ -272,10 +292,10 @@ def _make_vector_kernel(spec, np) -> Callable:
 
     def kernel(db, stats, delta):
         # -- feasibility first: nothing below mutates stats until the
-        # fast path has produced the firing itself.  A stale image
-        # larger than the frontier is not worth re-encoding for it
-        # (each on its own; see the module docstring), and is checked
-        # before the frontier itself is interned
+        # fast path has produced the firing itself.  A frontier below
+        # the crossover, or a stale image larger than the frontier (each
+        # on its own; see the module docstring), is not worth a launch,
+        # and is checked before the frontier itself is interned
         if scan_pred is not None:
             rel0 = db.relation(scan_pred)
             if rel0 is None:
@@ -285,6 +305,8 @@ def _make_vector_kernel(spec, np) -> Callable:
             n = len(rel0)
         else:
             n = len(delta)
+        if n < CROSSOVER_ROWS:
+            return None  # a launch costs more than the tuple kernel's firing
         rels = []
         for pred, pos in probed:
             rel = db.relation(pred)
@@ -412,10 +434,12 @@ def vector_rule_kernel(
     plan), or None when the shape is unsupported (the caller runs the
     tuple kernel).  The returned kernel itself returns None — before
     touching any counter — when a runtime condition forces the same
-    fallback: an id past the packing bound, stale scanned runs, a stale
-    probe image holding more rows than the frontier, or stale head runs
-    holding more rows than the frontier besides its own (re-encoding
-    it would cost more than the firing it serves)."""
+    fallback: a frontier of fewer than :data:`CROSSOVER_ROWS` rows (the
+    fitted size below which a launch costs more than the tuple
+    kernel's firing), an id past the packing bound, stale scanned runs,
+    a stale probe image holding more rows than the frontier, or stale
+    head runs holding more rows than the frontier besides its own
+    (re-encoding it would cost more than the firing it serves)."""
     if not use_indexes:
         return None
 

@@ -108,9 +108,10 @@ def _fire(
     (``opts.use_columnar``; it declines every lowered pattern but a
     ``delta`` or ``scan`` step followed by a chain of one-register
     ``lookup`` steps, optionally ending in a fully bound ``member``,
-    before touching a counter), then the compiled tuple
-    kernel — or, with ``opts.use_kernels`` off, the lowered-plan
-    interpreter, the differential oracle.  Either is one row-at-a-time
+    and every firing whose frontier is below its fitted crossover,
+    ``batch_kernel.CROSSOVER_ROWS``, before touching a counter), then
+    the compiled tuple kernel — or, with ``opts.use_kernels`` off, the
+    lowered-plan interpreter, the differential oracle.  Either is one row-at-a-time
     call that absorbs its own rows into the round's frontier.
 
     *guard* is the governor's per-unit view: its checkpoint here is

@@ -5,6 +5,7 @@ produces it and one near-identical program that must not.
 """
 
 from repro.analysis import Severity, lint_program
+from repro.core import optimize
 from repro.datalog import parse
 
 CLEAN = """
@@ -189,6 +190,18 @@ class TestDL013ChainRegular:
     def test_non_chain_clean(self):
         text = "sg(X, Y) :- up(X, U), sg(U, V), down(V, Y).\nsg(X, X) :- person(X).\n?- sg(1, X)."
         assert "DL013" not in codes(text)
+
+    def test_doubled_chain(self):
+        """Non-linear TC is self-embedding (``tc -> tc tc``), yet its
+        language is regular, and ``optimize`` rewrites it when asked
+        for one endpoint."""
+        text = (
+            "tc(X, Y) :- edge(X, Y).\n"
+            "tc(X, Y) :- tc(X, Z), tc(Z, Y).\n"
+            "?- tc(X, _)."
+        )
+        assert "doubled" in diag_for(text, "DL013").message
+        assert optimize(parse(text)).monadic
 
 
 class TestDL014NegatedUndefined:

@@ -13,14 +13,45 @@ every time, and one that passes cannot be failed by a fresh draw.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import settings
 
 from repro.datalog import Database, Program
-from repro.engine import EngineOptions, evaluate
+from repro.engine import EngineOptions, batch_kernel, evaluate, scheduler
 from repro.workloads.edb import random_edb
 
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
+
+
+@pytest.fixture
+def vector_at_any_size(monkeypatch):
+    """The vector kernel takes frontiers of any size: its crossover
+    (``batch_kernel.CROSSOVER_ROWS``) is 0 for the test, so tests of
+    the vector kernel itself can stay small."""
+    monkeypatch.setattr(batch_kernel, "CROSSOVER_ROWS", 0)
+
+
+def record_vector_rungs(monkeypatch) -> list:
+    """A list that every later firing asking for the vector kernel
+    appends ``(plan_id, committed)`` to: ``plan_id`` None for a naive
+    plan, ``committed`` False when the firing ran on the tuple kernel
+    (a shape declined at compile time, or a launch that returned None)."""
+    taken: list = []
+    real = scheduler.vector_rule_kernel
+
+    def spy(cr, plan_id, **kw):
+        kernel = real(cr, plan_id, **kw)
+
+        def launch(db, stats, delta):
+            out = None if kernel is None else kernel(db, stats, delta)
+            taken.append((plan_id, out is not None))
+            return out
+
+        return launch
+
+    monkeypatch.setattr(scheduler, "vector_rule_kernel", spy)
+    return taken
 
 
 def answers_on(program: Program, db: Database, **options) -> frozenset:

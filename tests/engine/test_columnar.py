@@ -36,6 +36,7 @@ from repro.engine import batch_kernel, scheduler
 from repro.engine.batch_kernel import vector_rule_kernel
 from repro.engine.kernel import rule_kernel
 from repro.engine.plan import DeltaIndex, compile_rule
+from tests.conftest import record_vector_rungs
 
 needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="the vector kernel needs numpy"
@@ -290,11 +291,14 @@ def _semijoin():
     return cr
 
 
+@pytest.mark.usefixtures("vector_at_any_size")
 class TestBatchKernelGates:
     """The gates of :mod:`repro.engine.batch_kernel` — the vector
     kernel.  A declined plan returns ``None`` at compile time; a
     runtime decline returns ``None`` from the launch *before touching
-    any counter*, so the tuple kernel charges the firing exactly once."""
+    any counter*, so the tuple kernel charges the firing exactly once.
+    The frontiers here are tiny, so the crossover is 0
+    (:class:`TestCrossover` tests it at its fitted value)."""
 
     def test_plain_join_rule_compiles(self):
         if not numpy_available():
@@ -710,6 +714,7 @@ def test_public_resets_leave_no_generated_code(overrides):
 
 class TestColumnarEngine:
     @needs_numpy
+    @pytest.mark.usefixtures("vector_at_any_size")
     def test_columnar_runs_report_batch_work(self):
         program = parse(
             """
@@ -727,6 +732,7 @@ class TestColumnarEngine:
         assert res.stats.columnar_fallbacks > 0
 
     @needs_numpy
+    @pytest.mark.usefixtures("vector_at_any_size")
     def test_right_linear_tc_over_a_cycle_vectorizes_every_delta_round(self):
         """Round 2 faces a V-row frontier against two stale V-row
         images (edge's probe image, tc's packed runs).  Each alone is
@@ -752,19 +758,26 @@ class TestColumnarEngine:
         three-step chain.  The first evaluation lays out ``up``'s and
         ``down``'s probe images once a frontier is as large as they
         are; they are shared base relations, so a second evaluation
-        runs every delta round on the vector kernel and only the two
-        naive firings on the tuple kernel."""
+        runs every delta round whose frontier reaches the crossover on
+        the vector kernel.  On a 255-node binary tree the naive round
+        reaches depth 1, so the delta rounds face the 4**d pairs of
+        depths 1 to 7; those below the crossover, and the two naive
+        firings, run on the tuple kernel."""
         from repro.workloads import families
 
         program = families.same_generation()
-        nodes = 63
+        nodes = 255
         tree = [((i - 1) // 2, i) for i in range(1, nodes)]
         db = Database.from_dict({
             "up": [(c, p) for p, c in tree], "down": tree, "flat": [(0, 0)],
         })
+        frontiers = [4**d for d in range(1, 8)]
+        small = sum(n < batch_kernel.CROSSOVER_ROWS for n in frontiers)
+        assert 0 < small < len(frontiers)
         cold = evaluate(program, db)
         warm = evaluate(program, db)
-        assert warm.stats.columnar_fallbacks == 2
+        assert warm.stats.columnar_fallbacks == 2 + small
+        assert warm.stats.kernel_launches == 2 + len(frontiers)
         assert warm.stats.batch_rows > 0
         assert warm.answers() == cold.answers()
         tup = evaluate(program, db, EngineOptions(use_columnar=False))
@@ -785,3 +798,78 @@ class TestColumnarEngine:
         res = evaluate(program, db, EngineOptions(record_provenance=True))
         assert res.stats.batch_probes == 0
         assert res.provenance is not None
+
+
+# -- the crossover -------------------------------------------------------------
+
+#: ``family_mix``'s sibling case: three right-linear closures over the
+#: same nodes in three orders, joined on both columns
+SIBLING_JOIN = "".join(
+    f"tc{i}(X, Y) :- edge{i}(X, Y).\ntc{i}(X, Y) :- edge{i}(X, Z), tc{i}(Z, Y).\n"
+    for i in (1, 2, 3)
+) + "q(X, Y) :- tc1(X, Y), tc2(X, Y), tc3(X, Y).\n?- q(X, Y).\n"
+
+
+@needs_numpy
+class TestCrossover:
+    """The vector kernel at its fitted crossover
+    (``batch_kernel.CROSSOVER_ROWS``): a smaller frontier declines to
+    the tuple kernel before touching a counter."""
+
+    @staticmethod
+    def _tc_firing(n):
+        """Right-linear TC's delta plan over an n-row frontier, with
+        ``e`` no larger than the frontier (so its stale probe image
+        alone would not decline the launch)."""
+        cr = _compiled(RIGHT_TC)
+        rows = [(i, i + 1) for i in range(n)]
+        return cr, _delta_plan(cr, "tc"), Database.from_dict({"e": rows, "tc": rows}), rows
+
+    def test_a_frontier_one_row_below_the_crossover_declines_untouched(self):
+        cr, plan_id, db, rows = self._tc_firing(batch_kernel.CROSSOVER_ROWS - 1)
+        assert _launch(vector_rule_kernel(cr, plan_id), db, rows) == (None, {})
+
+    def test_a_frontier_at_the_crossover_commits(self):
+        n = batch_kernel.CROSSOVER_ROWS
+        cr, plan_id, db, rows = self._tc_firing(n)
+        out, touched = _launch(vector_rule_kernel(cr, plan_id), db, rows)
+        assert out is not None and touched["rule_firings"] == n - 1
+        _, expected = _tuple_launch(cr, plan_id, db, rows)
+        assert _invariant(touched) | _absorbed(out, 2) == expected
+
+    def test_warm_sibling_chains_run_every_delta_firing_on_the_tuple_kernel(
+        self, monkeypatch
+    ):
+        """``family_mix``'s ``sibling3`` shape: 80-node chains, so no
+        delta frontier reaches the crossover, even once every image is
+        laid out."""
+        nodes = list(range(80))
+        rng = random.Random(0)
+        data = {}
+        for i in (1, 2, 3):
+            order = rng.sample(nodes, len(nodes))
+            data[f"edge{i}"] = list(zip(order, order[1:]))
+        program = parse(SIBLING_JOIN)
+        db = Database.from_dict(data)
+        evaluate(program, db)
+        taken = record_vector_rungs(monkeypatch)
+        warm = evaluate(program, db)
+        delta = [committed for plan_id, committed in taken if plan_id is not None]
+        assert len(delta) > 3 and not any(delta)
+        tup = evaluate(program, db, EngineOptions(use_columnar=False))
+        assert warm.answers() == tup.answers()
+        assert warm.stats.as_dict(engine_invariant=True) == tup.stats.as_dict(
+            engine_invariant=True
+        )
+
+    def test_tc_over_a_cycle_twice_the_crossover_vectorizes_every_delta_round(self):
+        """``tc_cycle``'s shape: every delta frontier holds V rows."""
+        v = 2 * batch_kernel.CROSSOVER_ROWS
+        db = Database.from_dict({"edge": [(i, (i + 1) % v) for i in range(v)]})
+        program = parse(
+            "tc(X,Y) :- edge(X,Y).\ntc(X,Y) :- edge(X,Z), tc(Z,Y).\n?- tc(X,X)."
+        )
+        stats = evaluate(program, db, EngineOptions()).stats
+        delta_rounds = stats.iterations - 1
+        assert delta_rounds == v - 1
+        assert stats.kernel_launches - stats.columnar_fallbacks == delta_rounds

@@ -264,6 +264,7 @@ class TestKernelCache:
                     assert _fire_tuple(cr, None, db, use_indexes=use_indexes)[1] == expected
         assert kernel_source(rule(nan_a)) == kernel_source(rule(nan_b))
 
+    @pytest.mark.usefixtures("vector_at_any_size")
     def test_fallback_rule_still_evaluates_via_interpreter(self):
         """A rule with a pooled constant runs on the tuple kernel, also
         in one run with every other tier."""

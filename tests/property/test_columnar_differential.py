@@ -8,6 +8,12 @@ checks full-state agreement on the curated program families and on the
 200 fixed random oracle programs (``derandomize=True``), in both index
 modes and under the monolithic loop.
 
+The inputs are small, so every test here runs with the vector
+kernel's crossover at 0 (the ``vector_at_any_size`` fixture): every
+firing of an admitted plan is offered to the vector kernel, whatever
+its frontier's size.  ``tests/property/test_vector_crossover.py``
+covers runs at the fitted crossover.
+
 Provenance-recording runs route to the tuple path before the vector
 kernel is consulted (packed batches carry no per-fact body rows), so
 the provenance half of the contract lives in
@@ -30,6 +36,8 @@ from repro.workloads.families import all_families
 from .strategies import random_programs
 
 FAMILIES = all_families()
+
+pytestmark = pytest.mark.usefixtures("vector_at_any_size")
 
 
 def _full_state(program, db_factory, **overrides):

@@ -23,7 +23,7 @@ from repro.datalog.terms import Variable
 from repro.grammar.cfg import Grammar, Production
 from repro.workloads.edb import uniform_instance
 
-from .strategies import TERMINALS, random_programs, right_linear_grammars
+from .strategies import NONTERMINALS, TERMINALS, random_programs, right_linear_grammars
 
 #: reader shapes: the rule that consumes the chain predicate ``s``
 READERS = {
@@ -38,6 +38,9 @@ READERS = {
 
 #: the query itself as the reader, asking for one endpoint of ``s``
 QUERIES = {"query-first": "s(X, _)", "query-second": "s(_, Y)"}
+
+#: a non-empty terminal word of at most two letters
+WORDS = st.lists(st.sampled_from(TERMINALS), min_size=1, max_size=2).map(tuple)
 
 
 def chain_program(grammar, left, tests, reader):
@@ -63,14 +66,29 @@ def chain_program(grammar, left, tests, reader):
 
 
 @st.composite
+def recursive_grammars(draw):
+    """A right-linear grammar over s/t and e/f in which ``s`` recurses:
+    ``s -> w s`` and ``s -> w'`` beside a drawn right-linear grammar, so
+    that ``s`` has a recursive component for the pass to rewrite."""
+    drawn = draw(right_linear_grammars(max_productions=3)).productions
+    productions = (Production("s", draw(WORDS) + ("s",)), Production("s", draw(WORDS)), *drawn)
+    return Grammar(tuple(dict.fromkeys(productions)), "s")
+
+
+@st.composite
 def chain_programs(draw):
     """A one-sided-linear chain program over s/t and e/f whose rules may
     carry node tests, read by one of :data:`READERS`."""
-    grammar = draw(right_linear_grammars(max_productions=4))
+    grammar = draw(recursive_grammars())
+    left = draw(st.booleans())
     test = st.sampled_from([None, "tag", "mark"])
-    tests = [[draw(test) for _ in range(len(p.rhs) + 1)] for p in grammar.productions]
-    return chain_program(grammar, draw(st.booleans()), tests,
-                         draw(st.sampled_from(sorted(READERS))))
+    tests = []
+    for p in grammar.productions:
+        rhs = p.rhs[::-1] if left else p.rhs
+        # a test beside a nonterminal would leave the one-sided shape
+        beside = {k for i, sym in enumerate(rhs) if sym in NONTERMINALS for k in (i, i + 1)}
+        tests.append([None if k in beside else draw(test) for k in range(len(rhs) + 1)])
+    return chain_program(grammar, left, tests, draw(st.sampled_from(sorted(READERS))))
 
 
 @st.composite
@@ -79,14 +97,13 @@ def doubled_programs(draw):
     and ``B`` words over e/f, with node tests on the nodes of those
     words (a test beside the ``s`` of a one-sided rule would leave the
     shape), read by one of :data:`READERS` or :data:`QUERIES`."""
-    word = st.lists(st.sampled_from(TERMINALS), min_size=1, max_size=2).map(tuple)
     test = st.sampled_from([None, "tag", "mark"])
     productions = {("s", "s"): [None] * 3}
-    for w in draw(st.lists(word, max_size=2)):
+    for w in draw(st.lists(WORDS, max_size=2)):
         productions[w + ("s",)] = [draw(test) for _ in w] + [None, None]
-    for w in draw(st.lists(word, max_size=2)):
+    for w in draw(st.lists(WORDS, max_size=2)):
         productions[("s",) + w] = [None, None] + [draw(test) for _ in w]
-    for w in draw(st.lists(word, min_size=1, max_size=2)):
+    for w in draw(st.lists(WORDS, min_size=1, max_size=2)):
         productions[w] = [draw(test) for _ in range(len(w) + 1)]
     grammar = Grammar(tuple(Production("s", rhs) for rhs in productions), "s")
     reader = draw(st.sampled_from(sorted(READERS) + sorted(QUERIES)))
@@ -108,13 +125,34 @@ def chain_databases(draw, nodes=5, min_size=0):
     return db
 
 
-@given(chain_programs(), st.lists(chain_databases(), min_size=1, max_size=3))
+@given(chain_programs(), st.lists(chain_databases(min_size=4), min_size=1, max_size=3))
 @settings(max_examples=120, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 def test_monadic_chains_keeps_the_answers(program, dbs):
     result = optimize(program, validate=True)
     for db in dbs:
         assert result.answers(db) == result.reference_answers(db), str(result.final)
+
+
+def test_most_chain_programs_are_rewritten_and_answer_something():
+    """The property above is vacuous unless the pass fires on what the
+    strategy draws and the drawn instances answer something.  (A
+    left-linear chain read by ``any-edge`` or ``guard`` is never
+    rewritten: see :func:`test_every_reader_shape_fires`.)"""
+    rewritten, answered = [], []
+
+    @given(chain_programs(), st.lists(chain_databases(min_size=4), min_size=1, max_size=3))
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    def draw(program, dbs):
+        result = optimize(program)
+        rewritten.append(bool(result.monadic))
+        answered.append(any(result.reference_answers(db) for db in dbs))
+
+    draw()
+    assert len(rewritten) >= 100
+    assert sum(rewritten) >= 0.5 * len(rewritten), sum(rewritten)
+    assert sum(answered) >= 0.5 * len(answered), sum(answered)
 
 
 @given(doubled_programs(), st.lists(chain_databases(min_size=4), min_size=1, max_size=3))

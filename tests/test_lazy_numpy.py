@@ -120,8 +120,14 @@ def test_run_whose_plans_are_all_declined_never_imports_numpy(tc_files, tmp_path
 
 def test_default_run_vectorizes_exactly_when_numpy_is_installed(tc_files):
     """The seam must not switch the vector kernel off: a default run of
-    a 200-edge chain batches rows iff numpy is there to load."""
-    result = _cli(["run", *tc_files, "--stats"])
+    a 200-edge chain batches rows iff numpy is there to load.  Its
+    frontiers shrink below the vector kernel's crossover, so the run
+    takes the crossover at 0, as the ``vector_at_any_size`` fixture
+    does in-process."""
+    result = _cli(
+        ["run", *tc_files, "--stats"],
+        prelude="from repro.engine import batch_kernel; batch_kernel.CROSSOVER_ROWS = 0",
+    )
     assert result["rc"] == 0
     assert (int(result["stats"]["batch_rows"]) > 0) == numpy_available()
     assert result["numpy"] == numpy_available()
