@@ -8,7 +8,8 @@ as written and after ``optimize``.  Each program is prepared over a
 small ``random_edb`` under both planners (greedy and cost-based), and
 every compiled rule contributes ``kernel_source`` for each
 ``(plan, use_indexes, record_rows)`` and one line saying whether
-``vector_rule_kernel`` admits each plan (the naive one included).
+``vector_rule_kernel`` admits each plan (the naive one included,
+which it never admits).
 
 Usage (from the repository root)::
 

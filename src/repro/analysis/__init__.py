@@ -12,10 +12,9 @@ Two layers:
 - **Abstract interpretation** (:mod:`repro.analysis.absint` +
   :mod:`repro.analysis.domains`): a monotone-framework fixpoint
   analyzer over the adorned program's SCC condensation running three
-  pluggable domains — typed sorts (DL018–DL020), measured cardinality
-  sketches (DL021–DL022, also the planner's profile source via
-  ``evaluate(..., analysis=...)``), and boundedness/derivability
-  (DL023–DL024).  The CLI front end is ``repro analyze``.
+  domains — typed sorts (DL018–DL020), measured cardinality sketches
+  (DL021–DL022), and boundedness/derivability (DL023–DL024).  The CLI
+  front end is ``repro analyze``.
 - **Pass-contract sanitizer** (:mod:`repro.analysis.validate`): each
   pipeline pass publishes an invariant over its output (adornment
   consistency, partition-ness of the component split, arity coherence

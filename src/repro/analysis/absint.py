@@ -23,10 +23,11 @@ never wrong.
 :func:`analyze_program` is the front door (CLI ``repro analyze``,
 shell ``.analyze``); it returns an :class:`AnalysisResult` — the
 DL018–DL024 findings as a standard :class:`~.diagnostics.LintReport`
-plus the final abstract values, which the planner consumes through
-:meth:`AnalysisResult.sketches` (the cardinality domain's values *are*
-the planner's :class:`repro.engine.cost.RelationProfile`, see
-``evaluate(..., analysis=...)``).
+plus the final abstract values.  :meth:`AnalysisResult.sketches` are
+the cardinality domain's values, each a
+:class:`repro.engine.cost.RelationProfile` (``repro analyze
+--save-profiles`` persists them); the engine's planner does not read
+them.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from ..datalog.builtins import is_builtin
 from ..datalog.database import Database
 from ..datalog.errors import ReproError
 from ..datalog.terms import Variable
-from ..engine.cost import BoundCostModel, RelationProfile
+from ..engine.cost import RelationProfile
 from .diagnostics import Diagnostic, LintReport
 from .domains import (
     AbstractDomain,
@@ -335,9 +336,7 @@ class AnalysisResult:
         return self.context.merged(SortDomain.name)
 
     def sketches(self) -> dict[str, RelationProfile]:
-        """The cardinality profiles by base predicate — what
-        ``evaluate(..., analysis=...)`` plans derived predicates from
-        in place of its worst-case IDB sizing."""
+        """The cardinality profiles by base predicate."""
         return self.context.merged(CardinalityDomain.name)
 
     def derivable(self) -> dict[str, bool]:
@@ -350,9 +349,6 @@ class AnalysisResult:
             for d in self.report
             if d.code == "DL023" and d.predicate is not None
         )
-
-    def cost_model(self) -> BoundCostModel:
-        return BoundCostModel(self.sketches())
 
     def to_dict(self) -> dict:
         sketches = self.sketches()
@@ -402,7 +398,6 @@ def analyze_program(
     db: Optional[Database] = None,
     *,
     sketches: Optional[Mapping[str, RelationProfile]] = None,
-    domains: Optional[Sequence[AbstractDomain]] = None,
     source: str = "<program>",
 ) -> AnalysisResult:
     """Run the abstract-interpretation framework over *program*.
@@ -416,7 +411,7 @@ def analyze_program(
     views, analyzed, _ = _build_views(program)
     info = dependency_analyze(analyzed)
     arities = analyzed.arities()
-    doms = tuple(domains) if domains is not None else default_domains(sketches)
+    doms = default_domains(sketches)
     env = _run_fixpoint(views, analyzed, info, arities, doms, db)
     ctx = AnalysisContext(
         views=views,

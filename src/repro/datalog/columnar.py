@@ -10,10 +10,10 @@ module adds a second, *derived* representation under the same
   :meth:`ConstantDictionary.clear` bumps the epoch);
 - the one codec for the *packed row* — a row of arity ≤ 3 as a single
   int64, 21 bits per id; no other module knows the layout;
-- a per-relation :class:`ColumnStore` holding exactly what the vector
-  kernel reads — runs + CSR, built on demand: at most two sorted packed
-  runs (the absorb path's membership, a member probe's answer, a
-  scan's rows) and the CSR probe images.
+- a per-relation :class:`ColumnStore` holding exactly what the packed
+  paths read — runs + CSR, built on demand: at most two sorted packed
+  runs (the absorb path's membership) and the CSR probe images (the
+  vector kernel's lookups).
 
 The store is a cache over the relation's raw rows and hash indexes: it
 encodes nothing when created, the runs are packed from the raw row set
@@ -259,7 +259,7 @@ def decode_rows(arr, arity: int, values: list, positions: Optional[Sequence[int]
 
 
 class ColumnStore:
-    """The packed image of one relation: what the vector kernel reads.
+    """The packed image of one relation: what the packed paths read.
     Created empty by :meth:`Relation.column_store`; the owning relation
     fills it under its build lock and decides when it is stale.
     ``runs`` holds every packed row in at most two sorted, disjoint

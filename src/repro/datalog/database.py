@@ -520,7 +520,7 @@ class Relation:
 
     def packed_runs(self) -> Optional[list]:
         """Every current row in at most two sorted disjoint int64 runs
-        — the vector kernel's membership structure and scan source — or
+        — the vectorized absorb's membership structure — or
         None when a constant id exceeds the packing bound (or numpy is
         absent).
 

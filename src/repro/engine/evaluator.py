@@ -70,7 +70,13 @@ class EngineOptions:
         (default).  ``False`` forces every probe back to a full
         relation scan plus filter — the ``--no-index`` baseline the
         work-monotonicity regression measures against.  Answers are
-        identical either way; only the work counters differ.
+        identical either way; only the work counters differ.  Under
+        ``False`` a cut step stops at the first matching row of a
+        scanned set, and the set's iteration order over strings depends
+        on ``PYTHONHASHSEED``: the engine-invariant counters then agree
+        across engines within one process but not across processes, so
+        compare ``--no-index`` counter dumps only under one fixed
+        ``PYTHONHASHSEED``.
     use_kernels
         Evaluate rule bodies with compiled kernels (default): each
         join plan is code-generated once into a flat loop nest with
@@ -293,8 +299,6 @@ def evaluate(
     program: Program,
     edb: Database,
     options: Optional[EngineOptions] = None,
-    *,
-    analysis=None,
 ) -> EvalResult:
     """Compute the least fixpoint of *program* over *edb*.
 
@@ -306,16 +310,6 @@ def evaluate(
     same database starts warm instead of rebuilding every index from
     scratch.  Facts already present for derived predicates are kept
     (the uniform-equivalence input convention).
-
-    *analysis* (an :class:`repro.analysis.absint.AnalysisResult`)
-    overlays the analyzer's propagated profiles onto the cost
-    planner's: derived predicates are planned with their estimated
-    fixpoint sizes and degrees instead of the worst-case "larger than
-    anything stored" default.  The profile signatures flow into the
-    model's :meth:`~repro.engine.cost.BoundCostModel.signature` and
-    therefore into the prepared-program cache key, so analysis-fed
-    and default plans never collide in the cache.  Join order never
-    changes answers or fact counts — only work counters move.
     """
     opts = options or EngineOptions()
     db = working_database(program, edb)
@@ -325,10 +319,7 @@ def evaluate(
     # the prepared-program cache: a hit skips planning and codegen
     # entirely and is bit-identical to a fresh compile because the size
     # profile is part of the cache key.
-    sizes, cost_model = planning_inputs(
-        program, db, opts.use_cost_planner,
-        analysis.sketches() if analysis is not None else None,
-    )
+    sizes, cost_model = planning_inputs(program, db, opts.use_cost_planner)
     return run_prepared(prepare(program, sizes, cost_model=cost_model), db, opts)
 
 

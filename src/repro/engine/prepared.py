@@ -50,7 +50,7 @@ from ..datalog.ast import Program
 from ..datalog.database import Database
 from ..datalog.errors import ValidationError
 from ..datalog.terms import Variable
-from .cost import BoundCostModel, RelationProfile, bucket_size, profile_database
+from .cost import BoundCostModel, bucket_size, profile_database
 from .plan import CompiledRule, compile_rule
 
 __all__ = [
@@ -205,7 +205,6 @@ def planning_inputs(
     program: Program,
     db: Database,
     use_cost_planner: bool,
-    derived: Optional[Mapping[str, RelationProfile]] = None,
 ) -> tuple[dict[str, int], Optional[BoundCostModel]]:
     """The ``(sizes, cost_model)`` pair :func:`prepare` plans *program*
     over *db* from — shared by ``evaluate`` and session restore so both
@@ -213,10 +212,7 @@ def planning_inputs(
 
     Derived relations are empty (or nearly so) before the fixpoint but
     typically grow past the base relations, so each is sized larger
-    than any stored relation, worst-case degree.  *derived* replaces
-    that worst case for the derived predicates it covers (the
-    analyzer's propagated profiles); the counted profiles of stored
-    base relations stay authoritative."""
+    than any stored relation, worst-case degree."""
     sizes = db.relation_sizes()
     largest = max(sizes.values(), default=0)
     idb = program.idb_predicates()
@@ -224,11 +220,7 @@ def planning_inputs(
         sizes[pred] = max(sizes.get(pred, 0), largest + 1)
     if not use_cost_planner:
         return sizes, None
-    profiles = profile_database(db, sizes)
-    for pred, profile in (derived or {}).items():
-        if pred in idb:
-            profiles[pred] = profile
-    return sizes, BoundCostModel(profiles)
+    return sizes, BoundCostModel(profile_database(db, sizes))
 
 
 def prepare(

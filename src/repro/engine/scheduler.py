@@ -105,11 +105,11 @@ def _fire(
     *plan_id* selects the naive plan (``None``) or the delta plan
     starting at relational literal *plan_id*.  Executors of the plan's
     one lowering (:meth:`CompiledRule.lowered`): the vector kernel
-    (``opts.use_columnar``; it declines every lowered pattern but a
-    ``delta`` or ``scan`` step followed by a chain of one-register
-    ``lookup`` steps, optionally ending in a fully bound ``member``,
-    and every firing whose frontier is below its fitted crossover,
-    ``batch_kernel.CROSSOVER_ROWS``, before touching a counter), then
+    (``opts.use_columnar``; it declines every naive plan, every lowered
+    pattern but a ``delta`` step followed by a chain of one-register
+    ``lookup`` steps, and every firing whose frontier is below its
+    fitted crossover, ``batch_kernel.CROSSOVER_ROWS``, before touching
+    a counter), then
     the compiled tuple kernel — or, with ``opts.use_kernels`` off, the
     lowered-plan interpreter, the differential oracle.  Either is one row-at-a-time
     call that absorbs its own rows into the round's frontier.

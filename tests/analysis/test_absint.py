@@ -1,19 +1,12 @@
-"""The abstract-interpretation framework: domains, codes, planner feed.
+"""The abstract-interpretation framework: domains and codes.
 
-Three layers of coverage:
+Two layers of coverage:
 
 - lattice/unit tests for the sort algebra and the degree sketches
   (join/meet laws, persistence round-trips);
 - one trigger *and* one non-trigger fixture per diagnostic code
-  DL018–DL024;
-- the planner contract: measured sketches flow into
-  :class:`~repro.engine.cost.BoundCostModel` through
-  ``evaluate(..., analysis=...)``, changing join orders on skewed
-  inputs while answers and fact counts stay bit-identical (the oracle
-  invariance every optimization in this repo must satisfy).
+  DL018–DL024.
 """
-
-import pytest
 
 from repro.analysis import analyze_program
 from repro.analysis.domains import (
@@ -26,8 +19,7 @@ from repro.analysis.domains import (
     sort_types,
 )
 from repro.datalog import Database, parse
-from repro.engine import EngineOptions, evaluate
-from repro.engine.cost import BoundCostModel, RelationProfile, profile_database
+from repro.engine.cost import BoundCostModel, RelationProfile
 
 
 def db_of(**relations):
@@ -265,93 +257,3 @@ class TestAnalysisResult:
             "sorts", "cardinality", "boundedness"
         }
         assert data["measured"] is True
-
-
-# -- planner integration ----------------------------------------------------
-
-
-def skew_fixture():
-    """A program whose best join order differs between the synthetic
-    worst-case IDB profile and the measured/propagated one.
-
-    ``small`` derives 10 rows from ``base``; ``hub`` holds 1000 rows
-    with fanout 4 on its key.  Without analysis the planner treats the
-    empty IDB ``small`` as huge and leads with ``hub``; with the
-    propagated sketch (size ~10) leading with ``small`` is two orders
-    of magnitude cheaper.
-    """
-    program = parse(
-        """
-        small(X) :- base(X).
-        ans(X, Y) :- small(X), hub(X, Y).
-        ?- ans(X, Y).
-        """
-    )
-    hub = [(i, 1000 + 4 * i + j) for i in range(250) for j in range(4)]
-    db = db_of(base=list(range(10)), hub=hub)
-    return program, db
-
-
-class TestPlannerIntegration:
-    def test_pinned_plan_change_under_measured_sketches(self):
-        program, db = skew_fixture()
-        rule = next(r for r in program.rules if r.head.predicate == "ans")
-        needed = frozenset(rule.head.args)
-        remaining = tuple(range(len(rule.body)))
-
-        default_model = BoundCostModel(profile_database(db))
-        analysis = analyze_program(program, db)
-        fed_model = analysis.cost_model()
-
-        default_order = default_model.order_remaining(
-            rule.body, remaining, frozenset(), needed
-        )
-        fed_order = fed_model.order_remaining(
-            rule.body, remaining, frozenset(), needed
-        )
-        # pinned: the worst-case model leads with hub (membership-probe
-        # the unknown small), the measured model leads with small
-        assert default_order == (1, 0)
-        assert fed_order == (0, 1)
-
-        base = evaluate(program, db, EngineOptions())
-        fed = evaluate(program, db, EngineOptions(), analysis=analysis)
-        assert base.answers() == fed.answers()
-        assert len(base.answers()) == 40
-        assert dict(base.stats.fact_counts) == dict(fed.stats.fact_counts)
-
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {},
-            {"use_kernels": False},
-            {"use_columnar": False},
-            {"use_indexes": False},
-            {"use_scc": False},
-            {"use_cost_planner": False},
-        ],
-        ids=lambda o: ",".join(o) or "default",
-    )
-    def test_analysis_never_changes_answers(self, overrides):
-        # the oracle invariance: feeding analyzer profiles to the
-        # planner may reorder joins but must leave answers, per-
-        # predicate fact sets, and fact counts bit-identical
-        for program, db in (
-            skew_fixture(),
-            (parse(TC), db_of(edge=[(i, i + 1) for i in range(30)])),
-            (
-                parse(TC),
-                db_of(edge=[(0, i) for i in range(1, 60)]),
-            ),
-        ):
-            analysis = analyze_program(program, db)
-            plain = evaluate(program, db, EngineOptions(**overrides))
-            fed = evaluate(
-                program, db, EngineOptions(**overrides), analysis=analysis
-            )
-            assert plain.answers() == fed.answers()
-            for pred in plain.stats.fact_counts:
-                assert plain.facts(pred) == fed.facts(pred)
-            assert dict(plain.stats.fact_counts) == dict(
-                fed.stats.fact_counts
-            )

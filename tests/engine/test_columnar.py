@@ -230,10 +230,9 @@ def _vector_kernel(text, predicate, **kw):
 
 
 def _launch(kernel, db, frontier):
-    """Run *kernel* over *frontier* (None: a naive plan's launch);
-    (packed result, counters touched)."""
+    """Run *kernel* over *frontier*: (packed result, counters touched)."""
     stats = EvalStats()
-    out = kernel(db, stats, None if frontier is None else DeltaIndex(frontier))
+    out = kernel(db, stats, DeltaIndex(frontier))
     return out, {k: v for k, v in stats.as_dict().items() if v}
 
 
@@ -247,12 +246,11 @@ def _tuple_launch(cr, plan_id, db, frontier):
     buffers its postings, so the order is read back through
     ``index_for``, which folds them in."""
     stats = EvalStats()
-    delta = None if frontier is None else DeltaIndex(frontier)
     head = Relation(len(cr.rule.head.args))
     everything = tuple(range(head.arity))
     head.index_for(everything)
     new: set = set()
-    rule_kernel(cr, plan_id)(db, stats, delta, head, new, {})
+    rule_kernel(cr, plan_id)(db, stats, DeltaIndex(frontier), head, new, {})
     rows = list(head.index_for(everything))
     assert set(rows) == new == head.rows()
     return rows, {k: v for k, v in stats.as_dict(engine_invariant=True).items() if v}
@@ -272,23 +270,10 @@ def _invariant(touched):
     return {k: v for k, v in touched.items() if k not in variant}
 
 
-#: a semijoin whose naive plan is ``[scan r, member s]`` once r is priced
-#: below s (the shape of ``exist_reach``'s optimized query rule)
-SEMIJOIN = "q(Y) :- r(X,Y), s(X).\n?- q(Y)."
-
-
 #: a three-step lookup chain, and probe relations no larger than the
 #: three-row frontiers it is fired with (so their images are laid out)
 CHAIN = "p(X, W) :- d(X, Y), e(Y, Z), f(Z, W).\n?- p(X, W)."
 CHAIN_DATA = {"e": [(2, 3), (2, 4), (5, 6)], "f": [(3, 7), (4, 8), (4, 9)]}
-
-
-def _semijoin():
-    cr = _compiled(SEMIJOIN, sizes={"r": 1, "s": 10})
-    assert [(s.kind, s.predicate) for s in cr.lowered(None).steps] == [
-        ("scan", "r"), ("member", "s")
-    ]
-    return cr
 
 
 @pytest.mark.usefixtures("vector_at_any_size")
@@ -311,41 +296,15 @@ class TestBatchKernelGates:
         assert touched["batch_probes"] == 2 and touched["rule_firings"] == 4
 
     def test_self_referential_naive_plan_is_gated(self):
-        # a naive plan whose probe step reads the head never vectorizes:
-        # the tuple engine inserts per yield while enumerating, so that
-        # step sees mid-firing inserts a whole-frontier batch cannot
+        # a naive plan never vectorizes; this one's probe step reads
+        # the head besides, and the tuple engine inserts per yield while
+        # enumerating, so that step sees mid-firing inserts a
+        # whole-frontier batch cannot
         cr = _compiled(RIGHT_TC, sizes={"tc": 10, "e": 10})
         assert [(s.kind, s.predicate) for s in cr.lowered(None).steps] == [
             ("scan", "e"), ("lookup", "tc")
         ]
         assert vector_rule_kernel(cr) is None
-
-    @needs_numpy
-    def test_naive_scan_of_the_head_commits_like_the_tuple_kernel(self):
-        """LEFT_TC's naive plan ``[scan tc, lookup e]`` scans the head
-        itself: the tuple kernel snapshots it with ``list(tc)`` and the
-        packed runs are a snapshot too, so the plan vectorizes, with
-        the tuple kernel's rows (in sorted-id order, not set order) and
-        counters."""
-        cr = _compiled(LEFT_TC, sizes={"tc": 10, "e": 10})
-        assert [(s.kind, s.predicate) for s in cr.lowered(None).steps] == [
-            ("scan", "tc"), ("lookup", "e")
-        ]
-        kernel = vector_rule_kernel(cr)
-        db = Database.from_dict(
-            {"e": [(2, 3), (3, 4), (2, 5)], "tc": [(1, 2), (2, 3), (7, 7)]}
-        )
-        db.relation("tc").packed_runs()
-        rows, expected = _tuple_launch(cr, None, db, None)
-        out, touched = _launch(kernel, db, None)
-        assert sorted(db.relation("tc").decode_packed(out)) == sorted(rows)
-        assert len(rows) == 3
-        assert _invariant(touched) | _absorbed(out, 2) == expected == {
-            "join_probes": 4, "scan_fallbacks": 1, "index_probes": 3,
-            "rows_scanned": 6, "rule_firings": 3, "join_work": 9,
-            "facts_derived": 3, "derivations": 3,
-        }
-        assert (touched["batch_probes"], touched["batch_rows"]) == (2, 6)
 
     @needs_numpy
     def test_delta_step_on_head_is_allowed(self):
@@ -366,83 +325,35 @@ class TestBatchKernelGates:
         assert touched["index_probes"] == 2
 
     @pytest.mark.parametrize(
-        "text",
+        "text, naive, steps",
         [
-            pytest.param("p(X) :- d(X,Y), f(Y,W).", id="existential-step"),
-            pytest.param("p(X,Y) :- d(X,Z), p(Z,Y).", id="step-reads-head"),
-            pytest.param("p(X,V) :- d(X,Y,Z,W), f(Y,V).", id="arity-above-3"),
-            pytest.param("p(X,Y) :- d(1,X), f(X,Y).", id="constant-in-delta"),
-            pytest.param("p(X,Y) :- d(X,X), f(X,Y).", id="repeated-variable"),
-            pytest.param("p(X,Y) :- d(X,Y), f(Y,1).", id="constant-in-member-key"),
-            pytest.param("p(X,Y) :- d(X,Z), f(Z,Y), lt(Z,Y).", id="built-in"),
-            pytest.param("p(X,Y) :- d(X,Z), f(Z,Y), not g(Y).", id="negation"),
+            pytest.param("p(X) :- d(X,Y), f(Y,W).", False, None, id="existential-step"),
+            pytest.param("p(X,Y) :- d(X,Z), p(Z,Y).", False, None, id="step-reads-head"),
+            pytest.param("p(X,V) :- d(X,Y,Z,W), f(Y,V).", False, None, id="arity-above-3"),
+            pytest.param("p(X,Y) :- d(1,X), f(X,Y).", False, None, id="constant-in-delta"),
+            pytest.param("p(X,Y) :- d(X,X), f(X,Y).", False, None, id="repeated-variable"),
+            pytest.param("p(X,Y) :- d(X,Y), f(Y,1).", False, None, id="constant-in-member-key"),
+            pytest.param("p(X,Y) :- d(X,Z), f(Z,Y), lt(Z,Y).", False, None, id="built-in"),
+            pytest.param("p(X,Y) :- d(X,Z), f(Z,Y), not g(Y).", False, None, id="negation"),
+            pytest.param("p(X,Y) :- d(X,Z), f(Z,Y).", True, ["scan", "lookup"], id="scan-first"),
+            pytest.param("p(X,Y) :- d(X,Y), f(Y).", False, ["delta", "member"], id="member-last"),
+            pytest.param(
+                "p(X,Z) :- d(X,Y), e(Y,Z), g(Z,X).", False, ["delta", "lookup", "member"],
+                id="lookup-then-member",
+            ),
         ],
     )
-    def test_shape_gates_decline_at_compile_time(self, text):
+    def test_shape_gates_decline_at_compile_time(self, text, naive, steps):
+        """Only ``delta`` then one-register ``lookup`` steps vectorize:
+        the spec declines every other shape, and a naive plan, which
+        has no delta frontier, never reaches the spec."""
         cr = _compiled(text + "\n?- " + text.split(" :-")[0] + ".")
-        assert vector_rule_kernel(cr, _delta_plan(cr, "d")) is None
-
-    @needs_numpy
-    def test_fully_bound_probe_commits_exactly(self):
-        """``[delta d, member f]``: the keys are packed and answered by
-        f's membership runs, charged one probe per frontier row."""
-        cr = _compiled("p(X,Y) :- d(X,Y), f(Y).\n?- p(X,Y).")
-        kernel = vector_rule_kernel(cr, _delta_plan(cr, "d"))
-        db = Database.from_dict({"f": [(2,), (4,)]})
-        frontier = [(1, 2), (3, 4), (5, 6)]
-        rows, expected = _tuple_launch(cr, _delta_plan(cr, "d"), db, frontier)
-        out, touched = _launch(kernel, db, frontier)
-        assert db.ensure("p", 2).decode_packed(out) == rows == [(1, 2), (3, 4)]
-        assert _invariant(touched) | _absorbed(out, 2) == expected == {
-            "join_probes": 4, "index_probes": 3, "rows_scanned": 5,
-            "rule_firings": 2, "join_work": 8, "facts_derived": 2, "derivations": 2,
-        }
-        assert (touched["batch_probes"], touched["batch_rows"]) == (2, 5)
-
-    @needs_numpy
-    def test_stale_scanned_runs_decline_before_any_counter(self):
-        # re-packing the whole scanned relation to read it once never
-        # pays, whatever its size
-        cr = _semijoin()
-        db = Database.from_dict({"r": [(1, 2)], "s": [(1,)]})
-        assert _launch(vector_rule_kernel(cr), db, None) == (None, {})
-        db.relation("r").packed_runs()
-        out, touched = _launch(vector_rule_kernel(cr), db, None)
-        assert db.ensure("q", 1).decode_packed(out) == [(2,)]
-        assert touched["rule_firings"] == 1
-
-    @needs_numpy
-    def test_stale_member_relation_larger_than_frontier_declines(self):
-        cr = _semijoin()
-        db = Database.from_dict({"r": [(1, 2)], "s": [(i,) for i in range(3)]})
-        db.relation("r").packed_runs()
-        assert _launch(vector_rule_kernel(cr), db, None) == (None, {})
-        db.relation("s").packed_runs()
-        out, touched = _launch(vector_rule_kernel(cr), db, None)
-        assert db.ensure("q", 1).decode_packed(out) == [(2,)]
-        assert touched["index_probes"] == 1
-
-    @needs_numpy
-    def test_absent_scanned_relation_counts_nothing(self):
-        # the scan's ``fail`` is ``return``: the tuple kernel counts nothing
-        cr = _semijoin()
-        db = Database.from_dict({"s": [(1,)]})
-        out, touched = _launch(vector_rule_kernel(cr), db, None)
-        assert out is not None and len(out) == 0 and touched == {}
-        assert _tuple_launch(cr, None, db, None) == ([], {})
-
-    @needs_numpy
-    def test_absent_member_relation_charges_only_the_scan(self):
-        cr = _semijoin()
-        db = Database.from_dict({"r": [(1, 2), (3, 4)]})
-        db.relation("r").packed_runs()
-        out, touched = _launch(vector_rule_kernel(cr), db, None)
-        assert out is not None and len(out) == 0
-        only_scan = {
-            "join_probes": 1, "scan_fallbacks": 1, "rows_scanned": 2, "join_work": 2,
-        }
-        assert _invariant(touched) == only_scan
-        assert _tuple_launch(cr, None, db, None) == ([], only_scan)
+        plan_id = None if naive else _delta_plan(cr, "d")
+        if steps is not None:
+            assert [s.kind for s in cr.lowered(plan_id).steps] == steps
+        assert batch_kernel._vector_spec(cr, cr.lowered(plan_id)) is None
+        assert vector_rule_kernel(cr, plan_id) is None
+        assert vector_rule_kernel(cr, None) is None
 
     def test_existential_repeat_is_gated(self):
         cr = _compiled("p(X) :- e(X), f(Y,Y).\n?- p(X).")
@@ -523,27 +434,6 @@ class TestBatchKernelGates:
         assert _invariant(touched) | _absorbed(out, 2) == expected
         assert expected["join_probes"] == 1 + 3 + 5 and expected["rows_scanned"] == 3 + 5 + 6
         assert (touched["batch_probes"], touched["batch_rows"]) == (3, 14)
-
-    @needs_numpy
-    def test_chain_ending_in_a_member_commits_with_the_tuple_kernels_counters(self):
-        """``[delta d, lookup e, member g]``: ``X`` is carried through
-        the lookup, since the member's key still reads it, while the
-        dead ``Y`` is dropped."""
-        cr = _compiled("p(X, Z) :- d(X, Y), e(Y, Z), g(Z, X).\n?- p(X, Z).")
-        plan_id = _delta_plan(cr, "d")
-        assert [s.kind for s in cr.lowered(plan_id).steps] == ["delta", "lookup", "member"]
-        spec = batch_kernel._vector_spec(cr, cr.lowered(plan_id))
-        assert spec["proj"] == [0, 1] and spec["key_slots"] == [1, 0]
-        data = {"e": CHAIN_DATA["e"], "g": [(3, 1), (4, 1), (6, 9), (4, 8)]}
-        frontier = [(1, 2), (9, 5), (8, 2)]
-        rows, expected = _tuple_launch(cr, plan_id, Database.from_dict(data), frontier)
-        db = Database.from_dict(data)
-        db.relation("g").packed_runs()  # g holds more rows than the frontier
-        out, touched = _launch(vector_rule_kernel(cr, plan_id), db, frontier)
-        assert db.ensure("p", 2).decode_packed(out) == rows
-        assert sorted(rows) == [(1, 3), (1, 4), (8, 4), (9, 6)]
-        assert _invariant(touched) | _absorbed(out, 2) == expected
-        assert (touched["batch_probes"], touched["batch_rows"]) == (3, 3 + 5 + 4)
 
     @needs_numpy
     def test_a_step_reached_with_no_rows_builds_no_index(self):

@@ -1,8 +1,7 @@
 """Bound soundness: a *measured* cardinality profile is an upper bound.
 
-DL021 / DL022 and ``evaluate(..., analysis=...)`` consume the
-analyzer's ``measured`` profiles as facts about the fixpoint, so every
-one of them must dominate what :meth:`Relation.degree_profile` counts
+DL021 / DL022 consume the analyzer's ``measured`` profiles as facts
+about the fixpoint, so every one of them must dominate what :meth:`Relation.degree_profile` counts
 there — in size and at every position.  Programs are analyzed with the
 query stripped, so the raw rules (every head position needed) are what
 is priced and the derived relations are directly comparable.

@@ -24,12 +24,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.pipeline import optimize
 from repro.datalog.columnar import numpy_available
 from repro.datalog.database import Database
 from repro.datalog.parser import parse
 from repro.engine import EngineOptions, evaluate, scheduler
-from repro.workloads import families
 from repro.workloads.edb import random_edb
 from repro.workloads.families import all_families
 
@@ -154,52 +152,6 @@ def test_linear_recursion_takes_the_vector_rung(name, use_scc):
         assert col.db.rows(pred) == tup.db.rows(pred), pred
 
 
-@pytest.mark.skipif(not numpy_available(), reason="the vector kernel needs numpy")
-def test_semijoin_query_over_packed_closure_takes_the_vector_rung(monkeypatch):
-    """``exist_reach``'s shape: after Lemma 3.2 the query rule is
-    ``q@n(Y) :- start(X), reach@nndd(X, Y)``, lowered to ``[scan
-    reach@nndd, member start]`` because the cost planner prices the
-    empty ``reach@nndd`` first.  Over a chain every round of the
-    recursion vectorizes, so ``reach@nndd``'s packed runs are current
-    when the query rule fires, and its one firing must run on the
-    vector kernel, leaving the tuple kernel's and the interpreter's
-    state behind.  (The program is taken right after
-    ``push_projections``: the full pipeline's ``monadic_chains`` pass
-    replaces the binary closure with unary state predicates.)"""
-    rules = "\n".join(map(str, families.reachability_with_payload(2).rules))
-    program = optimize(
-        parse(f"q(Y) :- start(X), reach(X, Y, T0, T1).\n{rules}\n?- q(Y).")
-    ).record("push_projections").program.to_program()
-    (query,) = [cr for cr in program.rules if cr.head.predicate == "q@n"]
-    v = 40
-    db = Database.from_dict({
-        "edge": [(i, i + 1) for i in range(v)],
-        "tag0": [(i, "a") for i in range(v + 1)],
-        "tag1": [(i, i % 3) for i in range(v + 1)],
-        "start": [(0,), (17,), (33,)],
-    })
-    launches = []
-    real = scheduler.vector_rule_kernel
-
-    def spy(cr, plan_id, **kw):
-        kernel = real(cr, plan_id, **kw)
-        if kernel is None or cr.rule != query:
-            return kernel
-
-        def launch(db, stats, delta):
-            out = kernel(db, stats, delta)
-            launches.append(out is not None)
-            return out
-
-        return launch
-
-    monkeypatch.setattr(scheduler, "vector_rule_kernel", spy)
-    res = evaluate(program, db.copy())
-    assert launches == [True], "the query rule's firing fell back to the tuple kernel"
-    assert len(res.answers()) == v
-    _assert_columnar_matches(program, db)
-
-
 @given(random_programs(), st.integers(min_value=0, max_value=3))
 @settings(
     max_examples=200,
@@ -221,24 +173,17 @@ def test_columnar_differential_on_random_programs(program, seed):
 
 @st.composite
 def lookup_chains(draw):
-    """A program whose chain rule lowers to a ``delta`` or ``scan``
-    step, then lookups keyed on one register, optionally ending in a
-    fully bound ``member``: 3–4 body literals in all.
+    """A program whose chain rule lowers to a ``delta`` step, then two
+    or three lookups keyed on one register: 3–4 body literals in all.
 
-    In *delta* mode the chain rule recurses through its first literal,
-    ``h(A, B) :- h(V0, V1), ...``; in *scan* mode it reads ``s``, a
-    closure the vector kernel computes, so the planner (which prices
-    the empty derived ``s`` first) scans its packed runs.  Each lookup
-    ``l<i>`` is keyed on one variable the previous literal bound, at a
-    drawn position, so no step is a cut; the trailing member's key
-    holds the last fresh variable.  The EDB is drawn too: small probe
-    relations beside a larger ``b`` feeding the frontier, so stale
-    probe images are laid out and many firings really vectorize.
+    The chain rule recurses through its first literal, ``h(A, B) :-
+    h(V0, V1), ...``.  Each lookup ``l<i>`` is keyed on one variable
+    the previous literal bound, at a drawn position, so no step is a
+    cut.  The EDB is drawn too: small probe relations beside a larger
+    ``b`` feeding the frontier, so stale probe images are laid out and
+    many firings really vectorize.
     """
-    mode = draw(st.sampled_from(["delta", "scan"]))
-    member = draw(st.booleans())
-    # 3–4 literals: the start, the lookups, the member
-    lookups = draw(st.integers(min_value=2 - member, max_value=3 - member))
+    lookups = draw(st.integers(min_value=2, max_value=3))
     names = iter(f"V{i}" for i in range(12))
     start = [next(names), next(names)]
     bound = list(start)
@@ -254,34 +199,17 @@ def lookup_chains(draw):
         edb_arities[f"l{i}"] = arity
         bound += fresh
         last = fresh
-    if member:
-        width = draw(st.integers(min_value=1, max_value=2))
-        keys = [draw(st.sampled_from(last))]
-        keys += [draw(st.sampled_from(bound)) for _ in range(width - 1)]
-        body.append(f"m({', '.join(keys)})")
-        edb_arities["m"] = width
-    if mode == "delta":
-        head = [draw(st.sampled_from(last)), draw(st.sampled_from(bound))]
-        if draw(st.booleans()):
-            head.reverse()
-        text = (
-            "s(X, Y) :- b(X, Y).\n"
-            "h(X, Y) :- s(X, Y).\n"
-            f"h({', '.join(head)}) :- h({', '.join(start)}), {', '.join(body)}.\n"
-            "?- h(X, Y).\n"
-        )
-    else:
-        width = draw(st.integers(min_value=1, max_value=3))
-        head = [draw(st.sampled_from(last))]
-        head += [draw(st.sampled_from(bound)) for _ in range(width - 1)]
-        text = (
-            "s(X, Y) :- b(X, Y).\n"
-            "s(X, Y) :- s(X, Z), b(Z, Y).\n"
-            f"q({', '.join(head)}) :- s({', '.join(start)}), {', '.join(body)}.\n"
-            f"?- q({', '.join(f'Q{i}' for i in range(width))}).\n"
-        )
+    head = [draw(st.sampled_from(last)), draw(st.sampled_from(bound))]
+    if draw(st.booleans()):
+        head.reverse()
+    text = (
+        "s(X, Y) :- b(X, Y).\n"
+        "h(X, Y) :- s(X, Y).\n"
+        f"h({', '.join(head)}) :- h({', '.join(start)}), {', '.join(body)}.\n"
+        "?- h(X, Y).\n"
+    )
     value = st.integers(min_value=0, max_value=5)
-    data = {"b": draw(st.lists(st.tuples(value, value), min_size=1, max_size=24))}
+    data = {"b": draw(st.lists(st.tuples(value, value), min_size=8, max_size=24))}
     for pred, arity in edb_arities.items():
         data[pred] = draw(st.lists(st.tuples(*[value] * arity), min_size=1, max_size=6))
     return parse(text), Database.from_dict(data)
