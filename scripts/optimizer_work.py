@@ -12,9 +12,10 @@ cleared prepared-program cache and one line is printed:
   optimizer's output can be compared between trees;
 - ``passes``: ``delete_rules`` passes (one per restart, counted as
   calls of ``query_rooted_summaries`` in ``repro.core.deletion``);
-- ``chases``: frozen-body chases (calls of ``freeze`` inside
-  ``repro.core.uniform_equivalence``, which ``frozen_chase`` makes once
-  per chase);
+- ``chases``: frozen-body chases (calls of ``frozen_chase`` and of
+  ``FrozenChase.derives`` in ``repro.core.uniform_equivalence``, one per
+  chase; the deletion passes chase through ``derives``, which freezes
+  the rule into a database only when some rule can fire);
 - ``runs``: chases that ran the engine (calls of ``run_prepared`` made
   by ``repro.core.uniform_equivalence``); a chase in which no rule can
   fire returns its frozen body without one;
@@ -47,10 +48,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: (column, module, function) — calls of module.function are counted
+#: (column, module, attribute) — calls of module.attribute are counted;
+#: the attribute may name a method (``Class.method``)
 WRAPPED = (
     ("passes", "repro.core.deletion", "query_rooted_summaries"),
-    ("chases", "repro.core.uniform_equivalence", "freeze"),
+    ("chases", "repro.core.uniform_equivalence", "frozen_chase"),
+    ("chases", "repro.core.uniform_equivalence", "FrozenChase.derives"),
     ("runs", "repro.core.uniform_equivalence", "run_prepared"),
     ("compiles", "repro.engine.prepared", "compile_rule"),
     ("closures", "repro.core.deletion", "summary_closure"),
@@ -60,15 +63,18 @@ COLUMNS = ("passes", "chases", "runs", "misses", "compiles", "closures")
 
 def install_counters() -> dict:
     counts = dict.fromkeys(COLUMNS, 0)
-    for column, module_name, name in WRAPPED:
-        module = importlib.import_module(module_name)
-        original = getattr(module, name)
+    for column, module_name, path in WRAPPED:
+        owner = importlib.import_module(module_name)
+        *outer, name = path.split(".")
+        for attribute in outer:
+            owner = getattr(owner, attribute)
+        original = getattr(owner, name)
 
         def counted(*args, _column=column, _original=original, **kwargs):
             counts[_column] += 1
             return _original(*args, **kwargs)
 
-        setattr(module, name, counted)
+        setattr(owner, name, counted)
     return counts
 
 

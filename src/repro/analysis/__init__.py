@@ -36,7 +36,7 @@ from .domains import (
     load_profiles,
     save_profiles,
 )
-from .lints import lint_program
+from .lints import adorn_or_none, lint_program, warning_lints
 from .validate import (
     InvariantViolation,
     check_adorned_program,
@@ -55,6 +55,8 @@ __all__ = [
     "LintReport",
     "Severity",
     "lint_program",
+    "warning_lints",
+    "adorn_or_none",
     "AnalysisResult",
     "analyze_program",
     "default_domains",

@@ -21,6 +21,9 @@ instead of crashing or silently missing a rewrite:
 The entry point is :func:`lint_program`; pass the known EDB predicate
 names (e.g. ``db.predicates()``) to enable the checks that need to
 distinguish "stored relation" from "never defined anywhere".
+:func:`warning_lints` is the subset the evaluating commands print: the
+errors and warnings without DL017, from an adornment the caller may
+already hold.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .diagnostics import CODES, Diagnostic, LintReport, Severity
 if TYPE_CHECKING:
     from ..core.adornment import AdornedProgram
 
-__all__ = ["lint_program"]
+__all__ = ["lint_program", "warning_lints", "adorn_or_none"]
 
 
 def _diag(code: str, message: str, **kw) -> Diagnostic:
@@ -577,15 +580,50 @@ def lint_program(
     program text alone because never-defined predicates are by
     convention assumed to be EDB relations.
     """
+    return _lint(program, edb, source, adorn_or_none(program), everything=True)
+
+
+def warning_lints(
+    program: Program,
+    edb: Optional[Iterable[str]] = None,
+    source: str = "<program>",
+    adorned: Optional["AdornedProgram"] = None,
+) -> LintReport:
+    """The errors and warnings ``repro run``, ``optimize`` and
+    ``serve`` print before they work: those of :func:`lint_program`,
+    in its order, except DL017, which stays ``repro lint``'s (its
+    synthetic-profile pricing is what the planner redoes on the real
+    profile).  No info is computed.
+
+    *adorned* is ``adorn(program)`` when the caller already holds it
+    (``run -O`` and ``optimize`` hand over the pipeline's first pass);
+    ``None`` adorns here.
+    """
+    if adorned is None:
+        adorned = adorn_or_none(program)
+    return _lint(program, edb, source, adorned, everything=False)
+
+
+def adorn_or_none(program: Program) -> Optional["AdornedProgram"]:
+    """``adorn(program)``, or ``None`` when the program does not adorn
+    (no query, earlier errors: the other lints tell why)."""
     from ..core.adornment import adorn
 
+    try:
+        return adorn(program)
+    except ReproError:
+        return None
+
+
+def _lint(
+    program: Program,
+    edb: Optional[Iterable[str]],
+    source: str,
+    adorned: Optional["AdornedProgram"],
+    everything: bool,
+) -> LintReport:
     edb_set = frozenset(edb) if edb is not None else None
     diags: list[Diagnostic] = []
-    try:
-        adorned = adorn(program)
-    except ReproError:
-        adorned = None
-
     _check_arities(program, diags)
     _check_safety(program, diags)
     _check_stratification(program, diags)
@@ -594,9 +632,10 @@ def lint_program(
     _check_cross_products(program, adorned, diags)
     _check_query(program, edb_set, diags)
     _check_undefined_predicates(program, edb_set, diags)
-    _check_facts(program, diags)
+    if everything:
+        _check_facts(program, diags)
     _check_dictionary_overhead(program, diags)
-    if not any(d.severity is Severity.ERROR for d in diags):
+    if everything and not any(d.severity is Severity.ERROR for d in diags):
         # optimization-opportunity lints need a program the pipeline
         # accepts; with errors present the story is already told above
         _check_adornment_opportunities(adorned, diags)

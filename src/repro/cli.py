@@ -64,24 +64,30 @@ def _load_facts(path: str) -> Database:
     return db
 
 
-def _warn_diagnostics(program: Program, source: str, edb=None) -> None:
+def _warn_diagnostics(program: Program, source: str, edb=None, adorned=None) -> None:
     """Print lint errors/warnings for *program* to stderr.
 
-    Used by ``optimize`` and ``run`` so mistakes like an undefined body
-    predicate surface as a diagnostic instead of a silently empty
-    evaluation; infos are withheld (``repro lint`` shows everything)."""
-    from .analysis import lint_program
+    Used by ``optimize``, ``run`` and ``serve`` so mistakes like an
+    undefined body predicate surface as a diagnostic instead of a
+    silently empty evaluation; infos are withheld and DL017 is left to
+    ``repro lint``, which shows everything.  *adorned* is the program's
+    adornment when the caller already holds it."""
+    from .analysis import warning_lints
 
-    report = lint_program(program, edb=edb, source=source)
+    report = warning_lints(program, edb=edb, source=source, adorned=adorned)
     for diag in (*report.errors, *report.warnings):
         print(diag.render(source), file=sys.stderr)
 
 
 def _cmd_optimize(args) -> int:
+    from .analysis import adorn_or_none
+
     program = _load_program(args.program)
-    _warn_diagnostics(program, args.program)
+    adorned = adorn_or_none(program)
+    _warn_diagnostics(program, args.program, adorned=adorned)
     result = optimize(
         program,
+        adorned=adorned,
         deletion=None if args.no_deletion else "lemma53",
         unit_rules=not args.no_unit_rules,
         use_chase=not args.no_chase,
@@ -118,13 +124,18 @@ def _engine_kwargs(args) -> dict:
 
 
 def _cmd_run(args) -> int:
+    from .analysis import adorn_or_none
+
     program = _load_program(args.program)
     db = _load_facts(args.facts)
-    _warn_diagnostics(program, args.program, edb=db.predicates())
+    # run -O hands the lints the pipeline's adornment; plain run's
+    # lints adorn for themselves
+    adorned = adorn_or_none(program) if args.optimize else None
+    _warn_diagnostics(program, args.program, edb=db.predicates(), adorned=adorned)
     engine = _engine_kwargs(args)
     try:
         if args.optimize:
-            result = optimize(program, validate=args.validate)
+            result = optimize(program, validate=args.validate, adorned=adorned)
             evaluation = result.evaluate(db, **engine)
             answers = result.answers_of(evaluation)
         else:

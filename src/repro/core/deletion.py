@@ -51,7 +51,7 @@ from .argument_projection import (
     query_rooted_summaries,
     summary_closure,
 )
-from .uniform_equivalence import frozen_chase, rule_deletable_uniform
+from .uniform_equivalence import FrozenChase, rule_deletable_uniform
 from .unit_rules import is_unit_rule
 
 __all__ = [
@@ -281,6 +281,7 @@ def chase_deletable(
     program: AdornedProgram,
     rule_index: int,
     summaries: Optional[QueryRootedSummaries] = None,
+    chase: Optional[FrozenChase] = None,
 ) -> Optional[str]:
     """The Example-6 uniform-query-equivalence chase test.
 
@@ -303,6 +304,10 @@ def chase_deletable(
     equivalence: in any derivation, the subtree rooted at an application
     of ``r`` can be replaced — by the homomorphic image of the chase
     derivation — without changing the query fact at the root.
+
+    *chase* is a :class:`~repro.core.uniform_equivalence.FrozenChase`
+    over ``program.to_program()`` shared by the tests of one deletion
+    pass.
     """
     _require_projected(program)
     _require_positive(program)
@@ -324,7 +329,8 @@ def chase_deletable(
     if not sigma_set:
         return None  # unreachable; the cascade removes it more cheaply
 
-    plain = program.to_program()
+    if chase is None:
+        chase = FrozenChase(program.to_program())
     plain_rule = rule.to_rule()
 
     for sigma in sigma_set:
@@ -335,12 +341,9 @@ def chase_deletable(
         if constrained is None:
             return None
         subst, representatives = constrained
-        ground_head, fixpoint = frozen_chase(
-            plain, plain_rule.substitute(subst), {rule_index}
-        )
-        frozen = ground_head.as_fact()
-        answers = fixpoint.relation(query_pred)
-        if answers is None or tuple(frozen[j] for j in representatives) not in answers:
+        if not chase.derives(
+            plain_rule.substitute(subst), {rule_index}, query_pred, representatives
+        ):
             return None
     return f"uniform-query-equivalence chase (head {head_pred}, {len(sigma_set)} summaries)"
 
@@ -464,11 +467,12 @@ def delete_rules(
         progress = False
         summaries = query_rooted_summaries(program)
         plain = program.to_program()
+        chase = FrozenChase(plain)
         shared_s2 = None  # the Lemma 5.3 closure of this pass's non-unit rules
         for ri, rule in enumerate(program.rules):
             reason = None
             if use_sagiv and rule.body and id(rule) not in sagiv_failed:
-                if rule_deletable_uniform(plain, ri):
+                if rule_deletable_uniform(plain, ri, chase):
                     reason = "sagiv uniform equivalence"
                 else:
                     sagiv_failed.add(id(rule))
@@ -483,7 +487,7 @@ def delete_rules(
                     s2 = shared_s2
                 reason = _lemma53(program, ri, summaries, s2)
             if reason is None and use_chase:
-                reason = chase_deletable(program, ri, summaries)
+                reason = chase_deletable(program, ri, summaries, chase)
             if reason is not None:
                 deleted.append(Deletion(rule, reason))
                 program = program.without_rules([ri])

@@ -303,6 +303,7 @@ def optimize(
     use_chase: bool = True,
     use_sagiv: bool = True,
     validate: bool = False,
+    adorned: Optional[AdornedProgram] = None,
 ) -> OptimizationResult:
     """Run the paper's optimization pipeline on *program*.
 
@@ -323,11 +324,15 @@ def optimize(
     invariant is asserted over the pass's output, and a violation
     raises :class:`~repro.analysis.validate.InvariantViolation` naming
     the pass and the broken rule.
+
+    *adorned*, when given, is ``adorn(program)`` computed by the caller
+    (the CLI lints the same adornment first); the ``adorn`` pass then
+    records it instead of adorning again.
     """
     if program.has_negation() or has_builtins(program):
         deletion = None
     passes = (
-        ("adorn", "uniform", lambda p: (adorn(p), None)),
+        ("adorn", "uniform", lambda p: (adorn(p) if adorned is None else adorned, None)),
         ("split_components", "uniform", _split_components),
         ("push_projections", "uniform", lambda p: (push_projections(p), None)),
         ("monadic_chains", "edb-only", _monadic_chains),

@@ -165,6 +165,8 @@ def delete_subsumed(program: Program) -> tuple[Program, list[tuple[Rule, Rule]]]
     for uniform equivalence, hence for every weaker notion.
     """
     kept: list[Rule] = []
+    # membership by identity: ``r not in kept`` would deep-compare rules
+    kept_ids: set[int] = set()
     deleted: list[tuple[Rule, Rule]] = []
     for rule in program.rules:
         # a rule may be subsumed by an already-kept rule or by a
@@ -175,7 +177,7 @@ def delete_subsumed(program: Program) -> tuple[Program, list[tuple[Rule, Rule]]]
             later = [
                 r
                 for r in program.rules
-                if r is not rule and r not in kept
+                if r is not rule and id(r) not in kept_ids
             ]
             for candidate in later:
                 if theta_subsumes(candidate, rule) and not theta_subsumes(
@@ -187,6 +189,7 @@ def delete_subsumed(program: Program) -> tuple[Program, list[tuple[Rule, Rule]]]
             deleted.append((rule, winner))
         else:
             kept.append(rule)
+            kept_ids.add(id(rule))
     return program.with_rules(kept), deleted
 
 

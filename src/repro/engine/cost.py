@@ -31,10 +31,11 @@ propagation:
   stops at one witness, so its contribution is capped at **1 per
   binding** regardless of degree;
 - the join order is chosen by a bottom-up dynamic program over literal
-  subsets (Held–Karp over the body; every subset is visited, nothing
-  is pruned) that minimizes the **summed intermediate-result bound**;
-  exact ties are broken by the lexicographically smallest order, i.e.
-  original body order, so plans are fully deterministic.
+  subsets (Held–Karp over variable bitsets: every subset is visited,
+  nothing is pruned, and the variables a subset binds are one int)
+  that minimizes the **summed intermediate-result bound**; exact ties
+  are broken by the lexicographically smallest order, i.e. original
+  body order, so plans are fully deterministic.
 
 Profiles are **log-bucketed** (:func:`bucket_size`) before the model
 ever sees them: two databases whose relations fall in the same buckets
@@ -101,6 +102,8 @@ DEFAULT_SIZE = 1000
 #: per-key fanout assumed with it: a bound position is assumed to
 #: deliver at most this many rows per probe (a mildly skewed relation)
 DEFAULT_FANOUT = 4
+
+_INF = float("inf")
 
 
 def bucket_size(n: int) -> int:
@@ -323,47 +326,91 @@ class BoundCostModel:
         if k <= 1:
             return tuple(remaining)
 
-        items = list(remaining)
-        item_vars = [frozenset(body[i].variables()) for i in items]
+        # one bit per variable of the remaining literals; per literal
+        # j: its variable mask, the bound its size and constants give,
+        # and (variable bit, smallest degree at that variable's
+        # positions) pairs — literal_bound taken apart once
+        bit_of: dict[Variable, int] = {}
+        var_mask: list[int] = []
+        base: list[float] = []
+        var_degree: list[tuple[tuple[int, float], ...]] = []
+        for i in remaining:
+            profile = self.profiles.get(body[i].predicate, self._unknown)
+            degree = profile.degree
+            low = float(profile.size)
+            per_var: dict[int, float] = {}
+            for p, arg in enumerate(body[i].args):
+                d = float(degree[p]) if p < len(degree) else _INF
+                if isinstance(arg, Constant):
+                    low = min(low, d)
+                else:
+                    bit = bit_of.setdefault(arg, 1 << len(bit_of))
+                    per_var[bit] = min(per_var.get(bit, _INF), d)
+            var_mask.append(sum(per_var))
+            base.append(low)
+            var_degree.append(tuple(per_var.items()))
+        # the bound literal j delivers depends only on which of its
+        # variables are bound: memo[j][bound & var_mask[j]]
+        memo: list[dict[int, float]] = [{} for _ in range(k)]
+
         full = (1 << k) - 1
         # vars_of[mask]: variables bound once the literals in *mask*
         # (plus any forced-first literal) have been placed
-        vars_of: list[frozenset] = [frozenset()] * (full + 1)
-        vars_of[0] = frozenset(bound_vars)
+        vars_of = [0] * (full + 1)
+        vars_of[0] = sum(b for v, b in bit_of.items() if v in bound_vars)
         for mask in range(1, full + 1):
-            low = mask & -mask
-            vars_of[mask] = vars_of[mask ^ low] | item_vars[low.bit_length() - 1]
-        # later_of[mask]: variables that keep new bindings alive when
-        # the literals *not yet placed* are exactly the complement of
-        # mask — the DP analogue of the lowering's backward cut scan
-        later_of = [needed | vars_of[full ^ mask] for mask in range(full + 1)]
+            low_bit = mask & -mask
+            vars_of[mask] = vars_of[mask ^ low_bit] | var_mask[low_bit.bit_length() - 1]
+        needed_bits = sum(b for v, b in bit_of.items() if v in needed)
 
-        # best[mask] = (cost, card, order); ascending masks visit every
-        # submask before its supersets
-        best: list[Optional[tuple[float, float, tuple[int, ...]]]] = (
-            [None] * (full + 1)
-        )
-        best[0] = (0.0, 1.0, ())
+        # ascending masks visit every submask before its supersets; the
+        # order tuples are compared only on an exact cost tie, so the
+        # winner is the (cost, order)-smallest candidate
+        best_cost = [0.0] * (full + 1)
+        best_card = [1.0] * (full + 1)
+        best_order: list[tuple[int, ...]] = [()] * (full + 1)
         for mask in range(1, full + 1):
-            choice: Optional[tuple[float, float, tuple[int, ...]]] = None
-            later = later_of[mask]
-            for j in range(k):
-                bit = 1 << j
-                if not mask & bit:
-                    continue
-                prev = best[mask ^ bit]
-                if prev is None:
-                    continue
-                cost, card, order = prev
-                new_card = card * self.literal_bound(
-                    body[items[j]], vars_of[mask ^ bit], later
-                )
-                cand = (cost + new_card, new_card, order + (items[j],))
-                if choice is None or (cand[0], cand[2]) < (choice[0], choice[2]):
-                    choice = cand
-            best[mask] = choice
-        assert best[full] is not None
-        return best[full][2]
+            # variables that keep new bindings alive when the literals
+            # *not yet placed* are exactly the complement of mask — the
+            # DP analogue of the lowering's backward cut scan
+            later = needed_bits | vars_of[full ^ mask]
+            choice_prev = choice_j = -1
+            choice_cost = choice_card = 0.0
+            rest = mask
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                j = bit.bit_length() - 1
+                prev = mask ^ bit
+                bound = vars_of[prev]
+                vm = var_mask[j]
+                key = bound & vm
+                lb = memo[j].get(key)
+                if lb is None:
+                    lb = base[j]
+                    for vbit, d in var_degree[j]:
+                        if key & vbit and d < lb:
+                            lb = d
+                    memo[j][key] = lb
+                if not vm & ~bound & later:
+                    # a membership test or an existential step: one
+                    # row per binding
+                    lb = min(lb, 1.0)
+                new_card = best_card[prev] * lb
+                cost = best_cost[prev] + new_card
+                # on a tie the orders placed before the last literal
+                # decide: they cover different sets, so they differ
+                if (
+                    choice_j < 0
+                    or cost < choice_cost
+                    or (cost == choice_cost and best_order[prev] < best_order[choice_prev])
+                ):
+                    choice_prev, choice_j, choice_cost = prev, j, cost
+                    choice_card = new_card
+            best_cost[mask] = choice_cost
+            best_card[mask] = choice_card
+            best_order[mask] = best_order[choice_prev] + (remaining[choice_j],)
+        return best_order[full]
 
     def bound_walk(
         self,

@@ -9,7 +9,10 @@ every chase is also run the long way — ``prepare`` +
 and the two fixpoints must agree on every predicate, in particular on
 the frozen head's (Sagiv's test) and the query's (the Example-6 chase,
 Theorem 5.2).  Whenever no rule can fire, the engine must derive
-nothing beyond the frozen body.
+nothing beyond the frozen body.  The deletion passes ask through one
+``FrozenChase`` per program, whose gate and whose ``derives`` answer
+(which reads a gated chase off the frozen body without building it)
+must agree with the long way too.
 
 The programs are the deletion matrix's corpus (every paper example and
 family) and derandomized random programs, the latter also with a fact
@@ -26,7 +29,7 @@ from repro.core import uniform_equivalence
 from repro.core.adornment import adorn
 from repro.core.components import split_components
 from repro.core.projection import push_projections
-from repro.core.uniform_equivalence import freeze, frozen_chase
+from repro.core.uniform_equivalence import FrozenChase, freeze, frozen_chase
 from repro.datalog.analysis import firable_rules
 from repro.datalog.ast import Atom, Rule
 from repro.datalog.errors import ReproError
@@ -65,15 +68,31 @@ def _chases(program, rng):
 def _check(program, rng):
     """Check every chase of *program*; the number where no rule fired."""
     gated = 0
+    chase = FrozenChase(program)
+    arities = program.arities()
     for rule, skip in _chases(program, rng):
-        _, fixpoint = frozen_chase(program, rule, skip)
+        head, fixpoint = frozen_chase(program, rule, skip)
         _, body = freeze(rule)
         expected = _engine_chase(program, rule, skip)
         assert _facts(fixpoint) == _facts(expected), (str(rule), skip)
         present = [p for p in body if body.relation(p)]
-        if not firable_rules(program, present, skip):
+        fires = bool(firable_rules(program, present, skip))
+        assert chase.fires(rule, skip) == fires, (str(rule), skip)
+        if not fires:
             gated += 1
             assert _facts(expected) == _facts(body), (str(rule), skip)
+        # the frozen head's arguments, whole or a prefix, as a fact of
+        # each predicate of that arity (the Example-6 chase's question)
+        row = head.as_fact()
+        for pred, arity in arities.items():
+            if arity > len(row):
+                continue
+            positions = tuple(range(arity))
+            facts = expected.relation(pred)
+            derived = facts is not None and row[:arity] in facts
+            assert chase.derives(rule, skip, pred, positions) == derived, (
+                str(rule), skip, pred,
+            )
     return gated
 
 

@@ -24,6 +24,21 @@ CHAIN = """
 """
 
 
+#: a needed cross product: DL012 from every command, DL017 from lint only
+CROSS = "q(X, Y) :- a(X), b(Y).\n?- q(X, Y).\n"
+
+#: one program, many warnings (DL006 and DL014 need the facts file)
+WARNINGS = """\
+r(X, Y) :- a(X), b(Y).
+r(X, Y) :- p(X), p(Y), not ghostneg(X).
+p(X) :- e(X), ghost(X).
+p(X) :- e(X), e(X).
+p(Y) :- e(Y), ghost(Y).
+dead(X) :- e(X).
+?- r(X, Y).
+"""
+
+
 @pytest.fixture
 def files(tmp_path):
     program = tmp_path / "program.dl"
@@ -505,6 +520,86 @@ class TestDiagnosticWarnings:
         program, facts, _ = files
         assert main(["run", str(program), str(facts)]) == 0
         assert "DL" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "run -O", "optimize", "serve"])
+    def test_bound_blowup_is_left_to_lint(self, tmp_path, capsys, command):
+        program = tmp_path / "p.dl"
+        program.write_text(CROSS)
+        facts = tmp_path / "f.dl"
+        facts.write_text("a(1). a(2). b(3).")
+        if command == "serve":
+            assert _serve([program, facts], ["?"]) == 0
+        else:
+            argv = [*command.split(), str(program)]
+            assert main(argv + ([str(facts)] if command != "optimize" else [])) == 0
+        captured = capsys.readouterr()
+        assert "DL012" in captured.err and "DL017" not in captured.err
+        if command.startswith("run"):
+            assert sorted(captured.out.split("\n")[:-1]) == ["1, 3", "2, 3"]
+        assert main(["lint", str(program), str(facts)]) == 0
+        assert "DL017" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [pytest.param(c, WARNINGS, id=c)
+         for c in ("run", "run -O", "optimize", "serve")]
+        # serve opens its session before it lints: an unsafe rule stops it first
+        + [pytest.param(c, WARNINGS + "bad(X) :- e(Y).\n", id=f"{c} with-error")
+           for c in ("run", "run -O", "optimize")],
+    )
+    def test_every_other_diagnostic_is_printed_in_order(
+        self, tmp_path, capsys, command, text
+    ):
+        """What the evaluating commands print is ``repro lint``'s errors
+        and warnings, in its order, without DL017."""
+        from repro.analysis import lint_program
+        from repro.datalog import parse
+
+        program = tmp_path / "p.dl"
+        program.write_text(text)
+        facts = tmp_path / "f.dl"
+        facts.write_text("a(1). b(2). e(1). e(2).")
+        edb = {"a", "b", "e"} if command.startswith("run") else None
+        if command == "serve":
+            _serve([program, facts], [])
+        else:
+            argv = [*command.split(), str(program)]
+            main(argv + ([str(facts)] if command != "optimize" else []))
+        report = lint_program(parse(text), edb=edb)
+        expected = [
+            d.render(str(program))
+            for d in (*report.errors, *report.warnings)
+            if d.code != "DL017"
+        ]
+        assert "DL017" in report.codes() or report.errors
+        printed = capsys.readouterr().err.splitlines()
+        rendered = "\n".join(expected).splitlines()
+        assert printed[: len(rendered)] == rendered
+        assert not any("[DL" in line for line in printed[len(rendered):])
+
+    @pytest.mark.parametrize(
+        "argv", [["run", "-O"], ["run"], ["optimize"]], ids=" ".join
+    )
+    def test_one_adornment_per_invocation(self, files, monkeypatch, capsys, argv):
+        """``run -O`` and ``optimize`` lint the pipeline's own adornment;
+        plain ``run`` adorns once, for the lints."""
+        import sys
+
+        from repro.core import adornment
+
+        original, calls = adornment.adorn, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "adorn", None) is original:
+                monkeypatch.setattr(module, "adorn", counted)
+        program, facts, _ = files
+        paths = [str(program)] + ([str(facts)] if argv[0] == "run" else [])
+        assert main([*argv, *paths]) == 0
+        assert len(calls) == 1
 
 
 def _serve(argv, lines):
